@@ -16,8 +16,8 @@ The package is organised bottom-up:
   strategies (including the compiled batch fast path of
   :mod:`repro.core.batch`), Python/C code generation and the vector/GPU
   schemes.
-* :mod:`repro.openmp` — OpenMP-style schedules, cost models, a deterministic
-  simulated-time executor and a multiprocessing executor.
+* :mod:`repro.openmp` — OpenMP-style schedules, cost models and a
+  deterministic simulated-time executor.
 * :mod:`repro.kernels` — the evaluation kernels (Polybench-derived + utma,
   ltmp and the Pluto-tiled variants).
 * :mod:`repro.transforms` — Pluto-lite skewing and tiling.

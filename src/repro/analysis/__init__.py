@@ -16,11 +16,8 @@ Implements the quantities the paper reports:
 from .loadbalance import LoadBalanceReport, iteration_distribution, load_balance_report
 from .gains import GainRow, gain, gain_table
 from .overhead import (
-    EXECUTION_MODES,
     MeasuredRecovery,
-    MeasuredRun,
     OverheadRow,
-    measure_execution_throughput,
     measure_recovery_throughput,
     recovery_overhead,
 )
@@ -45,11 +42,8 @@ __all__ = [
     "GainRow",
     "gain",
     "gain_table",
-    "EXECUTION_MODES",
     "MeasuredRecovery",
-    "MeasuredRun",
     "OverheadRow",
-    "measure_execution_throughput",
     "measure_recovery_throughput",
     "recovery_overhead",
     "format_markdown_table",

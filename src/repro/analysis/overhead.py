@@ -140,95 +140,3 @@ def measure_recovery_throughput(
         iterations=total,
         elapsed_seconds=best,
     )
-
-
-@dataclass(frozen=True)
-class MeasuredRun:
-    """Wall-clock throughput of one *execution* path over a kernel.
-
-    Completes :class:`MeasuredRecovery` one layer up: not just recovering the
-    indices but actually running the kernel body through one of the three
-    execution paths the repository provides — ``"serial"`` (the original
-    lexicographic order), ``"inline"`` (collapsed chunks in this process,
-    compiled recovery) and ``"engine"`` (the persistent shared-memory pool
-    of :mod:`repro.runtime`).  Ratios between two rows of the same kernel
-    and size are end-to-end speedups.
-    """
-
-    program: str
-    mode: str
-    iterations: int
-    elapsed_seconds: float
-    workers: int = 1
-
-    @property
-    def iterations_per_second(self) -> float:
-        if self.elapsed_seconds <= 0:
-            return float("inf")
-        return self.iterations / self.elapsed_seconds
-
-
-#: the execution paths measure_execution_throughput understands
-EXECUTION_MODES = ("serial", "inline", "engine")
-
-
-def measure_execution_throughput(
-    kernel,
-    parameter_values: Mapping[str, int],
-    mode: str = "engine",
-    workers: int = 2,
-    repeat: int = 1,
-    session=None,
-) -> MeasuredRun:
-    """Time one execution path of a kernel; best of ``repeat`` runs.
-
-    ``"engine"`` routes through a :class:`repro.runtime.RuntimeSession` and
-    performs one untimed warm-up run so the measurement reflects the steady
-    state the persistent runtime exists for — plan compiled, workers
-    attached; the pool start-up cost is a property of the session, not of
-    each run.  Without a caller-provided session a dedicated one is created
-    (and torn down) for the measurement, so ``workers`` is always the pool
-    size that actually ran — worker-scaling sweeps stay honest.  The serial
-    and inline baselines are the untouched original paths.
-    """
-    from ..kernels.execution import run_collapsed_chunks, run_collapsed_engine, run_original
-
-    if mode not in EXECUTION_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {EXECUTION_MODES}")
-    collapsed = kernel.collapsed()
-    total = collapsed.total_iterations(parameter_values)
-
-    own_session = None
-    try:
-        if mode == "serial":
-            run = lambda: run_original(kernel, parameter_values)
-        elif mode == "inline":
-            run = lambda: run_collapsed_chunks(
-                kernel, parameter_values, threads=workers, recovery="compiled"
-            )
-            run()  # warm-up: compile the batch recovery, same footing as engine mode
-        else:
-            if session is None:
-                from ..runtime import RuntimeSession
-
-                session = own_session = RuntimeSession(workers=workers)
-            run = lambda: run_collapsed_engine(
-                kernel, parameter_values, workers=workers, session=session
-            )
-            run()  # warm-up: register the plan, attach the buffers
-
-        best = float("inf")
-        for _ in range(max(1, repeat)):
-            start = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - start)
-    finally:
-        if own_session is not None:
-            own_session.close()
-    return MeasuredRun(
-        program=kernel.name,
-        mode=mode,
-        iterations=total,
-        elapsed_seconds=best,
-        workers=1 if mode == "serial" else (session.engine.workers if mode == "engine" else workers),
-    )

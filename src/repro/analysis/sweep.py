@@ -269,45 +269,25 @@ def _run_compiled(scenario: SweepScenario, spec: ScheduleSpec, workers: int):
     return data
 
 
-def _run_native(scenario: SweepScenario, spec: ScheduleSpec, workers: int, flags):
-    """Whole-range compiled C/OpenMP (adaptive normalises to static)."""
-    values = scenario.parameter_values
-    if scenario.is_kernel:
-        from ..kernels import run_collapsed_native
-
-        return run_collapsed_native(
-            scenario.kernel(), values, schedule=spec, threads=workers,
-            compile_flags=flags,
-        )
-    from ..native import compile_collapsed
-
-    if spec.kind is ScheduleKind.ADAPTIVE:
-        spec = ScheduleSpec.parse("static")
-    module = compile_collapsed(
-        scenario.collapsed(), body=scenario.c_body, arrays=("grid",),
-        schedule=spec, extra_flags=flags,
-    )
-    data = scenario.make_data()
-    module.run(data, values, threads=workers)
-    return data
-
-
 def _run_session(scenario: SweepScenario, spec: ScheduleSpec, backend: str, session, flags):
-    """One run through the session layer (engine, hybrid or auto)."""
+    """One run through the session layer (engine, native, hybrid or auto).
+
+    ``flags`` is only non-empty on the compiled backends' flag-set axis.
+    Nest cells pass the visit operations the engine runs — except on
+    native, which takes none — and the grid's C body the compiled
+    backends run.
+    """
     values = scenario.parameter_values
+    kwargs = {"compile_flags": tuple(flags)} if flags else {}
     if scenario.is_kernel:
-        kwargs = {}
-        if flags and backend == "hybrid":
-            kwargs["compile_flags"] = tuple(flags)
         return session.run(
             scenario.kernel_name, values, schedule=spec, backend=backend, **kwargs
         )
     data = scenario.make_data()
-    kwargs = dict(iteration_op=_visit_op, chunk_op=_visit_chunk_op)
-    if scenario.c_body is not None and backend in ("hybrid", "auto"):
+    if backend != "native":
+        kwargs.update(iteration_op=_visit_op, chunk_op=_visit_chunk_op)
+    if scenario.c_body is not None and backend != "engine":
         kwargs.update(c_body=scenario.c_body, c_arrays=("grid",))
-        if flags and backend == "hybrid":
-            kwargs["compile_flags"] = tuple(flags)
     session.run(scenario.nest, values, data=data, schedule=spec, backend=backend, **kwargs)
     return data
 
@@ -573,7 +553,7 @@ def run_sweep(
     )
 
     owns_session = session is None
-    needs_session = any(name in backends for name in ("engine", "hybrid", "auto"))
+    needs_session = any(name != "compiled" for name in backends)
     if owns_session and needs_session:
         session = RuntimeSession(workers=workers)
     try:
@@ -652,8 +632,6 @@ def _run_cell(
             started = time.perf_counter()
             if backend == "compiled":
                 run = _run_compiled(scenario, spec, workers)
-            elif backend == "native":
-                run = _run_native(scenario, spec, workers, flags)
             else:
                 run = _run_session(scenario, spec, backend, session, flags)
             timings.append(time.perf_counter() - started)

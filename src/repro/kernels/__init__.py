@@ -27,10 +27,6 @@ from .base import (
 from . import polybench, triangular, tiled  # noqa: F401  (registration side effects)
 from .execution import (
     run_collapsed_chunks,
-    run_collapsed_auto,
-    run_collapsed_engine,
-    run_collapsed_hybrid,
-    run_collapsed_native,
     run_original,
     verify_kernel,
 )
@@ -44,10 +40,6 @@ __all__ = [
     "native_kernels",
     "register_kernel",
     "run_collapsed_chunks",
-    "run_collapsed_auto",
-    "run_collapsed_engine",
-    "run_collapsed_hybrid",
-    "run_collapsed_native",
     "run_original",
     "verify_kernel",
     "TiledKernel",

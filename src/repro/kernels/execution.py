@@ -15,6 +15,7 @@ ensure the correctness of the collapsed loops").
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -75,152 +76,6 @@ def run_collapsed_chunks(
     return data
 
 
-def run_collapsed_engine(
-    kernel: Kernel,
-    parameter_values: Mapping[str, int],
-    data: Optional[DataDict] = None,
-    workers: int = 2,
-    schedule: str = "adaptive",
-    session=None,
-) -> DataDict:
-    """Run the kernel's collapsed loop on the persistent runtime engine.
-
-    The parallel counterpart of :func:`run_collapsed_chunks`: the chunks
-    execute on the worker pool of a :class:`repro.runtime.RuntimeSession`
-    against shared-memory copies of the kernel arrays, under any schedule
-    (including the cost-model ``"adaptive"`` policy).  Because the collapsed
-    levels carry no dependence, the result is element-wise identical to
-    :func:`run_original` — which the runtime test suite asserts.
-
-    Without an explicit ``session`` the process-wide default session is
-    used, so repeated calls amortise the pool start-up; the serial paths
-    above stay untouched as baselines.
-    """
-    from ..runtime import collapse_and_run  # deferred: runtime sits above kernels
-
-    if not kernel.is_executable:
-        raise ValueError(f"kernel {kernel.name!r} has no executable body")
-    return collapse_and_run(
-        kernel,
-        parameter_values,
-        workers=workers,
-        schedule=schedule,
-        data=_clone_data(data) if data is not None else None,
-        session=session,
-    )
-
-
-def run_collapsed_native(
-    kernel: Kernel,
-    parameter_values: Mapping[str, int],
-    data: Optional[DataDict] = None,
-    schedule: object = "static",
-    threads: Optional[int] = None,
-    compile_flags: Sequence[str] = (),
-    sanitize: Optional[str] = None,
-) -> DataDict:
-    """Run the kernel's collapsed loop through the compiled native backend.
-
-    The generated C/OpenMP translation unit of the kernel (its ``c_body``
-    under ``schedule``) is compiled once — cached on disk by source hash
-    under ``$REPRO_NATIVE_CACHE``, compiler from ``$CC`` or the first of
-    ``cc``/``gcc``/``clang`` — and executed over the whole ``pc`` range on
-    a private copy of the data.  The engine-only ``"adaptive"`` policy has
-    no OpenMP spelling and normalises to ``static``
-    (:func:`repro.native.compile_native_kernel` does it, so every
-    kernel-compiling path agrees).  ``compile_flags`` append to the
-    compiler command line (and to both compilation cache keys) — the
-    conformance sweep's compiler-flags axis — and ``sanitize`` names a
-    :data:`repro.native.SANITIZER_PRESETS` entry (default: the
-    ``$REPRO_NATIVE_SANITIZE`` preset), so the same kernel run can execute
-    under ASan/UBSan/TSan instrumentation.  Raises
-    :class:`repro.native.NativeUnavailable` on machines without a C
-    compiler; callers wanting a soft feature test use
-    :func:`repro.native.native_available`.
-    """
-    from ..native import compile_native_kernel  # deferred: optional backend
-
-    if not kernel.supports_native:
-        raise ValueError(f"kernel {kernel.name!r} has no native C body")
-    data = _clone_data(data) if data is not None else kernel.make_data(parameter_values)
-    module = compile_native_kernel(
-        kernel, schedule=schedule, extra_flags=compile_flags, sanitize=sanitize
-    )
-    module.run(data, parameter_values, threads=threads)
-    return data
-
-
-def run_collapsed_hybrid(
-    kernel: Kernel,
-    parameter_values: Mapping[str, int],
-    data: Optional[DataDict] = None,
-    workers: int = 2,
-    schedule: str = "adaptive",
-    session=None,
-) -> DataDict:
-    """Run the kernel under the engine's scheduling at native chunk speed.
-
-    The hybrid backend: the persistent :class:`repro.runtime.RuntimeEngine`
-    plans and hands out chunks exactly as :func:`run_collapsed_engine` does
-    (any policy, including the cost-model ``"adaptive"`` one), but each
-    worker executes its chunks through the compiled translation unit's
-    serial ``repro_run_range`` over the shared-memory buffers.  The kernel
-    must carry a ``c_body`` (the capability being requested); a missing
-    *compiler*, by contrast, degrades cleanly to the pure-Python engine,
-    so on any machine with the capability the result — element-wise
-    identical either way — is produced.
-    """
-    from ..runtime import collapse_and_run  # deferred: runtime sits above kernels
-
-    if not kernel.supports_native:
-        raise ValueError(
-            f"kernel {kernel.name!r} has no native C body (c_body), so the hybrid "
-            "backend cannot apply; use run_collapsed_engine for Python-only kernels"
-        )
-    return collapse_and_run(
-        kernel,
-        parameter_values,
-        workers=workers,
-        schedule=schedule,
-        data=_clone_data(data) if data is not None else None,
-        session=session,
-        backend="hybrid",
-    )
-
-
-def run_collapsed_auto(
-    kernel: Kernel,
-    parameter_values: Mapping[str, int],
-    data: Optional[DataDict] = None,
-    workers: int = 2,
-    schedule: str = "adaptive",
-    session=None,
-) -> DataDict:
-    """Run the kernel on whichever substrate the profile store says is fastest.
-
-    The ``backend="auto"`` convenience wrapper: the session resolves
-    engine/native/hybrid viability, explores each untimed candidate once and
-    then exploits the measured-fastest one
-    (:func:`repro.runtime.resolve_auto_backend`); every run — this one
-    included — banks its timings, so the choice sharpens as the store warms.
-    The result is element-wise identical whichever substrate runs, which
-    :func:`verify_kernel` with ``backend="auto"`` asserts.
-    """
-    from ..runtime import collapse_and_run  # deferred: runtime sits above kernels
-
-    if not kernel.is_executable:
-        raise ValueError(f"kernel {kernel.name!r} has no executable body")
-    return collapse_and_run(
-        kernel,
-        parameter_values,
-        workers=workers,
-        schedule=schedule,
-        data=_clone_data(data) if data is not None else None,
-        session=session,
-        backend="auto",
-    )
-
-
 def verify_kernel(
     kernel: Kernel,
     parameter_values: Optional[Mapping[str, int]] = None,
@@ -236,33 +91,23 @@ def verify_kernel(
     Returns ``True`` when all three agree on every array the reference
     defines; this is the per-kernel correctness gate used by the tests and
     by the benchmark harness before timing anything.  ``recovery`` selects
-    the back end the collapsed run uses (see :func:`run_collapsed_chunks`).
-    Passing a :class:`repro.runtime.RuntimeSession` additionally runs the
-    kernel through the parallel engine and requires that result to match
-    the original order too.
+    the back end the serial collapsed run uses (see
+    :func:`run_collapsed_chunks`).
 
-    ``backend`` widens the gate beyond the serial Python paths:
+    ``backend`` widens the gate beyond the serial Python paths: any other
+    value than ``"python"`` makes one more run, through
+    :meth:`repro.runtime.RuntimeSession.run` with that ``backend``
+    (``"engine"``, ``"native"``, ``"hybrid"`` or ``"auto"``), and requires
+    its result to match the original order too.  The run uses ``session``
+    when one is passed and an ephemeral two-worker session otherwise — a
+    verification call never creates the process-wide default session.
+    Passing a ``session`` with the default ``backend="python"`` gates the
+    engine on it.  The backends keep their own contracts: ``native``
+    raises :class:`repro.native.NativeUnavailable` where no compiler
+    exists, ``hybrid`` then runs the engine, and ``auto`` gates whatever
+    substrate it resolves to right now.
 
-    * ``"engine"`` additionally runs the persistent parallel engine
-      (:func:`run_collapsed_engine`, on an ephemeral two-worker session when
-      none is supplied) and requires its result to match;
-    * ``"native"`` additionally runs the compiled C/OpenMP translation unit
-      whole-range and requires *its* result to match (raising
-      :class:`repro.native.NativeUnavailable` where no compiler exists —
-      this backend is explicitly about the compiled artefact);
-    * ``"hybrid"`` additionally runs the engine-scheduled native-chunk
-      path (:func:`run_collapsed_hybrid`); the kernel needs a ``c_body``
-      (raising :class:`ValueError` otherwise), but where merely the
-      *compiler* is missing the run is silently engine-executed — the
-      contract there is the result, not the substrate;
-    * ``"auto"`` resolves to whatever substrate ``backend="auto"`` would
-      run on this machine right now
-      (:func:`repro.runtime.resolve_auto_backend` — profile-guided when
-      the store is warm, heuristic when cold) and gates *that* backend,
-      so the autotuned path is differentially checked against the serial
-      baselines exactly like an explicitly chosen one.
-
-    All four backends share one exactness contract: index recovery is exact
+    All backends share one exactness contract: index recovery is exact
     integer arithmetic at any magnitude (big ints in the Python and engine
     paths, ``__int128`` brackets in the compiled paths — see
     docs/recovery.md), so a disagreement here is a kernel-body bug, never a
@@ -288,12 +133,6 @@ def verify_kernel(
 
         if lint_kernel(kernel, parameter_values=parameter_values).errors:
             return False
-    if backend == "auto":
-        from ..runtime import resolve_auto_backend  # deferred: runtime sits above kernels
-
-        backend = resolve_auto_backend(kernel, parameter_values)
-        if backend not in ("engine", "native", "hybrid"):
-            backend = "engine"  # auto degraded: gate the engine baseline
     initial = kernel.make_data(parameter_values)
 
     original = run_original(kernel, parameter_values, initial)
@@ -301,58 +140,22 @@ def verify_kernel(
         kernel, parameter_values, initial, threads=threads, recovery=recovery
     )
     reference = kernel.reference_numpy(initial, parameter_values) if kernel.reference_numpy else {}
+    results = [collapsed]
+    if backend != "python" or session is not None:
+        from ..runtime import RuntimeSession  # deferred: runtime sits above kernels
+
+        run_backend = "engine" if backend == "python" else backend
+        scope = nullcontext(session) if session is not None else RuntimeSession(workers=2)
+        with scope as run_session:
+            results.append(
+                run_session.run(kernel, parameter_values, data=initial, backend=run_backend)
+            )
 
     for name, expected in reference.items():
         if not np.allclose(original[name], expected, atol=atol):
             return False
-    for name in original:
-        if not np.allclose(original[name], collapsed[name], atol=atol):
-            return False
-    if session is not None:
-        engine_result = run_collapsed_engine(
-            kernel, parameter_values, initial, session=session
-        )
-        for name in original:
-            if not np.allclose(original[name], engine_result[name], atol=atol):
-                return False
-    if backend == "engine" and session is None:
-        # with an explicit session the engine comparison above already ran;
-        # otherwise gate on an ephemeral pool (never create the process-wide
-        # default session as a side effect of a verification call)
-        from ..runtime import RuntimeSession
-
-        with RuntimeSession(workers=2) as ephemeral:
-            engine_only = run_collapsed_engine(
-                kernel, parameter_values, initial, session=ephemeral
-            )
-        for name in original:
-            if not np.allclose(original[name], engine_only[name], atol=atol):
-                return False
-    if backend == "native":
-        native_result = run_collapsed_native(
-            kernel, parameter_values, initial, threads=threads
-        )
-        for name in original:
-            if not np.allclose(original[name], native_result[name], atol=atol):
-                return False
-    if backend == "hybrid":
-        ephemeral = None
-        run_session = session
-        if run_session is None:
-            # never create the process-wide default session as a side
-            # effect of a verification call: a private pool is torn down
-            # with the check
-            from ..runtime import RuntimeSession
-
-            ephemeral = run_session = RuntimeSession(workers=2)
-        try:
-            hybrid_result = run_collapsed_hybrid(
-                kernel, parameter_values, initial, session=run_session
-            )
-        finally:
-            if ephemeral is not None:
-                ephemeral.close()
-        for name in original:
-            if not np.allclose(original[name], hybrid_result[name], atol=atol):
-                return False
-    return True
+    return all(
+        np.allclose(original[name], result[name], atol=atol)
+        for result in results
+        for name in original
+    )

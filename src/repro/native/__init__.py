@@ -10,10 +10,9 @@ emitted program*:
   libraries behind an on-disk cache keyed by source hash;
 * :mod:`repro.native.module` — the ``ctypes``-bound :class:`NativeModule`
   (``total`` / ``recover_range`` / ``run``), the memoised
-  :func:`compile_collapsed` / :func:`compile_native_kernel` constructors
-  and the :class:`NativeRunResult` (an
-  :class:`~repro.runtime.engine.EngineRunResult` carrying per-thread
-  timings measured inside the C code).
+  :func:`compile_collapsed` / :func:`compile_native_kernel` constructors;
+  a run returns the runtime's one :class:`~repro.runtime.engine.RunResult`,
+  carrying per-thread timings measured inside the C code.
 
 Machines without a C compiler raise :class:`NativeUnavailable` from every
 entry point; ``native_available()`` is the cheap feature test the kernels
@@ -43,7 +42,6 @@ from .module import (
     NativeExecutionError,
     NativeLibrarySpec,
     NativeModule,
-    NativeRunResult,
     clear_module_cache,
     compile_collapsed,
     compile_native_kernel,
@@ -68,7 +66,6 @@ __all__ = [
     "NativeExecutionError",
     "NativeLibrarySpec",
     "NativeModule",
-    "NativeRunResult",
     "clear_module_cache",
     "compile_collapsed",
     "compile_native_kernel",

@@ -18,8 +18,8 @@ index arrays):
   historical ~2^45 double-trust ceiling is gone; docs/recovery.md),
 * :meth:`NativeModule.run` — execute the kernel body over a ``pc`` range
   under the module's OpenMP schedule, mutating the caller's NumPy arrays in
-  place and returning a :class:`NativeRunResult` with per-thread timings
-  read back from the C side,
+  place and returning a :class:`~repro.runtime.engine.RunResult` with
+  per-thread timings read back from the C side,
 * :meth:`NativeModule.run_range` — execute one contiguous chunk *serially*
   (no OpenMP team): the hybrid backend's per-chunk operation.
 
@@ -44,7 +44,7 @@ import numpy as np
 from ..core import CollapsedLoop
 from ..core.codegen_c import generate_translation_unit
 from ..openmp.schedule import Chunk, ScheduleSpec
-from ..runtime.engine import EngineRunResult
+from ..runtime.engine import RunResult
 from .compiler import compile_shared_library, default_sanitize
 
 _LONGLONG_P = ctypes.POINTER(ctypes.c_longlong)
@@ -103,39 +103,6 @@ def _flat_strides(arrays, ndims, data) -> Tuple[object, object]:
         stride_values.extend(reversed(row))
     strides = (ctypes.c_longlong * max(1, len(stride_values)))(*stride_values)
     return pointers, strides
-
-
-@dataclass(frozen=True)
-class NativeRunResult(EngineRunResult):
-    """An :class:`~repro.runtime.engine.EngineRunResult`-compatible outcome.
-
-    ``results`` holds the per-thread executed-iteration counts, ``chunks``
-    each thread's ``pc`` span (contiguous under the static schemes),
-    ``chunk_seconds`` the per-thread wall-clock measured inside the C code
-    with ``omp_get_wtime``; ``workers`` is the OpenMP team size actually
-    used.  Threads that executed no iteration are omitted.
-
-    **Timing schema** (shared with :class:`EngineRunResult`; asserted by
-    ``tests/runtime/test_timing_schema.py``): the unit of record here is
-    one OpenMP *thread* — its whole per-run span — where the engine's is
-    one scheduled *chunk*; both report seconds on a monotonic wall clock
-    measured inside the executing substrate, aligned index-by-index with
-    ``chunks``/``assignments``/``results``, with parent-side dispatch
-    excluded.  ``chunk_records()`` therefore yields directly comparable
-    :class:`~repro.runtime.profile.ChunkProfile` rows on every backend.
-    One caveat inherited from OpenMP: under dynamic/guided schedules a
-    thread's ``pc`` span may overlap other threads' (its chunks need not
-    be contiguous), so profile-guided re-cutting only trusts spans whose
-    recorded sizes sum to the trip count.
-    """
-
-    backend: str = "native"
-
-    @property
-    def iterations(self) -> int:
-        # the base class sums chunk span sizes, but under dynamic/guided
-        # schedules per-thread pc spans overlap; the executed counts don't
-        return sum(self.results)
 
 
 class NativeModule:
@@ -262,7 +229,7 @@ class NativeModule:
         first_pc: int = 1,
         last_pc: Optional[int] = None,
         threads: Optional[int] = None,
-    ) -> NativeRunResult:
+    ) -> RunResult:
         """Execute the kernel body over a ``pc`` range, in place on ``data``.
 
         ``data`` must hold a C-contiguous float64 array of the generated
@@ -297,12 +264,12 @@ class NativeModule:
         if used < 0:  # pragma: no cover - the generated unit never returns < 0
             raise NativeExecutionError(f"native run failed with status {used}")
         if last < first:
-            return NativeRunResult(
+            return RunResult(
                 results=(), elapsed_seconds=elapsed, chunks=(), workers=0,
-                schedule=self.schedule,
+                schedule=self.schedule, backend="native",
             )
         active = [t for t in range(min(used, max_threads)) if counts[t] > 0]
-        return NativeRunResult(
+        return RunResult(
             results=tuple(int(counts[t]) for t in active),
             elapsed_seconds=elapsed,
             chunks=tuple(
@@ -312,6 +279,7 @@ class NativeModule:
             schedule=self.schedule,
             assignments=tuple(active),
             chunk_seconds=tuple(float(seconds[t]) for t in active),
+            backend="native",
         )
 
     def run_range(

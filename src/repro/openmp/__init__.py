@@ -12,15 +12,17 @@ parallel nest on 12 threads:
   recovery computation, amortised as in Section V).
 
 Python's GIL prevents measuring these effects with real threads, so this
-package provides two substitutes (see README.md):
+package provides a substitute (see README.md):
 
 * :mod:`repro.openmp.simulator` — a deterministic simulated-time executor:
   iterations have costs given by a :mod:`cost model <repro.openmp.costmodel>`
   derived from the kernel's inner trip counts, chunks are assigned to
   threads exactly like the corresponding OpenMP schedule would, and the
-  makespan / per-thread load / overhead are computed analytically,
-* :mod:`repro.openmp.executor` — a real ``multiprocessing`` executor used by
-  the wall-clock spot-check benchmark on coarse-grained kernels.
+  makespan / per-thread load / overhead are computed analytically.
+
+Real parallel execution lives in :mod:`repro.runtime` (the persistent
+engine, the hybrid backend and the compiled native backend, all behind
+``RuntimeSession.run``).
 """
 
 from .schedule import (
@@ -35,7 +37,6 @@ from .schedule import (
 )
 from .costmodel import CostModel, RecoveryCosts
 from .simulator import SimulationResult, ThreadTimeline, simulate_collapsed_static, simulate_outer_parallel
-from .executor import run_chunks_in_processes, run_collapsed_inline, run_serial
 
 __all__ = [
     "Chunk",
@@ -52,7 +53,4 @@ __all__ = [
     "ThreadTimeline",
     "simulate_collapsed_static",
     "simulate_outer_parallel",
-    "run_chunks_in_processes",
-    "run_collapsed_inline",
-    "run_serial",
 ]

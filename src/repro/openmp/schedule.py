@@ -46,8 +46,8 @@ class ScheduleKind(enum.Enum):
         (``"dynamic,4"`` — which turns plain ``static`` into
         ``STATIC_CHUNKED``, exactly like the OpenMP clause does), and is
         case/whitespace insensitive.  Used by
-        :func:`repro.core.generate_openmp_collapsed`, the executor and the
-        runtime engine instead of three ad-hoc string checks.
+        :func:`repro.core.generate_openmp_collapsed`, the C code generator
+        and the runtime engine instead of three ad-hoc string checks.
         """
         return ScheduleSpec.parse(text).kind
 
@@ -66,8 +66,7 @@ class ScheduleSpec:
 
     This is what ``schedule(dynamic, 4)`` is to OpenMP: the policy *and* its
     granularity, carried together so every runner can report the schedule it
-    actually executed (:class:`repro.openmp.executor.ParallelRunResult`,
-    :class:`repro.runtime.engine.EngineRunResult`).
+    actually executed (:class:`repro.runtime.engine.RunResult`).
     """
 
     kind: ScheduleKind

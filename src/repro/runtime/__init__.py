@@ -29,7 +29,7 @@ from .plan import (
     build_plan,
     per_iteration_work,
 )
-from .engine import EngineError, EngineRunResult, RuntimeEngine
+from .engine import EngineError, RunResult, RuntimeEngine
 from .profile import (
     BackendProfile,
     ChunkProfile,
@@ -59,7 +59,7 @@ __all__ = [
     "build_plan",
     "per_iteration_work",
     "EngineError",
-    "EngineRunResult",
+    "RunResult",
     "RuntimeEngine",
     "BackendProfile",
     "ChunkProfile",

@@ -1,12 +1,11 @@
 """The persistent shared-memory parallel execution engine.
 
-:class:`RuntimeEngine` replaces the fork-a-pool-per-call pattern of
-:func:`repro.openmp.run_chunks_in_processes` with a pool that outlives the
-calls: worker processes start once, register each :class:`ExecutionPlan`
-once (re-collapsing nothing — the solved unranking arrives pickled and only
-the cheap NumPy code generation reruns locally), attach the shared-memory
-kernel arrays once, and from then on every run is pure chunk dispatch over
-pre-compiled state.
+:class:`RuntimeEngine` is a pool that outlives the calls: worker processes
+start once, register each :class:`ExecutionPlan` once (re-collapsing
+nothing — the solved unranking arrives pickled and only the cheap NumPy
+code generation reruns locally), attach the shared-memory kernel arrays
+once, and from then on every run is pure chunk dispatch over pre-compiled
+state.
 
 The parent *is* the OpenMP runtime of this design: it owns one command
 queue per worker plus a single result queue, and hands chunks out the way
@@ -31,15 +30,14 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import pickle
 import queue as queue_module
 import sys
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..openmp.schedule import Chunk, ScheduleKind, ScheduleSpec
+from ..openmp.schedule import Chunk, ScheduleSpec
 from .plan import ExecutionPlan
 from .shm import SharedArraySpec, SharedBuffers
 
@@ -56,27 +54,27 @@ class EngineError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EngineRunResult:
-    """Outcome of one plan execution: the engine-side ``ParallelRunResult``.
+class RunResult:
+    """Outcome of one run on any backend.
 
-    ``results`` are the per-chunk executed-iteration counts in chunk order,
-    ``assignments`` the worker that ran each chunk, ``chunk_seconds`` each
-    chunk's own wall-clock time inside its worker (the load-balance view;
-    their sum can exceed ``elapsed_seconds`` when workers overlap).
-    ``backend`` names the execution substrate that *actually* ran the
-    chunks, as reported back by the workers: ``"engine"`` (Python/NumPy
-    chunk ops — including a hybrid plan whose workers had to degrade),
-    ``"hybrid"`` (every chunk went through the plan's compiled
-    ``repro_run_range``) or ``"native"``
-    (:class:`~repro.native.NativeRunResult`, whole-range OpenMP).
+    ``results`` are the executed-iteration counts of each unit of work,
+    ``assignments`` the worker (or OpenMP thread) that ran it,
+    ``chunk_seconds`` its own wall-clock time inside the substrate (the
+    load-balance view; their sum can exceed ``elapsed_seconds`` when
+    workers overlap).  ``backend`` names the execution substrate that
+    *actually* ran: ``"engine"`` (Python/NumPy chunk ops — including a
+    hybrid plan whose workers had to degrade), ``"hybrid"`` (every chunk
+    went through the plan's compiled ``repro_run_range``) or ``"native"``
+    (one whole-range OpenMP ``repro_run``).
 
     **Timing schema** (one contract across every backend; asserted by
     ``tests/runtime/test_timing_schema.py``):
 
     * ``chunks``, ``results``, ``assignments`` and ``chunk_seconds`` are
-      index-aligned — entry *k* of each describes the same unit of work
-      (a scheduled chunk here; an OpenMP thread's span on
-      :class:`~repro.native.NativeRunResult`);
+      index-aligned — entry *k* of each describes the same unit of work:
+      a scheduled chunk on the engine and hybrid backends, an OpenMP
+      thread's whole span on the native backend (threads that executed no
+      iteration are omitted there);
     * every value in ``chunk_seconds`` is wall-clock **seconds on a
       monotonic clock, measured inside the executing substrate** —
       ``time.perf_counter`` around the chunk body in an engine worker,
@@ -88,11 +86,17 @@ class EngineRunResult:
       *compared* by, where ``chunk_seconds`` is what schedules are
       *re-cut* from.
 
+    Under OpenMP dynamic/guided schedules a native thread's ``pc`` span
+    may overlap other threads' (its chunks need not be contiguous), which
+    is why :attr:`iterations` sums the executed counts rather than the
+    span sizes, and why profile-guided re-cutting only trusts spans whose
+    recorded sizes sum to the trip count.
+
     :meth:`chunk_records` renders the per-chunk view in the profile
     store's :class:`~repro.runtime.profile.ChunkProfile` schema.
     """
 
-    results: Tuple[Any, ...]
+    results: Tuple[int, ...]
     elapsed_seconds: float
     chunks: Tuple[Chunk, ...]
     workers: int
@@ -103,7 +107,7 @@ class EngineRunResult:
 
     @property
     def iterations(self) -> int:
-        return sum(chunk.size for chunk in self.chunks)
+        return sum(self.results)
 
     def chunk_records(self):
         """The run's measurements as profile-store :class:`ChunkProfile` rows.
@@ -129,13 +133,12 @@ class _WorkerPlan:
     """Per-worker state of one registered plan: ops resolved, recovery built."""
 
     def __init__(self, payload: dict):
-        from ..core import chunk_iterator_factory
+        from ..core import batch_recovery, chunk_iterator_factory
 
         self.collapsed = payload["collapsed"]
         self.parameter_values = payload["parameter_values"]
         self.iteration_op = payload["iteration_op"]
         self.chunk_op = payload["chunk_op"]
-        self.recovery = payload["recovery"]
         self.native = payload.get("native")
         self.native_runner = None
         self.buffers: Optional[SharedBuffers] = None
@@ -146,13 +149,9 @@ class _WorkerPlan:
             kernel = get_kernel(kernel_name)
             self.iteration_op = kernel.iteration_op
             self.chunk_op = kernel.chunk_op
-        self.batch = None
-        if self.recovery == "compiled":
-            from ..core import batch_recovery
-
-            self.batch = batch_recovery(self.collapsed)
+        self.batch = batch_recovery(self.collapsed)
         self.chunk_indices = chunk_iterator_factory(
-            self.collapsed, self.parameter_values, self.recovery
+            self.collapsed, self.parameter_values, "compiled"
         )
 
     def attach(self, specs: Tuple[SharedArraySpec, ...]) -> None:
@@ -211,7 +210,7 @@ class _WorkerPlan:
         if self.native_runner is not None:
             return self.native_runner.run_range_timed(first_pc, last_pc)
         data = self.buffers.arrays if self.buffers is not None else {}
-        if self.chunk_op is not None and self.batch is not None:
+        if self.chunk_op is not None:
             indices = self.batch.recover_range(first_pc, last_pc, self.parameter_values)
             self.chunk_op(data, indices, self.parameter_values)
             return int(indices.shape[0]), None
@@ -277,14 +276,6 @@ def _worker_main(worker_id: int, commands, results) -> None:
                     else time.perf_counter() - started
                 )
                 results.put(("ok", task_id, worker_id, count, seconds, native))
-            except Exception:
-                results.put(("error", task_id, worker_id, traceback.format_exc(), 0.0))
-        elif tag == "call":
-            _tag, task_id, function, first_pc, last_pc, parameter_values = message
-            started = time.perf_counter()
-            try:
-                value = function(first_pc, last_pc, parameter_values)
-                results.put(("ok", task_id, worker_id, value, time.perf_counter() - started))
             except Exception:
                 results.put(("error", task_id, worker_id, traceback.format_exc(), 0.0))
 
@@ -489,7 +480,7 @@ class RuntimeEngine:
         plan: ExecutionPlan,
         buffers: Optional[SharedBuffers] = None,
         chunks: Optional[Sequence[Chunk]] = None,
-    ) -> EngineRunResult:
+    ) -> RunResult:
         """Run a plan once over its schedule's chunks; returns per-chunk counts.
 
         Registration and buffer attachment happen lazily on the first call
@@ -500,7 +491,7 @@ class RuntimeEngine:
         self.register(plan, buffers)
         chunk_list = list(chunks) if chunks is not None else plan.chunks(self.workers)
         if not chunk_list:
-            return EngineRunResult(
+            return RunResult(
                 results=(), elapsed_seconds=0.0, chunks=(), workers=self.workers,
                 schedule=plan.schedule,
                 backend="hybrid" if plan.native_spec is not None else "engine",
@@ -529,7 +520,7 @@ class RuntimeEngine:
             if plan.native_spec is not None and all(outcome[4] for outcome in ordered)
             else "engine"
         )
-        return EngineRunResult(
+        return RunResult(
             results=tuple(outcome[1] for outcome in ordered),
             elapsed_seconds=elapsed,
             chunks=tuple(chunk_list),
@@ -538,63 +529,6 @@ class RuntimeEngine:
             assignments=tuple(outcome[2] for outcome in ordered),
             chunk_seconds=tuple(outcome[3] for outcome in ordered),
             backend=backend,
-        )
-
-    def map_chunks(
-        self,
-        worker,
-        chunks: Sequence[Chunk],
-        parameter_values: Mapping[str, int],
-        schedule: object = "static",
-    ):
-        """Run a classic executor worker function over chunks, pool-persistent.
-
-        The drop-in the rewired :func:`repro.openmp.run_chunks_in_processes`
-        uses when handed an engine: same ``(first, last, parameter_values)``
-        worker contract, same :class:`~repro.openmp.executor.ParallelRunResult`,
-        but the pool is not forked per call.  ``worker`` must be a
-        module-level (picklable) function.
-        """
-        from ..openmp.executor import ParallelRunResult
-
-        self.start()
-        spec = ScheduleSpec.parse(schedule)
-        try:
-            # eager check: an unpicklable function would otherwise fail in the
-            # queue's feeder thread and leave the parent waiting on a result
-            # that was never sent
-            pickle.dumps((worker, dict(parameter_values)))
-        except Exception as error:
-            raise EngineError(
-                f"worker {worker!r} (or its parameter values) is not picklable; "
-                f"use a module-level function ({error})"
-            ) from error
-        chunk_list = list(chunks)
-        if not chunk_list:
-            return ParallelRunResult(
-                results=(), elapsed_seconds=0.0, chunks=(), workers=self.workers, schedule=spec
-            )
-        values = dict(parameter_values)
-        start = time.perf_counter()
-        assigned: Dict[int, list] = {}
-        on_demand: List[Tuple[int, tuple]] = []
-        task_ids: List[int] = []
-        for chunk in chunk_list:
-            task_id = next(self._tasks)
-            task_ids.append(task_id)
-            message = ("call", task_id, worker, chunk.first, chunk.last, values)
-            if chunk.thread is not None:
-                assigned.setdefault(chunk.thread % self.workers, []).append((task_id, message))
-            else:
-                on_demand.append((task_id, message))
-        outcomes = self._run_tasks(assigned, on_demand)
-        elapsed = time.perf_counter() - start
-        return ParallelRunResult(
-            results=tuple(outcomes[task_id][1] for task_id in task_ids),
-            elapsed_seconds=elapsed,
-            chunks=tuple(chunk_list),
-            workers=self.workers,
-            schedule=spec,
         )
 
     def __del__(self):  # pragma: no cover - safety net, normal path is shutdown()

@@ -29,9 +29,9 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Seque
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (native imports runtime)
-    from ..native.module import NativeLibrarySpec
+    from ..native.module import NativeLibrarySpec, NativeModule
 
-from ..core import CollapsedLoop, batch_recovery, collapse, resolve_recovery_backend
+from ..core import CollapsedLoop, batch_recovery, collapse
 from ..ir import LoopNest
 from ..openmp.costmodel import CostModel
 from ..openmp.schedule import Chunk, ScheduleKind, ScheduleSpec, schedule_chunks
@@ -148,13 +148,15 @@ class ExecutionPlan:
     kernel_name: Optional[str] = None
     iteration_op: Optional[Callable] = None
     chunk_op: Optional[Callable] = None
-    recovery: str = "compiled"
     oversubscribe: int = DEFAULT_OVERSUBSCRIBE
     cost_model: Optional[CostModel] = field(default=None, compare=False)
-    #: attachment recipe of the plan's compiled translation unit (set by
-    #: ``build_plan(native=True)``): the parent compiles once, workers load
-    #: the cached shared object by path and run chunks through its serial
-    #: ``repro_run_range`` — the hybrid backend's substrate
+    #: the plan's compiled translation unit (set by ``build_plan(native=True)``):
+    #: the native backend calls its whole-range OpenMP ``repro_run`` in
+    #: this process
+    native_module: Optional["NativeModule"] = field(default=None, compare=False, repr=False)
+    #: the same unit's attachment recipe: hybrid workers load the cached
+    #: shared object by path and run chunks through its serial
+    #: ``repro_run_range``
     native_spec: Optional["NativeLibrarySpec"] = None
     #: the plan's key in the persistent :class:`~repro.runtime.profile.ProfileStore`
     #: (set by :func:`build_plan`): when a warm profile exists under it, the
@@ -244,28 +246,21 @@ class ExecutionPlan:
             "kernel_name": self.kernel_name,
             "iteration_op": None if self.kernel_name else self.iteration_op,
             "chunk_op": None if self.kernel_name else self.chunk_op,
-            "recovery": self.recovery,
             "native": self.native_spec,
         }
 
 
-def _native_spec_for(source, collapsed, c_body, c_arrays, array_ndims, compile_flags=()):
-    """Compile the plan's translation unit in the parent; return its spec.
+def _native_body(source, c_body, c_arrays, array_ndims):
+    """The plan's C body, its arrays and their ranks.
 
-    The C body comes from (in order) the caller's explicit ``c_body``, a
+    The body comes from (in order) the caller's explicit ``c_body``, a
     registered kernel's ``c_body``, or the C text the parser attached to an
     ad-hoc nest's array-assignment statements
-    (:func:`repro.ir.parser.native_body`).  The unit is compiled with the
-    ``static`` whole-range schedule — the hybrid path only ever calls the
-    schedule-independent serial ``repro_run_range``, so all hybrid plans of
-    one nest share one cached shared object regardless of their engine
-    schedule.  Raises :class:`~repro.native.NativeUnavailable` without a C
-    compiler (callers fall back to the pure-Python engine) and
-    :class:`PlanError` when no C body exists at all.
+    (:func:`repro.ir.parser.native_body`).  Raises :class:`PlanError` when
+    no C body exists at all.
     """
     from ..ir.parser import ParseError, native_array_ndims, native_body
     from ..kernels import Kernel  # deferred: kernels import runtime helpers
-    from ..native import compile_collapsed  # deferred: native imports runtime
 
     body, arrays = c_body, tuple(c_arrays)
     if body is None and isinstance(source, Kernel):
@@ -287,14 +282,11 @@ def _native_spec_for(source, collapsed, c_body, c_arrays, array_ndims, compile_f
     if body is None:
         raise PlanError(
             f"cannot build a native plan for {getattr(source, 'name', source)!r}: "
-            "no C body (pass c_body=/c_arrays=, use a kernel with c_body, or parse "
-            "the nest from array-assignment statements)"
+            "no C body (every native plan needs a C body: pass c_body=/c_arrays=, "
+            "use a kernel with c_body, or parse the nest from array-assignment "
+            "statements)"
         )
-    module = compile_collapsed(
-        collapsed, body=body, arrays=arrays, schedule="static", array_ndims=array_ndims,
-        extra_flags=tuple(compile_flags),
-    )
-    return module.library_spec()
+    return body, arrays, array_ndims
 
 
 def build_plan(
@@ -302,7 +294,6 @@ def build_plan(
     parameter_values: Mapping[str, int],
     schedule: object = "adaptive",
     depth: Optional[int] = None,
-    recovery: str = "compiled",
     oversubscribe: int = DEFAULT_OVERSUBSCRIBE,
     iteration_op: Optional[Callable] = None,
     chunk_op: Optional[Callable] = None,
@@ -324,14 +315,17 @@ def build_plan(
 
     ``native=True`` additionally compiles the nest's C translation unit *in
     the calling process* (kernel ``c_body``, explicit ``c_body``/``c_arrays``
-    or parser-derived statements; ``array_ndims`` for non-2-D arrays) and
-    attaches its :class:`~repro.native.NativeLibrarySpec` to the plan:
-    engine workers then load the cached shared object by path and execute
-    their chunks through the serial ``repro_run_range`` at C speed — the
-    hybrid backend.  ``compile_flags`` are appended to the compiler command
-    line of that translation unit (and to its cache keys) — the sweep's
-    compiler-flags axis.  Raises :class:`~repro.native.NativeUnavailable`
-    where no C compiler exists.
+    or parser-derived statements; ``array_ndims`` for non-2-D arrays) under
+    the plan's schedule (``adaptive``, which has no OpenMP spelling, maps to
+    ``static``) and attaches the module and its
+    :class:`~repro.native.NativeLibrarySpec` to the plan.  One native plan
+    serves two backends: ``native`` calls the unit's whole-range OpenMP
+    ``repro_run`` in this process, ``hybrid`` engine workers load the cached
+    shared object by path and execute their chunks through the serial
+    ``repro_run_range``.  ``compile_flags`` are appended to the compiler
+    command line of that translation unit (and to its cache keys) — the
+    sweep's compiler-flags axis.  Raises
+    :class:`~repro.native.NativeUnavailable` where no C compiler exists.
 
     ``static_check`` controls the :mod:`repro.lint` audits that run before
     anything compiles or executes.  The default (``None``) runs the static
@@ -345,8 +339,10 @@ def build_plan(
     """
     from ..kernels import Kernel, get_kernel  # deferred: kernels import runtime helpers
 
-    resolve_recovery_backend(recovery)
     spec = ScheduleSpec.parse(schedule)
+    native_schedule = (
+        ScheduleSpec(ScheduleKind.STATIC) if spec.kind is ScheduleKind.ADAPTIVE else spec
+    )
     kernel_name: Optional[str] = None
     cost_model: Optional[CostModel] = None
 
@@ -381,32 +377,28 @@ def build_plan(
             parameter_values,
             c_body=check_body,
             c_arrays=check_arrays,
-            schedule="static",  # native plans compile the static-schedule unit
+            schedule=native_schedule,
             subject=kernel_name or collapsed.nest.name,
             full=bool(static_check),
             ir_statements=collapsed.nest.statements,
         ).raise_on_errors(PlanError)
 
-    native_spec = None
+    native_module = None
     if native:
-        native_spec = _native_spec_for(
-            source, collapsed, c_body, c_arrays, array_ndims, compile_flags
+        from ..native import compile_collapsed  # deferred: native imports runtime
+
+        body, arrays, ndims = _native_body(source, c_body, c_arrays, array_ndims)
+        native_module = compile_collapsed(
+            collapsed, body=body, arrays=arrays, schedule=native_schedule,
+            array_ndims=ndims, extra_flags=tuple(compile_flags),
         )
     elif c_body is not None or c_arrays or compile_flags:
         raise PlanError(
             "c_body/c_arrays/compile_flags are native-plan options; pass native=True"
         )
 
-    if kernel_name is None and iteration_op is None and chunk_op is None and native_spec is None:
+    if kernel_name is None and iteration_op is None and chunk_op is None and native_module is None:
         raise PlanError("a plan needs a kernel or at least one of iteration_op/chunk_op")
-    if kernel_name is None and iteration_op is None and chunk_op is not None and recovery != "compiled":
-        # workers only take the chunk_op fast path when a compiled batch
-        # recovery exists; without an iteration_op to fall back on, a
-        # symbolic-recovery plan could never execute — fail at build time
-        raise PlanError(
-            "a chunk_op-only plan requires recovery='compiled' "
-            "(or provide an iteration_op fallback)"
-        )
     for op in (iteration_op, chunk_op):
         if kernel_name is None and op is not None:
             try:
@@ -430,9 +422,9 @@ def build_plan(
         kernel_name=kernel_name,
         iteration_op=iteration_op,
         chunk_op=chunk_op,
-        recovery=recovery,
         oversubscribe=oversubscribe,
         cost_model=cost_model,
-        native_spec=native_spec,
+        native_module=native_module,
+        native_spec=native_module.library_spec() if native_module is not None else None,
         profile_key=plan_profile_key,
     )

@@ -9,7 +9,7 @@ one currency and banks them:
 * :class:`ChunkProfile` — one measured chunk: a contiguous ``pc`` span and
   the wall-clock seconds its execution took *inside* the worker (queue
   latency excluded; see the timing schema on
-  :class:`~repro.runtime.engine.EngineRunResult`),
+  :class:`~repro.runtime.engine.RunResult`),
 * :class:`BackendProfile` — everything measured about one
   (kernel, shape, schedule, backend) combination: run count, recent
   whole-run timings, and the most recent run's chunk profiles,

@@ -2,11 +2,14 @@
 
 A :class:`RuntimeSession` owns one persistent :class:`RuntimeEngine` plus a
 cache of :class:`ExecutionPlan` objects keyed by (nest structure, collapse
-depth, parameter values, schedule, recovery back end) — the same structural
-key idea as the ``collapse()`` memo cache, one level up.  Asking the session
+depth, parameter values, schedule, plan options) — the same structural key
+idea as the ``collapse()`` memo cache, one level up.  Asking the session
 twice for the same kernel at the same size re-uses the plan, the workers'
 compiled state and (for registry kernels run without caller data) the
 shared-memory buffers, so a steady-state run is nothing but chunk dispatch.
+:meth:`RuntimeSession.run` is the one place a backend name picks a
+substrate: engine, hybrid and native all run a cached plan, and only the
+final dispatch differs.
 
 :func:`collapse_and_run` is the one-call version::
 
@@ -28,7 +31,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from ..openmp.schedule import ScheduleSpec
-from .engine import EngineRunResult, RuntimeEngine
+from .engine import RunResult, RuntimeEngine
 from .plan import ExecutionPlan, PlanError, build_plan
 from .profile import ProfileError, choose_backend, default_profile_store, profile_key
 from .shm import SharedBuffers
@@ -58,8 +61,8 @@ def resolve_auto_backend(
     native-capable source (a kernel ``c_body``, a parseable nest — with
     caller ``data`` — or an explicit ``c_body=``), a present C compiler and
     ``allow_native`` (sessions clear it when engine-only options like
-    ``depth``/``recovery`` are in play); ``hybrid`` needs the same native
-    capability and compiler; ``engine`` needs Python operations (an
+    ``depth`` or Python operations are in play); ``hybrid`` needs the same
+    native capability and compiler; ``engine`` needs Python operations (an
     executable kernel or ``iteration_op``/``chunk_op``).  On machines with
     ``os.cpu_count() <= 2`` the ``hybrid`` candidate is dropped whenever
     ``native`` is viable — per-chunk dispatch through a 1–2 worker pool
@@ -157,7 +160,7 @@ def _resolve_auto(
     return choose_backend(profiles, candidates, heuristic), settled
 
 
-def _structural_key(plan_source, parameter_values, spec, recovery, depth) -> tuple:
+def _structural_key(plan_source, parameter_values, spec, depth) -> tuple:
     """A hashable identity for plan caching (mirrors the collapse cache key)."""
     from ..ir import LoopNest
     from ..kernels import Kernel
@@ -195,8 +198,34 @@ def _structural_key(plan_source, parameter_values, spec, recovery, depth) -> tup
         depth,
         tuple(sorted((k, int(v)) for k, v in parameter_values.items())),
         str(spec),
-        recovery,
     )
+
+
+#: the substrates ``RuntimeSession.run`` dispatches to (``"auto"`` resolves
+#: to one of them)
+BACKENDS = ("engine", "hybrid", "native")
+
+#: plan options that only shape the compiled translation unit: an engine
+#: plan rejects them, so a run that lands on the engine drops them
+NATIVE_PLAN_OPTIONS = ("c_body", "c_arrays", "array_ndims", "compile_flags")
+
+
+def _without_native_options(plan_kwargs: Mapping[str, object]) -> Dict[str, object]:
+    return {name: value for name, value in plan_kwargs.items() if name not in NATIVE_PLAN_OPTIONS}
+
+
+def _engine_only_options(depth, fresh_data, plan_kwargs) -> list:
+    """The options of one run only the worker pool honours, by name.
+
+    The native backend rejects them instead of silently dropping them, and
+    ``auto`` leaves native out of its candidates while any is in play.
+    """
+    names = sorted(_without_native_options(plan_kwargs))
+    if depth is not None:
+        names.append("depth")
+    if fresh_data is not True:
+        names.append("fresh_data")
+    return names
 
 
 #: settled auto resolutions are reused this many times before the session
@@ -229,12 +258,11 @@ class RuntimeSession:
         parameter_values: Mapping[str, int],
         schedule: object = "adaptive",
         depth: Optional[int] = None,
-        recovery: str = "compiled",
         **plan_kwargs,
     ) -> ExecutionPlan:
         """The cached plan of (source, parameters, schedule); built on miss."""
         spec = ScheduleSpec.parse(schedule)
-        key = _structural_key(source, parameter_values, spec, recovery, depth) + (
+        key = _structural_key(source, parameter_values, spec, depth) + (
             tuple(sorted(
                 # module + qualname: two same-named functions from different
                 # modules must not share a cached plan
@@ -251,11 +279,43 @@ class RuntimeSession:
             plan = self._plans.get(key)
             if plan is None:
                 plan = build_plan(
-                    source, parameter_values, schedule=spec, depth=depth,
-                    recovery=recovery, **plan_kwargs,
+                    source, parameter_values, schedule=spec, depth=depth, **plan_kwargs
                 )
                 self._plans[key] = plan
         return plan
+
+    def _plan(self, backend, source, parameter_values, schedule, depth, plan_kwargs):
+        """The cached plan ``backend`` runs; native and hybrid share the compiled one.
+
+        Where no C compiler exists, ``hybrid`` degrades to the engine plan
+        (same result, without the per-chunk C speed); ``native`` raises
+        :class:`~repro.native.NativeUnavailable`, because its OpenMP team
+        and schedule are the thing being requested.  A compilation
+        *failure* with a compiler present (e.g. a broken caller ``c_body``)
+        raises on both, because silence there would hide a bug.
+        """
+        if backend == "engine":
+            return self.plan_for(source, parameter_values, schedule, depth, **plan_kwargs)
+        # deferred import: the native backend is optional
+        from ..native import NativeUnavailable, native_available
+
+        try:
+            return self.plan_for(
+                source, parameter_values, schedule, depth, native=True, **plan_kwargs
+            )
+        except NativeUnavailable as unavailable:
+            if backend == "native" or native_available():
+                raise
+            try:
+                return self.plan_for(
+                    source, parameter_values, schedule, depth,
+                    **_without_native_options(plan_kwargs),
+                )
+            except PlanError:
+                # the engine cannot run this source either (no Python ops):
+                # the actionable problem is the missing compiler, so that is
+                # the error the caller must see
+                raise unavailable from None
 
     def cache_info(self) -> Dict[str, int]:
         return {"plans": len(self._plans), "buffers": len(self._buffers)}
@@ -270,27 +330,32 @@ class RuntimeSession:
         data=None,
         schedule: object = "adaptive",
         depth: Optional[int] = None,
-        recovery: str = "compiled",
         fresh_data: bool = True,
         backend: str = "engine",
         threads: Optional[int] = None,
         **plan_kwargs,
     ):
-        """Collapse (cached), plan (cached), execute on the persistent engine.
+        """Collapse (cached), plan (cached), execute on the chosen substrate.
 
         For a kernel source the return value is the kernel's result
         ``DataDict`` (private copies — safe to keep).  ``data`` seeds the
-        shared buffers; with ``data=None`` the kernel's ``make_data`` output
-        is used, the session keeps the buffers attached across calls, and
-        ``fresh_data=True`` (the default) re-initialises them in place each
-        run — steady-state runs allocate nothing.
+        run; with ``data=None`` the kernel's ``make_data`` output is used,
+        and on the worker pool the session keeps the shared buffers
+        attached across calls, with ``fresh_data=True`` (the default)
+        re-initialising them in place each run — steady-state runs allocate
+        nothing.
 
-        Nest/collapsed-loop sources need their operations passed through
-        ``plan_kwargs`` (``iteration_op=``/``chunk_op=``, module-level
-        functions); they run against the caller's shared ``data`` buffers
-        if given, and the return value is the :class:`EngineRunResult`.
+        Nest/collapsed-loop sources run against the caller's ``data``
+        arrays, which are mutated in place, and the return value is the
+        :class:`~repro.runtime.engine.RunResult`.  On the engine they need
+        their operations passed through ``plan_kwargs``
+        (``iteration_op=``/``chunk_op=``, module-level functions); on the
+        compiled backends a C body (``c_body=``/``c_arrays=``, or the
+        statements of a parsed nest).
 
-        ``backend`` selects the execution substrate:
+        ``backend`` selects the execution substrate; every backend runs the
+        session's cached plan of (source, parameters, schedule), and native
+        and hybrid share one compiled plan, lint audit included:
 
         * ``"engine"`` (default) — chunks dispatched to the persistent
           worker pool, executed by the Python/NumPy operations;
@@ -301,14 +366,16 @@ class RuntimeSession:
           — and workers attach the shared object by path).  Where no C
           compiler exists (``$CC``, ``cc``, ``gcc``, ``clang`` all absent)
           the call *falls back to the engine backend* instead of raising;
-          an actual compilation *failure* with a compiler present (e.g. a
-          broken caller ``c_body``) still raises, because silence there
-          would hide a bug;
-        * ``"native"`` — one in-process ``ctypes`` call into the
-          whole-range OpenMP ``repro_run`` — see :meth:`run_native`.  This
-          backend raises :class:`~repro.native.NativeUnavailable` without a
-          compiler (no silent fallback: its OpenMP team and schedule are
-          the thing being requested).
+        * ``"native"`` — one in-process ``ctypes`` call into the same
+          unit's whole-range OpenMP ``repro_run`` (``adaptive`` has no
+          OpenMP spelling and runs as ``static``).  Raises
+          :class:`~repro.native.NativeUnavailable` without a compiler, and
+          :class:`PlanError` for the engine-only options (Python
+          operations, ``oversubscribe``, ``depth``, ``fresh_data``) rather
+          than silently dropping them.
+
+        ``c_body``/``c_arrays``/``array_ndims``/``compile_flags`` shape the
+        compiled unit and are taken by both compiled backends.
 
         ``backend="auto"`` closes the measure→schedule loop one level up:
         every run (any backend) banks its timings in the persistent
@@ -325,123 +392,64 @@ class RuntimeSession:
         """
         from ..kernels import get_kernel
 
-        auto_requested = backend == "auto"
         if backend == "auto":
-            if threads is not None:
-                # threads is a native-only option: a caller pinning the
-                # OpenMP team size has already chosen the substrate
-                backend = "native"
-            else:
-                allow_native = (
-                    depth is None and recovery == "compiled" and fresh_data is True
-                    and not plan_kwargs
-                )
-                memo_key = (
-                    _profile_key_or_none(source, parameter_values, schedule, depth),
-                    allow_native,
-                    data is None,
-                )
-                cached = self._auto_memo.get(memo_key) if memo_key[0] else None
-                if cached is not None and cached[1] > 0:
-                    backend = cached[0]
-                    self._auto_memo[memo_key] = (backend, cached[1] - 1)
-                else:
-                    backend, settled = _resolve_auto(
-                        source,
-                        parameter_values,
-                        schedule=schedule,
-                        depth=depth,
-                        data=data,
-                        allow_native=allow_native,
-                        **plan_kwargs,
-                    )
-                    if memo_key[0] is not None and settled:
-                        self._auto_memo[memo_key] = (backend, AUTO_REVALIDATE_EVERY)
-                    else:
-                        self._auto_memo.pop(memo_key, None)
+            backend = self._auto_backend(
+                source, parameter_values, data, schedule, depth, fresh_data, threads,
+                plan_kwargs,
+            )
+            if backend == "engine":
+                # an auto resolution landing on the engine must not forward
+                # native-plan options an ad-hoc nest carried for the compiled
+                # candidates; an *explicitly* requested engine backend still
+                # rejects them — that is a caller mistake, not a degradation
+                plan_kwargs = _without_native_options(plan_kwargs)
+        if backend not in BACKENDS:
+            raise PlanError(
+                f"unknown backend {backend!r}; expected 'auto', 'engine', 'hybrid' "
+                "or 'native'"
+            )
         if backend == "native":
-            # reject rather than silently drop anything only the engine honours
-            engine_only = sorted(plan_kwargs)
-            if depth is not None:
-                engine_only.append("depth")
-            if recovery != "compiled":
-                engine_only.append("recovery")
-            if fresh_data is not True:
-                engine_only.append("fresh_data")
+            engine_only = _engine_only_options(depth, fresh_data, plan_kwargs)
             if engine_only:
                 raise PlanError(
                     f"the native backend does not take {engine_only}; these are "
                     "engine-only options — use backend='engine'"
                 )
-            return self.run_native(
-                source, parameter_values, data=data, schedule=schedule, threads=threads
-            )
-        if backend not in ("engine", "hybrid"):
-            raise PlanError(
-                f"unknown backend {backend!r}; expected 'auto', 'engine', 'hybrid' "
-                "or 'native'"
-            )
-        if threads is not None:
+        elif threads is not None:
             raise PlanError(
                 "threads is a native-backend option; the engine's parallelism is "
                 "the session's worker count (set workers= when creating it)"
             )
 
-        if backend == "hybrid":
-            # deferred import: the native backend is optional
-            from ..native import NativeUnavailable, native_available
+        plan = self._plan(backend, source, parameter_values, schedule, depth, plan_kwargs)
+        kernel = get_kernel(plan.kernel_name) if plan.kernel_name is not None else None
 
-            try:
-                plan = self.plan_for(
-                    source, parameter_values, schedule, depth, recovery,
-                    native=True, **plan_kwargs,
-                )
-            except NativeUnavailable as unavailable:
-                if native_available():
-                    # a compiler exists, so this is a real compilation
-                    # failure (e.g. a broken user c_body) — surface it
-                    # instead of silently running the slow engine
-                    raise
-                # no C compiler: the engine computes the identical result,
-                # just without the per-chunk C speed — degrade, don't fail.
-                # Native-only options must not reach the engine plan.
-                engine_kwargs = {
-                    name: value for name, value in plan_kwargs.items()
-                    if name not in ("c_body", "c_arrays", "array_ndims", "compile_flags")
-                }
-                try:
-                    plan = self.plan_for(
-                        source, parameter_values, schedule, depth, recovery,
-                        **engine_kwargs,
+        if backend == "native":
+            # the native substrate runs in this process: plain arrays, no
+            # shared-memory staging — the caller's own arrays for a nest,
+            # private copies (or fresh kernel data) for a kernel
+            if kernel is None:
+                if data is None:
+                    raise PlanError(
+                        f"running nest {plan.collapsed.nest.name!r} natively needs "
+                        f"data= arrays for {list(plan.native_spec.arrays)}"
                     )
-                except PlanError:
-                    # the engine cannot run this source either (no Python
-                    # ops): the actionable problem is the missing compiler,
-                    # so that is the error the caller must see
-                    raise unavailable from None
-        else:
-            if auto_requested:
-                # an auto resolution landing on the engine must not forward
-                # native-only options an ad-hoc nest carried for the hybrid
-                # candidate (c_body etc. would be a PlanError on an engine
-                # plan); an *explicitly* requested engine backend still
-                # rejects them — that is a caller mistake, not a degradation
-                plan_kwargs = {
-                    name: value for name, value in plan_kwargs.items()
-                    if name not in ("c_body", "c_arrays", "array_ndims", "compile_flags")
-                }
-            plan = self.plan_for(source, parameter_values, schedule, depth, recovery, **plan_kwargs)
-        kernel = None
-        if plan.kernel_name is not None:
-            kernel = get_kernel(plan.kernel_name)
+                return self._dispatch(backend, plan, data, threads)
+            arrays = (
+                {name: np.copy(value) for name, value in data.items()}
+                if data is not None
+                else kernel.make_data(parameter_values)
+            )
+            self._dispatch(backend, plan, arrays, threads)
+            return arrays
 
         if kernel is None:
             if data is None:
-                return self.execute(plan)
+                return self._dispatch(backend, plan)
             # nest sources run over the caller's arrays: stage them in shared
             # memory, execute, and copy the mutations back in place
             with SharedBuffers.create(dict(data)) as buffers:
-                result = self.execute(plan, buffers=buffers)
+                result = self._dispatch(backend, plan, buffers)
                 for name, value in buffers.arrays.items():
                     data[name][...] = value
                 self.engine.forget(plan)
@@ -449,7 +457,7 @@ class RuntimeSession:
 
         if data is not None:
             with SharedBuffers.create(dict(data)) as buffers:
-                self.execute(plan, buffers=buffers)
+                self._dispatch(backend, plan, buffers)
                 result = buffers.snapshot()
                 # workers must not keep mappings of segments about to vanish
                 self.engine.forget(plan)
@@ -461,10 +469,64 @@ class RuntimeSession:
             self._buffers[plan.plan_id] = buffers
         elif fresh_data:
             buffers.fill_from(kernel.make_data(parameter_values))
-        self.execute(plan, buffers=buffers)
+        self._dispatch(backend, plan, buffers)
         return buffers.snapshot()
 
-    def execute(self, plan: ExecutionPlan, buffers: Optional[SharedBuffers] = None) -> EngineRunResult:
+    def _auto_backend(
+        self, source, parameter_values, data, schedule, depth, fresh_data, threads, plan_kwargs
+    ) -> str:
+        """The backend ``backend="auto"`` stands for on this call.
+
+        A caller pinning ``threads`` (the OpenMP team size) has already
+        chosen native.  Otherwise settled resolutions are memoised for
+        :data:`AUTO_REVALIDATE_EVERY` uses; the native candidate is only
+        considered when no engine-only option is in play.
+        """
+        if threads is not None:
+            return "native"
+        allow_native = not _engine_only_options(depth, fresh_data, plan_kwargs)
+        memo_key = (
+            _profile_key_or_none(source, parameter_values, schedule, depth),
+            allow_native,
+            data is None,
+        )
+        cached = self._auto_memo.get(memo_key) if memo_key[0] else None
+        if cached is not None and cached[1] > 0:
+            self._auto_memo[memo_key] = (cached[0], cached[1] - 1)
+            return cached[0]
+        backend, settled = _resolve_auto(
+            source,
+            parameter_values,
+            schedule=schedule,
+            depth=depth,
+            data=data,
+            allow_native=allow_native,
+            **plan_kwargs,
+        )
+        if memo_key[0] is not None and settled:
+            self._auto_memo[memo_key] = (backend, AUTO_REVALIDATE_EVERY)
+        else:
+            self._auto_memo.pop(memo_key, None)
+        return backend
+
+    def _dispatch(self, backend, plan, buffers=None, threads=None) -> RunResult:
+        """Run ``plan`` once on ``backend``'s substrate and bank the timings.
+
+        The one per-backend step of a run: ``native`` calls the plan's
+        compiled whole-range ``repro_run`` on the staged arrays in this
+        process; ``engine`` and ``hybrid`` hand the plan's chunks to the
+        worker pool over the shared ``buffers``.
+        """
+        if backend == "native":
+            result = plan.native_module.run(
+                buffers, plan.parameter_values, threads=threads or self.engine.workers
+            )
+        else:
+            result = self.engine.execute(plan, buffers=buffers)
+        self._bank(plan.profile_key, result)
+        return result
+
+    def execute(self, plan: ExecutionPlan, buffers: Optional[SharedBuffers] = None) -> RunResult:
         """Engine pass-through for callers managing plans/buffers themselves.
 
         Like every session execution path, the run's timings are banked in
@@ -472,19 +534,15 @@ class RuntimeSession:
         — recording is the session layer's job, so direct-engine callers
         stay profile-free.
         """
-        result = self.engine.execute(plan, buffers=buffers)
-        self._bank(plan.profile_key, result)
-        return result
+        return self._dispatch("engine", plan, buffers)
 
-    def _bank(self, key: Optional[str], result) -> None:
+    def _bank(self, key: Optional[str], result: RunResult) -> None:
         """Bank one run's timings in the profile store; never raises.
 
-        ``result`` is any object speaking the timing schema
-        (:class:`EngineRunResult` or :class:`~repro.native.NativeRunResult`).
         A failure to persist — read-only store root, disk full — must not
         turn a successful run into an error, so this swallows everything.
         """
-        if key is None or result is None:
+        if key is None:
             return
         try:
             default_profile_store().record(
@@ -497,108 +555,6 @@ class RuntimeSession:
             )
         except Exception:
             pass
-
-    # ------------------------------------------------------------------ #
-    # native backend
-    # ------------------------------------------------------------------ #
-    def run_native(
-        self,
-        source,
-        parameter_values: Mapping[str, int],
-        data=None,
-        schedule: object = "adaptive",
-        threads: Optional[int] = None,
-    ):
-        """Run a registered kernel through the compiled C/OpenMP backend.
-
-        The kernel's translation unit is compiled once per (kernel,
-        schedule) — memoised process-wide and cached on disk by source hash
-        under ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro-native``),
-        with the compiler taken from ``$CC`` or the first of
-        ``cc``/``gcc``/``clang`` — so repeated calls are a single
-        ``ctypes`` dispatch; the return value is the result ``DataDict``,
-        element-wise comparable to the engine's.  ``source`` must be a
-        registered kernel (name or :class:`~repro.kernels.Kernel`) with a
-        ``c_body`` — for ad-hoc nests use ``backend="hybrid"`` (parsed
-        array-assignment statements compile to a native body) or the
-        engine.  The engine-only ``"adaptive"`` policy has no OpenMP
-        spelling and maps to ``static`` here; ``threads`` defaults to the
-        engine's worker count, keeping the backends' parallelism
-        comparable.  Raises :class:`~repro.native.NativeUnavailable` where
-        no C compiler exists.
-
-        The run's timings are banked in the profile store under the key of
-        the *requested* schedule spelling (before the adaptive→static
-        normalisation), so a native run and an engine/hybrid run of the
-        same configuration land in the same store entry — which is what
-        lets ``backend="auto"`` compare them.
-        """
-        from ..ir import LoopNest
-        from ..kernels import Kernel
-        from ..kernels import get_kernel
-        from ..native import compile_native_kernel
-        from ..openmp.schedule import ScheduleKind
-
-        raw_spec = ScheduleSpec.parse(schedule)
-        spec = raw_spec
-        if spec.kind is ScheduleKind.ADAPTIVE:
-            spec = ScheduleSpec.parse("static")
-        if isinstance(source, LoopNest):
-            key = _profile_key_or_none(source, parameter_values, raw_spec)
-            result = self._run_native_nest(source, parameter_values, data, spec, threads)
-            self._bank(key, result)
-            return result
-        kernel = get_kernel(source) if isinstance(source, str) else source
-        if not isinstance(kernel, Kernel):
-            raise PlanError(
-                f"the native backend runs registered kernels and parsed nests, not "
-                f"{type(source).__name__}; use backend='engine' for Python-only sources"
-            )
-        if not kernel.supports_native:
-            raise ValueError(f"kernel {kernel.name!r} has no native C body")
-        # compiled modules are memoised process-wide (repro.native.module)
-        # and on disk by source hash, so repeated session calls recompile
-        # nothing; the module is run here (not via run_collapsed_native)
-        # because the NativeRunResult carries the timings the store banks
-        data = (
-            {name: np.copy(value) for name, value in data.items()}
-            if data is not None
-            else kernel.make_data(parameter_values)
-        )
-        module = compile_native_kernel(kernel, schedule=spec)
-        result = module.run(data, parameter_values, threads=threads or self.engine.workers)
-        self._bank(_profile_key_or_none(kernel, parameter_values, raw_spec), result)
-        return data
-
-    def _run_native_nest(self, nest, parameter_values, data, spec, threads):
-        """Whole-range native execution of an ad-hoc parsed nest.
-
-        The nest's array-assignment statements (their ``c_text``) become the
-        translation unit's body; ``data`` provides the arrays and is mutated
-        in place, mirroring the engine's nest contract.  Returns the
-        :class:`~repro.native.NativeRunResult`.
-        """
-        from ..core import collapse
-        from ..ir.parser import ParseError, native_array_ndims, native_body
-        from ..native import compile_collapsed
-
-        try:
-            body, arrays = native_body(nest)
-            ndims = native_array_ndims(nest)
-        except ParseError as error:
-            raise PlanError(
-                f"the native backend needs a C body, and nest {nest.name!r} has none "
-                f"({error}); use backend='engine' with Python ops instead"
-            ) from None
-        if data is None:
-            raise PlanError(
-                f"running nest {nest.name!r} natively needs data= arrays "
-                f"for {list(arrays)}"
-            )
-        module = compile_collapsed(
-            collapse(nest), body=body, arrays=arrays, schedule=spec, array_ndims=ndims
-        )
-        return module.run(data, parameter_values, threads=threads or self.engine.workers)
 
     # ------------------------------------------------------------------ #
     # lifecycle

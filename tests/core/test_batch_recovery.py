@@ -220,31 +220,6 @@ class TestMemoCaches:
 
 
 class TestExecutorIntegration:
-    def test_run_collapsed_inline_compiled_vs_symbolic(self, correlation_nest):
-        from repro.openmp import run_collapsed_inline
-
-        collapsed = collapse(correlation_nest)
-        values = {"N": 16}
-        seen = {"compiled": [], "symbolic": []}
-        for recovery in ("compiled", "symbolic"):
-            result = run_collapsed_inline(
-                collapsed,
-                lambda *indices: seen[recovery].append(indices),
-                values,
-                workers=3,
-                recovery=recovery,
-            )
-            assert sum(result.results) == collapsed.total_iterations(values)
-            assert len(result.chunks) == 3
-        assert seen["compiled"] == seen["symbolic"]
-
-    def test_run_collapsed_inline_rejects_unknown_backend(self, correlation_nest):
-        from repro.openmp import run_collapsed_inline
-
-        collapsed = collapse(correlation_nest)
-        with pytest.raises(ValueError):
-            run_collapsed_inline(collapsed, lambda *i: None, {"N": 8}, recovery="quantum")
-
     def test_kernel_chunked_run_with_compiled_recovery(self):
         from repro.kernels import get_kernel, run_collapsed_chunks, run_original
 

@@ -62,6 +62,48 @@ def test_native_build_plan_audits_overflow_by_default():
         build_plan(kernel, huge, native=True)
 
 
+def test_both_compiled_backends_audit_overflow_before_compiling():
+    """``session.run`` builds one native plan for native and hybrid, so both
+    raise the same overflow finding for a trip count past int64 — before
+    anything compiles.  The calls run in a child process: a backend that
+    skipped the audit would drive the C loop over N=8 arrays with a wrapped
+    trip count and crash, which must fail this test, not kill the suite."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+    from pathlib import Path
+
+    import repro
+
+    script = textwrap.dedent(
+        """
+        from repro.kernels import get_kernel
+        from repro.native import module
+        from repro.runtime import RuntimeSession
+        from repro.runtime.plan import PlanError
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before the overflow audit")
+
+        module.compile_shared_library = no_compile
+        data = get_kernel("utma").make_data({"N": 8})
+        with RuntimeSession(workers=1) as session:
+            for backend in ("hybrid", "native"):
+                try:
+                    session.run("utma", {"N": 2**33}, data=data, backend=backend)
+                except PlanError as error:
+                    print(backend, "overflow/total-exceeds-int64" in str(error))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == ["hybrid", "True", "native", "True"]
+
+
 def test_python_plans_skip_the_audit_by_default():
     # big-int Python paths cannot wrap: a 10^19-sized plan must still build
     from repro.runtime.plan import build_plan

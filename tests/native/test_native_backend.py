@@ -11,9 +11,9 @@ import pytest
 
 from repro.core import batch_recovery, collapse
 from repro.ir import enumerate_iterations, iteration_count
+from repro.runtime import RunResult
 from repro.native import (
     NativeExecutionError,
-    NativeRunResult,
     compile_collapsed,
     compile_native_kernel,
     native_available,
@@ -26,6 +26,14 @@ pytestmark = pytest.mark.skipif(
 
 def _dummy_op(data, indices, values):  # module-level: picklable for plans
     pass
+
+
+def _run_native(kernel, values, **kwargs):
+    """One whole-range native run of a kernel through a private session."""
+    from repro.runtime import RuntimeSession
+
+    with RuntimeSession(workers=2) as session:
+        return session.run(kernel, values, backend="native", **kwargs)
 
 
 # ---------------------------------------------------------------------- #
@@ -290,33 +298,33 @@ class TestKernelExecution:
     def test_utma_is_bit_identical_to_original_order(self):
         """The triangular acceptance case: element-wise add, so the compiled
         C and the Python paths must agree to the last bit."""
-        from repro.kernels import get_kernel, run_collapsed_native, run_original
+        from repro.kernels import get_kernel, run_original
 
         kernel = get_kernel("utma")
         values = {"N": 160}
         original = run_original(kernel, values)
-        native = run_collapsed_native(kernel, values, threads=2)
+        native = _run_native(kernel, values, threads=2)
         assert np.array_equal(original["c"], native["c"])
 
     def test_ltmp_depth3_reduction_matches(self):
         """The depth-3 acceptance case: the non-collapsed k loop runs as a
         real C loop inside each collapsed iteration."""
-        from repro.kernels import get_kernel, run_collapsed_native, run_original
+        from repro.kernels import get_kernel, run_original
 
         kernel = get_kernel("ltmp")
         values = {"N": 96}
         original = run_original(kernel, values)
-        native = run_collapsed_native(kernel, values, threads=2)
+        native = _run_native(kernel, values, threads=2)
         assert np.allclose(original["c"], native["c"], atol=1e-9)
 
     @pytest.mark.parametrize("name", ["covariance", "symm", "cholesky_update", "lu_update"])
     def test_elementwise_kernels_are_bit_identical(self, name):
-        from repro.kernels import get_kernel, run_collapsed_native, run_original
+        from repro.kernels import get_kernel, run_original
 
         kernel = get_kernel(name)
         values = dict(kernel.bench_parameters)
         original = run_original(kernel, values)
-        native = run_collapsed_native(kernel, values, threads=2)
+        native = _run_native(kernel, values, threads=2)
         for array in original:
             assert np.array_equal(original[array], native[array]), array
 
@@ -328,11 +336,11 @@ class TestKernelExecution:
         module = compile_native_kernel(kernel, schedule="static")
         data = kernel.make_data(values)
         result = module.run(data, values, threads=2)
-        assert isinstance(result, NativeRunResult)
+        assert isinstance(result, RunResult)
         assert result.backend == "native"
         total = kernel.collapsed().total_iterations(values)
         assert sum(result.results) == total
-        assert result.iterations == total  # EngineRunResult compatibility
+        assert result.iterations == total
         assert len(result.chunk_seconds) == len(result.chunks) == len(result.results)
         assert all(seconds >= 0.0 for seconds in result.chunk_seconds)
         assert 1 <= result.workers <= 2
@@ -356,11 +364,13 @@ class TestKernelExecution:
         assert result.iterations == total
 
     def test_kernel_without_c_body_is_rejected(self):
-        from repro.kernels import get_kernel, run_collapsed_native
+        import dataclasses
 
-        kernel = get_kernel("jacobi1d_skewed")
-        with pytest.raises(ValueError, match="native"):
-            run_collapsed_native(kernel, dict(kernel.bench_parameters))
+        from repro.kernels import get_kernel
+
+        kernel = dataclasses.replace(get_kernel("utma"), name="utma_python_only", c_body=None)
+        with pytest.raises(ValueError, match="no C body"):
+            _run_native(kernel, {"N": 8})
 
     def test_bad_array_dtype_is_rejected(self):
         from repro.kernels import get_kernel
@@ -494,7 +504,6 @@ class TestSessionBackend:
         an array assignment runs natively — the statement's own C text is
         the emitted body, the caller's arrays are mutated in place."""
         from repro.ir import enumerate_iterations, parse_loop_nest
-        from repro.native import NativeRunResult
         from repro.runtime import RuntimeSession
 
         nest, _ = parse_loop_nest(
@@ -513,7 +522,7 @@ class TestSessionBackend:
         data = {"visits": np.zeros((24, 24))}
         with RuntimeSession(workers=1) as session:
             result = session.run(nest, values, data=data, backend="native")
-        assert isinstance(result, NativeRunResult)
+        assert isinstance(result, RunResult) and result.backend == "native"
         assert sum(result.results) == int(expected.sum())
         assert np.array_equal(data["visits"], expected)
 
@@ -573,8 +582,6 @@ class TestSessionBackend:
             # named engine-only parameters are rejected too, not dropped
             with pytest.raises(PlanError, match="depth"):
                 session.run("utma", {"N": 10}, backend="native", depth=1)
-            with pytest.raises(PlanError, match="recovery"):
-                session.run("utma", {"N": 10}, backend="native", recovery="symbolic")
             with pytest.raises(PlanError, match="fresh_data"):
                 session.run("utma", {"N": 10}, backend="native", fresh_data=False)
 

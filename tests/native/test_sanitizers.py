@@ -108,13 +108,14 @@ def test_environment_preset_reaches_the_module_cache(correlation_nest, monkeypat
 # ---------------------------------------------------------------------- #
 def test_ubsan_instrumented_run_matches_original():
     _sanitizer_or_skip("undefined")
-    from repro.kernels import get_kernel
-    from repro.kernels.execution import run_collapsed_native, run_original
+    from repro.kernels import get_kernel, run_original
+    from repro.native import compile_native_kernel
 
     kernel = get_kernel("utma")
     values = dict(kernel.default_parameters)
     expected = run_original(kernel, values)
-    instrumented = run_collapsed_native(kernel, values, sanitize="undefined")
+    instrumented = kernel.make_data(values)
+    compile_native_kernel(kernel, sanitize="undefined").run(instrumented, values)
     for name in expected:
         assert np.allclose(expected[name], instrumented[name])
 

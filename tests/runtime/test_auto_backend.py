@@ -10,7 +10,7 @@ substrate auto picks, the numbers match ``run_original``.
 import numpy as np
 import pytest
 
-from repro.kernels import get_kernel, run_collapsed_auto, run_original, verify_kernel
+from repro.kernels import get_kernel, run_original, verify_kernel
 from repro.native import native_available
 from repro.runtime import (
     ProfileStore,
@@ -194,12 +194,12 @@ class TestSessionAuto:
         assert "native" in profiles
 
     def test_engine_only_options_still_run_under_auto(self):
-        # depth/recovery are engine-only: auto must not route them natively
+        # depth/fresh_data are engine-only: auto must not route them natively
         kernel = get_kernel("utma")
         expected = run_original(kernel, PARAMS)
         with RuntimeSession(workers=2) as session:
             result = session.run(
-                kernel, PARAMS, backend="auto", depth=2, recovery="symbolic"
+                kernel, PARAMS, backend="auto", depth=2, fresh_data=False
             )
             assert np.allclose(result["c"], expected["c"], atol=1e-9)
 
@@ -218,5 +218,6 @@ class TestKernelLayerAuto:
     def test_run_collapsed_auto_matches_original(self):
         kernel = get_kernel("utma")
         expected = run_original(kernel, PARAMS)
-        result = run_collapsed_auto(kernel, PARAMS, workers=2)
+        with RuntimeSession(workers=2) as session:
+            result = session.run(kernel, PARAMS, backend="auto")
         assert np.allclose(result["c"], expected["c"], atol=1e-9)

@@ -8,10 +8,11 @@ be used.
 import numpy as np
 import pytest
 
-from repro.kernels import get_kernel, run_collapsed_engine, run_original, verify_kernel
-from repro.openmp import Chunk, ScheduleKind, run_chunks_in_processes
+from repro.kernels import get_kernel, run_original, verify_kernel
+from repro.openmp import ScheduleKind
 from repro.runtime import (
     EngineError,
+    PlanError,
     RuntimeSession,
     SharedBuffers,
     build_plan,
@@ -29,11 +30,6 @@ def session():
 
 def failing_op(data, indices, values):
     raise RuntimeError("deliberate kernel failure")
-
-
-def chunk_sum_worker(first_pc: int, last_pc: int, parameter_values) -> int:
-    """Classic executor-style worker, engine-dispatchable (module-level)."""
-    return sum(range(first_pc, last_pc + 1))
 
 
 def mark_visit_op(data, indices, values):
@@ -57,7 +53,7 @@ class TestEngineCorrectness:
         kernel = get_kernel("utma")
         data = kernel.make_data(VALUES)
         expected = run_original(kernel, VALUES, data)
-        result = run_collapsed_engine(kernel, VALUES, data, session=session)
+        result = session.run(kernel, VALUES, data=data)
         assert np.array_equal(result["c"], expected["c"])
         assert np.all(data["c"] == 0)  # caller's arrays are never mutated
 
@@ -118,67 +114,29 @@ class TestErrorHandling:
 
     def test_unpicklable_worker_is_rejected_eagerly(self, session):
         # a closure would die in the queue feeder thread and hang the parent;
-        # the engine refuses it up front instead
+        # the plan refuses it up front instead
+        from repro.ir import Loop, LoopNest
+
+        nest = LoopNest([Loop.make("i", 0, "N")], parameters=["N"], name="closure")
         bound = 7
-        with pytest.raises(EngineError, match="picklable"):
-            session.engine.map_chunks(lambda f, l, v: bound, [Chunk(1, 5)], {})
+        with pytest.raises(PlanError, match="picklable"):
+            session.run(nest, {"N": 5}, iteration_op=lambda data, indices, values: bound)
 
     def test_dead_worker_is_detected_fast_and_pool_restarts(self):
         from repro.runtime import RuntimeEngine
 
-        with RuntimeEngine(workers=2, task_timeout=60.0) as engine:
+        kernel = get_kernel("utma")
+        plan = build_plan(kernel, VALUES, schedule="static")
+        with RuntimeEngine(workers=2, task_timeout=60.0) as engine, SharedBuffers.create(
+            kernel.make_data(VALUES)
+        ) as buffers:
             engine._processes[0].terminate()
             engine._processes[0].join()
             with pytest.raises(EngineError, match="died"):
-                engine.map_chunks(chunk_sum_worker, [Chunk(1, 10)], {})
+                engine.execute(plan, buffers=buffers)
             # the broken pool was torn down; the next call starts a fresh one
-            result = engine.map_chunks(chunk_sum_worker, [Chunk(1, 10)], {})
-            assert result.results == (55,)
-
-
-class TestExecutorRewiring:
-    def test_map_chunks_matches_fresh_pool_results(self, session):
-        total = 200
-        chunks = [Chunk(1, 80, 0), Chunk(81, 150, 1), Chunk(151, total, 0)]
-        through_engine = run_chunks_in_processes(
-            chunk_sum_worker, total, {}, workers=2, chunks=chunks, engine=session.engine
-        )
-        fresh_pool = run_chunks_in_processes(chunk_sum_worker, total, {}, workers=2, chunks=chunks)
-        assert through_engine.results == fresh_pool.results
-        assert sum(through_engine.results) == total * (total + 1) // 2
-
-    def test_schedule_strings_cut_the_chunks(self, session):
-        result = run_chunks_in_processes(
-            chunk_sum_worker, 100, {}, workers=2, schedule="dynamic,30", engine=session.engine
-        )
-        assert [chunk.size for chunk in result.chunks] == [30, 30, 30, 10]
-        assert result.schedule.chunk_size == 30
-
-
-class TestAnalysisRewiring:
-    def test_measure_execution_throughput_modes(self, session):
-        from repro.analysis import measure_execution_throughput
-
-        kernel = get_kernel("utma")
-        rows = {
-            mode: measure_execution_throughput(
-                kernel, VALUES, mode=mode, workers=2, session=session
-            )
-            for mode in ("serial", "inline", "engine")
-        }
-        total = kernel.collapsed().total_iterations(VALUES)
-        for mode, row in rows.items():
-            assert row.iterations == total, mode
-            assert row.elapsed_seconds > 0, mode
-            assert row.iterations_per_second > 0, mode
-        assert rows["serial"].workers == 1
-        assert rows["engine"].workers == 2
-
-    def test_unknown_mode_is_rejected(self):
-        from repro.analysis import measure_execution_throughput
-
-        with pytest.raises(ValueError, match="unknown mode"):
-            measure_execution_throughput(get_kernel("utma"), VALUES, mode="threads")
+            result = engine.execute(plan, buffers=buffers)
+            assert result.iterations == plan.total_iterations
 
 
 class TestSession:

@@ -52,14 +52,14 @@ def session():
 class TestKernelEquality:
     @pytest.mark.parametrize("name,n", [("utma", 96), ("ltmp", 48)])
     def test_hybrid_equals_engine_and_native(self, session, name, n):
-        from repro.kernels import get_kernel, run_collapsed_native, run_original
+        from repro.kernels import get_kernel, run_original
 
         kernel = get_kernel(name)
         values = {"N": n}
         original = run_original(kernel, values)
         hybrid = session.run(name, values, backend="hybrid", schedule="adaptive")
         engine = session.run(name, values, backend="engine", schedule="adaptive")
-        native = run_collapsed_native(kernel, values, threads=2)
+        native = session.run(name, values, backend="native", threads=2)
         for array in original:
             assert np.allclose(hybrid[array], original[array], atol=1e-9), array
             assert np.allclose(hybrid[array], engine[array], atol=1e-9), array
@@ -90,17 +90,35 @@ class TestKernelEquality:
 
     def test_run_collapsed_hybrid_with_caller_data(self, session):
         """Caller data seeds the run and is not mutated (private copies)."""
-        from repro.kernels import get_kernel, run_collapsed_hybrid, run_original
+        from repro.kernels import get_kernel, run_original
 
         kernel = get_kernel("utma")
         values = {"N": 48}
         data = kernel.make_data(values)
         before = {name: value.copy() for name, value in data.items()}
-        result = run_collapsed_hybrid(kernel, values, data, session=session)
+        result = session.run(kernel, values, data=data, backend="hybrid")
         expected = run_original(kernel, values, data)
         assert np.array_equal(result["c"], expected["c"])
         for name in before:
             assert np.array_equal(data[name], before[name])
+
+    @pytest.mark.parametrize("backend", ["native", "hybrid"])
+    def test_compiled_backends_take_the_native_plan_options(self, session, backend):
+        """Both compiled backends run one native plan, so native takes the
+        options hybrid takes: an explicit C body for an opaque nest and
+        extra compiler flags."""
+        nest = _triangle_nest()
+        values = {"N": 20}
+        data = {"visits": np.zeros((20, 20))}
+        result = session.run(
+            nest, values, data=data, backend=backend,
+            c_body="visits(i, j) += 1.0;", c_arrays=("visits",), compile_flags=("-O2",),
+        )
+        expected = np.zeros((20, 20))
+        for indices in enumerate_iterations(nest, values):
+            expected[indices] += 1.0
+        assert result.backend == backend
+        assert np.array_equal(data["visits"], expected)
 
 
 # ---------------------------------------------------------------------- #
@@ -239,13 +257,18 @@ class TestFallback:
         assert sum(result.results) == iteration_count(nest, values)
 
     def test_hybrid_kernel_without_c_body_is_an_explicit_error(self, session):
-        """run_collapsed_hybrid pre-checks the capability with a clear
-        message, exactly like run_collapsed_native does."""
-        from repro.kernels import get_kernel, run_collapsed_hybrid
+        """The native plan checks the capability with a clear message, for
+        hybrid exactly as for native — before any compiler is looked for."""
+        import dataclasses
 
-        kernel = get_kernel("jacobi1d_skewed")  # executable, no c_body
-        with pytest.raises(ValueError, match="no native C body"):
-            run_collapsed_hybrid(kernel, dict(kernel.bench_parameters), session=session)
+        from repro.kernels import get_kernel
+        from repro.runtime.plan import PlanError
+
+        # executable, no c_body (every registered executable kernel has one)
+        kernel = dataclasses.replace(get_kernel("utma"), name="utma_python_only", c_body=None)
+        for backend in ("hybrid", "native"):
+            with pytest.raises(PlanError, match="no C body"):
+                session.run(kernel, {"N": 8}, backend=backend)
 
     def test_opless_nest_without_compiler_names_the_compiler(self, session, monkeypatch):
         """A parsed nest with a C body but no Python ops, on a machine
@@ -500,7 +523,8 @@ class TestCacheKeying:
         assert np.array_equal(np.triu(mul_data["c"]), expected)
 
     def test_hybrid_plans_share_one_library_across_schedules(self, session):
-        """The serial repro_run_range is schedule-independent, so hybrid
+        """A native plan compiles its schedule's unit, and ``adaptive`` has
+        no OpenMP spelling and maps to ``static``: the static and adaptive
         plans of one kernel reuse one compiled shared object — the inverse
         guarantee: sharing where sharing is *correct*."""
         values = {"N": 32}

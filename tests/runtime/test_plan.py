@@ -55,15 +55,14 @@ class TestBuildPlan:
             build_plan(nest, {"N": 4}, iteration_op=lambda d, i, v: None)
 
     def test_chunk_op_only_requires_compiled_recovery(self):
+        # workers always batch-recover (compiled), so a chunk_op alone is a
+        # complete plan; the scalar walk is no longer a plan option
         nest = LoopNest([Loop.make("i", 0, "N")], parameters=["N"], name="bare")
-        with pytest.raises(PlanError, match="compiled"):
+        plan = build_plan(nest, {"N": 4}, chunk_op=module_level_op)
+        assert plan.iteration_op is None and plan.chunk_op is module_level_op
+        assert "recovery" not in plan.payload()
+        with pytest.raises(TypeError, match="recovery"):
             build_plan(nest, {"N": 4}, chunk_op=module_level_op, recovery="symbolic")
-        # with an iteration_op fallback the symbolic back end is fine
-        plan = build_plan(
-            nest, {"N": 4}, iteration_op=module_level_op,
-            chunk_op=module_level_op, recovery="symbolic",
-        )
-        assert plan.recovery == "symbolic"
 
     def test_non_executable_kernel_is_rejected(self):
         from repro.kernels import all_kernels

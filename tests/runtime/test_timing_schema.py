@@ -2,7 +2,7 @@
 
 The profile store can only compare backends because they all report their
 measurements the same way.  This module asserts that contract (documented
-on :class:`~repro.runtime.engine.EngineRunResult`) on real runs of every
+on :class:`~repro.runtime.engine.RunResult`) on real runs of every
 substrate:
 
 * ``chunks`` / ``results`` / ``assignments`` / ``chunk_seconds`` are
@@ -22,7 +22,7 @@ import pytest
 from repro.kernels import get_kernel, run_original
 from repro.native import native_available
 from repro.runtime import RuntimeSession
-from repro.runtime.engine import EngineRunResult
+from repro.runtime.engine import RunResult
 from repro.runtime.profile import ChunkProfile
 
 needs_compiler = pytest.mark.skipif(
@@ -62,7 +62,7 @@ def _run(session, backend):
 
 def _assert_schema(result, backend, total):
     __tracebackhide__ = True
-    assert isinstance(result, EngineRunResult)
+    assert isinstance(result, RunResult)
     assert result.backend == backend
     assert result.iterations == total
     count = len(result.chunks)
