@@ -189,8 +189,9 @@ class ExecutionPlan:
         iteration, a pure-overhead regime the simulator already covers);
         the classic kinds delegate to :func:`repro.openmp.schedule_chunks`.
         Partitions are memoised per worker count against the profile
-        store's change token — a new measurement re-cuts, an unchanged
-        store costs one ``stat`` per dispatch.
+        store's change token — a new measurement (this process's, or one
+        another process flushed) re-cuts; an unchanged store costs one
+        in-memory lookup per dispatch.
         """
         adaptive = self.schedule.kind is ScheduleKind.ADAPTIVE
         token = 0

@@ -13,12 +13,14 @@ one currency and banks them:
 * :class:`BackendProfile` — everything measured about one
   (kernel, shape, schedule, backend) combination: run count, recent
   whole-run timings, and the most recent run's chunk profiles,
-* :class:`ProfileStore` — the persistent on-disk home of those records,
-  keyed like the plan and native caches (a source-hash digest of the nest
+* :class:`ProfileStore` — the persistent home of those records, keyed
+  like the plan and native caches (a source-hash digest of the nest
   structure, parameter values and schedule), rooted at
-  ``$REPRO_PROFILE_DIR`` (default ``~/.cache/repro-profile``),
-  concurrency-safe (atomic-rename writes, tolerant merge on load) and
-  size-capped (oldest entries evicted).
+  ``$REPRO_PROFILE_DIR`` (default ``~/.cache/repro-profile``).  It is
+  write-behind: runs are banked in one in-memory table per root and
+  flushed to disk every :data:`FLUSH_EVERY_S` seconds, at session close
+  and at exit — concurrency-safe (merge with the file, atomic-rename
+  writes, tolerant loads) and size-capped (oldest entries evicted).
 
 The store is what closes the paper's measure→schedule loop: the adaptive
 chunker re-cuts chunks from measured :class:`ChunkProfile` spans instead of
@@ -31,13 +33,18 @@ picks the fastest recorded substrate per call
 
 from __future__ import annotations
 
+import atexit
 import hashlib
+import itertools
 import json
+import logging
 import os
 import tempfile
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from time import monotonic
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -240,17 +247,81 @@ def profile_key(
 # ---------------------------------------------------------------------- #
 # the store
 # ---------------------------------------------------------------------- #
+#: seconds between two flushes of a store's pending records: the most a
+#: measurement lags behind in other processes, and the most a crash loses
+FLUSH_EVERY_S = 1.0
+
+_log = logging.getLogger(__name__)
+
+#: the source of every change token: process-wide and increasing, so a token
+#: never repeats, across keys or across a ``clear()``
+_GENERATIONS = itertools.count(1)
+
+
+class _Table:
+    """The in-memory state of one store root, shared by its stores."""
+
+    def __init__(self):
+        #: key -> backend -> profile: the disk copy plus this process's records
+        self.entries: Dict[str, Dict[str, BackendProfile]] = {}
+        #: key -> change token of its entry
+        self.tokens: Dict[str, int] = {}
+        #: key -> backend -> the records not yet on disk
+        self.pending: Dict[str, Dict[str, BackendProfile]] = {}
+        #: keys read from (or written to) disk since the last flush
+        self.fresh: Set[str] = set()
+        self.flushed_at = monotonic()
+        self.lock = threading.Lock()
+
+    def install(self, key: str, profiles: Dict[str, BackendProfile]) -> None:
+        """Make ``profiles`` the entry of ``key``; a changed entry gets a new token."""
+        if self.entries.get(key) != profiles:
+            self.entries[key] = profiles
+            self.tokens[key] = next(_GENERATIONS)
+
+
+#: one table per store root (absolute path), for the whole process
+_TABLES: Dict[str, _Table] = {}
+_TABLES_LOCK = threading.Lock()
+
+
+def _append_run(history: BackendProfile, run: BackendProfile) -> BackendProfile:
+    """``history`` followed by ``run``: merged counts and window, and
+    ``run``'s segments, workers and trip count.
+
+    Unlike :meth:`BackendProfile.merge`, which keeps the segments of the
+    record with more runs, the newer record always wins here: it describes
+    the latest run, and the adaptive re-cut must follow the latest run.
+    """
+    return replace(
+        history.merge(run),
+        workers=run.workers,
+        total_iterations=run.total_iterations,
+        segments=list(run.segments),
+    )
+
+
 class ProfileStore:
-    """Persistent, concurrency-safe, size-capped on-disk profile records.
+    """Size-capped on-disk profile records, banked in memory (write-behind).
 
     One JSON file per key under the store root (``$REPRO_PROFILE_DIR``,
-    default ``~/.cache/repro-profile``).  Writers never modify a file in
-    place: each :meth:`record` re-reads the current file, merges its own
-    measurement in, writes a temporary file and publishes it with an atomic
-    ``os.replace`` — concurrent writers can lose each other's *latest*
-    update (last rename wins) but can never produce a torn or unparsable
-    file.  Loads are tolerant: a corrupt or half-deleted file reads as an
-    empty record, never raises.
+    default ``~/.cache/repro-profile``).  All stores of one process on one
+    root share one in-memory table: :meth:`record` merges a run into it
+    and bumps the key's change token, and :meth:`load`, :meth:`token`,
+    :meth:`segments` and :meth:`best_backend` read it.  A key's file is
+    read once, and again after each flush unless the key has records
+    waiting.
+
+    :meth:`flush` is the only code that writes.  Per key with pending
+    records it re-reads the current file, merges the records in, writes a
+    temporary file and publishes it with an atomic ``os.replace`` --
+    concurrent writers can lose each other's *latest* update (last rename
+    wins) but can never produce a torn or unparsable file.  A flush runs
+    inline from any store operation once :data:`FLUSH_EVERY_S` has passed
+    since the last one, from :meth:`RuntimeSession.close
+    <repro.runtime.session.RuntimeSession.close>` and at interpreter exit;
+    no thread is involved.  Loads are tolerant: a corrupt or half-deleted
+    file reads as an empty record, never raises.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None, max_entries: int = DEFAULT_MAX_ENTRIES):
@@ -259,26 +330,54 @@ class ProfileStore:
             root = Path(override) if override else Path.home() / ".cache" / "repro-profile"
         self.root = Path(root)
         self.max_entries = max(1, int(max_entries))
+        self._name = os.path.abspath(self.root)
 
-    # -- paths ---------------------------------------------------------- #
+    # -- paths and tables ----------------------------------------------- #
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.profile.json"
+
+    def _table(self) -> _Table:
+        # looked up per use, never kept: a forked child starts with no tables
+        table = _TABLES.get(self._name)
+        if table is None:
+            with _TABLES_LOCK:
+                table = _TABLES.setdefault(self._name, _Table())
+        return table
+
+    def _current(self) -> _Table:
+        """This root's table, flushed first once the cadence has come round."""
+        table = self._table()
+        if monotonic() - table.flushed_at >= FLUSH_EVERY_S:
+            self.flush()
+        return table
+
+    def _entry(self, table: _Table, key: str) -> Dict[str, BackendProfile]:
+        """The table's profiles of ``key``, read from disk when not fresh."""
+        if key not in table.fresh:
+            table.install(key, self._read(key))
+            table.fresh.add(key)
+        return table.entries[key]
 
     def token(self, key: str) -> int:
         """A cheap change token of one entry (0 when absent).
 
         The adaptive chunker memoises its cuts against this token, so a
-        fresh measurement invalidates the memo without the hot path ever
-        re-reading (or even parsing) the profile file.
+        fresh measurement -- this process's, or another's once flushed and
+        re-read -- invalidates the memo without the hot path touching disk.
         """
-        try:
-            return self.path_for(key).stat().st_mtime_ns
-        except OSError:
-            return 0
+        table = self._current()
+        with table.lock:
+            return table.tokens[key] if self._entry(table, key) else 0
 
     # -- load ----------------------------------------------------------- #
     def load(self, key: str) -> Dict[str, BackendProfile]:
         """Every backend's profile of one key (empty dict when cold)."""
+        table = self._current()
+        with table.lock:
+            return dict(self._entry(table, key))
+
+    def _read(self, key: str) -> Dict[str, BackendProfile]:
+        """The disk copy of one key (empty when absent or unparsable)."""
         try:
             payload = json.loads(self.path_for(key).read_text())
         except (OSError, ValueError):
@@ -302,25 +401,63 @@ class ProfileStore:
         total_iterations: int,
         chunks: Iterable[ChunkProfile] = (),
     ) -> BackendProfile:
-        """Bank one run's measurements; returns the merged backend profile."""
-        segments = list(chunks)[:MAX_SEGMENTS]
-        fresh = BackendProfile(
+        """Bank one run's measurements; returns the merged backend profile.
+
+        The run lands in the table at once (the key gets a new token) and
+        on disk at the next :meth:`flush`.
+        """
+        run = BackendProfile(
             backend=backend,
             runs=1,
             workers=int(workers),
             total_iterations=int(total_iterations),
             elapsed_seconds=[float(elapsed_seconds)],
-            segments=segments,
+            segments=list(chunks)[:MAX_SEGMENTS],
         )
-        current = self.load(key)
-        merged = current.get(backend, BackendProfile(backend=backend)).merge(fresh)
-        current[backend] = merged
-        self._write(key, current)
-        self._evict()
+        empty = BackendProfile(backend=backend)
+        table = self._current()
+        with table.lock:
+            profiles = dict(self._entry(table, key))
+            merged = profiles[backend] = _append_run(profiles.get(backend, empty), run)
+            table.install(key, profiles)
+            pending = table.pending.setdefault(key, {})
+            pending[backend] = _append_run(pending.get(backend, empty), run)
         return merged
 
+    # -- flush ---------------------------------------------------------- #
+    def flush(self) -> None:
+        """Write the pending records of this store's root to disk.
+
+        Keys without pending records stop being fresh, so their next use
+        re-reads the disk and sees what other processes flushed.  A failed
+        write (unwritable root, full disk) logs one warning and keeps the
+        records pending for the next flush; it never raises.
+        """
+        table = self._table()
+        with table.lock:
+            table.flushed_at = monotonic()
+            table.fresh.intersection_update(table.pending)
+            if not table.pending:
+                return
+            try:
+                self.root.mkdir(parents=True, exist_ok=True)
+                for key in list(table.pending):
+                    profiles = self._read(key)
+                    for backend, runs in table.pending[key].items():
+                        history = profiles.get(backend, BackendProfile(backend=backend))
+                        profiles[backend] = _append_run(history, runs)
+                    self._write(key, profiles)
+                    del table.pending[key]
+                    table.install(key, profiles)
+            except OSError as error:
+                _log.warning(
+                    "profile store %s: flush failed, %d key(s) kept pending: %s",
+                    self.root, len(table.pending), error,
+                )
+                return
+            self._evict()
+
     def _write(self, key: str, profiles: Mapping[str, BackendProfile]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": _STORE_VERSION,
             "key": key,
@@ -404,7 +541,13 @@ class ProfileStore:
         return min(timed)[1]
 
     def clear(self) -> int:
-        """Delete every entry; returns the file count removed."""
+        """Delete every entry, pending and on disk; returns the file count removed."""
+        table = self._table()
+        with table.lock:
+            table.entries.clear()
+            table.tokens.clear()
+            table.pending.clear()
+            table.fresh.clear()
         removed = 0
         if self.root.is_dir():
             for path in self.root.glob("*.profile.json"):
@@ -420,6 +563,25 @@ def default_profile_store() -> ProfileStore:
     """The store at ``$REPRO_PROFILE_DIR`` (re-resolved per call, so tests
     and callers can redirect the environment without import-order games)."""
     return ProfileStore()
+
+
+def flush_profile_stores() -> None:
+    """Flush the pending records of every store root this process used."""
+    for name in list(_TABLES):
+        ProfileStore(name).flush()
+
+
+def _forget_tables() -> None:
+    """Start a forked child without tables: its parent's pending records
+    are the parent's to flush, not the child's to write a second time."""
+    global _TABLES_LOCK
+    _TABLES_LOCK = threading.Lock()
+    _TABLES.clear()
+
+
+atexit.register(flush_profile_stores)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_tables)
 
 
 # ---------------------------------------------------------------------- #

@@ -33,7 +33,13 @@ import numpy as np
 from ..openmp.schedule import ScheduleSpec
 from .engine import RunResult, RuntimeEngine
 from .plan import ExecutionPlan, PlanError, build_plan
-from .profile import ProfileError, choose_backend, default_profile_store, profile_key
+from .profile import (
+    ProfileError,
+    choose_backend,
+    default_profile_store,
+    flush_profile_stores,
+    profile_key,
+)
 from .shm import SharedBuffers
 
 
@@ -537,30 +543,29 @@ class RuntimeSession:
         return self._dispatch("engine", plan, buffers)
 
     def _bank(self, key: Optional[str], result: RunResult) -> None:
-        """Bank one run's timings in the profile store; never raises.
+        """Bank one run's timings in the profile store's in-memory table.
 
-        A failure to persist — read-only store root, disk full — must not
-        turn a successful run into an error, so this swallows everything.
+        Disk is only written by the store's flush, which logs a failure
+        instead of raising, so a run never fails on its profile.
         """
         if key is None:
             return
-        try:
-            default_profile_store().record(
-                key,
-                result.backend,
-                elapsed_seconds=float(result.elapsed_seconds),
-                workers=int(result.workers) or self.engine.workers,
-                total_iterations=int(result.iterations),
-                chunks=result.chunk_records(),
-            )
-        except Exception:
-            pass
+        default_profile_store().record(
+            key,
+            result.backend,
+            elapsed_seconds=float(result.elapsed_seconds),
+            workers=int(result.workers) or self.engine.workers,
+            total_iterations=int(result.iterations),
+            chunks=result.chunk_records(),
+        )
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Shut the engine down and unlink every session-owned segment."""
+        """Flush the banked profiles, shut the engine down and unlink every
+        session-owned segment."""
+        flush_profile_stores()
         self.engine.shutdown()
         for buffers in self._buffers.values():
             buffers.close()

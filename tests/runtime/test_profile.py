@@ -1,22 +1,33 @@
 """Tests for the unified timing layer: records, store, re-cutting, choice.
 
 The profile store is the persistence backbone of the measure→schedule loop,
-so these tests pin its contracts hard: keys are process-stable, writes are
-atomic (two processes hammering one key never produce a torn file), loads
-are tolerant, the size cap evicts oldest-first, and the derived decisions
-(profile-guided chunk cuts, explore-then-exploit backend choice) follow
-the measurements deterministically.
+so these tests pin its contracts hard: keys are process-stable, records are
+banked in memory and reach disk only at a flush (on the cadence, at session
+close, at exit, never from a forked child), writes are atomic (two processes
+hammering one key never produce a torn file), loads are tolerant, a failed
+flush warns instead of raising, the size cap evicts oldest-first, and the
+derived decisions (profile-guided chunk cuts, explore-then-exploit backend
+choice) follow the measurements deterministically.
 """
 
 import json
+import logging
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro
 from repro.openmp.schedule import Chunk
+from repro.runtime import profile
 from repro.runtime.profile import (
+    FLUSH_EVERY_S,
     MAX_ELAPSED_WINDOW,
     BackendProfile,
     ChunkProfile,
@@ -165,6 +176,7 @@ class TestProfileStore:
         store = ProfileStore(tmp_path)
         store.record("k1", "engine", elapsed_seconds=0.5, workers=2, total_iterations=10)
         store.record("k1", "native", elapsed_seconds=0.1, workers=2, total_iterations=10)
+        store.flush()
         assert set(store.load("k1")) == {"engine", "native"}
         assert len(list(Path(tmp_path).glob("*.profile.json"))) == 1
 
@@ -186,8 +198,10 @@ class TestProfileStore:
     def test_corrupt_file_is_recoverable_by_recording(self, tmp_path):
         store = ProfileStore(tmp_path)
         store.record("k1", "engine", elapsed_seconds=0.5, workers=2, total_iterations=10)
+        store.flush()
         store.path_for("k1").write_text("not json at all")
         store.record("k1", "engine", elapsed_seconds=0.6, workers=2, total_iterations=10)
+        store.flush()
         assert store.load("k1")["engine"].runs == 1  # history lost, store healthy
 
     def test_eviction_drops_oldest_beyond_cap(self, tmp_path):
@@ -195,6 +209,7 @@ class TestProfileStore:
         for index in range(6):
             store.record(f"k{index}", "engine", elapsed_seconds=0.1, workers=1,
                          total_iterations=10)
+            store.flush()
             # distinct mtimes even on coarse-grained filesystems
             os.utime(store.path_for(f"k{index}"), ns=(index * 10**9, index * 10**9))
         remaining = sorted(p.name for p in Path(tmp_path).glob("*.profile.json"))
@@ -205,8 +220,30 @@ class TestProfileStore:
         store = ProfileStore(tmp_path)
         store.record("k1", "engine", elapsed_seconds=0.1, workers=1, total_iterations=10)
         store.record("k2", "engine", elapsed_seconds=0.1, workers=1, total_iterations=10)
+        store.flush()
         assert store.clear() == 2
         assert store.load("k1") == {}
+
+    def test_segments_follow_the_newest_run(self, tmp_path):
+        store = ProfileStore(tmp_path)
+        spans = [[ChunkProfile(1, cut, 0.1), ChunkProfile(cut + 1, 100, 0.1)]
+                 for cut in (20, 40, 60, 80)]
+        for chunks in spans:
+            store.record("k", "engine", elapsed_seconds=0.1, workers=2,
+                         total_iterations=100, chunks=chunks)
+        assert store.segments("k", 100) == spans[3]
+        store.flush()
+        assert store.segments("k", 100) == spans[3]
+        # a flush merging into a longer disk history keeps the newest spans too
+        fifth = [ChunkProfile(1, 10, 0.1), ChunkProfile(11, 100, 0.1)]
+        store.record("k", "engine", elapsed_seconds=0.1, workers=3,
+                     total_iterations=100, chunks=fifth)
+        store.flush()
+        payload = json.loads(store.path_for("k").read_text())["backends"]["engine"]
+        assert payload["runs"] == 5
+        assert payload["workers"] == 3
+        assert payload["segments"] == [[1, 10, 0.1], [11, 100, 0.1]]
+        assert store.segments("k", 100) == fifth
 
     def test_default_store_follows_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path / "custom"))
@@ -225,6 +262,7 @@ def _hammer_store(args):
             total_iterations=100,
             chunks=[ChunkProfile(1, 100, 0.0005)],
         )
+        store.flush()
         loaded = store.load("shared")  # must never see a torn file
         assert "engine" in loaded
     return store.load("shared")["engine"].runs
@@ -256,6 +294,208 @@ class TestConcurrentWriters:
         # the surviving file is exactly what load() parsed
         payload = json.loads(store.path_for("shared").read_text())
         assert payload["backends"]["engine"]["runs"] == final.runs
+
+
+# ---------------------------------------------------------------------- #
+# write-behind
+# ---------------------------------------------------------------------- #
+@pytest.fixture
+def clock(monkeypatch):
+    """The store's clock, frozen at 1000 s; advance it by assigning ``clock[0]``."""
+    now = [1000.0]
+    monkeypatch.setattr(profile, "monotonic", lambda: now[0])
+    return now
+
+
+def _python(script: str, root) -> str:
+    """Run ``script`` in a fresh interpreter on this checkout; returns stdout."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+        "REPRO_PROFILE_DIR": str(root),
+    }
+    completed = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
+
+
+def _record(store, key="k", backend="engine", elapsed=0.1):
+    store.record(key, backend, elapsed_seconds=elapsed, workers=2, total_iterations=10,
+                 chunks=[ChunkProfile(1, 10, elapsed)])
+
+
+class TestWriteBehind:
+    def test_records_are_visible_in_process_before_any_file(self, tmp_path, clock):
+        store = ProfileStore(tmp_path)
+        _record(store)
+        assert not store.path_for("k").exists()
+        assert store.load("k")["engine"].runs == 1
+        assert store.segments("k", 10) == [ChunkProfile(1, 10, 0.1)]
+        assert store.token("k") != 0
+        # every store on the same root shares the table
+        assert ProfileStore(tmp_path).load("k")["engine"].runs == 1
+
+    def test_flush_runs_on_the_cadence(self, tmp_path, clock):
+        store = ProfileStore(tmp_path)
+        _record(store)
+        clock[0] += FLUSH_EVERY_S / 2
+        _record(store)
+        assert not store.path_for("k").exists()
+        clock[0] += FLUSH_EVERY_S
+        _record(store)  # the cadence has come round: the first two are written
+        payload = json.loads(store.path_for("k").read_text())
+        assert payload["backends"]["engine"]["runs"] == 2
+        assert store.load("k")["engine"].runs == 3
+
+    def test_session_close_flushes(self, clock):
+        from repro.kernels import get_kernel, run_original
+        from repro.runtime import RuntimeSession
+
+        store = default_profile_store()
+        key = profile_key("utma", {"N": 8})
+        with RuntimeSession(workers=1) as session:
+            result = session.run("utma", {"N": 8}, backend="engine")
+            assert np.allclose(result["c"], run_original(get_kernel("utma"), {"N": 8})["c"])
+            assert not store.path_for(key).exists()
+        payload = json.loads(store.path_for(key).read_text())
+        assert payload["backends"]["engine"]["runs"] == 1
+
+    def test_records_cross_processes_within_one_cadence(self, tmp_path, clock):
+        store = ProfileStore(tmp_path)
+        _record(store)
+        store.flush()
+        seen = _python(
+            """
+            from repro.runtime.profile import ChunkProfile, default_profile_store
+            store = default_profile_store()
+            print(store.load("k")["engine"].runs)
+            store.record("k", "engine", elapsed_seconds=0.3, workers=2,
+                         total_iterations=10, chunks=[ChunkProfile(1, 10, 0.3)])
+            store.flush()
+            """,
+            tmp_path,
+        )
+        assert seen.split() == ["1"]
+        token = store.token("k")
+        assert store.load("k")["engine"].runs == 1  # not re-read before the cadence
+        clock[0] += FLUSH_EVERY_S
+        assert store.load("k")["engine"].runs == 2
+        assert store.segments("k", 10) == [ChunkProfile(1, 10, 0.3)]
+        assert store.token("k") != token
+
+    def test_an_unchanged_file_keeps_its_token_across_a_flush(self, tmp_path, clock):
+        store = ProfileStore(tmp_path)
+        _record(store)
+        store.flush()
+        token = store.token("k")
+        clock[0] += FLUSH_EVERY_S
+        assert store.token("k") == token
+
+    def test_forked_child_never_writes_the_parents_records(self, tmp_path):
+        out = _python(
+            """
+            import json, os, sys
+            from repro.runtime.profile import default_profile_store
+            store = default_profile_store()
+            store.record("k", "engine", elapsed_seconds=0.1, workers=1,
+                         total_iterations=10)
+            pid = os.fork()
+            if pid == 0:
+                sys.exit(0)  # a normal exit runs the atexit flush
+            _, status = os.waitpid(pid, 0)
+            assert status == 0
+            print(store.path_for("k").exists())
+            store.flush()
+            print(json.loads(store.path_for("k").read_text())["backends"]["engine"]["runs"])
+            """,
+            tmp_path,
+        )
+        assert out.split() == ["False", "1"]
+
+    def test_exit_flushes(self, tmp_path):
+        _python(
+            """
+            from repro.runtime.profile import default_profile_store
+            default_profile_store().record("k", "engine", elapsed_seconds=0.1,
+                                           workers=1, total_iterations=10)
+            """,
+            tmp_path,
+        )
+        assert ProfileStore(tmp_path).load("k")["engine"].runs == 1
+
+    def test_threads_sharing_a_table_lose_no_run(self, tmp_path):
+        threads, rounds = 6, 50
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def writer(index):
+                store = ProfileStore(tmp_path)  # each thread its own store, one table
+                for round_number in range(rounds):
+                    _record(store, backend=("engine", "native")[index % 2])
+                    if round_number % 7 == 0:
+                        store.flush()
+
+            pool = [threading.Thread(target=writer, args=(i,)) for i in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in pool)
+        finally:
+            sys.setswitchinterval(previous)
+        store = ProfileStore(tmp_path)
+        store.flush()
+        on_disk = json.loads(store.path_for("k").read_text())["backends"]
+        assert {name: entry["runs"] for name, entry in on_disk.items()} == {
+            "engine": threads // 2 * rounds, "native": threads // 2 * rounds,
+        }
+
+    def test_clear_empties_the_table_and_the_disk(self, tmp_path, clock):
+        store = ProfileStore(tmp_path)
+        _record(store, key="k1")
+        store.flush()
+        _record(store, key="k2")  # still pending
+        assert store.clear() == 1
+        assert store.load("k1") == {} and store.load("k2") == {}
+        assert store.token("k1") == 0 and store.token("k2") == 0
+        store.flush()
+        assert list(Path(tmp_path).glob("*.profile.json")) == []
+
+    def test_failed_flush_warns_and_keeps_the_records(self, tmp_path, clock, caplog):
+        root = tmp_path / "not-a-directory"
+        root.write_text("")
+        store = ProfileStore(root)
+        _record(store)
+        with caplog.at_level(logging.WARNING, logger="repro.runtime.profile"):
+            store.flush()
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert str(root) in caplog.text
+        root.unlink()
+        store.flush()
+        assert json.loads(store.path_for("k").read_text())["backends"]["engine"]["runs"] == 1
+
+    def test_unwritable_store_never_breaks_a_run(self, tmp_path, monkeypatch, caplog):
+        from repro.kernels import get_kernel, run_original
+        from repro.runtime import RuntimeSession
+
+        root = tmp_path / "not-a-directory"
+        root.write_text("")
+        monkeypatch.setenv("REPRO_PROFILE_DIR", str(root))
+        expected = run_original(get_kernel("utma"), {"N": 8})
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.runtime.profile"):
+                with RuntimeSession(workers=1) as session:
+                    result = session.run("utma", {"N": 8}, backend="engine")
+            assert np.allclose(result["c"], expected["c"])
+            assert any(
+                r.levelno == logging.WARNING and str(root) in r.getMessage()
+                for r in caplog.records
+            )
+        finally:
+            ProfileStore(root).clear()  # nothing left pending for later flushes
 
 
 # ---------------------------------------------------------------------- #
