@@ -120,6 +120,18 @@ def extra_compile_flags() -> Tuple[str, ...]:
     return tuple(raw.split()) if raw else ()
 
 
+def effective_flags(extra_flags: Sequence[str], sanitize: Optional[str]) -> Tuple[str, ...]:
+    """Every caller- and environment-chosen flag of one build, in command order.
+
+    Per-call ``extra_flags``, then the ``sanitize`` preset, then
+    ``$REPRO_NATIVE_FLAGS``.  Both caches key on this tuple, the on-disk
+    digest through :func:`compile_shared_library` and the in-process
+    module memo of ``compile_collapsed``, so no flag source can reach one
+    key and miss the other.
+    """
+    return tuple(extra_flags) + sanitize_flags(sanitize) + extra_compile_flags()
+
+
 def sanitize_flags(sanitize: Optional[str]) -> Tuple[str, ...]:
     """The compiler flags of a sanitizer preset (``()`` for ``None``/``""``).
 
@@ -224,13 +236,7 @@ def compile_shared_library(
             "no C compiler found (tried $CC, cc, gcc, clang); install one or use "
             "the Python engine backend"
         )
-    flags = (
-        BASE_FLAGS
-        + openmp_flags(compiler)
-        + tuple(extra_flags)
-        + sanitize_flags(sanitize)
-        + extra_compile_flags()
-    )
+    flags = BASE_FLAGS + openmp_flags(compiler) + effective_flags(extra_flags, sanitize)
     digest = source_digest(source, (compiler,) + flags)
     directory = cache_dir()
     library = directory / f"{tag}-{digest[:16]}.so"

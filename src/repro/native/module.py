@@ -45,7 +45,7 @@ from ..core import CollapsedLoop
 from ..core.codegen_c import generate_translation_unit
 from ..openmp.schedule import Chunk, ScheduleSpec
 from ..runtime.engine import RunResult
-from .compiler import compile_shared_library, default_sanitize
+from .compiler import compile_shared_library, default_sanitize, effective_flags
 
 _LONGLONG_P = ctypes.POINTER(ctypes.c_longlong)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
@@ -449,10 +449,12 @@ def compile_collapsed(
     :data:`~repro.native.compiler.SANITIZER_PRESETS` entry (default: the
     ``$REPRO_NATIVE_SANITIZE`` environment preset, resolved here so the
     effective choice is part of the memo key).  Modules are memoised per
-    (collapsed loop, schedule, body, arrays, ndims, guard, flags,
-    sanitizer) — every input that changes the emitted source *or the
-    compiled artefact* is part of the key, so e.g. a schedule, flag or
-    sanitizer change can never hand back a stale module — and the
+    (collapsed loop, schedule, body, arrays, ndims, guard, effective
+    flags), where the effective flags are ``extra_flags``, the sanitizer's
+    and ``$REPRO_NATIVE_FLAGS``, the same tuple the on-disk digest hashes.
+    Every input that changes the emitted source *or the compiled
+    artefact* is part of the key, so e.g. a schedule, flag or sanitizer
+    change can never hand back a stale module — and the
     underlying ``.so`` is additionally cached on disk by source-plus-
     command-line hash, so a warm start never invokes the compiler.  Raises
     :class:`~repro.native.compiler.NativeUnavailable` without a compiler.
@@ -463,7 +465,8 @@ def compile_collapsed(
     if sanitize is None:
         sanitize = default_sanitize()
     key = (
-        id(collapsed), str(spec), body, tuple(arrays), ndims, guard, flags, sanitize,
+        id(collapsed), str(spec), body, tuple(arrays), ndims, guard,
+        effective_flags(flags, sanitize),
     )
     if use_cache:
         cached = _MODULE_CACHE.get(key)

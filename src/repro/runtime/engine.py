@@ -405,6 +405,13 @@ class RuntimeEngine:
             self._broadcast(("release", plan.plan_id))
         self._registered.pop(plan.plan_id, None)
 
+    def detach(self, specs: Tuple[SharedArraySpec, ...]) -> None:
+        """:meth:`forget` every plan whose workers hold these buffers attached."""
+        for plan_id, attached in list(self._registered.items()):
+            if attached == specs:
+                self._broadcast(("release", plan_id))
+                del self._registered[plan_id]
+
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #

@@ -24,11 +24,10 @@ first call and is torn down at interpreter exit.
 from __future__ import annotations
 
 import atexit
+import functools
 import os
 import threading
-from typing import Dict, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..openmp.schedule import ScheduleSpec
 from .engine import RunResult, RuntimeEngine
@@ -40,7 +39,7 @@ from .profile import (
     flush_profile_stores,
     profile_key,
 )
-from .shm import SharedBuffers
+from .shm import SharedBuffers, signature
 
 
 def _profile_key_or_none(source, parameter_values, schedule, depth=None) -> Optional[str]:
@@ -166,6 +165,19 @@ def _resolve_auto(
     return choose_backend(profiles, candidates, heuristic), settled
 
 
+def _give_back(free: dict, discarded: list, key: tuple, buffers: SharedBuffers) -> None:
+    """Return a staged set to its signature's free slot, or discard it if full.
+
+    Lent results run this from a finalizer, in any thread and at any
+    allocation, so it only does an atomic ``dict.setdefault`` or
+    ``list.append``; the session closes discarded sets on its own thread.
+    """
+    if buffers.unlinked:
+        return  # the session closed while the set was lent
+    if free.setdefault(key, buffers) is not buffers:
+        discarded.append(buffers)
+
+
 def _structural_key(plan_source, parameter_values, spec, depth) -> tuple:
     """A hashable identity for plan caching (mirrors the collapse cache key)."""
     from ..ir import LoopNest
@@ -248,6 +260,12 @@ class RuntimeSession:
         self.engine = RuntimeEngine(workers=workers, start_method=start_method)
         self._plans: Dict[tuple, ExecutionPlan] = {}
         self._buffers: Dict[str, SharedBuffers] = {}  # plan_id -> session-owned buffers
+        #: caller-data staging: at most one free set per array signature,
+        #: the sets handed back while their slot was full, and every staged
+        #: set not yet closed (free, lent or discarded)
+        self._free: Dict[tuple, SharedBuffers] = {}
+        self._discarded: List[SharedBuffers] = []
+        self._staged: Set[SharedBuffers] = set()
         #: settled ``backend="auto"`` resolutions, re-validated every
         #: AUTO_REVALIDATE_EVERY uses: (profile key, option signature) ->
         #: (backend, remaining uses).  Exploration picks are never memoised,
@@ -324,7 +342,11 @@ class RuntimeSession:
                 raise unavailable from None
 
     def cache_info(self) -> Dict[str, int]:
-        return {"plans": len(self._plans), "buffers": len(self._buffers)}
+        return {
+            "plans": len(self._plans),
+            "buffers": len(self._buffers),
+            "staged": len(self._staged),
+        }
 
     # ------------------------------------------------------------------ #
     # execution
@@ -344,15 +366,23 @@ class RuntimeSession:
         """Collapse (cached), plan (cached), execute on the chosen substrate.
 
         For a kernel source the return value is the kernel's result
-        ``DataDict`` (private copies — safe to keep).  ``data`` seeds the
-        run; with ``data=None`` the kernel's ``make_data`` output is used,
-        and on the worker pool the session keeps the shared buffers
-        attached across calls, with ``fresh_data=True`` (the default)
-        re-initialising them in place each run — steady-state runs allocate
-        nothing.
+        ``DataDict``: arrays the caller owns, safe to keep, slice and write,
+        unaffected by later calls and readable after :meth:`close`.
+        ``data`` seeds the run and is never mutated: it is copied into the
+        session's free shared-memory set of the same array signature (one
+        is created on a miss), and the result arrays are that set, lent to
+        the caller — once the caller drops them the set is free for the
+        next call, so a warm caller-data run copies its input once and
+        allocates nothing.  With ``data=None`` the kernel's ``make_data``
+        output is used, and on the worker pool the session keeps the
+        shared buffers attached across calls, with ``fresh_data=True``
+        (the default) re-initialising them in place each run, and returns
+        private copies.
 
         Nest/collapsed-loop sources run against the caller's ``data``
-        arrays, which are mutated in place, and the return value is the
+        arrays, which are mutated in place (natively on the arrays
+        themselves; on the pool through a staged set whose contents are
+        copied back), and the return value is the
         :class:`~repro.runtime.engine.RunResult`.  On the engine they need
         their operations passed through ``plan_kwargs``
         (``iteration_op=``/``chunk_op=``, module-level functions); on the
@@ -427,47 +457,27 @@ class RuntimeSession:
                 "the session's worker count (set workers= when creating it)"
             )
 
+        self._reap()
         plan = self._plan(backend, source, parameter_values, schedule, depth, plan_kwargs)
         kernel = get_kernel(plan.kernel_name) if plan.kernel_name is not None else None
 
-        if backend == "native":
-            # the native substrate runs in this process: plain arrays, no
-            # shared-memory staging — the caller's own arrays for a nest,
-            # private copies (or fresh kernel data) for a kernel
-            if kernel is None:
-                if data is None:
-                    raise PlanError(
-                        f"running nest {plan.collapsed.nest.name!r} natively needs "
-                        f"data= arrays for {list(plan.native_spec.arrays)}"
-                    )
+        if data is not None:
+            if kernel is None and backend == "native":
+                # the native substrate runs in this process, in place on the
+                # caller's own arrays
                 return self._dispatch(backend, plan, data, threads)
-            arrays = (
-                {name: np.copy(value) for name, value in data.items()}
-                if data is not None
-                else kernel.make_data(parameter_values)
-            )
+            return self._run_staged(backend, plan, data, threads, lend=kernel is not None)
+        if kernel is None:
+            if backend == "native":
+                raise PlanError(
+                    f"running nest {plan.collapsed.nest.name!r} natively needs "
+                    f"data= arrays for {list(plan.native_spec.arrays)}"
+                )
+            return self._dispatch(backend, plan)
+        if backend == "native":
+            arrays = kernel.make_data(parameter_values)
             self._dispatch(backend, plan, arrays, threads)
             return arrays
-
-        if kernel is None:
-            if data is None:
-                return self._dispatch(backend, plan)
-            # nest sources run over the caller's arrays: stage them in shared
-            # memory, execute, and copy the mutations back in place
-            with SharedBuffers.create(dict(data)) as buffers:
-                result = self._dispatch(backend, plan, buffers)
-                for name, value in buffers.arrays.items():
-                    data[name][...] = value
-                self.engine.forget(plan)
-            return result
-
-        if data is not None:
-            with SharedBuffers.create(dict(data)) as buffers:
-                self._dispatch(backend, plan, buffers)
-                result = buffers.snapshot()
-                # workers must not keep mappings of segments about to vanish
-                self.engine.forget(plan)
-            return result
 
         buffers = self._buffers.get(plan.plan_id)
         if buffers is None or buffers.closed:
@@ -477,6 +487,57 @@ class RuntimeSession:
             buffers.fill_from(kernel.make_data(parameter_values))
         self._dispatch(backend, plan, buffers)
         return buffers.snapshot()
+
+    def _run_staged(self, backend, plan, data, threads, lend: bool):
+        """Run ``plan`` over a staged copy of the caller's ``data``.
+
+        The copy lands in this signature's free :class:`SharedBuffers` set,
+        or in a new one on a miss, so a warm call allocates nothing and the
+        workers keep their plan and attachment.  With ``lend`` (kernel
+        sources) the set's arrays are the result, and the set goes back to
+        its free slot once the caller drops them; otherwise (nests) the
+        mutations are copied back into ``data`` and the set is free at once.
+        """
+        key = signature(data)
+        buffers = self._free.pop(key, None)
+        try:
+            if buffers is None:
+                buffers = SharedBuffers.create(data)
+                self._staged.add(buffers)
+            else:
+                buffers.fill_from(data)
+            result = self._dispatch(
+                backend, plan, buffers.arrays if backend == "native" else buffers, threads
+            )
+            if not lend:
+                for name, value in buffers.arrays.items():
+                    data[name][...] = value
+        except BaseException:
+            # workers may still hold chunks of a failed run: never reuse the set
+            if buffers is not None:
+                self._discarded.append(buffers)
+            raise
+        if lend:
+            return buffers.lend(
+                functools.partial(_give_back, self._free, self._discarded, key, buffers)
+            )
+        _give_back(self._free, self._discarded, key, buffers)
+        return result
+
+    def _reap(self) -> None:
+        """Close the sets handed back while their slot was full.
+
+        Runs on the session's own thread: each worker plan still attached
+        to a discarded set is released before its segments are unlinked.
+        """
+        while True:
+            try:
+                buffers = self._discarded.pop()
+            except IndexError:
+                return
+            self.engine.detach(buffers.specs)
+            buffers.close()
+            self._staged.discard(buffers)
 
     def _auto_backend(
         self, source, parameter_values, data, schedule, depth, fresh_data, threads, plan_kwargs
@@ -564,12 +625,24 @@ class RuntimeSession:
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Flush the banked profiles, shut the engine down and unlink every
-        session-owned segment."""
+        session-owned segment.
+
+        Staged sets still lent out lose only their names: the caller's
+        arrays stay readable, and the memory goes with the last of them.
+        """
         flush_profile_stores()
         self.engine.shutdown()
         for buffers in self._buffers.values():
             buffers.close()
         self._buffers.clear()
+        staged = list(self._staged)
+        for buffers in staged:
+            buffers.unlink()  # from here on a late hand-back is a no-op
+        for buffers in list(self._free.values()) + self._discarded:
+            buffers.close()
+        self._staged.difference_update(staged)
+        self._free.clear()
+        self._discarded.clear()
         self._plans.clear()
         self._auto_memo.clear()
 
@@ -619,7 +692,11 @@ def collapse_and_run(
 
     ``source`` is a registered kernel name (``"utma"``), a
     :class:`~repro.kernels.Kernel`, a nest or a collapsed loop; see
-    :meth:`RuntimeSession.run`.  Without an explicit ``session`` the default
+    :meth:`RuntimeSession.run`.  A kernel's result arrays belong to the
+    caller (with ``data=``, they are the session's staged shared-memory
+    copy of it, lent until the caller drops them; ``data`` itself is never
+    mutated), while a nest's ``data`` is mutated in place.  Without an
+    explicit ``session`` the default
     session is used (its engine starts on the first call and persists, so
     repeated calls pay no pool start-up; ``workers`` only takes effect on
     the call that creates it).

@@ -19,6 +19,11 @@ Ownership is explicit and asymmetric:
   picklable tuple of :class:`SharedArraySpec`) open existing segments
   without copying and only ever :meth:`close` their own mapping.
 
+Owners can also *lend* their arrays (:meth:`SharedBuffers.lend`): fresh
+NumPy arrays over the same segments, handed to a caller as a result, with a
+callback once the caller has dropped the last of them.  The session stages
+caller data this way and reuses one set per array signature.
+
 On the ``resource_tracker``: every engine worker is a child of the owner
 and therefore shares the owner's tracker process, where registration is
 idempotent per segment — so worker attachments are harmless and the
@@ -29,9 +34,10 @@ with its own tracker; the engine never does that.)
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -52,6 +58,28 @@ class SharedArraySpec:
     segment: str              #: shared-memory segment name to attach
     shape: Tuple[int, ...]
     dtype: str                #: ``np.dtype(...).str``, round-trip safe
+
+
+def signature(data: Mapping[str, np.ndarray]) -> tuple:
+    """The (name, shape, dtype) of every array: what a set can be refilled with."""
+    return tuple(
+        (name, np.shape(value), np.asarray(value).dtype.str) for name, value in data.items()
+    )
+
+
+class _Lease:
+    """Keeps a lent set mapped; finalised when the caller drops the last array."""
+
+    def __init__(self, buffers: "SharedBuffers"):
+        self.buffers = buffers
+
+
+class _LentRoot:
+    """The base object of one lent array: the segment's interface plus the lease."""
+
+    def __init__(self, view: np.ndarray, lease: _Lease):
+        self.__array_interface__ = view.__array_interface__
+        self.lease = lease
 
 
 class SharedBuffers:
@@ -78,6 +106,7 @@ class SharedBuffers:
         self._specs = specs
         self.owner = owner
         self._closed = False
+        self._unlinked = False
 
     # ------------------------------------------------------------------ #
     # construction
@@ -145,6 +174,11 @@ class SharedBuffers:
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def unlinked(self) -> bool:
+        """True once the segment names are gone (mappings may still live)."""
+        return self._unlinked
+
     def snapshot(self) -> Dict[str, np.ndarray]:
         """Private copies of every array (results that outlive the segments)."""
         if self._closed:
@@ -158,9 +192,41 @@ class SharedBuffers:
         for name, value in data.items():
             self.arrays[name][...] = value
 
+    def lend(self, on_return: Callable[[], None]) -> Dict[str, np.ndarray]:
+        """Fresh arrays over the segments, lent to the caller instead of copied.
+
+        Each returned array is a new root whose base keeps this set mapped,
+        so the arrays, and any slice of them, stay valid for as long as the
+        caller holds them, even after :meth:`unlink`.  ``on_return`` runs
+        once the caller has dropped every one of them; it runs in whichever
+        thread drops the last reference (or collects it), at whatever point
+        that happens, so it must not block or send anything.  While the arrays are out the owner
+        must not :meth:`close` the set: that would unmap memory they read.
+        """
+        if self._closed:
+            raise SharedBufferError("buffers are closed")
+        lease = _Lease(self)
+        weakref.finalize(lease, on_return).atexit = False
+        return {name: np.asarray(_LentRoot(view, lease)) for name, view in self.arrays.items()}
+
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
+    def unlink(self) -> None:
+        """Remove the segment names (owner only); mappings stay until :meth:`close`.
+
+        The memory lives on for every existing mapping, lent arrays
+        included, and is freed once the last one goes.
+        """
+        if not self.owner or self._unlinked:
+            return
+        self._unlinked = True
+        for segment in self._segments.values():
+            try:
+                segment.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
+
     def close(self) -> None:
         """Release this process's mappings (and, for the owner, the segments).
 
@@ -177,11 +243,7 @@ class SharedBuffers:
                 segment.close()
             except BufferError:  # pragma: no cover - an outside view survives
                 pass
-            if self.owner:
-                try:
-                    segment.unlink()
-                except FileNotFoundError:  # pragma: no cover - already gone
-                    pass
+        self.unlink()
         self._segments.clear()
 
     def __enter__(self) -> "SharedBuffers":

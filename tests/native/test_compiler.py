@@ -171,3 +171,25 @@ class TestFlagsInCacheKey:
         memo_hit = compile_collapsed(collapsed)
         assert plain.library_path != flagged.library_path
         assert memo_hit is plain
+
+    def test_module_cache_keys_on_env_flags(self, monkeypatch):
+        """Setting ``$REPRO_NATIVE_FLAGS`` in-process must reach the module
+        memo too, not only the on-disk digest: the memo used to hand back
+        the module compiled before the variable was set."""
+        from repro.core import collapse
+        from repro.ir import Loop, LoopNest
+        from repro.native import compile_collapsed
+
+        nest = LoopNest(
+            [Loop.make("i", 0, "N"), Loop.make("j", "i", "N")],
+            parameters=["N"],
+            name="envflagkey",
+        )
+        collapsed = collapse(nest)
+        plain = compile_collapsed(collapsed)
+        monkeypatch.setenv("REPRO_NATIVE_FLAGS", "-DREPRO_PROBE=9")
+        via_env = compile_collapsed(collapsed)
+        assert via_env.library_path != plain.library_path
+        assert compile_collapsed(collapsed) is via_env
+        monkeypatch.delenv("REPRO_NATIVE_FLAGS")
+        assert compile_collapsed(collapsed) is plain
