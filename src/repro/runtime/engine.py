@@ -8,26 +8,31 @@ once, and from then on every run is pure chunk dispatch over pre-compiled
 state.
 
 The parent *is* the OpenMP runtime of this design: it owns one command
-queue per worker plus a single result queue, and hands chunks out the way
-the schedule demands —
+queue per worker, a single result queue and one shared chunk counter.  A
+run costs one ``("run", …)`` message per worker used and one reply from
+each; the chunks are shared out the way the schedule demands —
 
-* **static** families: every chunk goes straight to its pre-assigned
-  worker's queue (zero scheduling decisions at run time, like
+* **static** families: each worker's message carries its pre-assigned
+  chunks (zero scheduling decisions at run time, like
   ``schedule(static)``),
-* **dynamic / guided / adaptive**: each worker is primed with one chunk and
-  receives the next one the moment it reports a result — the classic
-  work-queue hand-out, with chunk granularity decided by the plan.
+* **dynamic / guided / adaptive**: every used worker receives the whole
+  chunk list and claims the next index from the shared counter until the
+  list runs out — the classic work-queue hand-out, with chunk granularity
+  decided by the plan and no queue round trip per chunk.
 
-Results come back as per-chunk iteration counts (plus per-chunk wall-clock
-times, for load-balance analysis); the kernel data itself never travels,
-it lives in the shared segments.  Worker exceptions are captured with their
-traceback, the in-flight chunks are drained, and an :class:`EngineError`
-is raised in the parent — the pool stays usable.
+Each reply lists the worker's per-chunk iteration counts and wall-clock
+times (for load-balance analysis); the kernel data itself never travels,
+it lives in the shared segments.  A worker exception is captured with its
+traceback, the worker carries on with its share, and once every reply is
+in an :class:`EngineError` is raised in the parent — the pool stays
+usable.  A chunk that overruns the timeout, or a worker that dies, shuts
+the pool down instead; the next run starts a fresh one.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import multiprocessing
 import os
 import queue as queue_module
@@ -42,10 +47,13 @@ from .plan import ExecutionPlan
 from .shm import SharedArraySpec, SharedBuffers
 
 _ENGINE_IDS = itertools.count(1)
+_log = logging.getLogger(__name__)
 
-#: seconds the parent waits for a single chunk result before declaring the
-#: pool wedged; generous, because a chunk may legitimately carry a large
-#: fraction of a long kernel run.
+#: seconds one chunk may run before the parent declares the pool wedged:
+#: the deadline restarts whenever the shared counter shows a new chunk
+#: started, so it bounds a single chunk, not a worker's whole share;
+#: generous, because a chunk may legitimately carry a large fraction of a
+#: long kernel run.
 DEFAULT_TASK_TIMEOUT = 300.0
 
 
@@ -226,7 +234,54 @@ class _WorkerPlan:
         return count, None
 
 
-def _worker_main(worker_id: int, commands, results) -> None:
+def _next_span(spans, own: bool, done: int, counter) -> Optional[Tuple[int, int, int]]:
+    """The next ``(index, first_pc, last_pc)`` of this worker's share, or ``None``.
+
+    Own (pre-assigned) spans run in order; the others go to whichever
+    worker takes the counter next.  Either way the counter moves once per
+    chunk started, which is the progress the parent's timeout watches.
+    """
+    with counter.get_lock():
+        position = done if own else counter.value
+        if position >= len(spans):
+            return None
+        counter.value += 1
+    return spans[position]
+
+
+def _run_share(worker_id: int, state, plan_id: str, spans, own: bool, counter):
+    """Execute one worker's share of a run; returns ``(records, traceback)``.
+
+    ``records`` holds ``(index, count, seconds, native)`` per executed
+    chunk.  A failing chunk keeps the first traceback and the worker goes
+    on with its share, so every other chunk is still accounted for.
+    """
+    records: List[Tuple[int, int, float, bool]] = []
+    failure: Optional[str] = None
+    for taken in itertools.count():
+        span = _next_span(spans, own, taken, counter)
+        if span is None:
+            return records, failure
+        index, first_pc, last_pc = span
+        started = time.perf_counter()
+        try:
+            if isinstance(state, Exception):
+                raise state
+            if state is None:
+                raise EngineError(f"plan {plan_id!r} is not registered in worker {worker_id}")
+            count, inner_seconds = state.execute(first_pc, last_pc)
+        except Exception:
+            failure = failure or traceback.format_exc()
+            continue
+        # one timing schema for every substrate: the C-internal measurement
+        # when the chunk ran natively, the worker's own perf_counter span
+        # around the Python ops otherwise — both exclude queue latency, so
+        # profiles compare across backends
+        seconds = inner_seconds if inner_seconds is not None else time.perf_counter() - started
+        records.append((index, count, seconds, state.native_runner is not None))
+
+
+def _worker_main(worker_id: int, commands, results, counter) -> None:
     """Dispatch loop of one persistent worker (module-level: spawn-safe)."""
     plans: Dict[str, Any] = {}  # plan_id -> _WorkerPlan | Exception
     while True:
@@ -255,29 +310,12 @@ def _worker_main(worker_id: int, commands, results) -> None:
             state = plans.pop(message[1], None)
             if isinstance(state, _WorkerPlan):
                 state.release_buffers()
-        elif tag == "chunk":
-            _tag, task_id, plan_id, first_pc, last_pc = message
-            state = plans.get(plan_id)
-            started = time.perf_counter()
-            try:
-                if isinstance(state, Exception):
-                    raise state
-                if state is None:
-                    raise EngineError(f"plan {plan_id!r} is not registered in worker {worker_id}")
-                count, inner_seconds = state.execute(first_pc, last_pc)
-                native = state.native_runner is not None
-                # one timing schema for every substrate: the C-internal
-                # measurement when the chunk ran natively, the worker's own
-                # perf_counter span around the Python ops otherwise — both
-                # exclude queue latency, so profiles compare across backends
-                seconds = (
-                    inner_seconds
-                    if inner_seconds is not None
-                    else time.perf_counter() - started
-                )
-                results.put(("ok", task_id, worker_id, count, seconds, native))
-            except Exception:
-                results.put(("error", task_id, worker_id, traceback.format_exc(), 0.0))
+        elif tag == "run":
+            _tag, run_id, plan_id, spans, own = message
+            records, failure = _run_share(
+                worker_id, plans.get(plan_id), plan_id, spans, own, counter
+            )
+            results.put((run_id, worker_id, records, failure))
 
 
 # ---------------------------------------------------------------------- #
@@ -295,7 +333,8 @@ class RuntimeEngine:
 
     The pool forks on Linux (inheriting warm memo caches) and spawns
     elsewhere; either way a worker builds each plan's compiled state exactly
-    once, so repeated executions cost only queue traffic and chunk compute.
+    once, so a repeated execution costs one message and one reply per
+    worker used, plus the chunk compute.
     """
 
     def __init__(
@@ -316,8 +355,9 @@ class RuntimeEngine:
         self._processes: List[multiprocessing.Process] = []
         self._commands: List[Any] = []
         self._results: Optional[Any] = None
+        self._counter: Optional[Any] = None  # chunks started in the current run
         self._registered: Dict[str, Tuple[SharedArraySpec, ...]] = {}
-        self._tasks = itertools.count(1)
+        self._runs = itertools.count(1)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -338,13 +378,14 @@ class RuntimeEngine:
 
             resource_tracker.ensure_running()
         except Exception:  # pragma: no cover - semi-private API, best effort
-            pass
+            _log.debug("shared-memory resource tracker not started", exc_info=True)
         self._results = self._context.Queue()
+        self._counter = self._context.Value("q", 0)
         self._commands = [self._context.Queue() for _ in range(self.workers)]
         for worker_id, commands in enumerate(self._commands):
             process = self._context.Process(
                 target=_worker_main,
-                args=(worker_id, commands, self._results),
+                args=(worker_id, commands, self._results, self._counter),
                 name=f"{self.engine_id}-w{worker_id}",
                 daemon=True,
             )
@@ -360,7 +401,8 @@ class RuntimeEngine:
             try:
                 commands.put(("stop",))
             except Exception:  # pragma: no cover - queue already broken
-                pass
+                # the join below terminates a worker that never got the stop
+                _log.debug("could not send stop to an engine worker", exc_info=True)
         for process in self._processes:
             process.join(timeout=timeout)
             if process.is_alive():  # pragma: no cover - wedged worker
@@ -373,6 +415,7 @@ class RuntimeEngine:
         self._processes = []
         self._commands = []
         self._results = None
+        self._counter = None
         self._registered = {}
 
     def __enter__(self) -> "RuntimeEngine":
@@ -415,72 +458,67 @@ class RuntimeEngine:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def _get_result(self) -> tuple:
-        """Wait for one worker message, diagnosing a wedged or dead pool.
+    def _shares(self, run_id: int, plan_id: str, chunk_list: Sequence[Chunk]) -> Dict[int, tuple]:
+        """One ``("run", run_id, plan_id, spans, own)`` message per worker used.
+
+        ``spans`` are ``(index, first_pc, last_pc)`` triples.  When every
+        chunk carries a thread (the static families) a worker's spans are
+        its own chunks and ``own`` is true; otherwise each of
+        ``min(workers, chunks)`` workers receives the whole list and claims
+        indices from the shared counter.
+        """
+        spans = [(index, chunk.first, chunk.last) for index, chunk in enumerate(chunk_list)]
+        if all(chunk.thread is not None for chunk in chunk_list):
+            owned: Dict[int, list] = {}
+            for span, chunk in zip(spans, chunk_list):
+                owned.setdefault(chunk.thread % self.workers, []).append(span)
+            return {
+                worker_id: ("run", run_id, plan_id, tuple(own), True)
+                for worker_id, own in owned.items()
+            }
+        shared = tuple(spans)
+        return {
+            worker_id: ("run", run_id, plan_id, shared, False)
+            for worker_id in range(min(self.workers, len(shared)))
+        }
+
+    def _collect(self, run_id: int, waiting: set) -> List[tuple]:
+        """Wait for one reply from each worker in ``waiting``.
 
         Waits in short slices so a worker that *died* (killed, or crashed on
         a message it could not even unpickle — e.g. a function defined after
         the pool forked) surfaces as an immediate :class:`EngineError`
-        instead of a silent hang until ``task_timeout``.
+        instead of a silent hang.  The ``task_timeout`` deadline restarts
+        whenever the shared counter shows a new chunk started, so it bounds
+        one chunk.  A reply of another run is dropped.
         """
-        assert self._results is not None
+        assert self._results is not None and self._counter is not None
+        replies: List[tuple] = []
+        started = 0
         deadline = time.monotonic() + self.task_timeout
-        while True:
+        while waiting:
             try:
-                return self._results.get(timeout=min(0.5, self.task_timeout))
+                reply = self._results.get(timeout=min(0.5, self.task_timeout))
             except queue_module.Empty:
                 dead = [p.name for p in self._processes if not p.is_alive()]
                 if dead:
-                    self.shutdown(timeout=0.5)  # next execute() starts a fresh pool
                     raise EngineError(
                         f"engine workers died with tasks outstanding: {dead}; "
                         "dispatched functions must be module-level and defined "
                         "before the pool starts"
                     ) from None
-                if time.monotonic() >= deadline:
-                    raise EngineError(f"no result within {self.task_timeout}s") from None
-
-    def _run_tasks(self, assigned, on_demand) -> Dict[int, tuple]:
-        """Dispatch pre-assigned and on-demand tasks; collect every result.
-
-        ``assigned`` maps worker_id -> [(task_id, message)] (the static
-        hand-out); ``on_demand`` is an ordered list of (task_id, message):
-        each worker is primed with one and gets the next the moment it
-        reports back (the dynamic hand-out).  Returns task_id ->
-        ("ok", value, worker, seconds, native) — ``native`` reports whether
-        the worker executed the chunk through a compiled library; raises
-        after draining every in-flight task if any worker errored, leaving
-        the pool clean.
-        """
-        outcomes: Dict[int, tuple] = {}
-        failures: List[str] = []
-        outstanding = 0
-        for worker_id, tasks in assigned.items():
-            for _task_id, message in tasks:
-                self._commands[worker_id].put(message)
-                outstanding += 1
-        pending = list(on_demand)
-        for worker_id in range(min(len(pending), self.workers)):
-            _task_id, message = pending.pop(0)
-            self._commands[worker_id].put(message)
-            outstanding += 1
-        while outstanding:
-            message = self._get_result()
-            tag, task_id, worker_id = message[0], message[1], message[2]
-            if pending:  # the reporting worker is idle now: feed it the next chunk
-                _task_id, next_message = pending.pop(0)
-                self._commands[worker_id].put(next_message)
-                outstanding += 1
-            if tag == "error":
-                failures.append(f"worker {worker_id}:\n{message[3]}")
-                outcomes[task_id] = ("error", None, worker_id, 0.0, False)
-            else:
-                native = message[5] if len(message) > 5 else False
-                outcomes[task_id] = ("ok", message[3], worker_id, message[4], native)
-            outstanding -= 1
-        if failures:
-            raise EngineError("engine worker failed:\n" + "\n".join(failures))
-        return outcomes
+                progress = self._counter.value
+                if progress != started:
+                    started, deadline = progress, time.monotonic() + self.task_timeout
+                elif time.monotonic() >= deadline:
+                    raise EngineError(
+                        f"no result within {self.task_timeout}s of the last chunk start"
+                    ) from None
+                continue
+            if reply[0] == run_id and reply[1] in waiting:
+                waiting.discard(reply[1])
+                replies.append(reply)
+        return replies
 
     def execute(
         self,
@@ -492,8 +530,9 @@ class RuntimeEngine:
 
         Registration and buffer attachment happen lazily on the first call
         (and whenever ``buffers`` changes); subsequent calls are pure
-        dispatch.  Static-family chunks go to their pre-assigned workers,
-        chunks without a thread are handed out on demand.
+        dispatch: one message to each worker used and one reply back.
+        Static-family chunks run on their pre-assigned workers; any chunk
+        list with an unassigned chunk is claimed on demand.
         """
         self.register(plan, buffers)
         chunk_list = list(chunks) if chunks is not None else plan.chunks(self.workers)
@@ -504,42 +543,51 @@ class RuntimeEngine:
                 backend="hybrid" if plan.native_spec is not None else "engine",
             )
         start = time.perf_counter()
-        assigned: Dict[int, list] = {}
-        on_demand: List[Tuple[int, tuple]] = []
-        task_ids: List[int] = []
-        for chunk in chunk_list:
-            task_id = next(self._tasks)
-            task_ids.append(task_id)
-            message = ("chunk", task_id, plan.plan_id, chunk.first, chunk.last)
-            if chunk.thread is not None:
-                assigned.setdefault(chunk.thread % self.workers, []).append((task_id, message))
-            else:
-                on_demand.append((task_id, message))
-        outcomes = self._run_tasks(assigned, on_demand)
+        run_id = next(self._runs)
+        messages = self._shares(run_id, plan.plan_id, chunk_list)
+        self._counter.value = 0
+        for worker_id, message in messages.items():
+            self._commands[worker_id].put(message)
+        try:
+            replies = self._collect(run_id, set(messages))
+        except BaseException:
+            # an abandoned run (dead worker, timeout, interrupt) takes the pool
+            # with it: none of its workers may claim chunks of, or reply
+            # into, the next run, which starts a fresh pool
+            self.shutdown(timeout=0.5)
+            raise
         elapsed = time.perf_counter() - start
-        ordered = [outcomes[task_id] for task_id in task_ids]
+        records: List[tuple] = [()] * len(chunk_list)
+        failures: List[str] = []
+        for _run_id, worker_id, worker_records, failure in sorted(replies):
+            for index, count, seconds, native in worker_records:
+                records[index] = (count, worker_id, seconds, native)
+            if failure is not None:
+                failures.append(f"worker {worker_id}:\n{failure}")
+        if failures:
+            raise EngineError("engine worker failed:\n" + "\n".join(failures))
         # the substrate that *actually executed*: a hybrid plan whose workers
         # all ran the compiled library reports "hybrid"; if any worker had to
         # degrade to the Python ops (library unloadable, un-bindable data),
         # the honest answer is "engine"
         backend = (
             "hybrid"
-            if plan.native_spec is not None and all(outcome[4] for outcome in ordered)
+            if plan.native_spec is not None and all(record[3] for record in records)
             else "engine"
         )
         return RunResult(
-            results=tuple(outcome[1] for outcome in ordered),
+            results=tuple(record[0] for record in records),
             elapsed_seconds=elapsed,
             chunks=tuple(chunk_list),
             workers=self.workers,
             schedule=plan.schedule,
-            assignments=tuple(outcome[2] for outcome in ordered),
-            chunk_seconds=tuple(outcome[3] for outcome in ordered),
+            assignments=tuple(record[1] for record in records),
+            chunk_seconds=tuple(record[2] for record in records),
             backend=backend,
         )
 
     def __del__(self):  # pragma: no cover - safety net, normal path is shutdown()
         try:
             self.shutdown(timeout=0.5)
-        except Exception:
-            pass
+        except Exception:  # a finalizer must not raise, and at interpreter exit
+            pass  # the queues and even logging may already be torn down

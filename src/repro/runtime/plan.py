@@ -47,7 +47,8 @@ _PLAN_IDS = itertools.count(1)
 
 #: chunks handed out per worker by the on-demand policies when no explicit
 #: chunk size is given — enough slack for load balancing, few enough that
-#: queue traffic stays negligible next to the chunk compute.
+#: the per-chunk claim and index recovery stay negligible next to the
+#: chunk compute.
 DEFAULT_OVERSUBSCRIBE = 4
 
 
@@ -185,8 +186,9 @@ class ExecutionPlan:
         cost model's estimated per-iteration work otherwise — the paper's
         collapsed-schedule argument closed into a feedback loop; ``DYNAMIC``
         without an explicit chunk size uses an oversubscribed equal split
-        (OpenMP's default chunk of 1 would mean one queue round-trip per
-        iteration, a pure-overhead regime the simulator already covers);
+        (OpenMP's default chunk of 1 would mean one counter claim and one
+        index recovery per iteration, a pure-overhead regime the simulator
+        already covers);
         the classic kinds delegate to :func:`repro.openmp.schedule_chunks`.
         Partitions are memoised per worker count against the profile
         store's change token — a new measurement (this process's, or one

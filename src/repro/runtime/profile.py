@@ -559,10 +559,30 @@ class ProfileStore:
         return removed
 
 
+#: (environment the root was resolved from, the store) of the last call
+_DEFAULT_STORE: Tuple[tuple, Optional[ProfileStore]] = ((), None)
+
+
 def default_profile_store() -> ProfileStore:
-    """The store at ``$REPRO_PROFILE_DIR`` (re-resolved per call, so tests
-    and callers can redirect the environment without import-order games)."""
-    return ProfileStore()
+    """The store at ``$REPRO_PROFILE_DIR`` (default ``~/.cache/repro-profile``).
+
+    Memoised on the inputs the root resolves from -- ``$REPRO_PROFILE_DIR``,
+    ``$HOME`` and, for a relative override, the working directory -- so a
+    warm call costs a few lookups, and tests and callers can still
+    redirect the environment without import-order games.
+    """
+    global _DEFAULT_STORE
+    override = os.environ.get("REPRO_PROFILE_DIR", "").strip()
+    key = (
+        override,
+        os.environ.get("HOME"),
+        os.getcwd() if override and not os.path.isabs(override) else None,
+    )
+    cached_key, store = _DEFAULT_STORE
+    if store is None or cached_key != key:
+        store = ProfileStore()
+        _DEFAULT_STORE = (key, store)
+    return store
 
 
 def flush_profile_stores() -> None:

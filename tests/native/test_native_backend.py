@@ -185,14 +185,20 @@ class TestSixtyFourBitArithmetic:
 
     def test_chunked_run_past_two_to_the_31(self, simplex3_nest):
         """CHUNK modulo arithmetic on pc values beyond 2^31 (a window of the
-        huge domain, executed under a fixed-chunk schedule)."""
+        huge domain, executed under a fixed-chunk schedule).
+
+        Inside the window ``i`` stays at ``N - 1`` while ``j`` and ``k``
+        vary, so each iteration owns the cell ``(j, k)``: a plain store, no
+        two threads ever write one cell."""
         collapsed = collapse(simplex3_nest)
         values = {"N": self.N}
         total = collapsed.total_iterations(values)
         first = total - 4999
+        window = batch_recovery(collapsed).recover_range(first, total, values)
+        assert len({(j, k) for _i, j, k in window}) == len(window) == 5000
         module = compile_collapsed(
             collapsed,
-            body="visits(i, j) += (double)(k + 1);",
+            body="visits(j, k) = (double)(i + 1);",
             arrays=("visits",),
             schedule="dynamic,512",
         )
@@ -200,8 +206,8 @@ class TestSixtyFourBitArithmetic:
         result = module.run({"visits": visits}, values, first_pc=first, threads=2)
         assert sum(result.results) == 5000
         expected = np.zeros((self.N, self.N))
-        for i, j, k in batch_recovery(collapsed).recover_range(first, total, values):
-            expected[i, j] += k + 1
+        for i, j, k in window:
+            expected[j, k] = i + 1
         assert np.array_equal(visits, expected)
 
 

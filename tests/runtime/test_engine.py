@@ -5,14 +5,20 @@ the expensive part, and sharing one is exactly how the engine is meant to
 be used.
 """
 
+import os
+import time
+
 import numpy as np
 import pytest
 
+from repro.ir import Loop, LoopNest, enumerate_iterations
 from repro.kernels import get_kernel, run_original, verify_kernel
-from repro.openmp import ScheduleKind
+from repro.native import native_available
+from repro.openmp import Chunk, ScheduleKind
 from repro.runtime import (
     EngineError,
     PlanError,
+    RuntimeEngine,
     RuntimeSession,
     SharedBuffers,
     build_plan,
@@ -34,6 +40,35 @@ def failing_op(data, indices, values):
 
 def mark_visit_op(data, indices, values):
     data["visits"][indices] += 1.0
+
+
+#: the iteration whose chunk ``fail_midway_op`` refuses to run
+FAILING_ITERATION = (5, 7)
+
+
+def count_visits_op(data, indices, values):
+    data["visits"][indices[:, 0], indices[:, 1]] += 1.0
+
+
+def fail_midway_op(data, indices, values):
+    if any(tuple(row) == FAILING_ITERATION for row in indices.tolist()):
+        raise RuntimeError("deliberate mid-run failure")
+    count_visits_op(data, indices, values)
+
+
+def slow_chunk_op(data, indices, values):
+    time.sleep(0.3)
+
+
+def stuck_chunk_op(data, indices, values):
+    time.sleep(5.0)
+
+
+def _triangle(n=12):
+    nest = LoopNest(
+        [Loop.make("i", 0, "N"), Loop.make("j", "i", "N")], parameters=["N"], name="triangle"
+    )
+    return nest, {"N": n}
 
 
 class TestEngineCorrectness:
@@ -177,3 +212,185 @@ class TestSession:
             result = session.run("utma", VALUES, schedule="static")
             assert np.array_equal(result["c"], expected["c"])
         assert session.cache_info()["buffers"] == max(before, 1)
+
+
+@pytest.fixture(scope="module", params=["fork", "spawn"])
+def engine(request):
+    """A two-worker pool under each start method (the counter is inherited
+    by forked workers and pickled into spawned ones)."""
+    with RuntimeEngine(workers=2, start_method=request.param) as engine:
+        yield engine
+
+
+def _spy_commands(engine, monkeypatch):
+    """Record ``(worker_id, tag)`` of every command the parent sends."""
+    sent = []
+    for worker_id, commands in enumerate(engine._commands):
+        def put(message, _put=commands.put, _worker=worker_id):
+            sent.append((_worker, message[0]))
+            _put(message)
+        monkeypatch.setattr(commands, "put", put)
+    return sent
+
+
+class TestDispatch:
+    """One ``run`` message per worker used, chunks claimed from the counter."""
+
+    @pytest.mark.parametrize("schedule", ["dynamic", "guided", "adaptive"])
+    def test_every_chunk_runs_exactly_once(self, engine, schedule):
+        nest, values = _triangle()
+        plan = build_plan(nest, values, schedule=schedule, chunk_op=count_visits_op)
+        expected = np.zeros((12, 12))
+        for indices in enumerate_iterations(nest, values):
+            expected[indices] = 1.0
+        with SharedBuffers.create({"visits": np.zeros((12, 12))}) as buffers:
+            for _ in range(3):
+                buffers.arrays["visits"][:] = 0.0
+                result = engine.execute(plan, buffers=buffers)
+                assert len(result.chunks) > engine.workers
+                assert np.array_equal(buffers.arrays["visits"], expected)
+                assert result.results == tuple(chunk.size for chunk in result.chunks)
+                assert set(result.assignments) <= {0, 1}
+                assert len(result.chunk_seconds) == len(result.chunks)
+        engine.forget(plan)
+
+    @pytest.mark.parametrize("native", [False, True], ids=["engine", "hybrid"])
+    @pytest.mark.parametrize("schedule", ["static", "dynamic", "adaptive"])
+    def test_one_message_per_worker_per_warm_run(self, engine, schedule, native, monkeypatch):
+        if native and not native_available():
+            pytest.skip("no C compiler on this machine")
+        kernel = get_kernel("utma")
+        plan = build_plan(kernel, VALUES, schedule=schedule, native=native)
+        with SharedBuffers.create(kernel.make_data(VALUES)) as buffers:
+            engine.execute(plan, buffers=buffers)  # registers and attaches
+            buffers.fill_from(kernel.make_data(VALUES))
+            sent = _spy_commands(engine, monkeypatch)
+            result = engine.execute(plan, buffers=buffers)
+            sent = list(sent)
+            assert np.array_equal(buffers.arrays["c"], run_original(kernel, VALUES)["c"])
+        engine.forget(plan)
+        assert result.backend == ("hybrid" if native else "engine")
+        assert len(result.chunks) >= engine.workers
+        assert sorted(sent) == [(0, "run"), (1, "run")]
+
+    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
+    def test_fewer_chunks_than_workers_messages_fewer_workers(
+        self, engine, schedule, monkeypatch
+    ):
+        nest, values = _triangle(n=1)  # one iteration, so one chunk
+        plan = build_plan(nest, values, schedule=schedule, chunk_op=count_visits_op)
+        with SharedBuffers.create({"visits": np.zeros((12, 12))}) as buffers:
+            engine.execute(plan, buffers=buffers)
+            sent = _spy_commands(engine, monkeypatch)
+            result = engine.execute(plan, buffers=buffers)
+            sent = list(sent)
+        engine.forget(plan)
+        assert len(result.chunks) == 1 < engine.workers
+        assert sent == [(0, "run")]
+        assert result.results == (1,)
+        assert result.assignments == (0,)
+
+    @pytest.mark.parametrize("schedule", ["dynamic", "static,4"])
+    def test_worker_error_mid_run_accounts_for_every_other_chunk(self, engine, schedule):
+        nest, values = _triangle()
+        plan = build_plan(nest, values, schedule=schedule, chunk_op=fail_midway_op)
+        chunks = plan.chunks(engine.workers)
+        assert len(chunks) > 2 * engine.workers
+        with SharedBuffers.create({"visits": np.zeros((12, 12))}) as buffers:
+            with pytest.raises(EngineError, match="deliberate mid-run failure") as raised:
+                engine.execute(plan, buffers=buffers)
+            visits = buffers.arrays["visits"].copy()
+        engine.forget(plan)
+        assert "Traceback" in str(raised.value)
+        from repro.core import batch_recovery, collapse
+
+        recovery = batch_recovery(collapse(nest))
+        failed = 0
+        for chunk in chunks:
+            rows = recovery.recover_range(chunk.first, chunk.last, values)
+            cells = visits[rows[:, 0], rows[:, 1]]
+            if FAILING_ITERATION in {tuple(row) for row in rows.tolist()}:
+                failed += 1
+                assert np.all(cells == 0.0)
+            else:
+                assert np.all(cells == 1.0)
+        assert failed == 1
+        # the pool serves the next run
+        kernel = get_kernel("utma")
+        good = build_plan(kernel, VALUES, schedule="dynamic")
+        with SharedBuffers.create(kernel.make_data(VALUES)) as buffers:
+            engine.execute(good, buffers=buffers)
+            assert np.array_equal(buffers.arrays["c"], run_original(kernel, VALUES)["c"])
+        engine.forget(good)
+
+    def test_claims_never_collide_with_more_workers_than_cores(self):
+        # a lost or doubled counter update would skip or repeat a chunk,
+        # leaving a cell at 0 or 2; one-iteration chunks make claims race hard
+        nest, values = _triangle()
+        plan = build_plan(nest, values, schedule="dynamic,1", chunk_op=count_visits_op)
+        expected = np.zeros((12, 12))
+        for indices in enumerate_iterations(nest, values):
+            expected[indices] = 1.0
+        began = time.monotonic()
+        with RuntimeEngine(workers=2 * (os.cpu_count() or 1) + 1) as engine, (
+            SharedBuffers.create({"visits": np.zeros((12, 12))})
+        ) as buffers:
+            for _ in range(20):
+                buffers.arrays["visits"][:] = 0.0
+                result = engine.execute(plan, buffers=buffers)
+                assert np.array_equal(buffers.arrays["visits"], expected)
+                assert len(result.chunks) == plan.total_iterations
+        assert time.monotonic() - began < 60.0
+
+
+class TestTimeouts:
+    """``task_timeout`` bounds one chunk, not a worker's whole share."""
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_stuck_chunk_times_out_and_the_next_run_is_correct(self, start_method):
+        nest, values = _triangle()
+        stuck = build_plan(nest, values, schedule="dynamic", chunk_op=stuck_chunk_op)
+        kernel = get_kernel("utma")
+        good = build_plan(kernel, VALUES, schedule="dynamic")
+        with RuntimeEngine(workers=2, start_method=start_method, task_timeout=0.5) as engine:
+            began = time.monotonic()
+            with pytest.raises(EngineError, match="no result within"):
+                engine.execute(stuck)
+            assert time.monotonic() - began < 4.0
+            assert not engine.started  # the abandoned run's workers are gone
+            with SharedBuffers.create(kernel.make_data(VALUES)) as buffers:
+                result = engine.execute(good, buffers=buffers)
+                assert np.array_equal(buffers.arrays["c"], run_original(kernel, VALUES)["c"])
+            assert result.iterations == good.total_iterations
+
+    def test_interrupted_run_takes_the_pool_with_it(self, monkeypatch):
+        nest, values = _triangle()
+        slow = build_plan(nest, values, schedule="dynamic", chunk_op=slow_chunk_op)
+        kernel = get_kernel("utma")
+        good = build_plan(kernel, VALUES, schedule="dynamic")
+        with RuntimeEngine(workers=2) as engine:
+            def interrupted(run_id, waiting):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(engine, "_collect", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                engine.execute(slow)  # the workers are still claiming chunks
+            monkeypatch.undo()
+            assert not engine.started
+            with SharedBuffers.create(kernel.make_data(VALUES)) as buffers:
+                engine.execute(good, buffers=buffers)
+                assert np.array_equal(buffers.arrays["c"], run_original(kernel, VALUES)["c"])
+
+    @pytest.mark.parametrize("thread", [None, 0], ids=["claimed", "own"])
+    def test_many_short_chunks_outlast_the_timeout(self, thread):
+        nest, values = _triangle()
+        plan = build_plan(nest, values, schedule="dynamic", chunk_op=slow_chunk_op)
+        total = plan.total_iterations
+        cuts = np.linspace(0, total, 9).astype(int)
+        chunks = [Chunk(int(a) + 1, int(b), thread) for a, b in zip(cuts, cuts[1:])]
+        with RuntimeEngine(workers=2, task_timeout=0.5) as engine:
+            result = engine.execute(plan, chunks=chunks)
+        # each worker's share (8 x 0.3 s on one worker, or about 4 x 0.3 s
+        # on each of two) takes longer than the timeout; no chunk does
+        assert result.iterations == total
+        assert sum(result.chunk_seconds) >= 8 * 0.3

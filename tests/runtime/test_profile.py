@@ -249,6 +249,25 @@ class TestProfileStore:
         monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path / "custom"))
         assert default_profile_store().root == tmp_path / "custom"
 
+    def test_default_store_is_memoised_per_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path / "one"))
+        first = default_profile_store()
+        assert default_profile_store() is first
+        monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path / "two"))
+        assert default_profile_store().root == tmp_path / "two"
+        # with no override the root follows $HOME, redirected or not
+        monkeypatch.delenv("REPRO_PROFILE_DIR")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert default_profile_store().root == tmp_path / "home" / ".cache" / "repro-profile"
+        monkeypatch.setenv("HOME", str(tmp_path / "other"))
+        assert default_profile_store().root == tmp_path / "other" / ".cache" / "repro-profile"
+        # a relative override resolves against the working directory of the call
+        monkeypatch.setenv("REPRO_PROFILE_DIR", "relative")
+        monkeypatch.chdir(tmp_path)
+        here = default_profile_store()
+        monkeypatch.chdir(tmp_path / "..")
+        assert default_profile_store() is not here
+
 
 def _hammer_store(args):
     """One writer process: bank ``rounds`` runs under the shared key."""
