@@ -106,7 +106,9 @@ def test_batch_recovery_exact_fix_rate(benchmark):
 
     stats = BatchStats()
     benchmark.pedantic(
-        lambda: recoverer.recover_range(1, total, values, stats), rounds=1, iterations=1
+        lambda: recoverer.recover_pcs(np.arange(1, total + 1), values, stats),
+        rounds=1,
+        iterations=1,
     )
     fix_rate = stats.exact_fixes / stats.iterations
     print(f"\nexact-fix rate over {stats.iterations} iterations: {fix_rate:.2%}")

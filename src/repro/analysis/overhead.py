@@ -26,6 +26,8 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+import numpy as np
+
 from ..core import CollapsedLoop, batch_recovery, resolve_recovery_backend
 from ..ir import iteration_count
 from ..openmp.costmodel import CostModel, RecoveryCosts
@@ -110,18 +112,21 @@ def measure_recovery_throughput(
 
     ``recovery="symbolic"`` evaluates the closed-form roots once per ``pc``
     (the Fig. 3 cost the overhead experiment is about); ``"compiled"`` runs
-    the vectorized batch path of :mod:`repro.core.batch` over the whole
-    range.  The best of ``repeat`` runs is reported.  Both back ends produce
-    identical indices, so the ratio of two measurements is a pure recovery
-    speedup.
+    the vectorized solver of :mod:`repro.core.batch`
+    (:meth:`~repro.core.batch.BatchRecovery.recover_pcs`) on every ``pc`` of
+    the range — the same per-``pc`` root evaluation and exact bracket pass,
+    not the range walk, which evaluates no root.  The best of ``repeat``
+    runs is reported.  Both back ends produce identical indices, so the
+    ratio of two measurements is a pure solver speedup.
     """
     resolve_recovery_backend(recovery)
     total = collapsed.total_iterations(parameter_values)
     if recovery == "compiled":
         recoverer = batch_recovery(collapsed)
+        pcs = np.arange(1, total + 1, dtype=np.int64)
 
         def run() -> None:
-            recoverer.recover_range(1, total, parameter_values)
+            recoverer.recover_pcs(pcs, parameter_values)
 
     else:
 

@@ -1,17 +1,25 @@
-"""Batch (compiled, vectorized) index recovery — the fast path of unranking.
+"""Batch (vectorized) index recovery — the fast path of unranking.
 
 The scalar path of :mod:`repro.core.unranking` recovers the indices of one
-``pc`` at a time by walking the symbolic root expressions.  Every executor
-and every benchmark sits on top of that loop, so its per-iteration Python
-cost *is* the recovery overhead the paper measures (Fig. 10).  This module
-removes it the way vectorized closed-form inversion does in numeric
-packages: the root of each level is compiled once into straight-line NumPy
-code (:mod:`repro.symbolic.compile`) and evaluated for a whole chunk of
-``pc`` values per call, so a range of iterations is recovered in O(levels)
-vectorized operations instead of O(iterations) tree walks.
+``pc`` at a time by walking the symbolic root expressions, which is the
+per-iteration recovery overhead the paper measures (Fig. 10).
+:class:`BatchRecovery` offers the two vectorized forms of the paper's two
+schemes:
 
-Correctness is guaranteed by an *exact integer bracket pass*: the float
-closed-form root is only a **seed**.  Each level's bracket polynomial is
+* :meth:`~BatchRecovery.recover_range` *walks* a contiguous range (Fig. 4):
+  the exact scalar unranker recovers its first and last tuples, and the
+  rows between them are enumerated level by level from the nest's affine
+  bounds — ``np.repeat`` of each prefix and a segmented ``arange`` — so a
+  chunk costs two recoveries plus O(rows) integer adds.  This is what the
+  engine's workers and the adaptive cut run.
+* :meth:`~BatchRecovery.recover_pcs` *solves* arbitrary ``pc`` values
+  (Fig. 3, vectorized): the root of each level is compiled once into
+  straight-line NumPy code (:mod:`repro.symbolic.compile`) and evaluated
+  for the whole array per call, O(levels) vectorized operations instead of
+  O(iterations) tree walks.
+
+The solver's correctness is guaranteed by an *exact integer bracket pass*:
+the float closed-form root is only a **seed**.  Each level's bracket polynomial is
 denominator-cleared once (:meth:`Polynomial.integer_form`: a degree-``d``
 ranking polynomial times the LCM of its coefficient denominators has
 integer coefficients), compiled in integer mode, and evaluated exactly for
@@ -39,7 +47,8 @@ recoveries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..polyhedra import AffineExpr
@@ -83,6 +92,37 @@ class BatchStats:
 
 
 @dataclass(frozen=True)
+class _ClearedAffine:
+    """An affine bound as ``(constant + sum coeff * var) / den`` over integers."""
+
+    den: int
+    constant: int
+    terms: Tuple[Tuple[str, int], ...]
+
+    @classmethod
+    def of(cls, expr: AffineExpr) -> "_ClearedAffine":
+        den = math.lcm(expr.constant.denominator, *(c.denominator for _v, c in expr.coefficients))
+        terms = tuple((var, int(coeff * den)) for var, coeff in expr.coefficients)
+        return cls(den, int(expr.constant * den), terms)
+
+    def ceil(self, env: Mapping[str, object]):
+        """Exact ``ceil`` of the bound over scalar or ``int64`` column entries.
+
+        The caller guarantees the cleared numerator fits (see
+        :meth:`magnitude`); integer floor division then makes the ``ceil``
+        exact with no float involved.
+        """
+        total = self.constant
+        for var, coeff in self.terms:
+            total = total + coeff * env[var]
+        return total if self.den == 1 else -((-total) // self.den)
+
+    def magnitude(self, extremes: Mapping[str, int]) -> int:
+        """Upper bound of ``|numerator|`` when each ``|var| <= extremes[var]``."""
+        return abs(self.constant) + sum(abs(coeff) * extremes[var] for var, coeff in self.terms)
+
+
+@dataclass(frozen=True)
 class _LevelPlan:
     """Everything pre-compiled for recovering one index level in batch."""
 
@@ -90,27 +130,17 @@ class _LevelPlan:
     root: Optional[CompiledExpr]          # numpy-mode closed form (None => bisection)
     bracket_num: CompiledPolynomial       # integer-mode denominator-cleared bracket
     bracket_den: int                      # bracket == bracket_num / bracket_den
-    integer_bounds: bool                  # bounds evaluable exactly in int64
+    lower: _ClearedAffine                 # loop lower bound, denominator-cleared
+    upper: _ClearedAffine                 # loop upper bound (exclusive), denominator-cleared
 
-
-def _has_integer_coefficients(expr: AffineExpr) -> bool:
-    if expr.constant.denominator != 1:
-        return False
-    return all(coeff.denominator == 1 for _var, coeff in expr.coefficients)
-
-
-def _affine_int(expr: AffineExpr, env: Mapping[str, object]):
-    """Exact int64 evaluation of an affine bound with integer coefficients."""
-    total = int(expr.constant)
-    for var, coeff in expr.coefficients:
-        total = total + int(coeff) * env[var]
-    return total
+    @property
+    def integer_bounds(self) -> bool:
+        """Both bounds have integer coefficients (no ``ceil`` needed)."""
+        return self.lower.den == 1 and self.upper.den == 1
 
 
 def _affine_ceil_exact(expr: AffineExpr, env: Mapping[str, object], size: int):
     """Per-element ``ceil`` of a rational affine bound (rare fractional case)."""
-    import math
-
     out = np.empty(size, dtype=np.int64)
     names = [var for var, _coeff in expr.coefficients]
     for position in range(size):
@@ -134,14 +164,16 @@ class BatchRecovery:
     One instance compiles the closed-form roots (NumPy mode) and the
     denominator-cleared bracket polynomials (integer mode) of every
     collapsed level — done once, at construction — and then recovers
-    arbitrary ``pc`` ranges as ``(n, depth)`` ``int64`` arrays.  Use
-    :func:`batch_recovery` to get the memoised instance of a collapsed loop
-    instead of constructing one per call site.
+    ``pc`` ranges (walked) or arbitrary ``pc`` values (solved) as
+    ``(n, depth)`` ``int64`` arrays.  Use :func:`batch_recovery` to get the
+    memoised instance of a collapsed loop instead of constructing one per
+    call site.
 
-    The batch path always applies the exact integer bracket pass, so it is
-    element-wise identical to the exact scalar recovery regardless of the
-    ``guard`` flag the collapsed loop was built with — and regardless of the
-    domain's magnitude (the bracket arithmetic switches from ``int64`` to
+    Both entry points are exact: the walk's endpoints and the solver's
+    bracket pass use exact integer brackets, so the result is element-wise
+    identical to the exact scalar recovery regardless of the ``guard`` flag
+    the collapsed loop was built with — and regardless of the domain's
+    magnitude (the bracket arithmetic switches from ``int64`` to
     big-int ``object`` arrays when an a-priori bound says ``int64`` could
     overflow).
     """
@@ -157,18 +189,20 @@ class BatchRecovery:
             if recovery.method != "bisection" and recovery.expression is not None:
                 root = compile_expr(recovery.expression, mode="numpy")
             bracket_num = compile_polynomial(recovery.bracket_numerator, mode="integer")
-            integer_bounds = _has_integer_coefficients(recovery.lower) and _has_integer_coefficients(
-                recovery.upper
-            )
             self._plans.append(
                 _LevelPlan(
                     recovery=recovery,
                     root=root,
                     bracket_num=bracket_num,
                     bracket_den=recovery.bracket_denominator,
-                    integer_bounds=integer_bounds,
+                    lower=_ClearedAffine.of(recovery.lower),
+                    upper=_ClearedAffine.of(recovery.upper),
                 )
             )
+        # the walk's two endpoints come from the scalar unranker; it must
+        # run its exact bracket correction whatever ``guard`` the loop has
+        unranking = collapsed.unranking
+        self._endpoints = unranking if unranking.guard else replace(unranking, guard=True)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -192,12 +226,34 @@ class BatchRecovery:
 
         Returns an ``(n, depth)`` ``int64`` array whose row ``k`` equals
         ``recover_indices(first_pc + k, parameter_values)``.
+
+        This is the paper's Fig. 4 scheme, vectorised: only the range's two
+        endpoints are recovered (the exact scalar unranker, big-int
+        brackets); the rows between them are enumerated like the original
+        nest increments, level by level (:meth:`_walk`), at the cost of a
+        few integer array passes per row instead of a root evaluation and a
+        bracket pass per row.  A range whose bound arithmetic could wrap
+        ``int64`` is handed to :meth:`recover_pcs` instead, which switches
+        its carrier to big ints.  Only ``stats.iterations`` moves on the
+        walk; the solver counters count :meth:`recover_pcs` work.
         """
         if last_pc < first_pc:
             return np.empty((0, self.depth), dtype=np.int64)
-        return self.recover_pcs(
-            np.arange(first_pc, last_pc + 1, dtype=np.int64), parameter_values, stats
-        )
+        first_pc, last_pc = int(first_pc), int(last_pc)
+        self._check_range(first_pc, last_pc, parameter_values)
+        environment: Dict[str, object] = {
+            name: int(value) for name, value in parameter_values.items()
+        }
+        first = self._endpoints.recover(first_pc, parameter_values)
+        last = first if last_pc == first_pc else self._endpoints.recover(last_pc, parameter_values)
+        if not self._walk_is_safe(first, last, environment):
+            return self.recover_pcs(
+                np.arange(first_pc, last_pc + 1, dtype=np.int64), parameter_values, stats
+            )
+        rows = self._walk(first, last, environment)
+        if stats is not None:
+            stats.iterations += int(rows.shape[0])
+        return rows
 
     def recover_pcs(
         self,
@@ -213,14 +269,7 @@ class BatchRecovery:
         if pcs.size == 0:
             return np.empty((0, self.depth), dtype=np.int64)
 
-        total = self.collapsed.total_iterations(parameter_values)
-        lowest, highest = int(pcs.min()), int(pcs.max())
-        if lowest < 1 or highest > total:
-            raise BatchRecoveryError(
-                f"pc values must lie in [1, {total}] for {dict(parameter_values)}; "
-                f"got range [{lowest}, {highest}]"
-            )
-
+        self._check_range(int(pcs.min()), int(pcs.max()), parameter_values)
         environment: Dict[str, object] = {
             name: int(value) for name, value in parameter_values.items()
         }
@@ -244,14 +293,71 @@ class BatchRecovery:
         for row in recovered.tolist():
             yield tuple(row)
 
+    def _check_range(self, lowest: int, highest: int, parameter_values: Mapping[str, int]) -> None:
+        total = self.collapsed.total_iterations(parameter_values)
+        if lowest < 1 or highest > total:
+            raise BatchRecoveryError(
+                f"pc values must lie in [1, {total}] for {dict(parameter_values)}; "
+                f"got range [{lowest}, {highest}]"
+            )
+
+    # ------------------------------------------------------------------ #
+    # range walk (Fig. 4)
+    # ------------------------------------------------------------------ #
+    def _walk_is_safe(self, first, last, environment: Mapping[str, int]) -> bool:
+        """A-priori proof that every bound of the walk fits in ``int64``.
+
+        Bounds each level's cleared bound numerators from the parameters
+        and the outer levels' extremes: the outermost level runs over
+        ``[first[0], last[0]]``, and each inner level stays within its own
+        bounds, so within the numerator magnitude plus one.
+        """
+        extremes = {name: abs(value) for name, value in environment.items()}
+        for level, plan in enumerate(self._plans):
+            magnitude = max(plan.lower.magnitude(extremes), plan.upper.magnitude(extremes))
+            if magnitude >= _INT64_SAFE:
+                return False
+            extremes[plan.recovery.iterator] = (
+                max(abs(first[0]), abs(last[0])) if level == 0 else magnitude + 1
+            )
+        return True
+
+    def _walk(self, first, last, environment: Dict[str, object]):
+        """Every row from tuple ``first`` to tuple ``last``, level by level.
+
+        Level ``k`` holds one row per distinct prefix ``(i1..ik)`` of the
+        range.  Each prefix's next index runs over the level's
+        ``[lower, upper)`` bounds, except that the first prefix starts at
+        ``first[k]`` and the last prefix stops at ``last[k]``; ``np.repeat``
+        copies each prefix once per child, and a segmented ``arange``
+        numbers the children.  Prefixes with an empty range drop out.
+        """
+        columns: List[object] = []
+        count = 1  # the empty prefix of the outermost level
+        for level, plan in enumerate(self._plans):
+            start = np.broadcast_to(plan.lower.ceil(environment), (count,)).astype(np.int64)
+            stop = np.broadcast_to(plan.upper.ceil(environment), (count,)).astype(np.int64)
+            start[0] = first[level]
+            stop[-1] = last[level] + 1
+            sizes = np.maximum(stop - start, 0)
+            ends = np.cumsum(sizes)
+            count = int(ends[-1])
+            columns = [np.repeat(column, sizes) for column in columns]
+            columns.append(
+                np.arange(count, dtype=np.int64) + np.repeat(start - (ends - sizes), sizes)
+            )
+            for position, column in enumerate(columns):
+                environment[self._plans[position].recovery.iterator] = column
+        return np.stack(columns, axis=1)
+
     # ------------------------------------------------------------------ #
     # per-level machinery
     # ------------------------------------------------------------------ #
     def _bounds(self, plan: _LevelPlan, environment: Mapping[str, object], size: int):
         """Vectorized inclusive index range ``[lower, upper]`` of one level."""
         if plan.integer_bounds:
-            lower = _affine_int(plan.recovery.lower, environment)
-            upper = _affine_int(plan.recovery.upper, environment) - 1
+            lower = plan.lower.ceil(environment)
+            upper = plan.upper.ceil(environment) - 1
         else:
             lower = _affine_ceil_exact(plan.recovery.lower, environment, size)
             upper = _affine_ceil_exact(plan.recovery.upper, environment, size) - 1
@@ -378,7 +484,7 @@ class BatchRecovery:
             active = lo < hi
             if not bool(active.any()):
                 break
-            mid = (lo + hi + 1) // 2
+            mid = lo + (hi - lo + 1) // 2  # (lo + hi + 1) // 2 wraps near 2**63
             take = np.asarray(
                 self._bracket_int(plan, environment, mid, exact_object) <= rank, dtype=bool
             )

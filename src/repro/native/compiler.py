@@ -28,6 +28,7 @@ translate into an explicit skip, never a crash.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import shutil
 import subprocess
@@ -35,6 +36,8 @@ import tempfile
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
+
+_log = logging.getLogger(__name__)
 
 #: compilers probed, in order, when ``$CC`` is not set
 _COMPILER_CANDIDATES = ("cc", "gcc", "clang")
@@ -83,7 +86,8 @@ def openmp_flags(compiler: str) -> Tuple[str, ...]:
     """``("-fopenmp",)`` when the compiler links an OpenMP test unit, else ``()``.
 
     Probed once per compiler per process; without OpenMP the generated code
-    still compiles (its ``#ifdef _OPENMP`` fallback runs single-threaded).
+    still compiles (its ``#ifdef _OPENMP`` fallback runs single-threaded),
+    so a failed probe logs one warning naming the compiler and the reason.
     """
     probe = (
         "#include <omp.h>\n"
@@ -98,9 +102,19 @@ def openmp_flags(compiler: str) -> Tuple[str, ...]:
             result = subprocess.run(
                 command, capture_output=True, text=True, timeout=60.0
             )
-        except (OSError, subprocess.TimeoutExpired):
-            return ()
-        return ("-fopenmp",) if result.returncode == 0 else ()
+        except (OSError, subprocess.TimeoutExpired) as error:
+            reason = f"the probe could not run: {error}"
+        else:
+            if result.returncode == 0:
+                return ("-fopenmp",)
+            head = result.stderr.strip().splitlines()[:3]
+            reason = f"the probe failed to link (exit {result.returncode}): " + " | ".join(head)
+    _log.warning(
+        "OpenMP is unavailable with %s, so native code runs single-threaded: %s",
+        compiler,
+        reason,
+    )
+    return ()
 
 
 def native_available() -> bool:

@@ -141,7 +141,7 @@ class _WorkerPlan:
     """Per-worker state of one registered plan: ops resolved, recovery built."""
 
     def __init__(self, payload: dict):
-        from ..core import batch_recovery, chunk_iterator_factory
+        from ..core import batch_recovery
 
         self.collapsed = payload["collapsed"]
         self.parameter_values = payload["parameter_values"]
@@ -158,9 +158,6 @@ class _WorkerPlan:
             self.iteration_op = kernel.iteration_op
             self.chunk_op = kernel.chunk_op
         self.batch = batch_recovery(self.collapsed)
-        self.chunk_indices = chunk_iterator_factory(
-            self.collapsed, self.parameter_values, "compiled"
-        )
 
     def attach(self, specs: Tuple[SharedArraySpec, ...]) -> None:
         self.release_buffers()
@@ -212,26 +209,26 @@ class _WorkerPlan:
         for the Python paths is the same "inside the worker, outside the
         queue" measurement.  Preference order: the plan's compiled
         ``repro_run_range`` (hybrid backend, one foreign call per chunk),
-        then the vectorized ``chunk_op`` over a batch-recovered index
-        array, then the scalar ``iteration_op`` walk.
+        then the vectorized ``chunk_op`` over the chunk's walked index
+        array (:meth:`BatchRecovery.recover_range
+        <repro.core.batch.BatchRecovery.recover_range>`), then the scalar
+        ``iteration_op`` once per row of that array.
         """
         if self.native_runner is not None:
             return self.native_runner.run_range_timed(first_pc, last_pc)
         data = self.buffers.arrays if self.buffers is not None else {}
-        if self.chunk_op is not None:
-            indices = self.batch.recover_range(first_pc, last_pc, self.parameter_values)
-            self.chunk_op(data, indices, self.parameter_values)
-            return int(indices.shape[0]), None
-        if self.iteration_op is None:
+        if self.chunk_op is None and self.iteration_op is None:
             raise EngineError(
                 "plan has no Python operations to fall back on (native-only plan "
                 "whose compiled library could not be loaded in this worker)"
             )
-        count = 0
-        for index_tuple in self.chunk_indices(first_pc, last_pc):
-            self.iteration_op(data, index_tuple, self.parameter_values)
-            count += 1
-        return count, None
+        indices = self.batch.recover_range(first_pc, last_pc, self.parameter_values)
+        if self.chunk_op is not None:
+            self.chunk_op(data, indices, self.parameter_values)
+        else:
+            for row in indices.tolist():
+                self.iteration_op(data, tuple(row), self.parameter_values)
+        return int(indices.shape[0]), None
 
 
 def _next_span(spans, own: bool, done: int, counter) -> Optional[Tuple[int, int, int]]:

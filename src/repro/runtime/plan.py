@@ -65,12 +65,14 @@ def per_iteration_work(
 
     The cost model's ``work_below(depth)`` polynomial (the Ehrhart count of
     the non-collapsed inner loops) is specialised to the parameter values,
-    compiled to NumPy straight-line code, and evaluated over the indices the
-    batch recovery produces for the whole ``pc`` range — the same vectorized
-    machinery the execution fast path uses, here powering the scheduler.
-    The recovered indices are exact at any magnitude (the batch path's
-    integer bracket pass), so adaptive chunk cuts are placed on true
-    iteration coordinates even for domains past the float64 mantissa.
+    compiled to NumPy straight-line code, and evaluated over the indices of
+    the whole ``pc`` range.  Those come from the engine's own range walk
+    (:meth:`BatchRecovery.recover_range <repro.core.batch.BatchRecovery.recover_range>`):
+    two exact endpoint recoveries, then integer enumeration of every row
+    between them, so the cut costs O(total) integer adds and no root
+    evaluation.  The indices are exact at any magnitude, so adaptive chunk
+    cuts are placed on true iteration coordinates even for domains past the
+    float64 mantissa.
     """
     model = cost_model or CostModel(collapsed.nest)
     total = collapsed.total_iterations(parameter_values)

@@ -17,17 +17,21 @@ from repro.ir import Loop, LoopNest
 
 
 def exhaustive_match(nest: LoopNest, parameter_values, depth=None) -> BatchStats:
-    """Assert batch recovery equals the scalar path on the whole domain."""
+    """Assert the range walk and the per-pc solver both equal the scalar
+    path on the whole domain; returns the solver's counters."""
     collapsed = collapse(nest, depth)
     total = collapsed.total_iterations(parameter_values)
+    recoverer = batch_recovery(collapsed)
     stats = BatchStats()
-    recovered = batch_recovery(collapsed).recover_range(1, total, parameter_values, stats)
+    solved = recoverer.recover_pcs(np.arange(1, total + 1), parameter_values, stats)
+    recovered = recoverer.recover_range(1, total, parameter_values)
     expected = np.array(
         [collapsed.recover_indices(pc, parameter_values) for pc in range(1, total + 1)]
     )
     assert recovered.dtype == np.int64
     assert recovered.shape == (total, collapsed.depth)
     np.testing.assert_array_equal(recovered, expected)
+    np.testing.assert_array_equal(solved, expected)
     return stats
 
 
@@ -167,8 +171,8 @@ class TestRangesAndValidation:
         collapsed = collapse(correlation_nest)
         stats = BatchStats()
         recoverer = batch_recovery(collapsed)
-        recoverer.recover_range(1, 10, {"N": 10}, stats)
-        recoverer.recover_range(11, 20, {"N": 10}, stats)
+        recoverer.recover_pcs(np.arange(1, 11), {"N": 10}, stats)
+        recoverer.recover_pcs(np.arange(11, 21), {"N": 10}, stats)
         assert stats.iterations == 20
         assert stats.vector_levels == 4  # 2 levels x 2 calls
         merged = stats.merge(stats)

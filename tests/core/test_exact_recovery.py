@@ -303,7 +303,7 @@ class TestNonFiniteSeedsRouteToExactPath:
             recoverer._plans[0], root=_BrokenRoot(recoverer._plans[0].root)
         )
         stats = BatchStats()
-        recovered = recoverer.recover_range(1, total, values, stats)
+        recovered = recoverer.recover_pcs(np.arange(1, total + 1), values, stats)
         expected = np.array(
             [exact_reference_recover(collapsed, pc, values) for pc in range(1, total + 1)]
         )

@@ -1,7 +1,9 @@
 """Compiler discovery, the NativeUnavailable fallback and the on-disk cache."""
 
+import logging
 import os
 import shutil
+import subprocess
 
 import pytest
 
@@ -43,6 +45,59 @@ class TestDiscovery:
     def test_cache_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
         assert cache_dir() == tmp_path / "cache"
+
+
+class TestOpenMPProbe:
+    """A failed ``-fopenmp`` probe degrades native code to one thread, so
+    it must say so: one warning naming the compiler and the reason."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_probe_cache(self):
+        compiler_module.openmp_flags.cache_clear()
+        yield
+        compiler_module.openmp_flags.cache_clear()
+
+    def _probe(self, monkeypatch, caplog, outcome):
+        def fake_run(command, **kwargs):
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return subprocess.CompletedProcess(command, outcome[0], "", outcome[1])
+
+        monkeypatch.setattr(compiler_module.subprocess, "run", fake_run)
+        with caplog.at_level(logging.WARNING, logger="repro.native.compiler"):
+            flags = compiler_module.openmp_flags("fake-cc")
+        return flags, [r for r in caplog.records if r.name == "repro.native.compiler"]
+
+    def test_timeout_warns_and_drops_openmp(self, monkeypatch, caplog):
+        flags, records = self._probe(
+            monkeypatch, caplog, subprocess.TimeoutExpired(["fake-cc"], 60.0)
+        )
+        assert flags == ()
+        assert len(records) == 1 and records[0].levelno == logging.WARNING
+        assert "fake-cc" in records[0].getMessage()
+        assert "timed out" in records[0].getMessage()
+
+    def test_failed_link_warns_with_the_head_of_stderr(self, monkeypatch, caplog):
+        stderr = "probe.c:1:10: fatal error: omp.h: No such file or directory\nline two\n"
+        flags, records = self._probe(monkeypatch, caplog, (1, stderr))
+        assert flags == ()
+        assert len(records) == 1
+        message = records[0].getMessage()
+        assert "fake-cc" in message and "omp.h: No such file or directory" in message
+
+    def test_missing_compiler_binary_warns(self, monkeypatch, caplog):
+        flags, records = self._probe(monkeypatch, caplog, FileNotFoundError("fake-cc"))
+        assert flags == ()
+        assert len(records) == 1 and "fake-cc" in records[0].getMessage()
+
+    def test_working_probe_is_silent_and_warns_once_per_compiler(self, monkeypatch, caplog):
+        flags, records = self._probe(monkeypatch, caplog, (0, ""))
+        assert flags == ("-fopenmp",)
+        assert records == []
+        compiler_module.openmp_flags.cache_clear()
+        self._probe(monkeypatch, caplog, (1, "no"))
+        flags, records = self._probe(monkeypatch, caplog, (1, "no"))  # memoised
+        assert flags == () and len(records) == 1
 
 
 @requires_compiler
