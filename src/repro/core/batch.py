@@ -7,11 +7,13 @@ per-iteration recovery overhead the paper measures (Fig. 10).
 schemes:
 
 * :meth:`~BatchRecovery.recover_range` *walks* a contiguous range (Fig. 4):
-  the exact scalar unranker recovers its first and last tuples, and the
-  rows between them are enumerated level by level from the nest's affine
-  bounds — ``np.repeat`` of each prefix and a segmented ``arange`` — so a
-  chunk costs two recoveries plus O(rows) integer adds.  This is what the
-  engine's workers and the adaptive cut run.
+  its first and last tuples are recovered exactly, each level seeded by the
+  root compiled to scalar straight-line code and certified by the integer
+  bracket on Python ints (:func:`~repro.core.unranking.exact_search`), and
+  the rows between them are enumerated level by level from the nest's
+  affine bounds — ``np.repeat`` of each prefix and a segmented ``arange`` —
+  so a chunk costs two compiled recoveries plus O(rows) integer adds.  This
+  is what the engine's workers and the adaptive cut run.
 * :meth:`~BatchRecovery.recover_pcs` *solves* arbitrary ``pc`` values
   (Fig. 3, vectorized): the root of each level is compiled once into
   straight-line NumPy code (:mod:`repro.symbolic.compile`) and evaluated
@@ -48,13 +50,13 @@ recoveries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..polyhedra import AffineExpr
 from ..symbolic.compile import CompiledExpr, CompiledPolynomial, compile_expr, compile_polynomial
 from .collapse import CollapsedLoop
-from .unranking import FLOOR_EPSILON, IndexRecovery
+from .unranking import FLOOR_EPSILON, IndexRecovery, exact_search, float_seed
 
 try:  # pragma: no cover - exercised implicitly by every test below
     import numpy as np
@@ -128,6 +130,7 @@ class _LevelPlan:
 
     recovery: IndexRecovery
     root: Optional[CompiledExpr]          # numpy-mode closed form (None => bisection)
+    scalar_root: Optional[CompiledExpr]   # the same root in scalar mode (walk endpoints)
     bracket_num: CompiledPolynomial       # integer-mode denominator-cleared bracket
     bracket_den: int                      # bracket == bracket_num / bracket_den
     lower: _ClearedAffine                 # loop lower bound, denominator-cleared
@@ -161,8 +164,8 @@ def _max_abs(value) -> int:
 class BatchRecovery:
     """Vectorized index recovery over a :class:`CollapsedLoop`.
 
-    One instance compiles the closed-form roots (NumPy mode) and the
-    denominator-cleared bracket polynomials (integer mode) of every
+    One instance compiles the closed-form roots (NumPy and scalar mode) and
+    the denominator-cleared bracket polynomials (integer mode) of every
     collapsed level — done once, at construction — and then recovers
     ``pc`` ranges (walked) or arbitrary ``pc`` values (solved) as
     ``(n, depth)`` ``int64`` arrays.  Use :func:`batch_recovery` to get the
@@ -185,24 +188,22 @@ class BatchRecovery:
         self._pc_name = collapsed.pc_name
         self._plans: List[_LevelPlan] = []
         for recovery in collapsed.unranking.recoveries:
-            root = None
+            root = scalar_root = None
             if recovery.method != "bisection" and recovery.expression is not None:
                 root = compile_expr(recovery.expression, mode="numpy")
+                scalar_root = compile_expr(recovery.expression, mode="scalar")
             bracket_num = compile_polynomial(recovery.bracket_numerator, mode="integer")
             self._plans.append(
                 _LevelPlan(
                     recovery=recovery,
                     root=root,
+                    scalar_root=scalar_root,
                     bracket_num=bracket_num,
                     bracket_den=recovery.bracket_denominator,
                     lower=_ClearedAffine.of(recovery.lower),
                     upper=_ClearedAffine.of(recovery.upper),
                 )
             )
-        # the walk's two endpoints come from the scalar unranker; it must
-        # run its exact bracket correction whatever ``guard`` the loop has
-        unranking = collapsed.unranking
-        self._endpoints = unranking if unranking.guard else replace(unranking, guard=True)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -228,8 +229,8 @@ class BatchRecovery:
         ``recover_indices(first_pc + k, parameter_values)``.
 
         This is the paper's Fig. 4 scheme, vectorised: only the range's two
-        endpoints are recovered (the exact scalar unranker, big-int
-        brackets); the rows between them are enumerated like the original
+        endpoints are recovered (:meth:`_endpoint`: compiled seeds, exact
+        big-int brackets); the rows between them are enumerated like the original
         nest increments, level by level (:meth:`_walk`), at the cost of a
         few integer array passes per row instead of a root evaluation and a
         bracket pass per row.  A range whose bound arithmetic could wrap
@@ -244,8 +245,8 @@ class BatchRecovery:
         environment: Dict[str, object] = {
             name: int(value) for name, value in parameter_values.items()
         }
-        first = self._endpoints.recover(first_pc, parameter_values)
-        last = first if last_pc == first_pc else self._endpoints.recover(last_pc, parameter_values)
+        first = self._endpoint(first_pc, environment)
+        last = first if last_pc == first_pc else self._endpoint(last_pc, environment)
         if not self._walk_is_safe(first, last, environment):
             return self.recover_pcs(
                 np.arange(first_pc, last_pc + 1, dtype=np.int64), parameter_values, stats
@@ -304,6 +305,40 @@ class BatchRecovery:
     # ------------------------------------------------------------------ #
     # range walk (Fig. 4)
     # ------------------------------------------------------------------ #
+    def _endpoint(self, pc: int, parameters: Mapping[str, int]) -> Tuple[int, ...]:
+        """The exact indices of rank ``pc``, one level at a time.
+
+        Each level's compiled scalar root gives the seed and the compiled
+        integer bracket, called on Python ints, certifies or corrects it in
+        :func:`~repro.core.unranking.exact_search`, so the tuple equals
+        ``UnrankingFunction.recover`` at any magnitude and whatever
+        ``guard`` the loop was built with.  A level without a closed form,
+        or whose seed is non-finite or raises, is bisected exactly.
+        """
+        environment: Dict[str, object] = dict(parameters)
+        environment[self._pc_name] = pc
+        indices: List[int] = []
+        for plan in self._plans:
+            iterator = plan.recovery.iterator
+
+            def bracket(x: int) -> int:
+                environment[iterator] = x
+                return plan.bracket_num.evaluate(environment)
+
+            seed = None
+            if plan.scalar_root is not None:
+                seed = float_seed(plan.scalar_root.evaluate, environment)
+            value = exact_search(
+                bracket,
+                pc * plan.bracket_den,
+                plan.lower.ceil(environment),
+                plan.upper.ceil(environment) - 1,
+                seed,
+            )
+            environment[iterator] = value
+            indices.append(value)
+        return tuple(indices)
+
     def _walk_is_safe(self, first, last, environment: Mapping[str, int]) -> bool:
         """A-priori proof that every bound of the walk fits in ``int64``.
 

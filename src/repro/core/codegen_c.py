@@ -155,7 +155,7 @@ def _c_recovery_lines(collapsed: CollapsedLoop, guard: bool = True) -> List[str]
 
 
 def _bisection_search_lines(recovery, indent: str) -> List[str]:
-    """The exact-search loop of ``UnrankingFunction._bisect`` as C statements.
+    """The bisection loop of :func:`~repro.core.unranking.exact_search` as C statements.
 
     Finds the largest index with cleared-bracket value ``<= repro_rank``
     between the ``repro_lo``/``repro_hi`` bounds already in scope; every

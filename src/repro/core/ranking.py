@@ -19,9 +19,9 @@ exactly 1 from one iteration to the lexicographically next one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..ir import LoopNest, enumerate_iterations
 from ..polyhedra.counting import loop_nest_count, prefix_counts
@@ -30,6 +30,10 @@ from ..symbolic.summation import sum_over_range
 
 #: Name used for the fresh summation variable introduced at each level.
 _SUMMATION_VARIABLE = "__rank_sum"
+
+#: Parameter tuples whose trip count one ranking polynomial remembers; the
+#: oldest is dropped beyond this.
+_TOTALS_LIMIT = 64
 
 
 def ranking_polynomial(nest: LoopNest, depth: Optional[int] = None) -> "RankingPolynomial":
@@ -70,6 +74,12 @@ class RankingPolynomial:
     depth: int
     polynomial: Polynomial
     total: Polynomial
+    #: trip count per parameter tuple (in ``nest.parameters`` order): the
+    #: ``Fraction`` evaluation of ``total`` runs once per size, not once per
+    #: chunk, range check or native call
+    _totals: Dict[Tuple[object, ...], int] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -96,13 +106,19 @@ class RankingPolynomial:
 
     def total_iterations(self, parameter_values: Mapping[str, int]) -> int:
         """Trip count of the collapsed loop for concrete parameter values."""
-        value = self.total.evaluate(parameter_values)
-        count = int(value)
+        key = tuple(parameter_values.get(name) for name in self.nest.parameters)
+        count = self._totals.get(key)
+        if count is not None:
+            return count
+        count = int(self.total.evaluate(parameter_values))
         if count < 0:
             raise ValueError(
                 f"total iteration count {count} is negative; the domain is empty or "
                 "degenerate for these parameter values"
             )
+        if len(self._totals) >= _TOTALS_LIMIT:
+            self._totals.pop(next(iter(self._totals)))
+        self._totals[key] = count
         return count
 
     def partial_rank_polynomial(self, level: int) -> Polynomial:

@@ -27,13 +27,18 @@ Two robustness mechanisms extend the paper's scheme without changing it:
 * an *exact bisection fallback* for levels whose equation degree exceeds 4
   (outside the paper's scope), whose symbolic root cannot be validated, or
   whose float seed is non-finite (degenerate branch, overflow).
+
+Both run through :func:`exact_search`, the one scalar seed-then-correct
+routine: :class:`UnrankingFunction` feeds it symbolic evaluations (it is the
+exact reference the tests and the sweep compare against), and the batch
+walk's endpoints (:mod:`repro.core.batch`) feed it compiled ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir import LoopNest, enumerate_iterations
 from ..polyhedra import AffineExpr
@@ -52,6 +57,63 @@ FLOOR_EPSILON = 1e-9
 
 class UnrankingError(ValueError):
     """Raised when no valid recovery can be constructed for some index."""
+
+
+def float_seed(evaluate: Callable[[Mapping[str, object]], complex], assignment) -> Optional[int]:
+    """``floor(Re(root))`` of a closed-form root, or ``None`` when it has none.
+
+    ``evaluate`` is the root's symbolic or compiled evaluation.  A branch
+    that degenerates (division by zero) or leaves the finite float range
+    (``inf``/``nan`` floor to ``OverflowError``/``ValueError``) gives no
+    seed, and the exact search then runs over the whole index range.
+    """
+    try:
+        return math.floor(evaluate(assignment).real + FLOOR_EPSILON)
+    except (ArithmeticError, ValueError):
+        return None
+
+
+def exact_search(
+    bracket: Callable[[int], int],
+    rank: int,
+    lower: int,
+    upper: int,
+    seed: Optional[int] = None,
+) -> int:
+    """Largest ``x`` in ``[lower, upper]`` with ``bracket(x) <= rank``, exactly.
+
+    The one seed-then-correct routine of every scalar recovery: ``bracket``
+    is a level's denominator-cleared bracket numerator at ``x`` (an exact
+    integer) and ``rank`` is ``pc`` times its denominator.  A ``seed`` (the
+    floored float root) is validated against ``num(x) <= rank < num(x + 1)``
+    and returned after two evaluations when right; on a miss the window the
+    check leaves open is bisected, ``O(log error)`` evaluations.  Without a
+    seed the whole range is bisected, and a range that is empty or starts
+    above ``rank`` raises :class:`UnrankingError`.
+    """
+    lo, hi = lower, upper
+    if seed is None:
+        if lower > upper:
+            raise UnrankingError(f"empty index range [{lower}, {upper}]")
+        if bracket(lower) > rank:
+            raise UnrankingError("the rank lies below the first index of the range")
+    elif lower > upper:  # degenerate empty range: preserve the clamp
+        return upper
+    else:
+        value = min(max(seed, lower), upper)
+        if bracket(value) <= rank:
+            if value >= upper or bracket(value + 1) > rank:
+                return value
+            lo = value  # seed too low: the true index lies in [value + 1, upper]
+        else:
+            hi = value - 1  # seed too high: the true index lies in [lower, value - 1]
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if bracket(mid) <= rank:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 @dataclass(frozen=True)
@@ -115,89 +177,23 @@ class UnrankingFunction:
     def _recover_level(self, recovery: IndexRecovery, pc: int, environment: Dict[str, int]) -> int:
         lower = math.ceil(recovery.lower.evaluate(environment))
         upper = math.ceil(recovery.upper.evaluate(environment)) - 1  # inclusive
-        if recovery.method == "bisection" or recovery.expression is None:
-            return self._bisect(recovery, pc, environment, lower, upper)
-        assignment = dict(environment)
-        assignment[self.pc_name] = pc
+        seed = None
+        if recovery.method != "bisection" and recovery.expression is not None:
+            assignment = dict(environment)
+            assignment[self.pc_name] = pc
+            seed = float_seed(recovery.expression.evaluate, assignment)
+            if seed is not None and not self.guard:
+                return seed
+
+        def bracket(x: int) -> int:
+            assignment = dict(environment)
+            assignment[recovery.iterator] = x
+            return recovery.bracket_numerator.evaluate_int(assignment)
+
         try:
-            root = recovery.expression.evaluate(assignment)
-            value = math.floor(root.real + FLOOR_EPSILON)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            # the chosen branch degenerates (division by zero) or the float
-            # evaluation leaves the finite range — the exact search still
-            # recovers the right index
-            return self._bisect(recovery, pc, environment, lower, upper)
-        if self.guard:
-            value = self._corrected(recovery, pc, environment, value, lower, upper)
-        return value
-
-    def _bracket_num(self, recovery: IndexRecovery, environment: Mapping[str, int], x: int) -> int:
-        """Exact integer value of the denominator-cleared bracket at ``x``."""
-        assignment = dict(environment)
-        assignment[recovery.iterator] = x
-        return recovery.bracket_numerator.evaluate_int(assignment)
-
-    def _corrected(
-        self,
-        recovery: IndexRecovery,
-        pc: int,
-        environment: Mapping[str, int],
-        seed: int,
-        lower: int,
-        upper: int,
-    ) -> int:
-        """Exact seed-then-correct: validate the float ``seed`` against the
-        integer bracket ``num(x) <= pc * den < num(x + 1)`` and, on a miss,
-        bisect the window the check leaves open.
-
-        A correct seed returns after two exact evaluations; a seed off by
-        ``e`` costs ``O(log)`` evaluations — bounded, unlike a linear walk.
-        """
-        if lower > upper:  # degenerate empty range: preserve the clamp
-            return min(max(seed, lower), upper)
-        rank = pc * recovery.bracket_denominator
-        lo, hi = lower, upper
-        value = min(max(seed, lower), upper)
-        if self._bracket_num(recovery, environment, value) <= rank:
-            if value >= upper or self._bracket_num(recovery, environment, value + 1) > rank:
-                return value
-            lo = value  # seed too low: the true index lies in [value + 1, upper]
-        else:
-            hi = value - 1  # seed too high: the true index lies in [lower, value - 1]
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._bracket_num(recovery, environment, mid) <= rank:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def _bisect(
-        self,
-        recovery: IndexRecovery,
-        pc: int,
-        environment: Mapping[str, int],
-        lower: int,
-        upper: int,
-    ) -> int:
-        """Largest index with ``r(prefix, x, lexmins) <= pc`` by exact bisection."""
-        if lower > upper:
-            raise UnrankingError(
-                f"empty range for iterator {recovery.iterator!r} while unranking pc={pc}"
-            )
-        rank = pc * recovery.bracket_denominator
-        lo, hi = lower, upper
-        if self._bracket_num(recovery, environment, lo) > rank:
-            raise UnrankingError(
-                f"pc={pc} is below the rank of the first iteration of {recovery.iterator!r}"
-            )
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._bracket_num(recovery, environment, mid) <= rank:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+            return exact_search(bracket, pc * recovery.bracket_denominator, lower, upper, seed)
+        except UnrankingError as error:
+            raise UnrankingError(f"{error} for iterator {recovery.iterator!r} at pc={pc}") from None
 
     # ------------------------------------------------------------------ #
     # introspection / validation

@@ -27,6 +27,7 @@ translate into an explicit skip, never a crash.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import logging
 import os
@@ -274,6 +275,31 @@ def compile_shared_library(
             f"compilation failed ({' '.join(command)}):\n{result.stderr.strip()}"
         )
     os.replace(scratch, library)
+    return library
+
+
+def compile_loadable_library(
+    source: str,
+    tag: str = "collapsed",
+    extra_flags: Sequence[str] = (),
+    sanitize: Optional[str] = None,
+) -> Path:
+    """:func:`compile_shared_library`, checked to ``dlopen`` in this process.
+
+    A cached library that fails to load (truncated by a crash or a full
+    disk, overwritten by a foreign file) is deleted and compiled again
+    once, with one warning naming the path and the loader's error; a
+    library that still fails to load raises the loader's ``OSError``.
+    """
+    library = compile_shared_library(source, tag, extra_flags, sanitize)
+    try:
+        ctypes.CDLL(str(library))
+        return library
+    except OSError as error:
+        _log.warning("native library %s failed to load, recompiling it: %s", library, error)
+        library.unlink(missing_ok=True)
+    library = compile_shared_library(source, tag, extra_flags, sanitize)
+    ctypes.CDLL(str(library))
     return library
 
 

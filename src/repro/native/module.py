@@ -45,7 +45,7 @@ from ..core import CollapsedLoop
 from ..core.codegen_c import generate_translation_unit
 from ..openmp.schedule import Chunk, ScheduleSpec
 from ..runtime.engine import RunResult
-from .compiler import compile_shared_library, default_sanitize, effective_flags
+from .compiler import compile_loadable_library, default_sanitize, effective_flags
 
 _LONGLONG_P = ctypes.POINTER(ctypes.c_longlong)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
@@ -456,7 +456,9 @@ def compile_collapsed(
     artefact* is part of the key, so e.g. a schedule, flag or sanitizer
     change can never hand back a stale module — and the
     underlying ``.so`` is additionally cached on disk by source-plus-
-    command-line hash, so a warm start never invokes the compiler.  Raises
+    command-line hash, so a warm start never invokes the compiler (a cached
+    ``.so`` that fails to load is rebuilt once, see
+    :func:`~repro.native.compiler.compile_loadable_library`).  Raises
     :class:`~repro.native.compiler.NativeUnavailable` without a compiler.
     """
     spec = ScheduleSpec.parse(schedule)
@@ -476,7 +478,7 @@ def compile_collapsed(
         collapsed, body=body, arrays=arrays, schedule=spec, guard=guard,
         array_ndims=array_ndims,
     )
-    library = compile_shared_library(
+    library = compile_loadable_library(
         source, tag=collapsed.nest.name, extra_flags=flags, sanitize=sanitize
     )
     from ..core.codegen_c import resolve_array_ndims

@@ -50,10 +50,11 @@ _ENGINE_IDS = itertools.count(1)
 _log = logging.getLogger(__name__)
 
 #: seconds one chunk may run before the parent declares the pool wedged:
-#: the deadline restarts whenever the shared counter shows a new chunk
-#: started, so it bounds a single chunk, not a worker's whole share;
-#: generous, because a chunk may legitimately carry a large fraction of a
-#: long kernel run.
+#: the deadline arms when the run's first chunk starts and restarts whenever
+#: the shared counter shows a new chunk started, so it bounds a single
+#: chunk, not a worker's whole share nor a pool's start-up and plan
+#: registration; generous, because a chunk may legitimately carry a large
+#: fraction of a long kernel run.
 DEFAULT_TASK_TIMEOUT = 300.0
 
 
@@ -172,8 +173,9 @@ class _WorkerPlan:
         or bind failure (the cache wiped between compile and dispatch, data
         the C ABI cannot take — wrong dtype/rank) degrades to the Python
         operations, which compute the identical result — hybrid is a speed
-        contract, not a semantic one.  Only a plan with *no* Python
-        operations re-raises, because nothing could execute its chunks.
+        contract, not a semantic one — and logs one warning naming the
+        library and the error.  Only a plan with *no* Python operations
+        re-raises, because nothing could execute its chunks.
         """
         self.native_runner = None
         if self.native is None or self.buffers is None:
@@ -183,9 +185,15 @@ class _WorkerPlan:
         try:
             runner = NativeChunkRunner(self.native)
             runner.bind(self.buffers.arrays, self.parameter_values)
-        except (OSError, NativeExecutionError):
+        except (OSError, NativeExecutionError) as error:
             if self.iteration_op is None and self.chunk_op is None:
                 raise  # native-only plan: surfaced at the first chunk
+            _log.warning(
+                "native library %s unusable in this worker, running its chunks "
+                "through the Python operations: %s",
+                self.native.library_path,
+                error,
+            )
             # fall back to the Python ops for *these* buffers only — the
             # spec stays, so the next attach (new buffers, restored cache)
             # retries the native binding
@@ -485,14 +493,16 @@ class RuntimeEngine:
         Waits in short slices so a worker that *died* (killed, or crashed on
         a message it could not even unpickle — e.g. a function defined after
         the pool forked) surfaces as an immediate :class:`EngineError`
-        instead of a silent hang.  The ``task_timeout`` deadline restarts
-        whenever the shared counter shows a new chunk started, so it bounds
-        one chunk.  A reply of another run is dropped.
+        instead of a silent hang.  The ``task_timeout`` deadline arms when
+        the shared counter shows the first chunk started and restarts at
+        each later one, so it bounds one chunk; a freshly spawned worker
+        still importing or building the plan has started none.  A reply of
+        another run is dropped.
         """
         assert self._results is not None and self._counter is not None
         replies: List[tuple] = []
         started = 0
-        deadline = time.monotonic() + self.task_timeout
+        deadline = 0.0
         while waiting:
             try:
                 reply = self._results.get(timeout=min(0.5, self.task_timeout))
@@ -507,7 +517,7 @@ class RuntimeEngine:
                 progress = self._counter.value
                 if progress != started:
                     started, deadline = progress, time.monotonic() + self.task_timeout
-                elif time.monotonic() >= deadline:
+                elif started and time.monotonic() >= deadline:
                     raise EngineError(
                         f"no result within {self.task_timeout}s of the last chunk start"
                     ) from None

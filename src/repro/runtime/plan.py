@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import pickle
 from dataclasses import dataclass, field
+from time import monotonic
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +38,7 @@ from ..openmp.costmodel import CostModel
 from ..openmp.schedule import Chunk, ScheduleKind, ScheduleSpec, schedule_chunks
 from ..symbolic.compile import compile_polynomial
 from .profile import (
+    FLUSH_EVERY_S,
     ProfileError,
     default_profile_store,
     profile_guided_chunks,
@@ -166,12 +168,16 @@ class ExecutionPlan:
     #: ``adaptive`` policy re-cuts its chunks from *measured* chunk seconds
     #: instead of the analytic cost model
     profile_key: Optional[str] = None
-    #: chunk partitions per worker count, memoised with the profile-store
-    #: change token they were cut against — plans are immutable and the
-    #: adaptive cut walks the whole pc range, so dispatch must not repay it;
-    #: but a fresh measurement (new token) invalidates the memo, which is
-    #: how the measure→schedule loop closes between runs
-    _chunk_cache: Dict[int, Tuple[int, List[Chunk]]] = field(
+    #: chunk partitions per worker count, memoised as ``(token, chunks,
+    #: cut_at, measured)``: the profile-store change token they were cut
+    #: against, the ``monotonic()`` time of the cut, and whether measured
+    #: segments shaped it.  Plans are immutable and the adaptive cut walks
+    #: the whole pc range, so dispatch must not repay it on every call; a
+    #: new token replaces a cut the cost model made at once, and a measured
+    #: cut once :data:`~repro.runtime.profile.FLUSH_EVERY_S` has passed
+    #: since it was made — how the measure→schedule loop closes between
+    #: runs without re-cutting after each one
+    _chunk_cache: Dict[int, Tuple[int, List[Chunk], float, bool]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -193,18 +199,25 @@ class ExecutionPlan:
         already covers);
         the classic kinds delegate to :func:`repro.openmp.schedule_chunks`.
         Partitions are memoised per worker count against the profile
-        store's change token — a new measurement (this process's, or one
-        another process flushed) re-cuts; an unchanged store costs one
-        in-memory lookup per dispatch.
+        store's change token, and an unchanged store costs one in-memory
+        lookup per dispatch.  A new measurement (this process's, or one
+        another process flushed) re-cuts on the store's flush cadence: a cut
+        the cost model made from a cold store is replaced as soon as the
+        first measurement exists; a cut made from measurements is replaced
+        once :data:`~repro.runtime.profile.FLUSH_EVERY_S` has passed since
+        it was made, so warm calls do not re-cut after every run.
         """
         adaptive = self.schedule.kind is ScheduleKind.ADAPTIVE
         token = 0
         if adaptive and self.profile_key is not None:
             token = default_profile_store().token(self.profile_key)
         cached = self._chunk_cache.get(workers)
-        if cached is not None and cached[0] == token:
-            return list(cached[1])
+        if cached is not None:
+            cut_token, cut, cut_at, measured = cached
+            if cut_token == token or (measured and monotonic() - cut_at < FLUSH_EVERY_S):
+                return list(cut)
         total = self.total_iterations
+        measured = False
         if adaptive:
             chunks = []
             if token:
@@ -215,6 +228,7 @@ class ExecutionPlan:
                 )
                 count = min(total, max(1, workers * max(1, self.oversubscribe)))
                 chunks = profile_guided_chunks(segments, total, count)
+                measured = bool(chunks)
             if not chunks:  # cold store (or unusable measurements): a priori model
                 chunks = adaptive_chunks(
                     self.collapsed,
@@ -228,7 +242,7 @@ class ExecutionPlan:
             chunks = schedule_chunks(ScheduleSpec(ScheduleKind.DYNAMIC, chunk), total, workers)
         else:
             chunks = schedule_chunks(self.schedule, total, workers)
-        self._chunk_cache[workers] = (token, chunks)
+        self._chunk_cache[workers] = (token, chunks, monotonic(), measured)
         return list(chunks)
 
     def payload(self) -> dict:

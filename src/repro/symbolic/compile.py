@@ -82,15 +82,22 @@ class _Emitter:
         self._memo: Dict[object, str] = {}
         self._counter = 0
 
-    def assign(self, key: object, rhs: str) -> str:
-        """Bind ``rhs`` to a fresh temporary, reusing it for an equal ``key``."""
-        cached = self._memo.get(key)
+    def assign(self, rhs: str) -> str:
+        """Bind ``rhs`` to a fresh temporary, reusing the one of an equal ``rhs``.
+
+        ``rhs`` names only variables, literals and earlier temporaries, so
+        equal text is an equal value: keying on it shares every repeated
+        sub-expression, and hashing a short string is much cheaper than
+        re-hashing a whole ``Expr`` sub-tree (its nodes do not cache their
+        hashes).
+        """
+        cached = self._memo.get(rhs)
         if cached is not None:
             return cached
         name = f"_t{self._counter}"
         self._counter += 1
         self.lines.append(f"{name} = {rhs}")
-        self._memo[key] = name
+        self._memo[rhs] = name
         return name
 
 
@@ -106,41 +113,41 @@ def _emit_expr(expr: Expr, emitter: _Emitter, mode: str) -> str:
         # instead of NumPy's real-domain nan
         suffix = " + 0j" if mode == "numpy" else ""
         if value.denominator == 1:
-            return emitter.assign(expr, f"({value.numerator}{suffix})")
-        return emitter.assign(expr, f"({value.numerator} / {value.denominator}{suffix})")
+            return emitter.assign(f"({value.numerator}{suffix})")
+        return emitter.assign(f"({value.numerator} / {value.denominator}{suffix})")
     if isinstance(expr, Var):
         return expr.name  # bound (and coerced) in the function prologue
     if isinstance(expr, Add):
         parts = [_emit_expr(op, emitter, mode) for op in expr.operands]
-        return emitter.assign(expr, " + ".join(parts))
+        return emitter.assign(" + ".join(parts))
     if isinstance(expr, Mul):
         parts = [_emit_expr(op, emitter, mode) for op in expr.operands]
-        return emitter.assign(expr, " * ".join(parts))
+        return emitter.assign(" * ".join(parts))
     if isinstance(expr, Pow):
         base = _emit_expr(expr.base, emitter, mode)
         exponent = expr.exponent
         if exponent == Fraction(1, 2):
             fn = "_sqrt" if mode == "scalar" else "_np.sqrt"
-            return emitter.assign(expr, f"{fn}({base})")
+            return emitter.assign(f"{fn}({base})")
         if exponent.denominator == 1:
-            return emitter.assign(expr, f"{base} ** ({int(exponent)})")
+            return emitter.assign(f"{base} ** ({int(exponent)})")
         # arbitrary rational exponent through a complex power, as in
         # Expr.evaluate / the paper's cpow-generated C (Fig. 7)
         if mode == "scalar":
             return emitter.assign(
-                expr, f"{base} ** complex({exponent.numerator} / {exponent.denominator})"
+                f"{base} ** complex({exponent.numerator} / {exponent.denominator})"
             )
-        return emitter.assign(expr, f"{base} ** ({exponent.numerator} / {exponent.denominator})")
+        return emitter.assign(f"{base} ** ({exponent.numerator} / {exponent.denominator})")
     if isinstance(expr, Floor):
         operand = _emit_expr(expr.operand, emitter, mode)
         if mode == "scalar":
-            return emitter.assign(expr, f"complex(_floor(({operand}).real))")
-        return emitter.assign(expr, f"_np.floor(_np.real({operand}))")
+            return emitter.assign(f"complex(_floor(({operand}).real))")
+        return emitter.assign(f"_np.floor(_np.real({operand}))")
     if isinstance(expr, RealPart):
         operand = _emit_expr(expr.operand, emitter, mode)
         if mode == "scalar":
-            return emitter.assign(expr, f"complex(({operand}).real)")
-        return emitter.assign(expr, f"_np.real({operand})")
+            return emitter.assign(f"complex(({operand}).real)")
+        return emitter.assign(f"_np.real({operand})")
     raise CompileError(f"cannot compile expression node of type {type(expr).__name__}")
 
 
@@ -211,21 +218,19 @@ def _emit_polynomial(poly: Polynomial, emitter: _Emitter, mode: str) -> str:
     """Emit a polynomial as a sum of monomial products over shared powers."""
     terms = sorted(poly.terms().items(), key=lambda kv: kv[0].sort_key(), reverse=True)
     if not terms:
-        return emitter.assign(("const", 0), "0")
+        return emitter.assign("0")
 
     def power_of(var: str, exp: int) -> str:
         if exp == 1:
             return var
-        return emitter.assign(("pow", var, exp), f"{var} ** {exp}")
+        return emitter.assign(f"{var} ** {exp}")
 
     addends: List[str] = []
     for monomial, coefficient in terms:
         factors: List[str] = []
         if coefficient.denominator == 1:
             if coefficient != 1 or monomial.is_constant():
-                factors.append(
-                    emitter.assign(("const", coefficient), f"({coefficient.numerator})")
-                )
+                factors.append(emitter.assign(f"({coefficient.numerator})"))
         elif mode == "integer":
             raise CompileError(
                 f"mode='integer' requires integer coefficients; got {coefficient} "
@@ -233,22 +238,16 @@ def _emit_polynomial(poly: Polynomial, emitter: _Emitter, mode: str) -> str:
             )
         elif mode == "scalar":
             factors.append(
-                emitter.assign(
-                    ("const", coefficient),
-                    f"_Q({coefficient.numerator}, {coefficient.denominator})",
-                )
+                emitter.assign(f"_Q({coefficient.numerator}, {coefficient.denominator})")
             )
         else:
             factors.append(
-                emitter.assign(
-                    ("const", coefficient),
-                    f"({coefficient.numerator} / {coefficient.denominator})",
-                )
+                emitter.assign(f"({coefficient.numerator} / {coefficient.denominator})")
             )
         for var, exp in monomial.powers:
             factors.append(power_of(var, exp))
-        addends.append(emitter.assign(("term", monomial), " * ".join(factors)))
-    return emitter.assign(("sum", poly), " + ".join(addends))
+        addends.append(emitter.assign(" * ".join(factors)))
+    return emitter.assign(" + ".join(addends))
 
 
 @dataclass(frozen=True)

@@ -157,3 +157,53 @@ def test_property_rank_of_successor_increments_by_one(n):
     iterations = list(enumerate_iterations(nest, values))
     for first, second in zip(iterations, iterations[1:]):
         assert ranking.rank(second, values) == ranking.rank(first, values) + 1
+
+
+class TestTripCountMemo:
+    """``total_iterations`` evaluates the ``Fraction`` total once per size."""
+
+    def test_every_parameter_is_part_of_the_key(self, trapezoidal_nest):
+        ranking = ranking_polynomial(trapezoidal_nest)
+        for values in ({"N": 8, "M": 4}, {"N": 8, "M": 5}, {"N": 9, "M": 5}, {"N": 8, "M": 4}):
+            expected = sum(1 for _ in enumerate_iterations(trapezoidal_nest, values))
+            assert ranking.total_iterations(values) == expected, values
+
+    def test_a_repeated_size_skips_the_evaluation(self, monkeypatch, trapezoidal_nest):
+        ranking = ranking_polynomial(trapezoidal_nest)
+        calls = []
+        original = Polynomial.evaluate
+
+        def counting(self, assignment):
+            calls.append(dict(assignment))
+            return original(self, assignment)
+
+        monkeypatch.setattr(Polynomial, "evaluate", counting)
+        first = ranking.total_iterations({"N": 30, "M": 7})
+        assert [ranking.total_iterations({"M": 7, "N": 30}) for _ in range(5)] == [first] * 5
+        assert len(calls) == 1
+
+    def test_the_memo_is_bounded(self, correlation_nest):
+        from repro.core.ranking import _TOTALS_LIMIT
+
+        ranking = ranking_polynomial(correlation_nest)
+        for n in range(2, 2 + 3 * _TOTALS_LIMIT):
+            assert ranking.total_iterations({"N": n}) == n * (n - 1) // 2
+        assert len(ranking._totals) == _TOTALS_LIMIT
+        assert ranking.total_iterations({"N": 2}) == 1  # evicted, recomputed exactly
+
+    def test_errors_are_not_memoised(self, correlation_nest):
+        ranking = ranking_polynomial(correlation_nest, depth=1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="negative"):
+                ranking.total_iterations({"N": 0})
+            with pytest.raises(KeyError):
+                ranking.total_iterations({})
+        assert ranking._totals == {}
+
+    def test_memo_stays_out_of_equality_hashing_and_repr(self, correlation_nest):
+        warm = ranking_polynomial(correlation_nest)
+        cold = ranking_polynomial(correlation_nest)
+        warm.total_iterations({"N": 12})
+        assert warm._totals and not cold._totals
+        assert warm == cold and hash(warm) == hash(cold)
+        assert "_totals" not in repr(warm)

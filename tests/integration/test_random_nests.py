@@ -451,10 +451,11 @@ def huge_simplex_cases(draw):
 @given(case=huge_simplex_cases())
 def test_property_recovery_is_exact_straddling_2_to_45(case, exact_reference_recover):
     """Differential property: at probe ranks spanning both sides of 2^45,
-    the scalar recovery, the batch recovery (the python/engine substrate)
-    and — where a compiler exists — the compiled ``repro_recover_range``
-    and the hybrid ``repro_run_range`` seed all agree with an independent
-    big-int reference."""
+    the scalar recovery, the batch recovery (the python/engine substrate),
+    the range walk's compiled endpoints (a one-pc range and a window ending
+    at the probe) and — where a compiler exists — the compiled
+    ``repro_recover_range`` and the hybrid ``repro_run_range`` seed all
+    agree with an independent big-int reference."""
     import numpy as np
 
     from repro.core import batch_recovery
@@ -474,9 +475,15 @@ def test_property_recovery_is_exact_straddling_2_to_45(case, exact_reference_rec
     pcs = sorted(pc for pc in pcs if 1 <= pc <= total)
 
     expected = [exact_reference_recover(collapsed, pc, values) for pc in pcs]
-    batch = batch_recovery(collapsed).recover_pcs(np.array(pcs, dtype=np.int64), values)
+    recoverer = batch_recovery(collapsed)
+    batch = recoverer.recover_pcs(np.array(pcs, dtype=np.int64), values)
     assert [tuple(row) for row in batch] == expected
     assert [collapsed.recover_indices(pc, values) for pc in pcs] == expected
+    for pc, indices in zip(pcs, expected):
+        assert tuple(recoverer.recover_range(pc, pc, values)[0]) == indices, pc
+        if pc > 1:
+            window = [tuple(row) for row in recoverer.recover_range(pc - 1, pc, values)]
+            assert window == [exact_reference_recover(collapsed, pc - 1, values), indices], pc
 
     from repro.native import native_available
 

@@ -140,6 +140,43 @@ class TestCompilationCache:
         assert not any(self.cache.glob("*.so"))
 
 
+@requires_compiler
+class TestCorruptCachedLibrary:
+    """A cached ``.so`` that no longer loads is rebuilt, not an ``OSError``."""
+
+    def test_truncated_library_recompiles_and_warns(self, monkeypatch, tmp_path, caplog):
+        from repro.core import collapse
+        from repro.core.codegen_c import generate_translation_unit
+        from repro.ir import Loop, LoopNest
+        from repro.native import clear_module_cache, compile_collapsed, default_sanitize
+        from repro.openmp import ScheduleSpec
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        # a name of its own: a path this process never loaded, so the
+        # loader really reads the file instead of reusing a mapped image
+        nest = LoopNest(
+            [Loop.make("i", 0, "N"), Loop.make("j", "i", "N")],
+            parameters=["N"],
+            name=f"truncated_{tmp_path.name}",
+        )
+        collapsed = collapse(nest)
+        source = generate_translation_unit(collapsed, schedule=ScheduleSpec.parse("static"))
+        library = compile_shared_library(source, tag=nest.name, sanitize=default_sanitize())
+        library.write_bytes(library.read_bytes()[:64])  # a crash mid-write
+        clear_module_cache()
+
+        with caplog.at_level(logging.WARNING, logger="repro.native.compiler"):
+            module = compile_collapsed(collapsed)
+        assert module.library_path == library
+        assert module.total({"N": 10}) == 55
+        warnings = [r for r in caplog.records if r.name == "repro.native.compiler"]
+        assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
+        message = warnings[0].getMessage()
+        assert str(library) in message and "recompiling" in message
+        assert library.stat().st_size > 64
+        clear_module_cache()
+
+
 #: identical source whose behavior is decided entirely by a -D flag — the
 #: shape of the stale-.so bug: a key that hashes only the source would
 #: serve the first compilation's library for every later flag set

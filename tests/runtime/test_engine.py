@@ -363,6 +363,27 @@ class TestTimeouts:
                 assert np.array_equal(buffers.arrays["c"], run_original(kernel, VALUES)["c"])
             assert result.iterations == good.total_iterations
 
+    def test_slow_registration_is_not_a_stuck_chunk(self, monkeypatch):
+        """The deadline arms at the first chunk start: a worker that takes
+        longer than ``task_timeout`` to build the plan has run no chunk yet."""
+        from repro.runtime import engine as engine_module
+
+        original = engine_module._WorkerPlan.__init__
+
+        def slow_init(self, payload):
+            time.sleep(0.6)
+            original(self, payload)
+
+        # patched before the pool forks, so the workers inherit it
+        monkeypatch.setattr(engine_module._WorkerPlan, "__init__", slow_init)
+        kernel = get_kernel("utma")
+        good = build_plan(kernel, VALUES, schedule="dynamic")
+        with RuntimeEngine(workers=2, start_method="fork", task_timeout=0.3) as engine:
+            with SharedBuffers.create(kernel.make_data(VALUES)) as buffers:
+                result = engine.execute(good, buffers=buffers)
+                assert np.array_equal(buffers.arrays["c"], run_original(kernel, VALUES)["c"])
+        assert result.iterations == good.total_iterations
+
     def test_interrupted_run_takes_the_pool_with_it(self, monkeypatch):
         nest, values = _triangle()
         slow = build_plan(nest, values, schedule="dynamic", chunk_op=slow_chunk_op)

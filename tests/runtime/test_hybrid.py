@@ -398,6 +398,39 @@ class TestWorkerDegradation:
         assert result.backend == "engine"
         assert np.array_equal(c, run_original(kernel, values)["c"])
 
+    def test_a_worker_fallback_logs_one_warning(self, caplog):
+        """In process: a worker whose spec names a missing library runs the
+        Python ops and says so once, with the path and the loader's error."""
+        import logging
+
+        from repro.kernels import get_kernel, run_original
+        from repro.native.module import NativeLibrarySpec
+        from repro.runtime import SharedBuffers, build_plan
+        from repro.runtime.engine import _WorkerPlan
+
+        kernel = get_kernel("utma")
+        values = {"N": 12}
+        payload = build_plan(kernel, values, schedule="static").payload()
+        missing = "/nonexistent/repro-missing.so"
+        payload["native"] = NativeLibrarySpec(
+            library_path=missing, parameters=("N",), arrays=("a", "b", "c"),
+            array_ndims=(2, 2, 2),
+        )
+        worker = _WorkerPlan(payload)
+        with SharedBuffers.create(kernel.make_data(values)) as buffers:
+            with caplog.at_level(logging.WARNING, logger="repro.runtime.engine"):
+                worker.attach(buffers.specs)
+            assert worker.native_runner is None
+            total = kernel.collapsed().total_iterations(values)
+            assert worker.execute(1, total) == (total, None)
+            worker.release_buffers()
+            c = buffers.snapshot()["c"]
+        warnings = [r for r in caplog.records if r.name == "repro.runtime.engine"]
+        assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
+        assert missing in warnings[0].getMessage()
+        assert "repro-missing.so" in warnings[0].getMessage().split(": ", 1)[1]
+        assert np.array_equal(c, run_original(kernel, values)["c"])
+
     def test_degradation_is_per_attachment_not_permanent(self, session):
         """A failed bind (float32 buffers) must not poison the plan: the
         next attachment with bindable float64 buffers runs natively again."""

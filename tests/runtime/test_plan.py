@@ -146,3 +146,112 @@ class TestAdaptive:
         collapsed = get_kernel("utma").collapsed()
         chunks = adaptive_chunks(collapsed, {"N": 64}, workers=2, oversubscribe=6)
         assert len(chunks) == pytest.approx(12, abs=2)
+
+
+class TestRecutCadence:
+    """``ExecutionPlan.chunks`` re-cuts an adaptive plan on the profile
+    store's flush cadence, not after every measurement, under a patched clock."""
+
+    WORKERS = 2
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        from repro.runtime import plan as plan_module, profile
+
+        now = [1000.0]
+        monkeypatch.setattr(profile, "monotonic", lambda: now[0])
+        monkeypatch.setattr(plan_module, "monotonic", lambda: now[0])
+        return now
+
+    @staticmethod
+    def segments(total, split, dense_seconds):
+        """Two measured spans: ``[1, split]`` costs ``dense_seconds``, the rest 1 ms."""
+        from repro.runtime.profile import ChunkProfile
+
+        return [ChunkProfile(1, split, dense_seconds), ChunkProfile(split + 1, total, 1e-3)]
+
+    def measure(self, plan, segments):
+        from repro.runtime import default_profile_store
+
+        default_profile_store().record(
+            plan.profile_key, "engine", elapsed_seconds=0.01, workers=self.WORKERS,
+            total_iterations=plan.total_iterations, chunks=segments,
+        )
+
+    def cut_of(self, plan, segments):
+        from repro.runtime import profile_guided_chunks
+
+        count = min(plan.total_iterations, self.WORKERS * plan.oversubscribe)
+        return profile_guided_chunks(segments, plan.total_iterations, count)
+
+    @pytest.fixture
+    def plan(self, clock):
+        plan = build_plan("utma", {"N": 16}, schedule="adaptive")
+        assert plan.profile_key is not None
+        return plan
+
+    def test_a_cold_cut_is_replaced_at_the_first_measurement(self, plan):
+        cold = plan.chunks(self.WORKERS)
+        assert cold == adaptive_chunks(plan.collapsed, plan.parameter_values, self.WORKERS)
+        first = self.segments(plan.total_iterations, 20, 0.05)
+        self.measure(plan, first)  # no clock advance: the cold rule alone re-cuts
+        assert plan.chunks(self.WORKERS) == self.cut_of(plan, first) != cold
+
+    def test_a_measurement_within_the_cadence_keeps_the_cut(self, plan, clock):
+        from repro.runtime.profile import FLUSH_EVERY_S
+
+        plan.chunks(self.WORKERS)
+        first = self.segments(plan.total_iterations, 20, 0.05)
+        self.measure(plan, first)
+        measured = plan.chunks(self.WORKERS)
+        second = self.segments(plan.total_iterations, 100, 0.05)
+        assert self.cut_of(plan, second) != measured
+        for step in range(3):
+            clock[0] += FLUSH_EVERY_S / 4
+            self.measure(plan, second)
+            assert plan.chunks(self.WORKERS) == measured, step
+
+    def test_a_measurement_after_the_cadence_recuts(self, plan, clock):
+        from repro.runtime.profile import FLUSH_EVERY_S
+
+        plan.chunks(self.WORKERS)
+        self.measure(plan, self.segments(plan.total_iterations, 20, 0.05))
+        measured = plan.chunks(self.WORKERS)
+        clock[0] += FLUSH_EVERY_S
+        assert plan.chunks(self.WORKERS) == measured  # no new measurement, no re-cut
+        second = self.segments(plan.total_iterations, 100, 0.05)
+        self.measure(plan, second)
+        assert plan.chunks(self.WORKERS) == self.cut_of(plan, second) != measured
+
+    def test_another_process_flush_recuts_within_one_cadence(self, plan, clock):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.runtime import default_profile_store
+        from repro.runtime.profile import FLUSH_EVERY_S
+
+        plan.chunks(self.WORKERS)
+        self.measure(plan, self.segments(plan.total_iterations, 20, 0.05))
+        measured = plan.chunks(self.WORKERS)
+        default_profile_store().flush()
+        total = plan.total_iterations
+        script = (
+            "from repro.runtime.profile import ChunkProfile, default_profile_store\n"
+            "store = default_profile_store()\n"
+            f"store.record({plan.profile_key!r}, 'engine', elapsed_seconds=0.01, workers=2,\n"
+            f"             total_iterations={total},\n"
+            f"             chunks=[ChunkProfile(1, 100, 0.05), ChunkProfile(101, {total}, 1e-3)])\n"
+            "store.flush()\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert plan.chunks(self.WORKERS) == measured  # not re-read before the cadence
+        clock[0] += FLUSH_EVERY_S
+        expected = self.cut_of(plan, self.segments(total, 100, 0.05))
+        assert plan.chunks(self.WORKERS) == expected != measured

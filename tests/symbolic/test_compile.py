@@ -148,7 +148,8 @@ class TestCompiledExpr:
 
     def test_shared_subtrees_emitted_once(self):
         shared = Pow(Var("x"), Fraction(1, 2))
-        expr = Add((shared, shared, shared))
+        rebuilt = Pow(Var("x"), Fraction(1, 2))  # equal, but a distinct object
+        expr = Add((shared, shared, rebuilt))
         compiled = compile_expr(expr)
         assert compiled.source.count("_sqrt(") == 1
         assert compiled(4) == pytest.approx(6.0)
