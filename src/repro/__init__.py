@@ -14,7 +14,7 @@ The package is organised bottom-up:
 * :mod:`repro.core` — the paper's contribution: ranking polynomials, their
   symbolic inversion (unranking), the collapse transformation, recovery
   strategies (including the compiled batch fast path of
-  :mod:`repro.core.batch`), Python/C code generation and the vector/GPU
+  :mod:`repro.core.batch`), OpenMP C code generation and the vector/GPU
   schemes.
 * :mod:`repro.openmp` — OpenMP-style schedules, cost models and a
   deterministic simulated-time executor.
@@ -48,10 +48,8 @@ from .core import (
     RecoveryStrategy,
     batch_recovery,
     collapse,
-    compile_collapsed_loop,
     generate_openmp_chunked,
     generate_openmp_collapsed,
-    generate_python_source,
     ranking_polynomial,
 )
 from .ir import Loop, LoopNest, Statement, ArrayAccess, parse_loop_nest
@@ -66,10 +64,8 @@ __all__ = [
     "RecoveryStrategy",
     "batch_recovery",
     "collapse",
-    "compile_collapsed_loop",
     "generate_openmp_chunked",
     "generate_openmp_collapsed",
-    "generate_python_source",
     "ranking_polynomial",
     "Loop",
     "LoopNest",

@@ -28,7 +28,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from ..core import CollapsedLoop, batch_recovery, resolve_recovery_backend
+from ..core import CollapsedLoop, batch_recovery
 from ..ir import iteration_count
 from ..openmp.costmodel import CostModel, RecoveryCosts
 
@@ -119,7 +119,6 @@ def measure_recovery_throughput(
     runs is reported.  Both back ends produce identical indices, so the
     ratio of two measurements is a pure solver speedup.
     """
-    resolve_recovery_backend(recovery)
     total = collapsed.total_iterations(parameter_values)
     if recovery == "compiled":
         recoverer = batch_recovery(collapsed)
@@ -128,11 +127,16 @@ def measure_recovery_throughput(
         def run() -> None:
             recoverer.recover_pcs(pcs, parameter_values)
 
-    else:
+    elif recovery == "symbolic":
 
         def run() -> None:
             for pc in range(1, total + 1):
                 collapsed.recover_indices(pc, parameter_values)
+
+    else:
+        raise ValueError(
+            f"unknown recovery {recovery!r}; expected 'symbolic' or 'compiled'"
+        )
 
     best = float("inf")
     for _ in range(max(1, repeat)):

@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import batch_recovery, chunk_iterator_factory, collapse
+from ..core import batch_recovery, collapse
 from ..ir import Loop, LoopNest, enumerate_iterations
 from ..openmp.schedule import (
     ScheduleKind,
@@ -255,17 +255,11 @@ def _run_compiled(scenario: SweepScenario, spec: ScheduleSpec, workers: int):
     collapsed = scenario.collapsed()
     values = scenario.parameter_values
     data = scenario.make_data()
-    chunks = _serial_chunks(collapsed, values, spec, workers)
-    if scenario.is_kernel:
-        from ..kernels import run_collapsed_chunks
-
-        return run_collapsed_chunks(
-            scenario.kernel(), values, data, chunks=chunks, recovery="compiled"
-        )
-    walker = chunk_iterator_factory(collapsed, values, "compiled")
-    for chunk in chunks:
-        for indices in walker(chunk.first, chunk.last):
-            _visit_op(data, indices, values)
+    op = scenario.kernel().iteration_op if scenario.is_kernel else _visit_op
+    recoverer = batch_recovery(collapsed)
+    for chunk in _serial_chunks(collapsed, values, spec, workers):
+        for indices in recoverer.iterate(chunk.first, chunk.last, values):
+            op(data, indices, values)
     return data
 
 

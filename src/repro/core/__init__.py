@@ -10,8 +10,8 @@
 * :mod:`repro.core.batch` — the compiled batch fast path: closed-form roots
   compiled to NumPy straight-line code recover whole ``pc`` ranges in
   O(levels) vectorized operations,
-* :mod:`repro.core.codegen_python` / :mod:`repro.core.codegen_c` — executable
-  Python code generation and Figure 3/4/7-style OpenMP C text,
+* :mod:`repro.core.codegen_c` — Figure 3/4-style OpenMP C text and the
+  complete translation units the native backend compiles,
 * :mod:`repro.core.vectorize` / :mod:`repro.core.gpu` — the vectorisation and
   GPU-warp recovery schemes of Section VI.
 """
@@ -26,13 +26,10 @@ from .collapse import (
     collapse_cache_info,
 )
 from .recovery import (
-    RECOVERY_BACKENDS,
     RecoveryStrategy,
     RecoveryStats,
-    chunk_iterator_factory,
     iterate_chunk,
     recover_range,
-    resolve_recovery_backend,
 )
 from .batch import (
     BatchRecovery,
@@ -41,7 +38,6 @@ from .batch import (
     batch_recovery,
     clear_batch_cache,
 )
-from .codegen_python import generate_python_source, compile_collapsed_loop
 from .codegen_c import (
     NATIVE_SYMBOLS,
     generate_openmp_collapsed,
@@ -64,20 +60,15 @@ __all__ = [
     "collapse",
     "clear_collapse_cache",
     "collapse_cache_info",
-    "RECOVERY_BACKENDS",
     "RecoveryStrategy",
     "RecoveryStats",
-    "chunk_iterator_factory",
     "iterate_chunk",
     "recover_range",
-    "resolve_recovery_backend",
     "BatchRecovery",
     "BatchRecoveryError",
     "BatchStats",
     "batch_recovery",
     "clear_batch_cache",
-    "generate_python_source",
-    "compile_collapsed_loop",
     "NATIVE_SYMBOLS",
     "generate_openmp_collapsed",
     "generate_openmp_chunked",

@@ -174,8 +174,7 @@ class BatchRecovery:
 
     Both entry points are exact: the walk's endpoints and the solver's
     bracket pass use exact integer brackets, so the result is element-wise
-    identical to the exact scalar recovery regardless of the ``guard`` flag
-    the collapsed loop was built with — and regardless of the domain's
+    identical to the exact scalar recovery regardless of the domain's
     magnitude (the bracket arithmetic switches from ``int64`` to
     big-int ``object`` arrays when an a-priori bound says ``int64`` could
     overflow).
@@ -311,9 +310,9 @@ class BatchRecovery:
         Each level's compiled scalar root gives the seed and the compiled
         integer bracket, called on Python ints, certifies or corrects it in
         :func:`~repro.core.unranking.exact_search`, so the tuple equals
-        ``UnrankingFunction.recover`` at any magnitude and whatever
-        ``guard`` the loop was built with.  A level without a closed form,
-        or whose seed is non-finite or raises, is bisected exactly.
+        ``UnrankingFunction.recover`` at any magnitude.  A level without a
+        closed form, or whose seed is non-finite or raises, is bisected
+        exactly.
         """
         environment: Dict[str, object] = dict(parameters)
         environment[self._pc_name] = pc

@@ -40,11 +40,14 @@ from typing import List, Optional, Sequence, Tuple
 from ..polyhedra import AffineExpr
 from ..symbolic import Polynomial
 from .collapse import CollapsedLoop
-from .codegen_python import CodegenError
 from .unranking import FLOOR_EPSILON
 
 #: spelling of the shared floor tolerance in emitted C source
 _EPSILON_C = repr(FLOOR_EPSILON)
+
+
+class CodegenError(ValueError):
+    """Raised when no C source can be generated for a collapsed loop."""
 
 
 # ---------------------------------------------------------------------- #
@@ -123,34 +126,21 @@ def _rank_line(recovery, indent: str) -> str:
     )
 
 
-def _c_recovery_lines(collapsed: CollapsedLoop, guard: bool = True) -> List[str]:
+def _c_recovery_lines(collapsed: CollapsedLoop) -> List[str]:
     """Recovery statements for every collapsed level, outermost first.
 
-    With ``guard`` (the default, matching the Python unranker) each
-    closed-form floor is epsilon-padded and used as the *seed* of an exact
-    ``__int128`` bracket check — a miss (or a non-finite root) falls through
-    to an exact bisection over the window the check leaves open; levels
-    without a closed form run the bisection over the whole index range.
-    ``guard=False`` reproduces the historical bare ``floor(creal(...))`` —
-    kept only so the regression tests can demonstrate the boundary bug it
-    carried.
+    Each closed-form floor is epsilon-padded and used as the *seed* of an
+    exact ``__int128`` bracket check, as in the scalar unranker — a miss (or
+    a non-finite root) falls through to an exact bisection over the window
+    the check leaves open; levels without a closed form run the bisection
+    over the whole index range.
     """
     lines: List[str] = []
     for recovery in collapsed.unranking.recoveries:
         if recovery.expression is None:
-            if not guard:
-                raise CodegenError(
-                    f"iterator {recovery.iterator!r} has no closed-form recovery; "
-                    "C code generation requires the paper's degree <= 4 closed forms"
-                )
             lines.extend(_bisection_block(recovery))
-            continue
-        if not guard:
-            lines.append(
-                f"{recovery.iterator} = floor(creal({recovery.expression.to_c()}));"
-            )
-            continue
-        lines.extend(_guarded_block(recovery))
+        else:
+            lines.extend(_guarded_block(recovery))
     return lines
 
 
@@ -531,10 +521,9 @@ def _loop_body_lines(
     body: Optional[str],
     scheme: str,
     chunk: Optional[int],
-    guard: bool = True,
 ) -> List[str]:
     """The statements inside the ``pc`` loop (recovery + body [+ increments])."""
-    recovery = _c_recovery_lines(collapsed, guard=guard)
+    recovery = _c_recovery_lines(collapsed)
     lines: List[str] = []
     if scheme == "iteration":
         lines.extend(recovery)
@@ -563,7 +552,6 @@ def generate_translation_unit(
     body: Optional[str] = None,
     arrays: Sequence[str] = (),
     schedule: object = "static",
-    guard: bool = True,
     array_ndims=None,
 ) -> str:
     """A complete C translation unit for one collapsed nest.
@@ -601,8 +589,7 @@ def generate_translation_unit(
     names to their rank (default 2, the historical contract); the strides
     argument of ``repro_run``/``repro_run_range`` is a flat table with
     ``ndim - 1`` leading-dimension element strides per array, so all-2-D
-    units keep the one-stride-per-array ABI.  ``guard=False`` reproduces
-    the historical unguarded floor (regression tests only).
+    units keep the one-stride-per-array ABI.
 
     The recovery scheme follows the schedule: one recovery per thread under
     plain ``static`` (Fig. 4), one per chunk for fixed-chunk schedules
@@ -617,9 +604,7 @@ def generate_translation_unit(
     except ValueError as error:
         raise CodegenError(str(error)) from None
     clause = _schedule_clause(spec, with_chunk=True)
-    # the unguarded variant exists only to reproduce the historical bug on the
-    # per-iteration scheme; the incrementation schemes always emit the guard
-    scheme, chunk = _recovery_scheme(spec) if guard else ("iteration", None)
+    scheme, chunk = _recovery_scheme(spec)
     depth = collapsed.depth
     iterators = collapsed.iterators
     declare_iters = "long long " + " = 0, ".join(iterators) + " = 0;"
@@ -649,7 +634,7 @@ def generate_translation_unit(
     lines.append("")
 
     # ---- recover_range ------------------------------------------------ #
-    recovery_lines = _c_recovery_lines(collapsed, guard=guard)
+    recovery_lines = _c_recovery_lines(collapsed)
     lines.append(
         "int repro_recover_range(const long long *repro_params, long long first_pc,"
     )
@@ -668,7 +653,7 @@ def generate_translation_unit(
     lines.append("")
 
     # ---- run ----------------------------------------------------------- #
-    loop_lines = _loop_body_lines(collapsed, body, scheme, chunk, guard)
+    loop_lines = _loop_body_lines(collapsed, body, scheme, chunk)
 
     def emit_thread_loop(indent: str, parallel: bool) -> None:
         if scheme == "thread":
@@ -758,7 +743,7 @@ def generate_translation_unit(
     lines.append("  {")
     lines.append("    /* chunk ranges are contiguous: recover once, then increment */")
     lines.append("    const long long pc = first_pc;")
-    lines.extend("    " + line for line in _c_recovery_lines(collapsed, guard=guard))
+    lines.extend("    " + line for line in _c_recovery_lines(collapsed))
     lines.append("  }")
     lines.append("  for (long long pc = first_pc; pc <= last_pc; pc++) {")
     lines.append("    (void)pc;")

@@ -120,8 +120,6 @@ def _collapse_cache_key(
     check_dependences: bool,
     sample_parameters: Optional[Mapping[str, int]],
     pc_name: str,
-    guard: bool,
-    allow_bisection_fallback: bool,
 ) -> tuple:
     return (
         nest.name,
@@ -132,8 +130,6 @@ def _collapse_cache_key(
         check_dependences,
         tuple(sorted(sample_parameters.items())) if sample_parameters is not None else None,
         pc_name,
-        guard,
-        allow_bisection_fallback,
     )
 
 
@@ -154,8 +150,6 @@ def collapse(
     check_dependences: bool = False,
     sample_parameters: Optional[Mapping[str, int]] = None,
     pc_name: str = "pc",
-    guard: bool = True,
-    allow_bisection_fallback: bool = True,
     use_cache: bool = True,
 ) -> CollapsedLoop:
     """Collapse the ``depth`` outermost loops of ``nest`` into a single loop.
@@ -174,12 +168,6 @@ def collapse(
         (The paper relies on the parallelising compiler for this check.)
     sample_parameters:
         Concrete sizes used to select/validate the convenient symbolic roots.
-    guard:
-        Enable the exact-arithmetic bracket guard around the floating-point
-        floor (recommended; see docs/recovery.md).
-    allow_bisection_fallback:
-        Allow levels whose inversion is outside the paper's degree-4 limit to
-        fall back to exact bisection instead of failing.
     use_cache:
         Reuse the memoised result of a previous identical ``collapse()``
         (same bounds, statements, parameters and options).  The cache is what
@@ -192,16 +180,11 @@ def collapse(
     cache_key: Optional[tuple] = None
     if use_cache:
         cache_key = _collapse_cache_key(
-            nest, depth, check_dependences, sample_parameters, pc_name, guard,
-            allow_bisection_fallback,
+            nest, depth, check_dependences, sample_parameters, pc_name
         )
         cached = _COLLAPSE_CACHE.get(cache_key)
         if cached is not None:
             return cached
-    if depth == 1:
-        # collapsing one loop is the identity transformation, but it is still
-        # useful to expose it uniformly (rank == pc == i1 - lower + 1)
-        pass
     if check_dependences and may_carry_dependence(nest, depth):
         raise CollapseError(
             f"the {depth} outer loops of {nest.name!r} may carry a data dependence; "
@@ -212,8 +195,6 @@ def collapse(
         ranking,
         sample_parameters=sample_parameters,
         pc_name=pc_name,
-        guard=guard,
-        allow_bisection_fallback=allow_bisection_fallback,
     )
     collapsed = CollapsedLoop(
         nest=nest, depth=depth, ranking=ranking, unranking=unranking, pc_name=pc_name

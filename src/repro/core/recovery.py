@@ -18,51 +18,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Mapping, Optional, Tuple
+from typing import Iterator, List, Mapping, Optional, Tuple
 
 from ..ir import Odometer
 from .collapse import CollapsedLoop
-
-#: the index-recovery back ends selectable throughout the execution layers
-RECOVERY_BACKENDS = ("symbolic", "compiled")
-
-
-def resolve_recovery_backend(recovery: str) -> str:
-    """Validate a ``recovery=`` argument; the single source of the error text."""
-    if recovery not in RECOVERY_BACKENDS:
-        raise ValueError(
-            f"unknown recovery back end {recovery!r}; expected one of {RECOVERY_BACKENDS}"
-        )
-    return recovery
-
-
-def chunk_iterator_factory(
-    collapsed: CollapsedLoop,
-    parameter_values: Mapping[str, int],
-    recovery: str = "symbolic",
-    strategy: "RecoveryStrategy" = None,
-) -> Callable[[int, int], Iterator[Tuple[int, ...]]]:
-    """One chunk-walking function per recovery back end.
-
-    Returns ``fn(first_pc, last_pc)`` yielding the original index tuples of
-    that chunk.  ``"symbolic"`` walks it with the paper's scalar scheme
-    under ``strategy`` (default ``FIRST_THEN_INCREMENT``); ``"compiled"``
-    recovers each chunk as one vectorized batch (:mod:`repro.core.batch`,
-    resolved through the memo cache once, here, not per chunk).  This is the
-    shared dispatch behind every ``recovery=`` switch in the execution
-    layers.
-    """
-    resolve_recovery_backend(recovery)
-    if recovery == "compiled":
-        from .batch import batch_recovery  # deferred: keeps NumPy optional at import
-
-        recoverer = batch_recovery(collapsed)
-        return lambda first_pc, last_pc: recoverer.iterate(first_pc, last_pc, parameter_values)
-    strategy = strategy if strategy is not None else RecoveryStrategy.FIRST_THEN_INCREMENT
-    return lambda first_pc, last_pc: iterate_chunk(
-        collapsed, first_pc, last_pc, parameter_values, strategy
-    )
-
 
 class RecoveryStrategy(enum.Enum):
     """How the original indices are obtained inside one chunk of iterations."""

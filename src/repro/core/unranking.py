@@ -49,9 +49,9 @@ from .ranking import RankingPolynomial
 #: Tolerance added before flooring the real part of a closed-form root; the
 #: exact bracket correction repairs any residual off-by-one.  This is the
 #: single source of truth for every floor site — the scalar path here, the
-#: batch path (``repro.core.batch``), and both code generators
-#: (``repro.core.codegen_python``, ``repro.core.codegen_c``) import it, so
-#: the tolerance can never desynchronize across backends.
+#: batch path (``repro.core.batch``) and the C generator
+#: (``repro.core.codegen_c``) import it, so the tolerance can never
+#: desynchronize across backends.
 FLOOR_EPSILON = 1e-9
 
 
@@ -157,7 +157,6 @@ class UnrankingFunction:
     ranking: RankingPolynomial
     recoveries: Tuple[IndexRecovery, ...]
     pc_name: str = "pc"
-    guard: bool = True
 
     # ------------------------------------------------------------------ #
     # recovery
@@ -182,8 +181,6 @@ class UnrankingFunction:
             assignment = dict(environment)
             assignment[self.pc_name] = pc
             seed = float_seed(recovery.expression.evaluate, assignment)
-            if seed is not None and not self.guard:
-                return seed
 
         def bracket(x: int) -> int:
             assignment = dict(environment)
@@ -310,16 +307,14 @@ def build_unranking(
     ranking: RankingPolynomial,
     sample_parameters: Optional[Mapping[str, int]] = None,
     pc_name: str = "pc",
-    guard: bool = True,
-    allow_bisection_fallback: bool = True,
 ) -> UnrankingFunction:
     """Construct the index-recovery function for a ranking polynomial.
 
     ``sample_parameters`` are the concrete sizes used to select the
     convenient symbolic root (and to cross-check it); they default to a small
-    non-empty instantiation.  When ``allow_bisection_fallback`` is ``False``
-    the construction fails, like the paper's method, for any level whose
-    equation degree exceeds 4 or whose symbolic root cannot be validated.
+    non-empty instantiation.  A level whose equation degree exceeds 4 or
+    whose symbolic root cannot be validated — where the paper's method
+    stops — is recovered by exact bisection (``method == "bisection"``).
     """
     nest = ranking.nest
     depth = ranking.depth
@@ -371,12 +366,6 @@ def build_unranking(
             if expression is None:
                 method = "bisection"
 
-        if method == "bisection" and not allow_bisection_fallback:
-            raise UnrankingError(
-                f"cannot build a closed-form recovery for iterator {iterator!r} "
-                f"(equation degree {degree}); the paper's method requires degree <= 4"
-            )
-
         recoveries.append(
             IndexRecovery(
                 level=level,
@@ -396,5 +385,4 @@ def build_unranking(
         ranking=ranking,
         recoveries=tuple(recoveries),
         pc_name=pc_name,
-        guard=guard,
     )

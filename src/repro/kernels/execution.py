@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core import CollapsedLoop, RecoveryStrategy, chunk_iterator_factory
+from ..core import CollapsedLoop, iterate_chunk
 from ..ir import enumerate_iterations
 from ..openmp.schedule import Chunk, static_schedule
 from .base import DataDict, Kernel
@@ -47,8 +47,6 @@ def run_collapsed_chunks(
     chunks: Optional[Sequence[Chunk]] = None,
     threads: int = 4,
     collapsed: Optional[CollapsedLoop] = None,
-    strategy: RecoveryStrategy = RecoveryStrategy.FIRST_THEN_INCREMENT,
-    recovery: str = "symbolic",
 ) -> DataDict:
     """Run the kernel through its collapsed loop, one chunk at a time.
 
@@ -57,11 +55,9 @@ def run_collapsed_chunks(
     collapsed loops carry no dependence, executing the chunks sequentially in
     any order gives the same result as the parallel execution.
 
-    ``recovery`` selects the index-recovery back end: ``"symbolic"`` walks
-    the chunk with the paper's scalar scheme under ``strategy``, while
-    ``"compiled"`` recovers each chunk's index array in one vectorized batch
-    (:mod:`repro.core.batch`; ``strategy`` is then irrelevant because the
-    closed forms are evaluated for all iterations at once).
+    Each chunk is walked with the paper's scalar scheme (Fig. 4): the exact
+    reference unranker recovers its first iteration and the original
+    loop-nest incrementation produces the rest.
     """
     if not kernel.is_executable:
         raise ValueError(f"kernel {kernel.name!r} has no executable body")
@@ -69,9 +65,8 @@ def run_collapsed_chunks(
     collapsed = collapsed or kernel.collapsed()
     total = collapsed.total_iterations(parameter_values)
     chunk_list = list(chunks) if chunks is not None else static_schedule(total, threads)
-    chunk_indices = chunk_iterator_factory(collapsed, parameter_values, recovery, strategy)
     for chunk in chunk_list:
-        for indices in chunk_indices(chunk.first, chunk.last):
+        for indices in iterate_chunk(collapsed, chunk.first, chunk.last, parameter_values):
             kernel.iteration_op(data, indices, parameter_values)
     return data
 
@@ -81,7 +76,6 @@ def verify_kernel(
     parameter_values: Optional[Mapping[str, int]] = None,
     threads: int = 4,
     atol: float = 1e-9,
-    recovery: str = "symbolic",
     session=None,
     backend: str = "python",
     static_check: bool = False,
@@ -90,8 +84,8 @@ def verify_kernel(
 
     Returns ``True`` when all three agree on every array the reference
     defines; this is the per-kernel correctness gate used by the tests and
-    by the benchmark harness before timing anything.  ``recovery`` selects
-    the back end the serial collapsed run uses (see
+    by the benchmark harness before timing anything.  The serial collapsed
+    run walks the exact reference unranker (see
     :func:`run_collapsed_chunks`).
 
     ``backend`` widens the gate beyond the serial Python paths: any other
@@ -136,9 +130,7 @@ def verify_kernel(
     initial = kernel.make_data(parameter_values)
 
     original = run_original(kernel, parameter_values, initial)
-    collapsed = run_collapsed_chunks(
-        kernel, parameter_values, initial, threads=threads, recovery=recovery
-    )
+    collapsed = run_collapsed_chunks(kernel, parameter_values, initial, threads=threads)
     reference = kernel.reference_numpy(initial, parameter_values) if kernel.reference_numpy else {}
     results = [collapsed]
     if backend != "python" or session is not None:

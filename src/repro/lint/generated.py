@@ -218,7 +218,6 @@ def lint_generated_c(
     body: Optional[str] = None,
     arrays: Sequence[str] = (),
     schedule: object = "static",
-    guard: bool = True,
     array_ndims: Optional[Dict[str, int]] = None,
     source: Optional[str] = None,
     footprint: Optional[LoopNest] = None,
@@ -239,7 +238,6 @@ def lint_generated_c(
             body=body,
             arrays=arrays,
             schedule=schedule,
-            guard=guard,
             array_ndims=array_ndims,
         )
     report = lint_c_source(source, subject=subject)

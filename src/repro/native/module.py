@@ -116,7 +116,6 @@ class NativeModule:
         library_path,
         arrays: Tuple[str, ...],
         schedule: ScheduleSpec,
-        guard: bool = True,
         array_ndims: Tuple[int, ...] = (),
     ):
         self.collapsed = collapsed
@@ -125,7 +124,6 @@ class NativeModule:
         self.arrays = arrays
         self.array_ndims = array_ndims or tuple(2 for _ in arrays)
         self.schedule = schedule
-        self.guard = guard
         self.parameters: Tuple[str, ...] = tuple(collapsed.nest.parameters)
         self.depth = collapsed.depth
         self._lib = ctypes.CDLL(str(library_path))
@@ -434,7 +432,6 @@ def compile_collapsed(
     body: Optional[str] = None,
     arrays: Sequence[str] = (),
     schedule: object = "static",
-    guard: bool = True,
     use_cache: bool = True,
     array_ndims=None,
     extra_flags: Sequence[str] = (),
@@ -449,8 +446,7 @@ def compile_collapsed(
     :data:`~repro.native.compiler.SANITIZER_PRESETS` entry (default: the
     ``$REPRO_NATIVE_SANITIZE`` environment preset, resolved here so the
     effective choice is part of the memo key).  Modules are memoised per
-    (collapsed loop, schedule, body, arrays, ndims, guard, effective
-    flags), where the effective flags are ``extra_flags``, the sanitizer's
+    (collapsed loop, schedule, body, arrays, ndims, effective flags), where the effective flags are ``extra_flags``, the sanitizer's
     and ``$REPRO_NATIVE_FLAGS``, the same tuple the on-disk digest hashes.
     Every input that changes the emitted source *or the compiled
     artefact* is part of the key, so e.g. a schedule, flag or sanitizer
@@ -467,7 +463,7 @@ def compile_collapsed(
     if sanitize is None:
         sanitize = default_sanitize()
     key = (
-        id(collapsed), str(spec), body, tuple(arrays), ndims, guard,
+        id(collapsed), str(spec), body, tuple(arrays), ndims,
         effective_flags(flags, sanitize),
     )
     if use_cache:
@@ -475,8 +471,7 @@ def compile_collapsed(
         if cached is not None:
             return cached
     source = generate_translation_unit(
-        collapsed, body=body, arrays=arrays, schedule=spec, guard=guard,
-        array_ndims=array_ndims,
+        collapsed, body=body, arrays=arrays, schedule=spec, array_ndims=array_ndims
     )
     library = compile_loadable_library(
         source, tag=collapsed.nest.name, extra_flags=flags, sanitize=sanitize
@@ -489,7 +484,6 @@ def compile_collapsed(
         library_path=library,
         arrays=tuple(arrays),
         schedule=spec,
-        guard=guard,
         array_ndims=resolve_array_ndims(arrays, array_ndims),
     )
     if use_cache:

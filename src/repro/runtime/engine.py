@@ -139,11 +139,17 @@ class RunResult:
 # worker process
 # ---------------------------------------------------------------------- #
 class _WorkerPlan:
-    """Per-worker state of one registered plan: ops resolved, recovery built."""
+    """Per-worker state of one registered plan: ops resolved, recovery built.
+
+    The batch recovery the Python operations walk chunks with is built only
+    for chunks that will use it: at registration for a plan without a
+    compiled library, and after a failed bind for one with a library (a
+    bound library runs every chunk itself).  Both builds happen outside
+    every chunk's measured seconds, so the profile the re-cut reads is not
+    skewed by them.
+    """
 
     def __init__(self, payload: dict):
-        from ..core import batch_recovery
-
         self.collapsed = payload["collapsed"]
         self.parameter_values = payload["parameter_values"]
         self.iteration_op = payload["iteration_op"]
@@ -158,12 +164,24 @@ class _WorkerPlan:
             kernel = get_kernel(kernel_name)
             self.iteration_op = kernel.iteration_op
             self.chunk_op = kernel.chunk_op
-        self.batch = batch_recovery(self.collapsed)
+        self.batch = None
+        if self.native is None:
+            self._recovery()
+
+    def _recovery(self):
+        """The plan's batch recovery, built on the first call."""
+        from ..core import batch_recovery
+
+        if self.batch is None:
+            self.batch = batch_recovery(self.collapsed)
+        return self.batch
 
     def attach(self, specs: Tuple[SharedArraySpec, ...]) -> None:
         self.release_buffers()
         self.buffers = SharedBuffers.attach(specs)
         self._bind_native()
+        if self.native_runner is None:
+            self._recovery()
 
     def _bind_native(self) -> None:
         """Load the plan's compiled library (once) and bind the new buffers.
@@ -230,7 +248,8 @@ class _WorkerPlan:
                 "plan has no Python operations to fall back on (native-only plan "
                 "whose compiled library could not be loaded in this worker)"
             )
-        indices = self.batch.recover_range(first_pc, last_pc, self.parameter_values)
+        # built already unless a library plan runs without buffers to bind
+        indices = self._recovery().recover_range(first_pc, last_pc, self.parameter_values)
         if self.chunk_op is not None:
             self.chunk_op(data, indices, self.parameter_values)
         else:

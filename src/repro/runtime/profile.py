@@ -377,10 +377,21 @@ class ProfileStore:
             return dict(self._entry(table, key))
 
     def _read(self, key: str) -> Dict[str, BackendProfile]:
-        """The disk copy of one key (empty when absent or unparsable)."""
+        """The disk copy of one key (empty when absent or unparsable).
+
+        An absent file is a cold key; one that exists but does not parse
+        logs a warning naming it, reads as cold, and is rewritten whole by
+        the next flush of the key.
+        """
+        path = self.path_for(key)
         try:
-            payload = json.loads(self.path_for(key).read_text())
-        except (OSError, ValueError):
+            payload = json.loads(path.read_text())
+            if not isinstance(payload, dict):
+                raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+        except (FileNotFoundError, NotADirectoryError):
+            return {}
+        except (OSError, ValueError) as error:
+            _log.warning("profile store entry %s unreadable, treated as cold: %s", path, error)
             return {}
         profiles: Dict[str, BackendProfile] = {}
         for name, entry in payload.get("backends", {}).items():

@@ -10,8 +10,9 @@ that:
 
 * is built symbolically from polynomials, rationals and radicals,
 * evaluates numerically through Python ``complex`` arithmetic,
-* prints to Python source (``cmath``-based) and to C99 source
-  (``csqrt`` / ``cpow`` / ``creal`` exactly as in Figure 7 of the paper).
+* prints to C99 source (``csqrt`` / ``cpow`` / ``creal`` exactly as in
+  Figure 7 of the paper); :mod:`repro.symbolic.compile` renders it to
+  Python/NumPy straight-line code.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ class Expr:
     def variables(self) -> frozenset:
         raise NotImplementedError
 
-    def to_python(self) -> str:
-        """Python source (expects ``import cmath`` in the generated module)."""
-        raise NotImplementedError
-
     def to_c(self) -> str:
         """C99 source using ``<complex.h>`` functions (``csqrt``, ``cpow``)."""
         raise NotImplementedError
@@ -104,11 +101,6 @@ class Const(Expr):
     def variables(self) -> frozenset:
         return frozenset()
 
-    def to_python(self) -> str:
-        if self.value.denominator == 1:
-            return f"({self.value.numerator})"
-        return f"({self.value.numerator} / {self.value.denominator})"
-
     def to_c(self) -> str:
         if self.value.denominator == 1:
             return f"({self.value.numerator}.0)"
@@ -131,9 +123,6 @@ class Var(Expr):
 
     def variables(self) -> frozenset:
         return frozenset({self.name})
-
-    def to_python(self) -> str:
-        return self.name
 
     def to_c(self) -> str:
         return f"(double){self.name}"
@@ -164,9 +153,6 @@ class Add(Expr):
             result |= operand.variables()
         return result
 
-    def to_python(self) -> str:
-        return "(" + " + ".join(op.to_python() for op in self.operands) + ")"
-
     def to_c(self) -> str:
         return "(" + " + ".join(op.to_c() for op in self.operands) + ")"
 
@@ -195,9 +181,6 @@ class Mul(Expr):
         for operand in self.operands:
             result |= operand.variables()
         return result
-
-    def to_python(self) -> str:
-        return "(" + " * ".join(op.to_python() for op in self.operands) + ")"
 
     def to_c(self) -> str:
         return "(" + " * ".join(op.to_c() for op in self.operands) + ")"
@@ -237,18 +220,6 @@ class Pow(Expr):
     def variables(self) -> frozenset:
         return self.base.variables()
 
-    def _exponent_python(self) -> str:
-        if self.exponent.denominator == 1:
-            return str(self.exponent.numerator)
-        return f"({self.exponent.numerator} / {self.exponent.denominator})"
-
-    def to_python(self) -> str:
-        if self.exponent == Fraction(1, 2):
-            return f"cmath.sqrt({self.base.to_python()})"
-        if self.exponent == Fraction(-1):
-            return f"(1 / ({self.base.to_python()}))"
-        return f"(({self.base.to_python()}) ** {self._exponent_python()})"
-
     def to_c(self) -> str:
         if self.exponent == Fraction(1, 2):
             return f"csqrt({self.base.to_c()})"
@@ -280,9 +251,6 @@ class Floor(Expr):
     def variables(self) -> frozenset:
         return self.operand.variables()
 
-    def to_python(self) -> str:
-        return f"math.floor(({self.operand.to_python()}).real)"
-
     def to_c(self) -> str:
         return f"floor(creal({self.operand.to_c()}))"
 
@@ -301,9 +269,6 @@ class RealPart(Expr):
 
     def variables(self) -> frozenset:
         return self.operand.variables()
-
-    def to_python(self) -> str:
-        return f"(({self.operand.to_python()}).real)"
 
     def to_c(self) -> str:
         return f"creal({self.operand.to_c()})"

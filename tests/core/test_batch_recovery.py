@@ -95,18 +95,6 @@ class TestElementwiseEquality:
     def test_partial_collapse_depth(self, figure6_nest):
         exhaustive_match(figure6_nest, {"N": 12}, depth=2)
 
-    def test_guard_false_loops_still_recover_exactly(self, figure6_nest):
-        # the batch path promises the *guarded* (exact) result even when the
-        # collapsed loop was built with guard=False: the exact integer
-        # bracket pass certifies every element regardless of the flag
-        unguarded = collapse(figure6_nest, guard=False)
-        guarded = collapse(figure6_nest)
-        values = {"N": 16}
-        total = guarded.total_iterations(values)
-        recovered = batch_recovery(unguarded).recover_range(1, total, values)
-        expected = np.array([guarded.recover_indices(pc, values) for pc in range(1, total + 1)])
-        np.testing.assert_array_equal(recovered, expected)
-
     def test_collapse_depth_one(self, correlation_nest):
         exhaustive_match(correlation_nest, {"N": 9}, depth=1)
 
@@ -197,9 +185,9 @@ class TestMemoCaches:
         assert collapse(make()) is collapse(make())
 
     def test_different_options_get_different_entries(self, correlation_nest):
-        guarded = collapse(correlation_nest)
-        unguarded = collapse(correlation_nest, guard=False)
-        assert guarded is not unguarded
+        default = collapse(correlation_nest)
+        renamed = collapse(correlation_nest, pc_name="q")
+        assert default is not renamed
         assert collapse_cache_info()["entries"] == 2
 
     def test_use_cache_false_forces_fresh_construction(self, correlation_nest):
@@ -224,22 +212,27 @@ class TestMemoCaches:
 
 
 class TestExecutorIntegration:
-    def test_kernel_chunked_run_with_compiled_recovery(self):
-        from repro.kernels import get_kernel, run_collapsed_chunks, run_original
+    @pytest.mark.parametrize("name", ["utma", "tiled_triangle"])
+    def test_sweep_serial_column_walks_the_batch_recovery(self, name, monkeypatch):
+        # the sweep's serial ``compiled`` column: batch-walked chunks through
+        # the Python operations, for kernels and transformed nests alike
+        from repro.analysis import sweep
+        from repro.openmp import ScheduleSpec
 
-        kernel = get_kernel("utma")
-        values = {"N": 24}
-        data = kernel.make_data(values)
-        original = run_original(kernel, values, data)
-        compiled = run_collapsed_chunks(kernel, values, data, threads=3, recovery="compiled")
-        for name in original:
-            np.testing.assert_allclose(original[name], compiled[name])
+        scenario = next(s for s in sweep.default_scenarios() if s.name == name)
+        walked = []
+        original_iterate = BatchRecovery.iterate
 
-    def test_kernel_verify_with_compiled_recovery(self):
-        from repro.kernels import get_kernel, verify_kernel
+        def spy(self, first_pc, last_pc, values):
+            walked.append((first_pc, last_pc))
+            return original_iterate(self, first_pc, last_pc, values)
 
-        kernel = get_kernel("utma")
-        assert verify_kernel(kernel, {"N": 24}, recovery="compiled")
+        monkeypatch.setattr(BatchRecovery, "iterate", spy)
+        data = sweep._run_compiled(scenario, ScheduleSpec.parse("static"), 3)
+        assert len(walked) == 3
+        reference = scenario.reference()
+        for key in reference:
+            np.testing.assert_allclose(data[key], reference[key])
 
     def test_measured_throughput_reports_speedup(self, correlation_nest):
         from repro.analysis import measure_recovery_throughput

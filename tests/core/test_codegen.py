@@ -1,20 +1,14 @@
-"""Tests for the Python and C/OpenMP code generators."""
-
-import cmath
-import math
+"""Tests for the C/OpenMP code generator."""
 
 import pytest
 
 from repro.core import (
-    RecoveryStrategy,
     collapse,
-    compile_collapsed_loop,
     generate_openmp_chunked,
     generate_openmp_collapsed,
-    generate_python_source,
 )
-from repro.core.codegen_python import CodegenError
-from repro.ir import Loop, LoopNest, enumerate_iterations
+from repro.core.codegen_c import CodegenError
+from repro.ir import Loop, LoopNest
 
 
 @pytest.fixture
@@ -25,80 +19,6 @@ def collapsed_correlation(correlation_nest):
 @pytest.fixture
 def collapsed_figure6(figure6_nest):
     return collapse(figure6_nest)
-
-
-class TestPythonCodegen:
-    def test_source_is_a_self_contained_function(self, collapsed_correlation):
-        source = generate_python_source(collapsed_correlation)
-        assert source.startswith("def collapsed_correlation(body, N, ")
-        namespace = {"math": math, "cmath": cmath}
-        exec(compile(source, "<test>", "exec"), namespace)
-        assert callable(namespace["collapsed_correlation"])
-
-    def test_compiled_function_reproduces_original_order(self, collapsed_correlation, correlation_nest):
-        run = compile_collapsed_loop(collapsed_correlation)
-        visited = []
-        executed = run(lambda i, j: visited.append((i, j)), N=15)
-        assert visited == list(enumerate_iterations(correlation_nest, {"N": 15}))
-        assert executed == len(visited)
-
-    def test_compiled_chunk_matches_slice(self, collapsed_correlation, correlation_nest):
-        run = compile_collapsed_loop(collapsed_correlation)
-        visited = []
-        run(lambda i, j: visited.append((i, j)), N=15, first_pc=20, last_pc=50)
-        assert visited == list(enumerate_iterations(correlation_nest, {"N": 15}))[19:50]
-
-    def test_per_iteration_strategy_matches_chunked(self, collapsed_figure6, figure6_nest):
-        chunked = compile_collapsed_loop(collapsed_figure6, RecoveryStrategy.FIRST_THEN_INCREMENT)
-        per_iteration = compile_collapsed_loop(collapsed_figure6, RecoveryStrategy.PER_ITERATION)
-        a, b = [], []
-        chunked(lambda *idx: a.append(idx), N=9)
-        per_iteration(lambda *idx: b.append(idx), N=9)
-        assert a == b == list(enumerate_iterations(figure6_nest, {"N": 9}))
-
-    def test_last_pc_defaults_and_clamps_to_total(self, collapsed_correlation):
-        run = compile_collapsed_loop(collapsed_correlation)
-        count = run(lambda i, j: None, N=10, last_pc=10 ** 9)
-        assert count == 45
-
-    def test_unguarded_code_still_correct_at_moderate_sizes(self, collapsed_correlation, correlation_nest):
-        run = compile_collapsed_loop(collapsed_correlation, guard=False)
-        visited = []
-        run(lambda i, j: visited.append((i, j)), N=60)
-        assert visited == list(enumerate_iterations(correlation_nest, {"N": 60}))
-
-    def test_guarded_code_survives_large_sizes(self, collapsed_correlation):
-        """Spot-check chunk starts at a size where doubles get imprecise."""
-        run = compile_collapsed_loop(collapsed_correlation, guard=True)
-        n = 3000
-        total = n * (n - 1) // 2
-        visited = []
-        run(lambda i, j: visited.append((i, j)), N=n, first_pc=total - 3, last_pc=total)
-        assert visited[-1] == (n - 2, n - 1)
-        assert len(visited) == 4
-
-    def test_multi_parameter_nest(self, trapezoidal_nest):
-        collapsed = collapse(trapezoidal_nest)
-        run = compile_collapsed_loop(collapsed)
-        visited = []
-        run(lambda i, j: visited.append((i, j)), N=6, M=3)
-        assert visited == list(enumerate_iterations(trapezoidal_nest, {"N": 6, "M": 3}))
-
-    def test_bisection_levels_are_rejected(self):
-        nest = LoopNest(
-            [
-                Loop.make("i", 0, "N"),
-                Loop.make("j", 0, "i + 1"),
-                Loop.make("k", 0, "j + 1"),
-                Loop.make("l", 0, "k + 1"),
-                Loop.make("m", 0, "l + 1"),
-            ],
-            parameters=["N"],
-            name="simplex5",
-        )
-        collapsed = collapse(nest)
-        with pytest.raises(CodegenError):
-            generate_python_source(collapsed)
 
 
 class TestCCodegen:

@@ -97,10 +97,6 @@ class TestEndpointsEqualTheSymbolicRecovery:
         assert any(plan.scalar_root is None for plan in batch_recovery(collapsed)._plans)
         assert_endpoints_match_reference(collapsed, {"N": 6})
 
-    def test_unguarded_loops_still_get_exact_endpoints(self, correlation_nest):
-        collapsed = collapse(correlation_nest, guard=False)
-        assert_endpoints_match_reference(collapsed, {"N": 40})
-
     def test_recover_range_never_calls_the_symbolic_unranker(self, monkeypatch, figure6_nest):
         collapsed = collapse(figure6_nest)
         values = {"N": 12}

@@ -129,21 +129,6 @@ class TestExactBoundCeils:
     """Affine bound ceils are emitted as exact integer divisions, not float
     ``ceil`` — the last places a double could have re-entered the recovery."""
 
-    def test_python_ceil_source_is_exact_at_any_magnitude(self):
-        import math
-
-        from repro.core.codegen_python import _ceil_source
-        from repro.polyhedra import AffineExpr
-
-        expr = AffineExpr.build({"i": Fraction(1, 2)}, Fraction(-1, 3))
-        source = _ceil_source(expr)
-        assert "math.ceil" not in source and "//" in source
-        for i in (-7, -1, 0, 1, 5, 2**60 + 1):  # 2^60+1: float ceil would round
-            value = eval(source, {"i": i})
-            assert value == math.ceil(Fraction(1, 2) * i - Fraction(1, 3)), i
-        # integer bounds stay plain integer arithmetic
-        assert "//" not in _ceil_source(AffineExpr.build({"i": 2}, 3))
-
     def test_c_ceil_bound_uses_int128_division_not_double_ceil(self):
         import inspect
 
@@ -162,10 +147,9 @@ class TestExactBoundCeils:
 # ---------------------------------------------------------------------- #
 class TestFloorEpsilonSingleSource:
     def test_all_floor_sites_import_the_shared_constant(self):
-        from repro.core import batch, codegen_c, codegen_python, unranking
+        from repro.core import batch, codegen_c, unranking
 
         assert batch.FLOOR_EPSILON is unranking.FLOOR_EPSILON
-        assert codegen_python.FLOOR_EPSILON is unranking.FLOOR_EPSILON
         assert codegen_c.FLOOR_EPSILON is unranking.FLOOR_EPSILON
 
     def test_duplicate_definitions_are_gone(self):
@@ -176,20 +160,17 @@ class TestFloorEpsilonSingleSource:
         assert not hasattr(unranking, "_FLOOR_EPSILON")
 
     def test_generated_sources_interpolate_the_shared_value(self, simplex3_nest):
-        from repro.core import generate_python_source, generate_translation_unit, unranking
+        from repro.core import generate_translation_unit, unranking
 
         collapsed = collapse(simplex3_nest)
-        spelled = repr(unranking.FLOOR_EPSILON)
-        assert spelled in generate_python_source(collapsed)
-        assert spelled in generate_translation_unit(collapsed)
+        assert repr(unranking.FLOOR_EPSILON) in generate_translation_unit(collapsed)
 
     def test_no_hardcoded_epsilon_literal_in_the_generators(self):
         import inspect
 
-        from repro.core import codegen_c, codegen_python
+        from repro.core import codegen_c
 
-        for module in (codegen_c, codegen_python):
-            assert "1e-9" not in inspect.getsource(module), module.__name__
+        assert "1e-9" not in inspect.getsource(codegen_c)
 
 
 # ---------------------------------------------------------------------- #
@@ -218,18 +199,16 @@ class TestExactRecoveryHugeMagnitudes:
         for pc in probe_pcs(collapsed, values):
             assert collapsed.rank_of(collapsed.recover_indices(pc, values), values) == pc
 
-    def test_generated_python_is_exact_at_huge_ranks(
+    def test_scalar_chunk_walk_is_exact_at_huge_ranks(
         self, simplex3_nest, exact_reference_recover
     ):
-        from repro.core import compile_collapsed_loop
+        from repro.core import iterate_chunk
 
         collapsed = collapse(simplex3_nest)
         values = {"N": self.N}
-        run = compile_collapsed_loop(collapsed)
         total = collapsed.total_iterations(values)
         for first in (1, 2**45 - 2, 2**50 - 2, total - 3):
-            visited = []
-            run(lambda *idx: visited.append(idx), N=self.N, first_pc=first, last_pc=first + 3)
+            visited = list(iterate_chunk(collapsed, first, first + 3, values))
             assert visited == [
                 exact_reference_recover(collapsed, pc, values) for pc in range(first, first + 4)
             ]

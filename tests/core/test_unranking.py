@@ -119,27 +119,6 @@ class TestFallbacksAndGuards:
         assert not unranking.uses_only_closed_forms()
         assert unranking.validate({"N": 5})
 
-    def test_degree_five_strict_mode_raises(self):
-        nest = LoopNest(
-            [
-                Loop.make("i", 0, "N"),
-                Loop.make("j", 0, "i + 1"),
-                Loop.make("k", 0, "j + 1"),
-                Loop.make("l", 0, "k + 1"),
-                Loop.make("m", 0, "l + 1"),
-            ],
-            parameters=["N"],
-            name="simplex5",
-        )
-        ranking = ranking_polynomial(nest)
-        with pytest.raises(UnrankingError, match="degree"):
-            build_unranking(ranking, allow_bisection_fallback=False)
-
-    def test_guard_can_be_disabled(self, correlation_nest):
-        ranking = ranking_polynomial(correlation_nest)
-        unranking = build_unranking(ranking, guard=False)
-        assert unranking.validate({"N": 20})
-
     def test_guarded_recovery_at_large_sizes(self, correlation_nest):
         """Large sizes stress the floating-point floor; the guard keeps it exact.
 

@@ -11,12 +11,17 @@ import math
 import numpy as np
 import pytest
 
-from repro import collapse, compile_collapsed_loop, generate_openmp_chunked, parse_loop_nest
+from repro import batch_recovery, collapse, generate_openmp_chunked, parse_loop_nest
 from repro.analysis import gain
-from repro.core import RecoveryStrategy
+from repro.core import RecoveryStrategy, iterate_chunk
 from repro.ir import enumerate_iterations
 from repro.kernels import get_kernel, verify_kernel
-from repro.openmp import ScheduleKind, simulate_collapsed_static, simulate_outer_parallel
+from repro.openmp import (
+    ScheduleKind,
+    simulate_collapsed_static,
+    simulate_outer_parallel,
+    static_schedule,
+)
 
 CORRELATION_SOURCE = """
 #pragma omp parallel for private(j, k) schedule(static)
@@ -51,13 +56,20 @@ class TestMotivatingExample:
         assert "csqrt" in source
         assert "j = i + 1;" in source or "j = (i) + (1);" in source or "j = ((i) + (1));" in source
 
-    def test_generated_python_executes_the_same_iterations(self):
+    def test_chunked_walk_executes_the_same_iterations(self):
+        # Fig. 4: one recovery per thread's static chunk, then incrementation
         nest, _ = parse_loop_nest(CORRELATION_SOURCE, parameters=["N"])
         collapsed = collapse(nest)
-        run = compile_collapsed_loop(collapsed, RecoveryStrategy.FIRST_THEN_INCREMENT)
-        visited = []
-        run(lambda i, j: visited.append((i, j)), N=25)
-        assert visited == list(enumerate_iterations(nest, {"N": 25}))
+        values = {"N": 25}
+        visited = [
+            indices
+            for chunk in static_schedule(collapsed.total_iterations(values), 4)
+            for indices in iterate_chunk(
+                collapsed, chunk.first, chunk.last, values,
+                RecoveryStrategy.FIRST_THEN_INCREMENT,
+            )
+        ]
+        assert visited == list(enumerate_iterations(nest, values))
 
 
 class TestNumericalEquivalence:
@@ -118,10 +130,12 @@ class TestDepth3Pipeline:
         assert collapsed.total_iterations({"N": n}) == (n ** 3 - n) // 6
         emitted = generate_openmp_chunked(collapsed)
         assert "cpow" in emitted      # the cube root of Fig. 7
-        run = compile_collapsed_loop(collapsed)
-        visited = []
-        run(lambda i, j, k: visited.append((i, j, k)), N=n)
-        assert visited == list(enumerate_iterations(nest, {"N": n}))
+        walked = batch_recovery(collapsed).recover_range(
+            1, collapsed.total_iterations({"N": n}), {"N": n}
+        )
+        assert [tuple(row) for row in walked.tolist()] == list(
+            enumerate_iterations(nest, {"N": n})
+        )
 
     def test_numpy_accumulation_through_collapsed_depth3_loop(self):
         source = """
@@ -139,6 +153,8 @@ class TestDepth3Pipeline:
                 for k in range(j, i + 1):
                     direct[i, j, k] += 1
         via_collapse = np.zeros((n, n, n))
-        run = compile_collapsed_loop(collapsed)
-        run(lambda i, j, k: via_collapse.__setitem__((i, j, k), via_collapse[i, j, k] + 1), N=n)
+        rows = batch_recovery(collapsed).recover_range(
+            1, collapsed.total_iterations({"N": n}), {"N": n}
+        )
+        np.add.at(via_collapse, tuple(rows.T), 1)
         assert np.array_equal(direct, via_collapse)

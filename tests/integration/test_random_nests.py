@@ -2,8 +2,8 @@
 
 Hypothesis builds random nests of the Fig. 5 model (each bound an affine
 combination of the outer iterators and the parameter, kept non-degenerate),
-and the whole pipeline — ranking, inversion, collapse, generated Python code
-— must round-trip on them.  This is the broad safety net behind the
+and the whole pipeline — ranking, inversion, collapse, the scalar and batch
+walks — must round-trip on them.  This is the broad safety net behind the
 hand-picked shapes used elsewhere in the suite.
 """
 
@@ -12,7 +12,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core import collapse, compile_collapsed_loop, ranking_polynomial, build_unranking
+from repro.core import (
+    batch_recovery,
+    build_unranking,
+    collapse,
+    iterate_chunk,
+    ranking_polynomial,
+)
 from repro.ir import Loop, LoopNest, enumerate_iterations, iteration_count
 
 
@@ -118,15 +124,15 @@ def test_property_ranking_total_matches_enumeration(case):
 
 @settings(max_examples=10, deadline=None)
 @given(case=affine_nests_depth2())
-def test_property_generated_python_matches_enumeration(case):
+def test_property_batch_and_scalar_walks_match_enumeration(case):
     nest, values = case
     assume(iteration_count(nest, values) > 0)
     collapsed = collapse(nest)
-    assume(collapsed.uses_only_closed_forms())
-    run = compile_collapsed_loop(collapsed)
-    visited = []
-    run(lambda *indices: visited.append(indices), **values)
-    assert visited == list(enumerate_iterations(nest, values))
+    total = collapsed.total_iterations(values)
+    expected = list(enumerate_iterations(nest, values))
+    walked = batch_recovery(collapsed).recover_range(1, total, values)
+    assert [tuple(row) for row in walked.tolist()] == expected
+    assert list(iterate_chunk(collapsed, 1, total, values)) == expected
 
 
 @settings(max_examples=10, deadline=None)

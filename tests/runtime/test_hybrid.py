@@ -483,6 +483,66 @@ class TestWorkerDegradation:
         session.engine.forget(plan)
 
 
+class TestWorkerBatchRecovery:
+    """In process: a worker builds its batch recovery only for chunks that
+    run through the Python operations, and before the first of them."""
+
+    values = {"N": 12}
+
+    def _worker(self, **plan_kwargs):
+        from repro.kernels import get_kernel
+        from repro.runtime import build_plan
+        from repro.runtime.engine import _WorkerPlan
+
+        plan = build_plan(get_kernel("utma"), self.values, schedule="static", **plan_kwargs)
+        return _WorkerPlan(plan.payload())
+
+    def _attach_and_run(self, worker):
+        from repro.kernels import get_kernel, run_original
+        from repro.runtime import SharedBuffers
+
+        kernel = get_kernel("utma")
+        with SharedBuffers.create(kernel.make_data(self.values)) as buffers:
+            worker.attach(buffers.specs)
+            built = worker.batch
+            total = kernel.collapsed().total_iterations(self.values)
+            assert worker.execute(1, total)[0] == total
+            worker.release_buffers()
+            assert np.array_equal(
+                buffers.snapshot()["c"], run_original(kernel, self.values)["c"]
+            )
+        return built
+
+    def test_an_engine_plan_builds_one_at_registration(self):
+        worker = self._worker()
+        assert worker.batch is not None
+        assert self._attach_and_run(worker) is worker.batch
+
+    @needs_compiler
+    def test_a_bound_hybrid_plan_builds_none(self):
+        worker = self._worker(native=True)
+        assert worker.batch is None
+        assert self._attach_and_run(worker) is None
+        assert worker.batch is None
+
+    def test_a_failed_bind_builds_one_before_the_first_chunk(self):
+        from repro.kernels import get_kernel
+        from repro.native.module import NativeLibrarySpec
+        from repro.runtime import build_plan
+        from repro.runtime.engine import _WorkerPlan
+
+        payload = build_plan(get_kernel("utma"), self.values, schedule="static").payload()
+        payload["native"] = NativeLibrarySpec(
+            library_path="/nonexistent/repro-missing.so", parameters=("N",),
+            arrays=("a", "b", "c"), array_ndims=(2, 2, 2),
+        )
+        worker = _WorkerPlan(payload)
+        assert worker.batch is None
+        built = self._attach_and_run(worker)
+        assert worker.native_runner is None
+        assert built is not None and built is worker.batch
+
+
 # ---------------------------------------------------------------------- #
 # cache keying (the ScheduleSpec audit)
 # ---------------------------------------------------------------------- #

@@ -195,6 +195,32 @@ class TestProfileStore:
         store.path_for("bad").write_text("{truncated")
         assert store.load("bad") == {}
 
+    def test_truncated_entry_warns_reads_cold_and_is_rewritten(self, tmp_path, caplog):
+        store = ProfileStore(tmp_path)
+        _record(store, key="k1")
+        store.flush()
+        store.flush()  # nothing pending: the next load re-reads the file
+        path = store.path_for("k1")
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with caplog.at_level(logging.WARNING, logger="repro.runtime.profile"):
+            assert store.load("k1") == {}
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert str(path) in caplog.records[0].getMessage()
+        _record(store, key="k1")
+        store.flush()
+        assert json.loads(path.read_text())["backends"]["engine"]["runs"] == 1
+
+    def test_absent_entry_and_foreign_fields_stay_silent(self, tmp_path, caplog):
+        store = ProfileStore(tmp_path)
+        path = store.path_for("foreign")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({"backends": {"gpu": {"unknown": 1}}}))
+        with caplog.at_level(logging.WARNING, logger="repro.runtime.profile"):
+            assert store.load("absent") == {}
+            assert store.load("foreign") == {}
+        assert caplog.records == []
+
     def test_corrupt_file_is_recoverable_by_recording(self, tmp_path):
         store = ProfileStore(tmp_path)
         store.record("k1", "engine", elapsed_seconds=0.5, workers=2, total_iterations=10)
