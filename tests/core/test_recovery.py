@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.core import RecoveryStats, RecoveryStrategy, collapse, iterate_chunk, recover_range
-from repro.ir import enumerate_iterations
+from repro.core import (
+    RecoveryStats,
+    RecoveryStrategy,
+    batch_recovery,
+    collapse,
+    iterate_chunk,
+    recover_range,
+)
+from repro.ir import Loop, LoopNest, enumerate_iterations
 
 
 @pytest.fixture
@@ -103,3 +110,72 @@ class TestCostAccounting:
     def test_iterate_chunk_is_lazy(self, collapsed_figure6):
         iterator = iterate_chunk(collapsed_figure6, 1, 10 ** 9, {"N": 6})
         assert next(iterator) == (0, 0, 0)
+
+
+def _walk(kind, collapsed, first_pc, last_pc, values):
+    """The chunk ``[first_pc, last_pc]`` through one of the two Python walks."""
+    if kind == "scalar":
+        return list(iterate_chunk(collapsed, first_pc, last_pc, values))
+    rows = batch_recovery(collapsed).recover_range(first_pc, last_pc, values)
+    return [tuple(row) for row in rows.tolist()]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "batch"])
+class TestPythonExecutors:
+    """The scalar reference walk and the batch walk run the same cases: the
+    full order, a chunk, several parameters, double-blurring ranks,
+    bisection levels and a chunk past the end."""
+
+    def test_reproduces_original_order(self, kind, collapsed_correlation, correlation_nest):
+        values = {"N": 15}
+        total = collapsed_correlation.total_iterations(values)
+        assert _walk(kind, collapsed_correlation, 1, total, values) == list(
+            enumerate_iterations(correlation_nest, values)
+        )
+
+    def test_chunk_matches_slice(self, kind, collapsed_correlation, correlation_nest):
+        values = {"N": 15}
+        assert _walk(kind, collapsed_correlation, 20, 50, values) == list(
+            enumerate_iterations(correlation_nest, values)
+        )[19:50]
+
+    def test_multi_parameter_nest(self, kind, trapezoidal_nest):
+        collapsed = collapse(trapezoidal_nest)
+        values = {"N": 6, "M": 3}
+        total = collapsed.total_iterations(values)
+        assert _walk(kind, collapsed, 1, total, values) == list(
+            enumerate_iterations(trapezoidal_nest, values)
+        )
+
+    def test_exact_at_sizes_where_doubles_blur(self, kind, collapsed_correlation):
+        n = 3000
+        values = {"N": n}
+        total = n * (n - 1) // 2
+        assert collapsed_correlation.total_iterations(values) == total
+        visited = _walk(kind, collapsed_correlation, total - 3, total, values)
+        assert visited == [(n - 4, n - 1), (n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)]
+
+    def test_bisection_levels_are_walked_exactly(self, kind):
+        nest = LoopNest(
+            [
+                Loop.make("i", 0, "N"),
+                Loop.make("j", 0, "i + 1"),
+                Loop.make("k", 0, "j + 1"),
+                Loop.make("l", 0, "k + 1"),
+                Loop.make("m", 0, "l + 1"),
+            ],
+            parameters=["N"],
+            name="simplex5_executors",
+        )
+        collapsed = collapse(nest)
+        assert any(r.method == "bisection" for r in collapsed.unranking.recoveries)
+        values = {"N": 6}
+        total = collapsed.total_iterations(values)
+        assert _walk(kind, collapsed, 1, total, values) == list(enumerate_iterations(nest, values))
+
+    def test_chunk_past_the_end_is_rejected(self, kind, collapsed_correlation):
+        values = {"N": 10}
+        total = collapsed_correlation.total_iterations(values)
+        assert total == 45
+        with pytest.raises(ValueError):
+            _walk(kind, collapsed_correlation, 40, 10 ** 9, values)

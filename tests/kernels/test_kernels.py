@@ -118,6 +118,26 @@ class TestExecution:
         )
         assert np.allclose(original["c"], chunked["c"])
 
+    def test_verify_walks_the_scalar_reference(self, monkeypatch):
+        # the serial collapsed run walks each static chunk with the exact
+        # scalar unranker (Fig. 4), one call per chunk
+        from repro.core import iterate_chunk
+        from repro.kernels import execution
+
+        walked = []
+
+        def spy(collapsed, first_pc, last_pc, values, *args, **kwargs):
+            walked.append((first_pc, last_pc))
+            return iterate_chunk(collapsed, first_pc, last_pc, values, *args, **kwargs)
+
+        monkeypatch.setattr(execution, "iterate_chunk", spy)
+        kernel = get_kernel("utma")
+        values = small_parameters(kernel)
+        assert verify_kernel(kernel, values, threads=3)
+        total = kernel.collapsed().total_iterations(values)
+        assert len(walked) == 3
+        assert walked[0][0] == 1 and walked[-1][1] == total
+
     def test_non_executable_kernel_raises(self):
         kernel = get_kernel("jacobi1d_skewed")
         with pytest.raises(ValueError):

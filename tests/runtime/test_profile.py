@@ -211,6 +211,17 @@ class TestProfileStore:
         store.flush()
         assert json.loads(path.read_text())["backends"]["engine"]["runs"] == 1
 
+    def test_non_object_entry_warns_and_reads_cold(self, tmp_path, caplog):
+        # valid JSON that is not an object used to escape as AttributeError
+        store = ProfileStore(tmp_path)
+        path = store.path_for("listed")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps([1, 2, 3]))
+        with caplog.at_level(logging.WARNING, logger="repro.runtime.profile"):
+            assert store.load("listed") == {}
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert str(path) in caplog.records[0].getMessage()
+
     def test_absent_entry_and_foreign_fields_stay_silent(self, tmp_path, caplog):
         store = ProfileStore(tmp_path)
         path = store.path_for("foreign")
