@@ -517,13 +517,13 @@ def _recovery_scheme(spec) -> Tuple[str, Optional[int]]:
 
 
 def _loop_body_lines(
-    collapsed: CollapsedLoop,
+    recovery: List[str],
+    increments: List[str],
     body: Optional[str],
     scheme: str,
     chunk: Optional[int],
 ) -> List[str]:
     """The statements inside the ``pc`` loop (recovery + body [+ increments])."""
-    recovery = _c_recovery_lines(collapsed)
     lines: List[str] = []
     if scheme == "iteration":
         lines.extend(recovery)
@@ -542,7 +542,7 @@ def _loop_body_lines(
         lines.append("}")
     if scheme in ("thread", "chunk"):
         lines.append("/* indices incrementation as in the original loop nest */")
-        lines.extend(_c_increment_lines(collapsed))
+        lines.extend(increments)
     return lines
 
 
@@ -633,8 +633,11 @@ def generate_translation_unit(
     lines.append("}")
     lines.append("")
 
-    # ---- recover_range ------------------------------------------------ #
+    # each level's recovery and incrementation, rendered once for the unit
     recovery_lines = _c_recovery_lines(collapsed)
+    increment_lines = _c_increment_lines(collapsed)
+
+    # ---- recover_range ------------------------------------------------ #
     lines.append(
         "int repro_recover_range(const long long *repro_params, long long first_pc,"
     )
@@ -653,7 +656,7 @@ def generate_translation_unit(
     lines.append("")
 
     # ---- run ----------------------------------------------------------- #
-    loop_lines = _loop_body_lines(collapsed, body, scheme, chunk)
+    loop_lines = _loop_body_lines(recovery_lines, increment_lines, body, scheme, chunk)
 
     def emit_thread_loop(indent: str, parallel: bool) -> None:
         if scheme == "thread":
@@ -743,7 +746,7 @@ def generate_translation_unit(
     lines.append("  {")
     lines.append("    /* chunk ranges are contiguous: recover once, then increment */")
     lines.append("    const long long pc = first_pc;")
-    lines.extend("    " + line for line in _c_recovery_lines(collapsed))
+    lines.extend("    " + line for line in recovery_lines)
     lines.append("  }")
     lines.append("  for (long long pc = first_pc; pc <= last_pc; pc++) {")
     lines.append("    (void)pc;")
@@ -752,7 +755,7 @@ def generate_translation_unit(
         lines.extend("      " + line for line in body.strip("\n").splitlines())
         lines.append("    }")
     lines.append("    /* indices incrementation as in the original loop nest */")
-    lines.extend("    " + line for line in _c_increment_lines(collapsed))
+    lines.extend("    " + line for line in increment_lines)
     lines.append("  }")
     lines.append("  if (repro_seconds) {")
     lines.append("#ifdef _OPENMP")

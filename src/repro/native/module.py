@@ -19,17 +19,18 @@ index arrays):
 * :meth:`NativeModule.run` — execute the kernel body over a ``pc`` range
   under the module's OpenMP schedule, mutating the caller's NumPy arrays in
   place and returning a :class:`~repro.runtime.engine.RunResult` with
-  per-thread timings read back from the C side,
-* :meth:`NativeModule.run_range` — execute one contiguous chunk *serially*
-  (no OpenMP team): the hybrid backend's per-chunk operation.
+  per-thread timings read back from the C side.
 
 :func:`compile_collapsed` builds (and memoises) modules for arbitrary
 collapsed loops with an ad-hoc C body; :func:`compile_native_kernel` does
 the same for registered kernels carrying a ``c_body``.  For the hybrid
 backend, :meth:`NativeModule.library_spec` exports a picklable
 :class:`NativeLibrarySpec` from which engine workers build a
-:class:`NativeChunkRunner` — attaching the already-compiled library by
-path, never invoking compiler or code generator.
+:class:`NativeChunkRunner`, the one binding of the unit's
+``repro_run_range``: it attaches the already-compiled library by path,
+never invoking compiler or code generator, and executes one contiguous
+chunk *serially* (no OpenMP team), the hybrid backend's per-chunk
+operation.
 """
 
 from __future__ import annotations
@@ -139,11 +140,6 @@ class NativeModule:
             _LONGLONG_P, _DOUBLE_P, _LONGLONG_P, _LONGLONG_P,
         ]
         self._lib.repro_run.restype = ctypes.c_int
-        self._lib.repro_run_range.argtypes = [
-            _LONGLONG_P, ctypes.c_longlong, ctypes.c_longlong,
-            ctypes.POINTER(_DOUBLE_P), _LONGLONG_P, _DOUBLE_P,
-        ]
-        self._lib.repro_run_range.restype = ctypes.c_longlong
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -280,58 +276,6 @@ class NativeModule:
             backend="native",
         )
 
-    def run_range(
-        self,
-        data: Mapping[str, np.ndarray],
-        parameter_values: Mapping[str, int],
-        first_pc: int,
-        last_pc: int,
-    ) -> int:
-        """Execute one contiguous chunk serially; return the executed count.
-
-        The hybrid backend's per-chunk operation: the indices are recovered
-        once at ``first_pc`` — through the same exact ``__int128``-bracket
-        scheme as :meth:`recover_range`, so the chunk starts from the right
-        tuple no matter how deep into a huge domain it sits — and
-        incremented Fig. 4-style across the chunk, with no OpenMP team;
-        parallelism belongs to the caller (typically a
-        :class:`~repro.runtime.engine.RuntimeEngine` worker holding one
-        chunk of the plan's schedule).
-        """
-        count, _seconds = self.run_range_timed(data, parameter_values, first_pc, last_pc)
-        return count
-
-    def run_range_timed(
-        self,
-        data: Mapping[str, np.ndarray],
-        parameter_values: Mapping[str, int],
-        first_pc: int,
-        last_pc: int,
-    ) -> Tuple[int, float]:
-        """:meth:`run_range` plus the chunk's own wall-clock seconds.
-
-        The seconds come back through the ABI from inside the compiled
-        function (``omp_get_wtime`` around the recover-and-walk loop), so
-        they exclude the ``ctypes`` dispatch and any queue latency — the
-        measurement the profile store records for the hybrid backend.
-        """
-        first, last = self._resolve_range(parameter_values, first_pc, last_pc)
-        if last < first:
-            return 0, 0.0
-        pointers, strides = _flat_strides(self.arrays, self.array_ndims, data)
-        seconds = ctypes.c_double(0.0)
-        count = int(
-            self._lib.repro_run_range(
-                self._params(parameter_values),
-                ctypes.c_longlong(first),
-                ctypes.c_longlong(last),
-                pointers,
-                strides,
-                ctypes.byref(seconds),
-            )
-        )
-        return count, float(seconds.value)
-
     def library_spec(self) -> NativeLibrarySpec:
         """The picklable attachment recipe of this module's shared object."""
         return NativeLibrarySpec(
@@ -350,13 +294,16 @@ class NativeModule:
 
 
 class NativeChunkRunner:
-    """Worker-side binding of one compiled library's ``repro_run_range``.
+    """The one binding of a compiled library's ``repro_run_range``.
 
-    Built from a :class:`NativeLibrarySpec` inside an engine worker: loads
-    the already-compiled shared object by path (never invoking compiler or
-    code generator) and executes contiguous chunks over the worker's
-    attached shared-memory arrays.  Raises ``OSError`` when the library
-    cannot be loaded — callers treat that as "fall back to the Python ops".
+    Built from a :class:`NativeLibrarySpec` (inside an engine worker, over
+    its attached shared-memory arrays): loads the already-compiled shared
+    object by path (never invoking compiler or code generator) and executes
+    contiguous chunks serially.  Each chunk recovers its indices once at
+    its first ``pc``, through the same exact ``__int128``-bracket scheme as
+    :meth:`NativeModule.recover_range`, and increments Fig. 4-style across
+    the chunk.  Raises ``OSError`` when the library cannot be loaded —
+    callers treat that as "fall back to the Python ops".
     """
 
     def __init__(self, spec: NativeLibrarySpec):
@@ -432,7 +379,6 @@ def compile_collapsed(
     body: Optional[str] = None,
     arrays: Sequence[str] = (),
     schedule: object = "static",
-    use_cache: bool = True,
     array_ndims=None,
     extra_flags: Sequence[str] = (),
     sanitize: Optional[str] = None,
@@ -466,10 +412,9 @@ def compile_collapsed(
         id(collapsed), str(spec), body, tuple(arrays), ndims,
         effective_flags(flags, sanitize),
     )
-    if use_cache:
-        cached = _MODULE_CACHE.get(key)
-        if cached is not None:
-            return cached
+    cached = _MODULE_CACHE.get(key)
+    if cached is not None:
+        return cached
     source = generate_translation_unit(
         collapsed, body=body, arrays=arrays, schedule=spec, array_ndims=array_ndims
     )
@@ -486,10 +431,9 @@ def compile_collapsed(
         schedule=spec,
         array_ndims=resolve_array_ndims(arrays, array_ndims),
     )
-    if use_cache:
-        if len(_MODULE_CACHE) >= _MODULE_CACHE_LIMIT:
-            _MODULE_CACHE.pop(next(iter(_MODULE_CACHE)))
-        _MODULE_CACHE[key] = module
+    if len(_MODULE_CACHE) >= _MODULE_CACHE_LIMIT:
+        _MODULE_CACHE.pop(next(iter(_MODULE_CACHE)))
+    _MODULE_CACHE[key] = module
     return module
 
 

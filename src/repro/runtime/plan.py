@@ -99,10 +99,9 @@ def adaptive_chunks(
     collapsed: CollapsedLoop,
     parameter_values: Mapping[str, int],
     workers: int,
-    oversubscribe: int = DEFAULT_OVERSUBSCRIBE,
     cost_model: Optional[CostModel] = None,
 ) -> List[Chunk]:
-    """Cut ``[1, total]`` into ~``workers * oversubscribe`` equal-*work* chunks.
+    """Cut ``[1, total]`` into ~``workers * DEFAULT_OVERSUBSCRIBE`` equal-*work* chunks.
 
     The cumulative work vector is cut at its evenly spaced quantiles, so a
     chunk covering cheap iterations (small recovered inner trip counts) is
@@ -118,7 +117,7 @@ def adaptive_chunks(
     work = per_iteration_work(collapsed, parameter_values, cost_model)
     cumulative = np.cumsum(work)
     grand_total = float(cumulative[-1])
-    count = min(total, max(1, workers * max(1, oversubscribe)))
+    count = min(total, workers * DEFAULT_OVERSUBSCRIBE)
     if grand_total <= 0.0:  # degenerate model: fall back to equal iterations
         bounds = np.linspace(0, total, count + 1).astype(np.int64)
     else:
@@ -153,7 +152,6 @@ class ExecutionPlan:
     kernel_name: Optional[str] = None
     iteration_op: Optional[Callable] = None
     chunk_op: Optional[Callable] = None
-    oversubscribe: int = DEFAULT_OVERSUBSCRIBE
     cost_model: Optional[CostModel] = field(default=None, compare=False)
     #: the plan's compiled translation unit (set by ``build_plan(native=True)``):
     #: the native backend calls its whole-range OpenMP ``repro_run`` in
@@ -226,19 +224,15 @@ class ExecutionPlan:
                     total,
                     prefer_backend="hybrid" if self.native_spec is not None else "engine",
                 )
-                count = min(total, max(1, workers * max(1, self.oversubscribe)))
+                count = min(total, workers * DEFAULT_OVERSUBSCRIBE)
                 chunks = profile_guided_chunks(segments, total, count)
                 measured = bool(chunks)
             if not chunks:  # cold store (or unusable measurements): a priori model
                 chunks = adaptive_chunks(
-                    self.collapsed,
-                    self.parameter_values,
-                    workers,
-                    oversubscribe=self.oversubscribe,
-                    cost_model=self.cost_model,
+                    self.collapsed, self.parameter_values, workers, cost_model=self.cost_model
                 )
         elif self.schedule.kind is ScheduleKind.DYNAMIC and self.schedule.chunk_size is None:
-            chunk = max(1, -(-total // (workers * max(1, self.oversubscribe))))
+            chunk = max(1, -(-total // (workers * DEFAULT_OVERSUBSCRIBE)))
             chunks = schedule_chunks(ScheduleSpec(ScheduleKind.DYNAMIC, chunk), total, workers)
         else:
             chunks = schedule_chunks(self.schedule, total, workers)
@@ -312,8 +306,6 @@ def build_plan(
     source,
     parameter_values: Mapping[str, int],
     schedule: object = "adaptive",
-    depth: Optional[int] = None,
-    oversubscribe: int = DEFAULT_OVERSUBSCRIBE,
     iteration_op: Optional[Callable] = None,
     chunk_op: Optional[Callable] = None,
     native: bool = False,
@@ -327,8 +319,9 @@ def build_plan(
 
     ``source`` may be a registered kernel name, a
     :class:`~repro.kernels.Kernel`, a :class:`~repro.ir.LoopNest` (collapsed
-    here, through the memo cache) or an existing
-    :class:`~repro.core.CollapsedLoop`.  Ad-hoc ``iteration_op``/``chunk_op``
+    whole here, through the memo cache) or an existing
+    :class:`~repro.core.CollapsedLoop` (``collapse(nest, depth)`` collapses
+    fewer loops).  Ad-hoc ``iteration_op``/``chunk_op``
     must be module-level (picklable) functions; registered kernels need
     neither, their operations resolve from the registry inside each worker.
 
@@ -376,7 +369,7 @@ def build_plan(
         iteration_op = source.iteration_op
         chunk_op = source.chunk_op
     elif isinstance(source, LoopNest):
-        collapsed = collapse(source, depth)
+        collapsed = collapse(source)
     elif isinstance(source, CollapsedLoop):
         collapsed = source
     else:
@@ -429,7 +422,7 @@ def build_plan(
                 ) from error
 
     try:
-        plan_profile_key = profile_key(source, parameter_values, spec, depth=depth)
+        plan_profile_key = profile_key(source, parameter_values, spec)
     except ProfileError:
         plan_profile_key = None  # unfingerprintable source: plan runs unprofiled
 
@@ -441,7 +434,6 @@ def build_plan(
         kernel_name=kernel_name,
         iteration_op=iteration_op,
         chunk_op=chunk_op,
-        oversubscribe=oversubscribe,
         cost_model=cost_model,
         native_module=native_module,
         native_spec=native_module.library_spec() if native_module is not None else None,

@@ -41,7 +41,7 @@ import logging
 import os
 import tempfile
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from time import monotonic
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -53,7 +53,7 @@ import numpy as np
 MAX_ELAPSED_WINDOW = 32
 
 #: chunk profiles kept per backend record (one adaptive run produces
-#: ``workers * oversubscribe`` chunks; far below this cap)
+#: ``workers * DEFAULT_OVERSUBSCRIBE`` chunks; far below this cap)
 MAX_SEGMENTS = 4096
 
 #: default entry cap of a store (files beyond it are evicted oldest-first)
@@ -146,25 +146,24 @@ class BackendProfile:
             segments=segments,
         )
 
-    def merge(self, other: "BackendProfile") -> "BackendProfile":
-        """Combine two histories of the same key+backend (concurrent writers).
+    def merge(self, newer: "BackendProfile") -> "BackendProfile":
+        """This history followed by ``newer`` runs of the same key+backend.
 
-        Run counts add; the elapsed window concatenates (other's entries
-        last, window-capped); the chunk segments of the *fresher* record —
-        the one with more runs, ties to ``other`` — win, because segments
-        describe one coherent run, not a mergeable population.
+        Run counts add; the elapsed window concatenates (``newer``'s entries
+        last, window-capped); the segments, workers and trip count are
+        ``newer``'s, because segments describe one coherent run, not a
+        mergeable population, and the adaptive re-cut must follow the
+        latest run.
         """
-        if other.backend != self.backend:
-            raise ProfileError(f"cannot merge {self.backend!r} with {other.backend!r}")
-        elapsed = (self.elapsed_seconds + other.elapsed_seconds)[-MAX_ELAPSED_WINDOW:]
-        fresher = other if other.runs >= self.runs else self
+        if newer.backend != self.backend:
+            raise ProfileError(f"cannot merge {self.backend!r} with {newer.backend!r}")
         return BackendProfile(
             backend=self.backend,
-            runs=self.runs + other.runs,
-            workers=fresher.workers,
-            total_iterations=fresher.total_iterations,
-            elapsed_seconds=elapsed,
-            segments=list(fresher.segments),
+            runs=self.runs + newer.runs,
+            workers=newer.workers,
+            total_iterations=newer.total_iterations,
+            elapsed_seconds=(self.elapsed_seconds + newer.elapsed_seconds)[-MAX_ELAPSED_WINDOW:],
+            segments=list(newer.segments),
         )
 
 
@@ -218,17 +217,17 @@ def profile_key(
     source,
     parameter_values: Mapping[str, int],
     schedule: object = "adaptive",
-    depth: Optional[int] = None,
 ) -> str:
     """The store key of one (kernel/nest, shape, schedule) combination.
 
-    A SHA-256 digest over the source's structural fingerprint, the sorted
-    parameter values, the parsed schedule spelling and the collapse depth —
-    the same identity scheme the plan cache and the native source-hash
-    cache use, so a profile written by one process is found by every other
-    process running the same configuration.  The backend is *not* part of
-    the key: one entry holds all backends of a configuration side by side,
-    which is what lets ``backend="auto"`` compare them.
+    A SHA-256 digest over the source's structural fingerprint (a collapsed
+    loop's includes its depth), the sorted parameter values and the parsed
+    schedule spelling — the same identity scheme the plan cache and the
+    native source-hash cache use, so a profile written by one process is
+    found by every other process running the same configuration.  The
+    backend is *not* part of the key: one entry holds all backends of a
+    configuration side by side, which is what lets ``backend="auto"``
+    compare them.
     """
     from ..openmp.schedule import ScheduleSpec
 
@@ -238,7 +237,6 @@ def profile_key(
             _source_fingerprint(source),
             tuple(sorted((name, int(value)) for name, value in parameter_values.items())),
             str(spec),
-            depth,
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
@@ -285,30 +283,14 @@ _TABLES: Dict[str, _Table] = {}
 _TABLES_LOCK = threading.Lock()
 
 
-def _append_run(history: BackendProfile, run: BackendProfile) -> BackendProfile:
-    """``history`` followed by ``run``: merged counts and window, and
-    ``run``'s segments, workers and trip count.
-
-    Unlike :meth:`BackendProfile.merge`, which keeps the segments of the
-    record with more runs, the newer record always wins here: it describes
-    the latest run, and the adaptive re-cut must follow the latest run.
-    """
-    return replace(
-        history.merge(run),
-        workers=run.workers,
-        total_iterations=run.total_iterations,
-        segments=list(run.segments),
-    )
-
-
 class ProfileStore:
     """Size-capped on-disk profile records, banked in memory (write-behind).
 
     One JSON file per key under the store root (``$REPRO_PROFILE_DIR``,
     default ``~/.cache/repro-profile``).  All stores of one process on one
     root share one in-memory table: :meth:`record` merges a run into it
-    and bumps the key's change token, and :meth:`load`, :meth:`token`,
-    :meth:`segments` and :meth:`best_backend` read it.  A key's file is
+    and bumps the key's change token, and :meth:`load`, :meth:`token` and
+    :meth:`segments` read it.  A key's file is
     read once, and again after each flush unless the key has records
     waiting.
 
@@ -429,10 +411,10 @@ class ProfileStore:
         table = self._current()
         with table.lock:
             profiles = dict(self._entry(table, key))
-            merged = profiles[backend] = _append_run(profiles.get(backend, empty), run)
+            merged = profiles[backend] = profiles.get(backend, empty).merge(run)
             table.install(key, profiles)
             pending = table.pending.setdefault(key, {})
-            pending[backend] = _append_run(pending.get(backend, empty), run)
+            pending[backend] = pending.get(backend, empty).merge(run)
         return merged
 
     # -- flush ---------------------------------------------------------- #
@@ -456,7 +438,7 @@ class ProfileStore:
                     profiles = self._read(key)
                     for backend, runs in table.pending[key].items():
                         history = profiles.get(backend, BackendProfile(backend=backend))
-                        profiles[backend] = _append_run(history, runs)
+                        profiles[backend] = history.merge(runs)
                     self._write(key, profiles)
                     del table.pending[key]
                     table.install(key, profiles)
@@ -538,18 +520,6 @@ class ProfileStore:
                     return list(profile.segments)
         best = max(candidates, key=lambda profile: profile.runs)
         return list(best.segments)
-
-    def best_backend(self, key: str, candidates: Sequence[str]) -> Optional[str]:
-        """The measured-fastest candidate, or ``None`` when none is recorded."""
-        profiles = self.load(key)
-        timed = [
-            (profiles[name].median_elapsed, name)
-            for name in candidates
-            if name in profiles and profiles[name].median_elapsed is not None
-        ]
-        if not timed:
-            return None
-        return min(timed)[1]
 
     def clear(self) -> int:
         """Delete every entry, pending and on disk; returns the file count removed."""

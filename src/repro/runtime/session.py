@@ -1,15 +1,16 @@
 """The high-level runtime API: ``collapse_and_run`` with plan caching.
 
-A :class:`RuntimeSession` owns one persistent :class:`RuntimeEngine` plus a
-cache of :class:`ExecutionPlan` objects keyed by (nest structure, collapse
-depth, parameter values, schedule, plan options) — the same structural key
-idea as the ``collapse()`` memo cache, one level up.  Asking the session
-twice for the same kernel at the same size re-uses the plan, the workers'
-compiled state and (for registry kernels run without caller data) the
-shared-memory buffers, so a steady-state run is nothing but chunk dispatch.
-:meth:`RuntimeSession.run` is the one place a backend name picks a
-substrate: engine, hybrid and native all run a cached plan, and only the
-final dispatch differs.
+A :class:`RuntimeSession` owns one persistent :class:`RuntimeEngine`, a
+cache of :class:`ExecutionPlan` objects keyed by (source structure,
+parameter values, schedule, plan options) — the same structural key idea
+as the ``collapse()`` memo cache, one level up — and one pool of
+shared-memory sets, at most one free set per array signature.  Asking the
+session twice for the same kernel at the same size re-uses the plan, the
+workers' compiled state and the pooled set every worker-pool run stages
+through, so a steady-state run allocates nothing: it is the copies of its
+arrays plus chunk dispatch.  :meth:`RuntimeSession.run` is the one place a backend
+name picks a substrate: engine, hybrid and native all run a cached plan,
+and only the final dispatch differs.
 
 :func:`collapse_and_run` is the one-call version::
 
@@ -42,10 +43,10 @@ from .profile import (
 from .shm import SharedBuffers, signature
 
 
-def _profile_key_or_none(source, parameter_values, schedule, depth=None) -> Optional[str]:
+def _profile_key_or_none(source, parameter_values, schedule) -> Optional[str]:
     """The source's profile-store key, or ``None`` for unfingerprintable ones."""
     try:
-        return profile_key(source, parameter_values, schedule, depth=depth)
+        return profile_key(source, parameter_values, schedule)
     except ProfileError:
         return None
 
@@ -54,7 +55,6 @@ def resolve_auto_backend(
     source,
     parameter_values: Mapping[str, int],
     schedule: object = "adaptive",
-    depth: Optional[int] = None,
     data=None,
     store=None,
     allow_native: bool = True,
@@ -65,9 +65,9 @@ def resolve_auto_backend(
     The decision has two stages.  *Viability* first: ``native`` needs a
     native-capable source (a kernel ``c_body``, a parseable nest — with
     caller ``data`` — or an explicit ``c_body=``), a present C compiler and
-    ``allow_native`` (sessions clear it when engine-only options like
-    ``depth`` or Python operations are in play); ``hybrid`` needs the same
-    native capability and compiler; ``engine`` needs Python operations (an
+    ``allow_native`` (sessions clear it when the engine-only Python
+    operations ``iteration_op``/``chunk_op`` are passed); ``hybrid`` needs
+    the same native capability and compiler; ``engine`` needs Python operations (an
     executable kernel or ``iteration_op``/``chunk_op``).  On machines with
     ``os.cpu_count() <= 2`` the ``hybrid`` candidate is dropped whenever
     ``native`` is viable — per-chunk dispatch through a 1–2 worker pool
@@ -89,7 +89,6 @@ def resolve_auto_backend(
         source,
         parameter_values,
         schedule=schedule,
-        depth=depth,
         data=data,
         store=store,
         allow_native=allow_native,
@@ -102,7 +101,6 @@ def _resolve_auto(
     source,
     parameter_values: Mapping[str, int],
     schedule: object = "adaptive",
-    depth: Optional[int] = None,
     data=None,
     store=None,
     allow_native: bool = True,
@@ -156,7 +154,7 @@ def _resolve_auto(
     heuristic = ("native", "engine") if cpus <= 2 else ("hybrid", "native", "engine")
     if len(candidates) == 1:
         return candidates[0], True
-    key = _profile_key_or_none(source, parameter_values, schedule, depth)
+    key = _profile_key_or_none(source, parameter_values, schedule)
     profiles = (store or default_profile_store()).load(key) if key else {}
     settled = all(
         name in profiles and profiles[name].median_elapsed is not None
@@ -178,7 +176,7 @@ def _give_back(free: dict, discarded: list, key: tuple, buffers: SharedBuffers) 
         discarded.append(buffers)
 
 
-def _structural_key(plan_source, parameter_values, spec, depth) -> tuple:
+def _structural_key(plan_source, parameter_values, spec) -> tuple:
     """A hashable identity for plan caching (mirrors the collapse cache key)."""
     from ..ir import LoopNest
     from ..kernels import Kernel
@@ -213,7 +211,6 @@ def _structural_key(plan_source, parameter_values, spec, depth) -> tuple:
         source_key = ("object", id(plan_source))
     return (
         source_key,
-        depth,
         tuple(sorted((k, int(v)) for k, v in parameter_values.items())),
         str(spec),
     )
@@ -227,23 +224,18 @@ BACKENDS = ("engine", "hybrid", "native")
 #: plan rejects them, so a run that lands on the engine drops them
 NATIVE_PLAN_OPTIONS = ("c_body", "c_arrays", "array_ndims", "compile_flags")
 
+#: plan options only the worker pool honours, the Python operations: the
+#: native backend rejects them instead of silently dropping them, and
+#: ``auto`` leaves native out of its candidates while any is in play
+ENGINE_PLAN_OPTIONS = ("iteration_op", "chunk_op")
+
 
 def _without_native_options(plan_kwargs: Mapping[str, object]) -> Dict[str, object]:
     return {name: value for name, value in plan_kwargs.items() if name not in NATIVE_PLAN_OPTIONS}
 
 
-def _engine_only_options(depth, fresh_data, plan_kwargs) -> list:
-    """The options of one run only the worker pool honours, by name.
-
-    The native backend rejects them instead of silently dropping them, and
-    ``auto`` leaves native out of its candidates while any is in play.
-    """
-    names = sorted(_without_native_options(plan_kwargs))
-    if depth is not None:
-        names.append("depth")
-    if fresh_data is not True:
-        names.append("fresh_data")
-    return names
+def _engine_only_options(plan_kwargs: Mapping[str, object]) -> List[str]:
+    return [name for name in ENGINE_PLAN_OPTIONS if name in plan_kwargs]
 
 
 #: settled auto resolutions are reused this many times before the session
@@ -254,15 +246,14 @@ AUTO_REVALIDATE_EVERY = 8
 
 
 class RuntimeSession:
-    """Plan cache + persistent engine + (optionally) persistent buffers."""
+    """Plan cache + persistent engine + one pool of staged shared-memory sets."""
 
     def __init__(self, workers: int = 2, start_method: Optional[str] = None):
         self.engine = RuntimeEngine(workers=workers, start_method=start_method)
         self._plans: Dict[tuple, ExecutionPlan] = {}
-        self._buffers: Dict[str, SharedBuffers] = {}  # plan_id -> session-owned buffers
-        #: caller-data staging: at most one free set per array signature,
-        #: the sets handed back while their slot was full, and every staged
-        #: set not yet closed (free, lent or discarded)
+        #: staging: at most one free set per array signature, the sets
+        #: handed back while their slot was full, and every staged set not
+        #: yet closed (free, lent or discarded)
         self._free: Dict[tuple, SharedBuffers] = {}
         self._discarded: List[SharedBuffers] = []
         self._staged: Set[SharedBuffers] = set()
@@ -281,12 +272,11 @@ class RuntimeSession:
         source,
         parameter_values: Mapping[str, int],
         schedule: object = "adaptive",
-        depth: Optional[int] = None,
         **plan_kwargs,
     ) -> ExecutionPlan:
         """The cached plan of (source, parameters, schedule); built on miss."""
         spec = ScheduleSpec.parse(schedule)
-        key = _structural_key(source, parameter_values, spec, depth) + (
+        key = _structural_key(source, parameter_values, spec) + (
             tuple(sorted(
                 # module + qualname: two same-named functions from different
                 # modules must not share a cached plan
@@ -302,13 +292,11 @@ class RuntimeSession:
         with self._lock:
             plan = self._plans.get(key)
             if plan is None:
-                plan = build_plan(
-                    source, parameter_values, schedule=spec, depth=depth, **plan_kwargs
-                )
+                plan = build_plan(source, parameter_values, schedule=spec, **plan_kwargs)
                 self._plans[key] = plan
         return plan
 
-    def _plan(self, backend, source, parameter_values, schedule, depth, plan_kwargs):
+    def _plan(self, backend, source, parameter_values, schedule, plan_kwargs):
         """The cached plan ``backend`` runs; native and hybrid share the compiled one.
 
         Where no C compiler exists, ``hybrid`` degrades to the engine plan
@@ -319,21 +307,18 @@ class RuntimeSession:
         raises on both, because silence there would hide a bug.
         """
         if backend == "engine":
-            return self.plan_for(source, parameter_values, schedule, depth, **plan_kwargs)
+            return self.plan_for(source, parameter_values, schedule, **plan_kwargs)
         # deferred import: the native backend is optional
         from ..native import NativeUnavailable, native_available
 
         try:
-            return self.plan_for(
-                source, parameter_values, schedule, depth, native=True, **plan_kwargs
-            )
+            return self.plan_for(source, parameter_values, schedule, native=True, **plan_kwargs)
         except NativeUnavailable as unavailable:
             if backend == "native" or native_available():
                 raise
             try:
                 return self.plan_for(
-                    source, parameter_values, schedule, depth,
-                    **_without_native_options(plan_kwargs),
+                    source, parameter_values, schedule, **_without_native_options(plan_kwargs)
                 )
             except PlanError:
                 # the engine cannot run this source either (no Python ops):
@@ -342,11 +327,7 @@ class RuntimeSession:
                 raise unavailable from None
 
     def cache_info(self) -> Dict[str, int]:
-        return {
-            "plans": len(self._plans),
-            "buffers": len(self._buffers),
-            "staged": len(self._staged),
-        }
+        return {"plans": len(self._plans), "staged": len(self._staged)}
 
     # ------------------------------------------------------------------ #
     # execution
@@ -357,8 +338,6 @@ class RuntimeSession:
         parameter_values: Mapping[str, int],
         data=None,
         schedule: object = "adaptive",
-        depth: Optional[int] = None,
-        fresh_data: bool = True,
         backend: str = "engine",
         threads: Optional[int] = None,
         **plan_kwargs,
@@ -367,27 +346,31 @@ class RuntimeSession:
 
         For a kernel source the return value is the kernel's result
         ``DataDict``: arrays the caller owns, safe to keep, slice and write,
-        unaffected by later calls and readable after :meth:`close`.
-        ``data`` seeds the run and is never mutated: it is copied into the
-        session's free shared-memory set of the same array signature (one
-        is created on a miss), and the result arrays are that set, lent to
-        the caller — once the caller drops them the set is free for the
-        next call, so a warm caller-data run copies its input once and
-        allocates nothing.  With ``data=None`` the kernel's ``make_data``
-        output is used, and on the worker pool the session keeps the
-        shared buffers attached across calls, with ``fresh_data=True``
-        (the default) re-initialising them in place each run, and returns
-        private copies.
+        unaffected by later calls and readable after :meth:`close`.  With
+        ``data=None`` the run starts from fresh ``make_data`` arrays, which
+        belong to the call and are returned.  ``data`` seeds the run and is
+        never mutated: the result arrays are the session's staged copy of
+        it, lent to the caller — once the caller drops them the set is free
+        for the next call, so a warm caller-data run copies its input once
+        and allocates nothing.
+
+        Every run on the worker pool stages through one pool of
+        shared-memory sets, at most one free set per array signature (one
+        is created on a miss): the arrays are copied into the set, and the
+        set's contents are copied back into them and the set freed at once
+        — except for a kernel's caller ``data``, whose set is the lent
+        result.  ``native`` runs in this process, in place on arrays it may
+        write (made arrays, a nest's ``data``) and on a staged set
+        otherwise.
 
         Nest/collapsed-loop sources run against the caller's ``data``
-        arrays, which are mutated in place (natively on the arrays
-        themselves; on the pool through a staged set whose contents are
-        copied back), and the return value is the
+        arrays, which are mutated in place, and the return value is the
         :class:`~repro.runtime.engine.RunResult`.  On the engine they need
         their operations passed through ``plan_kwargs``
         (``iteration_op=``/``chunk_op=``, module-level functions); on the
         compiled backends a C body (``c_body=``/``c_arrays=``, or the
-        statements of a parsed nest).
+        statements of a parsed nest).  To collapse fewer loops than the
+        whole nest, pass ``collapse(nest, depth)`` as the source.
 
         ``backend`` selects the execution substrate; every backend runs the
         session's cached plan of (source, parameters, schedule), and native
@@ -406,12 +389,13 @@ class RuntimeSession:
           unit's whole-range OpenMP ``repro_run`` (``adaptive`` has no
           OpenMP spelling and runs as ``static``).  Raises
           :class:`~repro.native.NativeUnavailable` without a compiler, and
-          :class:`PlanError` for the engine-only options (Python
-          operations, ``oversubscribe``, ``depth``, ``fresh_data``) rather
-          than silently dropping them.
+          :class:`PlanError` for the engine-only Python operations
+          (``iteration_op``, ``chunk_op``) rather than silently dropping
+          them.
 
         ``c_body``/``c_arrays``/``array_ndims``/``compile_flags`` shape the
-        compiled unit and are taken by both compiled backends.
+        compiled unit and are taken by both compiled backends;
+        ``static_check`` is taken by every backend.
 
         ``backend="auto"`` closes the measure→schedule loop one level up:
         every run (any backend) banks its timings in the persistent
@@ -430,8 +414,7 @@ class RuntimeSession:
 
         if backend == "auto":
             backend = self._auto_backend(
-                source, parameter_values, data, schedule, depth, fresh_data, threads,
-                plan_kwargs,
+                source, parameter_values, data, schedule, threads, plan_kwargs
             )
             if backend == "engine":
                 # an auto resolution landing on the engine must not forward
@@ -445,7 +428,7 @@ class RuntimeSession:
                 "or 'native'"
             )
         if backend == "native":
-            engine_only = _engine_only_options(depth, fresh_data, plan_kwargs)
+            engine_only = _engine_only_options(plan_kwargs)
             if engine_only:
                 raise PlanError(
                     f"the native backend does not take {engine_only}; these are "
@@ -458,45 +441,41 @@ class RuntimeSession:
             )
 
         self._reap()
-        plan = self._plan(backend, source, parameter_values, schedule, depth, plan_kwargs)
+        plan = self._plan(backend, source, parameter_values, schedule, plan_kwargs)
         kernel = get_kernel(plan.kernel_name) if plan.kernel_name is not None else None
 
-        if data is not None:
-            if kernel is None and backend == "native":
+        if kernel is None:
+            if data is None:
+                if backend == "native":
+                    raise PlanError(
+                        f"running nest {plan.collapsed.nest.name!r} natively needs "
+                        f"data= arrays for {list(plan.native_spec.arrays)}"
+                    )
+                return self._dispatch(backend, plan)
+            if backend == "native":
                 # the native substrate runs in this process, in place on the
                 # caller's own arrays
                 return self._dispatch(backend, plan, data, threads)
-            return self._run_staged(backend, plan, data, threads, lend=kernel is not None)
-        if kernel is None:
-            if backend == "native":
-                raise PlanError(
-                    f"running nest {plan.collapsed.nest.name!r} natively needs "
-                    f"data= arrays for {list(plan.native_spec.arrays)}"
-                )
-            return self._dispatch(backend, plan)
+            return self._run_staged(backend, plan, data, threads, lend=False)
+        if data is not None:
+            return self._run_staged(backend, plan, data, threads, lend=True)
+        arrays = kernel.make_data(parameter_values)
         if backend == "native":
-            arrays = kernel.make_data(parameter_values)
             self._dispatch(backend, plan, arrays, threads)
-            return arrays
-
-        buffers = self._buffers.get(plan.plan_id)
-        if buffers is None or buffers.closed:
-            buffers = SharedBuffers.create(kernel.make_data(parameter_values))
-            self._buffers[plan.plan_id] = buffers
-        elif fresh_data:
-            buffers.fill_from(kernel.make_data(parameter_values))
-        self._dispatch(backend, plan, buffers)
-        return buffers.snapshot()
+        else:
+            self._run_staged(backend, plan, arrays, threads, lend=False)
+        return arrays
 
     def _run_staged(self, backend, plan, data, threads, lend: bool):
-        """Run ``plan`` over a staged copy of the caller's ``data``.
+        """Run ``plan`` over a staged copy of ``data``.
 
         The copy lands in this signature's free :class:`SharedBuffers` set,
         or in a new one on a miss, so a warm call allocates nothing and the
-        workers keep their plan and attachment.  With ``lend`` (kernel
-        sources) the set's arrays are the result, and the set goes back to
-        its free slot once the caller drops them; otherwise (nests) the
-        mutations are copied back into ``data`` and the set is free at once.
+        workers keep their plan and attachment.  With ``lend`` (a kernel's
+        caller data) the set's arrays are the result, and the set goes back
+        to its free slot once the caller drops them; otherwise (a nest's
+        data, a kernel's made arrays) the mutations are copied back into
+        ``data`` and the set is free at once.
         """
         key = signature(data)
         buffers = self._free.pop(key, None)
@@ -539,9 +518,7 @@ class RuntimeSession:
             buffers.close()
             self._staged.discard(buffers)
 
-    def _auto_backend(
-        self, source, parameter_values, data, schedule, depth, fresh_data, threads, plan_kwargs
-    ) -> str:
+    def _auto_backend(self, source, parameter_values, data, schedule, threads, plan_kwargs) -> str:
         """The backend ``backend="auto"`` stands for on this call.
 
         A caller pinning ``threads`` (the OpenMP team size) has already
@@ -551,9 +528,9 @@ class RuntimeSession:
         """
         if threads is not None:
             return "native"
-        allow_native = not _engine_only_options(depth, fresh_data, plan_kwargs)
+        allow_native = not _engine_only_options(plan_kwargs)
         memo_key = (
-            _profile_key_or_none(source, parameter_values, schedule, depth),
+            _profile_key_or_none(source, parameter_values, schedule),
             allow_native,
             data is None,
         )
@@ -565,7 +542,6 @@ class RuntimeSession:
             source,
             parameter_values,
             schedule=schedule,
-            depth=depth,
             data=data,
             allow_native=allow_native,
             **plan_kwargs,
@@ -632,9 +608,6 @@ class RuntimeSession:
         """
         flush_profile_stores()
         self.engine.shutdown()
-        for buffers in self._buffers.values():
-            buffers.close()
-        self._buffers.clear()
         staged = list(self._staged)
         for buffers in staged:
             buffers.unlink()  # from here on a late hand-back is a no-op
@@ -693,13 +666,13 @@ def collapse_and_run(
     ``source`` is a registered kernel name (``"utma"``), a
     :class:`~repro.kernels.Kernel`, a nest or a collapsed loop; see
     :meth:`RuntimeSession.run`.  A kernel's result arrays belong to the
-    caller (with ``data=``, they are the session's staged shared-memory
-    copy of it, lent until the caller drops them; ``data`` itself is never
+    caller (without ``data=``, they are fresh ``make_data`` arrays the run
+    wrote; with it, the session's staged shared-memory copy of ``data``,
+    lent until the caller drops them, and ``data`` itself is never
     mutated), while a nest's ``data`` is mutated in place.  Without an
-    explicit ``session`` the default
-    session is used (its engine starts on the first call and persists, so
-    repeated calls pay no pool start-up; ``workers`` only takes effect on
-    the call that creates it).
+    explicit ``session`` the default session is used (its engine starts on
+    the first call and persists, so repeated calls pay no pool start-up;
+    ``workers`` only takes effect on the call that creates it).
 
     ``backend`` picks the execution substrate (full decision matrix in
     ``docs/architecture.md``):

@@ -13,6 +13,7 @@ from repro.core import batch_recovery, collapse
 from repro.ir import enumerate_iterations, iteration_count
 from repro.runtime import RunResult
 from repro.native import (
+    NativeChunkRunner,
     NativeExecutionError,
     compile_collapsed,
     compile_native_kernel,
@@ -278,9 +279,11 @@ class TestExactRecoveryHugeRanges:
             ),
             arrays=("trace",),
         )
+        runner = NativeChunkRunner(module.library_spec())
         for first in self._probe_firsts(collapsed, values):
             trace = np.full((64, 3), -1.0)
-            executed = module.run_range({"trace": trace}, values, first, first + 9)
+            runner.bind({"trace": trace}, values)
+            executed = runner.run_range(first, first + 9)
             assert executed == 10
             for pc in range(first, first + 10):
                 assert tuple(trace[pc % 64].astype(np.int64)) == exact_reference_recover(
@@ -398,16 +401,16 @@ class TestKernelExecution:
         module = compile_native_kernel(kernel)
         total = kernel.collapsed().total_iterations(values)
         data = kernel.make_data(values)
+        runner = NativeChunkRunner(module.library_spec())
+        runner.bind(data, values)
         executed = 0
         for first in range(1, total + 1, 113):
-            executed += module.run_range(data, values, first, min(first + 112, total))
+            executed += runner.run_range(first, min(first + 112, total))
         assert executed == total
         expected = run_original(kernel, values)
         assert np.array_equal(data["c"], expected["c"])
-        # empty ranges execute nothing, out-of-range ranges fail loudly
-        assert module.run_range(data, values, 5, 4) == 0
-        with pytest.raises(NativeExecutionError, match="must lie in"):
-            module.run_range(data, values, total, total + 1)
+        # empty ranges execute nothing
+        assert runner.run_range(5, 4) == 0
 
     def test_one_dimensional_arrays_run_natively(self, correlation_nest):
         """The N-D macro gap closed: a 1-D trace array, indexed by pc."""
@@ -584,11 +587,29 @@ class TestSessionBackend:
         with RuntimeSession(workers=1) as session:
             with pytest.raises(PlanError, match="iteration_op"):
                 session.run("utma", {"N": 10}, backend="native", iteration_op=_dummy_op)
-            # named engine-only parameters are rejected too, not dropped
-            with pytest.raises(PlanError, match="depth"):
-                session.run("utma", {"N": 10}, backend="native", depth=1)
-            with pytest.raises(PlanError, match="fresh_data"):
-                session.run("utma", {"N": 10}, backend="native", fresh_data=False)
+            with pytest.raises(PlanError, match="chunk_op"):
+                session.run("utma", {"N": 10}, backend="native", chunk_op=_dummy_op)
+
+    def test_native_backend_takes_static_check(self, monkeypatch):
+        """``static_check`` is a plan option of every backend: native, the
+        plan it audits, runs the full audit instead of rejecting it."""
+        from repro.kernels import get_kernel, run_original
+        from repro.lint import registry
+        from repro.runtime import RuntimeSession
+
+        audits = []
+        audit = registry.static_check_plan
+
+        def spy(*args, **kwargs):
+            audits.append(kwargs["full"])
+            return audit(*args, **kwargs)
+
+        monkeypatch.setattr(registry, "static_check_plan", spy)
+        values = {"N": 12}
+        with RuntimeSession(workers=1) as session:
+            result = session.run("utma", values, backend="native", static_check=True)
+        assert np.allclose(result["c"], run_original(get_kernel("utma"), values)["c"])
+        assert audits == [True]
 
     def test_threads_is_explicit_and_engine_path_rejects_it(self):
         from repro.kernels import get_kernel, run_original

@@ -193,15 +193,17 @@ class TestSessionAuto:
         profiles = default_profile_store().load(profile_key("utma", PARAMS))
         assert "native" in profiles
 
-    def test_engine_only_options_still_run_under_auto(self):
-        # depth/fresh_data are engine-only: auto must not route them natively
-        kernel = get_kernel("utma")
-        expected = run_original(kernel, PARAMS)
-        with RuntimeSession(workers=2) as session:
-            result = session.run(
-                kernel, PARAMS, backend="auto", depth=2, fresh_data=False
-            )
-            assert np.allclose(result["c"], expected["c"], atol=1e-9)
+    @pytest.mark.parametrize(
+        "option", [{"depth": 2}, {"fresh_data": False}], ids=["depth", "fresh_data"]
+    )
+    def test_removed_run_options_raise_type_error_on_every_backend(self, option):
+        # a caller collapses fewer loops by passing collapse(nest, depth) as
+        # the source, and a run without data always starts from make_data
+        (name,) = option
+        with RuntimeSession(workers=1) as session:
+            for backend in ("engine", "hybrid", "native", "auto"):
+                with pytest.raises(TypeError, match=name):
+                    session.run("utma", PARAMS, backend=backend, **option)
 
 
 class TestKernelLayerAuto:

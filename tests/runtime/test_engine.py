@@ -206,12 +206,40 @@ class TestSession:
         assert sum(result.results) == int(expected.sum())
 
     def test_repeated_runs_reuse_buffers_and_stay_correct(self, session):
+        # runs without data stage through the session's one pool: warm
+        # engine and hybrid runs of one signature share one set
         expected = run_original(get_kernel("utma"), VALUES)
-        before = session.cache_info()["buffers"]
-        for _ in range(3):
-            result = session.run("utma", VALUES, schedule="static")
-            assert np.array_equal(result["c"], expected["c"])
-        assert session.cache_info()["buffers"] == max(before, 1)
+        session.run("utma", VALUES, schedule="static")
+        before = session.cache_info()["staged"]
+        assert before >= 1
+        for backend in ("engine", "hybrid"):
+            for _ in range(3):
+                result = session.run("utma", VALUES, schedule="static", backend=backend)
+                assert np.array_equal(result["c"], expected["c"])
+        assert session.cache_info()["staged"] == before
+
+    def test_partially_collapsed_source_runs_and_keys_apart(self, session):
+        # collapse(nest, depth) is how a caller collapses fewer loops
+        from repro.core import collapse
+        from repro.runtime import profile_key
+
+        nest = LoopNest(
+            [Loop.make("i", 0, "N"), Loop.make("j", "i", "N"), Loop.make("k", 0, "j")],
+            parameters=["N"],
+            name="visit3",
+        )
+        values = {"N": 8}
+        partial = collapse(nest, 2)
+        data = {"visits": np.zeros((8, 8))}
+        result = session.run(
+            partial, values, data=data, schedule="static", iteration_op=mark_visit_op
+        )
+        expected = np.zeros((8, 8))
+        for indices in enumerate_iterations(nest, values, depth=2):
+            expected[indices] += 1.0
+        assert np.array_equal(data["visits"], expected)
+        assert result.iterations == partial.total_iterations(values)
+        assert profile_key(partial, values) != profile_key(collapse(nest), values)
 
 
 @pytest.fixture(scope="module", params=["fork", "spawn"])

@@ -8,7 +8,14 @@ import pytest
 from repro.ir import Loop, LoopNest
 from repro.kernels import get_kernel
 from repro.openmp import ScheduleKind, ScheduleSpec
-from repro.runtime import ExecutionPlan, PlanError, adaptive_chunks, build_plan, per_iteration_work
+from repro.runtime import (
+    DEFAULT_OVERSUBSCRIBE,
+    ExecutionPlan,
+    PlanError,
+    adaptive_chunks,
+    build_plan,
+    per_iteration_work,
+)
 
 
 def partition_is_exact(chunks, total):
@@ -94,7 +101,7 @@ class TestChunks:
         assert partition_is_exact(chunks, plan.total_iterations)
         # OpenMP's default chunk of 1 would mean one hand-out per iteration;
         # the engine default stays within ~workers * oversubscribe hand-outs
-        assert len(chunks) <= 4 * plan.oversubscribe + 1
+        assert len(chunks) <= 4 * DEFAULT_OVERSUBSCRIBE + 1
 
     def test_static_chunks_carry_threads_adaptive_chunks_do_not(self):
         plan = build_plan("utma", {"N": 20}, schedule="static")
@@ -144,8 +151,8 @@ class TestAdaptive:
 
     def test_chunk_count_tracks_oversubscription(self):
         collapsed = get_kernel("utma").collapsed()
-        chunks = adaptive_chunks(collapsed, {"N": 64}, workers=2, oversubscribe=6)
-        assert len(chunks) == pytest.approx(12, abs=2)
+        chunks = adaptive_chunks(collapsed, {"N": 64}, workers=3)
+        assert len(chunks) == pytest.approx(3 * DEFAULT_OVERSUBSCRIBE, abs=2)
 
 
 class TestRecutCadence:
@@ -181,7 +188,7 @@ class TestRecutCadence:
     def cut_of(self, plan, segments):
         from repro.runtime import profile_guided_chunks
 
-        count = min(plan.total_iterations, self.WORKERS * plan.oversubscribe)
+        count = min(plan.total_iterations, self.WORKERS * DEFAULT_OVERSUBSCRIBE)
         return profile_guided_chunks(segments, plan.total_iterations, count)
 
     @pytest.fixture

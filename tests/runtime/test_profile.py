@@ -90,15 +90,18 @@ class TestBackendProfile:
         assert len(merged.elapsed_seconds) == MAX_ELAPSED_WINDOW
         assert merged.elapsed_seconds[-1] == pytest.approx(0.2)
 
-    def test_merge_keeps_the_fresher_records_segments(self):
-        stale = BackendProfile(
-            backend="engine", runs=5, segments=[ChunkProfile(1, 10, 0.1)]
+    def test_merge_takes_the_newer_runs_segments_workers_and_trip_count(self):
+        history = BackendProfile(
+            backend="engine", runs=7, workers=4, total_iterations=10,
+            segments=[ChunkProfile(1, 10, 0.1)],
         )
-        fresh = BackendProfile(
-            backend="engine", runs=7, segments=[ChunkProfile(1, 5, 0.2)]
+        newer = BackendProfile(
+            backend="engine", runs=1, workers=2, total_iterations=5,
+            segments=[ChunkProfile(1, 5, 0.2)],
         )
-        assert stale.merge(fresh).segments == fresh.segments
-        assert fresh.merge(stale).segments == fresh.segments
+        merged = history.merge(newer)
+        assert merged.segments == newer.segments
+        assert (merged.workers, merged.total_iterations) == (2, 5)
 
     def test_merge_rejects_backend_mismatch(self):
         with pytest.raises(ProfileError, match="cannot merge"):
@@ -118,11 +121,10 @@ class TestProfileKey:
         kernel = get_kernel("utma")
         assert profile_key(kernel, {"N": 64}) == profile_key("utma", {"N": 64})
 
-    def test_parameters_schedule_and_depth_separate_keys(self):
+    def test_parameters_and_schedule_separate_keys(self):
         base = profile_key("utma", {"N": 64})
         assert profile_key("utma", {"N": 65}) != base
         assert profile_key("utma", {"N": 64}, "dynamic,4") != base
-        assert profile_key("utma", {"N": 64}, depth=2) != base
 
     def test_nests_key_by_structure_not_identity(self):
         from repro.ir import Loop, LoopNest
@@ -585,13 +587,6 @@ class TestSegmentsQuery:
         store.record("k", "engine", elapsed_seconds=0.1, workers=2,
                      total_iterations=10, chunks=[ChunkProfile(1, 10, 0.3)])
         assert store.segments("k", 10, prefer_backend="python") == [ChunkProfile(1, 10, 0.3)]
-
-    def test_best_backend_by_median(self, tmp_path):
-        store = ProfileStore(tmp_path)
-        store.record("k", "engine", elapsed_seconds=0.5, workers=2, total_iterations=10)
-        store.record("k", "native", elapsed_seconds=0.1, workers=2, total_iterations=10)
-        assert store.best_backend("k", ["engine", "native"]) == "native"
-        assert store.best_backend("k", ["hybrid"]) is None
 
 
 # ---------------------------------------------------------------------- #

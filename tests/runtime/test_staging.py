@@ -1,8 +1,9 @@
-"""Caller-data staging: one shared-memory set per array signature, lent as the result.
+"""Staging: one shared-memory set per array signature, lent as a caller-data result.
 
 A kernel run with ``data=`` copies the data into the session's free set of
 that signature and returns the set's own arrays; the set goes back to its
-free slot once the caller drops them.  These tests pin what makes the loan
+free slot once the caller drops them.  Runs without caller data stage
+through the same pool, copy back and free the set at once.  These tests pin what makes the loan
 safe (results never change under the caller, inputs are never written) and
 the release rule: a finalizer only hands a set back or discards it, and
 discarded sets are unlinked, with every worker detached, on the session's
@@ -136,6 +137,23 @@ class TestLoanSafety:
         assert shm_entries() == before
         assert segments_of(second) == segments
         assert session.cache_info()["staged"] == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_run_without_data_returns_its_own_arrays(session, backend):
+    """Without ``data`` the run's made arrays are the result: nothing is
+    lent, the staged set is free again at once, and the next call leaves
+    the result as it was."""
+    expected = run_original(get_kernel("utma"), VALUES)
+    first = session.run("utma", VALUES, backend=backend)
+    assert all(getattr(value.base, "lease", None) is None for value in first.values())
+    held = {name: value.copy() for name, value in first.items()}
+    second = session.run("utma", VALUES, backend=backend)
+    for name, value in first.items():
+        assert np.array_equal(value, held[name])
+        assert not np.shares_memory(value, second[name])
+    assert np.allclose(second["c"], expected["c"], atol=1e-9)
+    assert session.cache_info()["staged"] == (0 if backend == "native" else 1)
 
 
 class TestNestStaging:
