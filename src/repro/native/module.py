@@ -314,8 +314,11 @@ class NativeChunkRunner:
             ctypes.POINTER(_DOUBLE_P), _LONGLONG_P, _DOUBLE_P,
         ]
         self._lib.repro_run_range.restype = ctypes.c_longlong
+        self._lib.repro_total.argtypes = [_LONGLONG_P]
+        self._lib.repro_total.restype = ctypes.c_longlong
         self._params = None
         self._tables = None
+        self._total = 0
 
     def bind(self, data: Mapping[str, np.ndarray], parameter_values: Mapping[str, int]) -> None:
         """Pre-build the parameter and pointer tables for repeated chunks.
@@ -333,6 +336,7 @@ class NativeChunkRunner:
             ) from None
         self._params = (ctypes.c_longlong * max(1, len(values)))(*values)
         self._tables = _flat_strides(spec.arrays, spec.array_ndims, data)
+        self._total = int(self._lib.repro_total(self._params))
 
     def run_range(self, first_pc: int, last_pc: int) -> int:
         """Execute one bound chunk; returns the executed iteration count."""
@@ -345,17 +349,26 @@ class NativeChunkRunner:
         The seconds are the chunk's wall-clock *inside* the compiled
         function — the engine worker forwards them as the chunk's
         ``chunk_seconds`` entry, so hybrid profiles never include queue
-        latency or foreign-call overhead.
+        latency or foreign-call overhead.  An empty range (``last_pc <
+        first_pc``) executes nothing; a range outside ``[1, total]`` raises
+        instead of writing past the domain.
         """
         if self._params is None or self._tables is None:
             raise NativeExecutionError("NativeChunkRunner.bind was never called")
+        first, last = int(first_pc), int(last_pc)
+        if last < first:
+            return 0, 0.0
+        if first < 1 or last > self._total:
+            raise NativeExecutionError(
+                f"pc values must lie in [1, {self._total}]; got range [{first}, {last}]"
+            )
         pointers, strides = self._tables
         seconds = ctypes.c_double(0.0)
         count = int(
             self._lib.repro_run_range(
                 self._params,
-                ctypes.c_longlong(int(first_pc)),
-                ctypes.c_longlong(int(last_pc)),
+                ctypes.c_longlong(first),
+                ctypes.c_longlong(last),
                 pointers,
                 strides,
                 ctypes.byref(seconds),

@@ -444,27 +444,27 @@ class RuntimeSession:
         plan = self._plan(backend, source, parameter_values, schedule, plan_kwargs)
         kernel = get_kernel(plan.kernel_name) if plan.kernel_name is not None else None
 
-        if kernel is None:
-            if data is None:
-                if backend == "native":
-                    raise PlanError(
-                        f"running nest {plan.collapsed.nest.name!r} natively needs "
-                        f"data= arrays for {list(plan.native_spec.arrays)}"
-                    )
-                return self._dispatch(backend, plan)
+        # a kernel run without data owns the arrays it makes; they are
+        # treated like a nest's caller data and returned
+        owned = kernel is not None and data is None
+        if owned:
+            data = kernel.make_data(parameter_values)
+        elif data is None:
             if backend == "native":
-                # the native substrate runs in this process, in place on the
-                # caller's own arrays
-                return self._dispatch(backend, plan, data, threads)
-            return self._run_staged(backend, plan, data, threads, lend=False)
-        if data is not None:
-            return self._run_staged(backend, plan, data, threads, lend=True)
-        arrays = kernel.make_data(parameter_values)
-        if backend == "native":
-            self._dispatch(backend, plan, arrays, threads)
+                raise PlanError(
+                    f"running nest {plan.collapsed.nest.name!r} natively needs "
+                    f"data= arrays for {list(plan.native_spec.arrays)}"
+                )
+            return self._dispatch(backend, plan)
+        if backend == "native" and (kernel is None or owned):
+            # the native substrate runs in this process, in place on the
+            # caller's (or the call's own) arrays
+            result = self._dispatch(backend, plan, data, threads)
         else:
-            self._run_staged(backend, plan, arrays, threads, lend=False)
-        return arrays
+            result = self._run_staged(
+                backend, plan, data, threads, lend=kernel is not None and not owned
+            )
+        return data if owned else result
 
     def _run_staged(self, backend, plan, data, threads, lend: bool):
         """Run ``plan`` over a staged copy of ``data``.

@@ -409,8 +409,12 @@ class TestKernelExecution:
         assert executed == total
         expected = run_original(kernel, values)
         assert np.array_equal(data["c"], expected["c"])
-        # empty ranges execute nothing
+        # empty ranges execute nothing, out-of-range ranges fail loudly
         assert runner.run_range(5, 4) == 0
+        with pytest.raises(NativeExecutionError, match="must lie in"):
+            runner.run_range(total, total + 1)
+        with pytest.raises(NativeExecutionError, match="must lie in"):
+            runner.run_range(0, 3)
 
     def test_one_dimensional_arrays_run_natively(self, correlation_nest):
         """The N-D macro gap closed: a 1-D trace array, indexed by pc."""
