@@ -7,10 +7,10 @@ fresh profile store so the results are reproducible:
   and native/hybrid where a C compiler exists) is timed explicitly — those
   runs also warm the store — and then ``backend="auto"`` runs twice: a
   first call that resolves from the now-warm store and a second, timed
-  round.  The gate is ``median(auto) >= REQUIRED x`` the best static
-  median (``BENCH_AUTOTUNE_REQUIRED``, default 0.9 — auto adds one store
-  ``stat`` per dispatch, and sub-millisecond medians carry real noise, so
-  the gate asserts "auto picked a winner", not "auto beat physics").
+  round.  The gate is ``median(auto) >= REQUIRED_RATIO x`` the best
+  static median (0.9 — auto adds one store lookup per dispatch, and
+  sub-millisecond medians carry real noise, so the gate asserts "auto
+  picked a winner", not "auto beat physics").
 
 * **measured chunks beat analytic chunks on a skewed workload.**  A
   rectangular two-level nest runs a Python ``iteration_op`` whose cost
@@ -54,7 +54,7 @@ JSON_PATH = Path(os.environ.get("BENCH_AUTOTUNE_JSON", "BENCH_autotune.json"))
 
 #: acceptance gate of the profile-guided execution PR (ISSUE 8): the warm
 #: autotuned run must reach this fraction of the best static backend's speed
-REQUIRED_RATIO = float(os.environ.get("BENCH_AUTOTUNE_REQUIRED", "0.9"))
+REQUIRED_RATIO = 0.9
 
 
 def _timed(callable_, repeats: int):

@@ -25,8 +25,7 @@ cleanly), and the asserted gate is the PR's acceptance criterion: hybrid
 configuration for CI smoke runs; the module skips where no C compiler
 exists, and the speed gate additionally skips at or below 2 CPUs —
 a load-balance comparison needs real parallelism beyond what the chunk
-dispatcher itself consumes, and ``backend="auto"`` pins native over
-hybrid in that regime anyway.
+dispatcher itself consumes.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ NATIVE_SCHEDULE = os.environ.get("BENCH_HYBRID_NATIVE_SCHEDULE", "static")
 JSON_PATH = Path(os.environ.get("BENCH_HYBRID_JSON", "BENCH_hybrid.json"))
 
 #: acceptance gate of the hybrid-backend PR (ISSUE 4): hybrid >= 1x native
-REQUIRED_SPEEDUP = float(os.environ.get("BENCH_HYBRID_REQUIRED_SPEEDUP", "1.0"))
+REQUIRED_SPEEDUP = 1.0
 
 
 def _timed(callable_, repeats: int):
@@ -136,15 +135,12 @@ def test_hybrid_at_least_matches_whole_range_native(hybrid_rounds):
     Skipped at or below 2 CPUs: with one core there is no parallel
     execution at all, and with two (the typical CI runner) the pool's
     chunk dispatch competes with the workers for the same cores, so the
-    comparison measures queue contention, not the scheduler — the same
-    regime where ``backend="auto"`` pins native over hybrid
-    (:func:`repro.runtime.resolve_auto_backend`).  The correctness
-    assertions and the JSON report above still run there.
+    comparison measures queue contention, not the scheduler.  The
+    correctness assertions and the JSON report above still run there.
     """
     if (os.cpu_count() or 1) <= 2:
         pytest.skip(
-            "load-balance gate needs > 2 CPUs (dispatch competes with workers "
-            "at <= 2; auto pins native over hybrid in that regime)"
+            "load-balance gate needs > 2 CPUs (dispatch competes with workers at <= 2)"
         )
     speedup = hybrid_rounds["speedup_hybrid_vs_native"]
     print(

@@ -44,13 +44,7 @@ import numpy as np
 
 from ..core import batch_recovery, collapse
 from ..ir import Loop, LoopNest, enumerate_iterations
-from ..openmp.schedule import (
-    ScheduleKind,
-    ScheduleSpec,
-    dynamic_chunks,
-    schedule_chunks,
-    static_schedule,
-)
+from ..openmp.schedule import ScheduleKind, ScheduleSpec
 from ..transforms import skew, tile_triangular
 from .gains import gain
 from .reporting import format_markdown_table, format_table
@@ -236,18 +230,11 @@ def default_flag_sets() -> Dict[str, Tuple[str, ...]]:
 # ---------------------------------------------------------------------- #
 def _serial_chunks(collapsed, parameter_values, spec: ScheduleSpec, workers: int):
     """The chunk list the serial ``compiled`` backend walks for one schedule."""
-    total = collapsed.total_iterations(parameter_values)
-    if spec.kind is ScheduleKind.ADAPTIVE:
-        from ..runtime.plan import adaptive_chunks  # deferred: runtime sits above
+    from ..runtime.plan import adaptive_chunks, policy_chunks  # deferred: runtime sits above
 
+    if spec.kind is ScheduleKind.ADAPTIVE:
         return adaptive_chunks(collapsed, parameter_values, workers)
-    if spec.kind is ScheduleKind.DYNAMIC and spec.chunk_size is None:
-        # mirror the engine's oversubscribed default rather than OpenMP's
-        # chunk of 1 (pure per-iteration overhead in a serial walk)
-        return dynamic_chunks(total, max(1, -(-total // (workers * 4))))
-    if spec.kind is ScheduleKind.STATIC:
-        return static_schedule(total, workers)
-    return schedule_chunks(spec, total, workers)
+    return policy_chunks(spec, collapsed.total_iterations(parameter_values), workers)
 
 
 def _run_compiled(scenario: SweepScenario, spec: ScheduleSpec, workers: int):
@@ -297,8 +284,7 @@ def _resolved_auto(scenario: SweepScenario, spec: ScheduleSpec) -> str:
         scenario.parameter_values,
         spec,
         data=True,  # the sweep always supplies grid data
-        allow_native=False,  # ad-hoc ops: mirrors the session's own gating
-        iteration_op=_visit_op,
+        iteration_op=_visit_op,  # an engine-only option: native is not a candidate
         c_body=scenario.c_body,
     )
 

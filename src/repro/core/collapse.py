@@ -150,7 +150,6 @@ def collapse(
     check_dependences: bool = False,
     sample_parameters: Optional[Mapping[str, int]] = None,
     pc_name: str = "pc",
-    use_cache: bool = True,
 ) -> CollapsedLoop:
     """Collapse the ``depth`` outermost loops of ``nest`` into a single loop.
 
@@ -168,23 +167,18 @@ def collapse(
         (The paper relies on the parallelising compiler for this check.)
     sample_parameters:
         Concrete sizes used to select/validate the convenient symbolic roots.
-    use_cache:
-        Reuse the memoised result of a previous identical ``collapse()``
-        (same bounds, statements, parameters and options).  The cache is what
-        lets hot paths call ``collapse`` freely; pass ``False`` to force a
-        fresh construction.
+
+    Results are memoised per (bounds, statements, parameters, options), which
+    is what lets hot paths call ``collapse`` freely;
+    :func:`clear_collapse_cache` forces a fresh construction.
     """
     depth = nest.depth if depth is None else depth
     if not 1 <= depth <= nest.depth:
         raise CollapseError(f"collapse depth must be in 1..{nest.depth}, got {depth}")
-    cache_key: Optional[tuple] = None
-    if use_cache:
-        cache_key = _collapse_cache_key(
-            nest, depth, check_dependences, sample_parameters, pc_name
-        )
-        cached = _COLLAPSE_CACHE.get(cache_key)
-        if cached is not None:
-            return cached
+    cache_key = _collapse_cache_key(nest, depth, check_dependences, sample_parameters, pc_name)
+    cached = _COLLAPSE_CACHE.get(cache_key)
+    if cached is not None:
+        return cached
     if check_dependences and may_carry_dependence(nest, depth):
         raise CollapseError(
             f"the {depth} outer loops of {nest.name!r} may carry a data dependence; "
@@ -199,8 +193,7 @@ def collapse(
     collapsed = CollapsedLoop(
         nest=nest, depth=depth, ranking=ranking, unranking=unranking, pc_name=pc_name
     )
-    if cache_key is not None:
-        if len(_COLLAPSE_CACHE) >= _COLLAPSE_CACHE_LIMIT:
-            _COLLAPSE_CACHE.pop(next(iter(_COLLAPSE_CACHE)))
-        _COLLAPSE_CACHE[cache_key] = collapsed
+    if len(_COLLAPSE_CACHE) >= _COLLAPSE_CACHE_LIMIT:
+        _COLLAPSE_CACHE.pop(next(iter(_COLLAPSE_CACHE)))
+    _COLLAPSE_CACHE[cache_key] = collapsed
     return collapsed

@@ -338,11 +338,6 @@ class NativeChunkRunner:
         self._tables = _flat_strides(spec.arrays, spec.array_ndims, data)
         self._total = int(self._lib.repro_total(self._params))
 
-    def run_range(self, first_pc: int, last_pc: int) -> int:
-        """Execute one bound chunk; returns the executed iteration count."""
-        count, _seconds = self.run_range_timed(first_pc, last_pc)
-        return count
-
     def run_range_timed(self, first_pc: int, last_pc: int) -> Tuple[int, float]:
         """Execute one bound chunk; returns (count, C-measured seconds).
 

@@ -27,7 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core import CollapsedLoop, RecoveryStrategy
 from ..ir import LoopNest, enumerate_iterations
 from .costmodel import CostModel, RecoveryCosts
-from .schedule import Chunk, ScheduleKind, dynamic_chunks, guided_chunks, static_chunked_schedule, static_schedule
+from .schedule import Chunk, ScheduleKind, ScheduleSpec, schedule_chunks
 
 
 @dataclass
@@ -133,16 +133,13 @@ def _static_assign(
 def _make_chunks(
     kind: ScheduleKind, total: int, threads: int, chunk_size: Optional[int]
 ) -> Tuple[List[Chunk], bool]:
-    """Build the chunk list; returns (chunks, dynamically_assigned)."""
-    if kind is ScheduleKind.STATIC:
-        return static_schedule(total, threads), False
-    if kind is ScheduleKind.STATIC_CHUNKED:
-        return static_chunked_schedule(total, threads, chunk_size or 1), False
-    if kind is ScheduleKind.DYNAMIC:
-        return dynamic_chunks(total, chunk_size or 1), True
-    if kind is ScheduleKind.GUIDED:
-        return guided_chunks(total, threads, chunk_size or 1), True
-    raise ValueError(f"unknown schedule kind {kind}")
+    """Build the chunk list; returns (chunks, dynamically_assigned).
+
+    Chunks that carry no pre-assigned thread (dynamic, guided) are handed
+    out on demand.
+    """
+    chunks = schedule_chunks(ScheduleSpec(kind, chunk_size or None), total, threads)
+    return chunks, any(chunk.thread is None for chunk in chunks)
 
 
 # ---------------------------------------------------------------------- #

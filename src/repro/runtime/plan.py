@@ -40,6 +40,7 @@ from ..symbolic.compile import compile_polynomial
 from .profile import (
     FLUSH_EVERY_S,
     ProfileError,
+    _chunks_ending_at,
     default_profile_store,
     profile_guided_chunks,
     profile_key,
@@ -124,16 +125,22 @@ def adaptive_chunks(
         targets = np.linspace(0.0, grand_total, count + 1)[1:-1]
         cuts = np.searchsorted(cumulative, targets, side="left") + 1
         bounds = np.concatenate(([0], cuts, [total]))
-    chunks: List[Chunk] = []
-    previous = 0
-    for bound in bounds[1:]:
-        bound = int(min(max(bound, previous), total))
-        if bound > previous:
-            chunks.append(Chunk(first=previous + 1, last=bound))
-            previous = bound
-    if previous < total:  # numerical guard: never drop the tail
-        chunks.append(Chunk(first=previous + 1, last=total))
-    return chunks
+    return _chunks_ending_at(bounds[1:], total)
+
+
+def policy_chunks(spec: ScheduleSpec, total: int, workers: int) -> List[Chunk]:
+    """The chunks of a non-adaptive schedule as the runtime cuts them.
+
+    ``dynamic`` without an explicit chunk size uses an oversubscribed equal
+    split, ``workers * DEFAULT_OVERSUBSCRIBE`` chunks (OpenMP's default
+    chunk of 1 would mean one counter claim and one index recovery per
+    iteration, a pure-overhead regime the simulator already covers); every
+    other kind is :func:`repro.openmp.schedule_chunks`.
+    """
+    if spec.kind is ScheduleKind.DYNAMIC and spec.chunk_size is None:
+        chunk = max(1, -(-total // (workers * DEFAULT_OVERSUBSCRIBE)))
+        spec = ScheduleSpec(ScheduleKind.DYNAMIC, chunk)
+    return schedule_chunks(spec, total, workers)
 
 
 @dataclass(frozen=True)
@@ -190,12 +197,8 @@ class ExecutionPlan:
         persistent profile store holds a warm profile for this plan's key
         (:func:`~repro.runtime.profile.profile_guided_chunks`) and by the
         cost model's estimated per-iteration work otherwise — the paper's
-        collapsed-schedule argument closed into a feedback loop; ``DYNAMIC``
-        without an explicit chunk size uses an oversubscribed equal split
-        (OpenMP's default chunk of 1 would mean one counter claim and one
-        index recovery per iteration, a pure-overhead regime the simulator
-        already covers);
-        the classic kinds delegate to :func:`repro.openmp.schedule_chunks`.
+        collapsed-schedule argument closed into a feedback loop; the classic
+        kinds are cut by :func:`policy_chunks`.
         Partitions are memoised per worker count against the profile
         store's change token, and an unchanged store costs one in-memory
         lookup per dispatch.  A new measurement (this process's, or one
@@ -231,11 +234,8 @@ class ExecutionPlan:
                 chunks = adaptive_chunks(
                     self.collapsed, self.parameter_values, workers, cost_model=self.cost_model
                 )
-        elif self.schedule.kind is ScheduleKind.DYNAMIC and self.schedule.chunk_size is None:
-            chunk = max(1, -(-total // (workers * DEFAULT_OVERSUBSCRIBE)))
-            chunks = schedule_chunks(ScheduleSpec(ScheduleKind.DYNAMIC, chunk), total, workers)
         else:
-            chunks = schedule_chunks(self.schedule, total, workers)
+            chunks = policy_chunks(self.schedule, total, workers)
         self._chunk_cache[workers] = (token, chunks, monotonic(), measured)
         return list(chunks)
 

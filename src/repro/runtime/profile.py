@@ -173,10 +173,10 @@ class BackendProfile:
 def _source_fingerprint(source) -> tuple:
     """A process-stable structural identity of a plan source.
 
-    Unlike :func:`repro.runtime.session._structural_key` (which may fall
-    back to ``id()`` for collapsed loops — fine for an in-process cache,
-    useless on disk), every component here is derived from printable
-    structure, so two processes collapsing the same nest agree on the key.
+    Every component is derived from printable structure, so two processes
+    collapsing the same nest agree on the key; the session's plan cache
+    keys on it too.  A collapsed loop is its nest, depth and ``pc`` name:
+    the ranking polynomial follows from the first two.
     """
     from ..core import CollapsedLoop
     from ..ir import LoopNest
@@ -191,7 +191,7 @@ def _source_fingerprint(source) -> tuple:
             "collapsed",
             _source_fingerprint(source.nest),
             source.depth,
-            str(source.ranking.polynomial),
+            source.pc_name,
         )
     if isinstance(source, LoopNest):
         return (
@@ -604,8 +604,6 @@ def profile_guided_chunks(
     place of the analytic cost model.  Returns ``[]`` when the measurements
     carry no usable signal (no positive-size span, zero total cost).
     """
-    from ..openmp.schedule import Chunk
-
     total = int(total)
     if total <= 0:
         return []
@@ -647,9 +645,21 @@ def profile_guided_chunks(
     targets = np.linspace(0.0, cumulative[-1], count + 1)[1:-1]
     positions = np.interp(targets, cumulative, bounds.astype(np.float64))
     cuts = np.floor(positions).astype(np.int64) - 1  # last pc of each chunk
+    return _chunks_ending_at(list(cuts) + [total], total)
+
+
+def _chunks_ending_at(bounds, total: int):
+    """The chunks of ``[1, total]`` whose last ``pc`` values are ``bounds``.
+
+    The bounds of an equal-cost cut, shared by the measured and the
+    analytic adaptive policies: each is clamped into ``[previous, total]``,
+    empty chunks are skipped, and the tail is never dropped.
+    """
+    from ..openmp.schedule import Chunk
+
     chunks = []
     previous = 0
-    for bound in list(cuts) + [total]:
+    for bound in bounds:
         bound = int(min(max(bound, previous), total))
         if bound > previous:
             chunks.append(Chunk(first=previous + 1, last=bound))
@@ -662,33 +672,27 @@ def profile_guided_chunks(
 # ---------------------------------------------------------------------- #
 # backend choice
 # ---------------------------------------------------------------------- #
-def choose_backend(
-    profiles: Mapping[str, BackendProfile],
-    candidates: Sequence[str],
-    heuristic_order: Sequence[str],
-) -> str:
+def choose_backend(profiles: Mapping[str, BackendProfile], candidates: Sequence[str]) -> str:
     """Pick one backend from measured profiles, exploring before exploiting.
 
-    ``candidates`` are the substrates viable for this call; ``heuristic_order``
-    is the cold-start preference (today's static decision matrix).  The
-    policy is deterministic:
+    ``candidates`` are the substrates viable for this call, in the order
+    cold-start exploration tries them.  The policy is deterministic:
 
     1. any viable candidate with no recorded timing yet is tried first, in
-       heuristic order — three calls explore all three substrates;
+       candidate order — three calls explore all three substrates;
     2. once every candidate has a measurement, the one with the smallest
-       median whole-run time wins (exploitation).
+       median whole-run time wins (exploitation; ties go to the earlier
+       candidate).
 
     Raises :class:`ProfileError` on an empty candidate list.
     """
-    ordered = [name for name in heuristic_order if name in candidates]
-    ordered += [name for name in candidates if name not in ordered]
-    if not ordered:
+    if not candidates:
         raise ProfileError("no viable backend candidates to choose from")
     unexplored = [
         name
-        for name in ordered
+        for name in candidates
         if name not in profiles or profiles[name].median_elapsed is None
     ]
     if unexplored:
         return unexplored[0]
-    return min(ordered, key=lambda name: (profiles[name].median_elapsed, ordered.index(name)))
+    return min(candidates, key=lambda name: profiles[name].median_elapsed)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import atexit
 import functools
-import os
 import threading
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
@@ -35,6 +34,7 @@ from .engine import RunResult, RuntimeEngine
 from .plan import ExecutionPlan, PlanError, build_plan
 from .profile import (
     ProfileError,
+    _source_fingerprint,
     choose_backend,
     default_profile_store,
     flush_profile_stores,
@@ -57,28 +57,24 @@ def resolve_auto_backend(
     schedule: object = "adaptive",
     data=None,
     store=None,
-    allow_native: bool = True,
     **plan_kwargs,
 ) -> str:
-    """The substrate ``backend="auto"`` runs on: measured when warm, heuristic when cold.
+    """The substrate ``backend="auto"`` runs on: the measured fastest viable one.
 
     The decision has two stages.  *Viability* first: ``native`` needs a
     native-capable source (a kernel ``c_body``, a parseable nest — with
     caller ``data`` — or an explicit ``c_body=``), a present C compiler and
-    ``allow_native`` (sessions clear it when the engine-only Python
-    operations ``iteration_op``/``chunk_op`` are passed); ``hybrid`` needs
-    the same native capability and compiler; ``engine`` needs Python operations (an
-    executable kernel or ``iteration_op``/``chunk_op``).  On machines with
-    ``os.cpu_count() <= 2`` the ``hybrid`` candidate is dropped whenever
-    ``native`` is viable — per-chunk dispatch through a 1–2 worker pool
-    cannot beat the whole-range OpenMP call there, so auto pins native
-    (mirroring ``benchmarks/bench_hybrid_backend.py``'s derated gate).
+    none of the engine-only Python operations (``iteration_op``/``chunk_op``)
+    in ``plan_kwargs``; ``hybrid`` needs the same native capability and
+    compiler; ``engine`` needs Python operations (an executable kernel or
+    ``iteration_op``/``chunk_op``).
 
-    Then *choice*: among the viable candidates,
+    Then *choice*: among the viable candidates, in the fixed order
+    ``hybrid``, ``native``, ``engine``,
     :func:`~repro.runtime.profile.choose_backend` explores any substrate the
-    :class:`~repro.runtime.profile.ProfileStore` has no timing for yet (in
-    heuristic order — the decision matrix of docs/architecture.md) and
+    :class:`~repro.runtime.profile.ProfileStore` has no timing for yet and
     afterwards exploits the measured-fastest by median whole-run seconds.
+    The store is the only selector: no machine fact overrides it.
 
     Degradation mirrors the hybrid contract: with nothing viable the
     function returns ``"engine"`` rather than raising, so the caller sees
@@ -86,13 +82,7 @@ def resolve_auto_backend(
     a second-hand resolver failure.
     """
     backend, _settled = _resolve_auto(
-        source,
-        parameter_values,
-        schedule=schedule,
-        data=data,
-        store=store,
-        allow_native=allow_native,
-        **plan_kwargs,
+        source, parameter_values, schedule=schedule, data=data, store=store, **plan_kwargs
     )
     return backend
 
@@ -103,7 +93,6 @@ def _resolve_auto(
     schedule: object = "adaptive",
     data=None,
     store=None,
-    allow_native: bool = True,
     **plan_kwargs,
 ) -> Tuple[str, bool]:
     """:func:`resolve_auto_backend` plus a *settled* flag.
@@ -121,7 +110,7 @@ def _resolve_auto(
     kernel = resolved if isinstance(resolved, Kernel) else None
 
     python_ops = (kernel is not None and kernel.is_executable) or any(
-        plan_kwargs.get(name) is not None for name in ("iteration_op", "chunk_op")
+        plan_kwargs.get(name) is not None for name in ENGINE_PLAN_OPTIONS
     )
     native_capable = plan_kwargs.get("c_body") is not None
     if kernel is not None:
@@ -139,19 +128,14 @@ def _resolve_auto(
 
     whole_range_ok = kernel is not None or (isinstance(resolved, LoopNest) and data is not None)
     candidates = []
-    if compiled and allow_native and whole_range_ok:
-        candidates.append("native")
     if compiled:
         candidates.append("hybrid")
+    if compiled and whole_range_ok and not _engine_only_options(plan_kwargs):
+        candidates.append("native")
     if python_ops:
         candidates.append("engine")
     if not candidates:
         return "engine", False
-
-    cpus = os.cpu_count() or 1
-    if cpus <= 2 and "native" in candidates and "hybrid" in candidates:
-        candidates.remove("hybrid")
-    heuristic = ("native", "engine") if cpus <= 2 else ("hybrid", "native", "engine")
     if len(candidates) == 1:
         return candidates[0], True
     key = _profile_key_or_none(source, parameter_values, schedule)
@@ -160,7 +144,7 @@ def _resolve_auto(
         name in profiles and profiles[name].median_elapsed is not None
         for name in candidates
     )
-    return choose_backend(profiles, candidates, heuristic), settled
+    return choose_backend(profiles, candidates), settled
 
 
 def _give_back(free: dict, discarded: list, key: tuple, buffers: SharedBuffers) -> None:
@@ -174,46 +158,6 @@ def _give_back(free: dict, discarded: list, key: tuple, buffers: SharedBuffers) 
         return  # the session closed while the set was lent
     if free.setdefault(key, buffers) is not buffers:
         discarded.append(buffers)
-
-
-def _structural_key(plan_source, parameter_values, spec) -> tuple:
-    """A hashable identity for plan caching (mirrors the collapse cache key)."""
-    from ..ir import LoopNest
-    from ..kernels import Kernel
-
-    if isinstance(plan_source, str):
-        source_key: tuple = ("kernel", plan_source)
-    elif isinstance(plan_source, Kernel):
-        source_key = ("kernel", plan_source.name)
-    elif isinstance(plan_source, LoopNest):
-        source_key = (
-            "nest",
-            plan_source.name,
-            tuple((l.iterator, l.lower, l.upper) for l in plan_source.loops),
-            tuple(plan_source.parameters),
-            # statements are behavior now, not just metadata: hybrid/native
-            # plans compile their C body from them, so two same-shaped nests
-            # with different statements must never share a plan
-            tuple(
-                (
-                    statement.name,
-                    statement.c_text,
-                    tuple(str(access) for access in statement.accesses),
-                    getattr(statement.compute, "__qualname__", None),
-                )
-                for statement in plan_source.statements
-            ),
-        )
-    else:
-        # CollapsedLoop: identity is safe *because* the cache pins it — the
-        # cached plan holds the collapsed loop, so its id cannot be recycled
-        # while the entry (and thus this key) exists
-        source_key = ("object", id(plan_source))
-    return (
-        source_key,
-        tuple(sorted((k, int(v)) for k, v in parameter_values.items())),
-        str(spec),
-    )
 
 
 #: the substrates ``RuntimeSession.run`` dispatches to (``"auto"`` resolves
@@ -248,8 +192,8 @@ AUTO_REVALIDATE_EVERY = 8
 class RuntimeSession:
     """Plan cache + persistent engine + one pool of staged shared-memory sets."""
 
-    def __init__(self, workers: int = 2, start_method: Optional[str] = None):
-        self.engine = RuntimeEngine(workers=workers, start_method=start_method)
+    def __init__(self, workers: int = 2):
+        self.engine = RuntimeEngine(workers=workers)
         self._plans: Dict[tuple, ExecutionPlan] = {}
         #: staging: at most one free set per array signature, the sets
         #: handed back while their slot was full, and every staged set not
@@ -274,9 +218,20 @@ class RuntimeSession:
         schedule: object = "adaptive",
         **plan_kwargs,
     ) -> ExecutionPlan:
-        """The cached plan of (source, parameters, schedule); built on miss."""
+        """The cached plan of (source, parameters, schedule); built on miss.
+
+        The key is the source's structural fingerprint, the one identity the
+        profile store keys on too, so two equal nests share a plan.
+        """
         spec = ScheduleSpec.parse(schedule)
-        key = _structural_key(source, parameter_values, spec) + (
+        try:
+            fingerprint = _source_fingerprint(source)
+        except ProfileError:
+            raise PlanError(f"cannot build a plan from {type(source).__name__}") from None
+        key = (
+            fingerprint,
+            tuple(sorted((name, int(value)) for name, value in parameter_values.items())),
+            str(spec),
             tuple(sorted(
                 # module + qualname: two same-named functions from different
                 # modules must not share a cached plan
@@ -339,7 +294,6 @@ class RuntimeSession:
         data=None,
         schedule: object = "adaptive",
         backend: str = "engine",
-        threads: Optional[int] = None,
         **plan_kwargs,
     ):
         """Collapse (cached), plan (cached), execute on the chosen substrate.
@@ -401,21 +355,18 @@ class RuntimeSession:
         every run (any backend) banks its timings in the persistent
         :class:`~repro.runtime.profile.ProfileStore` under the plan's key,
         and ``auto`` resolves to the viable substrate those profiles say is
-        fastest — exploring each untimed candidate once (heuristic order)
-        before exploiting the measured best.  Cold stores fall back to the
-        static decision matrix; an unviable candidate set degrades to the
-        engine, mirroring the hybrid missing-compiler contract.
+        fastest — exploring each untimed candidate once (in the order
+        hybrid, native, engine) before exploiting the measured best; an
+        unviable candidate set degrades to the engine, mirroring the hybrid
+        missing-compiler contract.
 
-        ``threads`` caps the native OpenMP team (defaulting to the engine's
-        worker count) and is rejected on the engine/hybrid backends, whose
-        parallelism is the session's ``workers``.
+        Every backend's parallelism is the session's ``workers``: the
+        worker pool's size, and the native OpenMP team's.
         """
         from ..kernels import get_kernel
 
         if backend == "auto":
-            backend = self._auto_backend(
-                source, parameter_values, data, schedule, threads, plan_kwargs
-            )
+            backend = self._auto_backend(source, parameter_values, data, schedule, plan_kwargs)
             if backend == "engine":
                 # an auto resolution landing on the engine must not forward
                 # native-plan options an ad-hoc nest carried for the compiled
@@ -434,11 +385,6 @@ class RuntimeSession:
                     f"the native backend does not take {engine_only}; these are "
                     "engine-only options — use backend='engine'"
                 )
-        elif threads is not None:
-            raise PlanError(
-                "threads is a native-backend option; the engine's parallelism is "
-                "the session's worker count (set workers= when creating it)"
-            )
 
         self._reap()
         plan = self._plan(backend, source, parameter_values, schedule, plan_kwargs)
@@ -459,14 +405,12 @@ class RuntimeSession:
         if backend == "native" and (kernel is None or owned):
             # the native substrate runs in this process, in place on the
             # caller's (or the call's own) arrays
-            result = self._dispatch(backend, plan, data, threads)
+            result = self._dispatch(backend, plan, data)
         else:
-            result = self._run_staged(
-                backend, plan, data, threads, lend=kernel is not None and not owned
-            )
+            result = self._run_staged(backend, plan, data, lend=kernel is not None and not owned)
         return data if owned else result
 
-    def _run_staged(self, backend, plan, data, threads, lend: bool):
+    def _run_staged(self, backend, plan, data, lend: bool):
         """Run ``plan`` over a staged copy of ``data``.
 
         The copy lands in this signature's free :class:`SharedBuffers` set,
@@ -486,7 +430,7 @@ class RuntimeSession:
             else:
                 buffers.fill_from(data)
             result = self._dispatch(
-                backend, plan, buffers.arrays if backend == "native" else buffers, threads
+                backend, plan, buffers.arrays if backend == "native" else buffers
             )
             if not lend:
                 for name, value in buffers.arrays.items():
@@ -518,20 +462,16 @@ class RuntimeSession:
             buffers.close()
             self._staged.discard(buffers)
 
-    def _auto_backend(self, source, parameter_values, data, schedule, threads, plan_kwargs) -> str:
+    def _auto_backend(self, source, parameter_values, data, schedule, plan_kwargs) -> str:
         """The backend ``backend="auto"`` stands for on this call.
 
-        A caller pinning ``threads`` (the OpenMP team size) has already
-        chosen native.  Otherwise settled resolutions are memoised for
-        :data:`AUTO_REVALIDATE_EVERY` uses; the native candidate is only
-        considered when no engine-only option is in play.
+        Settled resolutions are memoised for :data:`AUTO_REVALIDATE_EVERY`
+        uses; the native candidate is only considered when no engine-only
+        option is in play.
         """
-        if threads is not None:
-            return "native"
-        allow_native = not _engine_only_options(plan_kwargs)
         memo_key = (
             _profile_key_or_none(source, parameter_values, schedule),
-            allow_native,
+            not _engine_only_options(plan_kwargs),
             data is None,
         )
         cached = self._auto_memo.get(memo_key) if memo_key[0] else None
@@ -539,12 +479,7 @@ class RuntimeSession:
             self._auto_memo[memo_key] = (cached[0], cached[1] - 1)
             return cached[0]
         backend, settled = _resolve_auto(
-            source,
-            parameter_values,
-            schedule=schedule,
-            data=data,
-            allow_native=allow_native,
-            **plan_kwargs,
+            source, parameter_values, schedule=schedule, data=data, **plan_kwargs
         )
         if memo_key[0] is not None and settled:
             self._auto_memo[memo_key] = (backend, AUTO_REVALIDATE_EVERY)
@@ -552,7 +487,7 @@ class RuntimeSession:
             self._auto_memo.pop(memo_key, None)
         return backend
 
-    def _dispatch(self, backend, plan, buffers=None, threads=None) -> RunResult:
+    def _dispatch(self, backend, plan, buffers=None) -> RunResult:
         """Run ``plan`` once on ``backend``'s substrate and bank the timings.
 
         The one per-backend step of a run: ``native`` calls the plan's
@@ -562,7 +497,7 @@ class RuntimeSession:
         """
         if backend == "native":
             result = plan.native_module.run(
-                buffers, plan.parameter_values, threads=threads or self.engine.workers
+                buffers, plan.parameter_values, threads=self.engine.workers
             )
         else:
             result = self.engine.execute(plan, buffers=buffers)

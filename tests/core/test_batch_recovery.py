@@ -190,9 +190,10 @@ class TestMemoCaches:
         assert default is not renamed
         assert collapse_cache_info()["entries"] == 2
 
-    def test_use_cache_false_forces_fresh_construction(self, correlation_nest):
+    def test_clearing_the_cache_forces_fresh_construction(self, correlation_nest):
         first = collapse(correlation_nest)
-        fresh = collapse(correlation_nest, use_cache=False)
+        clear_collapse_cache()
+        fresh = collapse(correlation_nest)
         assert first is not fresh
 
     def test_batch_recovery_is_memoised(self, correlation_nest):

@@ -29,12 +29,12 @@ def _dummy_op(data, indices, values):  # module-level: picklable for plans
     pass
 
 
-def _run_native(kernel, values, **kwargs):
+def _run_native(kernel, values):
     """One whole-range native run of a kernel through a private session."""
     from repro.runtime import RuntimeSession
 
     with RuntimeSession(workers=2) as session:
-        return session.run(kernel, values, backend="native", **kwargs)
+        return session.run(kernel, values, backend="native")
 
 
 # ---------------------------------------------------------------------- #
@@ -283,7 +283,7 @@ class TestExactRecoveryHugeRanges:
         for first in self._probe_firsts(collapsed, values):
             trace = np.full((64, 3), -1.0)
             runner.bind({"trace": trace}, values)
-            executed = runner.run_range(first, first + 9)
+            executed, _seconds = runner.run_range_timed(first, first + 9)
             assert executed == 10
             for pc in range(first, first + 10):
                 assert tuple(trace[pc % 64].astype(np.int64)) == exact_reference_recover(
@@ -311,7 +311,7 @@ class TestKernelExecution:
         kernel = get_kernel("utma")
         values = {"N": 160}
         original = run_original(kernel, values)
-        native = _run_native(kernel, values, threads=2)
+        native = _run_native(kernel, values)
         assert np.array_equal(original["c"], native["c"])
 
     def test_ltmp_depth3_reduction_matches(self):
@@ -322,7 +322,7 @@ class TestKernelExecution:
         kernel = get_kernel("ltmp")
         values = {"N": 96}
         original = run_original(kernel, values)
-        native = _run_native(kernel, values, threads=2)
+        native = _run_native(kernel, values)
         assert np.allclose(original["c"], native["c"], atol=1e-9)
 
     @pytest.mark.parametrize("name", ["covariance", "symm", "cholesky_update", "lu_update"])
@@ -332,7 +332,7 @@ class TestKernelExecution:
         kernel = get_kernel(name)
         values = dict(kernel.bench_parameters)
         original = run_original(kernel, values)
-        native = _run_native(kernel, values, threads=2)
+        native = _run_native(kernel, values)
         for array in original:
             assert np.array_equal(original[array], native[array]), array
 
@@ -405,16 +405,16 @@ class TestKernelExecution:
         runner.bind(data, values)
         executed = 0
         for first in range(1, total + 1, 113):
-            executed += runner.run_range(first, min(first + 112, total))
+            executed += runner.run_range_timed(first, min(first + 112, total))[0]
         assert executed == total
         expected = run_original(kernel, values)
         assert np.array_equal(data["c"], expected["c"])
         # empty ranges execute nothing, out-of-range ranges fail loudly
-        assert runner.run_range(5, 4) == 0
+        assert runner.run_range_timed(5, 4) == (0, 0.0)
         with pytest.raises(NativeExecutionError, match="must lie in"):
-            runner.run_range(total, total + 1)
+            runner.run_range_timed(total, total + 1)
         with pytest.raises(NativeExecutionError, match="must lie in"):
-            runner.run_range(0, 3)
+            runner.run_range_timed(0, 3)
 
     def test_one_dimensional_arrays_run_natively(self, correlation_nest):
         """The N-D macro gap closed: a 1-D trace array, indexed by pc."""
@@ -614,19 +614,6 @@ class TestSessionBackend:
             result = session.run("utma", values, backend="native", static_check=True)
         assert np.allclose(result["c"], run_original(get_kernel("utma"), values)["c"])
         assert audits == [True]
-
-    def test_threads_is_explicit_and_engine_path_rejects_it(self):
-        from repro.kernels import get_kernel, run_original
-        from repro.runtime import RuntimeSession
-        from repro.runtime.plan import PlanError
-
-        values = {"N": 32}
-        with RuntimeSession(workers=1) as session:
-            data = session.run("utma", values, backend="native", threads=2)
-            expected = run_original(get_kernel("utma"), values)
-            assert np.array_equal(data["c"], expected["c"])
-            with pytest.raises(PlanError, match="native-backend option"):
-                session.run("utma", values, threads=2)
 
     def test_caller_data_is_not_mutated(self):
         from repro.kernels import get_kernel

@@ -1,10 +1,11 @@
 """``backend="auto"``: viability, explore/exploit, and end-to-end correctness.
 
-The resolver's decision is pure given (source, machine, store), so the
-unit tests pin it against crafted stores and patched machine facts
-(``os.cpu_count``, compiler presence); the integration tests then run the
-real session end-to-end and assert the differential guarantee — whatever
-substrate auto picks, the numbers match ``run_original``.
+The resolver's decision is pure given (source, compiler presence, store),
+so the unit tests pin it against crafted stores and a patched compiler
+check, and show that the CPU count plays no part; the integration tests
+then run the real session end-to-end and assert the differential
+guarantee — whatever substrate auto picks, the numbers match
+``run_original``.
 """
 
 import numpy as np
@@ -28,8 +29,8 @@ needs_compiler = pytest.mark.skipif(
 PARAMS = {"N": 16}
 
 
-def _patch_cpus(monkeypatch, count):
-    monkeypatch.setattr("repro.runtime.session.os.cpu_count", lambda: count)
+def _noop_op(data, indices, parameter_values):
+    """An engine-only Python operation: its presence rules native out."""
 
 
 def _no_compiler(monkeypatch):
@@ -41,25 +42,17 @@ def _no_compiler(monkeypatch):
 # ---------------------------------------------------------------------- #
 class TestViability:
     @needs_compiler
-    def test_cold_store_many_cpus_explores_hybrid_first(self, monkeypatch, tmp_path):
-        _patch_cpus(monkeypatch, 8)
-        choice = resolve_auto_backend("utma", PARAMS, store=ProfileStore(tmp_path))
-        assert choice == "hybrid"
-
-    @needs_compiler
-    def test_two_cpus_pin_native_over_hybrid(self, monkeypatch, tmp_path):
-        _patch_cpus(monkeypatch, 2)
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_measurements_choose_at_any_cpu_count(self, monkeypatch, tmp_path, cpus):
+        # the store is auto's only selector: no machine fact overrides it
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
         store = ProfileStore(tmp_path)
-        assert resolve_auto_backend("utma", PARAMS, store=store) == "native"
-        # even a glowing hybrid measurement cannot resurrect it at <= 2 CPUs
+        assert resolve_auto_backend("utma", PARAMS, store=store) == "hybrid"  # explored first
         key = profile_key("utma", PARAMS)
-        store.record(key, "hybrid", elapsed_seconds=1e-6, workers=2,
-                     total_iterations=10)
-        store.record(key, "native", elapsed_seconds=1.0, workers=2,
-                     total_iterations=10)
-        store.record(key, "engine", elapsed_seconds=2.0, workers=2,
-                     total_iterations=10)
-        assert resolve_auto_backend("utma", PARAMS, store=store) == "native"
+        for backend, elapsed in (("hybrid", 1e-3), ("native", 1e-2), ("engine", 1e-1)):
+            store.record(key, backend, elapsed_seconds=elapsed, workers=2,
+                         total_iterations=10)
+        assert resolve_auto_backend("utma", PARAMS, store=store) == "hybrid"
 
     def test_no_compiler_degrades_to_engine(self, monkeypatch, tmp_path):
         _no_compiler(monkeypatch)
@@ -67,8 +60,7 @@ class TestViability:
         assert choice == "engine"
 
     @needs_compiler
-    def test_allow_native_false_drops_the_whole_range_call(self, monkeypatch, tmp_path):
-        _patch_cpus(monkeypatch, 8)
+    def test_engine_only_option_drops_the_whole_range_call(self, tmp_path):
         store = ProfileStore(tmp_path)
         key = profile_key("utma", PARAMS)
         store.record(key, "native", elapsed_seconds=1e-6, workers=2,
@@ -79,7 +71,7 @@ class TestViability:
                      total_iterations=10)
         assert resolve_auto_backend("utma", PARAMS, store=store) == "native"
         assert (
-            resolve_auto_backend("utma", PARAMS, store=store, allow_native=False)
+            resolve_auto_backend("utma", PARAMS, store=store, iteration_op=_noop_op)
             == "hybrid"
         )
 
@@ -94,13 +86,10 @@ class TestViability:
 # ---------------------------------------------------------------------- #
 @needs_compiler
 class TestExploreExploit:
-    def test_each_untimed_candidate_is_explored_before_exploiting(
-        self, monkeypatch, tmp_path
-    ):
-        _patch_cpus(monkeypatch, 8)
+    def test_each_untimed_candidate_is_explored_before_exploiting(self, tmp_path):
         store = ProfileStore(tmp_path)
         key = profile_key("utma", PARAMS)
-        # hybrid measured -> next unexplored in heuristic order is native
+        # hybrid measured -> next unexplored in candidate order is native
         store.record(key, "hybrid", elapsed_seconds=1e-6, workers=2,
                      total_iterations=10)
         assert resolve_auto_backend("utma", PARAMS, store=store) == "native"
@@ -108,8 +97,7 @@ class TestExploreExploit:
                      total_iterations=10)
         assert resolve_auto_backend("utma", PARAMS, store=store) == "engine"
 
-    def test_warm_store_exploits_the_measured_fastest(self, monkeypatch, tmp_path):
-        _patch_cpus(monkeypatch, 8)
+    def test_warm_store_exploits_the_measured_fastest(self, tmp_path):
         store = ProfileStore(tmp_path)
         key = profile_key("utma", PARAMS)
         store.record(key, "hybrid", elapsed_seconds=0.5, workers=2,
@@ -120,8 +108,7 @@ class TestExploreExploit:
                      total_iterations=10)
         assert resolve_auto_backend("utma", PARAMS, store=store) == "engine"
 
-    def test_schedule_and_parameters_isolate_the_decision(self, monkeypatch, tmp_path):
-        _patch_cpus(monkeypatch, 8)
+    def test_schedule_and_parameters_isolate_the_decision(self, tmp_path):
         store = ProfileStore(tmp_path)
         key = profile_key("utma", PARAMS)
         for backend, elapsed in (("hybrid", 0.5), ("native", 0.3), ("engine", 0.1)):
@@ -182,23 +169,15 @@ class TestSessionAuto:
             session.close()
             assert session._auto_memo == {}
 
-    @needs_compiler
-    def test_threads_option_short_circuits_to_native(self):
-        kernel = get_kernel("utma")
-        expected = run_original(kernel, PARAMS)
-        with RuntimeSession(workers=2) as session:
-            result = session.run(kernel, PARAMS, backend="auto", threads=1)
-            assert np.allclose(result["c"], expected["c"], atol=1e-9)
-        # a native run was banked for this key
-        profiles = default_profile_store().load(profile_key("utma", PARAMS))
-        assert "native" in profiles
-
     @pytest.mark.parametrize(
-        "option", [{"depth": 2}, {"fresh_data": False}], ids=["depth", "fresh_data"]
+        "option",
+        [{"depth": 2}, {"fresh_data": False}, {"threads": 1}],
+        ids=["depth", "fresh_data", "threads"],
     )
     def test_removed_run_options_raise_type_error_on_every_backend(self, option):
         # a caller collapses fewer loops by passing collapse(nest, depth) as
-        # the source, and a run without data always starts from make_data
+        # the source, a run without data always starts from make_data, and
+        # the native team is the session's workers
         (name,) = option
         with RuntimeSession(workers=1) as session:
             for backend in ("engine", "hybrid", "native", "auto"):

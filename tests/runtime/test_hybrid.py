@@ -59,7 +59,7 @@ class TestKernelEquality:
         original = run_original(kernel, values)
         hybrid = session.run(name, values, backend="hybrid", schedule="adaptive")
         engine = session.run(name, values, backend="engine", schedule="adaptive")
-        native = session.run(name, values, backend="native", threads=2)
+        native = session.run(name, values, backend="native")
         for array in original:
             assert np.allclose(hybrid[array], original[array], atol=1e-9), array
             assert np.allclose(hybrid[array], engine[array], atol=1e-9), array

@@ -637,12 +637,10 @@ class TestProfileGuidedChunks:
 # backend choice
 # ---------------------------------------------------------------------- #
 class TestChooseBackend:
-    def test_unexplored_candidates_first_in_heuristic_order(self):
+    def test_unexplored_candidates_first_in_candidate_order(self):
         profiles = {"engine": BackendProfile(backend="engine", elapsed_seconds=[0.5])}
-        choice = choose_backend(
-            profiles, ["engine", "native", "hybrid"], ["hybrid", "native", "engine"]
-        )
-        assert choice == "hybrid"
+        assert choose_backend(profiles, ["hybrid", "native", "engine"]) == "hybrid"
+        assert choose_backend(profiles, ["native", "hybrid", "engine"]) == "native"
 
     def test_exploits_the_measured_fastest(self):
         profiles = {
@@ -650,15 +648,12 @@ class TestChooseBackend:
             "native": BackendProfile(backend="native", elapsed_seconds=[0.1]),
             "hybrid": BackendProfile(backend="hybrid", elapsed_seconds=[0.3]),
         }
-        choice = choose_backend(
-            profiles, ["engine", "native", "hybrid"], ["hybrid", "native", "engine"]
-        )
-        assert choice == "native"
+        assert choose_backend(profiles, ["hybrid", "native", "engine"]) == "native"
 
     def test_candidates_outside_the_viable_set_are_ignored(self):
         profiles = {"native": BackendProfile(backend="native", elapsed_seconds=[0.1])}
-        assert choose_backend(profiles, ["engine"], ["native", "engine"]) == "engine"
+        assert choose_backend(profiles, ["engine"]) == "engine"
 
     def test_empty_candidates_raise(self):
         with pytest.raises(ProfileError, match="no viable"):
-            choose_backend({}, [], ["engine"])
+            choose_backend({}, [])
