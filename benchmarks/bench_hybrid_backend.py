@@ -76,7 +76,7 @@ def hybrid_rounds():
     plan = build_plan(kernel, values, schedule="adaptive", native=True)
     assert plan.native_spec is not None
     total = plan.collapsed.total_iterations(values)
-    module = compile_native_kernel(kernel, schedule=NATIVE_SCHEDULE)
+    module = compile_native_kernel(kernel)
 
     expected = run_original(kernel, values)
 
@@ -87,7 +87,11 @@ def hybrid_rounds():
             assert result.backend == "hybrid"
             assert sum(result.results) == total
             assert np.allclose(buffers.arrays["c"], expected["c"], atol=1e-9)
-            native_result = module.run(buffers.arrays, values, threads=WORKERS)
+
+            def run_native():
+                return module.run(buffers.arrays, values, NATIVE_SCHEDULE, threads=WORKERS)
+
+            native_result = run_native()
             assert sum(native_result.results) == total
             assert np.allclose(buffers.arrays["c"], expected["c"], atol=1e-9)
 
@@ -95,11 +99,9 @@ def hybrid_rounds():
             hybrid_times = _timed(
                 lambda: engine.execute(plan, buffers=buffers), REPEATS
             )
-            native_times = _timed(
-                lambda: module.run(buffers.arrays, values, threads=WORKERS), REPEATS
-            )
+            native_times = _timed(run_native, REPEATS)
             last_hybrid = engine.execute(plan, buffers=buffers)
-            last_native = module.run(buffers.arrays, values, threads=WORKERS)
+            last_native = run_native()
             assert np.allclose(buffers.arrays["c"], expected["c"], atol=1e-9)
 
     report = {

@@ -133,13 +133,13 @@ def native_rounds():
     prior = _load_prior_report()  # read before this run overwrites the file
     plan = build_plan(kernel, values, schedule="adaptive")  # the engine's best policy
     total = plan.collapsed.total_iterations(values)
-    module = compile_native_kernel(kernel, schedule=SCHEDULE)
+    module = compile_native_kernel(kernel)
 
     expected = run_original(kernel, values)
     data = kernel.make_data(values)
 
     # ---- correctness gates before any timing ------------------------- #
-    last_result = module.run(data, values, threads=WORKERS)
+    last_result = module.run(data, values, SCHEDULE, threads=WORKERS)
     assert np.array_equal(data["c"], expected["c"])  # bit-identical
     assert sum(last_result.results) == total
 
@@ -153,9 +153,9 @@ def native_rounds():
                 lambda: engine.execute(plan, buffers=buffers), REPEATS
             )
             native_times = _timed(
-                lambda: module.run(buffers.arrays, values, threads=WORKERS), REPEATS
+                lambda: module.run(buffers.arrays, values, SCHEDULE, threads=WORKERS), REPEATS
             )
-            last_result = module.run(buffers.arrays, values, threads=WORKERS)
+            last_result = module.run(buffers.arrays, values, SCHEDULE, threads=WORKERS)
             assert np.array_equal(buffers.arrays["c"], expected["c"])
 
     report = {

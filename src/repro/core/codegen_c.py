@@ -496,53 +496,48 @@ def _param_prologue(collapsed: CollapsedLoop, indent: str) -> List[str]:
     return lines
 
 
-def _recovery_scheme(spec) -> Tuple[str, Optional[int]]:
-    """Pick the cheapest recovery scheme a schedule permits.
-
-    ``static`` (one contiguous block per thread) supports the Fig. 4
-    once-per-thread flag; fixed-chunk schedules support the Section V
-    once-per-chunk modulo test; anything else (``guided``'s shrinking
-    chunks) recovers at every iteration (Fig. 3).
-    """
-    from ..openmp.schedule import ScheduleKind
-
-    if spec.kind is ScheduleKind.STATIC and spec.chunk_size is None:
-        return "thread", None
-    if spec.kind in (ScheduleKind.STATIC, ScheduleKind.STATIC_CHUNKED, ScheduleKind.DYNAMIC):
-        chunk = spec.chunk_size or 1
-        if chunk == 1:
-            return "iteration", None
-        return "chunk", chunk
-    return "iteration", None
-
-
-def _loop_body_lines(
-    recovery: List[str],
+def _pc_loop_lines(
+    iterators: Sequence[str],
     increments: List[str],
     body: Optional[str],
-    scheme: str,
-    chunk: Optional[int],
+    pragma: Optional[str] = None,
+    on_recover: Sequence[str] = (),
 ) -> List[str]:
-    """The statements inside the ``pc`` loop (recovery + body [+ increments])."""
-    lines: List[str] = []
-    if scheme == "iteration":
-        lines.extend(recovery)
-    elif scheme == "thread":
-        lines.append("if (repro_fresh) {")
-        lines.extend("  " + line for line in recovery)
-        lines.append("  repro_fresh = 0;")
-        lines.append("}")
-    else:  # per-chunk: OpenMP chunks are aligned on first_pc + k * chunk
-        lines.append(f"if ((pc - first_pc) % {chunk}LL == 0) {{")
-        lines.extend("  " + line for line in recovery)
-        lines.append("}")
+    """The ``pc`` loop of ``repro_run`` and ``repro_run_range``.
+
+    One rule covers the paper's three recovery schemes: a thread recovers
+    its indices when ``pc`` is not the one after the last ``pc`` it ran,
+    and otherwise increments them like the original nest.  Under plain
+    ``static`` that is once per thread (Fig. 4), under chunked schedules
+    once per chunk or less (Section V), and never more than once per
+    iteration (Fig. 3).  The recovery is a call to the unit's out-of-line
+    ``repro_recover`` on a branch marked cold: inlined into the loop, its
+    ``__int128`` temporaries pushed the body's pointers and strides out of
+    registers and made a one-add body's walk 30–40 % slower.
+    ``pragma`` is the work-sharing directive of the loop, and
+    ``on_recover`` runs before each recovery, where a run of consecutive
+    ``pc`` values starts.
+    """
+    lines = ["long long repro_next = 0;"]
+    if pragma is not None:
+        lines.append(pragma)
+    lines.append("for (long long pc = first_pc; pc <= last_pc; pc++) {")
+    lines.append("  if (__builtin_expect(pc != repro_next, 0)) {")
+    lines.extend("    " + line for line in on_recover)
+    lines.append(f"    long long repro_at[{len(iterators)}];")
+    lines.append("    repro_recover(repro_params, pc, repro_at);")
+    lines.append(
+        "    " + " ".join(f"{name} = repro_at[{k}];" for k, name in enumerate(iterators))
+    )
+    lines.append("  }")
     if body is not None:
-        lines.append("{")
-        lines.extend("  " + line for line in body.strip("\n").splitlines())
-        lines.append("}")
-    if scheme in ("thread", "chunk"):
-        lines.append("/* indices incrementation as in the original loop nest */")
-        lines.extend(increments)
+        lines.append("  {")
+        lines.extend("    " + line for line in body.strip("\n").splitlines())
+        lines.append("  }")
+    lines.append("  /* indices incrementation as in the original loop nest */")
+    lines.extend("  " + line for line in increments)
+    lines.append("  repro_next = pc + 1;")
+    lines.append("}")
     return lines
 
 
@@ -551,7 +546,6 @@ def generate_translation_unit(
     *,
     body: Optional[str] = None,
     arrays: Sequence[str] = (),
-    schedule: object = "static",
     array_ndims=None,
 ) -> str:
     """A complete C translation unit for one collapsed nest.
@@ -565,18 +559,23 @@ def generate_translation_unit(
       — writes the recovered indices of the inclusive 1-based ``pc`` range
       into ``out`` as an ``(n, depth)`` row-major array;
     * ``int repro_run(params, first_pc, last_pc, double *const *arrays,
-      const long long *strides, int max_threads, long long *counts,
-      double *seconds, long long *first, long long *last)`` — executes
-      ``body`` for every ``pc`` of the range under the requested OpenMP
-      schedule and reports, per thread, the iteration count, wall-clock
-      seconds and the span of ``pc`` values it ran; returns the team size;
+      const long long *strides, int kind, int chunk, int max_threads,
+      long long *counts, double *seconds, long long *first, long long
+      *last)`` — executes ``body`` for every ``pc`` of the range under the
+      OpenMP schedule ``kind`` (an ``omp_sched_t`` value) with ``chunk``
+      (0: the kind's default), and reports, per thread, the iteration
+      count, wall-clock seconds and the span of ``pc`` values it ran;
+      returns the team size.  The loop is ``schedule(runtime)``: the
+      schedule is set with ``omp_set_schedule`` before the region and the
+      caller's run-sched-var is restored after it, so neither
+      ``OMP_SCHEDULE`` nor an earlier call steers a run;
     * ``long long repro_run_range(params, first_pc, last_pc, arrays,
       strides, double *seconds)`` — the *serial* sub-range entry point of
-      the hybrid backend: recovers the indices once at ``first_pc`` and
-      walks the contiguous chunk with Fig. 4-style incrementation,
-      executing ``body`` at every iteration; returns the executed count.
-      No OpenMP team is started — the caller (a runtime-engine worker)
-      owns the parallelism.  When ``seconds`` is non-NULL the chunk's own
+      the hybrid backend: walks the contiguous chunk with the same loop as
+      ``repro_run`` (so it recovers once, at ``first_pc``), executing
+      ``body`` at every iteration; returns the executed count.  No OpenMP
+      team is started — the caller (a runtime-engine worker) owns the
+      parallelism.  When ``seconds`` is non-NULL the chunk's own
       wall-clock (``omp_get_wtime``, or the ``clock()`` fallback without
       OpenMP) is written through it: measured *inside* the foreign call,
       so queue latency and ``ctypes`` dispatch never pollute the chunk
@@ -591,20 +590,13 @@ def generate_translation_unit(
     ``ndim - 1`` leading-dimension element strides per array, so all-2-D
     units keep the one-stride-per-array ABI.
 
-    The recovery scheme follows the schedule: one recovery per thread under
-    plain ``static`` (Fig. 4), one per chunk for fixed-chunk schedules
-    (Section V), one per iteration otherwise (Fig. 3).
+    Both loops recover the indices only where a thread's ``pc`` does not
+    follow its previous one (see :func:`_pc_loop_lines`), which is the
+    paper's once-per-thread, once-per-chunk and per-iteration schemes in
+    one rule, whatever schedule the call picks.
     """
-    from ..openmp.schedule import ScheduleSpec
-
     _check_names(collapsed, arrays)
     ndims = resolve_array_ndims(arrays, array_ndims)
-    try:
-        spec = ScheduleSpec.parse(schedule)
-    except ValueError as error:
-        raise CodegenError(str(error)) from None
-    clause = _schedule_clause(spec, with_chunk=True)
-    scheme, chunk = _recovery_scheme(spec)
     depth = collapsed.depth
     iterators = collapsed.iterators
     declare_iters = "long long " + " = 0, ".join(iterators) + " = 0;"
@@ -613,7 +605,7 @@ def generate_translation_unit(
         f"/* native backend translation unit for '{collapsed.nest.name}'",
         f"   generated by repro.core.codegen_c from the ranking polynomial",
         f"   r({', '.join(iterators)}) = {collapsed.ranking.polynomial}",
-        f"   schedule({clause}); recovery: once per {scheme} */",
+        "   schedule(runtime), set per call; recovery: where pc != repro_next */",
         "#include <math.h>",
         "#include <complex.h>",
         "#include <time.h>",
@@ -633,9 +625,16 @@ def generate_translation_unit(
     lines.append("}")
     lines.append("")
 
-    # each level's recovery and incrementation, rendered once for the unit
-    recovery_lines = _c_recovery_lines(collapsed)
-    increment_lines = _c_increment_lines(collapsed)
+    # ---- the one exact recovery, which every entry point calls ---------- #
+    lines.append("static __attribute__((noinline)) void repro_recover(")
+    lines.append("    const long long *repro_params, long long pc, long long *repro_at) {")
+    lines.extend(_param_prologue(collapsed, "  "))
+    lines.append(f"  {declare_iters}")
+    lines.extend("  " + line for line in _c_recovery_lines(collapsed))
+    for position, name in enumerate(iterators):
+        lines.append(f"  repro_at[{position}] = {name};")
+    lines.append("}")
+    lines.append("")
 
     # ---- recover_range ------------------------------------------------ #
     lines.append(
@@ -644,39 +643,44 @@ def generate_translation_unit(
     lines.append(
         "                        long long last_pc, long long *repro_out) {"
     )
-    lines.extend(_param_prologue(collapsed, "  "))
-    lines.append("  for (long long pc = first_pc; pc <= last_pc; pc++) {")
-    lines.append(f"    {declare_iters}")
-    lines.extend("    " + line for line in recovery_lines)
-    for position, name in enumerate(iterators):
-        lines.append(f"    repro_out[(pc - first_pc) * {depth} + {position}] = {name};")
-    lines.append("  }")
+    lines.append("  for (long long pc = first_pc; pc <= last_pc; pc++)")
+    lines.append(f"    repro_recover(repro_params, pc, repro_out + (pc - first_pc) * {depth});")
     lines.append("  return 0;")
     lines.append("}")
     lines.append("")
 
-    # ---- run ----------------------------------------------------------- #
-    loop_lines = _loop_body_lines(recovery_lines, increment_lines, body, scheme, chunk)
+    increment_lines = _c_increment_lines(collapsed)
 
-    def emit_thread_loop(indent: str, parallel: bool) -> None:
-        if scheme == "thread":
-            lines.append(f"{indent}int repro_fresh = 1;")
-        lines.append(f"{indent}long long repro_n = 0, repro_first = 0, repro_last = -1;")
+    # ---- run ----------------------------------------------------------- #
+    # a thread's pcs are runs of consecutive values, each opened by a
+    # recovery: its count and span are kept per run, off the hot path
+    close_run = (
+        "if (repro_next) { repro_n += repro_next - repro_start; "
+        "if (repro_next - 1 > repro_last) repro_last = repro_next - 1; }"
+    )
+    open_run = (
+        close_run,
+        "if (repro_first == 0 || pc < repro_first) repro_first = pc;",
+        "repro_start = pc;",
+    )
+
+    def emit_thread_loop(indent: str, pragma: Optional[str]) -> None:
+        lines.append(
+            f"{indent}long long repro_n = 0, repro_first = 0, repro_last = -1, repro_start = 0;"
+        )
         lines.append(f"{indent}{declare_iters}")
-        if parallel:
-            lines.append(f"#pragma omp for schedule({clause}) nowait")
-        lines.append(f"{indent}for (long long pc = first_pc; pc <= last_pc; pc++) {{")
-        lines.extend(f"{indent}  " + line for line in loop_lines)
-        lines.append(f"{indent}  if (repro_n == 0 || pc < repro_first) repro_first = pc;")
-        lines.append(f"{indent}  if (repro_n == 0 || pc > repro_last) repro_last = pc;")
-        lines.append(f"{indent}  repro_n++;")
-        lines.append(f"{indent}}}")
+        loop = _pc_loop_lines(iterators, increment_lines, body, pragma, open_run)
+        lines.extend(line if line.startswith("#") else indent + line for line in loop)
+        lines.append(f"{indent}{close_run}")
 
     lines.append(
         "int repro_run(const long long *repro_params, long long first_pc, long long last_pc,"
     )
     lines.append(
         "              double *const *repro_arrays, const long long *repro_strides,"
+    )
+    lines.append(
+        "              int repro_kind, int repro_chunk,"
     )
     lines.append(
         "              int repro_max_threads, long long *repro_counts, double *repro_seconds,"
@@ -691,22 +695,29 @@ def generate_translation_unit(
     lines.append("  if (repro_max_threads < 1) repro_max_threads = 1;")
     lines.append("  if (last_pc < first_pc) return 0;")
     lines.append("#ifdef _OPENMP")
+    lines.append("  /* the call's schedule, not OMP_SCHEDULE or an earlier call's */")
+    lines.append("  omp_sched_t repro_caller_kind;")
+    lines.append("  int repro_caller_chunk;")
+    lines.append("  omp_get_schedule(&repro_caller_kind, &repro_caller_chunk);")
+    lines.append("  omp_set_schedule((omp_sched_t)repro_kind, repro_chunk);")
     lines.append("#pragma omp parallel num_threads(repro_max_threads)")
     lines.append("  {")
     lines.append("    const int repro_tid = omp_get_thread_num();")
     lines.append("#pragma omp single")
     lines.append("    repro_used = omp_get_num_threads();")
     lines.append("    const double repro_t0 = omp_get_wtime();")
-    emit_thread_loop("    ", parallel=True)
+    emit_thread_loop("    ", "#pragma omp for schedule(runtime) nowait")
     lines.append("    repro_seconds[repro_tid] = omp_get_wtime() - repro_t0;")
     lines.append("    repro_counts[repro_tid] = repro_n;")
     lines.append("    repro_firsts[repro_tid] = repro_first;")
     lines.append("    repro_lasts[repro_tid] = repro_last;")
     lines.append("  }")
+    lines.append("  omp_set_schedule(repro_caller_kind, repro_caller_chunk);")
     lines.append("#else")
+    lines.append("  (void)repro_kind; (void)repro_chunk;")
     lines.append("  {")
     lines.append("    const clock_t repro_t0 = clock();")
-    emit_thread_loop("    ", parallel=False)
+    emit_thread_loop("    ", None)
     lines.append("    repro_seconds[0] = (double)(clock() - repro_t0) / CLOCKS_PER_SEC;")
     lines.append("    repro_counts[0] = repro_n;")
     lines.append("    repro_firsts[0] = repro_first;")
@@ -743,20 +754,9 @@ def generate_translation_unit(
     lines.append("  const clock_t repro_t0 = clock();")
     lines.append("#endif")
     lines.append(f"  {declare_iters}")
-    lines.append("  {")
-    lines.append("    /* chunk ranges are contiguous: recover once, then increment */")
-    lines.append("    const long long pc = first_pc;")
-    lines.extend("    " + line for line in recovery_lines)
-    lines.append("  }")
-    lines.append("  for (long long pc = first_pc; pc <= last_pc; pc++) {")
-    lines.append("    (void)pc;")
-    if body is not None:
-        lines.append("    {")
-        lines.extend("      " + line for line in body.strip("\n").splitlines())
-        lines.append("    }")
-    lines.append("    /* indices incrementation as in the original loop nest */")
-    lines.extend("    " + line for line in increment_lines)
-    lines.append("  }")
+    lines.extend(
+        "  " + line for line in _pc_loop_lines(iterators, increment_lines, body)
+    )
     lines.append("  if (repro_seconds) {")
     lines.append("#ifdef _OPENMP")
     lines.append("    *repro_seconds = omp_get_wtime() - repro_t0;")

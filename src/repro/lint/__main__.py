@@ -20,7 +20,7 @@ from typing import Dict, List
 
 from ..analysis.reporting import format_table
 from .findings import SEVERITIES, LintReport
-from .registry import DEFAULT_SCHEDULES, lint_all_kernels
+from .registry import lint_all_kernels
 
 
 def _parse_args(argv: List[str]) -> argparse.Namespace:
@@ -33,13 +33,6 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         action="append",
         default=None,
         help="audit only this kernel (repeatable; default: all registered)",
-    )
-    parser.add_argument(
-        "--schedule",
-        action="append",
-        default=None,
-        help="generated-C schedules to lint (repeatable; default: "
-        + ", ".join(DEFAULT_SCHEDULES),
     )
     parser.add_argument(
         "--json",
@@ -67,9 +60,8 @@ def main(argv: List[str] | None = None) -> int:
         kernels = [get_kernel(name) for name in args.kernel]
     else:
         kernels = all_kernels()
-    schedules = tuple(args.schedule) if args.schedule else DEFAULT_SCHEDULES
 
-    reports: Dict[str, LintReport] = lint_all_kernels(kernels, schedules=schedules)
+    reports: Dict[str, LintReport] = lint_all_kernels(kernels)
 
     merged = LintReport()
     rows = []
@@ -111,7 +103,6 @@ def main(argv: List[str] | None = None) -> int:
     if args.json != "-":
         payload = {
             "kernels": {name: report.to_dict() for name, report in reports.items()},
-            "schedules": list(schedules),
             "totals": counts,
             "ok": merged.ok,
         }

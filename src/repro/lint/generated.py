@@ -217,7 +217,6 @@ def lint_generated_c(
     *,
     body: Optional[str] = None,
     arrays: Sequence[str] = (),
-    schedule: object = "static",
     array_ndims: Optional[Dict[str, int]] = None,
     source: Optional[str] = None,
     footprint: Optional[LoopNest] = None,
@@ -237,7 +236,6 @@ def lint_generated_c(
             collapsed,
             body=body,
             arrays=arrays,
-            schedule=schedule,
             array_ndims=array_ndims,
         )
     report = lint_c_source(source, subject=subject)

@@ -4,8 +4,8 @@
 the dependence-gate registration check (kernels registered with
 ``check_dependences=False`` must justify it), an independent IR-level
 dependence verdict, the C-body footprint audit, the static overflow audit
-at the kernel's default sizes, and the generated-C lint for each requested
-schedule.  :func:`lint_all_kernels` maps it over the registry — the engine
+at the kernel's default sizes, and the generated-C lint of the kernel's one
+translation unit.  :func:`lint_all_kernels` maps it over the registry — the engine
 behind ``python -m repro.lint``.
 
 :func:`static_check_plan` is the same machinery scoped to one plan build —
@@ -15,7 +15,7 @@ call before anything compiles or runs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from ..ir import dependence_report
 from ..ir.loopnest import LoopNest, Statement
@@ -23,12 +23,6 @@ from .c_body import audit_c_body
 from .findings import LintReport
 from .generated import lint_generated_c
 from .overflow import audit_overflow
-
-#: schedules the generated-C lint covers by default: one per recovery
-#: scheme of the translation unit (once-per-thread, once-per-chunk,
-#: per-iteration)
-DEFAULT_SCHEDULES: Tuple[str, ...] = ("static", "dynamic,8", "guided")
-
 
 def _ir_dependence_findings(
     report: LintReport, nest: LoopNest, depth: int, subject: str, gate_on: bool
@@ -57,7 +51,6 @@ def _ir_dependence_findings(
 def lint_kernel(
     kernel,
     parameter_values: Optional[Mapping[str, int]] = None,
-    schedules: Sequence[str] = DEFAULT_SCHEDULES,
 ) -> LintReport:
     """Every static audit that applies to one registered kernel."""
     report = LintReport()
@@ -110,35 +103,30 @@ def lint_kernel(
     collapsed = kernel.collapsed(check_dependences=False)
     report.merge(audit_overflow(collapsed, values, subject=subject))
 
-    # --- generated-C lint, one unit per schedule -------------------------- #
+    # --- generated-C lint of the kernel's one unit ------------------------ #
     if kernel.c_body is not None:
-        for schedule in schedules:
-            report.merge(
-                lint_generated_c(
-                    collapsed,
-                    body=kernel.c_body,
-                    arrays=kernel.c_arrays,
-                    schedule=schedule,
-                    footprint=footprint,
-                    subject=f"{subject}[{schedule}]",
-                )
+        report.merge(
+            lint_generated_c(
+                collapsed,
+                body=kernel.c_body,
+                arrays=kernel.c_arrays,
+                footprint=footprint,
+                subject=subject,
             )
+        )
     return report
 
 
 def lint_all_kernels(
     kernels: Optional[Iterable] = None,
     parameter_values: Optional[Mapping[str, int]] = None,
-    schedules: Sequence[str] = DEFAULT_SCHEDULES,
 ) -> Dict[str, LintReport]:
     """Map :func:`lint_kernel` over the registry (or an explicit kernel list)."""
     from ..kernels import all_kernels  # deferred: kernels import runtime helpers
 
     reports: Dict[str, LintReport] = {}
     for kernel in kernels if kernels is not None else all_kernels():
-        reports[kernel.name] = lint_kernel(
-            kernel, parameter_values=parameter_values, schedules=schedules
-        )
+        reports[kernel.name] = lint_kernel(kernel, parameter_values=parameter_values)
     return reports
 
 
@@ -148,7 +136,6 @@ def static_check_plan(
     *,
     c_body: Optional[str] = None,
     c_arrays: Sequence[str] = (),
-    schedule: object = "static",
     subject: str = "plan",
     full: bool = False,
     ir_statements: Sequence[Statement] = (),
@@ -178,7 +165,6 @@ def static_check_plan(
                 collapsed,
                 body=c_body,
                 arrays=c_arrays,
-                schedule=schedule,
                 footprint=audit.footprint,
                 subject=subject,
             )

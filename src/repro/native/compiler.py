@@ -268,6 +268,7 @@ def compile_shared_library(
     try:
         result = subprocess.run(command, capture_output=True, text=True, timeout=300.0)
     except (OSError, subprocess.TimeoutExpired) as error:
+        scratch.unlink(missing_ok=True)  # a killed compiler may leave a partial file
         raise NativeUnavailable(f"C compiler failed to run: {error}") from error
     if result.returncode != 0:
         scratch.unlink(missing_ok=True)

@@ -17,9 +17,10 @@ index arrays):
   same contract the Python and engine paths honour with big ints (the
   historical ~2^45 double-trust ceiling is gone; docs/recovery.md),
 * :meth:`NativeModule.run` — execute the kernel body over a ``pc`` range
-  under the module's OpenMP schedule, mutating the caller's NumPy arrays in
-  place and returning a :class:`~repro.runtime.engine.RunResult` with
-  per-thread timings read back from the C side.
+  under the OpenMP schedule the call names (one compiled unit serves every
+  schedule), mutating the caller's NumPy arrays in place and returning a
+  :class:`~repro.runtime.engine.RunResult` with per-thread timings read
+  back from the C side.
 
 :func:`compile_collapsed` builds (and memoises) modules for arbitrary
 collapsed loops with an ad-hoc C body; :func:`compile_native_kernel` does
@@ -44,12 +45,22 @@ import numpy as np
 
 from ..core import CollapsedLoop
 from ..core.codegen_c import generate_translation_unit
-from ..openmp.schedule import Chunk, ScheduleSpec
+from ..openmp.schedule import Chunk, ScheduleKind, ScheduleSpec
 from ..runtime.engine import RunResult
 from .compiler import compile_loadable_library, default_sanitize, effective_flags
 
 _LONGLONG_P = ctypes.POINTER(ctypes.c_longlong)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+
+#: the ``omp_sched_t`` value ``repro_run`` sets for each schedule kind (the
+#: OpenMP API fixes them); ``adaptive`` has no OpenMP spelling and runs as
+#: ``static``
+_OMP_SCHED_KIND = {
+    ScheduleKind.STATIC: 1,
+    ScheduleKind.STATIC_CHUNKED: 1,
+    ScheduleKind.DYNAMIC: 2,
+    ScheduleKind.GUIDED: 3,
+}
 
 
 class NativeExecutionError(ValueError):
@@ -116,7 +127,6 @@ class NativeModule:
         source: str,
         library_path,
         arrays: Tuple[str, ...],
-        schedule: ScheduleSpec,
         array_ndims: Tuple[int, ...] = (),
     ):
         self.collapsed = collapsed
@@ -124,7 +134,6 @@ class NativeModule:
         self.library_path = library_path
         self.arrays = arrays
         self.array_ndims = array_ndims or tuple(2 for _ in arrays)
-        self.schedule = schedule
         self.parameters: Tuple[str, ...] = tuple(collapsed.nest.parameters)
         self.depth = collapsed.depth
         self._lib = ctypes.CDLL(str(library_path))
@@ -136,8 +145,8 @@ class NativeModule:
         self._lib.repro_recover_range.restype = ctypes.c_int
         self._lib.repro_run.argtypes = [
             _LONGLONG_P, ctypes.c_longlong, ctypes.c_longlong,
-            ctypes.POINTER(_DOUBLE_P), _LONGLONG_P, ctypes.c_int,
-            _LONGLONG_P, _DOUBLE_P, _LONGLONG_P, _LONGLONG_P,
+            ctypes.POINTER(_DOUBLE_P), _LONGLONG_P, ctypes.c_int, ctypes.c_int,
+            ctypes.c_int, _LONGLONG_P, _DOUBLE_P, _LONGLONG_P, _LONGLONG_P,
         ]
         self._lib.repro_run.restype = ctypes.c_int
 
@@ -220,6 +229,7 @@ class NativeModule:
         self,
         data: Mapping[str, np.ndarray],
         parameter_values: Mapping[str, int],
+        schedule: object = "static",
         first_pc: int = 1,
         last_pc: Optional[int] = None,
         threads: Optional[int] = None,
@@ -228,12 +238,18 @@ class NativeModule:
 
         ``data`` must hold a C-contiguous float64 array of the generated
         rank for every name the module was generated with (2-D unless
-        ``array_ndims`` said otherwise); ``threads`` caps the OpenMP team
-        (default: ``os.cpu_count()``).  Per-thread iteration counts, ``pc``
-        spans and wall-clock seconds are read back from the C side.
+        ``array_ndims`` said otherwise); ``schedule`` is anything
+        :meth:`ScheduleSpec.parse` accepts, and the engine-only ``adaptive``
+        runs as ``static`` (the result's ``schedule`` says what ran);
+        ``threads`` caps the OpenMP team (default: ``os.cpu_count()``).
+        Per-thread iteration counts, ``pc`` spans and wall-clock seconds are
+        read back from the C side.
         """
         import os
 
+        spec = ScheduleSpec.parse(schedule)
+        if spec.kind is ScheduleKind.ADAPTIVE:
+            spec = ScheduleSpec(ScheduleKind.STATIC)
         first, last = self._resolve_range(parameter_values, first_pc, last_pc)
         pointers, strides = _flat_strides(self.arrays, self.array_ndims, data)
         max_threads = int(threads) if threads else (os.cpu_count() or 1)
@@ -248,6 +264,8 @@ class NativeModule:
             ctypes.c_longlong(last),
             pointers,
             strides,
+            ctypes.c_int(_OMP_SCHED_KIND[spec.kind]),
+            ctypes.c_int(spec.chunk_size or 0),
             ctypes.c_int(max_threads),
             counts.ctypes.data_as(_LONGLONG_P),
             seconds.ctypes.data_as(_DOUBLE_P),
@@ -260,7 +278,7 @@ class NativeModule:
         if last < first:
             return RunResult(
                 results=(), elapsed_seconds=elapsed, chunks=(), workers=0,
-                schedule=self.schedule, backend="native",
+                schedule=spec, backend="native",
             )
         active = [t for t in range(min(used, max_threads)) if counts[t] > 0]
         return RunResult(
@@ -270,7 +288,7 @@ class NativeModule:
                 Chunk(first=int(firsts[t]), last=int(lasts[t]), thread=t) for t in active
             ),
             workers=int(used),
-            schedule=self.schedule,
+            schedule=spec,
             assignments=tuple(active),
             chunk_seconds=tuple(float(seconds[t]) for t in active),
             backend="native",
@@ -288,7 +306,7 @@ class NativeModule:
     def describe(self) -> str:
         return (
             f"native module of {self.collapsed.nest.name!r} "
-            f"(depth {self.depth}, schedule {self.schedule}, arrays {list(self.arrays)}) "
+            f"(depth {self.depth}, arrays {list(self.arrays)}) "
             f"at {self.library_path}"
         )
 
@@ -386,7 +404,6 @@ def compile_collapsed(
     *,
     body: Optional[str] = None,
     arrays: Sequence[str] = (),
-    schedule: object = "static",
     array_ndims=None,
     extra_flags: Sequence[str] = (),
     sanitize: Optional[str] = None,
@@ -400,31 +417,31 @@ def compile_collapsed(
     :data:`~repro.native.compiler.SANITIZER_PRESETS` entry (default: the
     ``$REPRO_NATIVE_SANITIZE`` environment preset, resolved here so the
     effective choice is part of the memo key).  Modules are memoised per
-    (collapsed loop, schedule, body, arrays, ndims, effective flags), where the effective flags are ``extra_flags``, the sanitizer's
-    and ``$REPRO_NATIVE_FLAGS``, the same tuple the on-disk digest hashes.
+    (collapsed loop, body, arrays, ndims, effective flags), where the
+    effective flags are ``extra_flags``, the sanitizer's and
+    ``$REPRO_NATIVE_FLAGS``, the same tuple the on-disk digest hashes.
     Every input that changes the emitted source *or the compiled
-    artefact* is part of the key, so e.g. a schedule, flag or sanitizer
-    change can never hand back a stale module — and the
+    artefact* is part of the key, so e.g. a flag or sanitizer change can
+    never hand back a stale module.  The schedule is not: one unit runs
+    every schedule, picked per call by :meth:`NativeModule.run`.  The
     underlying ``.so`` is additionally cached on disk by source-plus-
     command-line hash, so a warm start never invokes the compiler (a cached
     ``.so`` that fails to load is rebuilt once, see
     :func:`~repro.native.compiler.compile_loadable_library`).  Raises
     :class:`~repro.native.compiler.NativeUnavailable` without a compiler.
     """
-    spec = ScheduleSpec.parse(schedule)
     ndims = tuple(sorted((array_ndims or {}).items()))
     flags = tuple(extra_flags)
     if sanitize is None:
         sanitize = default_sanitize()
     key = (
-        id(collapsed), str(spec), body, tuple(arrays), ndims,
-        effective_flags(flags, sanitize),
+        id(collapsed), body, tuple(arrays), ndims, effective_flags(flags, sanitize),
     )
     cached = _MODULE_CACHE.get(key)
     if cached is not None:
         return cached
     source = generate_translation_unit(
-        collapsed, body=body, arrays=arrays, schedule=spec, array_ndims=array_ndims
+        collapsed, body=body, arrays=arrays, array_ndims=array_ndims
     )
     library = compile_loadable_library(
         source, tag=collapsed.nest.name, extra_flags=flags, sanitize=sanitize
@@ -436,7 +453,6 @@ def compile_collapsed(
         source=source,
         library_path=library,
         arrays=tuple(arrays),
-        schedule=spec,
         array_ndims=resolve_array_ndims(arrays, array_ndims),
     )
     if len(_MODULE_CACHE) >= _MODULE_CACHE_LIMIT:
@@ -452,7 +468,6 @@ def clear_module_cache() -> None:
 
 def compile_native_kernel(
     kernel,
-    schedule: object = "static",
     extra_flags: Sequence[str] = (),
     sanitize: Optional[str] = None,
 ) -> NativeModule:
@@ -460,17 +475,11 @@ def compile_native_kernel(
 
     The kernel must declare a ``c_body``; its collapsed loop comes from the
     shared ``collapse()`` memo cache, so the module cache keys stay stable
-    across call sites.  The engine-only ``"adaptive"`` policy has no OpenMP
-    spelling and normalises to ``static`` here — the one choke point every
-    kernel-compiling path goes through.  ``extra_flags`` and ``sanitize``
-    reach the compiler command line (and both cache keys) unchanged.
+    across call sites.  ``extra_flags`` and ``sanitize`` reach the compiler
+    command line (and both cache keys) unchanged.
     """
     from ..kernels import Kernel, get_kernel  # deferred: kernels imports us lazily
-    from ..openmp.schedule import ScheduleKind
 
-    schedule = ScheduleSpec.parse(schedule)
-    if schedule.kind is ScheduleKind.ADAPTIVE:
-        schedule = ScheduleSpec.parse("static")
     if isinstance(kernel, str):
         kernel = get_kernel(kernel)
     if not isinstance(kernel, Kernel):
@@ -484,7 +493,6 @@ def compile_native_kernel(
         kernel.collapsed(),
         body=kernel.c_body,
         arrays=kernel.c_arrays,
-        schedule=schedule,
         extra_flags=extra_flags,
         sanitize=sanitize,
     )

@@ -327,14 +327,14 @@ def build_plan(
 
     ``native=True`` additionally compiles the nest's C translation unit *in
     the calling process* (kernel ``c_body``, explicit ``c_body``/``c_arrays``
-    or parser-derived statements; ``array_ndims`` for non-2-D arrays) under
-    the plan's schedule (``adaptive``, which has no OpenMP spelling, maps to
-    ``static``) and attaches the module and its
-    :class:`~repro.native.NativeLibrarySpec` to the plan.  One native plan
+    or parser-derived statements; ``array_ndims`` for non-2-D arrays) and
+    attaches the module and its :class:`~repro.native.NativeLibrarySpec` to
+    the plan.  The unit does not depend on the schedule.  One native plan
     serves two backends: ``native`` calls the unit's whole-range OpenMP
-    ``repro_run`` in this process, ``hybrid`` engine workers load the cached
-    shared object by path and execute their chunks through the serial
-    ``repro_run_range``.  ``compile_flags`` are appended to the compiler
+    ``repro_run`` in this process under the plan's schedule (``adaptive``,
+    which has no OpenMP spelling, runs as ``static``), ``hybrid`` engine
+    workers load the cached shared object by path and execute their chunks
+    through the serial ``repro_run_range``.  ``compile_flags`` are appended to the compiler
     command line of that translation unit (and to its cache keys) — the
     sweep's compiler-flags axis.  Raises
     :class:`~repro.native.NativeUnavailable` where no C compiler exists.
@@ -352,9 +352,6 @@ def build_plan(
     from ..kernels import Kernel, get_kernel  # deferred: kernels import runtime helpers
 
     spec = ScheduleSpec.parse(schedule)
-    native_schedule = (
-        ScheduleSpec(ScheduleKind.STATIC) if spec.kind is ScheduleKind.ADAPTIVE else spec
-    )
     kernel_name: Optional[str] = None
     cost_model: Optional[CostModel] = None
 
@@ -389,7 +386,6 @@ def build_plan(
             parameter_values,
             c_body=check_body,
             c_arrays=check_arrays,
-            schedule=native_schedule,
             subject=kernel_name or collapsed.nest.name,
             full=bool(static_check),
             ir_statements=collapsed.nest.statements,
@@ -401,8 +397,8 @@ def build_plan(
 
         body, arrays, ndims = _native_body(source, c_body, c_arrays, array_ndims)
         native_module = compile_collapsed(
-            collapsed, body=body, arrays=arrays, schedule=native_schedule,
-            array_ndims=ndims, extra_flags=tuple(compile_flags),
+            collapsed, body=body, arrays=arrays, array_ndims=ndims,
+            extra_flags=tuple(compile_flags),
         )
     elif c_body is not None or c_arrays or compile_flags:
         raise PlanError(

@@ -497,7 +497,7 @@ class RuntimeSession:
         """
         if backend == "native":
             result = plan.native_module.run(
-                buffers, plan.parameter_values, threads=self.engine.workers
+                buffers, plan.parameter_values, plan.schedule, threads=self.engine.workers
             )
         else:
             result = self.engine.execute(plan, buffers=buffers)

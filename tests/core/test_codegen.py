@@ -86,6 +86,14 @@ class TestCCodegen:
         source = generate_openmp_collapsed(collapsed_correlation, schedule="dynamic")
         assert "schedule(dynamic)" in source
 
+    def test_figure_generators_reject_adaptive(self, collapsed_correlation):
+        """The Fig. 3/4 reproductions bake the clause into the pragma, and
+        the engine-only ``adaptive`` has no OpenMP spelling."""
+        with pytest.raises(CodegenError, match="no OpenMP spelling"):
+            generate_openmp_collapsed(collapsed_correlation, schedule="adaptive")
+        with pytest.raises(CodegenError, match="no OpenMP spelling"):
+            generate_openmp_chunked(collapsed_correlation, schedule="adaptive", chunk=8)
+
     def test_ranking_polynomial_documented_in_header(self, collapsed_correlation):
         source = generate_openmp_collapsed(collapsed_correlation)
         assert "r(i, j)" in source
@@ -115,21 +123,38 @@ class TestTranslationUnit:
         # all index arithmetic is 64-bit
         assert "long" in source and " int pc" not in source
 
-    def test_schedule_picks_recovery_scheme(self, collapsed_correlation):
+    def test_one_unit_takes_the_schedule_at_run_time(self, collapsed_correlation):
+        """No schedule is baked in: repro_run takes the kind and chunk,
+        sets them for a schedule(runtime) loop and restores the caller's
+        run-sched-var after the region."""
+        import inspect
+
         from repro.core import generate_translation_unit
 
-        static = generate_translation_unit(collapsed_correlation, schedule="static")
-        assert "repro_fresh" in static                  # Fig. 4 once-per-thread
-        chunked = generate_translation_unit(collapsed_correlation, schedule="dynamic,64")
-        assert "% 64LL == 0" in chunked                 # Section V once-per-chunk
-        guided = generate_translation_unit(collapsed_correlation, schedule="guided")
-        assert "repro_fresh" not in guided              # Fig. 3 per-iteration
+        assert "schedule" not in inspect.signature(generate_translation_unit).parameters
+        source = generate_translation_unit(collapsed_correlation)
+        _, _, run = source.partition("int repro_run(")
+        run, _, _ = run.partition("long long repro_run_range(")
+        assert "int repro_kind, int repro_chunk," in run
+        assert "#pragma omp for schedule(runtime) nowait" in run
+        set_at = run.index("omp_set_schedule((omp_sched_t)repro_kind, repro_chunk);")
+        assert run.index("omp_get_schedule(&repro_caller_kind") < set_at
+        assert set_at < run.index("#pragma omp parallel") < run.index(
+            "omp_set_schedule(repro_caller_kind, repro_caller_chunk);"
+        )
 
-    def test_adaptive_schedule_is_rejected(self, collapsed_correlation):
+    def test_one_recovery_rule_in_every_loop(self, collapsed_correlation):
+        """A thread recovers where its pc does not follow its last one: the
+        per-thread flag and the per-chunk modulo test are gone."""
         from repro.core import generate_translation_unit
 
-        with pytest.raises(CodegenError):
-            generate_translation_unit(collapsed_correlation, schedule="adaptive")
+        source = generate_translation_unit(
+            collapsed_correlation, body="visits(i, j) += 1.0;", arrays=("visits",)
+        )
+        # repro_run's OpenMP and serial loops, and repro_run_range
+        assert source.count("if (__builtin_expect(pc != repro_next, 0)) {") == 3
+        assert source.count("repro_next = pc + 1;") == 3
+        assert "repro_fresh" not in source and "LL == 0" not in source
 
     def test_array_name_clashes_are_rejected(self, collapsed_correlation):
         from repro.core import generate_translation_unit
@@ -154,11 +179,12 @@ class TestTranslationUnit:
         its own, one recovery at first_pc, Fig. 4 incrementation."""
         from repro.core import generate_translation_unit
 
-        source = generate_translation_unit(collapsed_correlation, schedule="guided")
+        source = generate_translation_unit(collapsed_correlation)
         _, _, run_range = source.partition("long long repro_run_range")
         assert run_range, "repro_run_range missing from the translation unit"
         assert "#pragma omp" not in run_range
-        assert "const long long pc = first_pc;" in run_range
+        assert "long long repro_next = 0;" in run_range
+        assert "if (__builtin_expect(pc != repro_next, 0)) {" in run_range
         assert "indices incrementation" in run_range
         assert "return last_pc - first_pc + 1;" in run_range
 

@@ -224,8 +224,8 @@ def test_property_native_matches_engine_and_batch(case, schedule, runtime_engine
     """Differential property over random nests: the compiled translation
     unit recovers the same iteration set as :class:`BatchRecovery` (every
     ``pc``, hence every first/last rank of every level) and produces the
-    same visits grid as the runtime engine — under both the once-per-thread
-    and the once-per-chunk native recovery schemes."""
+    same visits grid as the runtime engine — under a static and a chunked
+    schedule, both run by the one compiled unit."""
     import numpy as np
 
     _native_or_skip()
@@ -238,16 +238,14 @@ def test_property_native_matches_engine_and_batch(case, schedule, runtime_engine
     collapsed = collapse(nest)
     total = collapsed.total_iterations(values)
 
-    module = compile_collapsed(
-        collapsed, body="visits(i, j) += 1.0;", arrays=("visits",), schedule=schedule
-    )
+    module = compile_collapsed(collapsed, body="visits(i, j) += 1.0;", arrays=("visits",))
     native_indices = module.recover_range(1, total, values)
     batch_indices = batch_recovery(collapsed).recover_range(1, total, values)
     assert np.array_equal(native_indices, batch_indices)
     assert module.total(values) == total
 
     native_visits = np.zeros(_GRID)
-    result = module.run({"visits": native_visits}, values, threads=2)
+    result = module.run({"visits": native_visits}, values, schedule, threads=2)
     assert sum(result.results) == total
 
     plan = build_plan(

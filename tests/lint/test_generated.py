@@ -88,13 +88,12 @@ def test_writes_outside_any_region_are_unconstrained():
 # ---------------------------------------------------------------------- #
 # real translation units, clean and doctored
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("schedule", ["static", "dynamic,8", "guided"])
-def test_generated_units_pass_the_privatisation_proof(triangle_collapsed, schedule):
+def test_generated_units_pass_the_privatisation_proof(triangle_collapsed):
+    """One unit runs every schedule, so one proof covers them all."""
     report = lint_generated_c(
         triangle_collapsed,
         body="c(i, j) = a(i, j) + 1.0;",
         arrays=("c", "a"),
-        schedule=schedule,
     )
     assert report.ok, str(report)
     assert any(f.rule == "generated/private-proof" for f in report.findings)

@@ -27,10 +27,13 @@ def test_simulation_only_gate_off_is_a_warning_not_an_error():
     assert len(gate) == 1 and gate[0].severity == "warning"
 
 
-def test_native_kernels_get_per_schedule_generated_findings():
-    report = lint_kernel(get_kernel("utma"), schedules=("static", "guided"))
+def test_native_kernels_get_one_generated_unit_audit():
+    """A kernel compiles to one unit whatever the schedule, so the
+    generated-C lint audits that one unit, under the kernel's own name."""
+    report = lint_kernel(get_kernel("utma"))
     subjects = {f.subject for f in report.select("generated/")}
-    assert subjects == {"utma[static]", "utma[guided]"}
+    assert subjects == {"utma"}
+    assert len(report.select("generated/private-proof")) == 1
 
 
 def test_overflow_audit_runs_at_explicit_sizes():
@@ -44,21 +47,17 @@ def test_cli_writes_reports_and_exits_zero(tmp_path):
     json_path = tmp_path / "lint.json"
     md_path = tmp_path / "lint.md"
     status = main(
-        ["--kernel", "utma", "--schedule", "static",
-         "--json", str(json_path), "--markdown", str(md_path)]
+        ["--kernel", "utma", "--json", str(json_path), "--markdown", str(md_path)]
     )
     assert status == 0
     payload = json.loads(json_path.read_text())
     assert payload["ok"] is True
-    assert payload["schedules"] == ["static"]
+    assert "schedules" not in payload
     assert payload["kernels"]["utma"]["counts"]["error"] == 0
     assert "| severity |" in md_path.read_text()
     # stable artifact: serialising the same audit twice is byte-identical
     first = json_path.read_text()
-    assert main(
-        ["--kernel", "utma", "--schedule", "static",
-         "--json", str(json_path), "--markdown", "-"]
-    ) == 0
+    assert main(["--kernel", "utma", "--json", str(json_path), "--markdown", "-"]) == 0
     assert json_path.read_text() == first
 
 
@@ -66,8 +65,7 @@ def test_cli_dash_skips_writing(tmp_path, monkeypatch):
     from repro.lint.__main__ import main
 
     monkeypatch.chdir(tmp_path)
-    assert main(["--kernel", "utma", "--schedule", "static",
-                 "--json", "-", "--markdown", "-"]) == 0
+    assert main(["--kernel", "utma", "--json", "-", "--markdown", "-"]) == 0
     assert list(tmp_path.iterdir()) == []
 
 

@@ -4,6 +4,7 @@ import logging
 import os
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,37 @@ class TestCompilationCache:
         assert not any(self.cache.glob("*.so"))
 
 
+class TestCompilerFailure:
+    """A compiler that hangs or cannot start raises ``NativeUnavailable``
+    and leaves no scratch library in the cache."""
+
+    @pytest.fixture(autouse=True)
+    def _fake_compiler(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(compiler_module, "find_compiler", lambda: "fake-cc")
+        monkeypatch.setattr(compiler_module, "openmp_flags", lambda _compiler: ())
+        self.cache = tmp_path
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (subprocess.TimeoutExpired(["fake-cc"], 300.0), "timed out after 300"),
+            (FileNotFoundError("fake-cc"), "failed to run"),
+        ],
+        ids=["timeout", "no-start"],
+    )
+    def test_failure_is_named_and_leaves_no_scratch_file(self, monkeypatch, error, message):
+        def fake_run(command, **kwargs):
+            # a killed compiler has already started writing its output
+            Path(command[command.index("-o") + 1]).write_bytes(b"partial")
+            raise error
+
+        monkeypatch.setattr(compiler_module.subprocess, "run", fake_run)
+        with pytest.raises(NativeUnavailable, match=message):
+            compile_shared_library(_TINY_UNIT % 6, tag="hang")
+        assert [path.suffix for path in self.cache.iterdir()] == [".c"]
+
+
 @requires_compiler
 class TestCorruptCachedLibrary:
     """A cached ``.so`` that no longer loads is rebuilt, not an ``OSError``."""
@@ -149,7 +181,6 @@ class TestCorruptCachedLibrary:
         from repro.core.codegen_c import generate_translation_unit
         from repro.ir import Loop, LoopNest
         from repro.native import clear_module_cache, compile_collapsed, default_sanitize
-        from repro.openmp import ScheduleSpec
 
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
         # a name of its own: a path this process never loaded, so the
@@ -160,7 +191,7 @@ class TestCorruptCachedLibrary:
             name=f"truncated_{tmp_path.name}",
         )
         collapsed = collapse(nest)
-        source = generate_translation_unit(collapsed, schedule=ScheduleSpec.parse("static"))
+        source = generate_translation_unit(collapsed)
         library = compile_shared_library(source, tag=nest.name, sanitize=default_sanitize())
         library.write_bytes(library.read_bytes()[:64])  # a crash mid-write
         clear_module_cache()

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import batch_recovery, collapse
 from repro.ir import enumerate_iterations, iteration_count
+from repro.openmp import ScheduleSpec
 from repro.runtime import RunResult
 from repro.native import (
     NativeChunkRunner,
@@ -41,15 +42,28 @@ def _run_native(kernel, values):
 # index recovery
 # ---------------------------------------------------------------------- #
 class TestRecovery:
-    @pytest.mark.parametrize("schedule", ["static", "dynamic,3", "static,4", "guided"])
+    @pytest.mark.parametrize(
+        "schedule", ["static", "dynamic,3", "static,4", "static,1", "guided"]
+    )
     def test_recover_matches_batch_on_every_pc(self, figure6_nest, schedule):
+        """Every pc the one compiled unit runs, under each schedule picked at
+        run time, sees the indices the batch recovery gives: the
+        ``pc != repro_next`` rule recovers wherever a thread's pcs break."""
         collapsed = collapse(figure6_nest)
-        module = compile_collapsed(collapsed, schedule=schedule)
-        values = {"N": 12}
+        module = compile_collapsed(
+            collapsed,
+            body="rows(pc - 1, 0) = (double)i; rows(pc - 1, 1) = (double)j; "
+            "rows(pc - 1, 2) = (double)k;",
+            arrays=("rows",),
+        )
+        values = {"N": 40}
         total = collapsed.total_iterations(values)
-        native = module.recover_range(1, total, values)
         batch = batch_recovery(collapsed).recover_range(1, total, values)
-        assert np.array_equal(native, batch)
+        assert np.array_equal(module.recover_range(1, total, values), batch)
+        rows = np.full((total, 3), -1.0)
+        result = module.run({"rows": rows}, values, schedule, threads=2)
+        assert str(result.schedule) == str(ScheduleSpec.parse(schedule))
+        assert np.array_equal(rows, batch.astype(np.float64))
 
     def test_total_matches_ranking(self, correlation_nest):
         collapsed = collapse(correlation_nest)
@@ -157,7 +171,7 @@ class TestGuardedFloorRegression:
         collapsed = collapse(figure6_nest)
         values = {"N": 50}
         total = collapsed.total_iterations(values)
-        module = compile_collapsed(collapsed, schedule="static")
+        module = compile_collapsed(collapsed)
         truth = batch_recovery(collapsed).recover_range(1, total, values)
         assert np.array_equal(module.recover_range(1, total, values), truth)
         # and the boundary iteration specifically
@@ -167,7 +181,7 @@ class TestGuardedFloorRegression:
 class TestSixtyFourBitArithmetic:
     """Depth-3 domains overflow 32-bit counters before N reaches 2600; the
     emitted ``long long`` arithmetic (pc, totals, recovered iterators and
-    CHUNK tests) must not truncate."""
+    the ``repro_next`` successor test) must not truncate."""
 
     N = 2560  # total = N (N+1) (N+2) / 6 = 2 799 403 520 > 2^31
 
@@ -184,8 +198,8 @@ class TestSixtyFourBitArithmetic:
         assert tuple(native[-1]) == (self.N - 1, self.N - 1, self.N - 1)
 
     def test_chunked_run_past_two_to_the_31(self, simplex3_nest):
-        """CHUNK modulo arithmetic on pc values beyond 2^31 (a window of the
-        huge domain, executed under a fixed-chunk schedule).
+        """Chunk starts on pc values beyond 2^31 (a window of the huge
+        domain, executed under a fixed-chunk schedule).
 
         Inside the window ``i`` stays at ``N - 1`` while ``j`` and ``k``
         vary, so each iteration owns the cell ``(j, k)``: a plain store, no
@@ -200,10 +214,11 @@ class TestSixtyFourBitArithmetic:
             collapsed,
             body="visits(j, k) = (double)(i + 1);",
             arrays=("visits",),
-            schedule="dynamic,512",
         )
         visits = np.zeros((self.N, self.N))
-        result = module.run({"visits": visits}, values, first_pc=first, threads=2)
+        result = module.run(
+            {"visits": visits}, values, "dynamic,512", first_pc=first, threads=2
+        )
         assert sum(result.results) == 5000
         expected = np.zeros((self.N, self.N))
         for i, j, k in window:
@@ -341,9 +356,9 @@ class TestKernelExecution:
 
         kernel = get_kernel("utma")
         values = {"N": 64}
-        module = compile_native_kernel(kernel, schedule="static")
+        module = compile_native_kernel(kernel)
         data = kernel.make_data(values)
-        result = module.run(data, values, threads=2)
+        result = module.run(data, values, "static", threads=2)
         assert isinstance(result, RunResult)
         assert result.backend == "native"
         total = kernel.collapsed().total_iterations(values)
@@ -358,6 +373,58 @@ class TestKernelExecution:
         for (first_a, last_a), (first_b, _last_b) in zip(covered, covered[1:]):
             assert last_a < first_b
 
+    def test_static_run_ignores_omp_schedule_and_the_previous_call(self):
+        """``repro_run`` sets the call's schedule itself: with
+        ``OMP_SCHEDULE=dynamic,1`` in the environment and a ``dynamic,1``
+        call just before, a ``static`` run still gives each thread one
+        contiguous, disjoint ``pc`` span, the spans tile ``[1, total]``, and
+        the caller's run-sched-var is the same after the calls as before."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = """
+import ctypes, json
+from repro.kernels import get_kernel
+from repro.native import compile_native_kernel
+kernel = get_kernel("utma")
+values = {"N": 64}
+module = compile_native_kernel(kernel)
+lib = ctypes.CDLL(str(module.library_path))
+def run_sched_var():
+    kind, chunk = ctypes.c_int(), ctypes.c_int()
+    lib.omp_get_schedule(ctypes.byref(kind), ctypes.byref(chunk))
+    return [kind.value, chunk.value]
+before = run_sched_var()
+module.run(kernel.make_data(values), values, "dynamic,1", threads=2)
+result = module.run(kernel.make_data(values), values, "static", threads=2)
+print(json.dumps({
+    "total": kernel.collapsed().total_iterations(values),
+    "spans": sorted([chunk.first, chunk.last] for chunk in result.chunks),
+    "counts": list(result.results),
+    "workers": result.workers,
+    "schedule": [before, run_sched_var()],
+}))
+"""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, OMP_SCHEDULE="dynamic,1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        report = json.loads(completed.stdout.strip().splitlines()[-1])
+        spans, total = report["spans"], report["total"]
+        assert len(spans) == report["workers"]  # static: every thread has a block
+        assert spans[0][0] == 1 and spans[-1][1] == total
+        assert all(last + 1 == first for (_, last), (first, _) in zip(spans, spans[1:]))
+        assert sorted(report["counts"]) == sorted(last - first + 1 for first, last in spans)
+        before, after = report["schedule"]
+        assert before == after
+
     def test_iterations_counts_executed_work_under_dynamic_schedules(self):
         """Per-thread pc spans overlap under on-demand hand-out; the result's
         iteration count must come from the executed counts, not span sizes."""
@@ -365,8 +432,8 @@ class TestKernelExecution:
 
         kernel = get_kernel("utma")
         values = {"N": 96}
-        module = compile_native_kernel(kernel, schedule="dynamic,64")
-        result = module.run(kernel.make_data(values), values, threads=2)
+        module = compile_native_kernel(kernel)
+        result = module.run(kernel.make_data(values), values, "dynamic,64", threads=2)
         total = kernel.collapsed().total_iterations(values)
         assert sum(result.results) == total
         assert result.iterations == total

@@ -127,8 +127,9 @@ WERROR = ("-Wall", "-Wextra", "-Werror")
 
 
 def test_every_native_kernel_unit_compiles_warning_free():
-    """The generated C of every native kernel, under every recovery scheme,
-    must compile clean under ``-Wall -Wextra -Werror`` — the lint CI bar."""
+    """The one generated unit of every native kernel, which runs every
+    schedule, must compile clean under ``-Wall -Wextra -Werror`` — the lint
+    CI bar."""
     _native_or_skip()
     from repro.kernels import native_kernels
     from repro.native import compile_native_kernel, flags_supported
@@ -136,11 +137,8 @@ def test_every_native_kernel_unit_compiles_warning_free():
     if not flags_supported(WERROR):
         pytest.skip("compiler does not accept -Wall -Wextra -Werror")
     for kernel in native_kernels():
-        for schedule in ("static", "dynamic,8", "guided"):
-            module = compile_native_kernel(
-                kernel, schedule=schedule, extra_flags=WERROR
-            )
-            assert module.library_path.exists()
+        module = compile_native_kernel(kernel, extra_flags=WERROR)
+        assert module.library_path.exists()
 
 
 def test_bodyless_and_parameterless_units_compile_warning_free(correlation_nest):

@@ -10,8 +10,8 @@ Contract under test, layer by layer:
   the Python engine and to the whole-range native call;
 * *fallback* — without a C compiler, ``backend="hybrid"`` degrades to the
   engine and still produces the identical result;
-* *cache keying* — schedule changes never reuse a stale native module or a
-  stale plan (the PR's audit of the ``ScheduleSpec`` cache keys).
+* *cache keying* — schedule changes never reuse a stale plan, and every
+  schedule runs through the one compiled module of a nest.
 """
 
 import numpy as np
@@ -82,6 +82,45 @@ class TestKernelEquality:
         hybrid = session.run("utma", values, backend="hybrid", schedule=schedule)
         expected = run_original(get_kernel("utma"), values)
         assert np.array_equal(hybrid["c"], expected["c"]), schedule
+
+    #: kernels whose Python operation reduces through a NumPy dot product
+    BLAS_REDUCED = frozenset({"correlation", "syrk", "syr2k", "trmm", "ltmp"})
+
+    @pytest.mark.parametrize(
+        "name", ["correlation", "covariance", "symm", "syrk", "syr2k", "trmm",
+                 "cholesky_update", "lu_update", "utma", "ltmp"],
+    )
+    def test_every_schedule_runs_bit_identically_from_one_module(self, session, name):
+        """Native and hybrid runs of every native kernel, under five
+        schedules, agree to the last bit with each other and with
+        ``run_original``, and all five schedules run one compiled library.
+
+        The Python operations of the kernels in ``BLAS_REDUCED`` sum their
+        inner loop through a NumPy dot product, which rounds differently
+        from the C loop, so those match ``run_original`` to rounding only.
+        """
+        from repro.kernels import get_kernel, run_original
+
+        kernel = get_kernel(name)
+        values = {p: max(4, v // 6) for p, v in kernel.bench_parameters.items()}
+        expected = run_original(kernel, values)
+        first = None
+        libraries = set()
+        for schedule in ("static", "static,4", "dynamic", "dynamic,3", "guided"):
+            for backend in ("native", "hybrid"):
+                result = session.run(name, values, backend=backend, schedule=schedule)
+                if first is None:
+                    first = result
+                for array in expected:
+                    where = (schedule, backend, array)
+                    assert np.array_equal(result[array], first[array]), where
+                    if name in self.BLAS_REDUCED:
+                        assert np.allclose(result[array], expected[array], atol=1e-9), where
+                    else:
+                        assert np.array_equal(result[array], expected[array]), where
+            plan = session.plan_for(name, values, schedule, native=True)
+            libraries.add(plan.native_spec.library_path)
+        assert len(libraries) == 1
 
     def test_verify_kernel_hybrid_gate(self, session):
         from repro.kernels import get_kernel, verify_kernel
@@ -548,29 +587,55 @@ class TestWorkerBatchRecovery:
 # ---------------------------------------------------------------------- #
 @needs_compiler
 class TestCacheKeying:
-    def test_adaptive_normalises_to_static_at_the_compile_choke_point(self):
-        """compile_native_kernel is where every kernel-compiling path
-        normalises the engine-only 'adaptive' policy."""
+    def test_one_module_serves_every_schedule(self):
+        """Compiling a kernel takes no schedule: the one memoised module
+        runs whichever schedule the call names, and ``adaptive``, which has
+        no OpenMP spelling, runs and is reported as ``static``."""
+        import inspect
+
+        from repro.kernels import get_kernel
         from repro.native import compile_native_kernel
 
-        module = compile_native_kernel("utma", schedule="adaptive")
-        assert str(module.schedule) == "static"
-        assert module is compile_native_kernel("utma", schedule="static")
+        assert "schedule" not in inspect.signature(compile_native_kernel).parameters
+        module = compile_native_kernel("utma")
+        assert module is compile_native_kernel("utma")
+        assert not hasattr(module, "schedule")
+        kernel = get_kernel("utma")
+        values = {"N": 24}
+        total = kernel.collapsed().total_iterations(values)
+        for schedule, ran in (
+            ("adaptive", "static"), ("dynamic,64", "dynamic,64"), ("guided", "guided"),
+        ):
+            result = module.run(kernel.make_data(values), values, schedule, threads=2)
+            assert str(result.schedule) == ran
+            assert sum(result.results) == total
 
-    def test_schedule_change_never_reuses_a_stale_module(self):
-        """The module memo is keyed by the parsed ScheduleSpec: asking for a
-        new schedule compiles (or disk-loads) a unit carrying *that*
-        schedule, while re-asking for an old one hits the memo."""
-        from repro.native import compile_native_kernel
-
-        static = compile_native_kernel("utma", schedule="static")
-        dynamic = compile_native_kernel("utma", schedule="dynamic,64")
-        assert static is not dynamic
-        assert str(static.schedule) == "static"
-        assert str(dynamic.schedule) == "dynamic,64"
-        assert "schedule(static)" in static.source
-        assert "schedule(dynamic, 64)" in dynamic.source
-        assert compile_native_kernel("utma", schedule="static") is static
+    def test_schedule_change_reruns_the_one_library(self, session):
+        """Native runs of one nest under two schedules share one compiled
+        library, and each honours its own schedule: a ``static`` run after
+        a ``dynamic,1`` run still gets one contiguous ``pc`` block per
+        thread, tiling the range."""
+        nest = _triangle_nest()
+        values = {"N": 40}
+        total = iteration_count(nest, values)
+        options = {"c_body": "visits(i, j) += 1.0;", "c_arrays": ("visits",)}
+        libraries = set()
+        for schedule in ("dynamic,1", "static"):
+            visits = np.zeros((40, 40))
+            result = session.run(
+                nest, values, data={"visits": visits}, schedule=schedule,
+                backend="native", **options,
+            )
+            assert str(result.schedule) == schedule
+            assert visits.sum() == total
+            plan = session.plan_for(nest, values, schedule, native=True, **options)
+            libraries.add(plan.native_spec.library_path)
+        assert len(libraries) == 1
+        spans = sorted((chunk.first, chunk.last) for chunk in result.chunks)
+        assert len(spans) == result.workers  # static: every thread has a block
+        assert spans[0][0] == 1 and spans[-1][1] == total
+        assert all(last + 1 == first for (_, last), (first, _) in zip(spans, spans[1:]))
+        assert sum(result.results) == total
 
     def test_session_plans_are_keyed_by_schedule_and_backend(self, session):
         """One (kernel, size) under different schedules or backends must
@@ -616,12 +681,14 @@ class TestCacheKeying:
         assert np.array_equal(np.triu(mul_data["c"]), expected)
 
     def test_hybrid_plans_share_one_library_across_schedules(self, session):
-        """A native plan compiles its schedule's unit, and ``adaptive`` has
-        no OpenMP spelling and maps to ``static``: the static and adaptive
-        plans of one kernel reuse one compiled shared object — the inverse
-        guarantee: sharing where sharing is *correct*."""
+        """A native plan's unit does not depend on its schedule: the plans
+        of one kernel under every schedule reuse one compiled shared
+        object — the inverse guarantee: sharing where sharing is
+        *correct*."""
         values = {"N": 32}
         a = session.plan_for("utma", values, schedule="static", native=True)
         b = session.plan_for("utma", values, schedule="adaptive", native=True)
-        assert a is not b
+        c = session.plan_for("utma", values, schedule="guided", native=True)
+        assert a is not b and b is not c
         assert a.native_spec.library_path == b.native_spec.library_path
+        assert b.native_spec.library_path == c.native_spec.library_path

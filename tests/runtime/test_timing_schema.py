@@ -44,7 +44,7 @@ def _run(session, backend):
     if backend == "native":
         from repro.native import compile_native_kernel
 
-        module = compile_native_kernel(kernel, schedule="static")
+        module = compile_native_kernel(kernel)
         data = kernel.make_data(PARAMS)
         result = module.run(data, PARAMS, threads=2)
     else:
