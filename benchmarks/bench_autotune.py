@@ -163,7 +163,7 @@ def autotune_rounds(fresh_store):
 def skew_rounds(fresh_store):
     """Cold (analytic) vs warm (profile-guided) adaptive runs of the skew nest."""
     from repro.ir import Loop, LoopNest
-    from repro.runtime import RuntimeSession
+    from repro.runtime import RuntimeSession, Source
 
     nest = LoopNest(
         [Loop.make("i", 0, "M"), Loop.make("j", 0, "M")],
@@ -173,7 +173,7 @@ def skew_rounds(fresh_store):
     values = {"M": SKEW_N}
 
     with RuntimeSession(workers=WORKERS) as session:
-        plan = session.plan_for(nest, values, schedule="adaptive", iteration_op=_skewed_op)
+        plan = session.plan_for(Source.of(nest, iteration_op=_skewed_op), values, "adaptive")
         cold_chunks = plan.chunks(WORKERS)
         cold = session.execute(plan)  # banks the measured chunk seconds
         warm_chunks = plan.chunks(WORKERS)

@@ -38,6 +38,7 @@ from repro.kernels import get_kernel, run_original
 from repro.native import native_available
 from repro.runtime import (
     RuntimeSession,
+    Source,
     default_profile_store,
     profile_key,
     resolve_auto_backend,
@@ -91,8 +92,8 @@ def main(n: int = 64) -> None:
         name="autotune_example_skew",
     )
     with RuntimeSession(workers=2) as session:
-        plan = session.plan_for(nest, {"M": n}, schedule="adaptive",
-                                iteration_op=skewed_op)
+        plan = session.plan_for(Source.of(nest, iteration_op=skewed_op), {"M": n},
+                                schedule="adaptive")
         cold = plan.chunks(2)
         session.execute(plan)       # measures, and banks the chunk seconds
         warm = plan.chunks(2)       # re-cut from the measured profile

@@ -250,26 +250,35 @@ def _run_compiled(scenario: SweepScenario, spec: ScheduleSpec, workers: int):
     return data
 
 
-def _run_session(scenario: SweepScenario, spec: ScheduleSpec, backend: str, session, flags):
-    """One run through the session layer (engine, native, hybrid or auto).
+def _source(scenario: SweepScenario, flags: Sequence[str] = ()):
+    """The one plan source of a cell, whatever its backend.
 
+    A kernel brings its own parts; a nest carries the visit operations
+    the engine runs and the grid's C body the compiled backends run.
     ``flags`` is only non-empty on the compiled backends' flag-set axis.
-    Nest cells pass the visit operations the engine runs — except on
-    native, which takes none — and the grid's C body the compiled
-    backends run.
     """
-    values = scenario.parameter_values
-    kwargs = {"compile_flags": tuple(flags)} if flags else {}
+    from ..runtime import Source  # deferred: runtime sits above
+
     if scenario.is_kernel:
-        return session.run(
-            scenario.kernel_name, values, schedule=spec, backend=backend, **kwargs
-        )
+        return Source.of(scenario.kernel_name, compile_flags=flags)
+    return Source.of(
+        scenario.nest,
+        iteration_op=_visit_op,
+        chunk_op=_visit_chunk_op,
+        c_body=scenario.c_body,
+        c_arrays=("grid",),
+        compile_flags=flags,
+    )
+
+
+def _run_session(scenario: SweepScenario, spec: ScheduleSpec, backend: str, session, flags):
+    """One run through the session layer (engine, native, hybrid or auto)."""
+    source = _source(scenario, flags)
+    values = scenario.parameter_values
+    if scenario.is_kernel:
+        return session.run(source, values, schedule=spec, backend=backend)
     data = scenario.make_data()
-    if backend != "native":
-        kwargs.update(iteration_op=_visit_op, chunk_op=_visit_chunk_op)
-    if scenario.c_body is not None and backend != "engine":
-        kwargs.update(c_body=scenario.c_body, c_arrays=("grid",))
-    session.run(scenario.nest, values, data=data, schedule=spec, backend=backend, **kwargs)
+    session.run(source, values, data=data, schedule=spec, backend=backend)
     return data
 
 
@@ -277,16 +286,9 @@ def _resolved_auto(scenario: SweepScenario, spec: ScheduleSpec) -> str:
     """What ``backend="auto"`` resolves to for this cell right now."""
     from ..runtime import resolve_auto_backend
 
-    if scenario.is_kernel:
-        return resolve_auto_backend(scenario.kernel(), scenario.parameter_values, spec)
-    return resolve_auto_backend(
-        scenario.nest,
-        scenario.parameter_values,
-        spec,
-        data=True,  # the sweep always supplies grid data
-        iteration_op=_visit_op,  # an engine-only option: native is not a candidate
-        c_body=scenario.c_body,
-    )
+    # a nest cell always supplies grid data, which makes native a candidate
+    data = None if scenario.is_kernel else True
+    return resolve_auto_backend(_source(scenario), scenario.parameter_values, spec, data=data)
 
 
 # ---------------------------------------------------------------------- #
@@ -430,17 +432,7 @@ def check_rank_conformance(
         for label, flags in flag_sets.items():
             backends.append(f"native[{label}]")
             try:
-                if scenario.is_kernel:
-                    kernel = scenario.kernel()
-                    module = compile_collapsed(
-                        collapsed, body=kernel.c_body, arrays=kernel.c_arrays,
-                        extra_flags=tuple(flags),
-                    )
-                else:
-                    module = compile_collapsed(
-                        collapsed, body=scenario.c_body, arrays=("grid",),
-                        extra_flags=tuple(flags),
-                    )
+                module = compile_collapsed(_source(scenario, flags))
             except Exception as error:  # an unbuildable recoverer is a failure
                 failures.append(
                     f"native[{label}] failed to build: {type(error).__name__}"

@@ -22,8 +22,9 @@ index arrays):
   :class:`~repro.runtime.engine.RunResult` with per-thread timings read
   back from the C side.
 
-:func:`compile_collapsed` builds (and memoises) modules for arbitrary
-collapsed loops with an ad-hoc C body; :func:`compile_native_kernel` does
+:func:`compile_collapsed` builds (and memoises) the module of a plan
+source (:class:`~repro.runtime.source.Source`: a collapsed loop or nest
+with an ad-hoc C body, or a kernel); :func:`compile_native_kernel` does
 the same for registered kernels carrying a ``c_body``.  For the hybrid
 backend, :meth:`NativeModule.library_spec` exports a picklable
 :class:`NativeLibrarySpec` from which engine workers build a
@@ -44,9 +45,10 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import CollapsedLoop
-from ..core.codegen_c import generate_translation_unit
+from ..core.codegen_c import generate_translation_unit, resolve_array_ndims
 from ..openmp.schedule import Chunk, ScheduleKind, ScheduleSpec
 from ..runtime.engine import RunResult
+from ..runtime.source import Source
 from .compiler import compile_loadable_library, default_sanitize, effective_flags
 
 _LONGLONG_P = ctypes.POINTER(ctypes.c_longlong)
@@ -393,14 +395,13 @@ class NativeChunkRunner:
 # ---------------------------------------------------------------------- #
 # construction + memo cache
 # ---------------------------------------------------------------------- #
-# keyed by id() like the batch-recovery cache: entries pin their collapsed
-# loop (through the module), so ids are never recycled while cached
+#: modules by (source fingerprint, effective compiler flags)
 _MODULE_CACHE: Dict[tuple, NativeModule] = {}
 _MODULE_CACHE_LIMIT = 64
 
 
 def compile_collapsed(
-    collapsed: CollapsedLoop,
+    source,
     *,
     body: Optional[str] = None,
     arrays: Sequence[str] = (),
@@ -408,52 +409,56 @@ def compile_collapsed(
     extra_flags: Sequence[str] = (),
     sanitize: Optional[str] = None,
 ) -> NativeModule:
-    """Compile a collapsed loop (plus an optional C body) to a native module.
+    """Compile a plan source's C translation unit to a native module.
 
-    ``body``/``arrays``/``array_ndims`` follow
-    :func:`generate_translation_unit`; ``extra_flags`` are appended to the
-    compiler command line (the sweep's compiler-flags axis — e.g.
-    ``("-march=native",)``); ``sanitize`` names a
-    :data:`~repro.native.compiler.SANITIZER_PRESETS` entry (default: the
+    ``source`` is anything :meth:`Source.of <repro.runtime.source.Source.of>`
+    accepts — a collapsed loop, a nest, a kernel or a
+    :class:`~repro.runtime.source.Source` — and ``body``/``arrays``/
+    ``array_ndims``/``extra_flags`` are its ``c_body``/``c_arrays``/
+    ``array_ndims``/``compile_flags`` parts (a kernel and a parsed nest
+    bring their own body; without one the unit only recovers indices).
+    ``extra_flags`` are appended to the compiler command line (the sweep's
+    compiler-flags axis — e.g. ``("-march=native",)``); ``sanitize`` names
+    a :data:`~repro.native.compiler.SANITIZER_PRESETS` entry (default: the
     ``$REPRO_NATIVE_SANITIZE`` environment preset, resolved here so the
     effective choice is part of the memo key).  Modules are memoised per
-    (collapsed loop, body, arrays, ndims, effective flags), where the
-    effective flags are ``extra_flags``, the sanitizer's and
+    (source fingerprint, effective flags), where the effective flags are
+    the source's ``compile_flags``, the sanitizer's and
     ``$REPRO_NATIVE_FLAGS``, the same tuple the on-disk digest hashes.
-    Every input that changes the emitted source *or the compiled
-    artefact* is part of the key, so e.g. a flag or sanitizer change can
-    never hand back a stale module.  The schedule is not: one unit runs
-    every schedule, picked per call by :meth:`NativeModule.run`.  The
-    underlying ``.so`` is additionally cached on disk by source-plus-
-    command-line hash, so a warm start never invokes the compiler (a cached
-    ``.so`` that fails to load is rebuilt once, see
+    The fingerprint covers the loop, body, arrays and ranks, so every
+    input that changes the emitted source *or the compiled artefact* is
+    part of the key.  The schedule is not: one unit runs every schedule,
+    picked per call by :meth:`NativeModule.run`.  The underlying ``.so``
+    is additionally cached on disk by source-plus-command-line hash, so a
+    warm start never invokes the compiler (a cached ``.so`` that fails to
+    load is rebuilt once, see
     :func:`~repro.native.compiler.compile_loadable_library`).  Raises
     :class:`~repro.native.compiler.NativeUnavailable` without a compiler.
     """
-    ndims = tuple(sorted((array_ndims or {}).items()))
-    flags = tuple(extra_flags)
+    source = Source.of(
+        source, c_body=body, c_arrays=arrays, array_ndims=array_ndims,
+        compile_flags=extra_flags,
+    )
     if sanitize is None:
         sanitize = default_sanitize()
-    key = (
-        id(collapsed), body, tuple(arrays), ndims, effective_flags(flags, sanitize),
-    )
+    key = (source.fingerprint, effective_flags(source.compile_flags, sanitize))
     cached = _MODULE_CACHE.get(key)
     if cached is not None:
         return cached
-    source = generate_translation_unit(
-        collapsed, body=body, arrays=arrays, array_ndims=array_ndims
+    collapsed = source.collapsed
+    ndims = dict(source.array_ndims)
+    unit = generate_translation_unit(
+        collapsed, body=source.c_body, arrays=source.c_arrays, array_ndims=ndims
     )
     library = compile_loadable_library(
-        source, tag=collapsed.nest.name, extra_flags=flags, sanitize=sanitize
+        unit, tag=collapsed.nest.name, extra_flags=source.compile_flags, sanitize=sanitize
     )
-    from ..core.codegen_c import resolve_array_ndims
-
     module = NativeModule(
         collapsed,
-        source=source,
+        source=unit,
         library_path=library,
-        arrays=tuple(arrays),
-        array_ndims=resolve_array_ndims(arrays, array_ndims),
+        arrays=source.c_arrays,
+        array_ndims=resolve_array_ndims(source.c_arrays, ndims),
     )
     if len(_MODULE_CACHE) >= _MODULE_CACHE_LIMIT:
         _MODULE_CACHE.pop(next(iter(_MODULE_CACHE)))
@@ -473,26 +478,16 @@ def compile_native_kernel(
 ) -> NativeModule:
     """The native module of a registered kernel (by object or name).
 
-    The kernel must declare a ``c_body``; its collapsed loop comes from the
-    shared ``collapse()`` memo cache, so the module cache keys stay stable
-    across call sites.  ``extra_flags`` and ``sanitize`` reach the compiler
-    command line (and both cache keys) unchanged.
+    The kernel must declare a ``c_body``; its module is the one a native
+    plan of the kernel compiles.  ``extra_flags`` and ``sanitize`` reach
+    the compiler command line (and both cache keys) unchanged.
     """
-    from ..kernels import Kernel, get_kernel  # deferred: kernels imports us lazily
-
-    if isinstance(kernel, str):
-        kernel = get_kernel(kernel)
-    if not isinstance(kernel, Kernel):
+    source = Source.of(kernel, compile_flags=extra_flags)
+    if source.kernel is None:
         raise NativeExecutionError(f"cannot compile {type(kernel).__name__} natively")
-    if kernel.c_body is None:
+    if source.c_body is None:
         raise NativeExecutionError(
-            f"kernel {kernel.name!r} has no native C body (c_body); "
+            f"kernel {source.name!r} has no native C body (c_body); "
             f"native kernels: see repro.kernels.native_kernels()"
         )
-    return compile_collapsed(
-        kernel.collapsed(),
-        body=kernel.c_body,
-        arrays=kernel.c_arrays,
-        extra_flags=extra_flags,
-        sanitize=sanitize,
-    )
+    return compile_collapsed(source, sanitize=sanitize)

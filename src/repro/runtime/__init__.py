@@ -7,6 +7,8 @@ mapped zero-copy into every worker, plans that compile once and execute many
 times, and a schedule decision — including the cost-model-driven
 ``adaptive`` policy — made per plan instead of per benchmark script.
 
+* :mod:`repro.runtime.source` — :class:`Source`, the one value of a
+  loop and the parts a run executes, and its fingerprint,
 * :mod:`repro.runtime.plan` — :class:`ExecutionPlan` and the equal-work
   ``adaptive`` chunker,
 * :mod:`repro.runtime.shm` — :class:`SharedBuffers` segment management,
@@ -21,6 +23,7 @@ See docs/runtime.md for the architecture walk-through.
 """
 
 from .shm import SharedArraySpec, SharedBufferError, SharedBuffers
+from .source import Source
 from .plan import (
     DEFAULT_OVERSUBSCRIBE,
     ExecutionPlan,
@@ -52,6 +55,7 @@ __all__ = [
     "SharedArraySpec",
     "SharedBufferError",
     "SharedBuffers",
+    "Source",
     "DEFAULT_OVERSUBSCRIBE",
     "ExecutionPlan",
     "PlanError",

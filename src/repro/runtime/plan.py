@@ -22,29 +22,27 @@ dispatch for thousands of tiny chunks.
 from __future__ import annotations
 
 import itertools
-import pickle
 from dataclasses import dataclass, field
 from time import monotonic
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (native imports runtime)
     from ..native.module import NativeLibrarySpec, NativeModule
 
-from ..core import CollapsedLoop, batch_recovery, collapse
-from ..ir import LoopNest
+from ..core import CollapsedLoop, batch_recovery
 from ..openmp.costmodel import CostModel
 from ..openmp.schedule import Chunk, ScheduleKind, ScheduleSpec, schedule_chunks
 from ..symbolic.compile import compile_polynomial
 from .profile import (
     FLUSH_EVERY_S,
-    ProfileError,
     _chunks_ending_at,
     default_profile_store,
     profile_guided_chunks,
     profile_key,
 )
+from .source import PlanError, Source
 
 _PLAN_IDS = itertools.count(1)
 
@@ -53,10 +51,6 @@ _PLAN_IDS = itertools.count(1)
 #: the per-chunk claim and index recovery stay negligible next to the
 #: chunk compute.
 DEFAULT_OVERSUBSCRIBE = 4
-
-
-class PlanError(ValueError):
-    """Raised for plans that cannot be built or executed."""
 
 
 def per_iteration_work(
@@ -153,12 +147,12 @@ class ExecutionPlan:
     """
 
     plan_id: str
+    #: the loop and the parts the plan's backend runs (its Python ops for
+    #: the engine, its compiled C body for native and hybrid)
+    source: Source
     collapsed: CollapsedLoop
     parameter_values: Mapping[str, int]
     schedule: ScheduleSpec
-    kernel_name: Optional[str] = None
-    iteration_op: Optional[Callable] = None
-    chunk_op: Optional[Callable] = None
     cost_model: Optional[CostModel] = field(default=None, compare=False)
     #: the plan's compiled translation unit (set by ``build_plan(native=True)``):
     #: the native backend calls its whole-range OpenMP ``repro_run`` in
@@ -252,91 +246,45 @@ class ExecutionPlan:
         # denominator-cleared bracket polynomials, so worker-side
         # BatchRecovery instances share the parent's exact-recovery
         # contract without re-deriving anything
+        source = self.source
         return {
             "plan_id": self.plan_id,
             "collapsed": self.collapsed,
             "parameter_values": dict(self.parameter_values),
-            "kernel_name": self.kernel_name,
-            "iteration_op": None if self.kernel_name else self.iteration_op,
-            "chunk_op": None if self.kernel_name else self.chunk_op,
+            "kernel_name": source.kernel_name,
+            "iteration_op": None if source.kernel else source.iteration_op,
+            "chunk_op": None if source.kernel else source.chunk_op,
             "native": self.native_spec,
         }
-
-
-def _native_body(source, c_body, c_arrays, array_ndims):
-    """The plan's C body, its arrays and their ranks.
-
-    The body comes from (in order) the caller's explicit ``c_body``, a
-    registered kernel's ``c_body``, or the C text the parser attached to an
-    ad-hoc nest's array-assignment statements
-    (:func:`repro.ir.parser.native_body`).  Raises :class:`PlanError` when
-    no C body exists at all.
-    """
-    from ..ir.parser import ParseError, native_array_ndims, native_body
-    from ..kernels import Kernel  # deferred: kernels import runtime helpers
-
-    body, arrays = c_body, tuple(c_arrays)
-    if body is None and isinstance(source, Kernel):
-        body, arrays = source.c_body, source.c_arrays
-    if body is None and isinstance(source, LoopNest):
-        try:
-            body, arrays = native_body(source)
-        except ParseError:
-            body = None  # opaque statements: fall through to the no-body error
-        else:
-            if array_ndims is None:  # macro ranks follow the parsed subscripts
-                try:
-                    array_ndims = native_array_ndims(source)
-                except ParseError as error:
-                    # the nest HAS a body; hiding a rank conflict behind a
-                    # "no C body" message would point the caller at the
-                    # wrong fix
-                    raise PlanError(str(error)) from None
-    if body is None:
-        raise PlanError(
-            f"cannot build a native plan for {getattr(source, 'name', source)!r}: "
-            "no C body (every native plan needs a C body: pass c_body=/c_arrays=, "
-            "use a kernel with c_body, or parse the nest from array-assignment "
-            "statements)"
-        )
-    return body, arrays, array_ndims
 
 
 def build_plan(
     source,
     parameter_values: Mapping[str, int],
     schedule: object = "adaptive",
-    iteration_op: Optional[Callable] = None,
-    chunk_op: Optional[Callable] = None,
     native: bool = False,
-    c_body: Optional[str] = None,
-    c_arrays: Sequence[str] = (),
-    array_ndims: Optional[Mapping[str, int]] = None,
-    compile_flags: Sequence[str] = (),
     static_check: Optional[bool] = None,
 ) -> ExecutionPlan:
-    """Build an :class:`ExecutionPlan` from a kernel, nest or collapsed loop.
+    """Build an :class:`ExecutionPlan` of one :class:`~repro.runtime.source.Source`.
 
-    ``source`` may be a registered kernel name, a
-    :class:`~repro.kernels.Kernel`, a :class:`~repro.ir.LoopNest` (collapsed
-    whole here, through the memo cache) or an existing
-    :class:`~repro.core.CollapsedLoop` (``collapse(nest, depth)`` collapses
-    fewer loops).  Ad-hoc ``iteration_op``/``chunk_op``
-    must be module-level (picklable) functions; registered kernels need
-    neither, their operations resolve from the registry inside each worker.
+    ``source`` is anything :meth:`Source.of <repro.runtime.source.Source.of>`
+    accepts: a registered kernel name, a :class:`~repro.kernels.Kernel`, a
+    :class:`~repro.ir.LoopNest` (collapsed whole here, through the memo
+    cache), a :class:`~repro.core.CollapsedLoop` (``collapse(nest, depth)``
+    collapses fewer loops) or a ``Source`` carrying the Python operations
+    and C body of an ad-hoc loop.  A plan runs the parts its backend needs
+    and raises :class:`PlanError` only when one of them is missing: an
+    engine plan needs Python operations, a native plan a C body.
 
-    ``native=True`` additionally compiles the nest's C translation unit *in
-    the calling process* (kernel ``c_body``, explicit ``c_body``/``c_arrays``
-    or parser-derived statements; ``array_ndims`` for non-2-D arrays) and
-    attaches the module and its :class:`~repro.native.NativeLibrarySpec` to
-    the plan.  The unit does not depend on the schedule.  One native plan
-    serves two backends: ``native`` calls the unit's whole-range OpenMP
-    ``repro_run`` in this process under the plan's schedule (``adaptive``,
-    which has no OpenMP spelling, runs as ``static``), ``hybrid`` engine
-    workers load the cached shared object by path and execute their chunks
-    through the serial ``repro_run_range``.  ``compile_flags`` are appended to the compiler
-    command line of that translation unit (and to its cache keys) — the
-    sweep's compiler-flags axis.  Raises
+    ``native=True`` additionally compiles the source's C translation unit
+    *in the calling process* and attaches the module and its
+    :class:`~repro.native.NativeLibrarySpec` to the plan.  The unit does
+    not depend on the schedule.  One native plan serves two backends:
+    ``native`` calls the unit's whole-range OpenMP ``repro_run`` in this
+    process under the plan's schedule (``adaptive``, which has no OpenMP
+    spelling, runs as ``static``), ``hybrid`` engine workers load the
+    cached shared object by path and execute their chunks through the
+    serial ``repro_run_range``.  Raises
     :class:`~repro.native.NativeUnavailable` where no C compiler exists.
 
     ``static_check`` controls the :mod:`repro.lint` audits that run before
@@ -349,28 +297,20 @@ def build_plan(
     ``static_check=False`` skips everything.  Any error-severity finding
     raises :class:`PlanError` before the compiler is ever invoked.
     """
-    from ..kernels import Kernel, get_kernel  # deferred: kernels import runtime helpers
-
+    source = Source.of(source)
     spec = ScheduleSpec.parse(schedule)
-    kernel_name: Optional[str] = None
-    cost_model: Optional[CostModel] = None
-
-    if isinstance(source, str):
-        source = get_kernel(source)
-    if isinstance(source, Kernel):
-        if not source.is_executable:
-            raise PlanError(f"kernel {source.name!r} has no executable body")
-        kernel_name = source.name
-        cost_model = source.cost_model()
-        collapsed = source.collapsed()
-        iteration_op = source.iteration_op
-        chunk_op = source.chunk_op
-    elif isinstance(source, LoopNest):
-        collapsed = collapse(source)
-    elif isinstance(source, CollapsedLoop):
-        collapsed = source
-    else:
-        raise PlanError(f"cannot build a plan from {type(source).__name__}")
+    kernel = source.kernel
+    if kernel is not None and not kernel.is_executable:
+        raise PlanError(f"kernel {kernel.name!r} has no executable body")
+    if native and not source.has_c_body:
+        raise PlanError(
+            f"cannot build a native plan for {source.name!r}: no C body (every "
+            "native plan needs a C body: pass c_body=/c_arrays=, use a kernel with "
+            "c_body, or parse the nest from array-assignment statements)"
+        )
+    if not native and not source.has_python_ops:
+        raise PlanError("a plan needs a kernel or at least one of iteration_op/chunk_op")
+    collapsed = source.collapsed
 
     if static_check or (static_check is None and native):
         # audit before compiling: a plan whose emitted widths could wrap (or,
@@ -378,15 +318,12 @@ def build_plan(
         # never reach the compiler
         from ..lint.registry import static_check_plan  # deferred: lint imports ir
 
-        check_body, check_arrays = c_body, tuple(c_arrays)
-        if check_body is None and isinstance(source, Kernel):
-            check_body, check_arrays = source.c_body, source.c_arrays
         static_check_plan(
             collapsed,
             parameter_values,
-            c_body=check_body,
-            c_arrays=check_arrays,
-            subject=kernel_name or collapsed.nest.name,
+            c_body=source.c_body,
+            c_arrays=source.c_arrays,
+            subject=source.name,
             full=bool(static_check),
             ir_statements=collapsed.nest.statements,
         ).raise_on_errors(PlanError)
@@ -395,43 +332,16 @@ def build_plan(
     if native:
         from ..native import compile_collapsed  # deferred: native imports runtime
 
-        body, arrays, ndims = _native_body(source, c_body, c_arrays, array_ndims)
-        native_module = compile_collapsed(
-            collapsed, body=body, arrays=arrays, array_ndims=ndims,
-            extra_flags=tuple(compile_flags),
-        )
-    elif c_body is not None or c_arrays or compile_flags:
-        raise PlanError(
-            "c_body/c_arrays/compile_flags are native-plan options; pass native=True"
-        )
-
-    if kernel_name is None and iteration_op is None and chunk_op is None and native_module is None:
-        raise PlanError("a plan needs a kernel or at least one of iteration_op/chunk_op")
-    for op in (iteration_op, chunk_op):
-        if kernel_name is None and op is not None:
-            try:
-                pickle.dumps(op)
-            except Exception as error:
-                raise PlanError(
-                    f"operation {op!r} is not picklable; use a module-level function "
-                    f"or a registered kernel ({error})"
-                ) from error
-
-    try:
-        plan_profile_key = profile_key(source, parameter_values, spec)
-    except ProfileError:
-        plan_profile_key = None  # unfingerprintable source: plan runs unprofiled
+        native_module = compile_collapsed(source)
 
     return ExecutionPlan(
         plan_id=f"plan-{next(_PLAN_IDS)}",
+        source=source,
         collapsed=collapsed,
         parameter_values=dict(parameter_values),
         schedule=spec,
-        kernel_name=kernel_name,
-        iteration_op=iteration_op,
-        chunk_op=chunk_op,
-        cost_model=cost_model,
+        cost_model=kernel.cost_model() if kernel is not None else None,
         native_module=native_module,
         native_spec=native_module.library_spec() if native_module is not None else None,
-        profile_key=plan_profile_key,
+        profile_key=profile_key(source, parameter_values, spec),
     )

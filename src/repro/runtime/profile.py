@@ -14,8 +14,8 @@ one currency and banks them:
   (kernel, shape, schedule, backend) combination: run count, recent
   whole-run timings, and the most recent run's chunk profiles,
 * :class:`ProfileStore` — the persistent home of those records, keyed
-  like the plan and native caches (a source-hash digest of the nest
-  structure, parameter values and schedule), rooted at
+  like the plan and native caches (a digest of the source value's
+  fingerprint, parameter values and schedule), rooted at
   ``$REPRO_PROFILE_DIR`` (default ``~/.cache/repro-profile``).  It is
   write-behind: runs are banked in one in-memory table per root and
   flushed to disk every :data:`FLUSH_EVERY_S` seconds, at session close
@@ -47,6 +47,9 @@ from time import monotonic
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
+
+from ..openmp.schedule import ScheduleSpec
+from .source import Source
 
 #: whole-run timings kept per backend record (a sliding window: medians over
 #: it stay robust to one noisy run without the file growing unboundedly)
@@ -170,73 +173,28 @@ class BackendProfile:
 # ---------------------------------------------------------------------- #
 # keys
 # ---------------------------------------------------------------------- #
-def _source_fingerprint(source) -> tuple:
-    """A process-stable structural identity of a plan source.
-
-    Every component is derived from printable structure, so two processes
-    collapsing the same nest agree on the key; the session's plan cache
-    keys on it too.  A collapsed loop is its nest, depth and ``pc`` name:
-    the ranking polynomial follows from the first two.
-    """
-    from ..core import CollapsedLoop
-    from ..ir import LoopNest
-    from ..kernels import Kernel
-
-    if isinstance(source, str):
-        return ("kernel", source)
-    if isinstance(source, Kernel):
-        return ("kernel", source.name)
-    if isinstance(source, CollapsedLoop):
-        return (
-            "collapsed",
-            _source_fingerprint(source.nest),
-            source.depth,
-            source.pc_name,
-        )
-    if isinstance(source, LoopNest):
-        return (
-            "nest",
-            source.name,
-            tuple(
-                (loop.iterator, str(loop.lower), str(loop.upper)) for loop in source.loops
-            ),
-            tuple(source.parameters),
-            tuple(
-                (
-                    statement.name,
-                    statement.c_text,
-                    tuple(str(access) for access in statement.accesses),
-                )
-                for statement in source.statements
-            ),
-        )
-    raise ProfileError(f"cannot fingerprint a {type(source).__name__} plan source")
-
-
 def profile_key(
     source,
     parameter_values: Mapping[str, int],
     schedule: object = "adaptive",
 ) -> str:
-    """The store key of one (kernel/nest, shape, schedule) combination.
+    """The store key of one (source, shape, schedule) combination.
 
-    A SHA-256 digest over the source's structural fingerprint (a collapsed
-    loop's includes its depth), the sorted parameter values and the parsed
-    schedule spelling — the same identity scheme the plan cache and the
-    native source-hash cache use, so a profile written by one process is
-    found by every other process running the same configuration.  The
-    backend is *not* part of the key: one entry holds all backends of a
-    configuration side by side, which is what lets ``backend="auto"``
-    compare them.
+    A SHA-256 digest over the fingerprint of the source value
+    (:class:`~repro.runtime.source.Source`, which covers the loop, its
+    Python operations, C body, arrays, ranks and compile flags), the sorted
+    parameter values and the parsed schedule spelling.  It is built from
+    the same fingerprint as the plan cache's and the native module memo's
+    keys, so a profile written by one process is found by every other
+    process running the same configuration.  The backend is *not* part of
+    the key: one entry holds all backends of a configuration side by side,
+    which is what lets ``backend="auto"`` compare them.
     """
-    from ..openmp.schedule import ScheduleSpec
-
-    spec = ScheduleSpec.parse(schedule)
     payload = repr(
         (
-            _source_fingerprint(source),
+            Source.of(source).fingerprint,
             tuple(sorted((name, int(value)) for name, value in parameter_values.items())),
-            str(spec),
+            str(ScheduleSpec.parse(schedule)),
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]

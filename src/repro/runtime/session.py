@@ -1,9 +1,10 @@
 """The high-level runtime API: ``collapse_and_run`` with plan caching.
 
 A :class:`RuntimeSession` owns one persistent :class:`RuntimeEngine`, a
-cache of :class:`ExecutionPlan` objects keyed by (source structure,
-parameter values, schedule, plan options) — the same structural key idea
-as the ``collapse()`` memo cache, one level up — and one pool of
+cache of :class:`ExecutionPlan` objects keyed by (source fingerprint,
+parameter values, schedule, native, audit level) — the fingerprint of the one
+:class:`~repro.runtime.source.Source` value the profile store and the
+native module memo key on too — and one pool of
 shared-memory sets, at most one free set per array signature.  Asking the
 session twice for the same kernel at the same size re-uses the plan, the
 workers' compiled state and the pooled set every worker-pool run stages
@@ -33,22 +34,13 @@ from ..openmp.schedule import ScheduleSpec
 from .engine import RunResult, RuntimeEngine
 from .plan import ExecutionPlan, PlanError, build_plan
 from .profile import (
-    ProfileError,
-    _source_fingerprint,
     choose_backend,
     default_profile_store,
     flush_profile_stores,
     profile_key,
 )
 from .shm import SharedBuffers, signature
-
-
-def _profile_key_or_none(source, parameter_values, schedule) -> Optional[str]:
-    """The source's profile-store key, or ``None`` for unfingerprintable ones."""
-    try:
-        return profile_key(source, parameter_values, schedule)
-    except ProfileError:
-        return None
+from .source import Source
 
 
 def resolve_auto_backend(
@@ -57,17 +49,15 @@ def resolve_auto_backend(
     schedule: object = "adaptive",
     data=None,
     store=None,
-    **plan_kwargs,
 ) -> str:
     """The substrate ``backend="auto"`` runs on: the measured fastest viable one.
 
-    The decision has two stages.  *Viability* first: ``native`` needs a
-    native-capable source (a kernel ``c_body``, a parseable nest — with
-    caller ``data`` — or an explicit ``c_body=``), a present C compiler and
-    none of the engine-only Python operations (``iteration_op``/``chunk_op``)
-    in ``plan_kwargs``; ``hybrid`` needs the same native capability and
-    compiler; ``engine`` needs Python operations (an executable kernel or
-    ``iteration_op``/``chunk_op``).
+    ``source`` is anything :meth:`Source.of
+    <repro.runtime.source.Source.of>` accepts.  The decision has two
+    stages.  *Viability* first, from the parts of the source value:
+    ``hybrid`` needs a C body and a present C compiler; ``native`` needs
+    the same and a whole range it can run in place (a kernel, or caller
+    ``data``); ``engine`` needs Python operations.
 
     Then *choice*: among the viable candidates, in the fixed order
     ``hybrid``, ``native``, ``engine``,
@@ -78,22 +68,15 @@ def resolve_auto_backend(
 
     Degradation mirrors the hybrid contract: with nothing viable the
     function returns ``"engine"`` rather than raising, so the caller sees
-    the engine's actionable error (missing ops, unknown kernel) instead of
-    a second-hand resolver failure.
+    the engine's actionable error (missing ops) instead of a second-hand
+    resolver failure.
     """
-    backend, _settled = _resolve_auto(
-        source, parameter_values, schedule=schedule, data=data, store=store, **plan_kwargs
-    )
+    backend, _settled = _resolve_auto(Source.of(source), parameter_values, schedule, data, store)
     return backend
 
 
 def _resolve_auto(
-    source,
-    parameter_values: Mapping[str, int],
-    schedule: object = "adaptive",
-    data=None,
-    store=None,
-    **plan_kwargs,
+    source: Source, parameter_values: Mapping[str, int], schedule, data, store=None
 ) -> Tuple[str, bool]:
     """:func:`resolve_auto_backend` plus a *settled* flag.
 
@@ -102,44 +85,23 @@ def _resolve_auto(
     :class:`RuntimeSession` to memoise; an exploration pick or a degraded
     default must be re-resolved on the next call.
     """
-    from ..ir import LoopNest
-    from ..kernels import Kernel, get_kernel
     from ..native import native_available
 
-    resolved = get_kernel(source) if isinstance(source, str) else source
-    kernel = resolved if isinstance(resolved, Kernel) else None
-
-    python_ops = (kernel is not None and kernel.is_executable) or any(
-        plan_kwargs.get(name) is not None for name in ENGINE_PLAN_OPTIONS
-    )
-    native_capable = plan_kwargs.get("c_body") is not None
-    if kernel is not None:
-        native_capable = native_capable or kernel.supports_native
-    elif isinstance(resolved, LoopNest) and not native_capable:
-        from ..ir.parser import ParseError, native_body
-
-        try:
-            native_body(resolved)
-        except ParseError:
-            native_capable = False
-        else:
-            native_capable = True
-    compiled = native_capable and native_available()
-
-    whole_range_ok = kernel is not None or (isinstance(resolved, LoopNest) and data is not None)
+    compiled = source.has_c_body and native_available()
     candidates = []
     if compiled:
         candidates.append("hybrid")
-    if compiled and whole_range_ok and not _engine_only_options(plan_kwargs):
+    if compiled and (source.kernel is not None or data is not None):
         candidates.append("native")
-    if python_ops:
+    if source.has_python_ops:
         candidates.append("engine")
     if not candidates:
         return "engine", False
     if len(candidates) == 1:
         return candidates[0], True
-    key = _profile_key_or_none(source, parameter_values, schedule)
-    profiles = (store or default_profile_store()).load(key) if key else {}
+    profiles = (store or default_profile_store()).load(
+        profile_key(source, parameter_values, schedule)
+    )
     settled = all(
         name in profiles and profiles[name].median_elapsed is not None
         for name in candidates
@@ -164,24 +126,6 @@ def _give_back(free: dict, discarded: list, key: tuple, buffers: SharedBuffers) 
 #: to one of them)
 BACKENDS = ("engine", "hybrid", "native")
 
-#: plan options that only shape the compiled translation unit: an engine
-#: plan rejects them, so a run that lands on the engine drops them
-NATIVE_PLAN_OPTIONS = ("c_body", "c_arrays", "array_ndims", "compile_flags")
-
-#: plan options only the worker pool honours, the Python operations: the
-#: native backend rejects them instead of silently dropping them, and
-#: ``auto`` leaves native out of its candidates while any is in play
-ENGINE_PLAN_OPTIONS = ("iteration_op", "chunk_op")
-
-
-def _without_native_options(plan_kwargs: Mapping[str, object]) -> Dict[str, object]:
-    return {name: value for name, value in plan_kwargs.items() if name not in NATIVE_PLAN_OPTIONS}
-
-
-def _engine_only_options(plan_kwargs: Mapping[str, object]) -> List[str]:
-    return [name for name in ENGINE_PLAN_OPTIONS if name in plan_kwargs]
-
-
 #: settled auto resolutions are reused this many times before the session
 #: re-reads the profile store — new measurements land every run, but medians
 #: over the elapsed window move slowly, so a bounded-staleness memo buys back
@@ -202,7 +146,7 @@ class RuntimeSession:
         self._discarded: List[SharedBuffers] = []
         self._staged: Set[SharedBuffers] = set()
         #: settled ``backend="auto"`` resolutions, re-validated every
-        #: AUTO_REVALIDATE_EVERY uses: (profile key, option signature) ->
+        #: AUTO_REVALIDATE_EVERY uses: (profile key, ``data is None``) ->
         #: (backend, remaining uses).  Exploration picks are never memoised,
         #: so every untimed candidate still gets its measurement run.
         self._auto_memo: Dict[tuple, Tuple[str, int]] = {}
@@ -216,42 +160,36 @@ class RuntimeSession:
         source,
         parameter_values: Mapping[str, int],
         schedule: object = "adaptive",
-        **plan_kwargs,
+        native: bool = False,
+        static_check: Optional[bool] = None,
     ) -> ExecutionPlan:
-        """The cached plan of (source, parameters, schedule); built on miss.
+        """The cached plan of (source, parameters, schedule, native); built on miss.
 
-        The key is the source's structural fingerprint, the one identity the
-        profile store keys on too, so two equal nests share a plan.
+        ``source`` is anything :meth:`Source.of
+        <repro.runtime.source.Source.of>` accepts.  The key is the source
+        value's fingerprint, the one identity the profile store and the
+        native module memo key on too, so two equal nests with equal parts
+        share a plan.  The audit level ``static_check`` is part of the key,
+        so a plan built unaudited is never served to a call asking for the
+        audit.
         """
+        source = Source.of(source)
         spec = ScheduleSpec.parse(schedule)
-        try:
-            fingerprint = _source_fingerprint(source)
-        except ProfileError:
-            raise PlanError(f"cannot build a plan from {type(source).__name__}") from None
         key = (
-            fingerprint,
+            source.fingerprint,
             tuple(sorted((name, int(value)) for name, value in parameter_values.items())),
             str(spec),
-            tuple(sorted(
-                # module + qualname: two same-named functions from different
-                # modules must not share a cached plan
-                (
-                    name,
-                    f"{getattr(value, '__module__', '')}.{value.__qualname__}"
-                    if hasattr(value, "__qualname__")
-                    else repr(value),
-                )
-                for name, value in plan_kwargs.items()
-            )),
+            native,
+            static_check,
         )
         with self._lock:
             plan = self._plans.get(key)
             if plan is None:
-                plan = build_plan(source, parameter_values, schedule=spec, **plan_kwargs)
+                plan = build_plan(source, parameter_values, spec, native, static_check)
                 self._plans[key] = plan
         return plan
 
-    def _plan(self, backend, source, parameter_values, schedule, plan_kwargs):
+    def _plan(self, backend, source, parameter_values, schedule, static_check):
         """The cached plan ``backend`` runs; native and hybrid share the compiled one.
 
         Where no C compiler exists, ``hybrid`` degrades to the engine plan
@@ -262,19 +200,19 @@ class RuntimeSession:
         raises on both, because silence there would hide a bug.
         """
         if backend == "engine":
-            return self.plan_for(source, parameter_values, schedule, **plan_kwargs)
+            return self.plan_for(source, parameter_values, schedule, static_check=static_check)
         # deferred import: the native backend is optional
         from ..native import NativeUnavailable, native_available
 
         try:
-            return self.plan_for(source, parameter_values, schedule, native=True, **plan_kwargs)
+            return self.plan_for(
+                source, parameter_values, schedule, native=True, static_check=static_check
+            )
         except NativeUnavailable as unavailable:
             if backend == "native" or native_available():
                 raise
             try:
-                return self.plan_for(
-                    source, parameter_values, schedule, **_without_native_options(plan_kwargs)
-                )
+                return self.plan_for(source, parameter_values, schedule, static_check=static_check)
             except PlanError:
                 # the engine cannot run this source either (no Python ops):
                 # the actionable problem is the missing compiler, so that is
@@ -294,9 +232,27 @@ class RuntimeSession:
         data=None,
         schedule: object = "adaptive",
         backend: str = "engine",
-        **plan_kwargs,
+        static_check: Optional[bool] = None,
+        **parts,
     ):
         """Collapse (cached), plan (cached), execute on the chosen substrate.
+
+        ``source`` and ``parts`` (``iteration_op``, ``chunk_op``,
+        ``c_body``, ``c_arrays``, ``array_ndims``, ``compile_flags``) are
+        folded into one :class:`~repro.runtime.source.Source` on entry (see
+        :meth:`Source.of <repro.runtime.source.Source.of>`: a kernel
+        brings its own parts and takes only ``compile_flags``).  Every
+        backend runs the parts it needs and raises :class:`PlanError` only
+        when one is missing: the engine needs Python operations
+        (module-level functions), native and hybrid a C body (a kernel's,
+        ``c_body=``/``c_arrays=``, or the statements of a parsed nest).  To
+        collapse fewer loops than the whole nest, pass ``collapse(nest,
+        depth)`` as the source.  ``backend`` picks the substrate, as listed
+        on :func:`collapse_and_run`; every backend runs the session's
+        cached plan of (source, parameters, schedule), native and hybrid
+        share one compiled plan, lint audit (``static_check``, see
+        :func:`~repro.runtime.plan.build_plan`) included, and every
+        backend's parallelism is the session's ``workers``.
 
         For a kernel source the return value is the kernel's result
         ``DataDict``: arrays the caller owns, safe to keep, slice and write,
@@ -306,7 +262,9 @@ class RuntimeSession:
         never mutated: the result arrays are the session's staged copy of
         it, lent to the caller — once the caller drops them the set is free
         for the next call, so a warm caller-data run copies its input once
-        and allocates nothing.
+        and allocates nothing.  Nest/collapsed-loop sources run against the
+        caller's ``data`` arrays, which are mutated in place, and the
+        return value is the :class:`~repro.runtime.engine.RunResult`.
 
         Every run on the worker pool stages through one pool of
         shared-memory sets, at most one free set per array signature (one
@@ -316,79 +274,20 @@ class RuntimeSession:
         result.  ``native`` runs in this process, in place on arrays it may
         write (made arrays, a nest's ``data``) and on a staged set
         otherwise.
-
-        Nest/collapsed-loop sources run against the caller's ``data``
-        arrays, which are mutated in place, and the return value is the
-        :class:`~repro.runtime.engine.RunResult`.  On the engine they need
-        their operations passed through ``plan_kwargs``
-        (``iteration_op=``/``chunk_op=``, module-level functions); on the
-        compiled backends a C body (``c_body=``/``c_arrays=``, or the
-        statements of a parsed nest).  To collapse fewer loops than the
-        whole nest, pass ``collapse(nest, depth)`` as the source.
-
-        ``backend`` selects the execution substrate; every backend runs the
-        session's cached plan of (source, parameters, schedule), and native
-        and hybrid share one compiled plan, lint audit included:
-
-        * ``"engine"`` (default) — chunks dispatched to the persistent
-          worker pool, executed by the Python/NumPy operations;
-        * ``"hybrid"`` — same pool, same schedules (including
-          ``"adaptive"``), but each worker executes its chunks through the
-          compiled translation unit's serial ``repro_run_range`` (the
-          parent compiles once — disk-cached under ``$REPRO_NATIVE_CACHE``
-          — and workers attach the shared object by path).  Where no C
-          compiler exists (``$CC``, ``cc``, ``gcc``, ``clang`` all absent)
-          the call *falls back to the engine backend* instead of raising;
-        * ``"native"`` — one in-process ``ctypes`` call into the same
-          unit's whole-range OpenMP ``repro_run`` (``adaptive`` has no
-          OpenMP spelling and runs as ``static``).  Raises
-          :class:`~repro.native.NativeUnavailable` without a compiler, and
-          :class:`PlanError` for the engine-only Python operations
-          (``iteration_op``, ``chunk_op``) rather than silently dropping
-          them.
-
-        ``c_body``/``c_arrays``/``array_ndims``/``compile_flags`` shape the
-        compiled unit and are taken by both compiled backends;
-        ``static_check`` is taken by every backend.
-
-        ``backend="auto"`` closes the measure→schedule loop one level up:
-        every run (any backend) banks its timings in the persistent
-        :class:`~repro.runtime.profile.ProfileStore` under the plan's key,
-        and ``auto`` resolves to the viable substrate those profiles say is
-        fastest — exploring each untimed candidate once (in the order
-        hybrid, native, engine) before exploiting the measured best; an
-        unviable candidate set degrades to the engine, mirroring the hybrid
-        missing-compiler contract.
-
-        Every backend's parallelism is the session's ``workers``: the
-        worker pool's size, and the native OpenMP team's.
         """
-        from ..kernels import get_kernel
-
+        source = Source.of(source, **parts)
+        schedule = ScheduleSpec.parse(schedule)
         if backend == "auto":
-            backend = self._auto_backend(source, parameter_values, data, schedule, plan_kwargs)
-            if backend == "engine":
-                # an auto resolution landing on the engine must not forward
-                # native-plan options an ad-hoc nest carried for the compiled
-                # candidates; an *explicitly* requested engine backend still
-                # rejects them — that is a caller mistake, not a degradation
-                plan_kwargs = _without_native_options(plan_kwargs)
+            backend = self._auto_backend(source, parameter_values, data, schedule)
         if backend not in BACKENDS:
             raise PlanError(
                 f"unknown backend {backend!r}; expected 'auto', 'engine', 'hybrid' "
                 "or 'native'"
             )
-        if backend == "native":
-            engine_only = _engine_only_options(plan_kwargs)
-            if engine_only:
-                raise PlanError(
-                    f"the native backend does not take {engine_only}; these are "
-                    "engine-only options — use backend='engine'"
-                )
 
         self._reap()
-        plan = self._plan(backend, source, parameter_values, schedule, plan_kwargs)
-        kernel = get_kernel(plan.kernel_name) if plan.kernel_name is not None else None
+        plan = self._plan(backend, source, parameter_values, schedule, static_check)
+        kernel = source.kernel
 
         # a kernel run without data owns the arrays it makes; they are
         # treated like a nest's caller data and returned
@@ -398,7 +297,7 @@ class RuntimeSession:
         elif data is None:
             if backend == "native":
                 raise PlanError(
-                    f"running nest {plan.collapsed.nest.name!r} natively needs "
+                    f"running nest {source.name!r} natively needs "
                     f"data= arrays for {list(plan.native_spec.arrays)}"
                 )
             return self._dispatch(backend, plan)
@@ -462,26 +361,20 @@ class RuntimeSession:
             buffers.close()
             self._staged.discard(buffers)
 
-    def _auto_backend(self, source, parameter_values, data, schedule, plan_kwargs) -> str:
+    def _auto_backend(self, source: Source, parameter_values, data, schedule) -> str:
         """The backend ``backend="auto"`` stands for on this call.
 
         Settled resolutions are memoised for :data:`AUTO_REVALIDATE_EVERY`
-        uses; the native candidate is only considered when no engine-only
-        option is in play.
+        uses, keyed on the profile key the choice was read from and on
+        whether the call brings ``data`` (native needs a whole range).
         """
-        memo_key = (
-            _profile_key_or_none(source, parameter_values, schedule),
-            not _engine_only_options(plan_kwargs),
-            data is None,
-        )
-        cached = self._auto_memo.get(memo_key) if memo_key[0] else None
+        memo_key = (profile_key(source, parameter_values, schedule), data is None)
+        cached = self._auto_memo.get(memo_key)
         if cached is not None and cached[1] > 0:
             self._auto_memo[memo_key] = (cached[0], cached[1] - 1)
             return cached[0]
-        backend, settled = _resolve_auto(
-            source, parameter_values, schedule=schedule, data=data, **plan_kwargs
-        )
-        if memo_key[0] is not None and settled:
+        backend, settled = _resolve_auto(source, parameter_values, schedule, data)
+        if settled:
             self._auto_memo[memo_key] = (backend, AUTO_REVALIDATE_EVERY)
         else:
             self._auto_memo.pop(memo_key, None)
@@ -599,7 +492,9 @@ def collapse_and_run(
     """One call from kernel to result, through the persistent runtime.
 
     ``source`` is a registered kernel name (``"utma"``), a
-    :class:`~repro.kernels.Kernel`, a nest or a collapsed loop; see
+    :class:`~repro.kernels.Kernel`, a nest, a collapsed loop or a
+    :class:`~repro.runtime.source.Source`, and ``run_kwargs`` may carry
+    the source's parts (``iteration_op=``, ``c_body=``, ...); see
     :meth:`RuntimeSession.run`.  A kernel's result arrays belong to the
     caller (without ``data=``, they are fresh ``make_data`` arrays the run
     wrote; with it, the session's staged shared-memory copy of ``data``,
@@ -612,20 +507,25 @@ def collapse_and_run(
     ``backend`` picks the execution substrate (full decision matrix in
     ``docs/architecture.md``):
 
-    * ``"engine"`` (default) — persistent worker pool, Python/NumPy chunk
-      execution, every schedule policy including ``"adaptive"``;
+    * ``"engine"`` (default) — persistent worker pool, the source's
+      Python/NumPy operations per chunk, every schedule policy including
+      ``"adaptive"``;
     * ``"hybrid"`` — the same pool and schedules, each chunk executed
-      natively through the compiled translation unit's ``repro_run_range``
-      (adaptive scheduling *and* C speed; falls back to ``"engine"`` when
-      no C compiler is found);
-    * ``"native"`` — one whole-range call into the compiled C/OpenMP
-      ``repro_run`` (raises :class:`~repro.native.NativeUnavailable`
+      natively through the compiled translation unit's serial
+      ``repro_run_range`` (the parent compiles once, workers attach the
+      shared object by path: adaptive scheduling *and* C speed; falls back
+      to ``"engine"`` when no C compiler is found);
+    * ``"native"`` — one in-process call into the same unit's whole-range
+      C/OpenMP ``repro_run`` (``adaptive`` has no OpenMP spelling and
+      runs as ``static``; raises :class:`~repro.native.NativeUnavailable`
       without a compiler);
     * ``"auto"`` — profile-guided choice among the above: every run banks
       its timings in the persistent profile store
-      (``$REPRO_PROFILE_DIR``, default ``~/.cache/repro-profile``), and
-      ``auto`` explores each viable substrate once, then runs the
-      measured-fastest (see docs/runtime.md, "Online autotuning").
+      (``$REPRO_PROFILE_DIR``, default ``~/.cache/repro-profile``) under
+      the plan's key, and ``auto`` explores each viable substrate once (in
+      the order hybrid, native, engine), then runs the measured-fastest; an
+      unviable candidate set degrades to the engine (see docs/runtime.md,
+      "Online autotuning").
 
     Compiled shared objects are cached on disk under
     ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro-native``) and the

@@ -186,7 +186,7 @@ def test_property_engine_visits_match_run_original(case, schedule, runtime_engin
     """
     import numpy as np
 
-    from repro.runtime import SharedBuffers, build_plan
+    from repro.runtime import SharedBuffers, Source, build_plan
 
     nest, values = case
     assume(iteration_count(nest, values) > 0)
@@ -195,10 +195,8 @@ def test_property_engine_visits_match_run_original(case, schedule, runtime_engin
     for indices in enumerate_iterations(nest, values):
         expected[indices] += 1.0
 
-    plan = build_plan(
-        nest, values, schedule=schedule,
-        iteration_op=_mark_visit, chunk_op=_mark_visits_chunk,
-    )
+    source = Source.of(nest, iteration_op=_mark_visit, chunk_op=_mark_visits_chunk)
+    plan = build_plan(source, values, schedule=schedule)
     with SharedBuffers.create({"visits": np.zeros(_GRID)}) as buffers:
         result = runtime_engine.execute(plan, buffers=buffers)
         visits = buffers.snapshot()["visits"]
@@ -231,7 +229,7 @@ def test_property_native_matches_engine_and_batch(case, schedule, runtime_engine
     _native_or_skip()
     from repro.core import batch_recovery, collapse
     from repro.native import compile_collapsed
-    from repro.runtime import SharedBuffers, build_plan
+    from repro.runtime import SharedBuffers, Source, build_plan
 
     nest, values = case
     assume(iteration_count(nest, values) > 0)
@@ -248,10 +246,8 @@ def test_property_native_matches_engine_and_batch(case, schedule, runtime_engine
     result = module.run({"visits": native_visits}, values, schedule, threads=2)
     assert sum(result.results) == total
 
-    plan = build_plan(
-        nest, values, schedule="static",
-        iteration_op=_mark_visit, chunk_op=_mark_visits_chunk,
-    )
+    source = Source.of(nest, iteration_op=_mark_visit, chunk_op=_mark_visits_chunk)
+    plan = build_plan(source, values, schedule="static")
     with SharedBuffers.create({"visits": np.zeros(_GRID)}) as buffers:
         runtime_engine.execute(plan, buffers=buffers)
         engine_visits = buffers.snapshot()["visits"]
@@ -273,7 +269,7 @@ def test_property_hybrid_matches_engine_and_native(case, schedule, runtime_engin
     _native_or_skip()
     from repro.core import collapse
     from repro.native import compile_collapsed
-    from repro.runtime import SharedBuffers, build_plan
+    from repro.runtime import SharedBuffers, Source, build_plan
 
     nest, values = case
     assume(iteration_count(nest, values) > 0)
@@ -282,11 +278,11 @@ def test_property_hybrid_matches_engine_and_native(case, schedule, runtime_engin
     for indices in enumerate_iterations(nest, values):
         expected[indices] += 1.0
 
-    hybrid_plan = build_plan(
-        nest, values, schedule=schedule,
-        iteration_op=_mark_visit, chunk_op=_mark_visits_chunk,
-        native=True, c_body="visits(i, j) += 1.0;", c_arrays=("visits",),
+    source = Source.of(
+        nest, iteration_op=_mark_visit, chunk_op=_mark_visits_chunk,
+        c_body="visits(i, j) += 1.0;", c_arrays=("visits",),
     )
+    hybrid_plan = build_plan(source, values, schedule=schedule, native=True)
     assert hybrid_plan.native_spec is not None
     with SharedBuffers.create({"visits": np.zeros(_GRID)}) as buffers:
         result = runtime_engine.execute(hybrid_plan, buffers=buffers)
@@ -359,7 +355,7 @@ def test_property_transformed_engine_visits_match_run_original(case, schedule, r
     enumeration order, under every schedule policy."""
     import numpy as np
 
-    from repro.runtime import SharedBuffers, build_plan
+    from repro.runtime import SharedBuffers, Source, build_plan
 
     nest, values, grid, _body = case
     assume(iteration_count(nest, values) > 0)
@@ -368,10 +364,8 @@ def test_property_transformed_engine_visits_match_run_original(case, schedule, r
     for indices in enumerate_iterations(nest, values):
         expected[indices] += 1.0
 
-    plan = build_plan(
-        nest, values, schedule=schedule,
-        iteration_op=_mark_visit, chunk_op=_mark_visits_chunk,
-    )
+    source = Source.of(nest, iteration_op=_mark_visit, chunk_op=_mark_visits_chunk)
+    plan = build_plan(source, values, schedule=schedule)
     with SharedBuffers.create({"visits": np.zeros(grid)}) as buffers:
         result = runtime_engine.execute(plan, buffers=buffers)
         visits = buffers.snapshot()["visits"]

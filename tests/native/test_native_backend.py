@@ -609,7 +609,7 @@ class TestSessionBackend:
         """A parsed 1-D access must generate a 1-D macro (not the 2-D
         default), both whole-range and as a hybrid plan."""
         from repro.ir import enumerate_iterations, parse_loop_nest
-        from repro.runtime import RuntimeSession, build_plan
+        from repro.runtime import RuntimeSession, Source, build_plan
 
         nest, _ = parse_loop_nest(
             """
@@ -628,7 +628,7 @@ class TestSessionBackend:
         with RuntimeSession(workers=1) as session:
             session.run(nest, values, data=data, backend="native")
         assert np.array_equal(data["hist"], expected)
-        plan = build_plan(nest, values, native=True, iteration_op=_dummy_op)
+        plan = build_plan(Source.of(nest, iteration_op=_dummy_op), values, native=True)
         assert plan.native_spec.array_ndims == (1,)
 
     def test_native_nest_run_requires_data(self):
@@ -651,15 +651,31 @@ class TestSessionBackend:
             with pytest.raises(PlanError, match="unknown backend"):
                 session.run("utma", {"N": 10}, backend="fortran")
 
-    def test_native_backend_rejects_engine_only_kwargs(self):
+    @pytest.mark.parametrize("backend", ["engine", "hybrid", "native", "auto"])
+    @pytest.mark.parametrize(
+        "part",
+        [
+            {"iteration_op": _dummy_op},
+            {"chunk_op": _dummy_op},
+            {"c_body": "c(i, j) = 0.0;"},
+            {"c_arrays": ("c",)},
+            {"array_ndims": {"c": 2}},
+        ],
+        ids=lambda part: next(iter(part)),
+    )
+    def test_kernel_source_rejects_caller_parts(self, backend, part):
+        """A kernel brings its own operations and C body: any part but
+        ``compile_flags`` passed with it raises, naming the part, on every
+        backend — none is dropped or run under the kernel's key."""
         from repro.runtime import RuntimeSession
         from repro.runtime.plan import PlanError
 
+        (name,) = part
         with RuntimeSession(workers=1) as session:
-            with pytest.raises(PlanError, match="iteration_op"):
-                session.run("utma", {"N": 10}, backend="native", iteration_op=_dummy_op)
-            with pytest.raises(PlanError, match="chunk_op"):
-                session.run("utma", {"N": 10}, backend="native", chunk_op=_dummy_op)
+            with pytest.raises(PlanError, match=name):
+                session.run("utma", {"N": 10}, backend=backend, **part)
+            flagged = session.run("utma", {"N": 10}, backend=backend, compile_flags=("-O1",))
+            assert flagged["c"].shape == (10, 10)
 
     def test_native_backend_takes_static_check(self, monkeypatch):
         """``static_check`` is a plan option of every backend: native, the

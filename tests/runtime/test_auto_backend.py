@@ -11,11 +11,13 @@ guarantee — whatever substrate auto picks, the numbers match
 import numpy as np
 import pytest
 
+from repro.ir import Loop, LoopNest, parse_loop_nest
 from repro.kernels import get_kernel, run_original, verify_kernel
 from repro.native import native_available
 from repro.runtime import (
     ProfileStore,
     RuntimeSession,
+    Source,
     default_profile_store,
     profile_key,
     resolve_auto_backend,
@@ -30,7 +32,7 @@ PARAMS = {"N": 16}
 
 
 def _noop_op(data, indices, parameter_values):
-    """An engine-only Python operation: its presence rules native out."""
+    """A Python operation for the engine; native runs the C body instead."""
 
 
 def _no_compiler(monkeypatch):
@@ -60,25 +62,27 @@ class TestViability:
         assert choice == "engine"
 
     @needs_compiler
-    def test_engine_only_option_drops_the_whole_range_call(self, tmp_path):
-        store = ProfileStore(tmp_path)
-        key = profile_key("utma", PARAMS)
-        store.record(key, "native", elapsed_seconds=1e-6, workers=2,
-                     total_iterations=10)
-        store.record(key, "hybrid", elapsed_seconds=1.0, workers=2,
-                     total_iterations=10)
-        store.record(key, "engine", elapsed_seconds=2.0, workers=2,
-                     total_iterations=10)
-        assert resolve_auto_backend("utma", PARAMS, store=store) == "native"
-        assert (
-            resolve_auto_backend("utma", PARAMS, store=store, iteration_op=_noop_op)
-            == "hybrid"
+    def test_native_needs_a_whole_range(self, tmp_path):
+        # a nest's Python ops do not rule native out: every backend runs the
+        # parts of the value it needs, and native needs caller data
+        nest, _ = parse_loop_nest(
+            "for (i = 0; i < N; i++)\n  for (j = i; j < N; j++)\n    v(i, j) += 1.0;",
+            parameters=["N"],
         )
+        source = Source.of(nest, iteration_op=_noop_op)
+        store = ProfileStore(tmp_path)
+        key = profile_key(source, PARAMS)
+        for backend, elapsed in (("native", 1e-6), ("hybrid", 1.0), ("engine", 2.0)):
+            store.record(key, backend, elapsed_seconds=elapsed, workers=2,
+                         total_iterations=10)
+        assert resolve_auto_backend(source, PARAMS, data=True, store=store) == "native"
+        assert resolve_auto_backend(source, PARAMS, store=store) == "hybrid"
 
     def test_unviable_source_returns_engine(self, tmp_path):
-        # not a kernel, nest or collapsed loop: nothing can run it, so the
-        # resolver hands back the engine and lets *its* error surface
-        assert resolve_auto_backend(object(), PARAMS, store=ProfileStore(tmp_path)) == "engine"
+        # no Python ops and no C body: nothing can run it, so the resolver
+        # hands back the engine and lets *its* error surface
+        nest = LoopNest([Loop.make("i", 0, "N")], parameters=["N"], name="bare")
+        assert resolve_auto_backend(nest, PARAMS, store=ProfileStore(tmp_path)) == "engine"
 
 
 # ---------------------------------------------------------------------- #

@@ -21,6 +21,7 @@ from repro.runtime import (
     RuntimeEngine,
     RuntimeSession,
     SharedBuffers,
+    Source,
     build_plan,
     collapse_and_run,
 )
@@ -133,7 +134,7 @@ class TestErrorHandling:
         nest = LoopNest(
             [Loop.make("i", 0, "N"), Loop.make("j", "i", "N")], parameters=["N"], name="boom"
         )
-        plan = build_plan(nest, {"N": 6}, schedule="static", iteration_op=failing_op)
+        plan = build_plan(Source.of(nest, iteration_op=failing_op), {"N": 6}, schedule="static")
         with pytest.raises(EngineError, match="deliberate kernel failure"):
             session.engine.execute(plan)
         session.engine.forget(plan)
@@ -267,7 +268,7 @@ class TestDispatch:
     @pytest.mark.parametrize("schedule", ["dynamic", "guided", "adaptive"])
     def test_every_chunk_runs_exactly_once(self, engine, schedule):
         nest, values = _triangle()
-        plan = build_plan(nest, values, schedule=schedule, chunk_op=count_visits_op)
+        plan = build_plan(Source.of(nest, chunk_op=count_visits_op), values, schedule=schedule)
         expected = np.zeros((12, 12))
         for indices in enumerate_iterations(nest, values):
             expected[indices] = 1.0
@@ -306,7 +307,7 @@ class TestDispatch:
         self, engine, schedule, monkeypatch
     ):
         nest, values = _triangle(n=1)  # one iteration, so one chunk
-        plan = build_plan(nest, values, schedule=schedule, chunk_op=count_visits_op)
+        plan = build_plan(Source.of(nest, chunk_op=count_visits_op), values, schedule=schedule)
         with SharedBuffers.create({"visits": np.zeros((12, 12))}) as buffers:
             engine.execute(plan, buffers=buffers)
             sent = _spy_commands(engine, monkeypatch)
@@ -321,7 +322,7 @@ class TestDispatch:
     @pytest.mark.parametrize("schedule", ["dynamic", "static,4"])
     def test_worker_error_mid_run_accounts_for_every_other_chunk(self, engine, schedule):
         nest, values = _triangle()
-        plan = build_plan(nest, values, schedule=schedule, chunk_op=fail_midway_op)
+        plan = build_plan(Source.of(nest, chunk_op=fail_midway_op), values, schedule=schedule)
         chunks = plan.chunks(engine.workers)
         assert len(chunks) > 2 * engine.workers
         with SharedBuffers.create({"visits": np.zeros((12, 12))}) as buffers:
@@ -355,7 +356,7 @@ class TestDispatch:
         # a lost or doubled counter update would skip or repeat a chunk,
         # leaving a cell at 0 or 2; one-iteration chunks make claims race hard
         nest, values = _triangle()
-        plan = build_plan(nest, values, schedule="dynamic,1", chunk_op=count_visits_op)
+        plan = build_plan(Source.of(nest, chunk_op=count_visits_op), values, schedule="dynamic,1")
         expected = np.zeros((12, 12))
         for indices in enumerate_iterations(nest, values):
             expected[indices] = 1.0
@@ -377,7 +378,7 @@ class TestTimeouts:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_stuck_chunk_times_out_and_the_next_run_is_correct(self, start_method):
         nest, values = _triangle()
-        stuck = build_plan(nest, values, schedule="dynamic", chunk_op=stuck_chunk_op)
+        stuck = build_plan(Source.of(nest, chunk_op=stuck_chunk_op), values, schedule="dynamic")
         kernel = get_kernel("utma")
         good = build_plan(kernel, VALUES, schedule="dynamic")
         with RuntimeEngine(workers=2, start_method=start_method, task_timeout=0.5) as engine:
@@ -414,7 +415,7 @@ class TestTimeouts:
 
     def test_interrupted_run_takes_the_pool_with_it(self, monkeypatch):
         nest, values = _triangle()
-        slow = build_plan(nest, values, schedule="dynamic", chunk_op=slow_chunk_op)
+        slow = build_plan(Source.of(nest, chunk_op=slow_chunk_op), values, schedule="dynamic")
         kernel = get_kernel("utma")
         good = build_plan(kernel, VALUES, schedule="dynamic")
         with RuntimeEngine(workers=2) as engine:
@@ -433,7 +434,7 @@ class TestTimeouts:
     @pytest.mark.parametrize("thread", [None, 0], ids=["claimed", "own"])
     def test_many_short_chunks_outlast_the_timeout(self, thread):
         nest, values = _triangle()
-        plan = build_plan(nest, values, schedule="dynamic", chunk_op=slow_chunk_op)
+        plan = build_plan(Source.of(nest, chunk_op=slow_chunk_op), values, schedule="dynamic")
         total = plan.total_iterations
         cuts = np.linspace(0, total, 9).astype(int)
         chunks = [Chunk(int(a) + 1, int(b), thread) for a, b in zip(cuts, cuts[1:])]

@@ -19,6 +19,7 @@ import pytest
 
 from repro.ir import Loop, LoopNest, enumerate_iterations, iteration_count
 from repro.native import native_available
+from repro.runtime import Source
 
 needs_compiler = pytest.mark.skipif(
     not native_available(), reason="no C compiler on this machine"
@@ -175,17 +176,15 @@ class TestWorkerAttachment:
         nest = _triangle_nest()
         values = {"N": 40}
         total = collapse(nest).total_iterations(values)
-        plan = build_plan(
+        source = Source.of(
             nest,
-            values,
-            schedule="dynamic,64",
-            native=True,
             c_body="trace(pc - 1) = (double)(i * 1000 + j);",
             c_arrays=("trace",),
             array_ndims={"trace": 1},
         )
+        plan = build_plan(source, values, schedule="dynamic,64", native=True)
         assert plan.native_spec is not None
-        assert plan.iteration_op is None and plan.chunk_op is None
+        assert not plan.source.has_python_ops
         with SharedBuffers.create({"trace": np.zeros(total)}) as buffers:
             result = session.engine.execute(plan, buffers=buffers)
             trace = buffers.snapshot()["trace"]
@@ -277,9 +276,10 @@ class TestFallback:
         assert result.backend == "engine"
         assert sum(result.results) == iteration_count(nest, values)
 
-    def test_fallback_strips_native_only_plan_kwargs(self, session, monkeypatch):
+    def test_fallback_runs_the_same_source_on_the_engine(self, session, monkeypatch):
         """An explicit c_body must not break the engine fallback: without a
-        compiler the same call degrades, dropping the native-only options."""
+        compiler the same source value degrades to an engine plan, which
+        runs its Python ops and leaves its C body unused."""
         from repro.native import clear_module_cache
         from repro.native import compiler as compiler_module
 
@@ -477,10 +477,8 @@ class TestWorkerDegradation:
 
         nest, _ = _parse_visits_nest()
         values = {"N": 10}
-        plan = build_plan(
-            nest, values, schedule="static", native=True,
-            iteration_op=_mark_visit,
-        )
+        source = Source.of(nest, iteration_op=_mark_visit)
+        plan = build_plan(source, values, schedule="static", native=True)
         with SharedBuffers.create(
             {"visits": np.zeros((10, 10), dtype=np.float32)}
         ) as buffers:
@@ -497,14 +495,13 @@ class TestWorkerDegradation:
         """A parsed nest with a body but inconsistent array ranks must name
         the rank conflict, not claim there is no C body."""
         from repro.ir import parse_loop_nest
-        from repro.runtime import build_plan
         from repro.runtime.plan import PlanError
 
         nest, _ = parse_loop_nest(
             "for (i = 0; i < N; i++)\n  v(i) = v(i, 0);", parameters=["N"]
         )
         with pytest.raises(PlanError, match="both 1 and 2 subscripts"):
-            build_plan(nest, {"N": 8}, native=True, iteration_op=_mark_visit)
+            Source.of(nest, iteration_op=_mark_visit)
 
     def test_native_only_plan_with_unbindable_data_fails_loudly(self, session):
         """No Python ops to degrade to: the bind error must surface as an
@@ -528,12 +525,12 @@ class TestWorkerBatchRecovery:
 
     values = {"N": 12}
 
-    def _worker(self, **plan_kwargs):
+    def _worker(self, native=False):
         from repro.kernels import get_kernel
         from repro.runtime import build_plan
         from repro.runtime.engine import _WorkerPlan
 
-        plan = build_plan(get_kernel("utma"), self.values, schedule="static", **plan_kwargs)
+        plan = build_plan(get_kernel("utma"), self.values, schedule="static", native=native)
         return _WorkerPlan(plan.payload())
 
     def _attach_and_run(self, worker):
@@ -628,7 +625,7 @@ class TestCacheKeying:
             )
             assert str(result.schedule) == schedule
             assert visits.sum() == total
-            plan = session.plan_for(nest, values, schedule, native=True, **options)
+            plan = session.plan_for(Source.of(nest, **options), values, schedule, native=True)
             libraries.add(plan.native_spec.library_path)
         assert len(libraries) == 1
         spans = sorted((chunk.first, chunk.last) for chunk in result.chunks)

@@ -12,6 +12,7 @@ from repro.runtime import (
     DEFAULT_OVERSUBSCRIBE,
     ExecutionPlan,
     PlanError,
+    Source,
     adaptive_chunks,
     build_plan,
     per_iteration_work,
@@ -33,17 +34,17 @@ def module_level_op(data, indices, values):
 class TestBuildPlan:
     def test_from_kernel_name(self):
         plan = build_plan("utma", {"N": 16})
-        assert plan.kernel_name == "utma"
+        assert plan.source.kernel_name == "utma"
         assert plan.schedule.kind is ScheduleKind.ADAPTIVE
         assert plan.total_iterations == 16 * 17 // 2
 
     def test_from_kernel_object_and_nest(self):
         kernel = get_kernel("ltmp")
         plan = build_plan(kernel, {"N": 8}, schedule="static")
-        assert plan.kernel_name == "ltmp"
+        assert plan.source.kernel_name == "ltmp"
         nest = LoopNest([Loop.make("i", 0, "N"), Loop.make("j", "i", "N")], parameters=["N"], name="t")
-        nest_plan = build_plan(nest, {"N": 6}, schedule="dynamic,2", iteration_op=module_level_op)
-        assert nest_plan.kernel_name is None
+        nest_plan = build_plan(Source.of(nest, iteration_op=module_level_op), {"N": 6}, schedule="dynamic,2")
+        assert nest_plan.source.kernel_name is None
         assert nest_plan.schedule == ScheduleSpec(ScheduleKind.DYNAMIC, 2)
 
     def test_plans_get_distinct_ids(self):
@@ -59,17 +60,17 @@ class TestBuildPlan:
     def test_unpicklable_op_is_rejected(self):
         nest = LoopNest([Loop.make("i", 0, "N")], parameters=["N"], name="bare")
         with pytest.raises(PlanError, match="picklable"):
-            build_plan(nest, {"N": 4}, iteration_op=lambda d, i, v: None)
+            build_plan(Source.of(nest, iteration_op=lambda d, i, v: None), {"N": 4})
 
     def test_chunk_op_only_requires_compiled_recovery(self):
         # workers always batch-recover (compiled), so a chunk_op alone is a
         # complete plan; the scalar walk is no longer a plan option
         nest = LoopNest([Loop.make("i", 0, "N")], parameters=["N"], name="bare")
-        plan = build_plan(nest, {"N": 4}, chunk_op=module_level_op)
-        assert plan.iteration_op is None and plan.chunk_op is module_level_op
+        plan = build_plan(Source.of(nest, chunk_op=module_level_op), {"N": 4})
+        assert plan.source.iteration_op is None and plan.source.chunk_op is module_level_op
         assert "recovery" not in plan.payload()
         with pytest.raises(TypeError, match="recovery"):
-            build_plan(nest, {"N": 4}, chunk_op=module_level_op, recovery="symbolic")
+            Source.of(nest, chunk_op=module_level_op, recovery="symbolic")
 
     def test_non_executable_kernel_is_rejected(self):
         from repro.kernels import all_kernels
