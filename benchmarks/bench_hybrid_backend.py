@@ -7,14 +7,14 @@ scheduling in Python.  The hybrid backend is their fusion, and this
 benchmark measures it on the one kernel where scheduling still matters at C
 speed: ``ltmp``, whose non-collapsed inner ``k`` loop leaves a per-``pc``
 work that grows with ``i`` (the one negative case of the paper's Fig. 9).
-Two paths run repeated rounds on the same shared-memory data:
+Two paths run repeated rounds in this process on the same arrays:
 
 * ``native`` — the whole-range ``repro_run`` under OpenMP
   ``schedule(static)``: C speed, but equal-*iteration* thread blocks, so
   the cubic work profile piles onto the last thread;
-* ``hybrid`` — the persistent engine's cost-model ``adaptive`` chunks
-  (equal estimated *work*), each executed natively by a worker through the
-  serial ``repro_run_range``.
+* ``hybrid`` — the plan's cost-model ``adaptive`` chunks (equal estimated
+  *work*), handed to the same translation unit's ``repro_run_chunks``,
+  whose OpenMP team claims them one at a time and recovers once per chunk.
 
 The per-round timings land in ``BENCH_hybrid.json`` (path overridable via
 ``BENCH_HYBRID_JSON``; keys emitted in sorted order so the report diffs
@@ -23,9 +23,8 @@ cleanly), and the asserted gate is the PR's acceptance criterion: hybrid
 ``run_original`` before anything is timed.  ``BENCH_HYBRID_N`` /
 ``BENCH_HYBRID_WORKERS`` / ``BENCH_HYBRID_REPEATS`` shrink the
 configuration for CI smoke runs; the module skips where no C compiler
-exists, and the speed gate additionally skips at or below 2 CPUs —
-a load-balance comparison needs real parallelism beyond what the chunk
-dispatcher itself consumes.
+exists, and the speed gate additionally skips at or below 2 CPUs (see
+the gate's docstring).
 """
 
 from __future__ import annotations
@@ -68,41 +67,40 @@ def _timed(callable_, repeats: int):
 def hybrid_rounds():
     """Run both paths, yield their timings, then write the JSON report."""
     from repro.kernels import get_kernel, run_original
-    from repro.native import compile_native_kernel
-    from repro.runtime import RuntimeEngine, SharedBuffers, build_plan
+    from repro.runtime import build_plan
 
     kernel = get_kernel("ltmp")
     values = {"N": N}
     plan = build_plan(kernel, values, schedule="adaptive", native=True)
-    assert plan.native_spec is not None
+    module = plan.native_module
     total = plan.collapsed.total_iterations(values)
-    module = compile_native_kernel(kernel)
+    data = kernel.make_data(values)
 
     expected = run_original(kernel, values)
 
-    with SharedBuffers.create(kernel.make_data(values)) as buffers:
-        with RuntimeEngine(workers=WORKERS) as engine:
-            # ---- correctness gates before any timing ------------------ #
-            result = engine.execute(plan, buffers=buffers)
-            assert result.backend == "hybrid"
-            assert sum(result.results) == total
-            assert np.allclose(buffers.arrays["c"], expected["c"], atol=1e-9)
+    def run_hybrid():
+        return module.run(
+            data, values, plan.schedule, chunks=plan.chunks(WORKERS), threads=WORKERS
+        )
 
-            def run_native():
-                return module.run(buffers.arrays, values, NATIVE_SCHEDULE, threads=WORKERS)
+    def run_native():
+        return module.run(data, values, NATIVE_SCHEDULE, threads=WORKERS)
 
-            native_result = run_native()
-            assert sum(native_result.results) == total
-            assert np.allclose(buffers.arrays["c"], expected["c"], atol=1e-9)
+    # ---- correctness gates before any timing -------------------------- #
+    result = run_hybrid()
+    assert list(result.chunks) == plan.chunks(WORKERS)
+    assert sum(result.results) == total
+    assert np.allclose(data["c"], expected["c"], atol=1e-9)
+    native_result = run_native()
+    assert sum(native_result.results) == total
+    assert np.allclose(data["c"], expected["c"], atol=1e-9)
 
-            # ltmp recomputes c from a and b, so repeated rounds are idempotent
-            hybrid_times = _timed(
-                lambda: engine.execute(plan, buffers=buffers), REPEATS
-            )
-            native_times = _timed(run_native, REPEATS)
-            last_hybrid = engine.execute(plan, buffers=buffers)
-            last_native = run_native()
-            assert np.allclose(buffers.arrays["c"], expected["c"], atol=1e-9)
+    # ltmp recomputes c from a and b, so repeated rounds are idempotent
+    hybrid_times = _timed(run_hybrid, REPEATS)
+    native_times = _timed(run_native, REPEATS)
+    last_hybrid = run_hybrid()
+    last_native = run_native()
+    assert np.allclose(data["c"], expected["c"], atol=1e-9)
 
     report = {
         "kernel": kernel.name,
@@ -134,15 +132,18 @@ def hybrid_rounds():
 def test_hybrid_at_least_matches_whole_range_native(hybrid_rounds):
     """The acceptance gate: adaptive hybrid >= 1x the static native call.
 
-    Skipped at or below 2 CPUs: with one core there is no parallel
-    execution at all, and with two (the typical CI runner) the pool's
-    chunk dispatch competes with the workers for the same cores, so the
-    comparison measures queue contention, not the scheduler.  The
-    correctness assertions and the JSON report above still run there.
+    Skipped at or below 2 CPUs.  Both paths are one OpenMP call in this
+    process, but the default four threads then share two cores, and the
+    operating system's time-slicing evens out the static blocks the gate
+    is about:
+    on a 2-CPU machine the default configuration passed 4 of 10 runs,
+    with the two paths within a few percent of each other either way
+    (at two workers it passed 9 of 10).  The correctness assertions and
+    the JSON report above still run there.
     """
     if (os.cpu_count() or 1) <= 2:
         pytest.skip(
-            "load-balance gate needs > 2 CPUs (dispatch competes with workers at <= 2)"
+            "load-balance gate needs > 2 CPUs (4 threads on 2 cores hide the imbalance)"
         )
     speedup = hybrid_rounds["speedup_hybrid_vs_native"]
     print(
@@ -165,7 +166,7 @@ def test_json_report_written_with_stable_key_order(hybrid_rounds):
 
 
 def test_hybrid_used_adaptive_equal_work_chunks(hybrid_rounds):
-    """The point of the fusion: the engine's cost-model chunking (not one
+    """The point of the fusion: the plan's cost-model chunking (not one
     block per thread) drove the native execution."""
     assert hybrid_rounds["hybrid_chunks"] > WORKERS
 

@@ -12,8 +12,8 @@ work growing with ``i``):
 2. run the whole-range compiled C/OpenMP backend (``backend="native"``,
    ``schedule(static)`` — C speed, equal-iteration imbalance),
 3. run the hybrid backend (``backend="hybrid"``): the same adaptive
-   chunks, each executed by an engine worker through one foreign call
-   into the translation unit's serial ``repro_run_range``,
+   chunks, handed in this process to one OpenMP call into the translation
+   unit's ``repro_run_chunks``, whose threads claim them one at a time,
 4. show that a nest *parsed from C-like text* with an array-assignment
    statement carries its own native body.
 
@@ -62,7 +62,7 @@ def main(n: int = 200) -> None:
         print(f"hybrid (adaptive chunks, native execution): {time.perf_counter() - started:.3f}s")
         started = time.perf_counter()
         hybrid = session.run(kernel, values, backend="hybrid", schedule="adaptive")
-        print(f"hybrid again (warm plan + warm pool):       {time.perf_counter() - started:.3f}s")
+        print(f"hybrid again (warm plan):                   {time.perf_counter() - started:.3f}s")
 
     assert np.allclose(engine["c"], expected["c"], atol=1e-9)
     assert np.allclose(hybrid["c"], expected["c"], atol=1e-9)

@@ -344,7 +344,7 @@ def generate_openmp_chunked(
 # complete translation units (the native backend's input)
 # ---------------------------------------------------------------------- #
 #: exported symbol names of every generated translation unit
-NATIVE_SYMBOLS = ("repro_total", "repro_recover_range", "repro_run", "repro_run_range")
+NATIVE_SYMBOLS = ("repro_total", "repro_recover_range", "repro_run", "repro_run_chunks")
 
 _RESERVED_PREFIX = "repro_"
 
@@ -503,7 +503,7 @@ def _pc_loop_lines(
     pragma: Optional[str] = None,
     on_recover: Sequence[str] = (),
 ) -> List[str]:
-    """The ``pc`` loop of ``repro_run`` and ``repro_run_range``.
+    """The ``pc`` loop of ``repro_run`` and of each chunk of ``repro_run_chunks``.
 
     One rule covers the paper's three recovery schemes: a thread recovers
     its indices when ``pc`` is not the one after the last ``pc`` it ran,
@@ -569,28 +569,27 @@ def generate_translation_unit(
       schedule is set with ``omp_set_schedule`` before the region and the
       caller's run-sched-var is restored after it, so neither
       ``OMP_SCHEDULE`` nor an earlier call steers a run;
-    * ``long long repro_run_range(params, first_pc, last_pc, arrays,
-      strides, double *seconds)`` — the *serial* sub-range entry point of
-      the hybrid backend: walks the contiguous chunk with the same loop as
-      ``repro_run`` (so it recovers once, at ``first_pc``), executing
-      ``body`` at every iteration; returns the executed count.  No OpenMP
-      team is started — the caller (a runtime-engine worker) owns the
-      parallelism.  When ``seconds`` is non-NULL the chunk's own
-      wall-clock (``omp_get_wtime``, or the ``clock()`` fallback without
-      OpenMP) is written through it: measured *inside* the foreign call,
-      so queue latency and ``ctypes`` dispatch never pollute the chunk
-      profile the scheduler feeds on (see ``repro.runtime.profile``).
+    * ``int repro_run_chunks(params, bounds, n, arrays, strides,
+      max_threads, long long *counts, double *seconds, long long
+      *threads)`` — the chunked entry point of the hybrid backend: runs
+      the ``n`` inclusive ``pc`` ranges ``bounds[2k]..bounds[2k+1]`` (a
+      plan's chunk list) under ``#pragma omp for schedule(dynamic, 1)``,
+      one chunk per claim, walking each with the same loop as
+      ``repro_run`` (so it recovers once, at the chunk's first ``pc``,
+      Fig. 4), and reports per chunk the executed count, its wall-clock
+      seconds measured inside the call (``omp_get_wtime``, or ``clock()``
+      without OpenMP) and the thread that ran it; returns the team size.
 
     ``body`` is C source executed once per collapsed iteration with the
     recovered iterators and the parameters in scope as ``long long``; each
     name in ``arrays`` is a row-major ``double`` array accessed through a
     generated ``name(i0, .., i{n-1})`` macro.  ``array_ndims`` maps array
     names to their rank (default 2, the historical contract); the strides
-    argument of ``repro_run``/``repro_run_range`` is a flat table with
+    argument of ``repro_run``/``repro_run_chunks`` is a flat table with
     ``ndim - 1`` leading-dimension element strides per array, so all-2-D
     units keep the one-stride-per-array ABI.
 
-    Both loops recover the indices only where a thread's ``pc`` does not
+    Both entries recover the indices only where a thread's ``pc`` does not
     follow its previous one (see :func:`_pc_loop_lines`), which is the
     paper's once-per-thread, once-per-chunk and per-iteration schemes in
     one rule, whatever schedule the call picks.
@@ -728,42 +727,57 @@ def generate_translation_unit(
     lines.append("}")
     lines.append("")
 
-    # ---- run_range (serial chunk entry point of the hybrid backend) ---- #
-    lines.append(
-        "long long repro_run_range(const long long *repro_params, long long first_pc,"
-    )
-    lines.append(
-        "                          long long last_pc, double *const *repro_arrays,"
-    )
-    lines.append(
-        "                          const long long *repro_strides, double *repro_seconds) {"
-    )
+    # ---- run_chunks (the plan's chunk list, one chunk per claim) ------- #
+    lines.extend([
+        "static double repro_wtime(void) {",
+        "#ifdef _OPENMP",
+        "  return omp_get_wtime();",
+        "#else",
+        "  return (double)clock() / CLOCKS_PER_SEC;",
+        "#endif",
+        "}",
+        "",
+        "int repro_run_chunks(const long long *repro_params, const long long *repro_bounds,",
+        "                     long long repro_n, double *const *repro_arrays,",
+        "                     const long long *repro_strides, int repro_max_threads,",
+        "                     long long *repro_counts, double *repro_seconds,",
+        "                     long long *repro_threads) {",
+    ])
     lines.extend(_param_prologue(collapsed, "  "))
     lines.extend(_array_prologue_lines(arrays, ndims, "  "))
-    lines.append("  (void)repro_arrays; (void)repro_strides;")
-    lines.append("  if (last_pc < first_pc) {")
-    lines.append("    if (repro_seconds) *repro_seconds = 0.0;")
-    lines.append("    return 0;")
-    lines.append("  }")
-    lines.append("  /* chunk wall-clock measured inside the foreign call: what the")
-    lines.append("     profile store records is pure chunk compute, free of queue")
-    lines.append("     latency and ctypes dispatch */")
-    lines.append("#ifdef _OPENMP")
-    lines.append("  const double repro_t0 = omp_get_wtime();")
-    lines.append("#else")
-    lines.append("  const clock_t repro_t0 = clock();")
-    lines.append("#endif")
-    lines.append(f"  {declare_iters}")
-    lines.extend(
-        "  " + line for line in _pc_loop_lines(iterators, increment_lines, body)
-    )
-    lines.append("  if (repro_seconds) {")
-    lines.append("#ifdef _OPENMP")
-    lines.append("    *repro_seconds = omp_get_wtime() - repro_t0;")
-    lines.append("#else")
-    lines.append("    *repro_seconds = (double)(clock() - repro_t0) / CLOCKS_PER_SEC;")
-    lines.append("#endif")
-    lines.append("  }")
-    lines.append("  return last_pc - first_pc + 1;")
-    lines.append("}")
+    lines.extend([
+        "  (void)repro_arrays; (void)repro_strides;",
+        "  int repro_used = 1;",
+        "  if (repro_max_threads < 1) repro_max_threads = 1;",
+        "  if (repro_n < 1) return 0;",
+        "#ifdef _OPENMP",
+        "#pragma omp parallel num_threads(repro_max_threads)",
+        "#endif",
+        "  {",
+        "#ifdef _OPENMP",
+        "    const long long repro_tid = omp_get_thread_num();",
+        "#pragma omp single",
+        "    repro_used = omp_get_num_threads();",
+        "#else",
+        "    const long long repro_tid = 0;",
+        "#endif",
+        "#ifdef _OPENMP",
+        "#pragma omp for schedule(dynamic, 1)",
+        "#endif",
+        "    for (long long repro_k = 0; repro_k < repro_n; repro_k++) {",
+        "      const long long first_pc = repro_bounds[2 * repro_k];",
+        "      const long long last_pc = repro_bounds[2 * repro_k + 1];",
+        "      const double repro_t0 = repro_wtime();",
+        f"      {declare_iters}",
+    ])
+    lines.extend("      " + line for line in _pc_loop_lines(iterators, increment_lines, body))
+    lines.extend([
+        "      repro_seconds[repro_k] = repro_wtime() - repro_t0;",
+        "      repro_counts[repro_k] = last_pc < first_pc ? 0 : last_pc - first_pc + 1;",
+        "      repro_threads[repro_k] = repro_tid;",
+        "    }",
+        "  }",
+        "  return repro_used;",
+        "}",
+    ])
     return "\n".join(lines) + "\n"

@@ -11,8 +11,10 @@ every unit the backend is about to compile:
   parallel`` region must be block-scope-declared within the region, listed
   in a ``private``/``firstprivate``/``lastprivate``/``reduction`` clause,
   or sit under ``#pragma omp single``/``critical``/``atomic``/``master``.
-  Per-thread result slots (subscripted by ``repro_tid``) are recognised as
-  disjoint by construction.  Anything else is an error finding.
+  Per-thread result slots (subscripted by ``repro_tid``) and per-iteration
+  slots of a ``#pragma omp for`` loop (subscripted by exactly its
+  induction variable, which one thread owns per iteration) are recognised
+  as disjoint by construction.  Anything else is an error finding.
 * **array writes**: no two distinct collapsed iterations may statically
   write the same array cell.  The kernel-body macro writes are checked
   through the dependence system (:func:`repro.ir.dependences
@@ -37,6 +39,8 @@ from .findings import LintReport
 
 _PARALLEL_PRAGMA_RE = re.compile(r"#\s*pragma\s+omp\s+parallel\b")
 _EXEMPT_PRAGMA_RE = re.compile(r"#\s*pragma\s+omp\s+(?:single|critical|atomic|master)\b")
+_FOR_PRAGMA_RE = re.compile(r"#\s*pragma\s+omp\s+for\b")
+_FOR_INDUCTION_RE = re.compile(r"for\s*\(\s*(?:[A-Za-z_][\w\s]*\s)?([A-Za-z_]\w*)\s*=")
 _CLAUSE_RE = re.compile(
     r"(?:first|last)?private\s*\(([^)]*)\)|reduction\s*\(\s*[^:]+:\s*([^)]*)\)"
 )
@@ -104,6 +108,8 @@ def lint_c_source(source: str, subject: str = "translation_unit") -> LintReport:
     declared: Set[str] = set()
     exempt_pending = False
     exempt_until_depth: Optional[int] = None
+    worksharing_pending = False
+    induction: Set[str] = set()  # omp-for loop variables of the current region
     proven_writes = 0
     regions = 0
 
@@ -118,6 +124,8 @@ def lint_c_source(source: str, subject: str = "translation_unit") -> LintReport:
                 clause_private = _clause_private_names(stripped)
             elif in_region and _EXEMPT_PRAGMA_RE.search(stripped):
                 exempt_pending = True
+            elif in_region and _FOR_PRAGMA_RE.search(stripped):
+                worksharing_pending = True
             depth += opens - closes
             continue
 
@@ -138,6 +146,11 @@ def lint_c_source(source: str, subject: str = "translation_unit") -> LintReport:
                 pending_region = False
 
         if in_region and stripped:
+            if worksharing_pending:
+                worksharing_pending = False
+                loop = _FOR_INDUCTION_RE.match(stripped)
+                if loop:
+                    induction.add(loop.group(1))
             exempt_here = exempt_until_depth is not None
             if exempt_pending:
                 exempt_here = True
@@ -148,14 +161,14 @@ def lint_c_source(source: str, subject: str = "translation_unit") -> LintReport:
             if exempt_here:
                 proven_writes += len(_scalar_writes(line))
             else:
-                for name in _subscripted_unproven(line):
+                for name in _subscripted_unproven(line, induction):
                     report.add(
                         "generated/unchecked-subscripted-write",
                         "warning",
                         subject,
                         f"line {number}: subscripted write to {name!r} is not "
-                        "provably per-thread (subscript does not mention "
-                        "repro_tid)",
+                        "provably per-thread (subscript neither mentions "
+                        "repro_tid nor is an omp-for induction variable)",
                         stripped,
                     )
                 for match in _DEREF_WRITE_RE.finditer(line):
@@ -188,6 +201,7 @@ def lint_c_source(source: str, subject: str = "translation_unit") -> LintReport:
         if in_region and depth <= region_exit_depth:
             in_region = False
             clause_private = set()
+            induction = set()
             exempt_until_depth = None
         if exempt_until_depth is not None and depth <= exempt_until_depth:
             exempt_until_depth = None
@@ -204,10 +218,11 @@ def lint_c_source(source: str, subject: str = "translation_unit") -> LintReport:
     return report
 
 
-def _subscripted_unproven(line: str) -> List[str]:
+def _subscripted_unproven(line: str, induction: Set[str]) -> List[str]:
     names: List[str] = []
     for match in _SUBSCRIPT_WRITE_RE.finditer(line):
-        if "repro_tid" not in match.group(2):
+        subscript = match.group(2)
+        if "repro_tid" not in subscript and subscript.strip() not in induction:
             names.append(match.group(1))
     return names
 

@@ -294,14 +294,40 @@ def compile_loadable_library(
     """
     library = compile_shared_library(source, tag, extra_flags, sanitize)
     try:
-        ctypes.CDLL(str(library))
+        load_library(library)
         return library
     except OSError as error:
         _log.warning("native library %s failed to load, recompiling it: %s", library, error)
         library.unlink(missing_ok=True)
     library = compile_shared_library(source, tag, extra_flags, sanitize)
-    ctypes.CDLL(str(library))
+    load_library(library)
     return library
+
+
+#: the variables through which a caller chooses libgomp's idle-thread wait
+_WAIT_VARIABLES = ("OMP_WAIT_POLICY", "GOMP_SPINCOUNT")
+
+
+def load_library(path) -> ctypes.CDLL:
+    """``dlopen`` a compiled unit, under a passive OpenMP wait policy.
+
+    libgomp reads its environment once, when the first unit linked with
+    ``-fopenmp`` pulls it into the process.  Its default keeps a team's
+    idle threads spinning for up to 300,000 pause loops after every
+    region; with as many team threads as cores, the spinning thread
+    competes with the calling thread, which is preempted for a scheduler
+    quantum (calls of 8 or 16 ms instead of 0.2 ms; ``docs/native.md``).
+    Unless the caller set ``OMP_WAIT_POLICY`` or ``GOMP_SPINCOUNT``, the
+    load runs with ``OMP_WAIT_POLICY=passive`` set, and the process
+    environment is restored right after it.
+    """
+    if any(name in os.environ for name in _WAIT_VARIABLES):
+        return ctypes.CDLL(str(path))
+    os.environ["OMP_WAIT_POLICY"] = "passive"
+    try:
+        return ctypes.CDLL(str(path))
+    finally:
+        os.environ.pop("OMP_WAIT_POLICY", None)
 
 
 def clear_native_cache() -> int:

@@ -18,28 +18,24 @@ index arrays):
   historical ~2^45 double-trust ceiling is gone; docs/recovery.md),
 * :meth:`NativeModule.run` — execute the kernel body over a ``pc`` range
   under the OpenMP schedule the call names (one compiled unit serves every
-  schedule), mutating the caller's NumPy arrays in place and returning a
-  :class:`~repro.runtime.engine.RunResult` with per-thread timings read
-  back from the C side.
+  schedule), or over a plan's chunk list (``chunks=``, the hybrid
+  backend), mutating the caller's NumPy arrays in place and returning a
+  :class:`~repro.runtime.engine.RunResult` with per-thread (or per-chunk)
+  timings read back from the C side.
 
 :func:`compile_collapsed` builds (and memoises) the module of a plan
 source (:class:`~repro.runtime.source.Source`: a collapsed loop or nest
 with an ad-hoc C body, or a kernel); :func:`compile_native_kernel` does
-the same for registered kernels carrying a ``c_body``.  For the hybrid
-backend, :meth:`NativeModule.library_spec` exports a picklable
-:class:`NativeLibrarySpec` from which engine workers build a
-:class:`NativeChunkRunner`, the one binding of the unit's
-``repro_run_range``: it attaches the already-compiled library by path,
-never invoking compiler or code generator, and executes one contiguous
-chunk *serially* (no OpenMP team), the hybrid backend's per-chunk
-operation.
+the same for registered kernels carrying a ``c_body``.  Every compiled
+call runs in the calling process: no worker process ever loads the
+library.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 import time
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +45,9 @@ from ..core.codegen_c import generate_translation_unit, resolve_array_ndims
 from ..openmp.schedule import Chunk, ScheduleKind, ScheduleSpec
 from ..runtime.engine import RunResult
 from ..runtime.source import Source
-from .compiler import compile_loadable_library, default_sanitize, effective_flags
+from .compiler import (
+    compile_loadable_library, default_sanitize, effective_flags, load_library,
+)
 
 _LONGLONG_P = ctypes.POINTER(ctypes.c_longlong)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
@@ -69,26 +67,10 @@ class NativeExecutionError(ValueError):
     """Raised for data that the compiled module cannot execute."""
 
 
-@dataclass(frozen=True)
-class NativeLibrarySpec:
-    """Everything a worker process needs to attach one compiled library.
-
-    Plain strings and ints only — the spec travels through the engine's
-    command queues exactly like a :class:`~repro.runtime.shm.SharedArraySpec`
-    does, so the parent compiles once and children merely ``dlopen`` the
-    cached shared object by path (no compiler, no codegen in workers).
-    """
-
-    library_path: str                 #: absolute path of the compiled ``.so``
-    parameters: Tuple[str, ...]       #: parameter order of ``repro_params``
-    arrays: Tuple[str, ...]           #: array names in ABI (pointer-table) order
-    array_ndims: Tuple[int, ...]      #: rank of each array, same order
-
-
 def _flat_strides(arrays, ndims, data) -> Tuple[object, object]:
     """Validate ``data`` against the ABI and build the pointer/stride tables.
 
-    Returns ctypes arrays ready to pass to ``repro_run``/``repro_run_range``:
+    Returns ctypes arrays ready to pass to ``repro_run``/``repro_run_chunks``:
     one ``double *`` per array plus the flat strides table (``ndim - 1``
     leading-dimension element strides per array, row-major).  The caller
     must keep the NumPy arrays alive while the tables are in use.
@@ -138,7 +120,7 @@ class NativeModule:
         self.array_ndims = array_ndims or tuple(2 for _ in arrays)
         self.parameters: Tuple[str, ...] = tuple(collapsed.nest.parameters)
         self.depth = collapsed.depth
-        self._lib = ctypes.CDLL(str(library_path))
+        self._lib = load_library(library_path)
         self._lib.repro_total.argtypes = [_LONGLONG_P]
         self._lib.repro_total.restype = ctypes.c_longlong
         self._lib.repro_recover_range.argtypes = [
@@ -151,6 +133,12 @@ class NativeModule:
             ctypes.c_int, _LONGLONG_P, _DOUBLE_P, _LONGLONG_P, _LONGLONG_P,
         ]
         self._lib.repro_run.restype = ctypes.c_int
+        self._lib.repro_run_chunks.argtypes = [
+            _LONGLONG_P, _LONGLONG_P, ctypes.c_longlong,
+            ctypes.POINTER(_DOUBLE_P), _LONGLONG_P, ctypes.c_int,
+            _LONGLONG_P, _DOUBLE_P, _LONGLONG_P,
+        ]
+        self._lib.repro_run_chunks.restype = ctypes.c_int
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -173,14 +161,20 @@ class NativeModule:
         clamping — a silently truncated run would hide a caller's
         miscalculated range.
         """
+        total = self._trip_count(parameter_values)
+        last = total if last_pc is None else int(last_pc)
+        return self._check_range(parameter_values, total, int(first_pc), last)
+
+    def _trip_count(self, parameter_values: Mapping[str, int]) -> int:
         missing = [name for name in self.parameters if name not in parameter_values]
         if missing:
             raise NativeExecutionError(
                 f"missing parameter {missing[0]!r}; the module needs {self.parameters}"
             )
-        total = self.collapsed.total_iterations(parameter_values)
-        last = total if last_pc is None else int(last_pc)
-        first = int(first_pc)
+        return self.collapsed.total_iterations(parameter_values)
+
+    @staticmethod
+    def _check_range(parameter_values, total: int, first: int, last: int) -> Tuple[int, int]:
         if last < first:
             return first, last  # empty range: legal, executes nothing
         if first < 1 or last > total:
@@ -235,6 +229,7 @@ class NativeModule:
         first_pc: int = 1,
         last_pc: Optional[int] = None,
         threads: Optional[int] = None,
+        chunks: Optional[Sequence[Chunk]] = None,
     ) -> RunResult:
         """Execute the kernel body over a ``pc`` range, in place on ``data``.
 
@@ -246,10 +241,21 @@ class NativeModule:
         ``threads`` caps the OpenMP team (default: ``os.cpu_count()``).
         Per-thread iteration counts, ``pc`` spans and wall-clock seconds are
         read back from the C side.
-        """
-        import os
 
+        With ``chunks`` (a plan's chunk list: the hybrid backend) the call
+        runs ``repro_run_chunks`` instead: the team claims the chunks one at
+        a time (``schedule(dynamic, 1)``), whatever ``schedule`` cut them,
+        and the result has one entry per chunk — its count, its seconds
+        measured inside the call and the thread that ran it.  Every chunk
+        is checked against ``[1, total]`` before the foreign call, so an
+        out-of-range chunk raises :class:`NativeExecutionError` before
+        anything is written.  Both entry points label the result
+        ``backend="native"``: the module names what ran, and the session
+        names the backend its caller chose.
+        """
         spec = ScheduleSpec.parse(schedule)
+        if chunks is not None:
+            return self._run_chunks(data, parameter_values, spec, list(chunks), threads)
         if spec.kind is ScheduleKind.ADAPTIVE:
             spec = ScheduleSpec(ScheduleKind.STATIC)
         first, last = self._resolve_range(parameter_values, first_pc, last_pc)
@@ -296,13 +302,41 @@ class NativeModule:
             backend="native",
         )
 
-    def library_spec(self) -> NativeLibrarySpec:
-        """The picklable attachment recipe of this module's shared object."""
-        return NativeLibrarySpec(
-            library_path=str(self.library_path),
-            parameters=self.parameters,
-            arrays=tuple(self.arrays),
-            array_ndims=tuple(self.array_ndims),
+    def _run_chunks(self, data, parameter_values, spec, chunks, threads) -> RunResult:
+        """:meth:`run` over a chunk list, through ``repro_run_chunks``."""
+        total = self._trip_count(parameter_values)
+        for chunk in chunks:
+            self._check_range(parameter_values, total, chunk.first, chunk.last)
+        pointers, strides = _flat_strides(self.arrays, self.array_ndims, data)
+        count = len(chunks)
+        bounds = np.array(
+            [(chunk.first, chunk.last) for chunk in chunks], dtype=np.int64
+        ).reshape(count, 2)
+        counts = np.zeros(count, dtype=np.int64)
+        seconds = np.zeros(count, dtype=np.float64)
+        ran_on = np.zeros(count, dtype=np.int64)
+        started = time.perf_counter()
+        used = self._lib.repro_run_chunks(
+            self._params(parameter_values),
+            bounds.ctypes.data_as(_LONGLONG_P),
+            ctypes.c_longlong(count),
+            pointers,
+            strides,
+            ctypes.c_int(int(threads) if threads else (os.cpu_count() or 1)),
+            counts.ctypes.data_as(_LONGLONG_P),
+            seconds.ctypes.data_as(_DOUBLE_P),
+            ran_on.ctypes.data_as(_LONGLONG_P),
+        )
+        elapsed = time.perf_counter() - started
+        return RunResult(
+            results=tuple(counts.tolist()),
+            elapsed_seconds=elapsed,
+            chunks=tuple(chunks),
+            workers=int(used),
+            schedule=spec,
+            assignments=tuple(ran_on.tolist()),
+            chunk_seconds=tuple(seconds.tolist()),
+            backend="native",
         )
 
     def describe(self) -> str:
@@ -311,85 +345,6 @@ class NativeModule:
             f"(depth {self.depth}, arrays {list(self.arrays)}) "
             f"at {self.library_path}"
         )
-
-
-class NativeChunkRunner:
-    """The one binding of a compiled library's ``repro_run_range``.
-
-    Built from a :class:`NativeLibrarySpec` (inside an engine worker, over
-    its attached shared-memory arrays): loads the already-compiled shared
-    object by path (never invoking compiler or code generator) and executes
-    contiguous chunks serially.  Each chunk recovers its indices once at
-    its first ``pc``, through the same exact ``__int128``-bracket scheme as
-    :meth:`NativeModule.recover_range`, and increments Fig. 4-style across
-    the chunk.  Raises ``OSError`` when the library cannot be loaded —
-    callers treat that as "fall back to the Python ops".
-    """
-
-    def __init__(self, spec: NativeLibrarySpec):
-        self.spec = spec
-        self._lib = ctypes.CDLL(spec.library_path)
-        self._lib.repro_run_range.argtypes = [
-            _LONGLONG_P, ctypes.c_longlong, ctypes.c_longlong,
-            ctypes.POINTER(_DOUBLE_P), _LONGLONG_P, _DOUBLE_P,
-        ]
-        self._lib.repro_run_range.restype = ctypes.c_longlong
-        self._lib.repro_total.argtypes = [_LONGLONG_P]
-        self._lib.repro_total.restype = ctypes.c_longlong
-        self._params = None
-        self._tables = None
-        self._total = 0
-
-    def bind(self, data: Mapping[str, np.ndarray], parameter_values: Mapping[str, int]) -> None:
-        """Pre-build the parameter and pointer tables for repeated chunks.
-
-        Workers re-bind whenever their buffers re-attach; between re-binds
-        every chunk call is just one foreign-function invocation.  The
-        caller must keep ``data``'s arrays alive while bound.
-        """
-        spec = self.spec
-        try:
-            values = [int(parameter_values[name]) for name in spec.parameters]
-        except KeyError as error:
-            raise NativeExecutionError(
-                f"missing parameter {error.args[0]!r}; the library needs {spec.parameters}"
-            ) from None
-        self._params = (ctypes.c_longlong * max(1, len(values)))(*values)
-        self._tables = _flat_strides(spec.arrays, spec.array_ndims, data)
-        self._total = int(self._lib.repro_total(self._params))
-
-    def run_range_timed(self, first_pc: int, last_pc: int) -> Tuple[int, float]:
-        """Execute one bound chunk; returns (count, C-measured seconds).
-
-        The seconds are the chunk's wall-clock *inside* the compiled
-        function — the engine worker forwards them as the chunk's
-        ``chunk_seconds`` entry, so hybrid profiles never include queue
-        latency or foreign-call overhead.  An empty range (``last_pc <
-        first_pc``) executes nothing; a range outside ``[1, total]`` raises
-        instead of writing past the domain.
-        """
-        if self._params is None or self._tables is None:
-            raise NativeExecutionError("NativeChunkRunner.bind was never called")
-        first, last = int(first_pc), int(last_pc)
-        if last < first:
-            return 0, 0.0
-        if first < 1 or last > self._total:
-            raise NativeExecutionError(
-                f"pc values must lie in [1, {self._total}]; got range [{first}, {last}]"
-            )
-        pointers, strides = self._tables
-        seconds = ctypes.c_double(0.0)
-        count = int(
-            self._lib.repro_run_range(
-                self._params,
-                ctypes.c_longlong(first),
-                ctypes.c_longlong(last),
-                pointers,
-                strides,
-                ctypes.byref(seconds),
-            )
-        )
-        return count, float(seconds.value)
 
 
 # ---------------------------------------------------------------------- #

@@ -42,6 +42,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..core import batch_recovery
 from ..openmp.schedule import Chunk, ScheduleSpec
 from .plan import ExecutionPlan
 from .shm import SharedArraySpec, SharedBuffers
@@ -71,27 +72,29 @@ class RunResult:
     ``chunk_seconds`` its own wall-clock time inside the substrate (the
     load-balance view; their sum can exceed ``elapsed_seconds`` when
     workers overlap).  ``backend`` names the execution substrate that
-    *actually* ran: ``"engine"`` (Python/NumPy chunk ops — including a
-    hybrid plan whose workers had to degrade), ``"hybrid"`` (every chunk
-    went through the plan's compiled ``repro_run_range``) or ``"native"``
-    (one whole-range OpenMP ``repro_run``).
+    ran: ``"engine"`` (the worker pool, Python/NumPy chunk ops),
+    ``"hybrid"`` (the plan's chunk list in one in-process OpenMP call,
+    the compiled ``repro_run_chunks``) or ``"native"`` (one whole-range
+    OpenMP ``repro_run``).
 
     **Timing schema** (one contract across every backend; asserted by
     ``tests/runtime/test_timing_schema.py``):
 
     * ``chunks``, ``results``, ``assignments`` and ``chunk_seconds`` are
       index-aligned — entry *k* of each describes the same unit of work:
-      a scheduled chunk on the engine and hybrid backends, an OpenMP
+      a scheduled chunk on the engine and hybrid backends (``assignments``
+      are engine worker ids there, OpenMP thread ids on hybrid), an OpenMP
       thread's whole span on the native backend (threads that executed no
       iteration are omitted there);
     * every value in ``chunk_seconds`` is wall-clock **seconds on a
       monotonic clock, measured inside the executing substrate** —
       ``time.perf_counter`` around the chunk body in an engine worker,
-      ``omp_get_wtime`` inside the compiled ``repro_run_range`` for
-      hybrid chunks and inside ``repro_run`` for native threads — so
-      queue latency and dispatch overhead are excluded on all backends;
-    * ``elapsed_seconds`` is the parent's ``time.perf_counter`` span
-      around the whole run (dispatch included): the number backends are
+      ``omp_get_wtime`` around each chunk inside the compiled
+      ``repro_run_chunks`` for hybrid and inside ``repro_run`` for native
+      threads — so queue latency and dispatch overhead are excluded on all
+      backends;
+    * ``elapsed_seconds`` is the calling process's ``time.perf_counter``
+      span around the whole run (dispatch included): the number backends are
       *compared* by, where ``chunk_seconds`` is what schedules are
       *re-cut* from.
 
@@ -141,21 +144,15 @@ class RunResult:
 class _WorkerPlan:
     """Per-worker state of one registered plan: ops resolved, recovery built.
 
-    The batch recovery the Python operations walk chunks with is built only
-    for chunks that will use it: at registration for a plan without a
-    compiled library, and after a failed bind for one with a library (a
-    bound library runs every chunk itself).  Both builds happen outside
-    every chunk's measured seconds, so the profile the re-cut reads is not
-    skewed by them.
+    The batch recovery the Python operations walk chunks with is built at
+    registration, outside every chunk's measured seconds, so the profile
+    the re-cut reads is not skewed by it.
     """
 
     def __init__(self, payload: dict):
-        self.collapsed = payload["collapsed"]
         self.parameter_values = payload["parameter_values"]
         self.iteration_op = payload["iteration_op"]
         self.chunk_op = payload["chunk_op"]
-        self.native = payload.get("native")
-        self.native_runner = None
         self.buffers: Optional[SharedBuffers] = None
         kernel_name = payload["kernel_name"]
         if kernel_name is not None:
@@ -164,98 +161,33 @@ class _WorkerPlan:
             kernel = get_kernel(kernel_name)
             self.iteration_op = kernel.iteration_op
             self.chunk_op = kernel.chunk_op
-        self.batch = None
-        if self.native is None:
-            self._recovery()
-
-    def _recovery(self):
-        """The plan's batch recovery, built on the first call."""
-        from ..core import batch_recovery
-
-        if self.batch is None:
-            self.batch = batch_recovery(self.collapsed)
-        return self.batch
+        self.batch = batch_recovery(payload["collapsed"])
 
     def attach(self, specs: Tuple[SharedArraySpec, ...]) -> None:
         self.release_buffers()
         self.buffers = SharedBuffers.attach(specs)
-        self._bind_native()
-        if self.native_runner is None:
-            self._recovery()
-
-    def _bind_native(self) -> None:
-        """Load the plan's compiled library (once) and bind the new buffers.
-
-        The parent compiled the translation unit before dispatching; this
-        side only ``dlopen``\\ s the cached shared object by path.  A load
-        or bind failure (the cache wiped between compile and dispatch, data
-        the C ABI cannot take — wrong dtype/rank) degrades to the Python
-        operations, which compute the identical result — hybrid is a speed
-        contract, not a semantic one — and logs one warning naming the
-        library and the error.  Only a plan with *no* Python operations
-        re-raises, because nothing could execute its chunks.
-        """
-        self.native_runner = None
-        if self.native is None or self.buffers is None:
-            return
-        from ..native.module import NativeChunkRunner, NativeExecutionError
-
-        try:
-            runner = NativeChunkRunner(self.native)
-            runner.bind(self.buffers.arrays, self.parameter_values)
-        except (OSError, NativeExecutionError) as error:
-            if self.iteration_op is None and self.chunk_op is None:
-                raise  # native-only plan: surfaced at the first chunk
-            _log.warning(
-                "native library %s unusable in this worker, running its chunks "
-                "through the Python operations: %s",
-                self.native.library_path,
-                error,
-            )
-            # fall back to the Python ops for *these* buffers only — the
-            # spec stays, so the next attach (new buffers, restored cache)
-            # retries the native binding
-            return
-        self.native_runner = runner
 
     def release_buffers(self) -> None:
-        self.native_runner = None  # pointer tables reference the mapped views
         if self.buffers is not None:
             self.buffers.close()
             self.buffers = None
 
-    def execute(self, first_pc: int, last_pc: int) -> Tuple[int, Optional[float]]:
-        """Run one chunk against the attached shared arrays.
+    def execute(self, first_pc: int, last_pc: int) -> int:
+        """Run one chunk against the attached shared arrays; returns its count.
 
-        Returns ``(count, seconds)`` where ``seconds`` is the chunk's own
-        wall-clock measured *inside* the substrate when it can measure
-        itself (the compiled ``repro_run_range`` reports ``omp_get_wtime``
-        through the ABI) and ``None`` otherwise — the dispatch loop then
-        substitutes its own ``perf_counter`` span around this call, which
-        for the Python paths is the same "inside the worker, outside the
-        queue" measurement.  Preference order: the plan's compiled
-        ``repro_run_range`` (hybrid backend, one foreign call per chunk),
-        then the vectorized ``chunk_op`` over the chunk's walked index
-        array (:meth:`BatchRecovery.recover_range
-        <repro.core.batch.BatchRecovery.recover_range>`), then the scalar
-        ``iteration_op`` once per row of that array.
+        The vectorized ``chunk_op`` runs over the chunk's walked index array
+        (:meth:`BatchRecovery.recover_range
+        <repro.core.batch.BatchRecovery.recover_range>`); without one, the
+        scalar ``iteration_op`` runs once per row of that array.
         """
-        if self.native_runner is not None:
-            return self.native_runner.run_range_timed(first_pc, last_pc)
         data = self.buffers.arrays if self.buffers is not None else {}
-        if self.chunk_op is None and self.iteration_op is None:
-            raise EngineError(
-                "plan has no Python operations to fall back on (native-only plan "
-                "whose compiled library could not be loaded in this worker)"
-            )
-        # built already unless a library plan runs without buffers to bind
-        indices = self._recovery().recover_range(first_pc, last_pc, self.parameter_values)
+        indices = self.batch.recover_range(first_pc, last_pc, self.parameter_values)
         if self.chunk_op is not None:
             self.chunk_op(data, indices, self.parameter_values)
         else:
             for row in indices.tolist():
                 self.iteration_op(data, tuple(row), self.parameter_values)
-        return int(indices.shape[0]), None
+        return int(indices.shape[0])
 
 
 def _next_span(spans, own: bool, done: int, counter) -> Optional[Tuple[int, int, int]]:
@@ -276,11 +208,13 @@ def _next_span(spans, own: bool, done: int, counter) -> Optional[Tuple[int, int,
 def _run_share(worker_id: int, state, plan_id: str, spans, own: bool, counter):
     """Execute one worker's share of a run; returns ``(records, traceback)``.
 
-    ``records`` holds ``(index, count, seconds, native)`` per executed
-    chunk.  A failing chunk keeps the first traceback and the worker goes
-    on with its share, so every other chunk is still accounted for.
+    ``records`` holds ``(index, count, seconds)`` per executed chunk, the
+    seconds being the worker's own ``perf_counter`` span around the chunk
+    (inside the worker, outside the queue).  A failing chunk keeps the
+    first traceback and the worker goes on with its share, so every other
+    chunk is still accounted for.
     """
-    records: List[Tuple[int, int, float, bool]] = []
+    records: List[Tuple[int, int, float]] = []
     failure: Optional[str] = None
     for taken in itertools.count():
         span = _next_span(spans, own, taken, counter)
@@ -293,16 +227,11 @@ def _run_share(worker_id: int, state, plan_id: str, spans, own: bool, counter):
                 raise state
             if state is None:
                 raise EngineError(f"plan {plan_id!r} is not registered in worker {worker_id}")
-            count, inner_seconds = state.execute(first_pc, last_pc)
+            count = state.execute(first_pc, last_pc)
         except Exception:
             failure = failure or traceback.format_exc()
             continue
-        # one timing schema for every substrate: the C-internal measurement
-        # when the chunk ran natively, the worker's own perf_counter span
-        # around the Python ops otherwise — both exclude queue latency, so
-        # profiles compare across backends
-        seconds = inner_seconds if inner_seconds is not None else time.perf_counter() - started
-        records.append((index, count, seconds, state.native_runner is not None))
+        records.append((index, count, time.perf_counter() - started))
 
 
 def _worker_main(worker_id: int, commands, results, counter) -> None:
@@ -560,13 +489,17 @@ class RuntimeEngine:
         Static-family chunks run on their pre-assigned workers; any chunk
         list with an unassigned chunk is claimed on demand.
         """
+        if not plan.source.has_python_ops:
+            raise EngineError(
+                f"plan of {plan.source.name!r} has no Python operations for the "
+                "engine to run (its C body runs on the native and hybrid backends)"
+            )
         self.register(plan, buffers)
         chunk_list = list(chunks) if chunks is not None else plan.chunks(self.workers)
         if not chunk_list:
             return RunResult(
                 results=(), elapsed_seconds=0.0, chunks=(), workers=self.workers,
                 schedule=plan.schedule,
-                backend="hybrid" if plan.native_spec is not None else "engine",
             )
         start = time.perf_counter()
         run_id = next(self._runs)
@@ -586,21 +519,12 @@ class RuntimeEngine:
         records: List[tuple] = [()] * len(chunk_list)
         failures: List[str] = []
         for _run_id, worker_id, worker_records, failure in sorted(replies):
-            for index, count, seconds, native in worker_records:
-                records[index] = (count, worker_id, seconds, native)
+            for index, count, seconds in worker_records:
+                records[index] = (count, worker_id, seconds)
             if failure is not None:
                 failures.append(f"worker {worker_id}:\n{failure}")
         if failures:
             raise EngineError("engine worker failed:\n" + "\n".join(failures))
-        # the substrate that *actually executed*: a hybrid plan whose workers
-        # all ran the compiled library reports "hybrid"; if any worker had to
-        # degrade to the Python ops (library unloadable, un-bindable data),
-        # the honest answer is "engine"
-        backend = (
-            "hybrid"
-            if plan.native_spec is not None and all(record[3] for record in records)
-            else "engine"
-        )
         return RunResult(
             results=tuple(record[0] for record in records),
             elapsed_seconds=elapsed,
@@ -609,7 +533,6 @@ class RuntimeEngine:
             schedule=plan.schedule,
             assignments=tuple(record[1] for record in records),
             chunk_seconds=tuple(record[2] for record in records),
-            backend=backend,
         )
 
     def __del__(self):  # pragma: no cover - safety net, normal path is shutdown()

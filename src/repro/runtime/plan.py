@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (native imports runtime)
-    from ..native.module import NativeLibrarySpec, NativeModule
+    from ..native.module import NativeModule
 
 from ..core import CollapsedLoop, batch_recovery
 from ..openmp.costmodel import CostModel
@@ -154,14 +154,10 @@ class ExecutionPlan:
     parameter_values: Mapping[str, int]
     schedule: ScheduleSpec
     cost_model: Optional[CostModel] = field(default=None, compare=False)
-    #: the plan's compiled translation unit (set by ``build_plan(native=True)``):
-    #: the native backend calls its whole-range OpenMP ``repro_run`` in
-    #: this process
+    #: the plan's compiled translation unit (set by ``build_plan(native=True)``),
+    #: run in this process: whole-range through ``repro_run`` on the native
+    #: backend, over :meth:`chunks` through ``repro_run_chunks`` on hybrid
     native_module: Optional["NativeModule"] = field(default=None, compare=False, repr=False)
-    #: the same unit's attachment recipe: hybrid workers load the cached
-    #: shared object by path and run chunks through its serial
-    #: ``repro_run_range``
-    native_spec: Optional["NativeLibrarySpec"] = None
     #: the plan's key in the persistent :class:`~repro.runtime.profile.ProfileStore`
     #: (set by :func:`build_plan`): when a warm profile exists under it, the
     #: ``adaptive`` policy re-cuts its chunks from *measured* chunk seconds
@@ -219,7 +215,7 @@ class ExecutionPlan:
                 segments = default_profile_store().segments(
                     self.profile_key,
                     total,
-                    prefer_backend="hybrid" if self.native_spec is not None else "engine",
+                    prefer_backend="hybrid" if self.native_module is not None else "engine",
                 )
                 count = min(total, workers * DEFAULT_OVERSUBSCRIBE)
                 chunks = profile_guided_chunks(segments, total, count)
@@ -254,7 +250,6 @@ class ExecutionPlan:
             "kernel_name": source.kernel_name,
             "iteration_op": None if source.kernel else source.iteration_op,
             "chunk_op": None if source.kernel else source.chunk_op,
-            "native": self.native_spec,
         }
 
 
@@ -277,14 +272,13 @@ def build_plan(
     engine plan needs Python operations, a native plan a C body.
 
     ``native=True`` additionally compiles the source's C translation unit
-    *in the calling process* and attaches the module and its
-    :class:`~repro.native.NativeLibrarySpec` to the plan.  The unit does
-    not depend on the schedule.  One native plan serves two backends:
-    ``native`` calls the unit's whole-range OpenMP ``repro_run`` in this
-    process under the plan's schedule (``adaptive``, which has no OpenMP
-    spelling, runs as ``static``), ``hybrid`` engine workers load the
-    cached shared object by path and execute their chunks through the
-    serial ``repro_run_range``.  Raises
+    *in the calling process* and attaches the module to the plan.  The
+    unit does not depend on the schedule.  One native plan serves two
+    backends, both in this process: ``native`` calls the unit's
+    whole-range OpenMP ``repro_run`` under the plan's schedule
+    (``adaptive``, which has no OpenMP spelling, runs as ``static``), and
+    ``hybrid`` hands the plan's :meth:`~ExecutionPlan.chunks` to the
+    unit's OpenMP ``repro_run_chunks``.  Raises
     :class:`~repro.native.NativeUnavailable` where no C compiler exists.
 
     ``static_check`` controls the :mod:`repro.lint` audits that run before
@@ -342,6 +336,5 @@ def build_plan(
         schedule=spec,
         cost_model=kernel.cost_model() if kernel is not None else None,
         native_module=native_module,
-        native_spec=native_module.library_spec() if native_module is not None else None,
         profile_key=profile_key(source, parameter_values, spec),
     )

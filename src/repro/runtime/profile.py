@@ -77,8 +77,8 @@ class ChunkProfile:
     """One measured chunk: its contiguous ``pc`` span and its seconds.
 
     ``seconds`` is wall-clock measured *inside* the execution substrate
-    (``omp_get_wtime`` inside the compiled ``repro_run_range`` for
-    native-executed chunks, ``time.perf_counter`` around the chunk body in
+    (``omp_get_wtime`` around each chunk inside the compiled
+    ``repro_run_chunks`` for hybrid chunks, ``time.perf_counter`` around the chunk body in
     an engine worker) — queue latency and dispatch overhead are excluded,
     so profiles are comparable across backends.
     """

@@ -26,6 +26,7 @@ first call and is torn down at interpreter exit.
 from __future__ import annotations
 
 import atexit
+import dataclasses
 import functools
 import threading
 from typing import Dict, List, Mapping, Optional, Set, Tuple
@@ -54,10 +55,10 @@ def resolve_auto_backend(
 
     ``source`` is anything :meth:`Source.of
     <repro.runtime.source.Source.of>` accepts.  The decision has two
-    stages.  *Viability* first, from the parts of the source value:
-    ``hybrid`` needs a C body and a present C compiler; ``native`` needs
-    the same and a whole range it can run in place (a kernel, or caller
-    ``data``); ``engine`` needs Python operations.
+    stages.  *Viability* first, from the parts of the source value: a C
+    body and a present C compiler make ``hybrid`` and ``native`` viable
+    when there is a whole range to run in place (a kernel, or caller
+    ``data``); Python operations make ``engine`` viable.
 
     Then *choice*: among the viable candidates, in the fixed order
     ``hybrid``, ``native``, ``engine``,
@@ -66,19 +67,18 @@ def resolve_auto_backend(
     afterwards exploits the measured-fastest by median whole-run seconds.
     The store is the only selector: no machine fact overrides it.
 
-    Degradation mirrors the hybrid contract: with nothing viable the
-    function returns ``"engine"`` rather than raising, so the caller sees
-    the engine's actionable error (missing ops) instead of a second-hand
-    resolver failure.
+    With nothing viable the function returns ``"engine"`` rather than
+    raising, so the caller sees the engine's actionable error (missing ops)
+    instead of a second-hand resolver failure.
     """
-    backend, _settled = _resolve_auto(Source.of(source), parameter_values, schedule, data, store)
+    source = Source.of(source)
+    key = profile_key(source, parameter_values, schedule)
+    backend, _settled = _resolve_auto(source, key, data, store)
     return backend
 
 
-def _resolve_auto(
-    source: Source, parameter_values: Mapping[str, int], schedule, data, store=None
-) -> Tuple[str, bool]:
-    """:func:`resolve_auto_backend` plus a *settled* flag.
+def _resolve_auto(source: Source, key: str, data, store=None) -> Tuple[str, bool]:
+    """:func:`resolve_auto_backend` of the profile entry ``key``, plus a *settled* flag.
 
     ``settled`` is ``True`` only for an exploit-phase choice — every viable
     candidate has a recorded timing, so the decision is stable enough for
@@ -87,21 +87,17 @@ def _resolve_auto(
     """
     from ..native import native_available
 
-    compiled = source.has_c_body and native_available()
+    in_place = source.kernel is not None or data is not None
     candidates = []
-    if compiled:
-        candidates.append("hybrid")
-    if compiled and (source.kernel is not None or data is not None):
-        candidates.append("native")
+    if in_place and source.has_c_body and native_available():
+        candidates += ["hybrid", "native"]
     if source.has_python_ops:
         candidates.append("engine")
     if not candidates:
         return "engine", False
     if len(candidates) == 1:
         return candidates[0], True
-    profiles = (store or default_profile_store()).load(
-        profile_key(source, parameter_values, schedule)
-    )
+    profiles = (store or default_profile_store()).load(key)
     settled = all(
         name in profiles and profiles[name].median_elapsed is not None
         for name in candidates
@@ -193,7 +189,7 @@ class RuntimeSession:
         """The cached plan ``backend`` runs; native and hybrid share the compiled one.
 
         Where no C compiler exists, ``hybrid`` degrades to the engine plan
-        (same result, without the per-chunk C speed); ``native`` raises
+        (same result, without the C speed); ``native`` raises
         :class:`~repro.native.NativeUnavailable`, because its OpenMP team
         and schedule are the thing being requested.  A compilation
         *failure* with a compiler present (e.g. a broken caller ``c_body``)
@@ -271,9 +267,10 @@ class RuntimeSession:
         is created on a miss): the arrays are copied into the set, and the
         set's contents are copied back into them and the set freed at once
         — except for a kernel's caller ``data``, whose set is the lent
-        result.  ``native`` runs in this process, in place on arrays it may
-        write (made arrays, a nest's ``data``) and on a staged set
-        otherwise.
+        result.  ``native`` and ``hybrid`` run in this process, in place on
+        arrays they may write (made arrays, a nest's ``data``) and on a
+        staged set otherwise (a kernel's caller ``data``, lent the same
+        way).
         """
         source = Source.of(source, **parts)
         schedule = ScheduleSpec.parse(schedule)
@@ -287,6 +284,8 @@ class RuntimeSession:
 
         self._reap()
         plan = self._plan(backend, source, parameter_values, schedule, static_check)
+        if plan.native_module is None:
+            backend = "engine"  # hybrid without a compiler
         kernel = source.kernel
 
         # a kernel run without data owns the arrays it makes; they are
@@ -295,14 +294,14 @@ class RuntimeSession:
         if owned:
             data = kernel.make_data(parameter_values)
         elif data is None:
-            if backend == "native":
+            if backend != "engine":
                 raise PlanError(
                     f"running nest {source.name!r} natively needs "
-                    f"data= arrays for {list(plan.native_spec.arrays)}"
+                    f"data= arrays for {list(plan.native_module.arrays)}"
                 )
             return self._dispatch(backend, plan)
-        if backend == "native" and (kernel is None or owned):
-            # the native substrate runs in this process, in place on the
+        if backend != "engine" and (kernel is None or owned):
+            # the compiled substrates run in this process, in place on the
             # caller's (or the call's own) arrays
             result = self._dispatch(backend, plan, data)
         else:
@@ -329,7 +328,7 @@ class RuntimeSession:
             else:
                 buffers.fill_from(data)
             result = self._dispatch(
-                backend, plan, buffers.arrays if backend == "native" else buffers
+                backend, plan, buffers if backend == "engine" else buffers.arrays
             )
             if not lend:
                 for name, value in buffers.arrays.items():
@@ -366,14 +365,16 @@ class RuntimeSession:
 
         Settled resolutions are memoised for :data:`AUTO_REVALIDATE_EVERY`
         uses, keyed on the profile key the choice was read from and on
-        whether the call brings ``data`` (native needs a whole range).
+        whether the call brings ``data`` (the compiled backends need a whole
+        range).
         """
-        memo_key = (profile_key(source, parameter_values, schedule), data is None)
+        key = profile_key(source, parameter_values, schedule)
+        memo_key = (key, data is None)
         cached = self._auto_memo.get(memo_key)
         if cached is not None and cached[1] > 0:
             self._auto_memo[memo_key] = (cached[0], cached[1] - 1)
             return cached[0]
-        backend, settled = _resolve_auto(source, parameter_values, schedule, data)
+        backend, settled = _resolve_auto(source, key, data)
         if settled:
             self._auto_memo[memo_key] = (backend, AUTO_REVALIDATE_EVERY)
         else:
@@ -383,17 +384,23 @@ class RuntimeSession:
     def _dispatch(self, backend, plan, buffers=None) -> RunResult:
         """Run ``plan`` once on ``backend``'s substrate and bank the timings.
 
-        The one per-backend step of a run: ``native`` calls the plan's
-        compiled whole-range ``repro_run`` on the staged arrays in this
-        process; ``engine`` and ``hybrid`` hand the plan's chunks to the
-        worker pool over the shared ``buffers``.
+        The one per-backend step of a run: ``engine`` hands the plan's
+        chunks to the worker pool over the shared ``buffers``; the compiled
+        backends run in this process on the arrays ``buffers`` names —
+        ``native`` through the plan's whole-range ``repro_run``, ``hybrid``
+        through ``repro_run_chunks`` over the plan's chunks.  Every backend
+        runs ``workers``-wide.
         """
-        if backend == "native":
-            result = plan.native_module.run(
-                buffers, plan.parameter_values, plan.schedule, threads=self.engine.workers
-            )
-        else:
+        workers = self.engine.workers
+        if backend == "engine":
             result = self.engine.execute(plan, buffers=buffers)
+        else:
+            result = plan.native_module.run(
+                buffers, plan.parameter_values, plan.schedule, threads=workers,
+                chunks=plan.chunks(workers) if backend == "hybrid" else None,
+            )
+            if backend == "hybrid":  # the module labels every result "native"
+                result = dataclasses.replace(result, backend="hybrid")
         self._bank(plan.profile_key, result)
         return result
 
@@ -510,11 +517,12 @@ def collapse_and_run(
     * ``"engine"`` (default) — persistent worker pool, the source's
       Python/NumPy operations per chunk, every schedule policy including
       ``"adaptive"``;
-    * ``"hybrid"`` — the same pool and schedules, each chunk executed
-      natively through the compiled translation unit's serial
-      ``repro_run_range`` (the parent compiles once, workers attach the
-      shared object by path: adaptive scheduling *and* C speed; falls back
-      to ``"engine"`` when no C compiler is found);
+    * ``"hybrid"`` — the plan's chunks (every schedule policy, including
+      ``"adaptive"``'s equal-work cut) run in this process by one OpenMP
+      call into the compiled translation unit's ``repro_run_chunks``,
+      which recovers once per chunk and increments across it: adaptive
+      scheduling *and* C speed (falls back to ``"engine"`` when no C
+      compiler is found);
     * ``"native"`` — one in-process call into the same unit's whole-range
       C/OpenMP ``repro_run`` (``adaptive`` has no OpenMP spelling and
       runs as ``static``; raises :class:`~repro.native.NativeUnavailable`

@@ -115,8 +115,12 @@ class TestTranslationUnit:
         source = generate_translation_unit(
             collapsed_correlation, body="visits(i, j) += 1.0;", arrays=("visits",)
         )
+        assert NATIVE_SYMBOLS == (
+            "repro_total", "repro_recover_range", "repro_run", "repro_run_chunks"
+        )
         for symbol in NATIVE_SYMBOLS:
             assert symbol in source
+        assert "repro_run_range" not in source
         assert "#include <complex.h>" in source
         assert "#ifdef _OPENMP" in source
         assert "#define visits(repro_r, repro_c)" in source
@@ -134,7 +138,7 @@ class TestTranslationUnit:
         assert "schedule" not in inspect.signature(generate_translation_unit).parameters
         source = generate_translation_unit(collapsed_correlation)
         _, _, run = source.partition("int repro_run(")
-        run, _, _ = run.partition("long long repro_run_range(")
+        run, _, _ = run.partition("int repro_run_chunks(")
         assert "int repro_kind, int repro_chunk," in run
         assert "#pragma omp for schedule(runtime) nowait" in run
         set_at = run.index("omp_set_schedule((omp_sched_t)repro_kind, repro_chunk);")
@@ -151,7 +155,7 @@ class TestTranslationUnit:
         source = generate_translation_unit(
             collapsed_correlation, body="visits(i, j) += 1.0;", arrays=("visits",)
         )
-        # repro_run's OpenMP and serial loops, and repro_run_range
+        # repro_run's OpenMP and serial loops, and repro_run_chunks' chunk walk
         assert source.count("if (__builtin_expect(pc != repro_next, 0)) {") == 3
         assert source.count("repro_next = pc + 1;") == 3
         assert "repro_fresh" not in source and "LL == 0" not in source
@@ -174,19 +178,30 @@ class TestTranslationUnit:
             with pytest.raises(CodegenError, match="shadows"):
                 generate_translation_unit(collapsed_correlation, arrays=(name,))
 
-    def test_run_range_is_serial_and_recovers_once(self, collapsed_correlation):
-        """The hybrid backend's sub-range entry point: no OpenMP pragma of
-        its own, one recovery at first_pc, Fig. 4 incrementation."""
+    def test_run_chunks_claims_chunks_and_recovers_once_per_chunk(
+        self, collapsed_correlation
+    ):
+        """The hybrid backend's entry point: one OpenMP region whose
+        work-shared loop hands out the chunk list one chunk per claim; each
+        chunk recovers at its first pc and increments (Fig. 4) and records
+        its count, seconds and thread."""
         from repro.core import generate_translation_unit
 
         source = generate_translation_unit(collapsed_correlation)
-        _, _, run_range = source.partition("long long repro_run_range")
-        assert run_range, "repro_run_range missing from the translation unit"
-        assert "#pragma omp" not in run_range
-        assert "long long repro_next = 0;" in run_range
-        assert "if (__builtin_expect(pc != repro_next, 0)) {" in run_range
-        assert "indices incrementation" in run_range
-        assert "return last_pc - first_pc + 1;" in run_range
+        _, _, run_chunks = source.partition("int repro_run_chunks(")
+        assert run_chunks, "repro_run_chunks missing from the translation unit"
+        assert run_chunks.count("#pragma omp parallel num_threads(repro_max_threads)") == 1
+        pragma = run_chunks.index("#pragma omp for schedule(dynamic, 1)")
+        loop = run_chunks.index("for (long long repro_k = 0; repro_k < repro_n; repro_k++) {")
+        assert pragma < loop
+        body = run_chunks[loop:]
+        assert "const long long first_pc = repro_bounds[2 * repro_k];" in body
+        assert "const long long last_pc = repro_bounds[2 * repro_k + 1];" in body
+        assert "long long repro_next = 0;" in body
+        assert "if (__builtin_expect(pc != repro_next, 0)) {" in body
+        assert "indices incrementation" in body
+        for slot in ("repro_seconds", "repro_counts", "repro_threads"):
+            assert f"{slot}[repro_k] = " in body, slot
 
     def test_one_dimensional_array_macro_has_no_stride(self, collapsed_correlation):
         from repro.core import generate_translation_unit

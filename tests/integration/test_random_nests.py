@@ -260,10 +260,9 @@ def test_property_native_matches_engine_and_batch(case, schedule, runtime_engine
 @given(case=affine_nests_depth2(), schedule=st.sampled_from(["static", "adaptive"]))
 def test_property_hybrid_matches_engine_and_native(case, schedule, runtime_engine):
     """Differential property over random nests for the *hybrid* backend:
-    engine-scheduled chunks executed through the compiled
-    ``repro_run_range`` must produce the same visits grid as (a) the pure
-    Python engine and (b) the whole-range native ``repro_run`` — each
-    worker having attached the parent-compiled shared object by path."""
+    the plan's chunks executed by the compiled ``repro_run_chunks`` must
+    produce the same visits grid as (a) the pure Python engine and (b) the
+    whole-range native ``repro_run``."""
     import numpy as np
 
     _native_or_skip()
@@ -283,14 +282,21 @@ def test_property_hybrid_matches_engine_and_native(case, schedule, runtime_engin
         c_body="visits(i, j) += 1.0;", c_arrays=("visits",),
     )
     hybrid_plan = build_plan(source, values, schedule=schedule, native=True)
-    assert hybrid_plan.native_spec is not None
-    with SharedBuffers.create({"visits": np.zeros(_GRID)}) as buffers:
-        result = runtime_engine.execute(hybrid_plan, buffers=buffers)
-        hybrid_visits = buffers.snapshot()["visits"]
-    runtime_engine.forget(hybrid_plan)
-    assert result.backend == "hybrid"
+    chunks = hybrid_plan.chunks(runtime_engine.workers)
+    hybrid_visits = np.zeros(_GRID)
+    result = hybrid_plan.native_module.run(
+        {"visits": hybrid_visits}, values, schedule, chunks=chunks,
+        threads=runtime_engine.workers,
+    )
+    assert list(result.chunks) == chunks
     assert sum(result.results) == iteration_count(nest, values)
     assert np.array_equal(hybrid_visits, expected)
+
+    with SharedBuffers.create({"visits": np.zeros(_GRID)}) as buffers:
+        runtime_engine.execute(hybrid_plan, buffers=buffers)
+        engine_visits = buffers.snapshot()["visits"]
+    runtime_engine.forget(hybrid_plan)
+    assert np.array_equal(engine_visits, hybrid_visits)
 
     native_visits = np.zeros(_GRID)
     module = compile_collapsed(
@@ -452,7 +458,7 @@ def test_property_recovery_is_exact_straddling_2_to_45(case, exact_reference_rec
     the scalar recovery, the batch recovery (the python/engine substrate),
     the range walk's compiled endpoints (a one-pc range and a window ending
     at the probe) and — where a compiler exists — the compiled
-    ``repro_recover_range`` and the hybrid ``repro_run_range`` seed all
+    ``repro_recover_range`` and the hybrid ``repro_run_chunks`` seed all
     agree with an independent big-int reference."""
     import numpy as np
 

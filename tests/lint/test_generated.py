@@ -80,6 +80,29 @@ def test_omp_single_exempts_the_write():
     assert lint_c_source(source).ok
 
 
+def test_omp_for_induction_slots_are_disjoint():
+    """One thread runs each iteration of a work-shared loop, so a slot
+    subscripted by exactly its induction variable is private to it; any
+    other subscript stays unproven."""
+    def region(subscript):
+        return (
+            "void f(double *out, long long n) {\n"
+            "  #pragma omp parallel\n"
+            "  {\n"
+            "    #pragma omp for schedule(dynamic, 1)\n"
+            "    for (long long k = 0; k < n; k++) {\n"
+            f"      out[{subscript}] = 1.0;\n"
+            "    }\n"
+            "  }\n"
+            "}\n"
+        )
+
+    clean = lint_c_source(region("k"))
+    assert clean.ok and not clean.warnings
+    shifted = lint_c_source(region("k + 1"))
+    assert [f.rule for f in shifted.warnings] == ["generated/unchecked-subscripted-write"]
+
+
 def test_writes_outside_any_region_are_unconstrained():
     source = "void f(void) { long long x; x = 1; x += 2; }\n"
     assert lint_c_source(source).ok
@@ -121,6 +144,32 @@ def test_doctored_unit_with_omitted_declaration_is_rejected(triangle_collapsed):
     assert count == 1, "no region-local declaration found to doctor"
     report = lint_c_source(head + pragma + doctored_tail)
     assert any(f.rule == "generated/unproven-scalar-write" for f in report.errors)
+
+
+def test_run_chunks_region_is_proven_private(triangle_collapsed):
+    """The hybrid entry's region: chunk bounds, iterators and the recovery
+    cursor are declared per chunk, the team size is written under ``omp
+    single`` and the per-chunk result slots are indexed by the work-shared
+    chunk index — no error and no unchecked write in either region."""
+    source = generate_translation_unit(
+        triangle_collapsed, body="c(i, j) = 1.0;", arrays=("c",)
+    )
+    report = lint_c_source(source)
+    assert report.ok and not report.warnings, str(report)
+    proof = [f for f in report.findings if f.rule == "generated/private-proof"]
+    assert "2 parallel region(s)" in proof[0].message
+    _, _, chunks_region = source.partition("int repro_run_chunks(")
+    head = source[: len(source) - len(chunks_region)]
+    undeclared = chunks_region.replace(
+        "const long long first_pc = repro_bounds", "first_pc = repro_bounds", 1
+    )
+    assert undeclared != chunks_region
+    errors = lint_c_source(head + undeclared).errors
+    assert any("'first_pc'" in f.message for f in errors)
+    shared_slot = chunks_region.replace("repro_counts[repro_k] =", "repro_counts[0] =", 1)
+    assert shared_slot != chunks_region
+    warnings = lint_c_source(head + shared_slot).warnings
+    assert [f.rule for f in warnings] == ["generated/unchecked-subscripted-write"]
 
 
 def test_racy_body_is_rejected_through_the_dependence_system(triangle_collapsed):

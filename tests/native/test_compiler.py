@@ -316,3 +316,53 @@ class TestFlagsInCacheKey:
         assert compile_collapsed(collapsed) is via_env
         monkeypatch.delenv("REPRO_NATIVE_FLAGS")
         assert compile_collapsed(collapsed) is plain
+
+
+_LOAD_AND_REPORT = """
+import os
+from repro.native import compile_native_kernel
+compile_native_kernel("utma")
+print("after:", os.environ.get("OMP_WAIT_POLICY"))
+"""
+
+
+@requires_compiler
+class TestWaitPolicy:
+    """libgomp reads its wait policy once, when the first unit loads it.
+
+    Its default lets a team's idle thread spin after every region, which
+    stalls the calling thread for a scheduler quantum on a machine with as
+    many cores as team threads; ``load_library`` makes the first load
+    passive unless the caller chose a policy, and leaves the environment
+    as it found it.  ``OMP_DISPLAY_ENV=verbose`` makes libgomp print the
+    values it settled on.
+    """
+
+    @pytest.mark.parametrize(
+        "caller, shown",
+        [
+            ({}, "GOMP_SPINCOUNT = '0'"),
+            ({"OMP_WAIT_POLICY": "active"}, "OMP_WAIT_POLICY = 'ACTIVE'"),
+            ({"GOMP_SPINCOUNT": "1000"}, "GOMP_SPINCOUNT = '1000'"),
+        ],
+        ids=["unset", "caller-active", "caller-spincount"],
+    )
+    def test_first_load_is_passive_unless_the_caller_chose(self, caller, shown):
+        import sys
+
+        env = {
+            name: value
+            for name, value in os.environ.items()
+            if name not in ("OMP_WAIT_POLICY", "GOMP_SPINCOUNT")
+        }
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env.update(caller, OMP_DISPLAY_ENV="verbose", PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-c", _LOAD_AND_REPORT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        if "GOMP_SPINCOUNT" not in completed.stderr:
+            pytest.skip("the OpenMP runtime is not libgomp")
+        assert shown in completed.stderr
+        expected = caller.get("OMP_WAIT_POLICY")
+        assert f"after: {expected}" in completed.stdout

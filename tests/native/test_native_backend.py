@@ -14,7 +14,6 @@ from repro.ir import enumerate_iterations, iteration_count
 from repro.openmp import ScheduleSpec
 from repro.runtime import RunResult
 from repro.native import (
-    NativeChunkRunner,
     NativeExecutionError,
     compile_collapsed,
     compile_native_kernel,
@@ -237,7 +236,7 @@ class TestExactRecoveryHugeRanges:
     emitted seed-then-correct scheme over ``__int128`` integer brackets must
     agree with an independent big-int reference on every probe, for both the
     native entry points (``repro_recover_range``) and the hybrid substrate
-    (``repro_run_range``'s recover-once-then-increment).
+    (``repro_run_chunks``'s recover-once-then-increment per chunk).
     """
 
     N = 400000  # total = 10 666 746 666 800 000 ≈ 2^53.2 > 2^50
@@ -279,10 +278,12 @@ class TestExactRecoveryHugeRanges:
             batch = batch_recovery(collapsed).recover_range(first, first + 9, values)
             assert np.array_equal(batch, native), first
 
-    def test_hybrid_run_range_chunks_recover_exactly(self, simplex3_nest, exact_reference_recover):
-        """The hybrid substrate: ``repro_run_range`` recovers once at the
+    def test_hybrid_run_chunks_recover_exactly(self, simplex3_nest, exact_reference_recover):
+        """The hybrid substrate: ``repro_run_chunks`` recovers once at each
         chunk's first pc (deep inside the >2^50 domain) and increments —
         the traced index tuples must match the exact reference."""
+        from repro.openmp.schedule import Chunk
+
         collapsed = collapse(simplex3_nest)
         values = {"N": self.N}
         module = compile_collapsed(
@@ -294,12 +295,11 @@ class TestExactRecoveryHugeRanges:
             ),
             arrays=("trace",),
         )
-        runner = NativeChunkRunner(module.library_spec())
         for first in self._probe_firsts(collapsed, values):
             trace = np.full((64, 3), -1.0)
-            runner.bind({"trace": trace}, values)
-            executed, _seconds = runner.run_range_timed(first, first + 9)
-            assert executed == 10
+            chunks = [Chunk(first, first + 4), Chunk(first + 5, first + 9)]
+            result = module.run({"trace": trace}, values, chunks=chunks, threads=2)
+            assert result.backend == "native" and result.results == (5, 5)
             for pc in range(first, first + 10):
                 assert tuple(trace[pc % 64].astype(np.int64)) == exact_reference_recover(
                     collapsed, pc, values
@@ -458,30 +458,45 @@ print(json.dumps({
         with pytest.raises(NativeExecutionError, match="float64"):
             module.run(data, values)
 
-    def test_run_range_covers_the_range_in_serial_chunks(self):
-        """The hybrid entry point: arbitrary contiguous sub-ranges executed
-        serially must compose to exactly the whole-range result."""
+    def test_run_chunks_covers_the_range(self):
+        """The hybrid entry point: arbitrary contiguous chunks, claimed by
+        the OpenMP team one at a time, must compose to exactly the
+        whole-range result."""
         from repro.kernels import get_kernel, run_original
+        from repro.openmp.schedule import Chunk
 
         kernel = get_kernel("utma")
         values = {"N": 80}
         module = compile_native_kernel(kernel)
         total = kernel.collapsed().total_iterations(values)
         data = kernel.make_data(values)
-        runner = NativeChunkRunner(module.library_spec())
-        runner.bind(data, values)
-        executed = 0
-        for first in range(1, total + 1, 113):
-            executed += runner.run_range_timed(first, min(first + 112, total))[0]
-        assert executed == total
+        chunks = [Chunk(first, min(first + 112, total)) for first in range(1, total + 1, 113)]
+        result = module.run(data, values, "dynamic", chunks=chunks, threads=2)
+        assert result.results == tuple(chunk.size for chunk in chunks)
+        assert result.chunks == tuple(chunks)
+        assert set(result.assignments) <= set(range(result.workers))
+        assert str(result.schedule) == "dynamic"
+        # an empty range and an empty chunk list are legal and run nothing
+        # (a plan chunk itself is never empty: ``Chunk`` refuses last < first)
+        assert module.run(data, values, first_pc=5, last_pc=4, threads=2).results == ()
+        assert module.run(data, values, chunks=[], threads=2).results == ()
         expected = run_original(kernel, values)
         assert np.array_equal(data["c"], expected["c"])
-        # empty ranges execute nothing, out-of-range ranges fail loudly
-        assert runner.run_range_timed(5, 4) == (0, 0.0)
+
+    @pytest.mark.parametrize("bad", [(0, 3), (1, 10**6)])
+    def test_out_of_range_chunk_fails_before_any_write(self, bad):
+        from repro.kernels import get_kernel
+        from repro.openmp.schedule import Chunk
+
+        kernel = get_kernel("utma")
+        values = {"N": 16}
+        module = compile_native_kernel(kernel)
+        data = kernel.make_data(values)
+        before = {name: array.copy() for name, array in data.items()}
         with pytest.raises(NativeExecutionError, match="must lie in"):
-            runner.run_range_timed(total, total + 1)
-        with pytest.raises(NativeExecutionError, match="must lie in"):
-            runner.run_range_timed(0, 3)
+            module.run(data, values, chunks=[Chunk(1, 5), Chunk(*bad)], threads=2)
+        for name in before:
+            assert np.array_equal(data[name], before[name]), name
 
     def test_one_dimensional_arrays_run_natively(self, correlation_nest):
         """The N-D macro gap closed: a 1-D trace array, indexed by pc."""
@@ -629,7 +644,7 @@ class TestSessionBackend:
             session.run(nest, values, data=data, backend="native")
         assert np.array_equal(data["hist"], expected)
         plan = build_plan(Source.of(nest, iteration_op=_dummy_op), values, native=True)
-        assert plan.native_spec.array_ndims == (1,)
+        assert plan.native_module.array_ndims == (1,)
 
     def test_native_nest_run_requires_data(self):
         from repro.ir import parse_loop_nest

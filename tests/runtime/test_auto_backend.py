@@ -62,9 +62,10 @@ class TestViability:
         assert choice == "engine"
 
     @needs_compiler
-    def test_native_needs_a_whole_range(self, tmp_path):
-        # a nest's Python ops do not rule native out: every backend runs the
-        # parts of the value it needs, and native needs caller data
+    def test_compiled_backends_need_a_whole_range(self, tmp_path):
+        # a nest's Python ops do not rule the compiled backends out: every
+        # backend runs the parts of the value it needs, and native and
+        # hybrid both run in place on caller data
         nest, _ = parse_loop_nest(
             "for (i = 0; i < N; i++)\n  for (j = i; j < N; j++)\n    v(i, j) += 1.0;",
             parameters=["N"],
@@ -76,7 +77,7 @@ class TestViability:
             store.record(key, backend, elapsed_seconds=elapsed, workers=2,
                          total_iterations=10)
         assert resolve_auto_backend(source, PARAMS, data=True, store=store) == "native"
-        assert resolve_auto_backend(source, PARAMS, store=store) == "hybrid"
+        assert resolve_auto_backend(source, PARAMS, store=store) == "engine"
 
     def test_unviable_source_returns_engine(self, tmp_path):
         # no Python ops and no C body: nothing can run it, so the resolver
@@ -172,6 +173,26 @@ class TestSessionAuto:
             assert fewer_uses == uses - 1  # the cached choice spent one use
             session.close()
             assert session._auto_memo == {}
+
+    def test_one_profile_key_per_auto_run(self, monkeypatch):
+        """An exploring ``auto`` run hashes its source into a profile key
+        once: the memo lookup and the resolver share it."""
+        from repro.runtime import session as session_module
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return profile_key(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "profile_key", counting)
+        kernel = get_kernel("utma")
+        expected = run_original(kernel, PARAMS)
+        with RuntimeSession(workers=2) as session:
+            for runs in range(1, 4):  # every viable candidate is explored
+                result = session.run(kernel, PARAMS, backend="auto")
+                assert np.array_equal(result["c"], expected["c"])
+                assert len(calls) == runs
 
     @pytest.mark.parametrize(
         "option",

@@ -13,7 +13,6 @@ import pytest
 
 from repro.ir import Loop, LoopNest, enumerate_iterations
 from repro.kernels import get_kernel, run_original, verify_kernel
-from repro.native import native_available
 from repro.openmp import Chunk, ScheduleKind
 from repro.runtime import (
     EngineError,
@@ -63,6 +62,15 @@ def slow_chunk_op(data, indices, values):
 
 def stuck_chunk_op(data, indices, values):
     time.sleep(5.0)
+
+
+def slow_visits_op(data, indices, values):
+    time.sleep(0.5)
+    count_visits_op(data, indices, values)
+
+
+def _shm_segments():
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
 
 
 def _triangle(n=12):
@@ -175,6 +183,57 @@ class TestErrorHandling:
             assert result.iterations == plan.total_iterations
 
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm to probe")
+    def test_worker_killed_mid_chunk(self):
+        """SIGKILL one worker while it runs a slow chunk: the run raises
+        EngineError, the next run on the same session gets a fresh pool and
+        correct arrays, and close() leaves no segment of the session."""
+        import signal
+        import threading
+
+        nest, values = _triangle()
+        expected = np.zeros((12, 12))
+        for indices in enumerate_iterations(nest, values):
+            expected[indices] = 1.0
+        before = _shm_segments()
+        session = RuntimeSession(workers=2)
+        engine = session.engine
+        killed = []
+
+        def kill_once_a_chunk_runs():
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                counter = engine._counter
+                if counter is not None and counter.value > 0 and engine._processes:
+                    killed.append(engine._processes[0].pid)
+                    os.kill(killed[0], signal.SIGKILL)
+                    return
+                time.sleep(0.01)
+
+        killer = threading.Thread(target=kill_once_a_chunk_runs)
+        try:
+            killer.start()
+            with pytest.raises(EngineError, match="died"):
+                session.run(
+                    nest, values, data={"visits": np.zeros((12, 12))},
+                    schedule="dynamic", chunk_op=slow_visits_op,
+                )
+            killer.join()
+            assert killed and not engine.started
+            visits = np.zeros((12, 12))
+            session.run(
+                nest, values, data={"visits": visits}, schedule="dynamic",
+                chunk_op=count_visits_op,
+            )
+            assert np.array_equal(visits, expected)
+            assert killed[0] not in [process.pid for process in engine._processes]
+            assert _shm_segments() - before, "the runs staged no segment"
+        finally:
+            killer.join()
+            session.close()
+        assert _shm_segments() - before == set()
+
+
 class TestSession:
     def test_plans_are_cached_by_structure(self, session):
         first = session.plan_for("utma", VALUES, schedule="adaptive")
@@ -207,8 +266,9 @@ class TestSession:
         assert sum(result.results) == int(expected.sum())
 
     def test_repeated_runs_reuse_buffers_and_stay_correct(self, session):
-        # runs without data stage through the session's one pool: warm
-        # engine and hybrid runs of one signature share one set
+        # engine runs without data stage through the session's one pool
+        # and warm ones of one signature share one set; hybrid runs in
+        # place on the made arrays and stages nothing
         expected = run_original(get_kernel("utma"), VALUES)
         session.run("utma", VALUES, schedule="static")
         before = session.cache_info()["staged"]
@@ -283,13 +343,10 @@ class TestDispatch:
                 assert len(result.chunk_seconds) == len(result.chunks)
         engine.forget(plan)
 
-    @pytest.mark.parametrize("native", [False, True], ids=["engine", "hybrid"])
     @pytest.mark.parametrize("schedule", ["static", "dynamic", "adaptive"])
-    def test_one_message_per_worker_per_warm_run(self, engine, schedule, native, monkeypatch):
-        if native and not native_available():
-            pytest.skip("no C compiler on this machine")
+    def test_one_message_per_worker_per_warm_run(self, engine, schedule, monkeypatch):
         kernel = get_kernel("utma")
-        plan = build_plan(kernel, VALUES, schedule=schedule, native=native)
+        plan = build_plan(kernel, VALUES, schedule=schedule)
         with SharedBuffers.create(kernel.make_data(VALUES)) as buffers:
             engine.execute(plan, buffers=buffers)  # registers and attaches
             buffers.fill_from(kernel.make_data(VALUES))
@@ -298,7 +355,7 @@ class TestDispatch:
             sent = list(sent)
             assert np.array_equal(buffers.arrays["c"], run_original(kernel, VALUES)["c"])
         engine.forget(plan)
-        assert result.backend == ("hybrid" if native else "engine")
+        assert result.backend == "engine"
         assert len(result.chunks) >= engine.workers
         assert sorted(sent) == [(0, "run"), (1, "run")]
 

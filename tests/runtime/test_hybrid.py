@@ -1,11 +1,11 @@
-"""The hybrid backend: engine scheduling driving compiled chunk execution.
+"""The hybrid backend: a plan's chunks run by one in-process OpenMP call.
 
 Contract under test, layer by layer:
 
-* *worker-side attachment* — the parent compiles the translation unit once,
-  workers ``dlopen`` the cached shared object by path and execute chunks
-  through the serial ``repro_run_range`` (proved by native-only plans that
-  have no Python operations to fall back on);
+* *in-process execution* — the plan's chunk list goes to the compiled
+  ``repro_run_chunks`` in the calling process (proved by native-only plans
+  that have no Python operations), no engine worker ever maps the
+  compiled library, and a warm hybrid run sends no worker a message;
 * *differential equality* — hybrid results are element-wise identical to
   the Python engine and to the whole-range native call;
 * *fallback* — without a C compiler, ``backend="hybrid"`` degrades to the
@@ -13,6 +13,8 @@ Contract under test, layer by layer:
 * *cache keying* — schedule changes never reuse a stale plan, and every
   schedule runs through the one compiled module of a nest.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -120,7 +122,7 @@ class TestKernelEquality:
                     else:
                         assert np.array_equal(result[array], expected[array]), where
             plan = session.plan_for(name, values, schedule, native=True)
-            libraries.add(plan.native_spec.library_path)
+            libraries.add(plan.native_module.library_path)
         assert len(libraries) == 1
 
     def test_verify_kernel_hybrid_gate(self, session):
@@ -162,16 +164,15 @@ class TestKernelEquality:
 
 
 # ---------------------------------------------------------------------- #
-# worker-side module attachment
+# in-process execution
 # ---------------------------------------------------------------------- #
 @needs_compiler
-class TestWorkerAttachment:
-    def test_native_only_plan_proves_workers_run_the_library(self, session):
-        """A plan with a C body and *no Python operations* can only execute
-        if every worker loaded the compiled shared object — any silent
-        Python fallback would raise EngineError instead."""
+class TestInProcess:
+    def test_native_only_plan_runs_the_plan_chunks(self, session):
+        """A nest with a C body and *no Python operations* can only run
+        compiled; on hybrid it runs the plan's chunk list, one result entry
+        per chunk, each count the chunk's size."""
         from repro.core import batch_recovery, collapse
-        from repro.runtime import SharedBuffers, build_plan
 
         nest = _triangle_nest()
         values = {"N": 40}
@@ -182,18 +183,90 @@ class TestWorkerAttachment:
             c_arrays=("trace",),
             array_ndims={"trace": 1},
         )
-        plan = build_plan(source, values, schedule="dynamic,64", native=True)
-        assert plan.native_spec is not None
-        assert not plan.source.has_python_ops
-        with SharedBuffers.create({"trace": np.zeros(total)}) as buffers:
-            result = session.engine.execute(plan, buffers=buffers)
-            trace = buffers.snapshot()["trace"]
-        session.engine.forget(plan)
+        assert not source.has_python_ops
+        trace = np.zeros(total)
+        result = session.run(
+            source, values, data={"trace": trace}, schedule="dynamic,64", backend="hybrid"
+        )
+        plan = session.plan_for(source, values, "dynamic,64", native=True)
         assert result.backend == "hybrid"
-        assert sum(result.results) == total
+        assert list(result.chunks) == plan.chunks(session.engine.workers)
+        assert result.results == tuple(chunk.size for chunk in result.chunks)
+        assert set(result.assignments) <= set(range(result.workers))
         indices = batch_recovery(collapse(nest)).recover_range(1, total, values)
         expected = indices[:, 0] * 1000 + indices[:, 1]
         assert np.array_equal(trace, expected.astype(np.float64))
+
+    def test_nest_without_data_raises_the_native_error(self, session):
+        """A nest on hybrid has nothing to run in place without ``data``:
+        the same PlanError as native, never a silent engine run."""
+        from repro.runtime.plan import PlanError
+
+        nest, _ = _parse_visits_nest()
+        for backend in ("hybrid", "native"):
+            with pytest.raises(PlanError, match="needs data= arrays for \\['visits'\\]"):
+                session.run(nest, {"N": 8}, backend=backend, iteration_op=_mark_visit)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/<pid>/maps"
+    )
+    def test_engine_workers_never_map_the_compiled_library(
+        self, tmp_path, monkeypatch
+    ):
+        """Hybrid runs never reach the worker pool.  The pool starts before
+        anything is compiled into a fresh ``$REPRO_NATIVE_CACHE``, so a
+        worker could only map a file there by loading it itself; after
+        hybrid runs between engine runs, none does."""
+        from repro.native import clear_module_cache
+        from repro.runtime import RuntimeSession
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        clear_module_cache()
+        values = {"N": 48}
+        try:
+            with RuntimeSession(workers=2) as fresh:
+                for backend in ("engine", "hybrid", "hybrid", "engine"):
+                    fresh.run("utma", values, backend=backend, schedule="dynamic")
+                assert any(tmp_path.iterdir()), "hybrid compiled nothing"
+                workers = [process.pid for process in fresh.engine._processes]
+                assert len(workers) == 2
+                for pid in workers:
+                    with open(f"/proc/{pid}/maps") as maps:
+                        mapped = [line for line in maps if str(tmp_path) in line]
+                    assert not mapped, (pid, mapped)
+        finally:
+            clear_module_cache()  # its modules point into tmp_path
+
+    @pytest.mark.parametrize("schedule", ["static", "dynamic", "adaptive"])
+    def test_warm_run_sends_no_engine_message(self, session, schedule, monkeypatch):
+        """With the worker pool up, a warm hybrid run puts nothing on any
+        worker's command queue: the plan's chunks all run in this process,
+        one result entry per chunk."""
+        nest, _ = _parse_visits_nest()
+        source = Source.of(nest, iteration_op=_mark_visit)
+        values = {"N": 24}
+        expected = np.zeros((24, 24))
+        for indices in enumerate_iterations(nest, values):
+            expected[indices] += 1.0
+        for backend in ("engine", "hybrid"):  # pool up, module compiled
+            session.run(source, values, data={"visits": np.zeros((24, 24))},
+                        backend=backend, schedule=schedule)
+        sent = []
+        for worker_id, commands in enumerate(session.engine._commands):
+            def put(message, _put=commands.put, _worker=worker_id):
+                sent.append((_worker, message[0]))
+                _put(message)
+            monkeypatch.setattr(commands, "put", put)
+        visits = np.zeros((24, 24))
+        result = session.run(
+            source, values, data={"visits": visits}, backend="hybrid", schedule=schedule
+        )
+        plan = session.plan_for(source, values, schedule, native=True)
+        assert sent == []
+        assert result.backend == "hybrid"
+        assert list(result.chunks) == plan.chunks(session.engine.workers)
+        assert result.results == tuple(chunk.size for chunk in result.chunks)
+        assert np.array_equal(visits, expected)
 
     def test_second_run_is_pure_dispatch_no_compiler(self, session):
         """Steady state: the cached plan re-executes without any compiler
@@ -216,7 +289,6 @@ class TestWorkerAttachment:
     def test_parser_derived_body_runs_hybrid(self, session):
         """A nest parsed from C-like text carries its own native body."""
         from repro.ir import parse_loop_nest
-        from repro.runtime import SharedBuffers, build_plan
 
         nest, _ = parse_loop_nest(
             """
@@ -228,15 +300,11 @@ class TestWorkerAttachment:
             name="correlation_text",
         )
         values = {"N": 20}
-        plan = build_plan(nest, values, schedule="adaptive", native=True)
-        assert plan.native_spec is not None
         expected = np.zeros((20, 20))
         for i, j in enumerate_iterations(nest, values):
             expected[i, j] += 1.0
-        with SharedBuffers.create({"visits": np.zeros((20, 20))}) as buffers:
-            result = session.engine.execute(plan, buffers=buffers)
-            visits = buffers.snapshot()["visits"]
-        session.engine.forget(plan)
+        visits = np.zeros((20, 20))
+        result = session.run(nest, values, data={"visits": visits}, backend="hybrid")
         assert result.backend == "hybrid"
         assert np.array_equal(visits, expected)
 
@@ -391,105 +459,24 @@ def _parse_visits_nest():
 
 
 # ---------------------------------------------------------------------- #
-# worker-side degradation (honest backend reporting)
+# data the compiled call cannot take, plans the engine cannot run
 # ---------------------------------------------------------------------- #
 @needs_compiler
-class TestWorkerDegradation:
-    def test_unbindable_data_degrades_to_python_ops(self, session):
-        """float32 buffers cannot bind to the C ABI; with Python ops on the
-        plan the workers must degrade — same results, honest backend."""
-        nest, _ = _parse_visits_nest()
-        values = {"N": 10}
-        data = {"visits": np.zeros((10, 10), dtype=np.float32)}
-        result = session.run(
-            nest, values, data=data, backend="hybrid", iteration_op=_mark_visit
-        )
-        assert result.backend == "engine"  # degraded, and says so
-        assert sum(result.results) == iteration_count(nest, values)
-        assert float(data["visits"].sum()) == iteration_count(nest, values)
-
-    def test_vanished_library_degrades_to_python_ops(self, session):
-        """A hybrid plan whose .so disappeared between compile and dispatch
-        must run the Python ops and report the engine substrate."""
-        import dataclasses
-
-        from repro.kernels import get_kernel, run_original
-        from repro.native.module import NativeLibrarySpec
-        from repro.runtime import SharedBuffers, build_plan
-
-        kernel = get_kernel("utma")
-        values = {"N": 40}
-        plan = build_plan(kernel, values, schedule="static", native=True)
-        broken = dataclasses.replace(
-            plan,
-            plan_id=plan.plan_id + "-broken",
-            native_spec=NativeLibrarySpec(
-                library_path="/nonexistent/repro-gone.so",
-                parameters=plan.native_spec.parameters,
-                arrays=plan.native_spec.arrays,
-                array_ndims=plan.native_spec.array_ndims,
-            ),
-        )
-        with SharedBuffers.create(kernel.make_data(values)) as buffers:
-            result = session.engine.execute(broken, buffers=buffers)
-            c = buffers.snapshot()["c"]
-        session.engine.forget(broken)
-        assert result.backend == "engine"
-        assert np.array_equal(c, run_original(kernel, values)["c"])
-
-    def test_a_worker_fallback_logs_one_warning(self, caplog):
-        """In process: a worker whose spec names a missing library runs the
-        Python ops and says so once, with the path and the loader's error."""
-        import logging
-
-        from repro.kernels import get_kernel, run_original
-        from repro.native.module import NativeLibrarySpec
-        from repro.runtime import SharedBuffers, build_plan
-        from repro.runtime.engine import _WorkerPlan
-
-        kernel = get_kernel("utma")
-        values = {"N": 12}
-        payload = build_plan(kernel, values, schedule="static").payload()
-        missing = "/nonexistent/repro-missing.so"
-        payload["native"] = NativeLibrarySpec(
-            library_path=missing, parameters=("N",), arrays=("a", "b", "c"),
-            array_ndims=(2, 2, 2),
-        )
-        worker = _WorkerPlan(payload)
-        with SharedBuffers.create(kernel.make_data(values)) as buffers:
-            with caplog.at_level(logging.WARNING, logger="repro.runtime.engine"):
-                worker.attach(buffers.specs)
-            assert worker.native_runner is None
-            total = kernel.collapsed().total_iterations(values)
-            assert worker.execute(1, total) == (total, None)
-            worker.release_buffers()
-            c = buffers.snapshot()["c"]
-        warnings = [r for r in caplog.records if r.name == "repro.runtime.engine"]
-        assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
-        assert missing in warnings[0].getMessage()
-        assert "repro-missing.so" in warnings[0].getMessage().split(": ", 1)[1]
-        assert np.array_equal(c, run_original(kernel, values)["c"])
-
-    def test_degradation_is_per_attachment_not_permanent(self, session):
-        """A failed bind (float32 buffers) must not poison the plan: the
-        next attachment with bindable float64 buffers runs natively again."""
-        from repro.runtime import SharedBuffers, build_plan
+class TestCompiledDataErrors:
+    def test_unbindable_data_raises_before_any_write(self, session):
+        """float32 arrays cannot bind to the C ABI: hybrid runs in this
+        process, so the bind error surfaces at once and nothing is
+        written — there is no worker to degrade to the Python ops."""
+        from repro.native import NativeExecutionError
 
         nest, _ = _parse_visits_nest()
-        values = {"N": 10}
-        source = Source.of(nest, iteration_op=_mark_visit)
-        plan = build_plan(source, values, schedule="static", native=True)
-        with SharedBuffers.create(
-            {"visits": np.zeros((10, 10), dtype=np.float32)}
-        ) as buffers:
-            degraded = session.engine.execute(plan, buffers=buffers)
-        assert degraded.backend == "engine"
-        with SharedBuffers.create({"visits": np.zeros((10, 10))}) as buffers:
-            recovered = session.engine.execute(plan, buffers=buffers)
-            visits = buffers.snapshot()["visits"]
-        session.engine.forget(plan)
-        assert recovered.backend == "hybrid"
-        assert visits.sum() == iteration_count(nest, values)
+        visits = np.zeros((10, 10), dtype=np.float32)
+        with pytest.raises(NativeExecutionError, match="float64"):
+            session.run(
+                nest, {"N": 10}, data={"visits": visits}, backend="hybrid",
+                iteration_op=_mark_visit,
+            )
+        assert not visits.any()
 
     def test_rank_conflict_reports_the_real_defect(self):
         """A parsed nest with a body but inconsistent array ranks must name
@@ -503,80 +490,42 @@ class TestWorkerDegradation:
         with pytest.raises(PlanError, match="both 1 and 2 subscripts"):
             Source.of(nest, iteration_op=_mark_visit)
 
-    def test_native_only_plan_with_unbindable_data_fails_loudly(self, session):
-        """No Python ops to degrade to: the bind error must surface as an
-        EngineError, not execute nothing."""
+    def test_native_only_plan_on_the_engine_is_an_explicit_error(self, session):
+        """The engine runs Python operations only: a plan without them is
+        refused in this process, before any worker sees it."""
         from repro.runtime import EngineError, SharedBuffers, build_plan
 
         nest, _ = _parse_visits_nest()
-        values = {"N": 8}
-        plan = build_plan(nest, values, native=True)
-        with SharedBuffers.create(
-            {"visits": np.zeros((8, 8), dtype=np.float32)}
-        ) as buffers:
-            with pytest.raises(EngineError, match="float64"):
+        plan = build_plan(nest, {"N": 8}, native=True)
+        with SharedBuffers.create({"visits": np.zeros((8, 8))}) as buffers:
+            with pytest.raises(EngineError, match="no Python operations"):
                 session.engine.execute(plan, buffers=buffers)
-        session.engine.forget(plan)
 
 
 class TestWorkerBatchRecovery:
-    """In process: a worker builds its batch recovery only for chunks that
-    run through the Python operations, and before the first of them."""
+    """In process: a worker builds its batch recovery at registration,
+    before the first chunk."""
 
     values = {"N": 12}
 
-    def _worker(self, native=False):
-        from repro.kernels import get_kernel
-        from repro.runtime import build_plan
+    def test_an_engine_plan_builds_one_at_registration(self):
+        from repro.kernels import get_kernel, run_original
+        from repro.runtime import SharedBuffers, build_plan
         from repro.runtime.engine import _WorkerPlan
 
-        plan = build_plan(get_kernel("utma"), self.values, schedule="static", native=native)
-        return _WorkerPlan(plan.payload())
-
-    def _attach_and_run(self, worker):
-        from repro.kernels import get_kernel, run_original
-        from repro.runtime import SharedBuffers
-
         kernel = get_kernel("utma")
+        worker = _WorkerPlan(build_plan(kernel, self.values, schedule="static").payload())
+        built = worker.batch
+        assert built is not None
         with SharedBuffers.create(kernel.make_data(self.values)) as buffers:
             worker.attach(buffers.specs)
-            built = worker.batch
             total = kernel.collapsed().total_iterations(self.values)
-            assert worker.execute(1, total)[0] == total
+            assert worker.execute(1, total) == total
             worker.release_buffers()
             assert np.array_equal(
                 buffers.snapshot()["c"], run_original(kernel, self.values)["c"]
             )
-        return built
-
-    def test_an_engine_plan_builds_one_at_registration(self):
-        worker = self._worker()
-        assert worker.batch is not None
-        assert self._attach_and_run(worker) is worker.batch
-
-    @needs_compiler
-    def test_a_bound_hybrid_plan_builds_none(self):
-        worker = self._worker(native=True)
-        assert worker.batch is None
-        assert self._attach_and_run(worker) is None
-        assert worker.batch is None
-
-    def test_a_failed_bind_builds_one_before_the_first_chunk(self):
-        from repro.kernels import get_kernel
-        from repro.native.module import NativeLibrarySpec
-        from repro.runtime import build_plan
-        from repro.runtime.engine import _WorkerPlan
-
-        payload = build_plan(get_kernel("utma"), self.values, schedule="static").payload()
-        payload["native"] = NativeLibrarySpec(
-            library_path="/nonexistent/repro-missing.so", parameters=("N",),
-            arrays=("a", "b", "c"), array_ndims=(2, 2, 2),
-        )
-        worker = _WorkerPlan(payload)
-        assert worker.batch is None
-        built = self._attach_and_run(worker)
-        assert worker.native_runner is None
-        assert built is not None and built is worker.batch
+        assert worker.batch is built
 
 
 # ---------------------------------------------------------------------- #
@@ -626,7 +575,7 @@ class TestCacheKeying:
             assert str(result.schedule) == schedule
             assert visits.sum() == total
             plan = session.plan_for(Source.of(nest, **options), values, schedule, native=True)
-            libraries.add(plan.native_spec.library_path)
+            libraries.add(plan.native_module.library_path)
         assert len(libraries) == 1
         spans = sorted((chunk.first, chunk.last) for chunk in result.chunks)
         assert len(spans) == result.workers  # static: every thread has a block
@@ -636,8 +585,8 @@ class TestCacheKeying:
 
     def test_session_plans_are_keyed_by_schedule_and_backend(self, session):
         """One (kernel, size) under different schedules or backends must
-        never share a cached plan — a hybrid plan carries a native spec an
-        engine plan must not have."""
+        never share a cached plan — a hybrid plan carries a compiled module
+        an engine plan must not have."""
         values = {"N": 32}
         static = session.plan_for("utma", values, schedule="static")
         adaptive = session.plan_for("utma", values, schedule="adaptive")
@@ -646,8 +595,8 @@ class TestCacheKeying:
         engine_plan = session.plan_for("utma", values, schedule="static")
         hybrid_plan = session.plan_for("utma", values, schedule="static", native=True)
         assert engine_plan is not hybrid_plan
-        assert engine_plan.native_spec is None
-        assert hybrid_plan.native_spec is not None
+        assert engine_plan.native_module is None
+        assert hybrid_plan.native_module is not None
 
     def test_same_shaped_nests_with_different_bodies_get_different_plans(self, session):
         """Two parsed nests with identical loops but different statements
@@ -668,7 +617,7 @@ class TestCacheKeying:
         add_plan = session.plan_for(parsed("+"), values, native=True)
         mul_plan = session.plan_for(parsed("*"), values, native=True)
         assert add_plan is not mul_plan
-        assert add_plan.native_spec.library_path != mul_plan.native_spec.library_path
+        assert add_plan.native_module.library_path != mul_plan.native_module.library_path
         kernel_data = get_kernel("utma").make_data(values)
         add_result = session.run(parsed("+"), values, data=dict(kernel_data), backend="native")
         mul_data = dict(kernel_data)
@@ -687,5 +636,5 @@ class TestCacheKeying:
         b = session.plan_for("utma", values, schedule="adaptive", native=True)
         c = session.plan_for("utma", values, schedule="guided", native=True)
         assert a is not b and b is not c
-        assert a.native_spec.library_path == b.native_spec.library_path
-        assert b.native_spec.library_path == c.native_spec.library_path
+        assert a.native_module.library_path == b.native_module.library_path
+        assert b.native_module.library_path == c.native_module.library_path

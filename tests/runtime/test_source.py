@@ -192,7 +192,7 @@ class TestKeyCoverage:
             plain = self._run_nest(session, compile_flags=("-DREPRO_KEY=1",))
             flagged = self._run_nest(session, compile_flags=("-DREPRO_KEY=2",))
             self._assert_separate(plain, flagged)
-            assert plain.native_spec.library_path != flagged.native_spec.library_path
+            assert plain.native_module.library_path != flagged.native_module.library_path
 
     def test_two_iteration_ops_never_share(self):
         with RuntimeSession(workers=2) as session:

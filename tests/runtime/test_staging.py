@@ -153,7 +153,8 @@ def test_a_run_without_data_returns_its_own_arrays(session, backend):
         assert np.array_equal(value, held[name])
         assert not np.shares_memory(value, second[name])
     assert np.allclose(second["c"], expected["c"], atol=1e-9)
-    assert session.cache_info()["staged"] == (0 if backend == "native" else 1)
+    # the compiled backends run in place on the made arrays
+    assert session.cache_info()["staged"] == (1 if backend == "engine" else 0)
 
 
 class TestNestStaging:
