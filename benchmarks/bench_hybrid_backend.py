@@ -78,13 +78,14 @@ def hybrid_rounds():
 
     expected = run_original(kernel, values)
 
+    hybrid_call = module.bind(values, plan.schedule, threads=WORKERS)
+    native_call = module.bind(values, NATIVE_SCHEDULE, threads=WORKERS)
+
     def run_hybrid():
-        return module.run(
-            data, values, plan.schedule, chunks=plan.chunks(WORKERS), threads=WORKERS
-        )
+        return module.run(data, hybrid_call, chunks=plan.chunks(WORKERS))
 
     def run_native():
-        return module.run(data, values, NATIVE_SCHEDULE, threads=WORKERS)
+        return module.run(data, native_call)
 
     # ---- correctness gates before any timing -------------------------- #
     result = run_hybrid()

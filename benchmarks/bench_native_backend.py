@@ -138,8 +138,10 @@ def native_rounds():
     expected = run_original(kernel, values)
     data = kernel.make_data(values)
 
+    call = module.bind(values, SCHEDULE, threads=WORKERS)
+
     # ---- correctness gates before any timing ------------------------- #
-    last_result = module.run(data, values, SCHEDULE, threads=WORKERS)
+    last_result = module.run(data, call)
     assert np.array_equal(data["c"], expected["c"])  # bit-identical
     assert sum(last_result.results) == total
 
@@ -153,9 +155,9 @@ def native_rounds():
                 lambda: engine.execute(plan, buffers=buffers), REPEATS
             )
             native_times = _timed(
-                lambda: module.run(buffers.arrays, values, SCHEDULE, threads=WORKERS), REPEATS
+                lambda: module.run(buffers.arrays, call), REPEATS
             )
-            last_result = module.run(buffers.arrays, values, SCHEDULE, threads=WORKERS)
+            last_result = module.run(buffers.arrays, call)
             assert np.array_equal(buffers.arrays["c"], expected["c"])
 
     report = {

@@ -70,9 +70,15 @@ def find_compiler() -> Optional[str]:
     """Absolute path of the first usable C compiler, or ``None``.
 
     ``$CC`` wins when set (even if broken — an explicit override should fail
-    loudly rather than silently picking a different compiler).
+    loudly rather than silently picking a different compiler).  The search
+    is memoised on the two variables it reads, ``$CC`` and ``$PATH``.
     """
-    override = os.environ.get("CC", "").strip()
+    return _search(os.environ.get("CC", "").strip(), os.environ.get("PATH"))
+
+
+@lru_cache(maxsize=1)
+def _search(override: str, _path: Optional[str]) -> Optional[str]:
+    """:func:`find_compiler` under one ``$CC`` and ``$PATH`` (``shutil.which`` reads it)."""
     if override:
         return shutil.which(override) or override
     for name in _COMPILER_CANDIDATES:

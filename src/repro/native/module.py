@@ -16,12 +16,13 @@ index arrays):
   form and certifies/corrects against ``__int128`` integer brackets, the
   same contract the Python and engine paths honour with big ints (the
   historical ~2^45 double-trust ceiling is gone; docs/recovery.md),
-* :meth:`NativeModule.run` — execute the kernel body over a ``pc`` range
-  under the OpenMP schedule the call names (one compiled unit serves every
-  schedule), or over a plan's chunk list (``chunks=``, the hybrid
-  backend), mutating the caller's NumPy arrays in place and returning a
-  :class:`~repro.runtime.engine.RunResult` with per-thread (or per-chunk)
-  timings read back from the C side.
+* :meth:`NativeModule.bind` and :meth:`NativeModule.run` — resolve a call
+  once (parameters, ``pc`` range, OpenMP schedule, team size: one compiled
+  unit serves every schedule), then execute the kernel body for it any
+  number of times, over its range or over a plan's chunk list
+  (``chunks=``, the hybrid backend), mutating the caller's NumPy arrays in
+  place and returning a :class:`~repro.runtime.engine.RunResult` with
+  per-thread (or per-chunk) timings read back from the C side.
 
 :func:`compile_collapsed` builds (and memoises) the module of a plan
 source (:class:`~repro.runtime.source.Source`: a collapsed loop or nest
@@ -36,6 +37,7 @@ from __future__ import annotations
 import ctypes
 import os
 import time
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,6 +53,7 @@ from .compiler import (
 
 _LONGLONG_P = ctypes.POINTER(ctypes.c_longlong)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+_VOID_PP = ctypes.POINTER(ctypes.c_void_p)
 
 #: the ``omp_sched_t`` value ``repro_run`` sets for each schedule kind (the
 #: OpenMP API fixes them); ``adaptive`` has no OpenMP spelling and runs as
@@ -61,44 +64,73 @@ _OMP_SCHED_KIND = {
     ScheduleKind.DYNAMIC: 2,
     ScheduleKind.GUIDED: 3,
 }
+_STATIC = ScheduleSpec(ScheduleKind.STATIC)
 
 
 class NativeExecutionError(ValueError):
     """Raised for data that the compiled module cannot execute."""
 
 
-def _flat_strides(arrays, ndims, data) -> Tuple[object, object]:
-    """Validate ``data`` against the ABI and build the pointer/stride tables.
+@dataclass(eq=False)
+class NativeCall:
+    """One call of a module, resolved once by :meth:`NativeModule.bind`.
 
-    Returns ctypes arrays ready to pass to ``repro_run``/``repro_run_chunks``:
-    one ``double *`` per array plus the flat strides table (``ndim - 1``
-    leading-dimension element strides per array, row-major).  The caller
-    must keep the NumPy arrays alive while the tables are in use.
+    It holds what every run of the call passes to C besides the arrays: the
+    parameter array, the trip count and ``pc`` range, the schedule and the
+    team size, and, from the first run on, the *layout*: each array's shape
+    and the flat strides table they imply.  A later run whose arrays have
+    other shapes raises :class:`NativeExecutionError`.  Runs only read it,
+    so threads may share one call; each run fills its own pointer table
+    and output arrays.
     """
-    pointers = (_DOUBLE_P * max(1, len(arrays)))()
-    stride_values = []
-    for position, (name, ndim) in enumerate(zip(arrays, ndims)):
-        if name not in data:
-            raise NativeExecutionError(f"data is missing array {name!r}")
-        array = data[name]
-        if (
-            not isinstance(array, np.ndarray)
-            or array.dtype != np.float64
-            or array.ndim != ndim
-            or not array.flags["C_CONTIGUOUS"]
-        ):
+
+    parameter_values: Dict[str, int]
+    params: object  # the ctypes parameter array
+    total: int
+    first: int
+    last: int
+    schedule: ScheduleSpec
+    threads: int
+    #: ``(shapes, strides)`` of the first run's arrays
+    layout: Optional[Tuple[tuple, object]] = None
+
+    def check(self, first: int, last: int) -> None:
+        """Reject a non-empty ``pc`` range outside ``[1, total]``.
+
+        Out-of-range requests raise (mirroring ``BatchRecovery``) instead of
+        clamping — a silently truncated run would hide a caller's
+        miscalculated range.
+        """
+        if first <= last and (first < 1 or last > self.total):
             raise NativeExecutionError(
-                f"array {name!r} must be a C-contiguous float64 {ndim}-D ndarray"
+                f"pc values must lie in [1, {self.total}] for {self.parameter_values}; "
+                f"got range [{first}, {last}]"
             )
-        pointers[position] = array.ctypes.data_as(_DOUBLE_P)
+
+
+def _address(array: np.ndarray) -> int:
+    """The address of ``array``'s first element, by the cheapest route:
+    a writable buffer's address costs a third of ``array.ctypes``."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):  # read-only or empty: no writable buffer
+        return array.ctypes.data
+
+
+def _layout(shapes) -> Tuple[tuple, object]:
+    """The layout of arrays of ``shapes``: the shapes and the flat strides
+    table (``ndim - 1`` leading-dimension element strides per array,
+    row-major) that ``repro_run``/``repro_run_chunks`` index them with."""
+    stride_values = []
+    for shape in shapes:
         extent = 1
         row = []
-        for size in reversed(array.shape[1:]):
+        for size in reversed(shape[1:]):
             extent *= int(size)
             row.append(extent)
         stride_values.extend(reversed(row))
     strides = (ctypes.c_longlong * max(1, len(stride_values)))(*stride_values)
-    return pointers, strides
+    return tuple(shapes), strides
 
 
 class NativeModule:
@@ -120,6 +152,7 @@ class NativeModule:
         self.array_ndims = array_ndims or tuple(2 for _ in arrays)
         self.parameters: Tuple[str, ...] = tuple(collapsed.nest.parameters)
         self.depth = collapsed.depth
+        self._pointers = ctypes.c_void_p * max(1, len(arrays))
         self._lib = load_library(library_path)
         self._lib.repro_total.argtypes = [_LONGLONG_P]
         self._lib.repro_total.restype = ctypes.c_longlong
@@ -129,13 +162,13 @@ class NativeModule:
         self._lib.repro_recover_range.restype = ctypes.c_int
         self._lib.repro_run.argtypes = [
             _LONGLONG_P, ctypes.c_longlong, ctypes.c_longlong,
-            ctypes.POINTER(_DOUBLE_P), _LONGLONG_P, ctypes.c_int, ctypes.c_int,
+            _VOID_PP, _LONGLONG_P, ctypes.c_int, ctypes.c_int,
             ctypes.c_int, _LONGLONG_P, _DOUBLE_P, _LONGLONG_P, _LONGLONG_P,
         ]
         self._lib.repro_run.restype = ctypes.c_int
         self._lib.repro_run_chunks.argtypes = [
             _LONGLONG_P, _LONGLONG_P, ctypes.c_longlong,
-            ctypes.POINTER(_DOUBLE_P), _LONGLONG_P, ctypes.c_int,
+            _VOID_PP, _LONGLONG_P, ctypes.c_int,
             _LONGLONG_P, _DOUBLE_P, _LONGLONG_P,
         ]
         self._lib.repro_run_chunks.restype = ctypes.c_int
@@ -152,37 +185,43 @@ class NativeModule:
             ) from None
         return (ctypes.c_longlong * max(1, len(values)))(*values)
 
-    def _resolve_range(
-        self, parameter_values: Mapping[str, int], first_pc: int, last_pc: Optional[int]
-    ) -> Tuple[int, int]:
-        """Validate a 1-based inclusive ``pc`` range against the trip count.
+    def _pointer_table(self, data: Mapping[str, np.ndarray], call: NativeCall):
+        """Validate ``data`` against the ABI and ``call``'s layout; fill a
+        fresh ``double *`` table with its arrays' addresses.
 
-        Out-of-range requests raise (mirroring ``BatchRecovery``) instead of
-        clamping — a silently truncated run would hide a caller's
-        miscalculated range.
+        Returns the table and the strides table.  Every array must be
+        present, a C-contiguous float64 ndarray of the generated rank and,
+        once the call has a layout, of the shape it recorded.  Nothing is
+        written before every array has passed.  The caller must keep the
+        arrays alive while the table is in use.
         """
-        total = self._trip_count(parameter_values)
-        last = total if last_pc is None else int(last_pc)
-        return self._check_range(parameter_values, total, int(first_pc), last)
-
-    def _trip_count(self, parameter_values: Mapping[str, int]) -> int:
-        missing = [name for name in self.parameters if name not in parameter_values]
-        if missing:
-            raise NativeExecutionError(
-                f"missing parameter {missing[0]!r}; the module needs {self.parameters}"
-            )
-        return self.collapsed.total_iterations(parameter_values)
-
-    @staticmethod
-    def _check_range(parameter_values, total: int, first: int, last: int) -> Tuple[int, int]:
-        if last < first:
-            return first, last  # empty range: legal, executes nothing
-        if first < 1 or last > total:
-            raise NativeExecutionError(
-                f"pc values must lie in [1, {total}] for {dict(parameter_values)}; "
-                f"got range [{first}, {last}]"
-            )
-        return first, last
+        layout = call.layout
+        pointers = self._pointers()
+        shapes = []
+        for position, (name, ndim) in enumerate(zip(self.arrays, self.array_ndims)):
+            try:
+                array = data[name]
+            except KeyError:
+                raise NativeExecutionError(f"data is missing array {name!r}") from None
+            if (
+                not isinstance(array, np.ndarray)
+                or array.dtype != np.float64
+                or array.ndim != ndim
+                or not array.flags.c_contiguous
+            ):
+                raise NativeExecutionError(
+                    f"array {name!r} must be a C-contiguous float64 {ndim}-D ndarray"
+                )
+            if layout is not None and array.shape != layout[0][position]:
+                raise NativeExecutionError(
+                    f"array {name!r} has shape {array.shape}, but this call was "
+                    f"bound to {layout[0][position]}"
+                )
+            shapes.append(array.shape)
+            pointers[position] = _address(array)
+        if layout is None:
+            layout = call.layout = _layout(shapes)
+        return pointers, layout[1]
 
     # ------------------------------------------------------------------ #
     # operations
@@ -190,6 +229,36 @@ class NativeModule:
     def total(self, parameter_values: Mapping[str, int]) -> int:
         """The collapsed trip count, computed by the compiled C."""
         return int(self._lib.repro_total(self._params(parameter_values)))
+
+    def bind(
+        self,
+        parameter_values: Mapping[str, int],
+        schedule: object = "static",
+        first_pc: int = 1,
+        last_pc: Optional[int] = None,
+        threads: Optional[int] = None,
+    ) -> NativeCall:
+        """Resolve one call for :meth:`run`: parameters, range, schedule, team.
+
+        ``schedule`` is anything :meth:`ScheduleSpec.parse` accepts, and
+        the engine-only ``adaptive`` runs as ``static`` on ``repro_run``
+        (the result's ``schedule`` says what ran); ``first_pc``/``last_pc``
+        is a 1-based inclusive range (default: the whole trip count; an
+        empty range is legal and executes nothing); ``threads`` caps the
+        OpenMP team (default: ``os.cpu_count()``).  Raises
+        :class:`NativeExecutionError` for a missing parameter or a
+        non-empty range outside ``[1, total]``.
+        """
+        params = self._params(parameter_values)
+        total = self.collapsed.total_iterations(parameter_values)
+        first = int(first_pc)
+        last = total if last_pc is None else int(last_pc)
+        call = NativeCall(
+            dict(parameter_values), params, total, first, last,
+            ScheduleSpec.parse(schedule), int(threads) if threads else (os.cpu_count() or 1),
+        )
+        call.check(first, last)
+        return call
 
     def recover_range(
         self,
@@ -206,16 +275,12 @@ class NativeModule:
         domain beyond 2^50 ranks recovers exactly (pinned by
         ``tests/native/test_native_backend.py::TestExactRecoveryHugeRanges``).
         """
-        first_pc, last_pc = self._resolve_range(parameter_values, first_pc, last_pc)
-        if last_pc < first_pc:
+        call = self.bind(parameter_values, first_pc=first_pc, last_pc=last_pc)
+        if call.last < call.first:
             return np.empty((0, self.depth), dtype=np.int64)
-        count = last_pc - first_pc + 1
-        out = np.empty((count, self.depth), dtype=np.int64)
+        out = np.empty((call.last - call.first + 1, self.depth), dtype=np.int64)
         status = self._lib.repro_recover_range(
-            self._params(parameter_values),
-            ctypes.c_longlong(first_pc),
-            ctypes.c_longlong(last_pc),
-            out.ctypes.data_as(_LONGLONG_P),
+            call.params, call.first, call.last, out.ctypes.data_as(_LONGLONG_P)
         )
         if status != 0:  # pragma: no cover - the generated unit always returns 0
             raise NativeExecutionError(f"native recovery failed with status {status}")
@@ -224,119 +289,85 @@ class NativeModule:
     def run(
         self,
         data: Mapping[str, np.ndarray],
-        parameter_values: Mapping[str, int],
-        schedule: object = "static",
-        first_pc: int = 1,
-        last_pc: Optional[int] = None,
-        threads: Optional[int] = None,
+        call: NativeCall,
         chunks: Optional[Sequence[Chunk]] = None,
     ) -> RunResult:
-        """Execute the kernel body over a ``pc`` range, in place on ``data``.
+        """Execute the kernel body for a bound ``call``, in place on ``data``.
 
-        ``data`` must hold a C-contiguous float64 array of the generated
-        rank for every name the module was generated with (2-D unless
-        ``array_ndims`` said otherwise); ``schedule`` is anything
-        :meth:`ScheduleSpec.parse` accepts, and the engine-only ``adaptive``
-        runs as ``static`` (the result's ``schedule`` says what ran);
-        ``threads`` caps the OpenMP team (default: ``os.cpu_count()``).
-        Per-thread iteration counts, ``pc`` spans and wall-clock seconds are
-        read back from the C side.
+        ``call`` comes from :meth:`bind` (of this module) and may serve any
+        number of runs.  ``data`` must hold a C-contiguous float64 array of
+        the generated rank for every name the module was generated with
+        (2-D unless ``array_ndims`` said otherwise), of the shapes the
+        call's first run had.  Without ``chunks`` the call runs
+        ``repro_run`` over its range under its schedule; per-thread
+        iteration counts, ``pc`` spans and wall-clock seconds are read back
+        from the C side, and the result is labelled ``backend="native"``.
 
-        With ``chunks`` (a plan's chunk list: the hybrid backend) the call
-        runs ``repro_run_chunks`` instead: the team claims the chunks one at
-        a time (``schedule(dynamic, 1)``), whatever ``schedule`` cut them,
-        and the result has one entry per chunk — its count, its seconds
-        measured inside the call and the thread that ran it.  Every chunk
-        is checked against ``[1, total]`` before the foreign call, so an
-        out-of-range chunk raises :class:`NativeExecutionError` before
-        anything is written.  Both entry points label the result
-        ``backend="native"``: the module names what ran, and the session
-        names the backend its caller chose.
+        With ``chunks`` (a plan's chunk list: the hybrid backend) it runs
+        ``repro_run_chunks`` instead: the team claims the chunks one at a
+        time (``schedule(dynamic, 1)``), whatever schedule cut them, and the
+        result, labelled ``backend="hybrid"``, has one entry per chunk — its
+        count, its seconds measured inside the call and the thread that ran
+        it.  Every chunk is checked against ``[1, total]`` before the
+        foreign call, so an out-of-range chunk raises
+        :class:`NativeExecutionError` before anything is written.
         """
-        spec = ScheduleSpec.parse(schedule)
         if chunks is not None:
-            return self._run_chunks(data, parameter_values, spec, list(chunks), threads)
-        if spec.kind is ScheduleKind.ADAPTIVE:
-            spec = ScheduleSpec(ScheduleKind.STATIC)
-        first, last = self._resolve_range(parameter_values, first_pc, last_pc)
-        pointers, strides = _flat_strides(self.arrays, self.array_ndims, data)
-        max_threads = int(threads) if threads else (os.cpu_count() or 1)
-        counts = np.zeros(max_threads, dtype=np.int64)
-        seconds = np.zeros(max_threads, dtype=np.float64)
-        firsts = np.zeros(max_threads, dtype=np.int64)
-        lasts = np.zeros(max_threads, dtype=np.int64)
+            return self._run_chunks(data, call, chunks)
+        pointers, strides = self._pointer_table(data, call)
+        longs = ctypes.c_longlong * call.threads
+        counts, firsts, lasts = longs(), longs(), longs()
+        seconds = (ctypes.c_double * call.threads)()
+        spec = _STATIC if call.schedule.kind is ScheduleKind.ADAPTIVE else call.schedule
         started = time.perf_counter()
         used = self._lib.repro_run(
-            self._params(parameter_values),
-            ctypes.c_longlong(first),
-            ctypes.c_longlong(last),
-            pointers,
-            strides,
-            ctypes.c_int(_OMP_SCHED_KIND[spec.kind]),
-            ctypes.c_int(spec.chunk_size or 0),
-            ctypes.c_int(max_threads),
-            counts.ctypes.data_as(_LONGLONG_P),
-            seconds.ctypes.data_as(_DOUBLE_P),
-            firsts.ctypes.data_as(_LONGLONG_P),
-            lasts.ctypes.data_as(_LONGLONG_P),
+            call.params, call.first, call.last, pointers, strides,
+            _OMP_SCHED_KIND[spec.kind], spec.chunk_size or 0, call.threads,
+            counts, seconds, firsts, lasts,
         )
         elapsed = time.perf_counter() - started
         if used < 0:  # pragma: no cover - the generated unit never returns < 0
             raise NativeExecutionError(f"native run failed with status {used}")
-        if last < first:
-            return RunResult(
-                results=(), elapsed_seconds=elapsed, chunks=(), workers=0,
-                schedule=spec, backend="native",
-            )
-        active = [t for t in range(min(used, max_threads)) if counts[t] > 0]
+        active = [t for t in range(min(used, call.threads)) if counts[t] > 0]
         return RunResult(
-            results=tuple(int(counts[t]) for t in active),
+            results=tuple(counts[t] for t in active),
             elapsed_seconds=elapsed,
-            chunks=tuple(
-                Chunk(first=int(firsts[t]), last=int(lasts[t]), thread=t) for t in active
-            ),
-            workers=int(used),
+            chunks=tuple(Chunk(first=firsts[t], last=lasts[t], thread=t) for t in active),
+            workers=used if active else 0,
             schedule=spec,
             assignments=tuple(active),
-            chunk_seconds=tuple(float(seconds[t]) for t in active),
+            chunk_seconds=tuple(seconds[t] for t in active),
             backend="native",
         )
 
-    def _run_chunks(self, data, parameter_values, spec, chunks, threads) -> RunResult:
+    def _run_chunks(self, data, call: NativeCall, chunks: Sequence[Chunk]) -> RunResult:
         """:meth:`run` over a chunk list, through ``repro_run_chunks``."""
-        total = self._trip_count(parameter_values)
+        chunks = tuple(chunks)
         for chunk in chunks:
-            self._check_range(parameter_values, total, chunk.first, chunk.last)
-        pointers, strides = _flat_strides(self.arrays, self.array_ndims, data)
+            call.check(chunk.first, chunk.last)
+        pointers, strides = self._pointer_table(data, call)
         count = len(chunks)
-        bounds = np.array(
-            [(chunk.first, chunk.last) for chunk in chunks], dtype=np.int64
-        ).reshape(count, 2)
-        counts = np.zeros(count, dtype=np.int64)
-        seconds = np.zeros(count, dtype=np.float64)
-        ran_on = np.zeros(count, dtype=np.int64)
+        bounds = (ctypes.c_longlong * (2 * count))()
+        bounds[0::2] = [chunk.first for chunk in chunks]
+        bounds[1::2] = [chunk.last for chunk in chunks]
+        counts = (ctypes.c_longlong * count)()
+        seconds = (ctypes.c_double * count)()
+        ran_on = (ctypes.c_longlong * count)()
         started = time.perf_counter()
         used = self._lib.repro_run_chunks(
-            self._params(parameter_values),
-            bounds.ctypes.data_as(_LONGLONG_P),
-            ctypes.c_longlong(count),
-            pointers,
-            strides,
-            ctypes.c_int(int(threads) if threads else (os.cpu_count() or 1)),
-            counts.ctypes.data_as(_LONGLONG_P),
-            seconds.ctypes.data_as(_DOUBLE_P),
-            ran_on.ctypes.data_as(_LONGLONG_P),
+            call.params, bounds, count, pointers, strides, call.threads,
+            counts, seconds, ran_on,
         )
         elapsed = time.perf_counter() - started
         return RunResult(
-            results=tuple(counts.tolist()),
+            results=tuple(counts[:]),
             elapsed_seconds=elapsed,
-            chunks=tuple(chunks),
-            workers=int(used),
-            schedule=spec,
-            assignments=tuple(ran_on.tolist()),
-            chunk_seconds=tuple(seconds.tolist()),
-            backend="native",
+            chunks=chunks,
+            workers=used,
+            schedule=call.schedule,
+            assignments=tuple(ran_on[:]),
+            chunk_seconds=tuple(seconds[:]),
+            backend="hybrid",
         )
 
     def describe(self) -> str:

@@ -17,6 +17,7 @@ experiments are provided:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Union
@@ -78,30 +79,18 @@ class ScheduleSpec:
 
     @classmethod
     def parse(cls, text: Union[str, ScheduleKind, "ScheduleSpec"]) -> "ScheduleSpec":
-        """Parse ``"static"``, ``"dynamic,4"``, ``"guided, 2"``, a kind, or a spec."""
+        """Parse ``"static"``, ``"dynamic,4"``, ``"guided, 2"``, a kind, or a spec.
+
+        A string spelling is parsed once per process: the same text returns
+        the same (frozen) spec, and an invalid one raises on every call.
+        """
         if isinstance(text, ScheduleSpec):
             return text
         if isinstance(text, ScheduleKind):
             return cls(kind=text)
         if not isinstance(text, str):
             raise ValueError(f"cannot parse schedule from {text!r}")
-        head, _sep, tail = text.strip().lower().partition(",")
-        chunk: Optional[int] = None
-        if tail.strip():
-            try:
-                chunk = int(tail.strip())
-            except ValueError:
-                raise ValueError(f"invalid chunk size in schedule {text!r}") from None
-        aliases = {kind.value: kind for kind in ScheduleKind}
-        kind = aliases.get(head.strip())
-        if kind is None:
-            raise ValueError(
-                f"unknown schedule {text!r}; expected one of {sorted(aliases)} "
-                "with an optional ',chunk' suffix"
-            )
-        if kind is ScheduleKind.STATIC and chunk is not None:
-            kind = ScheduleKind.STATIC_CHUNKED
-        return cls(kind=kind, chunk_size=chunk)
+        return _parse_text(text)
 
     def to_openmp(self) -> str:
         """The text inside an OpenMP ``schedule(...)`` clause."""
@@ -112,6 +101,28 @@ class ScheduleSpec:
         if self.chunk_size is not None:
             return f"{self.kind.value},{self.chunk_size}"
         return self.kind.value
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_text(text: str) -> ScheduleSpec:
+    """:meth:`ScheduleSpec.parse` of a string; memoised (never its errors)."""
+    head, _sep, tail = text.strip().lower().partition(",")
+    chunk: Optional[int] = None
+    if tail.strip():
+        try:
+            chunk = int(tail.strip())
+        except ValueError:
+            raise ValueError(f"invalid chunk size in schedule {text!r}") from None
+    aliases = {kind.value: kind for kind in ScheduleKind}
+    kind = aliases.get(head.strip())
+    if kind is None:
+        raise ValueError(
+            f"unknown schedule {text!r}; expected one of {sorted(aliases)} "
+            "with an optional ',chunk' suffix"
+        )
+    if kind is ScheduleKind.STATIC and chunk is not None:
+        kind = ScheduleKind.STATIC_CHUNKED
+    return ScheduleSpec(kind=kind, chunk_size=chunk)
 
 
 def schedule_chunks(spec: Union[str, ScheduleKind, ScheduleSpec], total: int, threads: int) -> List[Chunk]:

@@ -39,6 +39,7 @@ import itertools
 import json
 import logging
 import os
+import statistics
 import tempfile
 import threading
 from dataclasses import dataclass, field
@@ -111,7 +112,7 @@ class BackendProfile:
     def median_elapsed(self) -> Optional[float]:
         if not self.elapsed_seconds:
             return None
-        return float(np.median(np.asarray(self.elapsed_seconds, dtype=np.float64)))
+        return float(statistics.median(self.elapsed_seconds))
 
     def seconds_per_iteration(self) -> Optional[float]:
         """Mean measured cost of one collapsed iteration, from the chunk
@@ -156,18 +157,26 @@ class BackendProfile:
         last, window-capped); the segments, workers and trip count are
         ``newer``'s, because segments describe one coherent run, not a
         mergeable population, and the adaptive re-cut must follow the
-        latest run.
+        latest run.  Both profiles are left as they were.
         """
+        merged = BackendProfile(
+            backend=self.backend,
+            runs=self.runs,
+            elapsed_seconds=list(self.elapsed_seconds),
+        )
+        merged.absorb(newer)
+        return merged
+
+    def absorb(self, newer: "BackendProfile") -> None:
+        """:meth:`merge` ``newer`` into this profile, in place."""
         if newer.backend != self.backend:
             raise ProfileError(f"cannot merge {self.backend!r} with {newer.backend!r}")
-        return BackendProfile(
-            backend=self.backend,
-            runs=self.runs + newer.runs,
-            workers=newer.workers,
-            total_iterations=newer.total_iterations,
-            elapsed_seconds=(self.elapsed_seconds + newer.elapsed_seconds)[-MAX_ELAPSED_WINDOW:],
-            segments=list(newer.segments),
-        )
+        self.runs += newer.runs
+        self.workers = newer.workers
+        self.total_iterations = newer.total_iterations
+        self.elapsed_seconds += newer.elapsed_seconds
+        del self.elapsed_seconds[:-MAX_ELAPSED_WINDOW]
+        self.segments = list(newer.segments)
 
 
 # ---------------------------------------------------------------------- #
@@ -355,7 +364,10 @@ class ProfileStore:
         """Bank one run's measurements; returns the merged backend profile.
 
         The run lands in the table at once (the key gets a new token) and
-        on disk at the next :meth:`flush`.
+        on disk at the next :meth:`flush`.  The entry's profile of
+        ``backend`` is replaced by a merged copy, so a profile :meth:`load`
+        handed out never changes; the key's pending record, which only
+        :meth:`flush` reads, absorbs the run in place.
         """
         run = BackendProfile(
             backend=backend,
@@ -365,14 +377,17 @@ class ProfileStore:
             elapsed_seconds=[float(elapsed_seconds)],
             segments=list(chunks)[:MAX_SEGMENTS],
         )
-        empty = BackendProfile(backend=backend)
         table = self._current()
         with table.lock:
-            profiles = dict(self._entry(table, key))
-            merged = profiles[backend] = profiles.get(backend, empty).merge(run)
-            table.install(key, profiles)
+            profiles = self._entry(table, key)
+            history = profiles.get(backend) or BackendProfile(backend=backend)
+            merged = profiles[backend] = history.merge(run)
+            table.tokens[key] = next(_GENERATIONS)
             pending = table.pending.setdefault(key, {})
-            pending[backend] = pending.get(backend, empty).merge(run)
+            if backend in pending:
+                pending[backend].absorb(run)
+            else:
+                pending[backend] = run
         return merged
 
     # -- flush ---------------------------------------------------------- #
@@ -646,11 +661,11 @@ def choose_backend(profiles: Mapping[str, BackendProfile], candidates: Sequence[
     """
     if not candidates:
         raise ProfileError("no viable backend candidates to choose from")
-    unexplored = [
-        name
+    medians = {
+        name: profiles[name].median_elapsed if name in profiles else None
         for name in candidates
-        if name not in profiles or profiles[name].median_elapsed is None
-    ]
-    if unexplored:
-        return unexplored[0]
-    return min(candidates, key=lambda name: profiles[name].median_elapsed)
+    }
+    for name, median in medians.items():
+        if median is None:
+            return name
+    return min(candidates, key=medians.__getitem__)

@@ -4,14 +4,17 @@ A :class:`RuntimeSession` owns one persistent :class:`RuntimeEngine`, a
 cache of :class:`ExecutionPlan` objects keyed by (source fingerprint,
 parameter values, schedule, native, audit level) — the fingerprint of the one
 :class:`~repro.runtime.source.Source` value the profile store and the
-native module memo key on too — and one pool of
+native module memo key on too — one resolved call record per
+:meth:`~RuntimeSession.run` key, and one pool of
 shared-memory sets, at most one free set per array signature.  Asking the
-session twice for the same kernel at the same size re-uses the plan, the
-workers' compiled state and the pooled set every worker-pool run stages
-through, so a steady-state run allocates nothing: it is the copies of its
-arrays plus chunk dispatch.  :meth:`RuntimeSession.run` is the one place a backend
-name picks a substrate: engine, hybrid and native all run a cached plan,
-and only the final dispatch differs.
+session twice for the same kernel at the same size re-uses the record (its
+plan, parsed schedule, profile key and, on the compiled backends, the bound
+:class:`~repro.native.module.NativeCall`), the workers' compiled state and
+the pooled set every worker-pool run stages through, so a steady-state run
+allocates nothing: it is the copies of its arrays plus chunk dispatch.
+:meth:`RuntimeSession.run` is the one place a backend name picks a
+substrate: engine, hybrid and native all run a cached plan, and only the
+final dispatch differs.
 
 :func:`collapse_and_run` is the one-call version::
 
@@ -26,10 +29,13 @@ first call and is torn down at interpreter exit.
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import functools
 import threading
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (native imports runtime)
+    from ..native.module import NativeCall
 
 from ..openmp.schedule import ScheduleSpec
 from .engine import RunResult, RuntimeEngine
@@ -98,10 +104,7 @@ def _resolve_auto(source: Source, key: str, data, store=None) -> Tuple[str, bool
     if len(candidates) == 1:
         return candidates[0], True
     profiles = (store or default_profile_store()).load(key)
-    settled = all(
-        name in profiles and profiles[name].median_elapsed is not None
-        for name in candidates
-    )
+    settled = all(name in profiles and profiles[name].elapsed_seconds for name in candidates)
     return choose_backend(profiles, candidates), settled
 
 
@@ -122,6 +125,21 @@ def _give_back(free: dict, discarded: list, key: tuple, buffers: SharedBuffers) 
 #: to one of them)
 BACKENDS = ("engine", "hybrid", "native")
 
+
+@dataclass(frozen=True)
+class _Call:
+    """One :meth:`RuntimeSession.run` key (source fingerprint, parameter
+    values, schedule as given, backend, ``static_check``), resolved on its
+    first call: the substrate that runs it (``auto`` has no plan and picks
+    one per call), its profile key, the cached plan with its parsed
+    schedule, and on ``native``/``hybrid`` the plan module's bound call."""
+
+    backend: str
+    profile_key: str
+    plan: Optional[ExecutionPlan] = None
+    native: Optional["NativeCall"] = None
+
+
 #: settled auto resolutions are reused this many times before the session
 #: re-reads the profile store — new measurements land every run, but medians
 #: over the elapsed window move slowly, so a bounded-staleness memo buys back
@@ -135,6 +153,8 @@ class RuntimeSession:
     def __init__(self, workers: int = 2):
         self.engine = RuntimeEngine(workers=workers)
         self._plans: Dict[tuple, ExecutionPlan] = {}
+        #: resolved call records by run key (see :class:`_Call`)
+        self._calls: Dict[tuple, _Call] = {}
         #: staging: at most one free set per array signature, the sets
         #: handed back while their slot was full, and every staged set not
         #: yet closed (free, lent or discarded)
@@ -184,36 +204,6 @@ class RuntimeSession:
                 plan = build_plan(source, parameter_values, spec, native, static_check)
                 self._plans[key] = plan
         return plan
-
-    def _plan(self, backend, source, parameter_values, schedule, static_check):
-        """The cached plan ``backend`` runs; native and hybrid share the compiled one.
-
-        Where no C compiler exists, ``hybrid`` degrades to the engine plan
-        (same result, without the C speed); ``native`` raises
-        :class:`~repro.native.NativeUnavailable`, because its OpenMP team
-        and schedule are the thing being requested.  A compilation
-        *failure* with a compiler present (e.g. a broken caller ``c_body``)
-        raises on both, because silence there would hide a bug.
-        """
-        if backend == "engine":
-            return self.plan_for(source, parameter_values, schedule, static_check=static_check)
-        # deferred import: the native backend is optional
-        from ..native import NativeUnavailable, native_available
-
-        try:
-            return self.plan_for(
-                source, parameter_values, schedule, native=True, static_check=static_check
-            )
-        except NativeUnavailable as unavailable:
-            if backend == "native" or native_available():
-                raise
-            try:
-                return self.plan_for(source, parameter_values, schedule, static_check=static_check)
-            except PlanError:
-                # the engine cannot run this source either (no Python ops):
-                # the actionable problem is the missing compiler, so that is
-                # the error the caller must see
-                raise unavailable from None
 
     def cache_info(self) -> Dict[str, int]:
         return {"plans": len(self._plans), "staged": len(self._staged)}
@@ -273,43 +263,88 @@ class RuntimeSession:
         way).
         """
         source = Source.of(source, **parts)
-        schedule = ScheduleSpec.parse(schedule)
-        if backend == "auto":
-            backend = self._auto_backend(source, parameter_values, data, schedule)
-        if backend not in BACKENDS:
-            raise PlanError(
-                f"unknown backend {backend!r}; expected 'auto', 'engine', 'hybrid' "
-                "or 'native'"
-            )
+        key = (source.fingerprint, tuple(parameter_values.items()), schedule, backend, static_check)
+        call = self._calls.get(key) or self._resolve(key, source, parameter_values)
+        if call.backend == "auto":
+            key = key[:3] + (self._auto_backend(source, call.profile_key, data), static_check)
+            call = self._calls.get(key) or self._resolve(key, source, parameter_values)
 
         self._reap()
-        plan = self._plan(backend, source, parameter_values, schedule, static_check)
-        if plan.native_module is None:
-            backend = "engine"  # hybrid without a compiler
         kernel = source.kernel
-
         # a kernel run without data owns the arrays it makes; they are
         # treated like a nest's caller data and returned
         owned = kernel is not None and data is None
         if owned:
             data = kernel.make_data(parameter_values)
         elif data is None:
-            if backend != "engine":
+            if call.native is not None:
                 raise PlanError(
                     f"running nest {source.name!r} natively needs "
-                    f"data= arrays for {list(plan.native_module.arrays)}"
+                    f"data= arrays for {list(call.plan.native_module.arrays)}"
                 )
-            return self._dispatch(backend, plan)
-        if backend != "engine" and (kernel is None or owned):
+            return self._dispatch(call)
+        if call.native is not None and (kernel is None or owned):
             # the compiled substrates run in this process, in place on the
             # caller's (or the call's own) arrays
-            result = self._dispatch(backend, plan, data)
+            result = self._dispatch(call, data)
         else:
-            result = self._run_staged(backend, plan, data, lend=kernel is not None and not owned)
+            result = self._run_staged(call, data, lend=kernel is not None and not owned)
         return data if owned else result
 
-    def _run_staged(self, backend, plan, data, lend: bool):
-        """Run ``plan`` over a staged copy of ``data``.
+    def _resolve(self, key: tuple, source: Source, parameter_values) -> _Call:
+        """Build the :class:`_Call` record of a :meth:`run` key and keep it.
+
+        Native and hybrid share the cached compiled plan.  Where no C
+        compiler exists, ``hybrid`` degrades to the engine plan (same
+        result, without the C speed) and that record is not kept, so a
+        compiler found later is used; ``native`` raises
+        :class:`~repro.native.NativeUnavailable`, because its OpenMP team
+        and schedule are the thing being requested.  A compilation
+        *failure* with a compiler present (e.g. a broken caller ``c_body``)
+        raises on both, because silence there would hide a bug.
+        """
+        _fingerprint, _values, schedule, backend, static_check = key
+        schedule = ScheduleSpec.parse(schedule)
+        if backend == "auto":
+            call = _Call("auto", profile_key(source, parameter_values, schedule))
+        elif backend not in BACKENDS:
+            raise PlanError(
+                f"unknown backend {backend!r}; expected 'auto', 'engine', 'hybrid' "
+                "or 'native'"
+            )
+        elif backend == "engine":
+            plan = self.plan_for(source, parameter_values, schedule, static_check=static_check)
+            call = _Call("engine", plan.profile_key, plan)
+        else:
+            # deferred import: the native backend is optional
+            from ..native import NativeUnavailable, native_available
+
+            try:
+                plan = self.plan_for(
+                    source, parameter_values, schedule, native=True, static_check=static_check
+                )
+            except NativeUnavailable as unavailable:
+                if backend == "native" or native_available():
+                    raise
+                try:
+                    plan = self.plan_for(
+                        source, parameter_values, schedule, static_check=static_check
+                    )
+                except PlanError:
+                    # the engine cannot run this source either (no Python
+                    # ops): the actionable problem is the missing compiler,
+                    # so that is the error the caller must see
+                    raise unavailable from None
+                return _Call("engine", plan.profile_key, plan)
+            native = plan.native_module.bind(
+                plan.parameter_values, plan.schedule, threads=self.engine.workers
+            )
+            call = _Call(backend, plan.profile_key, plan, native)
+        self._calls[key] = call
+        return call
+
+    def _run_staged(self, call: _Call, data, lend: bool):
+        """Run ``call``'s plan over a staged copy of ``data``.
 
         The copy lands in this signature's free :class:`SharedBuffers` set,
         or in a new one on a miss, so a warm call allocates nothing and the
@@ -327,9 +362,7 @@ class RuntimeSession:
                 self._staged.add(buffers)
             else:
                 buffers.fill_from(data)
-            result = self._dispatch(
-                backend, plan, buffers if backend == "engine" else buffers.arrays
-            )
+            result = self._dispatch(call, buffers if call.native is None else buffers.arrays)
             if not lend:
                 for name, value in buffers.arrays.items():
                     data[name][...] = value
@@ -360,15 +393,14 @@ class RuntimeSession:
             buffers.close()
             self._staged.discard(buffers)
 
-    def _auto_backend(self, source: Source, parameter_values, data, schedule) -> str:
+    def _auto_backend(self, source: Source, key: str, data) -> str:
         """The backend ``backend="auto"`` stands for on this call.
 
         Settled resolutions are memoised for :data:`AUTO_REVALIDATE_EVERY`
-        uses, keyed on the profile key the choice was read from and on
-        whether the call brings ``data`` (the compiled backends need a whole
-        range).
+        uses, keyed on the profile key ``key`` the choice is read from and
+        on whether the call brings ``data`` (the compiled backends need a
+        whole range).
         """
-        key = profile_key(source, parameter_values, schedule)
         memo_key = (key, data is None)
         cached = self._auto_memo.get(memo_key)
         if cached is not None and cached[1] > 0:
@@ -381,27 +413,25 @@ class RuntimeSession:
             self._auto_memo.pop(memo_key, None)
         return backend
 
-    def _dispatch(self, backend, plan, buffers=None) -> RunResult:
-        """Run ``plan`` once on ``backend``'s substrate and bank the timings.
+    def _dispatch(self, call: _Call, buffers=None) -> RunResult:
+        """Run ``call``'s plan once on its substrate and bank the timings.
 
         The one per-backend step of a run: ``engine`` hands the plan's
         chunks to the worker pool over the shared ``buffers``; the compiled
-        backends run in this process on the arrays ``buffers`` names —
-        ``native`` through the plan's whole-range ``repro_run``, ``hybrid``
-        through ``repro_run_chunks`` over the plan's chunks.  Every backend
-        runs ``workers``-wide.
+        backends run in this process on the arrays ``buffers`` names, with
+        the record's bound call — ``native`` through the plan's whole-range
+        ``repro_run``, ``hybrid`` through ``repro_run_chunks`` over the
+        plan's chunks, cut afresh for every call.  Every backend runs
+        ``workers``-wide.
         """
-        workers = self.engine.workers
-        if backend == "engine":
-            result = self.engine.execute(plan, buffers=buffers)
+        if call.native is None:
+            result = self.engine.execute(call.plan, buffers=buffers)
         else:
-            result = plan.native_module.run(
-                buffers, plan.parameter_values, plan.schedule, threads=workers,
-                chunks=plan.chunks(workers) if backend == "hybrid" else None,
+            result = call.plan.native_module.run(
+                buffers, call.native,
+                chunks=call.plan.chunks(self.engine.workers) if call.backend == "hybrid" else None,
             )
-            if backend == "hybrid":  # the module labels every result "native"
-                result = dataclasses.replace(result, backend="hybrid")
-        self._bank(plan.profile_key, result)
+        self._bank(call.profile_key, result)
         return result
 
     def execute(self, plan: ExecutionPlan, buffers: Optional[SharedBuffers] = None) -> RunResult:
@@ -412,7 +442,9 @@ class RuntimeSession:
         — recording is the session layer's job, so direct-engine callers
         stay profile-free.
         """
-        return self._dispatch("engine", plan, buffers)
+        result = self.engine.execute(plan, buffers=buffers)
+        self._bank(plan.profile_key, result)
+        return result
 
     def _bank(self, key: Optional[str], result: RunResult) -> None:
         """Bank one run's timings in the profile store's in-memory table.
@@ -425,9 +457,9 @@ class RuntimeSession:
         default_profile_store().record(
             key,
             result.backend,
-            elapsed_seconds=float(result.elapsed_seconds),
-            workers=int(result.workers) or self.engine.workers,
-            total_iterations=int(result.iterations),
+            elapsed_seconds=result.elapsed_seconds,
+            workers=result.workers or self.engine.workers,
+            total_iterations=result.iterations,
             chunks=result.chunk_records(),
         )
 
@@ -452,6 +484,7 @@ class RuntimeSession:
         self._free.clear()
         self._discarded.clear()
         self._plans.clear()
+        self._calls.clear()
         self._auto_memo.clear()
 
     def __enter__(self) -> "RuntimeSession":

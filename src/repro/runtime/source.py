@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -34,6 +35,8 @@ _PARTS = ("iteration_op", "chunk_op", "c_body", "c_arrays", "array_ndims", "comp
 #: an identity cannot be recycled while its entry exists
 _MEMO: Dict[tuple, "Source"] = {}
 _MEMO_LIMIT = 256
+#: serialises the eviction and insertion of misses (hits read without it)
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +101,10 @@ class Source:
         cached = _MEMO.get(key)
         if cached is None:
             cached = cls._build(loop, dict(zip(_PARTS, key[1:])))
-            if len(_MEMO) >= _MEMO_LIMIT:
-                _MEMO.pop(next(iter(_MEMO)))
-            _MEMO[key] = cached
+            with _MEMO_LOCK:
+                if len(_MEMO) >= _MEMO_LIMIT:
+                    _MEMO.pop(next(iter(_MEMO)))
+                _MEMO[key] = cached
         return cached
 
     @classmethod

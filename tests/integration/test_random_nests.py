@@ -243,7 +243,7 @@ def test_property_native_matches_engine_and_batch(case, schedule, runtime_engine
     assert module.total(values) == total
 
     native_visits = np.zeros(_GRID)
-    result = module.run({"visits": native_visits}, values, schedule, threads=2)
+    result = module.run({"visits": native_visits}, module.bind(values, schedule, threads=2))
     assert sum(result.results) == total
 
     source = Source.of(nest, iteration_op=_mark_visit, chunk_op=_mark_visits_chunk)
@@ -284,9 +284,11 @@ def test_property_hybrid_matches_engine_and_native(case, schedule, runtime_engin
     hybrid_plan = build_plan(source, values, schedule=schedule, native=True)
     chunks = hybrid_plan.chunks(runtime_engine.workers)
     hybrid_visits = np.zeros(_GRID)
-    result = hybrid_plan.native_module.run(
-        {"visits": hybrid_visits}, values, schedule, chunks=chunks,
-        threads=runtime_engine.workers,
+    hybrid_module = hybrid_plan.native_module
+    result = hybrid_module.run(
+        {"visits": hybrid_visits},
+        hybrid_module.bind(values, schedule, threads=runtime_engine.workers),
+        chunks=chunks,
     )
     assert list(result.chunks) == chunks
     assert sum(result.results) == iteration_count(nest, values)
@@ -302,7 +304,7 @@ def test_property_hybrid_matches_engine_and_native(case, schedule, runtime_engin
     module = compile_collapsed(
         collapse(nest), body="visits(i, j) += 1.0;", arrays=("visits",)
     )
-    module.run({"visits": native_visits}, values, threads=2)
+    module.run({"visits": native_visits}, module.bind(values, threads=2))
     assert np.array_equal(native_visits, hybrid_visits)
 
 

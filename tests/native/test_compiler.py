@@ -28,9 +28,9 @@ _TINY_UNIT = "double repro_tiny(double x) { return x + %d.0; }\n"
 
 
 class TestDiscovery:
-    def test_no_compiler_means_unavailable(self, monkeypatch):
+    def test_no_compiler_means_unavailable(self, monkeypatch, tmp_path):
         monkeypatch.delenv("CC", raising=False)
-        monkeypatch.setattr(shutil, "which", lambda _name: None)
+        monkeypatch.setenv("PATH", str(tmp_path))  # a directory with no compiler
         assert find_compiler() is None
         assert not native_available()
         with pytest.raises(NativeUnavailable, match="no C compiler"):
@@ -42,6 +42,36 @@ class TestDiscovery:
         assert find_compiler() == "/nonexistent/compiler"
         with pytest.raises(NativeUnavailable):
             compile_shared_library("int repro_x;\n")
+
+    def test_search_is_memoised_on_cc_and_path(self, monkeypatch, tmp_path):
+        """A repeated search reads no directory; changing ``$CC`` or
+        ``$PATH`` searches again and changes the answer."""
+        searched = []
+
+        def counting_which(name, *args, **kwargs):
+            searched.append(name)
+            return which(name, *args, **kwargs)
+
+        which = shutil.which
+        monkeypatch.setattr(shutil, "which", counting_which)
+        monkeypatch.delenv("CC", raising=False)
+        fake = tmp_path / "bin" / "cc"
+        fake.parent.mkdir()
+        fake.write_text("#!/bin/sh\n")
+        fake.chmod(0o755)
+        monkeypatch.setenv("PATH", str(fake.parent))
+        assert find_compiler() == str(fake)
+        searches = len(searched)
+        assert find_compiler() == str(fake)
+        assert len(searched) == searches  # memoised: no second search
+
+        monkeypatch.setenv("PATH", str(tmp_path))  # no compiler there
+        assert find_compiler() is None
+        monkeypatch.setenv("CC", "/nonexistent/other-cc")
+        assert find_compiler() == "/nonexistent/other-cc"
+        monkeypatch.delenv("CC")
+        monkeypatch.setenv("PATH", str(fake.parent))
+        assert find_compiler() == str(fake)
 
     def test_cache_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))

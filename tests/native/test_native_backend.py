@@ -60,7 +60,7 @@ class TestRecovery:
         batch = batch_recovery(collapsed).recover_range(1, total, values)
         assert np.array_equal(module.recover_range(1, total, values), batch)
         rows = np.full((total, 3), -1.0)
-        result = module.run({"rows": rows}, values, schedule, threads=2)
+        result = module.run({"rows": rows}, module.bind(values, schedule, threads=2))
         assert str(result.schedule) == str(ScheduleSpec.parse(schedule))
         assert np.array_equal(rows, batch.astype(np.float64))
 
@@ -142,7 +142,7 @@ class TestRecovery:
         module = compile_native_kernel(kernel)
         data = kernel.make_data(values)
         with pytest.raises(NativeExecutionError, match="must lie in"):
-            module.run(data, values, last_pc=10**9)
+            module.bind(values, last_pc=10**9)
 
 
 class TestGuardedFloorRegression:
@@ -216,7 +216,7 @@ class TestSixtyFourBitArithmetic:
         )
         visits = np.zeros((self.N, self.N))
         result = module.run(
-            {"visits": visits}, values, "dynamic,512", first_pc=first, threads=2
+            {"visits": visits}, module.bind(values, "dynamic,512", first_pc=first, threads=2)
         )
         assert sum(result.results) == 5000
         expected = np.zeros((self.N, self.N))
@@ -298,8 +298,8 @@ class TestExactRecoveryHugeRanges:
         for first in self._probe_firsts(collapsed, values):
             trace = np.full((64, 3), -1.0)
             chunks = [Chunk(first, first + 4), Chunk(first + 5, first + 9)]
-            result = module.run({"trace": trace}, values, chunks=chunks, threads=2)
-            assert result.backend == "native" and result.results == (5, 5)
+            result = module.run({"trace": trace}, module.bind(values, threads=2), chunks=chunks)
+            assert result.backend == "hybrid" and result.results == (5, 5)
             for pc in range(first, first + 10):
                 assert tuple(trace[pc % 64].astype(np.int64)) == exact_reference_recover(
                     collapsed, pc, values
@@ -358,7 +358,7 @@ class TestKernelExecution:
         values = {"N": 64}
         module = compile_native_kernel(kernel)
         data = kernel.make_data(values)
-        result = module.run(data, values, "static", threads=2)
+        result = module.run(data, module.bind(values, "static", threads=2))
         assert isinstance(result, RunResult)
         assert result.backend == "native"
         total = kernel.collapsed().total_iterations(values)
@@ -398,8 +398,8 @@ def run_sched_var():
     lib.omp_get_schedule(ctypes.byref(kind), ctypes.byref(chunk))
     return [kind.value, chunk.value]
 before = run_sched_var()
-module.run(kernel.make_data(values), values, "dynamic,1", threads=2)
-result = module.run(kernel.make_data(values), values, "static", threads=2)
+module.run(kernel.make_data(values), module.bind(values, "dynamic,1", threads=2))
+result = module.run(kernel.make_data(values), module.bind(values, "static", threads=2))
 print(json.dumps({
     "total": kernel.collapsed().total_iterations(values),
     "spans": sorted([chunk.first, chunk.last] for chunk in result.chunks),
@@ -433,7 +433,7 @@ print(json.dumps({
         kernel = get_kernel("utma")
         values = {"N": 96}
         module = compile_native_kernel(kernel)
-        result = module.run(kernel.make_data(values), values, "dynamic,64", threads=2)
+        result = module.run(kernel.make_data(values), module.bind(values, "dynamic,64", threads=2))
         total = kernel.collapsed().total_iterations(values)
         assert sum(result.results) == total
         assert result.iterations == total
@@ -456,7 +456,7 @@ print(json.dumps({
         data = kernel.make_data(values)
         data["c"] = data["c"].astype(np.float32)
         with pytest.raises(NativeExecutionError, match="float64"):
-            module.run(data, values)
+            module.run(data, module.bind(values))
 
     def test_run_chunks_covers_the_range(self):
         """The hybrid entry point: arbitrary contiguous chunks, claimed by
@@ -471,15 +471,15 @@ print(json.dumps({
         total = kernel.collapsed().total_iterations(values)
         data = kernel.make_data(values)
         chunks = [Chunk(first, min(first + 112, total)) for first in range(1, total + 1, 113)]
-        result = module.run(data, values, "dynamic", chunks=chunks, threads=2)
+        result = module.run(data, module.bind(values, "dynamic", threads=2), chunks=chunks)
         assert result.results == tuple(chunk.size for chunk in chunks)
         assert result.chunks == tuple(chunks)
         assert set(result.assignments) <= set(range(result.workers))
         assert str(result.schedule) == "dynamic"
         # an empty range and an empty chunk list are legal and run nothing
         # (a plan chunk itself is never empty: ``Chunk`` refuses last < first)
-        assert module.run(data, values, first_pc=5, last_pc=4, threads=2).results == ()
-        assert module.run(data, values, chunks=[], threads=2).results == ()
+        assert module.run(data, module.bind(values, first_pc=5, last_pc=4, threads=2)).results == ()
+        assert module.run(data, module.bind(values, threads=2), chunks=[]).results == ()
         expected = run_original(kernel, values)
         assert np.array_equal(data["c"], expected["c"])
 
@@ -494,7 +494,7 @@ print(json.dumps({
         data = kernel.make_data(values)
         before = {name: array.copy() for name, array in data.items()}
         with pytest.raises(NativeExecutionError, match="must lie in"):
-            module.run(data, values, chunks=[Chunk(1, 5), Chunk(*bad)], threads=2)
+            module.run(data, module.bind(values, threads=2), chunks=[Chunk(1, 5), Chunk(*bad)])
         for name in before:
             assert np.array_equal(data[name], before[name]), name
 
@@ -512,7 +512,7 @@ print(json.dumps({
             array_ndims={"trace": 1},
         )
         trace = np.zeros(total)
-        result = module.run({"trace": trace}, values, threads=2)
+        result = module.run({"trace": trace}, module.bind(values, threads=2))
         assert sum(result.results) == total
         indices = batch_recovery(collapsed).recover_range(1, total, values)
         assert np.array_equal(trace, (indices[:, 0] * 1000 + indices[:, 1]).astype(float))
@@ -530,7 +530,7 @@ print(json.dumps({
             array_ndims={"cube": 3},
         )
         cube = np.zeros((12, 12, 2))
-        module.run({"cube": cube}, values, threads=2)
+        module.run({"cube": cube}, module.bind(values, threads=2))
         expected = np.zeros((12, 12, 2))
         for i, j in enumerate_iterations(correlation_nest, values):
             expected[i, j, 1] += 1.0
@@ -546,7 +546,7 @@ print(json.dumps({
             array_ndims={"trace": 1},
         )
         with pytest.raises(NativeExecutionError, match="1-D"):
-            module.run({"trace": np.zeros((4, 4))}, {"N": 4})
+            module.run({"trace": np.zeros((4, 4))}, module.bind({"N": 4}))
 
 
 # ---------------------------------------------------------------------- #

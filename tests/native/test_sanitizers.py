@@ -115,7 +115,8 @@ def test_ubsan_instrumented_run_matches_original():
     values = dict(kernel.default_parameters)
     expected = run_original(kernel, values)
     instrumented = kernel.make_data(values)
-    compile_native_kernel(kernel, sanitize="undefined").run(instrumented, values)
+    module = compile_native_kernel(kernel, sanitize="undefined")
+    module.run(instrumented, module.bind(values))
     for name in expected:
         assert np.allclose(expected[name], instrumented[name])
 

@@ -159,6 +159,24 @@ class TestFromString:
         with pytest.raises(ValueError, match="at least 1"):
             ScheduleSpec.parse("dynamic,0")
 
+    def test_a_spelling_is_parsed_once_and_errors_every_time(self):
+        """The same text returns the same frozen spec without parsing it
+        again; an invalid text raises on every call (errors are not
+        memoised)."""
+        from repro.openmp import ScheduleSpec, schedule as schedule_module
+
+        spelling = "guided, 7"
+        first = ScheduleSpec.parse(spelling)
+        hits = schedule_module._parse_text.cache_info().hits
+        assert ScheduleSpec.parse(spelling) is first
+        assert schedule_module._parse_text.cache_info().hits == hits + 1
+        for _ in range(3):
+            with pytest.raises(ValueError, match="unknown schedule"):
+                ScheduleSpec.parse("round-robin, 2")
+            with pytest.raises(ValueError, match="at least 1"):
+                ScheduleSpec.parse("guided,0")
+        assert ScheduleSpec.parse(" GUIDED ,7") == first  # another spelling, equal
+
     def test_to_openmp_spellings(self):
         from repro.openmp import ScheduleKind, ScheduleSpec
 

@@ -113,6 +113,27 @@ class TestExploreExploit:
                      total_iterations=10)
         assert resolve_auto_backend("utma", PARAMS, store=store) == "engine"
 
+    def test_a_resolution_computes_one_median_per_candidate(self, tmp_path, monkeypatch):
+        from repro.runtime.profile import BackendProfile
+        from repro.runtime.session import _resolve_auto
+
+        store = ProfileStore(tmp_path)
+        key = profile_key("utma", PARAMS)
+        for backend, elapsed in (("hybrid", 0.5), ("native", 0.3), ("engine", 0.1)):
+            store.record(key, backend, elapsed_seconds=elapsed, workers=2,
+                         total_iterations=10)
+        computed = []
+        median = BackendProfile.median_elapsed.fget
+
+        def counting(profile):
+            computed.append(profile.backend)
+            return median(profile)
+
+        monkeypatch.setattr(BackendProfile, "median_elapsed", property(counting))
+        source = Source.of("utma")
+        assert _resolve_auto(source, key, None, store) == ("engine", True)
+        assert sorted(computed) == ["engine", "hybrid", "native"]
+
     def test_schedule_and_parameters_isolate_the_decision(self, tmp_path):
         store = ProfileStore(tmp_path)
         key = profile_key("utma", PARAMS)
@@ -174,9 +195,10 @@ class TestSessionAuto:
             session.close()
             assert session._auto_memo == {}
 
-    def test_one_profile_key_per_auto_run(self, monkeypatch):
-        """An exploring ``auto`` run hashes its source into a profile key
-        once: the memo lookup and the resolver share it."""
+    def test_one_profile_key_per_auto_key(self, monkeypatch):
+        """``auto`` hashes its source into a profile key once per run key,
+        on its first call: the memo lookup and the resolver of every later
+        (exploring) call read it from the call record."""
         from repro.runtime import session as session_module
 
         calls = []
@@ -192,7 +214,7 @@ class TestSessionAuto:
             for runs in range(1, 4):  # every viable candidate is explored
                 result = session.run(kernel, PARAMS, backend="auto")
                 assert np.array_equal(result["c"], expected["c"])
-                assert len(calls) == runs
+                assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "option",

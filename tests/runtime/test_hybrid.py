@@ -552,7 +552,7 @@ class TestCacheKeying:
         for schedule, ran in (
             ("adaptive", "static"), ("dynamic,64", "dynamic,64"), ("guided", "guided"),
         ):
-            result = module.run(kernel.make_data(values), values, schedule, threads=2)
+            result = module.run(kernel.make_data(values), module.bind(values, schedule, threads=2))
             assert str(result.schedule) == ran
             assert sum(result.results) == total
 

@@ -398,6 +398,27 @@ class TestWriteBehind:
         # every store on the same root shares the table
         assert ProfileStore(tmp_path).load("k")["engine"].runs == 1
 
+    def test_a_loaded_profile_never_changes_and_pending_runs_fold_in_order(
+        self, tmp_path, clock
+    ):
+        """A record replaces the entry's profile instead of changing it, and
+        the runs appended to the pending record between two flushes reach
+        the file as if merged one by one."""
+        store = ProfileStore(tmp_path)
+        _record(store, elapsed=0.5)
+        before = store.load("k")
+        snapshot = BackendProfile.from_json(before["engine"].to_json())
+        elapsed = [0.001 * k for k in range(1, MAX_ELAPSED_WINDOW + 6)]
+        for seconds in elapsed:
+            _record(store, elapsed=seconds)
+        assert before["engine"] == snapshot
+        store.flush()
+        payload = json.loads(store.path_for("k").read_text())["backends"]["engine"]
+        assert payload["runs"] == len(elapsed) + 1
+        assert payload["elapsed_seconds"] == ([0.5] + elapsed)[-MAX_ELAPSED_WINDOW:]
+        assert payload["segments"] == [[1, 10, elapsed[-1]]]
+        assert store.load("k")["engine"].to_json() == payload
+
     def test_flush_runs_on_the_cadence(self, tmp_path, clock):
         store = ProfileStore(tmp_path)
         _record(store)
@@ -700,3 +721,44 @@ class TestChooseBackend:
     def test_empty_candidates_raise(self):
         with pytest.raises(ProfileError, match="no viable"):
             choose_backend({}, [])
+
+    @pytest.mark.parametrize(
+        "window",
+        [[0.3], [0.3, 0.1, 0.2], [0.4, 0.1, 0.3, 0.2], [1e-5, 3e-6, 7e-4, 2e-6, 9e-6, 1e-6]]
+        + [[(k * 7919 % 31) * 1e-4 for k in range(n)] for n in (31, 32)],
+        ids=["one", "odd", "even", "odd-tiny", "odd-31", "even-32"],
+    )
+    def test_median_matches_numpy_on_odd_and_even_windows(self, window):
+        assert BackendProfile(backend="engine", elapsed_seconds=window).median_elapsed == float(
+            np.median(np.asarray(window, dtype=np.float64))
+        )
+
+    def test_ties_go_to_the_earlier_candidate_and_unexplored_go_first(self):
+        tied = {
+            "hybrid": BackendProfile(backend="hybrid", elapsed_seconds=[0.1, 0.3]),
+            "native": BackendProfile(backend="native", elapsed_seconds=[0.2]),
+            "engine": BackendProfile(backend="engine", elapsed_seconds=[0.5]),
+        }
+        assert choose_backend(tied, ["hybrid", "native", "engine"]) == "hybrid"
+        assert choose_backend(tied, ["native", "hybrid", "engine"]) == "native"
+        # a profile with an empty window counts as unexplored, like a missing one
+        tied["native"] = BackendProfile(backend="native")
+        assert choose_backend(tied, ["hybrid", "native", "engine"]) == "native"
+        del tied["native"]
+        assert choose_backend(tied, ["engine", "native", "hybrid"]) == "native"
+
+    def test_one_median_per_candidate(self, monkeypatch):
+        computed = []
+        median = BackendProfile.median_elapsed.fget
+
+        def counting(profile):
+            computed.append(profile.backend)
+            return median(profile)
+
+        monkeypatch.setattr(BackendProfile, "median_elapsed", property(counting))
+        profiles = {
+            name: BackendProfile(backend=name, elapsed_seconds=[seconds, seconds / 2])
+            for name, seconds in (("hybrid", 0.5), ("native", 0.3), ("engine", 0.1))
+        }
+        assert choose_backend(profiles, ["hybrid", "native", "engine"]) == "engine"
+        assert sorted(computed) == ["engine", "hybrid", "native"]

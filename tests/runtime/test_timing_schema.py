@@ -46,14 +46,13 @@ def _run(session, backend):
 
         module = compile_native_kernel(kernel)
         data = kernel.make_data(PARAMS)
-        result = module.run(data, PARAMS, threads=2)
+        result = module.run(data, module.bind(PARAMS, threads=2))
     elif backend == "hybrid":
         plan = session.plan_for(kernel, PARAMS, schedule="adaptive", native=True)
         data = kernel.make_data(PARAMS)
         chunks = plan.chunks(2)
-        result = plan.native_module.run(
-            data, PARAMS, plan.schedule, chunks=chunks, threads=2
-        )
+        module = plan.native_module
+        result = module.run(data, module.bind(PARAMS, plan.schedule, threads=2), chunks=chunks)
         assert list(result.chunks) == chunks
     else:
         from repro.runtime.shm import SharedBuffers
@@ -104,9 +103,7 @@ class TestTimingSchemaPerBackend:
     def test_hybrid_backend(self, session):
         """One entry per plan chunk, timed in C, assigned an OpenMP thread."""
         result = _run(session, "hybrid")
-        # the module labels what ran; the session relabels it "hybrid"
-        # (tests/runtime/test_hybrid.py asserts that label)
-        _assert_schema(result, "native", self._total())
+        _assert_schema(result, "hybrid", self._total())
         assert str(result.schedule) == "adaptive"
         assert all(0 <= thread < result.workers for thread in result.assignments)
 
