@@ -1,30 +1,29 @@
-"""Wall-clock benchmark: hybrid chunk dispatch vs the whole-range native call.
+"""Wall-clock benchmark: native's adaptive cut vs its static cut.
 
 The paper's central claim is that collapsed, rank-recovered loops combine
-*dynamic load balancing* with *compiled-speed iteration*.  PR 3 delivered
-the compiled speed as one monolithic call; PR 2 delivered the adaptive
-scheduling in Python.  The hybrid backend is their fusion, and this
-benchmark measures it on the one kernel where scheduling still matters at C
-speed: ``ltmp``, whose non-collapsed inner ``k`` loop leaves a per-``pc``
-work that grows with ``i`` (the one negative case of the paper's Fig. 9).
-Two paths run repeated rounds in this process on the same arrays:
+*dynamic load balancing* with *compiled-speed iteration*.  Both now run
+through one compiled entry, ``repro_run_chunks``, which executes whatever
+chunk list a plan cut; this benchmark measures what the cut is worth on
+the one kernel where scheduling still matters at C speed: ``ltmp``, whose
+non-collapsed inner ``k`` loop leaves a per-``pc`` work that grows with
+``i`` (the one negative case of the paper's Fig. 9).  Two cuts run
+repeated rounds in this process on the same arrays, through one module:
 
-* ``native`` — the whole-range ``repro_run`` under OpenMP
-  ``schedule(static)``: C speed, but equal-*iteration* thread blocks, so
-  the cubic work profile piles onto the last thread;
-* ``hybrid`` — the plan's cost-model ``adaptive`` chunks (equal estimated
-  *work*), handed to the same translation unit's ``repro_run_chunks``,
-  whose OpenMP team claims them one at a time and recovers once per chunk.
+* ``static`` — the ``static`` plan's cut: one equal-*iteration* block per
+  thread, so the cubic work profile piles onto the last thread;
+* ``adaptive`` — the ``adaptive`` plan's cost-model cut (equal estimated
+  *work*), claimed by the OpenMP team one chunk at a time, recovering
+  once per chunk.
 
-The per-round timings land in ``BENCH_hybrid.json`` (path overridable via
+The file, its environment variables and its report keep the hybrid name
+that CI uses.  The per-round timings land in ``BENCH_hybrid.json`` (path overridable via
 ``BENCH_HYBRID_JSON``; keys emitted in sorted order so the report diffs
-cleanly), and the asserted gate is the PR's acceptance criterion: hybrid
->= 1x the whole-range native call.  Correctness is asserted against
-``run_original`` before anything is timed.  ``BENCH_HYBRID_N`` /
-``BENCH_HYBRID_WORKERS`` / ``BENCH_HYBRID_REPEATS`` shrink the
-configuration for CI smoke runs; the module skips where no C compiler
-exists, and the speed gate additionally skips at or below 2 CPUs (see
-the gate's docstring).
+cleanly), and the asserted gate is adaptive >= 1x static.  Correctness is
+asserted against ``run_original`` before anything is timed.
+``BENCH_HYBRID_N`` / ``BENCH_HYBRID_WORKERS`` / ``BENCH_HYBRID_REPEATS``
+shrink the configuration for CI smoke runs; the module skips where no C
+compiler exists, and the speed gate additionally skips at or below 2 CPUs
+(see the gate's docstring).
 """
 
 from __future__ import annotations
@@ -47,10 +46,10 @@ pytestmark = pytest.mark.skipif(
 N = int(os.environ.get("BENCH_HYBRID_N", "400"))
 WORKERS = int(os.environ.get("BENCH_HYBRID_WORKERS", "4"))
 REPEATS = int(os.environ.get("BENCH_HYBRID_REPEATS", "5"))
-NATIVE_SCHEDULE = os.environ.get("BENCH_HYBRID_NATIVE_SCHEDULE", "static")
+BASELINE_SCHEDULE = os.environ.get("BENCH_HYBRID_NATIVE_SCHEDULE", "static")
 JSON_PATH = Path(os.environ.get("BENCH_HYBRID_JSON", "BENCH_hybrid.json"))
 
-#: acceptance gate of the hybrid-backend PR (ISSUE 4): hybrid >= 1x native
+#: the gate: the adaptive cut >= 1x the static cut
 REQUIRED_SPEEDUP = 1.0
 
 
@@ -65,42 +64,44 @@ def _timed(callable_, repeats: int):
 
 @pytest.fixture(scope="module")
 def hybrid_rounds():
-    """Run both paths, yield their timings, then write the JSON report."""
+    """Run both cuts, yield their timings, then write the JSON report."""
     from repro.kernels import get_kernel, run_original
     from repro.runtime import build_plan
 
     kernel = get_kernel("ltmp")
     values = {"N": N}
-    plan = build_plan(kernel, values, schedule="adaptive", native=True)
-    module = plan.native_module
-    total = plan.collapsed.total_iterations(values)
+    adaptive = build_plan(kernel, values, schedule="adaptive", native=True)
+    static = build_plan(kernel, values, schedule=BASELINE_SCHEDULE, native=True)
+    module = adaptive.native_module
+    assert static.native_module is module  # one unit runs every cut
+    total = adaptive.collapsed.total_iterations(values)
     data = kernel.make_data(values)
 
     expected = run_original(kernel, values)
 
-    hybrid_call = module.bind(values, plan.schedule, threads=WORKERS)
-    native_call = module.bind(values, NATIVE_SCHEDULE, threads=WORKERS)
+    adaptive_call = module.bind(values, adaptive.schedule, threads=WORKERS)
+    static_call = module.bind(values, static.schedule, threads=WORKERS)
 
-    def run_hybrid():
-        return module.run(data, hybrid_call, chunks=plan.chunks(WORKERS))
+    def run_adaptive():
+        return module.run(data, adaptive_call, adaptive.chunks(WORKERS))
 
-    def run_native():
-        return module.run(data, native_call)
+    def run_static():
+        return module.run(data, static_call, static.chunks(WORKERS))
 
     # ---- correctness gates before any timing -------------------------- #
-    result = run_hybrid()
-    assert list(result.chunks) == plan.chunks(WORKERS)
+    result = run_adaptive()
+    assert result.chunks == adaptive.chunks(WORKERS)
     assert sum(result.results) == total
     assert np.allclose(data["c"], expected["c"], atol=1e-9)
-    native_result = run_native()
-    assert sum(native_result.results) == total
+    static_result = run_static()
+    assert sum(static_result.results) == total
     assert np.allclose(data["c"], expected["c"], atol=1e-9)
 
     # ltmp recomputes c from a and b, so repeated rounds are idempotent
-    hybrid_times = _timed(run_hybrid, REPEATS)
-    native_times = _timed(run_native, REPEATS)
-    last_hybrid = run_hybrid()
-    last_native = run_native()
+    adaptive_times = _timed(run_adaptive, REPEATS)
+    static_times = _timed(run_static, REPEATS)
+    last_adaptive = run_adaptive()
+    last_static = run_static()
     assert np.allclose(data["c"], expected["c"], atol=1e-9)
 
     report = {
@@ -109,31 +110,30 @@ def hybrid_rounds():
         "workers": WORKERS,
         "repeats": REPEATS,
         "collapsed_iterations": total,
-        "hybrid_schedule": "adaptive",
-        "native_schedule": NATIVE_SCHEDULE,
-        "hybrid_chunks": len(last_hybrid.chunks),
+        "baseline_schedule": BASELINE_SCHEDULE,
+        "adaptive_chunks": len(last_adaptive.chunks),
         "timings_seconds": {
-            "hybrid": hybrid_times,
-            "native": native_times,
+            "adaptive": adaptive_times,
+            "static": static_times,
         },
         "median_seconds": {
-            "hybrid": statistics.median(hybrid_times),
-            "native": statistics.median(native_times),
+            "adaptive": statistics.median(adaptive_times),
+            "static": statistics.median(static_times),
         },
-        "speedup_hybrid_vs_native": statistics.median(native_times)
-        / max(statistics.median(hybrid_times), 1e-9),
-        "hybrid_chunk_seconds": list(last_hybrid.chunk_seconds),
-        "native_thread_seconds": list(last_native.chunk_seconds),
+        "speedup_adaptive_vs_static": statistics.median(static_times)
+        / max(statistics.median(adaptive_times), 1e-9),
+        "adaptive_chunk_seconds": list(last_adaptive.chunk_seconds),
+        "static_chunk_seconds": list(last_static.chunk_seconds),
         "cpu_count": os.cpu_count(),
     }
     JSON_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     yield report
 
 
-def test_hybrid_at_least_matches_whole_range_native(hybrid_rounds):
-    """The acceptance gate: adaptive hybrid >= 1x the static native call.
+def test_adaptive_cut_at_least_matches_static_cut(hybrid_rounds):
+    """The gate: native's adaptive cut >= 1x its static cut.
 
-    Skipped at or below 2 CPUs.  Both paths are one OpenMP call in this
+    Skipped at or below 2 CPUs.  Both cuts are one OpenMP call in this
     process, but the default four threads then share two cores, and the
     operating system's time-slicing evens out the static blocks the gate
     is about:
@@ -146,11 +146,11 @@ def test_hybrid_at_least_matches_whole_range_native(hybrid_rounds):
         pytest.skip(
             "load-balance gate needs > 2 CPUs (4 threads on 2 cores hide the imbalance)"
         )
-    speedup = hybrid_rounds["speedup_hybrid_vs_native"]
+    speedup = hybrid_rounds["speedup_adaptive_vs_static"]
     print(
         f"\nltmp N={N}, {WORKERS} workers: "
-        f"native {hybrid_rounds['median_seconds']['native'] * 1e3:.2f} ms, "
-        f"hybrid {hybrid_rounds['median_seconds']['hybrid'] * 1e3:.2f} ms "
+        f"static {hybrid_rounds['median_seconds']['static'] * 1e3:.2f} ms, "
+        f"adaptive {hybrid_rounds['median_seconds']['adaptive'] * 1e3:.2f} ms "
         f"(speed-up {speedup:.2f}x)"
     )
     assert speedup >= REQUIRED_SPEEDUP
@@ -160,16 +160,16 @@ def test_json_report_written_with_stable_key_order(hybrid_rounds):
     text = JSON_PATH.read_text()
     report = json.loads(text)
     assert report["kernel"] == "ltmp"
-    assert len(report["timings_seconds"]["hybrid"]) == REPEATS
-    assert report["speedup_hybrid_vs_native"] > 0
+    assert len(report["timings_seconds"]["adaptive"]) == REPEATS
+    assert report["speedup_adaptive_vs_static"] > 0
     # sorted keys: a re-run with identical timings produces an identical file
     assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def test_hybrid_used_adaptive_equal_work_chunks(hybrid_rounds):
-    """The point of the fusion: the plan's cost-model chunking (not one
-    block per thread) drove the native execution."""
-    assert hybrid_rounds["hybrid_chunks"] > WORKERS
+def test_adaptive_used_equal_work_chunks(hybrid_rounds):
+    """The plan's cost-model chunking (not one block per thread) drove the
+    adaptive run."""
+    assert hybrid_rounds["adaptive_chunks"] > WORKERS
 
 
 def test_per_round_timings_positive(hybrid_rounds):

@@ -10,8 +10,10 @@ on the same data:
                pool, shared-memory buffers, compiled batch recovery, one
                vectorized chunk op per dispatched chunk;
 * ``native`` — the compiled translation unit: one ``ctypes`` call into
-               ``repro_run``, OpenMP threads, once-per-thread index
-               recovery (Fig. 4 scheme) and the kernel body as plain C.
+               ``repro_run_chunks`` over the native plan's chunks (one
+               block per thread under ``static``), OpenMP threads,
+               once-per-chunk index recovery (Fig. 4 scheme) and the
+               kernel body as plain C.
 
 The per-round timings land in ``BENCH_native.json`` (path overridable via
 ``BENCH_NATIVE_JSON``), and the asserted gates are:
@@ -125,7 +127,6 @@ def _timed(callable_, repeats: int):
 def native_rounds():
     """Run both paths, yield their timings, then write the JSON report."""
     from repro.kernels import get_kernel, run_original
-    from repro.native import compile_native_kernel
     from repro.runtime import RuntimeEngine, SharedBuffers, build_plan
 
     kernel = get_kernel("utma")
@@ -133,15 +134,17 @@ def native_rounds():
     prior = _load_prior_report()  # read before this run overwrites the file
     plan = build_plan(kernel, values, schedule="adaptive")  # the engine's best policy
     total = plan.collapsed.total_iterations(values)
-    module = compile_native_kernel(kernel)
+    native_plan = build_plan(kernel, values, schedule=SCHEDULE, native=True)
+    module = native_plan.native_module
+    chunks = native_plan.chunks(WORKERS)
 
     expected = run_original(kernel, values)
     data = kernel.make_data(values)
 
-    call = module.bind(values, SCHEDULE, threads=WORKERS)
+    call = module.bind(values, native_plan.schedule, threads=WORKERS)
 
     # ---- correctness gates before any timing ------------------------- #
-    last_result = module.run(data, call)
+    last_result = module.run(data, call, chunks)
     assert np.array_equal(data["c"], expected["c"])  # bit-identical
     assert sum(last_result.results) == total
 
@@ -155,9 +158,9 @@ def native_rounds():
                 lambda: engine.execute(plan, buffers=buffers), REPEATS
             )
             native_times = _timed(
-                lambda: module.run(buffers.arrays, call), REPEATS
+                lambda: module.run(buffers.arrays, call, chunks), REPEATS
             )
-            last_result = module.run(buffers.arrays, call)
+            last_result = module.run(buffers.arrays, call, chunks)
             assert np.array_equal(buffers.arrays["c"], expected["c"])
 
     report = {
@@ -179,8 +182,8 @@ def native_rounds():
         "speedup_native_vs_engine": statistics.median(engine_times)
         / max(statistics.median(native_times), 1e-9),
         "native_threads_used": last_result.workers,
-        "native_thread_iterations": list(last_result.results),
-        "native_thread_seconds": list(last_result.chunk_seconds),
+        "native_chunk_iterations": list(last_result.results),
+        "native_chunk_seconds": list(last_result.chunk_seconds),
         "prior_speedup_native_vs_engine": _min_speedup(prior) if prior else None,
     }
     report["min_speedup_native_vs_engine"] = _min_speedup(report)
@@ -222,7 +225,7 @@ def test_json_report_written(native_rounds):
     assert len(report["timings_seconds"]["native"]) == REPEATS
     assert report["speedup_native_vs_engine"] > 0
     assert report["native_threads_used"] >= 1
-    assert len(report["native_thread_seconds"]) == len(report["native_thread_iterations"])
+    assert len(report["native_chunk_seconds"]) == len(report["native_chunk_iterations"])
 
 
 def test_per_round_timings_positive(native_rounds):

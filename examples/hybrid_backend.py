@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Hybrid native chunk dispatch: adaptive scheduling at compiled speed.
+"""Compiled chunk dispatch: adaptive scheduling at compiled speed.
 
 The paper's promise is *both* halves at once — a perfectly balanced
 schedule over the collapsed ``pc`` loop *and* compiled-speed iteration.
@@ -9,11 +9,14 @@ work growing with ``i``):
 
 1. run the kernel on the pure-Python persistent engine
    (``backend="engine"``, cost-model ``adaptive`` chunks),
-2. run the whole-range compiled C/OpenMP backend (``backend="native"``,
-   ``schedule(static)`` — C speed, equal-iteration imbalance),
+2. run the compiled C/OpenMP backend over the ``static`` cut
+   (``backend="native"``, one block per thread — C speed,
+   equal-iteration imbalance),
 3. run the hybrid backend (``backend="hybrid"``): the same adaptive
-   chunks, handed in this process to one OpenMP call into the translation
-   unit's ``repro_run_chunks``, whose threads claim them one at a time,
+   chunks as step 1, handed in this process to one OpenMP call into the
+   translation unit's ``repro_run_chunks``, whose threads claim them one
+   at a time (``backend="native"`` with ``schedule="adaptive"`` runs the
+   very same call; ``hybrid`` adds the engine fallback),
 4. show that a nest *parsed from C-like text* with an array-assignment
    statement carries its own native body.
 
@@ -51,11 +54,11 @@ def main(n: int = 200) -> None:
 
         try:
             started = time.perf_counter()
-            native = session.run(kernel, values, backend="native")
-            print(f"native (whole range, one OpenMP call): {time.perf_counter() - started:.3f}s")
+            native = session.run(kernel, values, backend="native", schedule="static")
+            print(f"native (static cut, one OpenMP call): {time.perf_counter() - started:.3f}s")
             assert np.allclose(native["c"], expected["c"], atol=1e-9)
         except NativeUnavailable as error:
-            print(f"native backend unavailable here ({error}); skipping the whole-range run")
+            print(f"native backend unavailable here ({error}); skipping the static run")
 
         started = time.perf_counter()
         hybrid = session.run(kernel, values, backend="hybrid", schedule="adaptive")

@@ -14,8 +14,9 @@ that whole matrix into one differentially-checked harness:
   reproduction's cost-model ``adaptive`` policy;
 * **backends** — the five substrates behind ``collapse_and_run``:
   serial ``compiled`` (vectorized batch recovery), the persistent
-  ``engine``, whole-range ``native`` C/OpenMP, ``hybrid`` (the plan's
-  chunks in one in-process OpenMP call) and the profile-guided ``auto``;
+  ``engine``, ``native`` C/OpenMP (the plan's chunks in one in-process
+  OpenMP call), ``hybrid`` (the same call under the name that falls back
+  to the engine) and the profile-guided ``auto``;
 * **compiler flags** — an extra axis for the compiled substrates
   (``-march=native`` by default when the compiler accepts it;
   ``-ffast-math`` is deliberately *not* a default — the differential gate

@@ -11,7 +11,7 @@ Two layers live here:
   Section V);
 * the *translation-unit generator* (:func:`generate_translation_unit`)
   wraps the same constructs into a complete, compilable C file — headers,
-  ``long long`` index arithmetic, per-thread timing instrumentation and an
+  ``long long`` index arithmetic, per-chunk timing instrumentation and an
   optional kernel body — which :mod:`repro.native` compiles into a shared
   library and executes through ``ctypes``.
 
@@ -344,7 +344,7 @@ def generate_openmp_chunked(
 # complete translation units (the native backend's input)
 # ---------------------------------------------------------------------- #
 #: exported symbol names of every generated translation unit
-NATIVE_SYMBOLS = ("repro_total", "repro_recover_range", "repro_run", "repro_run_chunks")
+NATIVE_SYMBOLS = ("repro_total", "repro_recover_range", "repro_run_chunks")
 
 _RESERVED_PREFIX = "repro_"
 
@@ -500,43 +500,37 @@ def _pc_loop_lines(
     iterators: Sequence[str],
     increments: List[str],
     body: Optional[str],
-    pragma: Optional[str] = None,
-    on_recover: Sequence[str] = (),
 ) -> List[str]:
-    """The ``pc`` loop of ``repro_run`` and of each chunk of ``repro_run_chunks``.
+    """The walk of one chunk ``first_pc..last_pc`` of ``repro_run_chunks``.
 
-    One rule covers the paper's three recovery schemes: a thread recovers
-    its indices when ``pc`` is not the one after the last ``pc`` it ran,
-    and otherwise increments them like the original nest.  Under plain
-    ``static`` that is once per thread (Fig. 4), under chunked schedules
-    once per chunk or less (Section V), and never more than once per
-    iteration (Fig. 3).  The recovery is a call to the unit's out-of-line
-    ``repro_recover`` on a branch marked cold: inlined into the loop, its
-    ``__int128`` temporaries pushed the body's pointers and strides out of
-    registers and made a one-add body's walk 30–40 % slower.
-    ``pragma`` is the work-sharing directive of the loop, and
-    ``on_recover`` runs before each recovery, where a run of consecutive
-    ``pc`` values starts.
+    The paper's reduced-overhead scheme (Fig. 4, Section V): the indices
+    are recovered at the chunk's first ``pc``, and the loop then
+    increments them like the original nest.  A thread whose previous
+    chunk ended right before this one skips the recovery, because the
+    increments already left the indices there; so a thread recovers once
+    per run of consecutive chunks, which under a ``static`` cut is once
+    per thread (Fig. 4).  The test sits before the loop, never in it, and
+    the recovery is a call to the unit's out-of-line ``repro_recover``,
+    so its ``__int128`` temporaries never compete with the body's pointers
+    and strides for registers.  An empty chunk runs and recovers nothing.
     """
-    lines = ["long long repro_next = 0;"]
-    if pragma is not None:
-        lines.append(pragma)
-    lines.append("for (long long pc = first_pc; pc <= last_pc; pc++) {")
-    lines.append("  if (__builtin_expect(pc != repro_next, 0)) {")
-    lines.extend("    " + line for line in on_recover)
-    lines.append(f"    long long repro_at[{len(iterators)}];")
-    lines.append("    repro_recover(repro_params, pc, repro_at);")
-    lines.append(
-        "    " + " ".join(f"{name} = repro_at[{k}];" for k, name in enumerate(iterators))
-    )
-    lines.append("  }")
+    lines = [
+        "if (first_pc <= last_pc) {",
+        "  if (first_pc != repro_next) {",
+        f"    long long repro_at[{len(iterators)}];",
+        "    repro_recover(repro_params, first_pc, repro_at);",
+        "    " + " ".join(f"{name} = repro_at[{k}];" for k, name in enumerate(iterators)),
+        "  }",
+        "  for (long long pc = first_pc; pc <= last_pc; pc++) {",
+    ]
     if body is not None:
-        lines.append("  {")
-        lines.extend("    " + line for line in body.strip("\n").splitlines())
-        lines.append("  }")
-    lines.append("  /* indices incrementation as in the original loop nest */")
-    lines.extend("  " + line for line in increments)
-    lines.append("  repro_next = pc + 1;")
+        lines.append("    {")
+        lines.extend("      " + line for line in body.strip("\n").splitlines())
+        lines.append("    }")
+    lines.append("    /* indices incrementation as in the original loop nest */")
+    lines.extend("    " + line for line in increments)
+    lines.append("  }")
+    lines.append("  repro_next = last_pc + 1;")
     lines.append("}")
     return lines
 
@@ -550,7 +544,7 @@ def generate_translation_unit(
 ) -> str:
     """A complete C translation unit for one collapsed nest.
 
-    The unit exports four functions (see :data:`NATIVE_SYMBOLS`):
+    The unit exports three functions (see :data:`NATIVE_SYMBOLS`):
 
     * ``long long repro_total(const long long *params)`` — the collapsed
       trip count for concrete parameter values (``params`` in the order of
@@ -558,41 +552,28 @@ def generate_translation_unit(
     * ``int repro_recover_range(params, first_pc, last_pc, long long *out)``
       — writes the recovered indices of the inclusive 1-based ``pc`` range
       into ``out`` as an ``(n, depth)`` row-major array;
-    * ``int repro_run(params, first_pc, last_pc, double *const *arrays,
-      const long long *strides, int kind, int chunk, int max_threads,
-      long long *counts, double *seconds, long long *first, long long
-      *last)`` — executes ``body`` for every ``pc`` of the range under the
-      OpenMP schedule ``kind`` (an ``omp_sched_t`` value) with ``chunk``
-      (0: the kind's default), and reports, per thread, the iteration
-      count, wall-clock seconds and the span of ``pc`` values it ran;
-      returns the team size.  The loop is ``schedule(runtime)``: the
-      schedule is set with ``omp_set_schedule`` before the region and the
-      caller's run-sched-var is restored after it, so neither
-      ``OMP_SCHEDULE`` nor an earlier call steers a run;
-    * ``int repro_run_chunks(params, bounds, n, arrays, strides,
-      max_threads, long long *counts, double *seconds, long long
-      *threads)`` — the chunked entry point of the hybrid backend: runs
-      the ``n`` inclusive ``pc`` ranges ``bounds[2k]..bounds[2k+1]`` (a
-      plan's chunk list) under ``#pragma omp for schedule(dynamic, 1)``,
-      one chunk per claim, walking each with the same loop as
-      ``repro_run`` (so it recovers once, at the chunk's first ``pc``,
-      Fig. 4), and reports per chunk the executed count, its wall-clock
-      seconds measured inside the call (``omp_get_wtime``, or ``clock()``
-      without OpenMP) and the thread that ran it; returns the team size.
+    * ``int repro_run_chunks(params, bounds, n, double *const *arrays,
+      const long long *strides, int max_threads, long long *counts,
+      double *seconds, long long *threads)`` — the one compiled run: it
+      executes ``body`` over the ``n`` inclusive ``pc`` ranges
+      ``bounds[2k]..bounds[2k+1]`` (a plan's chunk list, whatever schedule
+      cut it) under ``#pragma omp for schedule(dynamic, 1)``, one chunk
+      per claim, recovering the indices at a chunk's first ``pc`` unless
+      the thread's previous chunk ended right before it, and incrementing
+      them across the chunk (Fig. 4; see :func:`_pc_loop_lines`), and
+      reports per chunk the executed count, its wall-clock seconds
+      measured inside the call (``omp_get_wtime``, or ``clock()`` without
+      OpenMP; from the end of the thread's previous chunk, so one clock
+      read per chunk) and the thread that ran it; returns the team size.
 
     ``body`` is C source executed once per collapsed iteration with the
     recovered iterators and the parameters in scope as ``long long``; each
     name in ``arrays`` is a row-major ``double`` array accessed through a
     generated ``name(i0, .., i{n-1})`` macro.  ``array_ndims`` maps array
     names to their rank (default 2, the historical contract); the strides
-    argument of ``repro_run``/``repro_run_chunks`` is a flat table with
-    ``ndim - 1`` leading-dimension element strides per array, so all-2-D
-    units keep the one-stride-per-array ABI.
-
-    Both entries recover the indices only where a thread's ``pc`` does not
-    follow its previous one (see :func:`_pc_loop_lines`), which is the
-    paper's once-per-thread, once-per-chunk and per-iteration schemes in
-    one rule, whatever schedule the call picks.
+    argument of ``repro_run_chunks`` is a flat table with ``ndim - 1``
+    leading-dimension element strides per array, so all-2-D units keep the
+    one-stride-per-array ABI.
     """
     _check_names(collapsed, arrays)
     ndims = resolve_array_ndims(arrays, array_ndims)
@@ -604,7 +585,7 @@ def generate_translation_unit(
         f"/* native backend translation unit for '{collapsed.nest.name}'",
         f"   generated by repro.core.codegen_c from the ranking polynomial",
         f"   r({', '.join(iterators)}) = {collapsed.ranking.polynomial}",
-        "   schedule(runtime), set per call; recovery: where pc != repro_next */",
+        "   runs a chunk list, one chunk per claim; recovery: where a thread's chunks break */",
         "#include <math.h>",
         "#include <complex.h>",
         "#include <time.h>",
@@ -648,86 +629,7 @@ def generate_translation_unit(
     lines.append("}")
     lines.append("")
 
-    increment_lines = _c_increment_lines(collapsed)
-
-    # ---- run ----------------------------------------------------------- #
-    # a thread's pcs are runs of consecutive values, each opened by a
-    # recovery: its count and span are kept per run, off the hot path
-    close_run = (
-        "if (repro_next) { repro_n += repro_next - repro_start; "
-        "if (repro_next - 1 > repro_last) repro_last = repro_next - 1; }"
-    )
-    open_run = (
-        close_run,
-        "if (repro_first == 0 || pc < repro_first) repro_first = pc;",
-        "repro_start = pc;",
-    )
-
-    def emit_thread_loop(indent: str, pragma: Optional[str]) -> None:
-        lines.append(
-            f"{indent}long long repro_n = 0, repro_first = 0, repro_last = -1, repro_start = 0;"
-        )
-        lines.append(f"{indent}{declare_iters}")
-        loop = _pc_loop_lines(iterators, increment_lines, body, pragma, open_run)
-        lines.extend(line if line.startswith("#") else indent + line for line in loop)
-        lines.append(f"{indent}{close_run}")
-
-    lines.append(
-        "int repro_run(const long long *repro_params, long long first_pc, long long last_pc,"
-    )
-    lines.append(
-        "              double *const *repro_arrays, const long long *repro_strides,"
-    )
-    lines.append(
-        "              int repro_kind, int repro_chunk,"
-    )
-    lines.append(
-        "              int repro_max_threads, long long *repro_counts, double *repro_seconds,"
-    )
-    lines.append(
-        "              long long *repro_firsts, long long *repro_lasts) {"
-    )
-    lines.extend(_param_prologue(collapsed, "  "))
-    lines.extend(_array_prologue_lines(arrays, ndims, "  "))
-    lines.append("  (void)repro_arrays; (void)repro_strides;")
-    lines.append("  int repro_used = 1;")
-    lines.append("  if (repro_max_threads < 1) repro_max_threads = 1;")
-    lines.append("  if (last_pc < first_pc) return 0;")
-    lines.append("#ifdef _OPENMP")
-    lines.append("  /* the call's schedule, not OMP_SCHEDULE or an earlier call's */")
-    lines.append("  omp_sched_t repro_caller_kind;")
-    lines.append("  int repro_caller_chunk;")
-    lines.append("  omp_get_schedule(&repro_caller_kind, &repro_caller_chunk);")
-    lines.append("  omp_set_schedule((omp_sched_t)repro_kind, repro_chunk);")
-    lines.append("#pragma omp parallel num_threads(repro_max_threads)")
-    lines.append("  {")
-    lines.append("    const int repro_tid = omp_get_thread_num();")
-    lines.append("#pragma omp single")
-    lines.append("    repro_used = omp_get_num_threads();")
-    lines.append("    const double repro_t0 = omp_get_wtime();")
-    emit_thread_loop("    ", "#pragma omp for schedule(runtime) nowait")
-    lines.append("    repro_seconds[repro_tid] = omp_get_wtime() - repro_t0;")
-    lines.append("    repro_counts[repro_tid] = repro_n;")
-    lines.append("    repro_firsts[repro_tid] = repro_first;")
-    lines.append("    repro_lasts[repro_tid] = repro_last;")
-    lines.append("  }")
-    lines.append("  omp_set_schedule(repro_caller_kind, repro_caller_chunk);")
-    lines.append("#else")
-    lines.append("  (void)repro_kind; (void)repro_chunk;")
-    lines.append("  {")
-    lines.append("    const clock_t repro_t0 = clock();")
-    emit_thread_loop("    ", None)
-    lines.append("    repro_seconds[0] = (double)(clock() - repro_t0) / CLOCKS_PER_SEC;")
-    lines.append("    repro_counts[0] = repro_n;")
-    lines.append("    repro_firsts[0] = repro_first;")
-    lines.append("    repro_lasts[0] = repro_last;")
-    lines.append("  }")
-    lines.append("#endif")
-    lines.append("  return repro_used;")
-    lines.append("}")
-    lines.append("")
-
-    # ---- run_chunks (the plan's chunk list, one chunk per claim) ------- #
+    # ---- run_chunks (a chunk list, one chunk per claim) ---------------- #
     lines.extend([
         "static double repro_wtime(void) {",
         "#ifdef _OPENMP",
@@ -761,18 +663,25 @@ def generate_translation_unit(
         "#else",
         "    const long long repro_tid = 0;",
         "#endif",
+        f"    {declare_iters}",
+        "    long long repro_next = 0;",
+        "    /* a chunk's seconds run from the end of the thread's previous one */",
+        "    double repro_t = repro_wtime();",
         "#ifdef _OPENMP",
         "#pragma omp for schedule(dynamic, 1)",
         "#endif",
         "    for (long long repro_k = 0; repro_k < repro_n; repro_k++) {",
         "      const long long first_pc = repro_bounds[2 * repro_k];",
         "      const long long last_pc = repro_bounds[2 * repro_k + 1];",
-        "      const double repro_t0 = repro_wtime();",
-        f"      {declare_iters}",
     ])
-    lines.extend("      " + line for line in _pc_loop_lines(iterators, increment_lines, body))
+    lines.extend(
+        "      " + line
+        for line in _pc_loop_lines(iterators, _c_increment_lines(collapsed), body)
+    )
     lines.extend([
-        "      repro_seconds[repro_k] = repro_wtime() - repro_t0;",
+        "      const double repro_t1 = repro_wtime();",
+        "      repro_seconds[repro_k] = repro_t1 - repro_t;",
+        "      repro_t = repro_t1;",
         "      repro_counts[repro_k] = last_pc < first_pc ? 0 : last_pc - first_pc + 1;",
         "      repro_threads[repro_k] = repro_tid;",
         "    }",

@@ -11,10 +11,10 @@ every unit the backend is about to compile:
   parallel`` region must be block-scope-declared within the region, listed
   in a ``private``/``firstprivate``/``lastprivate``/``reduction`` clause,
   or sit under ``#pragma omp single``/``critical``/``atomic``/``master``.
-  Per-thread result slots (subscripted by ``repro_tid``) and per-iteration
-  slots of a ``#pragma omp for`` loop (subscripted by exactly its
-  induction variable, which one thread owns per iteration) are recognised
-  as disjoint by construction.  Anything else is an error finding.
+  Per-iteration slots of a ``#pragma omp for`` loop (subscripted by
+  exactly its induction variable, which one thread owns per iteration) are
+  recognised as disjoint by construction; any other subscripted write is a
+  warning finding, and anything else an error finding.
 * **array writes**: no two distinct collapsed iterations may statically
   write the same array cell.  The kernel-body macro writes are checked
   through the dependence system (:func:`repro.ir.dependences
@@ -167,8 +167,8 @@ def lint_c_source(source: str, subject: str = "translation_unit") -> LintReport:
                         "warning",
                         subject,
                         f"line {number}: subscripted write to {name!r} is not "
-                        "provably per-thread (subscript neither mentions "
-                        "repro_tid nor is an omp-for induction variable)",
+                        "provably per-thread (subscript is not an omp-for "
+                        "induction variable)",
                         stripped,
                     )
                 for match in _DEREF_WRITE_RE.finditer(line):
@@ -221,8 +221,7 @@ def lint_c_source(source: str, subject: str = "translation_unit") -> LintReport:
 def _subscripted_unproven(line: str, induction: Set[str]) -> List[str]:
     names: List[str] = []
     for match in _SUBSCRIPT_WRITE_RE.finditer(line):
-        subscript = match.group(2)
-        if "repro_tid" not in subscript and subscript.strip() not in induction:
+        if match.group(2).strip() not in induction:
             names.append(match.group(1))
     return names
 

@@ -9,11 +9,11 @@ emitted program*:
   ``gcc``, ``clang``), an OpenMP probe, and compilation to shared
   libraries behind an on-disk cache keyed by source hash;
 * :mod:`repro.native.module` — the ``ctypes``-bound :class:`NativeModule`
-  (``total`` / ``recover_range`` / ``bind`` then ``run``, whole-range or
-  over a plan's chunks), the memoised
+  (``total`` / ``recover_range`` / ``bind`` then ``run`` over a plan's
+  chunks), the memoised
   :func:`compile_collapsed` / :func:`compile_native_kernel` constructors;
   a run returns the runtime's one :class:`~repro.runtime.engine.RunResult`,
-  carrying per-thread timings measured inside the C code.
+  carrying per-chunk timings measured inside the C code.
 
 Machines without a C compiler raise :class:`NativeUnavailable` from every
 entry point; ``native_available()`` is the cheap feature test the kernels

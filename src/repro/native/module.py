@@ -17,12 +17,14 @@ index arrays):
   same contract the Python and engine paths honour with big ints (the
   historical ~2^45 double-trust ceiling is gone; docs/recovery.md),
 * :meth:`NativeModule.bind` and :meth:`NativeModule.run` — resolve a call
-  once (parameters, ``pc`` range, OpenMP schedule, team size: one compiled
-  unit serves every schedule), then execute the kernel body for it any
-  number of times, over its range or over a plan's chunk list
-  (``chunks=``, the hybrid backend), mutating the caller's NumPy arrays in
-  place and returning a :class:`~repro.runtime.engine.RunResult` with
-  per-thread (or per-chunk) timings read back from the C side.
+  once (parameters, trip count, schedule, team size: one compiled unit
+  serves every schedule), then execute the kernel body for it any number
+  of times over a chunk list (a plan's
+  :meth:`~repro.runtime.plan.ExecutionPlan.chunks`; a sub-range is a
+  one-chunk list) through the unit's one entry, ``repro_run_chunks``,
+  mutating the caller's NumPy arrays in place and returning a
+  :class:`~repro.runtime.engine.RunResult` with per-chunk timings read
+  back from the C side.
 
 :func:`compile_collapsed` builds (and memoises) the module of a plan
 source (:class:`~repro.runtime.source.Source`: a collapsed loop or nest
@@ -44,7 +46,7 @@ import numpy as np
 
 from ..core import CollapsedLoop
 from ..core.codegen_c import generate_translation_unit, resolve_array_ndims
-from ..openmp.schedule import Chunk, ScheduleKind, ScheduleSpec
+from ..openmp.schedule import Chunk, ScheduleSpec
 from ..runtime.engine import RunResult
 from ..runtime.source import Source
 from .compiler import (
@@ -55,57 +57,60 @@ _LONGLONG_P = ctypes.POINTER(ctypes.c_longlong)
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _VOID_PP = ctypes.POINTER(ctypes.c_void_p)
 
-#: the ``omp_sched_t`` value ``repro_run`` sets for each schedule kind (the
-#: OpenMP API fixes them); ``adaptive`` has no OpenMP spelling and runs as
-#: ``static``
-_OMP_SCHED_KIND = {
-    ScheduleKind.STATIC: 1,
-    ScheduleKind.STATIC_CHUNKED: 1,
-    ScheduleKind.DYNAMIC: 2,
-    ScheduleKind.GUIDED: 3,
-}
-_STATIC = ScheduleSpec(ScheduleKind.STATIC)
-
-
 class NativeExecutionError(ValueError):
     """Raised for data that the compiled module cannot execute."""
+
+
+def _range_error(values: Mapping[str, int], total: int, first: int, last: int):
+    """The error of a ``pc`` range outside ``[1, total]``.
+
+    Out-of-range requests raise (mirroring ``BatchRecovery``) instead of
+    clamping — a silently truncated run would hide a caller's
+    miscalculated range.
+    """
+    return NativeExecutionError(
+        f"pc values must lie in [1, {total}] for {dict(values)}; got range [{first}, {last}]"
+    )
 
 
 @dataclass(eq=False)
 class NativeCall:
     """One call of a module, resolved once by :meth:`NativeModule.bind`.
 
-    It holds what every run of the call passes to C besides the arrays: the
-    parameter array, the trip count and ``pc`` range, the schedule and the
-    team size, and, from the first run on, the *layout*: each array's shape
-    and the flat strides table they imply.  A later run whose arrays have
-    other shapes raises :class:`NativeExecutionError`.  Runs only read it,
-    so threads may share one call; each run fills its own pointer table
-    and output arrays.
+    It holds what every run passes to C besides the arrays and the chunks:
+    the parameter array, the trip count, the schedule (which labels the
+    results) and the team size.  Runs fill in the rest: the *layout* of the
+    first run's arrays (their shapes and flat strides table; a later run
+    with other shapes raises :class:`NativeExecutionError`), and ``ran``,
+    the last chunk tuple run with its checked ``bounds`` array, so a run
+    handed the same tuple again converts and checks nothing.  Runs set
+    each of the two in one attribute write and only read the rest, so
+    threads may share a call; each run fills its own pointer table and
+    output arrays.
     """
 
     parameter_values: Dict[str, int]
     params: object  # the ctypes parameter array
     total: int
-    first: int
-    last: int
     schedule: ScheduleSpec
     threads: int
     #: ``(shapes, strides)`` of the first run's arrays
     layout: Optional[Tuple[tuple, object]] = None
+    #: ``(chunks, bounds)``: the last chunk tuple run and its checked bounds
+    ran: Optional[Tuple[Tuple[Chunk, ...], object]] = None
 
-    def check(self, first: int, last: int) -> None:
-        """Reject a non-empty ``pc`` range outside ``[1, total]``.
 
-        Out-of-range requests raise (mirroring ``BatchRecovery``) instead of
-        clamping — a silently truncated run would hide a caller's
-        miscalculated range.
-        """
-        if first <= last and (first < 1 or last > self.total):
-            raise NativeExecutionError(
-                f"pc values must lie in [1, {self.total}] for {self.parameter_values}; "
-                f"got range [{first}, {last}]"
-            )
+def _checked_bounds(call: NativeCall, chunks: Sequence[Chunk]):
+    """``chunks`` as a tuple and its ``bounds`` array (``first, last`` per
+    chunk), each chunk checked against ``[1, total]`` of ``call``."""
+    chunks = tuple(chunks)
+    for chunk in chunks:
+        if chunk.first < 1 or chunk.last > call.total:
+            raise _range_error(call.parameter_values, call.total, chunk.first, chunk.last)
+    bounds = (ctypes.c_longlong * (2 * len(chunks)))()
+    bounds[0::2] = [chunk.first for chunk in chunks]
+    bounds[1::2] = [chunk.last for chunk in chunks]
+    return chunks, bounds
 
 
 def _address(array: np.ndarray) -> int:
@@ -120,7 +125,7 @@ def _address(array: np.ndarray) -> int:
 def _layout(shapes) -> Tuple[tuple, object]:
     """The layout of arrays of ``shapes``: the shapes and the flat strides
     table (``ndim - 1`` leading-dimension element strides per array,
-    row-major) that ``repro_run``/``repro_run_chunks`` index them with."""
+    row-major) that ``repro_run_chunks`` indexes them with."""
     stride_values = []
     for shape in shapes:
         extent = 1
@@ -160,12 +165,6 @@ class NativeModule:
             _LONGLONG_P, ctypes.c_longlong, ctypes.c_longlong, _LONGLONG_P,
         ]
         self._lib.repro_recover_range.restype = ctypes.c_int
-        self._lib.repro_run.argtypes = [
-            _LONGLONG_P, ctypes.c_longlong, ctypes.c_longlong,
-            _VOID_PP, _LONGLONG_P, ctypes.c_int, ctypes.c_int,
-            ctypes.c_int, _LONGLONG_P, _DOUBLE_P, _LONGLONG_P, _LONGLONG_P,
-        ]
-        self._lib.repro_run.restype = ctypes.c_int
         self._lib.repro_run_chunks.argtypes = [
             _LONGLONG_P, _LONGLONG_P, ctypes.c_longlong,
             _VOID_PP, _LONGLONG_P, ctypes.c_int,
@@ -234,31 +233,23 @@ class NativeModule:
         self,
         parameter_values: Mapping[str, int],
         schedule: object = "static",
-        first_pc: int = 1,
-        last_pc: Optional[int] = None,
         threads: Optional[int] = None,
     ) -> NativeCall:
-        """Resolve one call for :meth:`run`: parameters, range, schedule, team.
+        """Resolve one call for :meth:`run`: parameters, trip count, schedule, team.
 
-        ``schedule`` is anything :meth:`ScheduleSpec.parse` accepts, and
-        the engine-only ``adaptive`` runs as ``static`` on ``repro_run``
-        (the result's ``schedule`` says what ran); ``first_pc``/``last_pc``
-        is a 1-based inclusive range (default: the whole trip count; an
-        empty range is legal and executes nothing); ``threads`` caps the
-        OpenMP team (default: ``os.cpu_count()``).  Raises
-        :class:`NativeExecutionError` for a missing parameter or a
-        non-empty range outside ``[1, total]``.
+        ``schedule`` is anything :meth:`ScheduleSpec.parse` accepts and
+        labels the results: it names the policy that cut the chunks the
+        runs are given.  ``threads`` caps the OpenMP team (default:
+        ``os.cpu_count()``).  Raises :class:`NativeExecutionError` for a
+        missing parameter.
         """
-        params = self._params(parameter_values)
-        total = self.collapsed.total_iterations(parameter_values)
-        first = int(first_pc)
-        last = total if last_pc is None else int(last_pc)
-        call = NativeCall(
-            dict(parameter_values), params, total, first, last,
-            ScheduleSpec.parse(schedule), int(threads) if threads else (os.cpu_count() or 1),
+        return NativeCall(
+            dict(parameter_values),
+            self._params(parameter_values),
+            self.collapsed.total_iterations(parameter_values),
+            ScheduleSpec.parse(schedule),
+            int(threads) if threads else (os.cpu_count() or 1),
         )
-        call.check(first, last)
-        return call
 
     def recover_range(
         self,
@@ -274,13 +265,19 @@ class NativeModule:
         every float seed against ``__int128`` integer brackets, so a depth-3
         domain beyond 2^50 ranks recovers exactly (pinned by
         ``tests/native/test_native_backend.py::TestExactRecoveryHugeRanges``).
+        An empty range returns an empty array; a non-empty one outside
+        ``[1, total]`` raises :class:`NativeExecutionError`.
         """
-        call = self.bind(parameter_values, first_pc=first_pc, last_pc=last_pc)
-        if call.last < call.first:
+        params = self._params(parameter_values)
+        first, last = int(first_pc), int(last_pc)
+        if last < first:
             return np.empty((0, self.depth), dtype=np.int64)
-        out = np.empty((call.last - call.first + 1, self.depth), dtype=np.int64)
+        total = self.collapsed.total_iterations(parameter_values)
+        if first < 1 or last > total:
+            raise _range_error(parameter_values, total, first, last)
+        out = np.empty((last - first + 1, self.depth), dtype=np.int64)
         status = self._lib.repro_recover_range(
-            call.params, call.first, call.last, out.ctypes.data_as(_LONGLONG_P)
+            params, first, last, out.ctypes.data_as(_LONGLONG_P)
         )
         if status != 0:  # pragma: no cover - the generated unit always returns 0
             raise NativeExecutionError(f"native recovery failed with status {status}")
@@ -290,66 +287,34 @@ class NativeModule:
         self,
         data: Mapping[str, np.ndarray],
         call: NativeCall,
-        chunks: Optional[Sequence[Chunk]] = None,
+        chunks: Sequence[Chunk],
+        backend: str = "native",
     ) -> RunResult:
-        """Execute the kernel body for a bound ``call``, in place on ``data``.
+        """Execute the kernel body over ``chunks``, in place on ``data``.
 
         ``call`` comes from :meth:`bind` (of this module) and may serve any
         number of runs.  ``data`` must hold a C-contiguous float64 array of
         the generated rank for every name the module was generated with
         (2-D unless ``array_ndims`` said otherwise), of the shapes the
-        call's first run had.  Without ``chunks`` the call runs
-        ``repro_run`` over its range under its schedule; per-thread
-        iteration counts, ``pc`` spans and wall-clock seconds are read back
-        from the C side, and the result is labelled ``backend="native"``.
+        call's first run had.  ``chunks`` is a chunk list, normally a
+        plan's :meth:`~repro.runtime.plan.ExecutionPlan.chunks` (a
+        sub-range is a one-chunk list); every chunk is checked against
+        ``[1, total]`` before the foreign call, so an out-of-range chunk
+        raises :class:`NativeExecutionError` before anything is written.
 
-        With ``chunks`` (a plan's chunk list: the hybrid backend) it runs
-        ``repro_run_chunks`` instead: the team claims the chunks one at a
-        time (``schedule(dynamic, 1)``), whatever schedule cut them, and the
-        result, labelled ``backend="hybrid"``, has one entry per chunk — its
-        count, its seconds measured inside the call and the thread that ran
-        it.  Every chunk is checked against ``[1, total]`` before the
-        foreign call, so an out-of-range chunk raises
-        :class:`NativeExecutionError` before anything is written.
+        The one foreign call is the unit's ``repro_run_chunks``: the team
+        claims the chunks one at a time (``schedule(dynamic, 1)``),
+        whatever schedule cut them, and recovers the indices at most once
+        per chunk.  The result, labelled ``backend``, has one entry per chunk —
+        its count, its seconds measured inside the call and the thread
+        that ran it.
         """
-        if chunks is not None:
-            return self._run_chunks(data, call, chunks)
-        pointers, strides = self._pointer_table(data, call)
-        longs = ctypes.c_longlong * call.threads
-        counts, firsts, lasts = longs(), longs(), longs()
-        seconds = (ctypes.c_double * call.threads)()
-        spec = _STATIC if call.schedule.kind is ScheduleKind.ADAPTIVE else call.schedule
-        started = time.perf_counter()
-        used = self._lib.repro_run(
-            call.params, call.first, call.last, pointers, strides,
-            _OMP_SCHED_KIND[spec.kind], spec.chunk_size or 0, call.threads,
-            counts, seconds, firsts, lasts,
-        )
-        elapsed = time.perf_counter() - started
-        if used < 0:  # pragma: no cover - the generated unit never returns < 0
-            raise NativeExecutionError(f"native run failed with status {used}")
-        active = [t for t in range(min(used, call.threads)) if counts[t] > 0]
-        return RunResult(
-            results=tuple(counts[t] for t in active),
-            elapsed_seconds=elapsed,
-            chunks=tuple(Chunk(first=firsts[t], last=lasts[t], thread=t) for t in active),
-            workers=used if active else 0,
-            schedule=spec,
-            assignments=tuple(active),
-            chunk_seconds=tuple(seconds[t] for t in active),
-            backend="native",
-        )
-
-    def _run_chunks(self, data, call: NativeCall, chunks: Sequence[Chunk]) -> RunResult:
-        """:meth:`run` over a chunk list, through ``repro_run_chunks``."""
-        chunks = tuple(chunks)
-        for chunk in chunks:
-            call.check(chunk.first, chunk.last)
+        ran = call.ran
+        if ran is None or ran[0] is not chunks:
+            ran = call.ran = _checked_bounds(call, chunks)
+        chunks, bounds = ran
         pointers, strides = self._pointer_table(data, call)
         count = len(chunks)
-        bounds = (ctypes.c_longlong * (2 * count))()
-        bounds[0::2] = [chunk.first for chunk in chunks]
-        bounds[1::2] = [chunk.last for chunk in chunks]
         counts = (ctypes.c_longlong * count)()
         seconds = (ctypes.c_double * count)()
         ran_on = (ctypes.c_longlong * count)()
@@ -367,7 +332,7 @@ class NativeModule:
             schedule=call.schedule,
             assignments=tuple(ran_on[:]),
             chunk_seconds=tuple(seconds[:]),
-            backend="hybrid",
+            backend=backend,
         )
 
     def describe(self) -> str:
@@ -413,8 +378,8 @@ def compile_collapsed(
     ``$REPRO_NATIVE_FLAGS``, the same tuple the on-disk digest hashes.
     The fingerprint covers the loop, body, arrays and ranks, so every
     input that changes the emitted source *or the compiled artefact* is
-    part of the key.  The schedule is not: one unit runs every schedule,
-    picked per call by :meth:`NativeModule.run`.  The underlying ``.so``
+    part of the key.  The schedule is not: one unit runs every schedule's
+    chunk list, given per call to :meth:`NativeModule.run`.  The underlying ``.so``
     is additionally cached on disk by source-plus-command-line hash, so a
     warm start never invokes the compiler (a cached ``.so`` that fails to
     load is rebuilt once, see

@@ -72,40 +72,32 @@ class RunResult:
     ``chunk_seconds`` its own wall-clock time inside the substrate (the
     load-balance view; their sum can exceed ``elapsed_seconds`` when
     workers overlap).  ``backend`` names the execution substrate that
-    ran: ``"engine"`` (the worker pool, Python/NumPy chunk ops),
-    ``"hybrid"`` (the plan's chunk list in one in-process OpenMP call,
-    the compiled ``repro_run_chunks``) or ``"native"`` (one whole-range
-    OpenMP ``repro_run``).
+    ran: ``"engine"`` (the worker pool, Python/NumPy chunk ops), or
+    ``"native"`` or ``"hybrid"`` (two names for one run: the plan's chunk
+    list in one in-process OpenMP call, the compiled ``repro_run_chunks``).
 
     **Timing schema** (one contract across every backend; asserted by
     ``tests/runtime/test_timing_schema.py``):
 
     * ``chunks``, ``results``, ``assignments`` and ``chunk_seconds`` are
-      index-aligned — entry *k* of each describes the same unit of work:
-      a scheduled chunk on the engine and hybrid backends (``assignments``
-      are engine worker ids there, OpenMP thread ids on hybrid), an OpenMP
-      thread's whole span on the native backend (threads that executed no
-      iteration are omitted there);
+      index-aligned — entry *k* of each describes the same scheduled
+      chunk on every backend (``assignments`` are engine worker ids on
+      the engine, OpenMP thread ids on native and hybrid);
     * every value in ``chunk_seconds`` is wall-clock **seconds on a
       monotonic clock, measured inside the executing substrate** —
       ``time.perf_counter`` around the chunk body in an engine worker,
       ``omp_get_wtime`` around each chunk inside the compiled
-      ``repro_run_chunks`` for hybrid and inside ``repro_run`` for native
-      threads — so queue latency and dispatch overhead are excluded on all
-      backends;
+      ``repro_run_chunks`` — so queue latency and dispatch overhead are
+      excluded on all backends;
     * ``elapsed_seconds`` is the calling process's ``time.perf_counter``
       span around the whole run (dispatch included): the number backends are
       *compared* by, where ``chunk_seconds`` is what schedules are
       *re-cut* from.
 
-    Under OpenMP dynamic/guided schedules a native thread's ``pc`` span
-    may overlap other threads' (its chunks need not be contiguous), which
-    is why :attr:`iterations` sums the executed counts rather than the
-    span sizes, and why profile-guided re-cutting only trusts spans whose
-    recorded sizes sum to the trip count.
-
     :meth:`chunk_records` renders the per-chunk view in the profile
-    store's :class:`~repro.runtime.profile.ChunkProfile` schema.
+    store's :class:`~repro.runtime.profile.ChunkProfile` schema.  A
+    session run's chunks are its plan's cut, which tiles the range, so
+    its records are a partition the profile-guided re-cut can use.
     """
 
     results: Tuple[int, ...]

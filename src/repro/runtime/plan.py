@@ -155,8 +155,8 @@ class ExecutionPlan:
     schedule: ScheduleSpec
     cost_model: Optional[CostModel] = field(default=None, compare=False)
     #: the plan's compiled translation unit (set by ``build_plan(native=True)``),
-    #: run in this process: whole-range through ``repro_run`` on the native
-    #: backend, over :meth:`chunks` through ``repro_run_chunks`` on hybrid
+    #: run in this process over :meth:`chunks` through ``repro_run_chunks``
+    #: on the native and hybrid backends
     native_module: Optional["NativeModule"] = field(default=None, compare=False, repr=False)
     #: the plan's key in the persistent :class:`~repro.runtime.profile.ProfileStore`
     #: (set by :func:`build_plan`): when a warm profile exists under it, the
@@ -164,15 +164,16 @@ class ExecutionPlan:
     #: instead of the analytic cost model
     profile_key: Optional[str] = None
     #: chunk partitions per worker count, memoised as ``(token, chunks,
-    #: cut_at, measured)``: the profile-store change token they were cut
-    #: against, the ``monotonic()`` time of the cut, and whether measured
-    #: segments shaped it.  Plans are immutable and the adaptive cut walks
-    #: the whole pc range, so dispatch must not repay it on every call; a
-    #: new token replaces a cut the cost model made at once, and a measured
-    #: cut once :data:`~repro.runtime.profile.FLUSH_EVERY_S` has passed
-    #: since it was made — how the measure→schedule loop closes between
-    #: runs without re-cutting after each one
-    _chunk_cache: Dict[int, Tuple[int, List[Chunk], float, bool]] = field(
+    #: cut_at, measured)``: the tuple of chunks, the profile-store change
+    #: token they were cut against, the ``monotonic()`` time of the cut,
+    #: and whether measured segments shaped it.  Plans are immutable and
+    #: the adaptive cut walks the whole pc range, so dispatch must not
+    #: repay it on every call; a new token replaces a cut the cost model
+    #: made at once, and a measured cut once
+    #: :data:`~repro.runtime.profile.FLUSH_EVERY_S` has passed since it was
+    #: made — how the measure→schedule loop closes between runs without
+    #: re-cutting after each one
+    _chunk_cache: Dict[int, Tuple[int, Tuple[Chunk, ...], float, bool]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -180,7 +181,7 @@ class ExecutionPlan:
     def total_iterations(self) -> int:
         return self.collapsed.total_iterations(self.parameter_values)
 
-    def chunks(self, workers: int) -> List[Chunk]:
+    def chunks(self, workers: int) -> Tuple[Chunk, ...]:
         """The chunk partition this plan's policy produces for ``workers``.
 
         ``ADAPTIVE`` sizes chunks by *measured* per-chunk seconds when the
@@ -196,7 +197,10 @@ class ExecutionPlan:
         the cost model made from a cold store is replaced as soon as the
         first measurement exists; a cut made from measurements is replaced
         once :data:`~repro.runtime.profile.FLUSH_EVERY_S` has passed since
-        it was made, so warm calls do not re-cut after every run.
+        it was made, so warm calls do not re-cut after every run.  The
+        memoised tuple itself is returned, so every run of one cut hands
+        the same object on (the native module checks and converts a chunk
+        tuple once per object).
         """
         adaptive = self.schedule.kind is ScheduleKind.ADAPTIVE
         token = 0
@@ -206,7 +210,7 @@ class ExecutionPlan:
         if cached is not None:
             cut_token, cut, cut_at, measured = cached
             if cut_token == token or (measured and monotonic() - cut_at < FLUSH_EVERY_S):
-                return list(cut)
+                return cut
         total = self.total_iterations
         measured = False
         if adaptive:
@@ -226,8 +230,9 @@ class ExecutionPlan:
                 )
         else:
             chunks = policy_chunks(self.schedule, total, workers)
+        chunks = tuple(chunks)
         self._chunk_cache[workers] = (token, chunks, monotonic(), measured)
-        return list(chunks)
+        return chunks
 
     def payload(self) -> dict:
         """The picklable registration message workers rebuild the plan from.
@@ -273,13 +278,12 @@ def build_plan(
 
     ``native=True`` additionally compiles the source's C translation unit
     *in the calling process* and attaches the module to the plan.  The
-    unit does not depend on the schedule.  One native plan serves two
-    backends, both in this process: ``native`` calls the unit's
-    whole-range OpenMP ``repro_run`` under the plan's schedule
-    (``adaptive``, which has no OpenMP spelling, runs as ``static``), and
-    ``hybrid`` hands the plan's :meth:`~ExecutionPlan.chunks` to the
-    unit's OpenMP ``repro_run_chunks``.  Raises
-    :class:`~repro.native.NativeUnavailable` where no C compiler exists.
+    unit does not depend on the schedule.  One native plan serves the
+    ``native`` and ``hybrid`` backends alike, in this process: both hand
+    the plan's :meth:`~ExecutionPlan.chunks`, under every schedule,
+    ``adaptive`` included, to the unit's one OpenMP entry,
+    ``repro_run_chunks``.  Raises :class:`~repro.native.NativeUnavailable`
+    where no C compiler exists.
 
     ``static_check`` controls the :mod:`repro.lint` audits that run before
     anything compiles or executes.  The default (``None``) runs the static

@@ -1,7 +1,7 @@
 """The unified timing layer: chunk profiles and the persistent profile store.
 
 Before this module, timing lived in three unrelated places — the emitted C
-measured per-thread wall-clock with ``omp_get_wtime``, the engine measured
+measured wall-clock with ``omp_get_wtime``, the engine measured
 per-chunk spans around each worker dispatch, and the results carried them
 in ad-hoc fields.  :mod:`repro.runtime.profile` makes those measurements
 one currency and banks them:
@@ -79,8 +79,8 @@ class ChunkProfile:
 
     ``seconds`` is wall-clock measured *inside* the execution substrate
     (``omp_get_wtime`` around each chunk inside the compiled
-    ``repro_run_chunks`` for hybrid chunks, ``time.perf_counter`` around the chunk body in
-    an engine worker) — queue latency and dispatch overhead are excluded,
+    ``repro_run_chunks`` for native and hybrid chunks, ``time.perf_counter``
+    around the chunk body in an engine worker) — queue latency and dispatch overhead are excluded,
     so profiles are comparable across backends.
     """
 
@@ -330,7 +330,8 @@ class ProfileStore:
 
         An absent file is a cold key; one that exists but does not parse
         logs a warning naming it, reads as cold, and is rewritten whole by
-        the next flush of the key.
+        the next flush of the key.  A backend entry that does not parse
+        logs a warning naming the key and the backend and is left out.
         """
         path = self.path_for(key)
         try:
@@ -346,8 +347,11 @@ class ProfileStore:
         for name, entry in payload.get("backends", {}).items():
             try:
                 profiles[name] = BackendProfile.from_json(entry)
-            except (KeyError, TypeError, ValueError):
-                continue  # tolerate foreign or future fields per backend
+            except (AttributeError, KeyError, TypeError, ValueError) as error:
+                _log.warning(
+                    "profile store entry %s: backend %r unreadable, skipped: %s",
+                    key, name, error,
+                )
         return profiles
 
     # -- record --------------------------------------------------------- #
@@ -468,11 +472,11 @@ class ProfileStore:
 
         Only profiles whose recorded trip count matches ``total_iterations``
         *and* whose span sizes sum to it qualify: a profile of a different
-        shape says nothing about this range, and a native dynamic/guided
-        run's per-thread ``pc`` spans may overlap (a thread's chunks need
-        not be contiguous), so only true partitions of the range are
-        trusted.  ``prefer_backend`` wins when it has segments; otherwise
-        the most-run backend with segments is used — relative cost
+        shape says nothing about this range.  Every backend banks its
+        plan's chunks, which tile the range, so the partition check only
+        guards against entries read from disk (another version's, or a
+        hand-edited file).  ``prefer_backend`` wins when it has segments;
+        otherwise the most-run backend with segments is used — relative cost
         *density* is what the re-cut needs, and density is shared across
         substrates.
         """

@@ -417,19 +417,18 @@ class RuntimeSession:
         """Run ``call``'s plan once on its substrate and bank the timings.
 
         The one per-backend step of a run: ``engine`` hands the plan's
-        chunks to the worker pool over the shared ``buffers``; the compiled
-        backends run in this process on the arrays ``buffers`` names, with
-        the record's bound call — ``native`` through the plan's whole-range
-        ``repro_run``, ``hybrid`` through ``repro_run_chunks`` over the
-        plan's chunks, cut afresh for every call.  Every backend runs
-        ``workers``-wide.
+        chunks to the worker pool over the shared ``buffers``; ``native``
+        and ``hybrid`` hand them, with the record's bound call, to the
+        plan module's ``repro_run_chunks`` in this process, on the arrays
+        ``buffers`` names, and label the result with their own name.  The
+        chunks are the plan's memoised cut, so a warm call re-checks
+        nothing.  Every backend runs ``workers``-wide.
         """
         if call.native is None:
             result = self.engine.execute(call.plan, buffers=buffers)
         else:
             result = call.plan.native_module.run(
-                buffers, call.native,
-                chunks=call.plan.chunks(self.engine.workers) if call.backend == "hybrid" else None,
+                buffers, call.native, call.plan.chunks(self.engine.workers), call.backend
             )
         self._bank(call.profile_key, result)
         return result
@@ -550,16 +549,14 @@ def collapse_and_run(
     * ``"engine"`` (default) — persistent worker pool, the source's
       Python/NumPy operations per chunk, every schedule policy including
       ``"adaptive"``;
-    * ``"hybrid"`` — the plan's chunks (every schedule policy, including
+    * ``"native"`` — the plan's chunks (every schedule policy, including
       ``"adaptive"``'s equal-work cut) run in this process by one OpenMP
       call into the compiled translation unit's ``repro_run_chunks``,
-      which recovers once per chunk and increments across it: adaptive
-      scheduling *and* C speed (falls back to ``"engine"`` when no C
-      compiler is found);
-    * ``"native"`` — one in-process call into the same unit's whole-range
-      C/OpenMP ``repro_run`` (``adaptive`` has no OpenMP spelling and
-      runs as ``static``; raises :class:`~repro.native.NativeUnavailable`
-      without a compiler);
+      which recovers at most once per chunk and increments across it:
+      adaptive scheduling *and* C speed (raises
+      :class:`~repro.native.NativeUnavailable` without a compiler);
+    * ``"hybrid"`` — the same run under a second name, which falls back to
+      ``"engine"`` when no C compiler is found;
     * ``"auto"`` — profile-guided choice among the above: every run banks
       its timings in the persistent profile store
       (``$REPRO_PROFILE_DIR``, default ``~/.cache/repro-profile``) under

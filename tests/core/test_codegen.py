@@ -1,5 +1,7 @@
 """Tests for the C/OpenMP code generator."""
 
+import re
+
 import pytest
 
 from repro.core import (
@@ -115,12 +117,11 @@ class TestTranslationUnit:
         source = generate_translation_unit(
             collapsed_correlation, body="visits(i, j) += 1.0;", arrays=("visits",)
         )
-        assert NATIVE_SYMBOLS == (
-            "repro_total", "repro_recover_range", "repro_run", "repro_run_chunks"
-        )
+        assert NATIVE_SYMBOLS == ("repro_total", "repro_recover_range", "repro_run_chunks")
         for symbol in NATIVE_SYMBOLS:
             assert symbol in source
-        assert "repro_run_range" not in source
+        # one compiled run: no whole-range or serial-range entry beside it
+        assert "int repro_run(" not in source and "repro_run_range" not in source
         assert "#include <complex.h>" in source
         assert "#ifdef _OPENMP" in source
         assert "#define visits(repro_r, repro_c)" in source
@@ -128,37 +129,40 @@ class TestTranslationUnit:
         assert "long" in source and " int pc" not in source
 
     def test_one_unit_takes_the_schedule_at_run_time(self, collapsed_correlation):
-        """No schedule is baked in: repro_run takes the kind and chunk,
-        sets them for a schedule(runtime) loop and restores the caller's
-        run-sched-var after the region."""
+        """No schedule is baked in: a schedule reaches the unit only as the
+        chunk list it cut, so the one work-sharing loop claims chunks one
+        at a time and nothing reads or sets the OpenMP run-sched-var."""
         import inspect
 
         from repro.core import generate_translation_unit
 
         assert "schedule" not in inspect.signature(generate_translation_unit).parameters
         source = generate_translation_unit(collapsed_correlation)
-        _, _, run = source.partition("int repro_run(")
-        run, _, _ = run.partition("int repro_run_chunks(")
-        assert "int repro_kind, int repro_chunk," in run
-        assert "#pragma omp for schedule(runtime) nowait" in run
-        set_at = run.index("omp_set_schedule((omp_sched_t)repro_kind, repro_chunk);")
-        assert run.index("omp_get_schedule(&repro_caller_kind") < set_at
-        assert set_at < run.index("#pragma omp parallel") < run.index(
-            "omp_set_schedule(repro_caller_kind, repro_caller_chunk);"
-        )
+        assert re.findall(r"#pragma omp for[^\n]*", source) == [
+            "#pragma omp for schedule(dynamic, 1)"
+        ]
+        for absent in ("schedule(runtime)", "omp_set_schedule", "omp_get_schedule"):
+            assert absent not in source, absent
 
     def test_one_recovery_rule_in_every_loop(self, collapsed_correlation):
-        """A thread recovers where its pc does not follow its last one: the
-        per-thread flag and the per-chunk modulo test are gone."""
+        """Every run is a chunk, so the one walk recovers before its loop, at
+        the chunk's first pc, unless the thread's previous chunk ended right
+        before it (Fig. 4): no per-pc recovery test, flag or modulo is left
+        inside the walk."""
         from repro.core import generate_translation_unit
 
         source = generate_translation_unit(
             collapsed_correlation, body="visits(i, j) += 1.0;", arrays=("visits",)
         )
-        # repro_run's OpenMP and serial loops, and repro_run_chunks' chunk walk
-        assert source.count("if (__builtin_expect(pc != repro_next, 0)) {") == 3
-        assert source.count("repro_next = pc + 1;") == 3
-        assert "repro_fresh" not in source and "LL == 0" not in source
+        assert source.count("repro_recover(repro_params, first_pc, repro_at);") == 1
+        head, _, walk = source.partition("for (long long pc = first_pc; pc <= last_pc; pc++) {")
+        assert "if (first_pc != repro_next) {" in head
+        walk, _, tail = walk.partition("repro_seconds[repro_k]")
+        assert "visits(i, j) += 1.0;" in walk and "repro_recover" not in walk
+        assert walk.count("repro_next") == 1 and "repro_next = last_pc + 1;" in walk
+        assert walk.index("visits(i, j) += 1.0;") < walk.index("repro_next = last_pc + 1;")
+        for absent in ("(pc != repro_next", "__builtin_expect", "repro_fresh", "LL == 0"):
+            assert absent not in source, absent
 
     def test_array_name_clashes_are_rejected(self, collapsed_correlation):
         from repro.core import generate_translation_unit
@@ -181,7 +185,7 @@ class TestTranslationUnit:
     def test_run_chunks_claims_chunks_and_recovers_once_per_chunk(
         self, collapsed_correlation
     ):
-        """The hybrid backend's entry point: one OpenMP region whose
+        """The unit's one run entry: one OpenMP region whose
         work-shared loop hands out the chunk list one chunk per claim; each
         chunk recovers at its first pc and increments (Fig. 4) and records
         its count, seconds and thread."""
@@ -197,8 +201,8 @@ class TestTranslationUnit:
         body = run_chunks[loop:]
         assert "const long long first_pc = repro_bounds[2 * repro_k];" in body
         assert "const long long last_pc = repro_bounds[2 * repro_k + 1];" in body
-        assert "long long repro_next = 0;" in body
-        assert "if (__builtin_expect(pc != repro_next, 0)) {" in body
+        recover = body.index("repro_recover(repro_params, first_pc, repro_at);")
+        assert recover < body.index("for (long long pc = first_pc; pc <= last_pc; pc++) {")
         assert "indices incrementation" in body
         for slot in ("repro_seconds", "repro_counts", "repro_threads"):
             assert f"{slot}[repro_k] = " in body, slot

@@ -222,14 +222,16 @@ def test_property_native_matches_engine_and_batch(case, schedule, runtime_engine
     """Differential property over random nests: the compiled translation
     unit recovers the same iteration set as :class:`BatchRecovery` (every
     ``pc``, hence every first/last rank of every level) and produces the
-    same visits grid as the runtime engine — under a static and a chunked
-    schedule, both run by the one compiled unit."""
+    same visits grid as the runtime engine — over a static and a chunked
+    schedule's cut, both run by the one compiled unit."""
     import numpy as np
 
     _native_or_skip()
     from repro.core import batch_recovery, collapse
     from repro.native import compile_collapsed
+    from repro.openmp import ScheduleSpec
     from repro.runtime import SharedBuffers, Source, build_plan
+    from repro.runtime.plan import policy_chunks
 
     nest, values = case
     assume(iteration_count(nest, values) > 0)
@@ -243,7 +245,8 @@ def test_property_native_matches_engine_and_batch(case, schedule, runtime_engine
     assert module.total(values) == total
 
     native_visits = np.zeros(_GRID)
-    result = module.run({"visits": native_visits}, module.bind(values, schedule, threads=2))
+    chunks = policy_chunks(ScheduleSpec.parse(schedule), total, 2)
+    result = module.run({"visits": native_visits}, module.bind(values, schedule, threads=2), chunks)
     assert sum(result.results) == total
 
     source = Source.of(nest, iteration_op=_mark_visit, chunk_op=_mark_visits_chunk)
@@ -261,13 +264,14 @@ def test_property_native_matches_engine_and_batch(case, schedule, runtime_engine
 def test_property_hybrid_matches_engine_and_native(case, schedule, runtime_engine):
     """Differential property over random nests for the *hybrid* backend:
     the plan's chunks executed by the compiled ``repro_run_chunks`` must
-    produce the same visits grid as (a) the pure Python engine and (b) the
-    whole-range native ``repro_run``."""
+    produce the same visits grid as (a) the pure Python engine and (b) a
+    native run of the whole range as one chunk, in its own unit."""
     import numpy as np
 
     _native_or_skip()
     from repro.core import collapse
     from repro.native import compile_collapsed
+    from repro.openmp.schedule import Chunk
     from repro.runtime import SharedBuffers, Source, build_plan
 
     nest, values = case
@@ -288,9 +292,10 @@ def test_property_hybrid_matches_engine_and_native(case, schedule, runtime_engin
     result = hybrid_module.run(
         {"visits": hybrid_visits},
         hybrid_module.bind(values, schedule, threads=runtime_engine.workers),
-        chunks=chunks,
+        chunks,
+        "hybrid",
     )
-    assert list(result.chunks) == chunks
+    assert result.chunks == chunks
     assert sum(result.results) == iteration_count(nest, values)
     assert np.array_equal(hybrid_visits, expected)
 
@@ -304,7 +309,8 @@ def test_property_hybrid_matches_engine_and_native(case, schedule, runtime_engin
     module = compile_collapsed(
         collapse(nest), body="visits(i, j) += 1.0;", arrays=("visits",)
     )
-    module.run({"visits": native_visits}, module.bind(values, threads=2))
+    total = iteration_count(nest, values)
+    module.run({"visits": native_visits}, module.bind(values, threads=2), [Chunk(1, total)])
     assert np.array_equal(native_visits, hybrid_visits)
 
 

@@ -83,7 +83,8 @@ def test_omp_single_exempts_the_write():
 def test_omp_for_induction_slots_are_disjoint():
     """One thread runs each iteration of a work-shared loop, so a slot
     subscripted by exactly its induction variable is private to it; any
-    other subscript stays unproven."""
+    other subscript stays unproven, the thread id included (no generated
+    unit indexes a slot by it, so it earns no exemption)."""
     def region(subscript):
         return (
             "void f(double *out, long long n) {\n"
@@ -99,8 +100,11 @@ def test_omp_for_induction_slots_are_disjoint():
 
     clean = lint_c_source(region("k"))
     assert clean.ok and not clean.warnings
-    shifted = lint_c_source(region("k + 1"))
-    assert [f.rule for f in shifted.warnings] == ["generated/unchecked-subscripted-write"]
+    for subscript in ("k + 1", "repro_tid"):
+        unproven = lint_c_source(region(subscript))
+        assert [f.rule for f in unproven.warnings] == [
+            "generated/unchecked-subscripted-write"
+        ], subscript
 
 
 def test_writes_outside_any_region_are_unconstrained():
@@ -135,7 +139,7 @@ def test_doctored_unit_with_omitted_declaration_is_rejected(triangle_collapsed):
     # are not the region's concern
     head, pragma, tail = source.partition("#pragma omp parallel")
     doctored_tail, count = re.subn(
-        r"^(\s*)long long (repro_\w+ = )",
+        r"^(\s*)(?:const )?long long (repro_\w+ = )",
         r"\1\2",
         tail,
         count=1,
@@ -147,17 +151,17 @@ def test_doctored_unit_with_omitted_declaration_is_rejected(triangle_collapsed):
 
 
 def test_run_chunks_region_is_proven_private(triangle_collapsed):
-    """The hybrid entry's region: chunk bounds, iterators and the recovery
-    cursor are declared per chunk, the team size is written under ``omp
-    single`` and the per-chunk result slots are indexed by the work-shared
-    chunk index — no error and no unchecked write in either region."""
+    """The unit's one region: chunk bounds and iterators are declared per
+    chunk, the team size is written under ``omp single`` and the per-chunk
+    result slots are indexed by the work-shared chunk index — no error and
+    no unchecked write."""
     source = generate_translation_unit(
         triangle_collapsed, body="c(i, j) = 1.0;", arrays=("c",)
     )
     report = lint_c_source(source)
     assert report.ok and not report.warnings, str(report)
     proof = [f for f in report.findings if f.rule == "generated/private-proof"]
-    assert "2 parallel region(s)" in proof[0].message
+    assert "1 parallel region(s)" in proof[0].message
     _, _, chunks_region = source.partition("int repro_run_chunks(")
     head = source[: len(source) - len(chunks_region)]
     undeclared = chunks_region.replace(

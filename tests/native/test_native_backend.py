@@ -1,7 +1,7 @@
 """Compile-and-run coverage of the native backend.
 
 Differential contract: everything the compiled translation unit computes —
-trip counts, recovered indices, kernel outputs, per-thread bookkeeping —
+trip counts, recovered indices, kernel outputs, per-chunk bookkeeping —
 must agree element-wise with the Python reference paths (scalar unranking,
 :class:`BatchRecovery`, ``run_original`` and the runtime engine).
 """
@@ -12,7 +12,9 @@ import pytest
 from repro.core import batch_recovery, collapse
 from repro.ir import enumerate_iterations, iteration_count
 from repro.openmp import ScheduleSpec
+from repro.openmp.schedule import Chunk
 from repro.runtime import RunResult
+from repro.runtime.plan import policy_chunks
 from repro.native import (
     NativeExecutionError,
     compile_collapsed,
@@ -29,8 +31,14 @@ def _dummy_op(data, indices, values):  # module-level: picklable for plans
     pass
 
 
+def _cut(module, values, schedule="static", workers=2):
+    """The chunks the runtime cuts ``[1, total]`` into under a classic
+    ``schedule`` (what a plan of that schedule hands the module)."""
+    return policy_chunks(ScheduleSpec.parse(schedule), module.total(values), workers)
+
+
 def _run_native(kernel, values):
-    """One whole-range native run of a kernel through a private session."""
+    """One native run of a kernel through a private session."""
     from repro.runtime import RuntimeSession
 
     with RuntimeSession(workers=2) as session:
@@ -45,9 +53,9 @@ class TestRecovery:
         "schedule", ["static", "dynamic,3", "static,4", "static,1", "guided"]
     )
     def test_recover_matches_batch_on_every_pc(self, figure6_nest, schedule):
-        """Every pc the one compiled unit runs, under each schedule picked at
-        run time, sees the indices the batch recovery gives: the
-        ``pc != repro_next`` rule recovers wherever a thread's pcs break."""
+        """Every pc the one compiled unit runs, over each schedule's chunk
+        cut, sees the indices the batch recovery gives: each chunk
+        recovers at its first pc and increments across the rest."""
         collapsed = collapse(figure6_nest)
         module = compile_collapsed(
             collapsed,
@@ -60,8 +68,10 @@ class TestRecovery:
         batch = batch_recovery(collapsed).recover_range(1, total, values)
         assert np.array_equal(module.recover_range(1, total, values), batch)
         rows = np.full((total, 3), -1.0)
-        result = module.run({"rows": rows}, module.bind(values, schedule, threads=2))
+        chunks = _cut(module, values, schedule)
+        result = module.run({"rows": rows}, module.bind(values, schedule, threads=2), chunks)
         assert str(result.schedule) == str(ScheduleSpec.parse(schedule))
+        assert result.chunks == tuple(chunks)
         assert np.array_equal(rows, batch.astype(np.float64))
 
     def test_total_matches_ranking(self, correlation_nest):
@@ -141,8 +151,10 @@ class TestRecovery:
         values = {"N": 16}
         module = compile_native_kernel(kernel)
         data = kernel.make_data(values)
+        before = data["c"].copy()
         with pytest.raises(NativeExecutionError, match="must lie in"):
-            module.bind(values, last_pc=10**9)
+            module.run(data, module.bind(values), [Chunk(1, 10**9)])
+        assert np.array_equal(data["c"], before)
 
 
 class TestGuardedFloorRegression:
@@ -198,7 +210,7 @@ class TestSixtyFourBitArithmetic:
 
     def test_chunked_run_past_two_to_the_31(self, simplex3_nest):
         """Chunk starts on pc values beyond 2^31 (a window of the huge
-        domain, executed under a fixed-chunk schedule).
+        domain, run as a list of 512-iteration chunks).
 
         Inside the window ``i`` stays at ``N - 1`` while ``j`` and ``k``
         vary, so each iteration owns the cell ``(j, k)``: a plain store, no
@@ -215,8 +227,9 @@ class TestSixtyFourBitArithmetic:
             arrays=("visits",),
         )
         visits = np.zeros((self.N, self.N))
+        chunks = [Chunk(start, min(start + 511, total)) for start in range(first, total + 1, 512)]
         result = module.run(
-            {"visits": visits}, module.bind(values, "dynamic,512", first_pc=first, threads=2)
+            {"visits": visits}, module.bind(values, "dynamic,512", threads=2), chunks
         )
         assert sum(result.results) == 5000
         expected = np.zeros((self.N, self.N))
@@ -235,7 +248,7 @@ class TestExactRecoveryHugeRanges:
     totals — mis-recovered *every* probed level boundary at this size; the
     emitted seed-then-correct scheme over ``__int128`` integer brackets must
     agree with an independent big-int reference on every probe, for both the
-    native entry points (``repro_recover_range``) and the hybrid substrate
+    recovery entry (``repro_recover_range``) and the run entry
     (``repro_run_chunks``'s recover-once-then-increment per chunk).
     """
 
@@ -279,11 +292,9 @@ class TestExactRecoveryHugeRanges:
             assert np.array_equal(batch, native), first
 
     def test_hybrid_run_chunks_recover_exactly(self, simplex3_nest, exact_reference_recover):
-        """The hybrid substrate: ``repro_run_chunks`` recovers once at each
+        """The run entry: ``repro_run_chunks`` recovers once at each
         chunk's first pc (deep inside the >2^50 domain) and increments —
         the traced index tuples must match the exact reference."""
-        from repro.openmp.schedule import Chunk
-
         collapsed = collapse(simplex3_nest)
         values = {"N": self.N}
         module = compile_collapsed(
@@ -298,8 +309,8 @@ class TestExactRecoveryHugeRanges:
         for first in self._probe_firsts(collapsed, values):
             trace = np.full((64, 3), -1.0)
             chunks = [Chunk(first, first + 4), Chunk(first + 5, first + 9)]
-            result = module.run({"trace": trace}, module.bind(values, threads=2), chunks=chunks)
-            assert result.backend == "hybrid" and result.results == (5, 5)
+            result = module.run({"trace": trace}, module.bind(values, threads=2), chunks)
+            assert result.backend == "native" and result.results == (5, 5)
             for pc in range(first, first + 10):
                 assert tuple(trace[pc % 64].astype(np.int64)) == exact_reference_recover(
                     collapsed, pc, values
@@ -351,34 +362,35 @@ class TestKernelExecution:
         for array in original:
             assert np.array_equal(original[array], native[array]), array
 
-    def test_run_result_carries_per_thread_timings(self):
+    def test_run_result_carries_per_chunk_timings(self):
         from repro.kernels import get_kernel
 
         kernel = get_kernel("utma")
         values = {"N": 64}
         module = compile_native_kernel(kernel)
         data = kernel.make_data(values)
-        result = module.run(data, module.bind(values, "static", threads=2))
+        chunks = _cut(module, values, "static")
+        result = module.run(data, module.bind(values, "static", threads=2), chunks)
         assert isinstance(result, RunResult)
         assert result.backend == "native"
         total = kernel.collapsed().total_iterations(values)
         assert sum(result.results) == total
         assert result.iterations == total
-        assert len(result.chunk_seconds) == len(result.chunks) == len(result.results)
+        # one entry per chunk, in the order given
+        assert result.chunks == tuple(chunks)
+        assert result.results == tuple(chunk.size for chunk in chunks)
+        assert len(result.chunk_seconds) == len(result.assignments) == len(chunks)
         assert all(seconds >= 0.0 for seconds in result.chunk_seconds)
         assert 1 <= result.workers <= 2
-        # static schedule: per-thread spans are disjoint and cover the range
-        covered = sorted((chunk.first, chunk.last) for chunk in result.chunks)
-        assert covered[0][0] == 1 and covered[-1][1] == total
-        for (first_a, last_a), (first_b, _last_b) in zip(covered, covered[1:]):
-            assert last_a < first_b
+        assert set(result.assignments) <= set(range(result.workers))
 
-    def test_static_run_ignores_omp_schedule_and_the_previous_call(self):
-        """``repro_run`` sets the call's schedule itself: with
-        ``OMP_SCHEDULE=dynamic,1`` in the environment and a ``dynamic,1``
-        call just before, a ``static`` run still gives each thread one
-        contiguous, disjoint ``pc`` span, the spans tile ``[1, total]``, and
-        the caller's run-sched-var is the same after the calls as before."""
+    @pytest.mark.parametrize("omp_schedule", ["dynamic,1", "static,1000000"])
+    def test_static_run_ignores_omp_schedule_and_the_previous_call(self, omp_schedule):
+        """Nothing but the plan's cut steers a run: with ``OMP_SCHEDULE``
+        set in the environment and a ``dynamic,1`` run just before, a
+        ``static`` run executes exactly ``plan.chunks(workers)`` (one block
+        per thread, tiling ``[1, total]``), and the caller's run-sched-var
+        is the same after the calls as before."""
         import json
         import os
         import subprocess
@@ -388,28 +400,31 @@ class TestKernelExecution:
         script = """
 import ctypes, json
 from repro.kernels import get_kernel
-from repro.native import compile_native_kernel
+from repro.runtime import build_plan
 kernel = get_kernel("utma")
 values = {"N": 64}
-module = compile_native_kernel(kernel)
+plans = [build_plan(kernel, values, schedule, native=True) for schedule in ("dynamic,1", "static")]
+module = plans[1].native_module
 lib = ctypes.CDLL(str(module.library_path))
 def run_sched_var():
     kind, chunk = ctypes.c_int(), ctypes.c_int()
     lib.omp_get_schedule(ctypes.byref(kind), ctypes.byref(chunk))
     return [kind.value, chunk.value]
 before = run_sched_var()
-module.run(kernel.make_data(values), module.bind(values, "dynamic,1", threads=2))
-result = module.run(kernel.make_data(values), module.bind(values, "static", threads=2))
+for plan in plans:
+    result = module.run(
+        kernel.make_data(values), module.bind(values, plan.schedule, threads=2), plan.chunks(2)
+    )
 print(json.dumps({
     "total": kernel.collapsed().total_iterations(values),
-    "spans": sorted([chunk.first, chunk.last] for chunk in result.chunks),
+    "ran": [[chunk.first, chunk.last] for chunk in result.chunks],
+    "planned": [[chunk.first, chunk.last] for chunk in plans[1].chunks(2)],
     "counts": list(result.results),
-    "workers": result.workers,
     "schedule": [before, run_sched_var()],
 }))
 """
         src = Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ, OMP_SCHEDULE="dynamic,1")
+        env = dict(os.environ, OMP_SCHEDULE=omp_schedule)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         completed = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True,
@@ -417,24 +432,29 @@ print(json.dumps({
         )
         assert completed.returncode == 0, completed.stderr
         report = json.loads(completed.stdout.strip().splitlines()[-1])
-        spans, total = report["spans"], report["total"]
-        assert len(spans) == report["workers"]  # static: every thread has a block
+        spans, total = report["ran"], report["total"]
+        assert spans == report["planned"]
+        assert len(spans) == 2  # static: one block per thread
         assert spans[0][0] == 1 and spans[-1][1] == total
         assert all(last + 1 == first for (_, last), (first, _) in zip(spans, spans[1:]))
-        assert sorted(report["counts"]) == sorted(last - first + 1 for first, last in spans)
+        assert report["counts"] == [last - first + 1 for first, last in spans]
         before, after = report["schedule"]
         assert before == after
 
     def test_iterations_counts_executed_work_under_dynamic_schedules(self):
-        """Per-thread pc spans overlap under on-demand hand-out; the result's
-        iteration count must come from the executed counts, not span sizes."""
+        """Under on-demand hand-out a thread runs many chunks; the result
+        keeps one entry per chunk and counts the executed iterations."""
         from repro.kernels import get_kernel
 
         kernel = get_kernel("utma")
         values = {"N": 96}
         module = compile_native_kernel(kernel)
-        result = module.run(kernel.make_data(values), module.bind(values, "dynamic,64", threads=2))
+        chunks = _cut(module, values, "dynamic,64")
+        result = module.run(
+            kernel.make_data(values), module.bind(values, "dynamic,64", threads=2), chunks
+        )
         total = kernel.collapsed().total_iterations(values)
+        assert len(result.results) == len(chunks) > 2
         assert sum(result.results) == total
         assert result.iterations == total
 
@@ -456,37 +476,37 @@ print(json.dumps({
         data = kernel.make_data(values)
         data["c"] = data["c"].astype(np.float32)
         with pytest.raises(NativeExecutionError, match="float64"):
-            module.run(data, module.bind(values))
+            module.run(data, module.bind(values), _cut(module, values))
 
     def test_run_chunks_covers_the_range(self):
-        """The hybrid entry point: arbitrary contiguous chunks, claimed by
-        the OpenMP team one at a time, must compose to exactly the
-        whole-range result."""
+        """The run entry: arbitrary contiguous chunks, claimed by the
+        OpenMP team one at a time, must compose to exactly the
+        whole-range result, in increasing order or in reverse (where no
+        chunk follows the one its thread ran before, so each recovers)."""
         from repro.kernels import get_kernel, run_original
-        from repro.openmp.schedule import Chunk
 
         kernel = get_kernel("utma")
         values = {"N": 80}
         module = compile_native_kernel(kernel)
         total = kernel.collapsed().total_iterations(values)
-        data = kernel.make_data(values)
-        chunks = [Chunk(first, min(first + 112, total)) for first in range(1, total + 1, 113)]
-        result = module.run(data, module.bind(values, "dynamic", threads=2), chunks=chunks)
-        assert result.results == tuple(chunk.size for chunk in chunks)
-        assert result.chunks == tuple(chunks)
-        assert set(result.assignments) <= set(range(result.workers))
-        assert str(result.schedule) == "dynamic"
-        # an empty range and an empty chunk list are legal and run nothing
-        # (a plan chunk itself is never empty: ``Chunk`` refuses last < first)
-        assert module.run(data, module.bind(values, first_pc=5, last_pc=4, threads=2)).results == ()
-        assert module.run(data, module.bind(values, threads=2), chunks=[]).results == ()
+        forward = [Chunk(first, min(first + 112, total)) for first in range(1, total + 1, 113)]
         expected = run_original(kernel, values)
+        for chunks in (forward, forward[::-1]):
+            data = kernel.make_data(values)
+            result = module.run(data, module.bind(values, "dynamic", threads=2), chunks)
+            assert result.results == tuple(chunk.size for chunk in chunks)
+            assert result.chunks == tuple(chunks)
+            assert set(result.assignments) <= set(range(result.workers))
+            assert str(result.schedule) == "dynamic"
+            assert np.array_equal(data["c"], expected["c"])
+        # an empty chunk list is legal and runs nothing (a chunk itself is
+        # never empty: ``Chunk`` refuses last < first)
+        assert module.run(data, module.bind(values, threads=2), []).results == ()
         assert np.array_equal(data["c"], expected["c"])
 
     @pytest.mark.parametrize("bad", [(0, 3), (1, 10**6)])
     def test_out_of_range_chunk_fails_before_any_write(self, bad):
         from repro.kernels import get_kernel
-        from repro.openmp.schedule import Chunk
 
         kernel = get_kernel("utma")
         values = {"N": 16}
@@ -494,7 +514,7 @@ print(json.dumps({
         data = kernel.make_data(values)
         before = {name: array.copy() for name, array in data.items()}
         with pytest.raises(NativeExecutionError, match="must lie in"):
-            module.run(data, module.bind(values, threads=2), chunks=[Chunk(1, 5), Chunk(*bad)])
+            module.run(data, module.bind(values, threads=2), [Chunk(1, 5), Chunk(*bad)])
         for name in before:
             assert np.array_equal(data[name], before[name]), name
 
@@ -512,7 +532,7 @@ print(json.dumps({
             array_ndims={"trace": 1},
         )
         trace = np.zeros(total)
-        result = module.run({"trace": trace}, module.bind(values, threads=2))
+        result = module.run({"trace": trace}, module.bind(values, threads=2), _cut(module, values))
         assert sum(result.results) == total
         indices = batch_recovery(collapsed).recover_range(1, total, values)
         assert np.array_equal(trace, (indices[:, 0] * 1000 + indices[:, 1]).astype(float))
@@ -530,7 +550,7 @@ print(json.dumps({
             array_ndims={"cube": 3},
         )
         cube = np.zeros((12, 12, 2))
-        module.run({"cube": cube}, module.bind(values, threads=2))
+        module.run({"cube": cube}, module.bind(values, threads=2), _cut(module, values))
         expected = np.zeros((12, 12, 2))
         for i, j in enumerate_iterations(correlation_nest, values):
             expected[i, j, 1] += 1.0
@@ -546,7 +566,7 @@ print(json.dumps({
             array_ndims={"trace": 1},
         )
         with pytest.raises(NativeExecutionError, match="1-D"):
-            module.run({"trace": np.zeros((4, 4))}, module.bind({"N": 4}))
+            module.run({"trace": np.zeros((4, 4))}, module.bind({"N": 4}), _cut(module, {"N": 4}))
 
 
 # ---------------------------------------------------------------------- #

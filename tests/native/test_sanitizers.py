@@ -110,13 +110,15 @@ def test_ubsan_instrumented_run_matches_original():
     _sanitizer_or_skip("undefined")
     from repro.kernels import get_kernel, run_original
     from repro.native import compile_native_kernel
+    from repro.runtime import build_plan
 
     kernel = get_kernel("utma")
     values = dict(kernel.default_parameters)
     expected = run_original(kernel, values)
     instrumented = kernel.make_data(values)
     module = compile_native_kernel(kernel, sanitize="undefined")
-    module.run(instrumented, module.bind(values))
+    plan = build_plan(kernel, values, "adaptive")  # the adaptive cut, no second unit
+    module.run(instrumented, module.bind(values, plan.schedule), plan.chunks(2))
     for name in expected:
         assert np.allclose(expected[name], instrumented[name])
 

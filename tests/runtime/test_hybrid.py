@@ -7,7 +7,7 @@ Contract under test, layer by layer:
   that have no Python operations), no engine worker ever maps the
   compiled library, and a warm hybrid run sends no worker a message;
 * *differential equality* — hybrid results are element-wise identical to
-  the Python engine and to the whole-range native call;
+  the Python engine and to native's, which runs the same chunks;
 * *fallback* — without a C compiler, ``backend="hybrid"`` degrades to the
   engine and still produces the identical result;
 * *cache keying* — schedule changes never reuse a stale plan, and every
@@ -190,7 +190,7 @@ class TestInProcess:
         )
         plan = session.plan_for(source, values, "dynamic,64", native=True)
         assert result.backend == "hybrid"
-        assert list(result.chunks) == plan.chunks(session.engine.workers)
+        assert result.chunks == plan.chunks(session.engine.workers)
         assert result.results == tuple(chunk.size for chunk in result.chunks)
         assert set(result.assignments) <= set(range(result.workers))
         indices = batch_recovery(collapse(nest)).recover_range(1, total, values)
@@ -264,7 +264,7 @@ class TestInProcess:
         plan = session.plan_for(source, values, schedule, native=True)
         assert sent == []
         assert result.backend == "hybrid"
-        assert list(result.chunks) == plan.chunks(session.engine.workers)
+        assert result.chunks == plan.chunks(session.engine.workers)
         assert result.results == tuple(chunk.size for chunk in result.chunks)
         assert np.array_equal(visits, expected)
 
@@ -528,6 +528,72 @@ class TestWorkerBatchRecovery:
         assert worker.batch is built
 
 
+@needs_compiler
+class TestNativeAdaptive:
+    """``native`` runs the plan's chunks under every schedule, ``adaptive``
+    included, so it runs what hybrid runs and its per-chunk seconds feed
+    the plan's measure→re-cut loop (under a frozen clock: re-cuts follow
+    only the store's change token)."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        from repro.runtime import plan as plan_module, profile
+
+        monkeypatch.setattr(profile, "monotonic", lambda: 1000.0)
+        monkeypatch.setattr(plan_module, "monotonic", lambda: 1000.0)
+
+    def test_native_and_hybrid_run_one_adaptive_cut(self, clock):
+        """The first run's cost-model cut is replaced at its measurement;
+        after that both names run the plan's one memoised tuple."""
+        from repro.runtime import RuntimeSession
+
+        nest = _triangle_nest()
+        values = {"N": 40}
+        source = Source.of(nest, c_body="visits(i, j) += 1.0;", c_arrays=("visits",))
+        expected = np.zeros((40, 40))
+        for indices in enumerate_iterations(nest, values):
+            expected[indices] += 1.0
+        results = []
+        with RuntimeSession(workers=2) as session:
+            for backend in ("native", "hybrid", "native"):
+                visits = np.zeros((40, 40))
+                results.append(session.run(
+                    source, values, data={"visits": visits}, schedule="adaptive",
+                    backend=backend,
+                ))
+                assert np.array_equal(visits, expected), backend
+            plan = session.plan_for(source, values, "adaptive", native=True)
+            _, hybrid, native = results
+            assert (hybrid.backend, native.backend) == ("hybrid", "native")
+            assert str(native.schedule) == "adaptive"
+            assert native.chunks is hybrid.chunks is plan.chunks(session.engine.workers)
+            assert native.results == tuple(chunk.size for chunk in native.chunks)
+
+    def test_native_segments_tile_the_range_and_feed_the_recut(self, clock):
+        from repro.runtime import RuntimeSession, default_profile_store, profile_guided_chunks
+        from repro.runtime.plan import DEFAULT_OVERSUBSCRIBE
+
+        values = {"N": 48}
+        with RuntimeSession(workers=2) as session:
+            plan = session.plan_for("ltmp", values, "adaptive", native=True)
+            cold = plan.chunks(session.engine.workers)
+            session.run("ltmp", values, backend="native", schedule="adaptive")
+            store = default_profile_store()
+            profiles = store.load(plan.profile_key)
+            assert set(profiles) == {"native"}
+            segments = profiles["native"].segments
+            total = plan.total_iterations
+            assert [(s.first_pc, s.last_pc) for s in segments] == [
+                (chunk.first, chunk.last) for chunk in cold
+            ]
+            assert segments[0].first_pc == 1 and segments[-1].last_pc == total
+            assert all(a.last_pc + 1 == b.first_pc for a, b in zip(segments, segments[1:]))
+            assert store.segments(plan.profile_key, total, prefer_backend="hybrid") == segments
+            count = min(total, session.engine.workers * DEFAULT_OVERSUBSCRIBE)
+            recut = plan.chunks(session.engine.workers)
+            assert recut == tuple(profile_guided_chunks(segments, total, count))
+
+
 # ---------------------------------------------------------------------- #
 # cache keying (the ScheduleSpec audit)
 # ---------------------------------------------------------------------- #
@@ -535,12 +601,13 @@ class TestWorkerBatchRecovery:
 class TestCacheKeying:
     def test_one_module_serves_every_schedule(self):
         """Compiling a kernel takes no schedule: the one memoised module
-        runs whichever schedule the call names, and ``adaptive``, which has
-        no OpenMP spelling, runs and is reported as ``static``."""
+        runs whichever schedule's cut the call hands it, ``adaptive``
+        included, and reports that schedule."""
         import inspect
 
         from repro.kernels import get_kernel
         from repro.native import compile_native_kernel
+        from repro.runtime import build_plan
 
         assert "schedule" not in inspect.signature(compile_native_kernel).parameters
         module = compile_native_kernel("utma")
@@ -549,11 +616,14 @@ class TestCacheKeying:
         kernel = get_kernel("utma")
         values = {"N": 24}
         total = kernel.collapsed().total_iterations(values)
-        for schedule, ran in (
-            ("adaptive", "static"), ("dynamic,64", "dynamic,64"), ("guided", "guided"),
-        ):
-            result = module.run(kernel.make_data(values), module.bind(values, schedule, threads=2))
-            assert str(result.schedule) == ran
+        for schedule in ("adaptive", "dynamic,64", "guided"):
+            plan = build_plan(kernel, values, schedule, native=True)
+            assert plan.native_module is module
+            result = module.run(
+                kernel.make_data(values), module.bind(values, schedule, threads=2), plan.chunks(2)
+            )
+            assert str(result.schedule) == schedule
+            assert result.chunks == plan.chunks(2)
             assert sum(result.results) == total
 
     def test_schedule_change_reruns_the_one_library(self, session):

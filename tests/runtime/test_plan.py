@@ -190,7 +190,7 @@ class TestRecutCadence:
         from repro.runtime import profile_guided_chunks
 
         count = min(plan.total_iterations, self.WORKERS * DEFAULT_OVERSUBSCRIBE)
-        return profile_guided_chunks(segments, plan.total_iterations, count)
+        return tuple(profile_guided_chunks(segments, plan.total_iterations, count))
 
     @pytest.fixture
     def plan(self, clock):
@@ -200,7 +200,7 @@ class TestRecutCadence:
 
     def test_a_cold_cut_is_replaced_at_the_first_measurement(self, plan):
         cold = plan.chunks(self.WORKERS)
-        assert cold == adaptive_chunks(plan.collapsed, plan.parameter_values, self.WORKERS)
+        assert cold == tuple(adaptive_chunks(plan.collapsed, plan.parameter_values, self.WORKERS))
         first = self.segments(plan.total_iterations, 20, 0.05)
         self.measure(plan, first)  # no clock advance: the cold rule alone re-cuts
         assert plan.chunks(self.WORKERS) == self.cut_of(plan, first) != cold

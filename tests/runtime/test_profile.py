@@ -227,14 +227,40 @@ class TestProfileStore:
         assert str(path) in caplog.records[0].getMessage()
 
     def test_absent_entry_and_foreign_fields_stay_silent(self, tmp_path, caplog):
+        """A cold key and an entry carrying fields this version does not
+        know (another version's) read without a word."""
         store = ProfileStore(tmp_path)
         path = store.path_for("foreign")
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"backends": {"gpu": {"unknown": 1}}}))
+        entry = {"backend": "gpu", "runs": 2, "unknown": 1}
+        path.write_text(json.dumps({"backends": {"gpu": entry}, "future": True}))
         with caplog.at_level(logging.WARNING, logger="repro.runtime.profile"):
             assert store.load("absent") == {}
-            assert store.load("foreign") == {}
+            assert store.load("foreign")["gpu"].runs == 2
         assert caplog.records == []
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"unknown": 1}, {"backend": "engine", "runs": "many"}, ["not", "an", "object"]],
+        ids=["no-backend-name", "bad-run-count", "not-an-object"],
+    )
+    def test_unparsable_backend_entry_warns_naming_key_and_backend(
+        self, tmp_path, caplog, entry
+    ):
+        """A backend entry that does not parse is left out, but never
+        silently: the warning names the key and the backend, and the
+        entry's other backends still load."""
+        store = ProfileStore(tmp_path)
+        path = store.path_for("mixed")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        good = {"backend": "native", "runs": 3}
+        path.write_text(json.dumps({"backends": {"broken": entry, "native": good}}))
+        with caplog.at_level(logging.WARNING, logger="repro.runtime.profile"):
+            profiles = store.load("mixed")
+        assert set(profiles) == {"native"} and profiles["native"].runs == 3
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        message = caplog.records[0].getMessage()
+        assert "mixed" in message and "'broken'" in message
 
     def test_corrupt_file_is_recoverable_by_recording(self, tmp_path):
         store = ProfileStore(tmp_path)

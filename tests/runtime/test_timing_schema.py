@@ -41,19 +41,14 @@ def session():
 def _run(session, backend):
     kernel = get_kernel("utma")
     expected = run_original(kernel, PARAMS)
-    if backend == "native":
-        from repro.native import compile_native_kernel
-
-        module = compile_native_kernel(kernel)
-        data = kernel.make_data(PARAMS)
-        result = module.run(data, module.bind(PARAMS, threads=2))
-    elif backend == "hybrid":
+    if backend in ("native", "hybrid"):
         plan = session.plan_for(kernel, PARAMS, schedule="adaptive", native=True)
         data = kernel.make_data(PARAMS)
         chunks = plan.chunks(2)
         module = plan.native_module
-        result = module.run(data, module.bind(PARAMS, plan.schedule, threads=2), chunks=chunks)
-        assert list(result.chunks) == chunks
+        call = module.bind(PARAMS, plan.schedule, threads=2)
+        result = module.run(data, call, chunks, backend)
+        assert result.chunks == chunks
     else:
         from repro.runtime.shm import SharedBuffers
 
@@ -100,17 +95,13 @@ class TestTimingSchemaPerBackend:
         assert all(0 <= worker < session.engine.workers for worker in result.assignments)
 
     @needs_compiler
-    def test_hybrid_backend(self, session):
+    @pytest.mark.parametrize("backend", ["hybrid", "native"])
+    def test_compiled_backends(self, session, backend):
         """One entry per plan chunk, timed in C, assigned an OpenMP thread."""
-        result = _run(session, "hybrid")
-        _assert_schema(result, "hybrid", self._total())
+        result = _run(session, backend)
+        _assert_schema(result, backend, self._total())
         assert str(result.schedule) == "adaptive"
         assert all(0 <= thread < result.workers for thread in result.assignments)
-
-    @needs_compiler
-    def test_native_backend(self, session):
-        result = _run(session, "native")
-        _assert_schema(result, "native", self._total())
 
     @needs_compiler
     def test_rows_comparable_across_backends(self, session):
@@ -125,6 +116,6 @@ class TestTimingSchemaPerBackend:
             records = result.chunk_records()
             assert min(r.first_pc for r in records) == 1, backend
             assert max(r.last_pc for r in records) == total, backend
-        # engine and hybrid chunk the same plan: spans partition the range
-        for backend in ("engine", "hybrid"):
-            assert sum(r.size for r in by_backend[backend].chunk_records()) == total
+        # every backend runs a plan's chunks: its spans partition the range
+        for backend, result in by_backend.items():
+            assert sum(r.size for r in result.chunk_records()) == total, backend
