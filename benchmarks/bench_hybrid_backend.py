@@ -91,10 +91,10 @@ def hybrid_rounds():
     # ---- correctness gates before any timing -------------------------- #
     result = run_adaptive()
     assert result.chunks == adaptive.chunks(WORKERS)
-    assert sum(result.results) == total
+    assert result.iterations == total
     assert np.allclose(data["c"], expected["c"], atol=1e-9)
     static_result = run_static()
-    assert sum(static_result.results) == total
+    assert static_result.iterations == total
     assert np.allclose(data["c"], expected["c"], atol=1e-9)
 
     # ltmp recomputes c from a and b, so repeated rounds are idempotent
@@ -122,8 +122,8 @@ def hybrid_rounds():
         },
         "speedup_adaptive_vs_static": statistics.median(static_times)
         / max(statistics.median(adaptive_times), 1e-9),
-        "adaptive_chunk_seconds": list(last_adaptive.chunk_seconds),
-        "static_chunk_seconds": list(last_static.chunk_seconds),
+        "adaptive_chunk_seconds": last_adaptive.chunk_seconds.tolist(),
+        "static_chunk_seconds": last_static.chunk_seconds.tolist(),
         "cpu_count": os.cpu_count(),
     }
     JSON_PATH.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -146,7 +146,7 @@ def native_rounds():
     # ---- correctness gates before any timing ------------------------- #
     last_result = module.run(data, call, chunks)
     assert np.array_equal(data["c"], expected["c"])  # bit-identical
-    assert sum(last_result.results) == total
+    assert last_result.iterations == total
 
     with SharedBuffers.create(kernel.make_data(values)) as buffers:
         with RuntimeEngine(workers=WORKERS) as engine:
@@ -163,6 +163,7 @@ def native_rounds():
             last_result = module.run(buffers.arrays, call, chunks)
             assert np.array_equal(buffers.arrays["c"], expected["c"])
 
+    first, last = last_result.bounds.T
     report = {
         "kernel": kernel.name,
         "parameters": values,
@@ -182,8 +183,8 @@ def native_rounds():
         "speedup_native_vs_engine": statistics.median(engine_times)
         / max(statistics.median(native_times), 1e-9),
         "native_threads_used": last_result.workers,
-        "native_chunk_iterations": list(last_result.results),
-        "native_chunk_seconds": list(last_result.chunk_seconds),
+        "native_chunk_iterations": (last - first + 1).tolist(),
+        "native_chunk_seconds": last_result.chunk_seconds.tolist(),
         "prior_speedup_native_vs_engine": _min_speedup(prior) if prior else None,
     }
     report["min_speedup_native_vs_engine"] = _min_speedup(report)

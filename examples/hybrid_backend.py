@@ -88,7 +88,7 @@ def main(n: int = 200) -> None:
     with RuntimeSession(workers=2) as session:
         try:
             result = session.run(nest, {"N": 16}, data=data, backend="native")
-            print(f"parsed nest ran natively: {sum(result.results)} iterations, "
+            print(f"parsed nest ran natively: {result.iterations} iterations, "
                   f"{result.workers} OpenMP threads")
         except NativeUnavailable:
             print("no compiler: the parsed nest would need the engine with Python ops")

@@ -553,18 +553,19 @@ def generate_translation_unit(
       — writes the recovered indices of the inclusive 1-based ``pc`` range
       into ``out`` as an ``(n, depth)`` row-major array;
     * ``int repro_run_chunks(params, bounds, n, double *const *arrays,
-      const long long *strides, int max_threads, long long *counts,
-      double *seconds, long long *threads)`` — the one compiled run: it
-      executes ``body`` over the ``n`` inclusive ``pc`` ranges
-      ``bounds[2k]..bounds[2k+1]`` (a plan's chunk list, whatever schedule
-      cut it) under ``#pragma omp for schedule(dynamic, 1)``, one chunk
-      per claim, recovering the indices at a chunk's first ``pc`` unless
-      the thread's previous chunk ended right before it, and incrementing
-      them across the chunk (Fig. 4; see :func:`_pc_loop_lines`), and
-      reports per chunk the executed count, its wall-clock seconds
-      measured inside the call (``omp_get_wtime``, or ``clock()`` without
-      OpenMP; from the end of the thread's previous chunk, so one clock
-      read per chunk) and the thread that ran it; returns the team size.
+      const long long *strides, int max_threads, double *seconds,
+      long long *threads)`` — the one compiled run: it executes ``body``
+      over the ``n`` inclusive ``pc`` ranges ``bounds[2k]..bounds[2k+1]``
+      (a plan's chunk list, whatever schedule cut it) under ``#pragma omp
+      for schedule(dynamic, 1)``, one chunk per claim, recovering the
+      indices at a chunk's first ``pc`` unless the thread's previous chunk
+      ended right before it, and incrementing them across the chunk
+      (Fig. 4; see :func:`_pc_loop_lines`), and reports per chunk its
+      wall-clock seconds measured inside the call (``omp_get_wtime``, or
+      ``clock()`` without OpenMP; from the end of the thread's previous
+      chunk, so one clock read per chunk) and the thread that ran it;
+      returns the team size.  A chunk's count is its size, which the
+      caller already holds in ``bounds``.
 
     ``body`` is C source executed once per collapsed iteration with the
     recovered iterators and the parameters in scope as ``long long``; each
@@ -642,8 +643,7 @@ def generate_translation_unit(
         "int repro_run_chunks(const long long *repro_params, const long long *repro_bounds,",
         "                     long long repro_n, double *const *repro_arrays,",
         "                     const long long *repro_strides, int repro_max_threads,",
-        "                     long long *repro_counts, double *repro_seconds,",
-        "                     long long *repro_threads) {",
+        "                     double *repro_seconds, long long *repro_threads) {",
     ])
     lines.extend(_param_prologue(collapsed, "  "))
     lines.extend(_array_prologue_lines(arrays, ndims, "  "))
@@ -682,7 +682,6 @@ def generate_translation_unit(
         "      const double repro_t1 = repro_wtime();",
         "      repro_seconds[repro_k] = repro_t1 - repro_t;",
         "      repro_t = repro_t1;",
-        "      repro_counts[repro_k] = last_pc < first_pc ? 0 : last_pc - first_pc + 1;",
         "      repro_threads[repro_k] = repro_tid;",
         "    }",
         "  }",

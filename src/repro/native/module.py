@@ -47,14 +47,13 @@ import numpy as np
 from ..core import CollapsedLoop
 from ..core.codegen_c import generate_translation_unit, resolve_array_ndims
 from ..openmp.schedule import Chunk, ScheduleSpec
-from ..runtime.engine import RunResult
+from ..runtime.engine import RunResult, chunk_bounds
 from ..runtime.source import Source
 from .compiler import (
     compile_loadable_library, default_sanitize, effective_flags, load_library,
 )
 
 _LONGLONG_P = ctypes.POINTER(ctypes.c_longlong)
-_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _VOID_PP = ctypes.POINTER(ctypes.c_void_p)
 
 class NativeExecutionError(ValueError):
@@ -82,11 +81,11 @@ class NativeCall:
     results) and the team size.  Runs fill in the rest: the *layout* of the
     first run's arrays (their shapes and flat strides table; a later run
     with other shapes raises :class:`NativeExecutionError`), and ``ran``,
-    the last chunk tuple run with its checked ``bounds`` array, so a run
-    handed the same tuple again converts and checks nothing.  Runs set
-    each of the two in one attribute write and only read the rest, so
-    threads may share a call; each run fills its own pointer table and
-    output arrays.
+    the last chunk tuple run with its checked ``bounds`` array and that
+    array's address, so a run handed the same tuple again converts and
+    checks nothing.  Runs set each of the two in one attribute write and
+    only read the rest, so threads may share a call; each run fills its
+    own pointer table and allocates its own output arrays.
     """
 
     parameter_values: Dict[str, int]
@@ -96,21 +95,22 @@ class NativeCall:
     threads: int
     #: ``(shapes, strides)`` of the first run's arrays
     layout: Optional[Tuple[tuple, object]] = None
-    #: ``(chunks, bounds)``: the last chunk tuple run and its checked bounds
-    ran: Optional[Tuple[Tuple[Chunk, ...], object]] = None
+    #: ``(chunks, bounds, address)``: the last chunk tuple run, its checked
+    #: bounds and their address
+    ran: Optional[Tuple[Tuple[Chunk, ...], np.ndarray, int]] = None
 
 
 def _checked_bounds(call: NativeCall, chunks: Sequence[Chunk]):
-    """``chunks`` as a tuple and its ``bounds`` array (``first, last`` per
-    chunk), each chunk checked against ``[1, total]`` of ``call``."""
+    """``chunks`` as a tuple, its read-only ``(n, 2)`` int64 ``bounds``
+    array (``first, last`` per chunk; every result of the tuple shares it)
+    and the array's address, each chunk checked against ``[1, total]`` of
+    ``call``."""
     chunks = tuple(chunks)
     for chunk in chunks:
         if chunk.first < 1 or chunk.last > call.total:
             raise _range_error(call.parameter_values, call.total, chunk.first, chunk.last)
-    bounds = (ctypes.c_longlong * (2 * len(chunks)))()
-    bounds[0::2] = [chunk.first for chunk in chunks]
-    bounds[1::2] = [chunk.last for chunk in chunks]
-    return chunks, bounds
+    bounds = chunk_bounds(chunks)
+    return chunks, bounds, bounds.ctypes.data
 
 
 def _address(array: np.ndarray) -> int:
@@ -165,10 +165,11 @@ class NativeModule:
             _LONGLONG_P, ctypes.c_longlong, ctypes.c_longlong, _LONGLONG_P,
         ]
         self._lib.repro_recover_range.restype = ctypes.c_int
+        # bounds, seconds and threads travel as the addresses of NumPy arrays
         self._lib.repro_run_chunks.argtypes = [
-            _LONGLONG_P, _LONGLONG_P, ctypes.c_longlong,
+            _LONGLONG_P, ctypes.c_void_p, ctypes.c_longlong,
             _VOID_PP, _LONGLONG_P, ctypes.c_int,
-            _LONGLONG_P, _DOUBLE_P, _LONGLONG_P,
+            ctypes.c_void_p, ctypes.c_void_p,
         ]
         self._lib.repro_run_chunks.restype = ctypes.c_int
 
@@ -305,33 +306,33 @@ class NativeModule:
         The one foreign call is the unit's ``repro_run_chunks``: the team
         claims the chunks one at a time (``schedule(dynamic, 1)``),
         whatever schedule cut them, and recovers the indices at most once
-        per chunk.  The result, labelled ``backend``, has one entry per chunk —
-        its count, its seconds measured inside the call and the thread
-        that ran it.
+        per chunk.  The result, labelled ``backend``, shares the tuple's
+        ``bounds`` and holds two arrays allocated for this run and filled
+        by the call, one entry per chunk: its seconds measured inside the
+        call and the thread that ran it.
         """
         ran = call.ran
         if ran is None or ran[0] is not chunks:
             ran = call.ran = _checked_bounds(call, chunks)
-        chunks, bounds = ran
+        chunks, bounds, address = ran
         pointers, strides = self._pointer_table(data, call)
         count = len(chunks)
-        counts = (ctypes.c_longlong * count)()
-        seconds = (ctypes.c_double * count)()
-        ran_on = (ctypes.c_longlong * count)()
+        seconds = np.empty(count, dtype=np.float64)
+        ran_on = np.empty(count, dtype=np.int64)
         started = time.perf_counter()
         used = self._lib.repro_run_chunks(
-            call.params, bounds, count, pointers, strides, call.threads,
-            counts, seconds, ran_on,
+            call.params, address, count, pointers, strides, call.threads,
+            _address(seconds), _address(ran_on),
         )
         elapsed = time.perf_counter() - started
         return RunResult(
-            results=tuple(counts[:]),
             elapsed_seconds=elapsed,
             chunks=chunks,
+            bounds=bounds,
             workers=used,
             schedule=call.schedule,
-            assignments=tuple(ran_on[:]),
-            chunk_seconds=tuple(seconds[:]),
+            assignments=ran_on,
+            chunk_seconds=seconds,
             backend=backend,
         )
 

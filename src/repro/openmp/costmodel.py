@@ -55,35 +55,6 @@ class RecoveryCosts:
             parallel_startup=self.parallel_startup * factor,
         )
 
-    def calibrated(self, profile) -> "RecoveryCosts":
-        """These costs re-expressed in *measured seconds* from a warm profile.
-
-        ``profile`` is a :class:`~repro.runtime.profile.BackendProfile`
-        (or anything with its ``seconds_per_iteration()`` method): the
-        measured wall-clock cost of one collapsed iteration replaces the
-        a-priori ``unit_work``, and every constant overhead is rescaled by
-        the same ratio so the model's *relative* structure — recovery is
-        ~40 units, dispatch ~25, and so on — survives the change of unit.
-        This is the measure half of the paper's measure→schedule loop: a
-        cost model calibrated this way prices chunks in real seconds on
-        the machine that produced the profile.  Returns ``self`` unchanged
-        when the profile carries no usable measurement (cold store,
-        zero-size chunks) or when ``unit_work`` is non-positive — the
-        degradation contract is "fall back to the analytic model", never
-        an exception.
-        """
-        seconds = profile.seconds_per_iteration() if profile is not None else None
-        if not seconds or seconds <= 0.0 or self.unit_work <= 0.0:
-            return self
-        ratio = seconds / self.unit_work
-        return RecoveryCosts(
-            unit_work=seconds,
-            costly_recovery=self.costly_recovery * ratio,
-            increment=self.increment * ratio,
-            dynamic_dispatch=self.dynamic_dispatch * ratio,
-            parallel_startup=self.parallel_startup * ratio,
-        )
-
 
 class CostModel:
     """Per-iteration work of a nest, below a given parallel/collapse level.

@@ -35,7 +35,6 @@ from .plan import (
 from .engine import EngineError, RunResult, RuntimeEngine
 from .profile import (
     BackendProfile,
-    ChunkProfile,
     ProfileError,
     ProfileStore,
     choose_backend,
@@ -66,7 +65,6 @@ __all__ = [
     "RunResult",
     "RuntimeEngine",
     "BackendProfile",
-    "ChunkProfile",
     "ProfileError",
     "ProfileStore",
     "choose_backend",

@@ -20,13 +20,17 @@ each; the chunks are shared out the way the schedule demands —
   list runs out — the classic work-queue hand-out, with chunk granularity
   decided by the plan and no queue round trip per chunk.
 
-Each reply lists the worker's per-chunk iteration counts and wall-clock
-times (for load-balance analysis); the kernel data itself never travels,
-it lives in the shared segments.  A worker exception is captured with its
-traceback, the worker carries on with its share, and once every reply is
-in an :class:`EngineError` is raised in the parent — the pool stays
-usable.  A chunk that overruns the timeout, or a worker that dies, shuts
-the pool down instead; the next run starts a fresh one.
+A run's chunks travel as the bytes of an int64 array of ``(index,
+first_pc, last_pc)`` rows, and each reply as the bytes of two arrays, the
+indices of the chunks the worker ran and their wall-clock times (for
+load-balance analysis): raw bytes, because a pickled ``ndarray`` made a
+4-chunk queue round trip about 85 µs slower on a 2-CPU container.  The
+kernel data itself never travels, it lives in the shared segments.  A
+worker exception is captured with its traceback, the worker carries on
+with its share, and once every reply is in an :class:`EngineError` is
+raised in the parent — the pool stays usable.  A chunk that overruns the
+timeout, or a worker that dies, shuts the pool down instead; the next run
+starts a fresh one.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ import time
 import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core import batch_recovery
 from ..openmp.schedule import Chunk, ScheduleSpec
@@ -63,23 +69,34 @@ class EngineError(RuntimeError):
     """Raised when a worker fails or the pool is in the wrong state."""
 
 
-@dataclass(frozen=True)
+def chunk_bounds(chunks: Sequence[Chunk]) -> np.ndarray:
+    """The read-only ``(n, 2)`` int64 array of ``chunks``' ``first, last`` pc."""
+    bounds = np.array([(chunk.first, chunk.last) for chunk in chunks], dtype=np.int64)
+    bounds = bounds.reshape(len(chunks), 2)
+    bounds.flags.writeable = False
+    return bounds
+
+
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """Outcome of one run on any backend.
 
-    ``results`` are the executed-iteration counts of each unit of work,
-    ``assignments`` the worker (or OpenMP thread) that ran it,
-    ``chunk_seconds`` its own wall-clock time inside the substrate (the
-    load-balance view; their sum can exceed ``elapsed_seconds`` when
-    workers overlap).  ``backend`` names the execution substrate that
-    ran: ``"engine"`` (the worker pool, Python/NumPy chunk ops), or
-    ``"native"`` or ``"hybrid"`` (two names for one run: the plan's chunk
-    list in one in-process OpenMP call, the compiled ``repro_run_chunks``).
+    ``bounds`` holds the ``first, last`` pc of each chunk of ``chunks``
+    (a read-only ``(n, 2)`` int64 array shared by every result of one
+    chunk tuple), ``assignments`` the worker (or OpenMP thread) that ran
+    it, ``chunk_seconds`` its own wall-clock time inside the substrate
+    (the load-balance view; their sum can exceed ``elapsed_seconds`` when
+    workers overlap), both arrays allocated for this run alone.
+    ``backend`` names the execution substrate that ran: ``"engine"`` (the
+    worker pool, Python/NumPy chunk ops), or ``"native"`` or ``"hybrid"``
+    (two names for one run: the plan's chunk list in one in-process
+    OpenMP call, the compiled ``repro_run_chunks``).  Results compare by
+    identity.
 
     **Timing schema** (one contract across every backend; asserted by
     ``tests/runtime/test_timing_schema.py``):
 
-    * ``chunks``, ``results``, ``assignments`` and ``chunk_seconds`` are
+    * ``chunks``, ``bounds``, ``assignments`` and ``chunk_seconds`` are
       index-aligned — entry *k* of each describes the same scheduled
       chunk on every backend (``assignments`` are engine worker ids on
       the engine, OpenMP thread ids on native and hybrid);
@@ -94,40 +111,26 @@ class RunResult:
       *compared* by, where ``chunk_seconds`` is what schedules are
       *re-cut* from.
 
-    :meth:`chunk_records` renders the per-chunk view in the profile
-    store's :class:`~repro.runtime.profile.ChunkProfile` schema.  A
-    session run's chunks are its plan's cut, which tiles the range, so
-    its records are a partition the profile-guided re-cut can use.
+    A session run's chunks are its plan's cut, which tiles the range, so
+    an adaptive plan's ``bounds`` and ``chunk_seconds`` are the partition
+    :func:`~repro.runtime.profile.profile_guided_chunks` re-cuts from.
     """
 
-    results: Tuple[int, ...]
     elapsed_seconds: float
     chunks: Tuple[Chunk, ...]
+    bounds: np.ndarray
     workers: int
     schedule: ScheduleSpec
-    assignments: Tuple[int, ...] = ()
-    chunk_seconds: Tuple[float, ...] = ()
+    assignments: np.ndarray
+    chunk_seconds: np.ndarray
     backend: str = "engine"
 
     @property
     def iterations(self) -> int:
-        return sum(self.results)
-
-    def chunk_records(self):
-        """The run's measurements as profile-store :class:`ChunkProfile` rows.
-
-        One row per chunk with a recorded time, pairing the chunk's ``pc``
-        span with its substrate-internal seconds — the exact payload
-        :meth:`ProfileStore.record <repro.runtime.profile.ProfileStore.record>`
-        banks and :func:`~repro.runtime.profile.profile_guided_chunks`
-        re-cuts from.
-        """
-        from .profile import ChunkProfile  # deferred: profile imports schedule
-
-        return tuple(
-            ChunkProfile(first_pc=chunk.first, last_pc=chunk.last, seconds=float(seconds))
-            for chunk, seconds in zip(self.chunks, self.chunk_seconds)
-        )
+        """The iterations the run executed: the sum of its (never empty)
+        chunks' sizes, which cannot overflow where sums of bounds could."""
+        first, last = self.bounds.T
+        return int((last - first).sum()) + len(self.bounds)
 
 
 # ---------------------------------------------------------------------- #
@@ -164,22 +167,29 @@ class _WorkerPlan:
             self.buffers.close()
             self.buffers = None
 
-    def execute(self, first_pc: int, last_pc: int) -> int:
-        """Run one chunk against the attached shared arrays; returns its count.
+    def execute(self, first_pc: int, last_pc: int) -> None:
+        """Run one chunk against the attached shared arrays.
 
         The vectorized ``chunk_op`` runs over the chunk's walked index array
         (:meth:`BatchRecovery.recover_range
         <repro.core.batch.BatchRecovery.recover_range>`); without one, the
-        scalar ``iteration_op`` runs once per row of that array.
+        scalar ``iteration_op`` runs once per row of that array.  A walk
+        of another row count than the chunk's size raises before any
+        operation runs: results report chunk sizes, never recount them.
         """
         data = self.buffers.arrays if self.buffers is not None else {}
         indices = self.batch.recover_range(first_pc, last_pc, self.parameter_values)
+        size = max(0, last_pc - first_pc + 1)
+        if indices.shape[0] != size:
+            raise EngineError(
+                f"recovered {indices.shape[0]} rows for chunk [{first_pc}, {last_pc}] "
+                f"of {size} iterations"
+            )
         if self.chunk_op is not None:
             self.chunk_op(data, indices, self.parameter_values)
         else:
             for row in indices.tolist():
                 self.iteration_op(data, tuple(row), self.parameter_values)
-        return int(indices.shape[0])
 
 
 def _next_span(spans, own: bool, done: int, counter) -> Optional[Tuple[int, int, int]]:
@@ -197,21 +207,26 @@ def _next_span(spans, own: bool, done: int, counter) -> Optional[Tuple[int, int,
     return spans[position]
 
 
-def _run_share(worker_id: int, state, plan_id: str, spans, own: bool, counter):
-    """Execute one worker's share of a run; returns ``(records, traceback)``.
+def _run_share(worker_id: int, state, plan_id: str, spans: bytes, own: bool, counter):
+    """Execute one worker's share of a run; returns ``(ran, seconds, traceback)``.
 
-    ``records`` holds ``(index, count, seconds)`` per executed chunk, the
-    seconds being the worker's own ``perf_counter`` span around the chunk
-    (inside the worker, outside the queue).  A failing chunk keeps the
-    first traceback and the worker goes on with its share, so every other
-    chunk is still accounted for.
+    ``spans`` are the bytes of the share's int64 ``(index, first_pc,
+    last_pc)`` rows.  ``ran`` holds the index of every executed chunk and
+    ``seconds`` its time, the worker's own ``perf_counter`` span around the
+    chunk (inside the worker, outside the queue), as the bytes of int64
+    and float64 arrays.  A failing chunk keeps the first traceback and the
+    worker goes on with its share, so every other chunk is still accounted
+    for.
     """
-    records: List[Tuple[int, int, float]] = []
+    spans = np.frombuffer(spans, dtype=np.int64).reshape(-1, 3).tolist()
+    ran: List[int] = []
+    seconds: List[float] = []
     failure: Optional[str] = None
     for taken in itertools.count():
         span = _next_span(spans, own, taken, counter)
         if span is None:
-            return records, failure
+            ran_bytes = np.array(ran, dtype=np.int64).tobytes()
+            return ran_bytes, np.array(seconds, dtype=np.float64).tobytes(), failure
         index, first_pc, last_pc = span
         started = time.perf_counter()
         try:
@@ -219,11 +234,12 @@ def _run_share(worker_id: int, state, plan_id: str, spans, own: bool, counter):
                 raise state
             if state is None:
                 raise EngineError(f"plan {plan_id!r} is not registered in worker {worker_id}")
-            count = state.execute(first_pc, last_pc)
+            state.execute(first_pc, last_pc)
         except Exception:
             failure = failure or traceback.format_exc()
             continue
-        records.append((index, count, time.perf_counter() - started))
+        seconds.append(time.perf_counter() - started)
+        ran.append(index)
 
 
 def _worker_main(worker_id: int, commands, results, counter) -> None:
@@ -257,10 +273,10 @@ def _worker_main(worker_id: int, commands, results, counter) -> None:
                 state.release_buffers()
         elif tag == "run":
             _tag, run_id, plan_id, spans, own = message
-            records, failure = _run_share(
+            ran, seconds, failure = _run_share(
                 worker_id, plans.get(plan_id), plan_id, spans, own, counter
             )
-            results.put((run_id, worker_id, records, failure))
+            results.put((run_id, worker_id, ran, seconds, failure))
 
 
 # ---------------------------------------------------------------------- #
@@ -303,6 +319,9 @@ class RuntimeEngine:
         self._counter: Optional[Any] = None  # chunks started in the current run
         self._registered: Dict[str, Tuple[SharedArraySpec, ...]] = {}
         self._runs = itertools.count(1)
+        #: ``(chunks, bounds, shares)`` of the chunk tuple last run (see
+        #: :meth:`_shares`), so a warm run of one cut rebuilds nothing
+        self._cut: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -403,29 +422,31 @@ class RuntimeEngine:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def _shares(self, run_id: int, plan_id: str, chunk_list: Sequence[Chunk]) -> Dict[int, tuple]:
-        """One ``("run", run_id, plan_id, spans, own)`` message per worker used.
+    def _shares(self, chunks: Tuple[Chunk, ...]) -> tuple:
+        """``(chunks, bounds, shares)``: the chunk tuple, its bounds array and
+        ``{worker_id: (spans, own)}``, the payload of one ``("run", …)``
+        message per worker used, ``spans`` being the bytes of int64
+        ``(index, first_pc, last_pc)`` rows.
 
-        ``spans`` are ``(index, first_pc, last_pc)`` triples.  When every
-        chunk carries a thread (the static families) a worker's spans are
-        its own chunks and ``own`` is true; otherwise each of
+        When every chunk carries a thread (the static families) a worker's
+        spans are its own chunks and ``own`` is true; otherwise each of
         ``min(workers, chunks)`` workers receives the whole list and claims
-        indices from the shared counter.
+        indices from the shared counter.  The shares of the tuple last run
+        are kept.
         """
-        spans = [(index, chunk.first, chunk.last) for index, chunk in enumerate(chunk_list)]
-        if all(chunk.thread is not None for chunk in chunk_list):
-            owned: Dict[int, list] = {}
-            for span, chunk in zip(spans, chunk_list):
-                owned.setdefault(chunk.thread % self.workers, []).append(span)
-            return {
-                worker_id: ("run", run_id, plan_id, tuple(own), True)
-                for worker_id, own in owned.items()
-            }
-        shared = tuple(spans)
-        return {
-            worker_id: ("run", run_id, plan_id, shared, False)
-            for worker_id in range(min(self.workers, len(shared)))
-        }
+        cut = self._cut
+        if cut is not None and cut[0] is chunks:
+            return cut
+        bounds = chunk_bounds(chunks)
+        spans = np.column_stack((np.arange(len(chunks)), bounds))
+        if chunks and all(chunk.thread is not None for chunk in chunks):
+            owners = np.array([chunk.thread % self.workers for chunk in chunks])
+            shares = {w: (spans[owners == w].tobytes(), True) for w in set(owners.tolist())}
+        else:
+            used = min(self.workers, len(chunks))
+            shares = {worker_id: (spans.tobytes(), False) for worker_id in range(used)}
+        cut = self._cut = (chunks, bounds, shares)
+        return cut
 
     def _collect(self, run_id: int, waiting: set) -> List[tuple]:
         """Wait for one reply from each worker in ``waiting``.
@@ -473,7 +494,7 @@ class RuntimeEngine:
         buffers: Optional[SharedBuffers] = None,
         chunks: Optional[Sequence[Chunk]] = None,
     ) -> RunResult:
-        """Run a plan once over its schedule's chunks; returns per-chunk counts.
+        """Run a plan once over its schedule's chunks; returns their timings.
 
         Registration and buffer attachment happen lazily on the first call
         (and whenever ``buffers`` changes); subsequent calls are pure
@@ -487,20 +508,31 @@ class RuntimeEngine:
                 "engine to run (its C body runs on the native and hybrid backends)"
             )
         self.register(plan, buffers)
-        chunk_list = list(chunks) if chunks is not None else plan.chunks(self.workers)
-        if not chunk_list:
-            return RunResult(
-                results=(), elapsed_seconds=0.0, chunks=(), workers=self.workers,
-                schedule=plan.schedule,
-            )
+        chunks = tuple(chunks) if chunks is not None else plan.chunks(self.workers)
+        chunks, bounds, shares = self._shares(chunks)
+        assignments = np.zeros(len(chunks), dtype=np.int64)
+        chunk_seconds = np.zeros(len(chunks), dtype=np.float64)
+        elapsed = self._run(plan.plan_id, shares, assignments, chunk_seconds) if chunks else 0.0
+        return RunResult(
+            elapsed_seconds=elapsed,
+            chunks=chunks,
+            bounds=bounds,
+            workers=self.workers,
+            schedule=plan.schedule,
+            assignments=assignments,
+            chunk_seconds=chunk_seconds,
+        )
+
+    def _run(self, plan_id: str, shares: dict, assignments, chunk_seconds) -> float:
+        """Send each worker its share and scatter the replies into
+        ``assignments`` and ``chunk_seconds``; returns the elapsed seconds."""
         start = time.perf_counter()
         run_id = next(self._runs)
-        messages = self._shares(run_id, plan.plan_id, chunk_list)
         self._counter.value = 0
-        for worker_id, message in messages.items():
-            self._commands[worker_id].put(message)
+        for worker_id, (share, own) in shares.items():
+            self._commands[worker_id].put(("run", run_id, plan_id, share, own))
         try:
-            replies = self._collect(run_id, set(messages))
+            replies = self._collect(run_id, set(shares))
         except BaseException:
             # an abandoned run (dead worker, timeout, interrupt) takes the pool
             # with it: none of its workers may claim chunks of, or reply
@@ -508,24 +540,16 @@ class RuntimeEngine:
             self.shutdown(timeout=0.5)
             raise
         elapsed = time.perf_counter() - start
-        records: List[tuple] = [()] * len(chunk_list)
         failures: List[str] = []
-        for _run_id, worker_id, worker_records, failure in sorted(replies):
-            for index, count, seconds in worker_records:
-                records[index] = (count, worker_id, seconds)
+        for _run_id, worker_id, ran, seconds, failure in sorted(replies, key=lambda r: r[1]):
+            ran = np.frombuffer(ran, dtype=np.int64)
+            assignments[ran] = worker_id
+            chunk_seconds[ran] = np.frombuffer(seconds, dtype=np.float64)
             if failure is not None:
                 failures.append(f"worker {worker_id}:\n{failure}")
         if failures:
             raise EngineError("engine worker failed:\n" + "\n".join(failures))
-        return RunResult(
-            results=tuple(record[0] for record in records),
-            elapsed_seconds=elapsed,
-            chunks=tuple(chunk_list),
-            workers=self.workers,
-            schedule=plan.schedule,
-            assignments=tuple(record[1] for record in records),
-            chunk_seconds=tuple(record[2] for record in records),
-        )
+        return elapsed
 
     def __del__(self):  # pragma: no cover - safety net, normal path is shutdown()
         try:

@@ -216,13 +216,13 @@ class ExecutionPlan:
         if adaptive:
             chunks = []
             if token:
-                segments = default_profile_store().segments(
+                bounds, seconds = default_profile_store().segments(
                     self.profile_key,
                     total,
                     prefer_backend="hybrid" if self.native_module is not None else "engine",
                 )
                 count = min(total, workers * DEFAULT_OVERSUBSCRIBE)
-                chunks = profile_guided_chunks(segments, total, count)
+                chunks = profile_guided_chunks(bounds, seconds, total, count)
                 measured = bool(chunks)
             if not chunks:  # cold store (or unusable measurements): a priori model
                 chunks = adaptive_chunks(

@@ -1,4 +1,4 @@
-"""The unified timing layer: chunk profiles and the persistent profile store.
+"""The unified timing layer: backend profiles and the persistent profile store.
 
 Before this module, timing lived in three unrelated places — the emitted C
 measured wall-clock with ``omp_get_wtime``, the engine measured
@@ -6,16 +6,19 @@ per-chunk spans around each worker dispatch, and the results carried them
 in ad-hoc fields.  :mod:`repro.runtime.profile` makes those measurements
 one currency and banks them:
 
-* :class:`ChunkProfile` — one measured chunk: a contiguous ``pc`` span and
-  the wall-clock seconds its execution took *inside* the worker (queue
-  latency excluded; see the timing schema on
+* *segments* — the measured chunks of one run, columnar: a ``(n, 2)``
+  int64 array of each chunk's first and last ``pc`` and a float64 array
+  of the wall-clock seconds its execution took *inside* the substrate
+  (queue latency excluded; see the timing schema on
   :class:`~repro.runtime.engine.RunResult`),
 * :class:`BackendProfile` — everything measured about one
   (kernel, shape, schedule, backend) combination: run count, recent
-  whole-run timings, and the most recent run's chunk profiles,
+  whole-run timings, and for an ``adaptive`` key the most recent run's
+  segments,
 * :class:`ProfileStore` — the persistent home of those records, keyed
   like the plan and native caches (a digest of the source value's
-  fingerprint, parameter values and schedule), rooted at
+  fingerprint, parameter values, schedule and the environment's compiler
+  flags), rooted at
   ``$REPRO_PROFILE_DIR`` (default ``~/.cache/repro-profile``).  It is
   write-behind: runs are banked in one in-memory table per root and
   flushed to disk every :data:`FLUSH_EVERY_S` seconds, at session close
@@ -23,7 +26,7 @@ one currency and banks them:
   writes, tolerant loads) and size-capped (oldest entries evicted).
 
 The store is what closes the paper's measure→schedule loop: the adaptive
-chunker re-cuts chunks from measured :class:`ChunkProfile` spans instead of
+chunker re-cuts chunks from measured segments instead of
 the analytic cost model when a warm profile exists
 (:func:`profile_guided_chunks`, used by
 :meth:`~repro.runtime.plan.ExecutionPlan.chunks`), and ``backend="auto"``
@@ -45,7 +48,7 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import monotonic
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -55,10 +58,6 @@ from .source import Source
 #: whole-run timings kept per backend record (a sliding window: medians over
 #: it stay robust to one noisy run without the file growing unboundedly)
 MAX_ELAPSED_WINDOW = 32
-
-#: chunk profiles kept per backend record (one adaptive run produces
-#: ``workers * DEFAULT_OVERSUBSCRIBE`` chunks; far below this cap)
-MAX_SEGMENTS = 4096
 
 #: default entry cap of a store (files beyond it are evicted oldest-first)
 DEFAULT_MAX_ENTRIES = 256
@@ -73,40 +72,62 @@ class ProfileError(ValueError):
 # ---------------------------------------------------------------------- #
 # records
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ChunkProfile:
-    """One measured chunk: its contiguous ``pc`` span and its seconds.
-
-    ``seconds`` is wall-clock measured *inside* the execution substrate
-    (``omp_get_wtime`` around each chunk inside the compiled
-    ``repro_run_chunks`` for native and hybrid chunks, ``time.perf_counter``
-    around the chunk body in an engine worker) — queue latency and dispatch overhead are excluded,
-    so profiles are comparable across backends.
-    """
-
-    first_pc: int
-    last_pc: int
-    seconds: float
-
-    @property
-    def size(self) -> int:
-        return max(0, self.last_pc - self.first_pc + 1)
-
-    @property
-    def seconds_per_iteration(self) -> float:
-        return self.seconds / self.size if self.size else 0.0
+#: one run's measured chunks: a ``(n, 2)`` int64 array of each chunk's
+#: first and last ``pc`` and a ``(n,)`` float64 array of its seconds
+Segments = Tuple[np.ndarray, np.ndarray]
 
 
-@dataclass
+def _segments(bounds, seconds) -> Segments:
+    """Read-only copies of one run's ``bounds`` and ``seconds`` columns."""
+    bounds = np.array(bounds, dtype=np.int64).reshape(-1, 2)
+    seconds = np.array(seconds, dtype=np.float64).reshape(-1)
+    if len(bounds) != len(seconds):
+        raise ProfileError(f"{len(bounds)} chunk bounds but {len(seconds)} chunk seconds")
+    bounds.flags.writeable = seconds.flags.writeable = False
+    return bounds, seconds
+
+
+#: the segments of no run
+NO_SEGMENTS: Segments = _segments(np.empty((0, 2)), np.empty(0))
+
+
+def _partitions(segments: Segments, total: int) -> bool:
+    """True when ``segments`` are a strict partition of ``[1, total]`` —
+    non-empty chunks, sorted and contiguous, the first starting at 1 and the
+    last ending at ``total`` — with finite, non-negative seconds."""
+    if not len(segments[1]):
+        return False
+    (first, last), seconds = segments[0].T, segments[1]
+    return bool(
+        first[0] == 1
+        and last[-1] == total
+        and (last >= first).all()
+        and (first[1:] == last[:-1] + 1).all()
+        and (np.isfinite(seconds) & (seconds >= 0.0)).all()
+    )
+
+
+@dataclass(eq=False)
 class BackendProfile:
-    """The measured history of one (kernel, shape, schedule, backend)."""
+    """The measured history of one (kernel, shape, schedule, backend).
+
+    ``segments`` are the latest run's measured chunks (:data:`Segments`),
+    banked for ``adaptive`` keys only, the keys a re-cut reads, and
+    :data:`NO_SEGMENTS` elsewhere.  Two profiles are equal when their JSON
+    forms are.
+    """
 
     backend: str
     runs: int = 0
     workers: int = 0
     total_iterations: int = 0
     elapsed_seconds: List[float] = field(default_factory=list)
-    segments: List[ChunkProfile] = field(default_factory=list)
+    segments: Segments = NO_SEGMENTS
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BackendProfile):
+            return NotImplemented
+        return self.to_json() == other.to_json()
 
     @property
     def median_elapsed(self) -> Optional[float]:
@@ -114,33 +135,23 @@ class BackendProfile:
             return None
         return float(statistics.median(self.elapsed_seconds))
 
-    def seconds_per_iteration(self) -> Optional[float]:
-        """Mean measured cost of one collapsed iteration, from the chunk
-        profiles (the calibration input of
-        :meth:`~repro.openmp.costmodel.RecoveryCosts.calibrated`)."""
-        covered = sum(segment.size for segment in self.segments)
-        if covered <= 0:
-            return None
-        return sum(segment.seconds for segment in self.segments) / covered
-
     def to_json(self) -> dict:
+        bounds, seconds = self.segments
         return {
             "backend": self.backend,
             "runs": int(self.runs),
             "workers": int(self.workers),
             "total_iterations": int(self.total_iterations),
             "elapsed_seconds": [float(v) for v in self.elapsed_seconds],
-            "segments": [
-                [int(s.first_pc), int(s.last_pc), float(s.seconds)] for s in self.segments
-            ],
+            "segments": [[f, l, s] for (f, l), s in zip(bounds.tolist(), seconds.tolist())],
         }
 
     @classmethod
     def from_json(cls, payload: dict) -> "BackendProfile":
-        segments = [
-            ChunkProfile(first_pc=int(f), last_pc=int(l), seconds=float(s))
-            for f, l, s in payload.get("segments", ())
-        ]
+        rows = payload.get("segments", ())
+        segments = _segments(
+            [(int(f), int(l)) for f, l, _s in rows], [float(s) for _f, _l, s in rows]
+        )
         return cls(
             backend=str(payload["backend"]),
             runs=int(payload.get("runs", 0)),
@@ -176,7 +187,7 @@ class BackendProfile:
         self.total_iterations = newer.total_iterations
         self.elapsed_seconds += newer.elapsed_seconds
         del self.elapsed_seconds[:-MAX_ELAPSED_WINDOW]
-        self.segments = list(newer.segments)
+        self.segments = newer.segments
 
 
 # ---------------------------------------------------------------------- #
@@ -192,21 +203,30 @@ def profile_key(
     A SHA-256 digest over the fingerprint of the source value
     (:class:`~repro.runtime.source.Source`, which covers the loop, its
     Python operations, C body, arrays, ranks and compile flags), the sorted
-    parameter values and the parsed schedule spelling.  It is built from
+    parameter values, the parsed schedule spelling and, when there are any,
+    the flags the environment adds to every compiled unit (the
+    ``$REPRO_NATIVE_SANITIZE`` preset's and ``$REPRO_NATIVE_FLAGS``, as
+    :func:`~repro.native.compiler.effective_flags` folds them into the
+    module's key): timings measured on an instrumented build never shape
+    the cut or the backend choice of an optimised one.  It is built from
     the same fingerprint as the plan cache's and the native module memo's
     keys, so a profile written by one process is found by every other
     process running the same configuration.  The backend is *not* part of
     the key: one entry holds all backends of a configuration side by side,
     which is what lets ``backend="auto"`` compare them.
     """
-    payload = repr(
-        (
-            Source.of(source).fingerprint,
-            tuple(sorted((name, int(value)) for name, value in parameter_values.items())),
-            str(ScheduleSpec.parse(schedule)),
-        )
+    # deferred: the native package imports the runtime
+    from ..native.compiler import default_sanitize, effective_flags
+
+    identity = (
+        Source.of(source).fingerprint,
+        tuple(sorted((name, int(value)) for name, value in parameter_values.items())),
+        str(ScheduleSpec.parse(schedule)),
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+    flags = effective_flags((), default_sanitize())
+    if flags:
+        identity += (flags,)
+    return hashlib.sha256(repr(identity).encode("utf-8")).hexdigest()[:32]
 
 
 # ---------------------------------------------------------------------- #
@@ -259,7 +279,10 @@ class ProfileStore:
     and bumps the key's change token, and :meth:`load`, :meth:`token` and
     :meth:`segments` read it.  A key's file is
     read once, and again after each flush unless the key has records
-    waiting.
+    waiting.  A record carries segments, as ``(bounds, seconds)`` columns
+    written to the file as ``[[first, last, seconds], …]`` rows, only when
+    its run passed them: the session passes them for ``adaptive`` keys,
+    the only ones a re-cut reads.
 
     :meth:`flush` is the only code that writes.  Per key with pending
     records it re-reads the current file, merges the records in, writes a
@@ -363,9 +386,13 @@ class ProfileStore:
         elapsed_seconds: float,
         workers: int,
         total_iterations: int,
-        chunks: Iterable[ChunkProfile] = (),
+        segments: Optional[Segments] = None,
     ) -> BackendProfile:
         """Bank one run's measurements; returns the merged backend profile.
+
+        ``segments`` are the run's ``(bounds, seconds)`` columns
+        (:data:`Segments`, copied), passed for the keys a re-cut reads;
+        without them the run banks its count, workers and elapsed time.
 
         The run lands in the table at once (the key gets a new token) and
         on disk at the next :meth:`flush`.  The entry's profile of
@@ -379,7 +406,7 @@ class ProfileStore:
             workers=int(workers),
             total_iterations=int(total_iterations),
             elapsed_seconds=[float(elapsed_seconds)],
-            segments=list(chunks)[:MAX_SEGMENTS],
+            segments=NO_SEGMENTS if segments is None else _segments(*segments),
         )
         table = self._current()
         with table.lock:
@@ -467,36 +494,33 @@ class ProfileStore:
         key: str,
         total_iterations: int,
         prefer_backend: Optional[str] = None,
-    ) -> List[ChunkProfile]:
-        """Measured chunk spans usable to re-cut this configuration.
+    ) -> Segments:
+        """Measured chunks usable to re-cut this configuration, as columns.
 
         Only profiles whose recorded trip count matches ``total_iterations``
-        *and* whose span sizes sum to it qualify: a profile of a different
-        shape says nothing about this range.  Every backend banks its
-        plan's chunks, which tile the range, so the partition check only
-        guards against entries read from disk (another version's, or a
-        hand-edited file).  ``prefer_backend`` wins when it has segments;
-        otherwise the most-run backend with segments is used — relative cost
-        *density* is what the re-cut needs, and density is shared across
-        substrates.
+        *and* whose segments are a strict partition of ``[1, total]``
+        qualify (sorted, contiguous, non-empty chunks from 1 to ``total``,
+        finite non-negative seconds): a profile of a different shape says
+        nothing about this range.  Every backend banks its plan's chunks,
+        which tile the range, so the partition check only guards against
+        entries read from disk (another version's, or a hand-edited file).
+        ``prefer_backend`` wins when it qualifies; otherwise the most-run
+        qualifying backend is used — relative cost *density* is what the
+        re-cut needs, and density is shared across substrates.  Returns
+        :data:`NO_SEGMENTS` when nothing qualifies.
         """
         total = int(total_iterations)
-        profiles = self.load(key)
         candidates = [
             profile
-            for profile in profiles.values()
-            if profile.segments
-            and profile.total_iterations == total
-            and sum(segment.size for segment in profile.segments) == total
+            for profile in self.load(key).values()
+            if profile.total_iterations == total and _partitions(profile.segments, total)
         ]
         if not candidates:
-            return []
-        if prefer_backend is not None:
-            for profile in candidates:
-                if profile.backend == prefer_backend:
-                    return list(profile.segments)
-        best = max(candidates, key=lambda profile: profile.runs)
-        return list(best.segments)
+            return NO_SEGMENTS
+        for profile in candidates:
+            if profile.backend == prefer_backend:
+                return profile.segments
+        return max(candidates, key=lambda profile: profile.runs).segments
 
     def clear(self) -> int:
         """Delete every entry, pending and on disk; returns the file count removed."""
@@ -565,62 +589,34 @@ if hasattr(os, "register_at_fork"):
 # ---------------------------------------------------------------------- #
 # profile-guided chunk cutting
 # ---------------------------------------------------------------------- #
-def profile_guided_chunks(
-    segments: Sequence[ChunkProfile],
-    total: int,
-    count: int,
-):
+def profile_guided_chunks(bounds, seconds, total: int, count: int):
     """Cut ``[1, total]`` into ``count`` equal-*measured-cost* chunks.
 
-    The measured spans define a piecewise-constant cost density over the
-    ``pc`` range (``seconds / size`` per span; unmeasured gaps get the mean
-    density, overlapping spans from repeated runs average).  The cumulative
-    cost function is then piecewise linear, and the cuts are its evenly
-    spaced quantiles — the same equal-work idea as
+    ``bounds`` and ``seconds`` are a measured partition of ``[1, total]``
+    (:meth:`ProfileStore.segments` returns nothing else).  Each chunk's
+    seconds spread evenly over its ``pc`` values, so the cumulative cost
+    is piecewise linear between the chunk ends, and the cuts are its
+    evenly spaced quantiles — the same equal-work idea as
     :func:`~repro.runtime.plan.adaptive_chunks`, with measured seconds in
     place of the analytic cost model.  Returns ``[]`` when the measurements
-    carry no usable signal (no positive-size span, zero total cost).
+    carry no usable signal (no chunk, zero total cost).
     """
     total = int(total)
-    if total <= 0:
+    seconds = np.asarray(seconds, dtype=np.float64)
+    if total <= 0 or not seconds.size:
         return []
     count = max(1, min(int(count), total))
-    spans = [s for s in segments if s.size > 0 and s.first_pc <= total and s.seconds >= 0.0]
-    if not spans or sum(s.seconds for s in spans) <= 0.0:
-        return []
-    # elementary intervals between all measured boundaries (clamped to range)
-    points = {1, total + 1}
-    for span in spans:
-        points.add(max(1, span.first_pc))
-        points.add(min(total, span.last_pc) + 1)
-    bounds = np.array(sorted(points), dtype=np.int64)
-    starts, ends = bounds[:-1], bounds[1:]  # interval k is [starts[k], ends[k])
-    density = np.zeros(len(starts), dtype=np.float64)
-    coverage = np.zeros(len(starts), dtype=np.int64)
-    for span in spans:
-        first = max(1, span.first_pc)
-        last = min(total, span.last_pc)
-        if last < first:
-            continue
-        lo = int(np.searchsorted(starts, first, side="right")) - 1
-        hi = int(np.searchsorted(starts, last, side="right"))
-        density[lo:hi] += span.seconds_per_iteration
-        coverage[lo:hi] += 1
-    measured = coverage > 0
-    density[measured] /= coverage[measured]
-    mean_density = float(np.mean(density[measured])) if measured.any() else 0.0
-    density[~measured] = mean_density
-    sizes = (ends - starts).astype(np.float64)
-    cumulative = np.concatenate(([0.0], np.cumsum(density * sizes)))
+    cumulative = np.concatenate(([0.0], np.cumsum(seconds)))
     grand_total = float(cumulative[-1])
     if grand_total <= 0.0:
         return []
     # strictly increasing cumulative for the inverse interpolation: tilt
-    # zero-density stretches by an epsilon far below any real measurement
-    epsilon = grand_total * 1e-12
-    cumulative = cumulative + epsilon * np.arange(len(cumulative))
+    # zero-cost chunks by an epsilon far below any real measurement
+    cumulative += grand_total * 1e-12 * np.arange(len(cumulative))
+    # chunk k covers the pc values [starts[k], starts[k + 1])
+    starts = np.concatenate(([1], np.asarray(bounds)[:, 1] + 1)).astype(np.float64)
     targets = np.linspace(0.0, cumulative[-1], count + 1)[1:-1]
-    positions = np.interp(targets, cumulative, bounds.astype(np.float64))
+    positions = np.interp(targets, cumulative, starts)
     cuts = np.floor(positions).astype(np.int64) - 1  # last pc of each chunk
     return _chunks_ending_at(list(cuts) + [total], total)
 

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (native imports runtime)
     from ..native.module import NativeCall
 
-from ..openmp.schedule import ScheduleSpec
+from ..openmp.schedule import ScheduleKind, ScheduleSpec
 from .engine import RunResult, RuntimeEngine
 from .plan import ExecutionPlan, PlanError, build_plan
 from .profile import (
@@ -430,7 +430,7 @@ class RuntimeSession:
             result = call.plan.native_module.run(
                 buffers, call.native, call.plan.chunks(self.engine.workers), call.backend
             )
-        self._bank(call.profile_key, result)
+        self._bank(call.plan, result)
         return result
 
     def execute(self, plan: ExecutionPlan, buffers: Optional[SharedBuffers] = None) -> RunResult:
@@ -442,24 +442,29 @@ class RuntimeSession:
         stay profile-free.
         """
         result = self.engine.execute(plan, buffers=buffers)
-        self._bank(plan.profile_key, result)
+        self._bank(plan, result)
         return result
 
-    def _bank(self, key: Optional[str], result: RunResult) -> None:
-        """Bank one run's timings in the profile store's in-memory table.
+    def _bank(self, plan: ExecutionPlan, result: RunResult) -> None:
+        """Bank one run of ``plan`` (its cut, so its trip count) in the
+        profile store's in-memory table.
 
-        Disk is only written by the store's flush, which logs a failure
-        instead of raising, so a run never fails on its profile.
+        Only an ``adaptive`` run banks its chunks' bounds and seconds, the
+        segments :meth:`ExecutionPlan.chunks` re-cuts its key from; no other
+        key is re-cut.  Disk is only written by the store's flush, which
+        logs a failure instead of raising, so a run never fails on its
+        profile.
         """
-        if key is None:
+        if plan.profile_key is None:
             return
+        adaptive = plan.schedule.kind is ScheduleKind.ADAPTIVE
         default_profile_store().record(
-            key,
+            plan.profile_key,
             result.backend,
             elapsed_seconds=result.elapsed_seconds,
             workers=result.workers or self.engine.workers,
-            total_iterations=result.iterations,
-            chunks=result.chunk_records(),
+            total_iterations=plan.total_iterations,
+            segments=(result.bounds, result.chunk_seconds) if adaptive else None,
         )
 
     # ------------------------------------------------------------------ #

@@ -188,7 +188,8 @@ class TestTranslationUnit:
         """The unit's one run entry: one OpenMP region whose
         work-shared loop hands out the chunk list one chunk per claim; each
         chunk recovers at its first pc and increments (Fig. 4) and records
-        its count, seconds and thread."""
+        its seconds and thread; its count is its size, which the caller
+        holds, so no count slot is written."""
         from repro.core import generate_translation_unit
 
         source = generate_translation_unit(collapsed_correlation)
@@ -204,8 +205,9 @@ class TestTranslationUnit:
         recover = body.index("repro_recover(repro_params, first_pc, repro_at);")
         assert recover < body.index("for (long long pc = first_pc; pc <= last_pc; pc++) {")
         assert "indices incrementation" in body
-        for slot in ("repro_seconds", "repro_counts", "repro_threads"):
+        for slot in ("repro_seconds", "repro_threads"):
             assert f"{slot}[repro_k] = " in body, slot
+        assert "repro_counts" not in source
 
     def test_one_dimensional_array_macro_has_no_stride(self, collapsed_correlation):
         from repro.core import generate_translation_unit

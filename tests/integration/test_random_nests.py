@@ -202,7 +202,7 @@ def test_property_engine_visits_match_run_original(case, schedule, runtime_engin
         visits = buffers.snapshot()["visits"]
     runtime_engine.forget(plan)
 
-    assert sum(result.results) == iteration_count(nest, values)
+    assert result.iterations == iteration_count(nest, values)
     assert np.array_equal(visits, expected)
 
 
@@ -247,7 +247,7 @@ def test_property_native_matches_engine_and_batch(case, schedule, runtime_engine
     native_visits = np.zeros(_GRID)
     chunks = policy_chunks(ScheduleSpec.parse(schedule), total, 2)
     result = module.run({"visits": native_visits}, module.bind(values, schedule, threads=2), chunks)
-    assert sum(result.results) == total
+    assert result.iterations == total
 
     source = Source.of(nest, iteration_op=_mark_visit, chunk_op=_mark_visits_chunk)
     plan = build_plan(source, values, schedule="static")
@@ -296,7 +296,7 @@ def test_property_hybrid_matches_engine_and_native(case, schedule, runtime_engin
         "hybrid",
     )
     assert result.chunks == chunks
-    assert sum(result.results) == iteration_count(nest, values)
+    assert result.iterations == iteration_count(nest, values)
     assert np.array_equal(hybrid_visits, expected)
 
     with SharedBuffers.create({"visits": np.zeros(_GRID)}) as buffers:
@@ -385,7 +385,7 @@ def test_property_transformed_engine_visits_match_run_original(case, schedule, r
         visits = buffers.snapshot()["visits"]
     runtime_engine.forget(plan)
 
-    assert sum(result.results) == iteration_count(nest, values)
+    assert result.iterations == iteration_count(nest, values)
     assert np.array_equal(visits, expected)
 
 

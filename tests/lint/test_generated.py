@@ -170,7 +170,7 @@ def test_run_chunks_region_is_proven_private(triangle_collapsed):
     assert undeclared != chunks_region
     errors = lint_c_source(head + undeclared).errors
     assert any("'first_pc'" in f.message for f in errors)
-    shared_slot = chunks_region.replace("repro_counts[repro_k] =", "repro_counts[0] =", 1)
+    shared_slot = chunks_region.replace("repro_threads[repro_k] =", "repro_threads[0] =", 1)
     assert shared_slot != chunks_region
     warnings = lint_c_source(head + shared_slot).warnings
     assert [f.rule for f in warnings] == ["generated/unchecked-subscripted-write"]

@@ -231,7 +231,7 @@ class TestSixtyFourBitArithmetic:
         result = module.run(
             {"visits": visits}, module.bind(values, "dynamic,512", threads=2), chunks
         )
-        assert sum(result.results) == 5000
+        assert result.iterations == 5000
         expected = np.zeros((self.N, self.N))
         for i, j, k in window:
             expected[j, k] = i + 1
@@ -310,7 +310,8 @@ class TestExactRecoveryHugeRanges:
             trace = np.full((64, 3), -1.0)
             chunks = [Chunk(first, first + 4), Chunk(first + 5, first + 9)]
             result = module.run({"trace": trace}, module.bind(values, threads=2), chunks)
-            assert result.backend == "native" and result.results == (5, 5)
+            assert result.backend == "native"
+            assert result.bounds.tolist() == [[first, first + 4], [first + 5, first + 9]]
             for pc in range(first, first + 10):
                 assert tuple(trace[pc % 64].astype(np.int64)) == exact_reference_recover(
                     collapsed, pc, values
@@ -374,11 +375,10 @@ class TestKernelExecution:
         assert isinstance(result, RunResult)
         assert result.backend == "native"
         total = kernel.collapsed().total_iterations(values)
-        assert sum(result.results) == total
         assert result.iterations == total
         # one entry per chunk, in the order given
         assert result.chunks == tuple(chunks)
-        assert result.results == tuple(chunk.size for chunk in chunks)
+        assert result.bounds.tolist() == [[chunk.first, chunk.last] for chunk in chunks]
         assert len(result.chunk_seconds) == len(result.assignments) == len(chunks)
         assert all(seconds >= 0.0 for seconds in result.chunk_seconds)
         assert 1 <= result.workers <= 2
@@ -419,7 +419,6 @@ print(json.dumps({
     "total": kernel.collapsed().total_iterations(values),
     "ran": [[chunk.first, chunk.last] for chunk in result.chunks],
     "planned": [[chunk.first, chunk.last] for chunk in plans[1].chunks(2)],
-    "counts": list(result.results),
     "schedule": [before, run_sched_var()],
 }))
 """
@@ -437,7 +436,6 @@ print(json.dumps({
         assert len(spans) == 2  # static: one block per thread
         assert spans[0][0] == 1 and spans[-1][1] == total
         assert all(last + 1 == first for (_, last), (first, _) in zip(spans, spans[1:]))
-        assert report["counts"] == [last - first + 1 for first, last in spans]
         before, after = report["schedule"]
         assert before == after
 
@@ -454,8 +452,7 @@ print(json.dumps({
             kernel.make_data(values), module.bind(values, "dynamic,64", threads=2), chunks
         )
         total = kernel.collapsed().total_iterations(values)
-        assert len(result.results) == len(chunks) > 2
-        assert sum(result.results) == total
+        assert len(result.bounds) == len(chunks) > 2
         assert result.iterations == total
 
     def test_kernel_without_c_body_is_rejected(self):
@@ -494,14 +491,14 @@ print(json.dumps({
         for chunks in (forward, forward[::-1]):
             data = kernel.make_data(values)
             result = module.run(data, module.bind(values, "dynamic", threads=2), chunks)
-            assert result.results == tuple(chunk.size for chunk in chunks)
+            assert result.bounds.tolist() == [[chunk.first, chunk.last] for chunk in chunks]
             assert result.chunks == tuple(chunks)
             assert set(result.assignments) <= set(range(result.workers))
             assert str(result.schedule) == "dynamic"
             assert np.array_equal(data["c"], expected["c"])
         # an empty chunk list is legal and runs nothing (a chunk itself is
         # never empty: ``Chunk`` refuses last < first)
-        assert module.run(data, module.bind(values, threads=2), []).results == ()
+        assert module.run(data, module.bind(values, threads=2), []).bounds.shape == (0, 2)
         assert np.array_equal(data["c"], expected["c"])
 
     @pytest.mark.parametrize("bad", [(0, 3), (1, 10**6)])
@@ -533,7 +530,7 @@ print(json.dumps({
         )
         trace = np.zeros(total)
         result = module.run({"trace": trace}, module.bind(values, threads=2), _cut(module, values))
-        assert sum(result.results) == total
+        assert result.iterations == total
         indices = batch_recovery(collapsed).recover_range(1, total, values)
         assert np.array_equal(trace, (indices[:, 0] * 1000 + indices[:, 1]).astype(float))
 
@@ -637,7 +634,7 @@ class TestSessionBackend:
         with RuntimeSession(workers=1) as session:
             result = session.run(nest, values, data=data, backend="native")
         assert isinstance(result, RunResult) and result.backend == "native"
-        assert sum(result.results) == int(expected.sum())
+        assert result.iterations == int(expected.sum())
         assert np.array_equal(data["visits"], expected)
 
     def test_parsed_nest_macro_ranks_follow_subscripts(self):

@@ -87,54 +87,3 @@ class TestNumericEvaluation:
         model = CostModel(correlation_nest)
         compiled = model.compile_work(2, {"N": 12})
         assert compiled(0, 1) == 12.0
-
-
-class TestCalibratedCosts:
-    """RecoveryCosts.calibrated: re-expressing the model in measured seconds."""
-
-    def test_calibration_rescales_unit_and_overheads_together(self):
-        from repro.runtime.profile import BackendProfile, ChunkProfile
-
-        costs = RecoveryCosts(unit_work=1.0, costly_recovery=40.0, increment=0.15,
-                              dynamic_dispatch=25.0, parallel_startup=2.0)
-        profile = BackendProfile(
-            backend="engine",
-            segments=[ChunkProfile(first_pc=1, last_pc=100, seconds=2e-4)],
-        )
-        calibrated = costs.calibrated(profile)
-        seconds = 2e-4 / 100
-        assert calibrated.unit_work == pytest.approx(seconds)
-        # the relative structure survives the change of unit
-        assert calibrated.costly_recovery / calibrated.unit_work == pytest.approx(40.0)
-        assert calibrated.dynamic_dispatch / calibrated.unit_work == pytest.approx(25.0)
-        assert calibrated.increment / calibrated.unit_work == pytest.approx(0.15)
-        assert calibrated.parallel_startup / calibrated.unit_work == pytest.approx(2.0)
-
-    def test_cold_profile_falls_back_to_analytic_model(self):
-        from repro.runtime.profile import BackendProfile
-
-        costs = RecoveryCosts()
-        assert costs.calibrated(None) is costs
-        assert costs.calibrated(BackendProfile(backend="engine")) is costs
-
-    def test_zero_size_segments_fall_back(self):
-        from repro.runtime.profile import BackendProfile, ChunkProfile
-
-        costs = RecoveryCosts()
-        profile = BackendProfile(
-            backend="engine",
-            segments=[ChunkProfile(first_pc=5, last_pc=4, seconds=1.0)],
-        )
-        assert costs.calibrated(profile) is costs
-
-    def test_calibrated_costs_drive_the_cost_model(self, correlation_nest):
-        from repro.runtime.profile import BackendProfile, ChunkProfile
-
-        profile = BackendProfile(
-            backend="engine",
-            segments=[ChunkProfile(first_pc=1, last_pc=10, seconds=5e-5)],
-        )
-        calibrated = RecoveryCosts().calibrated(profile)
-        model = CostModel(correlation_nest, calibrated)
-        # iteration_work now prices in measured seconds: 90 inner iterations
-        assert model.iteration_work((0,), {"N": 10}) == pytest.approx(90 * 5e-6)

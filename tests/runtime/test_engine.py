@@ -112,7 +112,7 @@ class TestEngineRunResult:
         with SharedBuffers.create(kernel.make_data(VALUES)) as buffers:
             result = session.execute(plan, buffers=buffers)
         session.engine.forget(plan)
-        assert sum(result.results) == plan.total_iterations
+        assert result.iterations == plan.total_iterations
         assert result.iterations == plan.total_iterations
         assert len(result.assignments) == len(result.chunks)
         assert len(result.chunk_seconds) == len(result.chunks)
@@ -131,7 +131,7 @@ class TestEngineRunResult:
     def test_empty_domain_executes_without_dispatch(self, session):
         plan = build_plan("utma", {"N": 0}, schedule="static")
         result = session.engine.execute(plan)
-        assert result.results == ()
+        assert result.bounds.shape == (0, 2) and result.iterations == 0
         assert result.chunks == ()
 
 
@@ -149,6 +149,32 @@ class TestErrorHandling:
         # the pool must still serve good plans afterwards
         expected = run_original(get_kernel("utma"), VALUES)
         assert np.array_equal(session.run("utma", VALUES)["c"], expected["c"])
+
+    def test_a_short_recovery_fails_its_chunk(self, monkeypatch):
+        """A worker compares the rows its walk recovered with the chunk's
+        size: a walk one row short fails the chunk as an :class:`EngineError`
+        before any operation runs on it, like any other chunk failure."""
+        from repro.core.batch import BatchRecovery
+
+        recover_range = BatchRecovery.recover_range
+
+        def one_row_short(self, first_pc, last_pc, values):
+            return recover_range(self, first_pc, last_pc, values)[:-1]
+
+        # patched before the pool forks, so the workers inherit it
+        monkeypatch.setattr(BatchRecovery, "recover_range", one_row_short)
+        nest, values = _triangle()
+        plan = build_plan(Source.of(nest, chunk_op=count_visits_op), values, schedule="static")
+        size = plan.chunks(2)[0].size
+        with RuntimeEngine(workers=2, start_method="fork") as engine, SharedBuffers.create(
+            {"visits": np.zeros((12, 12))}
+        ) as buffers:
+            with pytest.raises(
+                EngineError, match=rf"recovered {size - 1} rows for chunk \[1, {size}\] "
+                rf"of {size} iterations"
+            ):
+                engine.execute(plan, buffers=buffers)
+            assert not buffers.arrays["visits"].any()
 
     def test_workers_must_be_positive(self):
         from repro.runtime import RuntimeEngine
@@ -263,7 +289,7 @@ class TestSession:
             expected[indices] += 1.0
         # nest sources mutate the caller's arrays in place and report the run
         assert np.array_equal(data["visits"], expected)
-        assert sum(result.results) == int(expected.sum())
+        assert result.iterations == int(expected.sum())
 
     def test_repeated_runs_reuse_buffers_and_stay_correct(self, session):
         # engine runs without data stage through the session's one pool
@@ -338,7 +364,9 @@ class TestDispatch:
                 result = engine.execute(plan, buffers=buffers)
                 assert len(result.chunks) > engine.workers
                 assert np.array_equal(buffers.arrays["visits"], expected)
-                assert result.results == tuple(chunk.size for chunk in result.chunks)
+                assert result.bounds.tolist() == [
+                    [chunk.first, chunk.last] for chunk in result.chunks
+                ]
                 assert set(result.assignments) <= {0, 1}
                 assert len(result.chunk_seconds) == len(result.chunks)
         engine.forget(plan)
@@ -373,8 +401,8 @@ class TestDispatch:
         engine.forget(plan)
         assert len(result.chunks) == 1 < engine.workers
         assert sent == [(0, "run")]
-        assert result.results == (1,)
-        assert result.assignments == (0,)
+        assert result.bounds.tolist() == [[1, 1]]
+        assert result.assignments.tolist() == [0]
 
     @pytest.mark.parametrize("schedule", ["dynamic", "static,4"])
     def test_worker_error_mid_run_accounts_for_every_other_chunk(self, engine, schedule):

@@ -191,7 +191,7 @@ class TestInProcess:
         plan = session.plan_for(source, values, "dynamic,64", native=True)
         assert result.backend == "hybrid"
         assert result.chunks == plan.chunks(session.engine.workers)
-        assert result.results == tuple(chunk.size for chunk in result.chunks)
+        assert result.bounds.tolist() == [[chunk.first, chunk.last] for chunk in result.chunks]
         assert set(result.assignments) <= set(range(result.workers))
         indices = batch_recovery(collapse(nest)).recover_range(1, total, values)
         expected = indices[:, 0] * 1000 + indices[:, 1]
@@ -265,7 +265,7 @@ class TestInProcess:
         assert sent == []
         assert result.backend == "hybrid"
         assert result.chunks == plan.chunks(session.engine.workers)
-        assert result.results == tuple(chunk.size for chunk in result.chunks)
+        assert result.bounds.tolist() == [[chunk.first, chunk.last] for chunk in result.chunks]
         assert np.array_equal(visits, expected)
 
     def test_second_run_is_pure_dispatch_no_compiler(self, session):
@@ -342,7 +342,7 @@ class TestFallback:
             backend="hybrid", iteration_op=_mark_visit,
         )
         assert result.backend == "engine"
-        assert sum(result.results) == iteration_count(nest, values)
+        assert result.iterations == iteration_count(nest, values)
 
     def test_fallback_runs_the_same_source_on_the_engine(self, session, monkeypatch):
         """An explicit c_body must not break the engine fallback: without a
@@ -361,7 +361,7 @@ class TestFallback:
             c_body="visits(i, j) += 1.0;", c_arrays=("visits",),
         )
         assert result.backend == "engine"
-        assert sum(result.results) == iteration_count(nest, values)
+        assert result.iterations == iteration_count(nest, values)
 
     def test_hybrid_kernel_without_c_body_is_an_explicit_error(self, session):
         """The native plan checks the capability with a clear message, for
@@ -441,7 +441,7 @@ class TestFallback:
             backend="hybrid", iteration_op=_mark_visit,
         )
         assert result.backend == "hybrid"
-        assert sum(result.results) == iteration_count(nest, values)
+        assert result.iterations == iteration_count(nest, values)
 
 
 def _parse_visits_nest():
@@ -520,7 +520,7 @@ class TestWorkerBatchRecovery:
         with SharedBuffers.create(kernel.make_data(self.values)) as buffers:
             worker.attach(buffers.specs)
             total = kernel.collapsed().total_iterations(self.values)
-            assert worker.execute(1, total) == total
+            worker.execute(1, total)
             worker.release_buffers()
             assert np.array_equal(
                 buffers.snapshot()["c"], run_original(kernel, self.values)["c"]
@@ -567,7 +567,7 @@ class TestNativeAdaptive:
             assert (hybrid.backend, native.backend) == ("hybrid", "native")
             assert str(native.schedule) == "adaptive"
             assert native.chunks is hybrid.chunks is plan.chunks(session.engine.workers)
-            assert native.results == tuple(chunk.size for chunk in native.chunks)
+            assert native.bounds.tolist() == [[chunk.first, chunk.last] for chunk in native.chunks]
 
     def test_native_segments_tile_the_range_and_feed_the_recut(self, clock):
         from repro.runtime import RuntimeSession, default_profile_store, profile_guided_chunks
@@ -581,17 +581,18 @@ class TestNativeAdaptive:
             store = default_profile_store()
             profiles = store.load(plan.profile_key)
             assert set(profiles) == {"native"}
-            segments = profiles["native"].segments
+            bounds, seconds = profiles["native"].segments
             total = plan.total_iterations
-            assert [(s.first_pc, s.last_pc) for s in segments] == [
-                (chunk.first, chunk.last) for chunk in cold
-            ]
-            assert segments[0].first_pc == 1 and segments[-1].last_pc == total
-            assert all(a.last_pc + 1 == b.first_pc for a, b in zip(segments, segments[1:]))
-            assert store.segments(plan.profile_key, total, prefer_backend="hybrid") == segments
+            assert bounds.tolist() == [[chunk.first, chunk.last] for chunk in cold]
+            assert bounds[0, 0] == 1 and bounds[-1, 1] == total
+            assert (bounds[1:, 0] == bounds[:-1, 1] + 1).all()
+            assert len(seconds) == len(cold)
+            preferred = store.segments(plan.profile_key, total, prefer_backend="hybrid")
+            assert np.array_equal(preferred[0], bounds)
+            assert np.array_equal(preferred[1], seconds)
             count = min(total, session.engine.workers * DEFAULT_OVERSUBSCRIBE)
             recut = plan.chunks(session.engine.workers)
-            assert recut == tuple(profile_guided_chunks(segments, total, count))
+            assert recut == tuple(profile_guided_chunks(bounds, seconds, total, count))
 
 
 # ---------------------------------------------------------------------- #
@@ -624,7 +625,7 @@ class TestCacheKeying:
             )
             assert str(result.schedule) == schedule
             assert result.chunks == plan.chunks(2)
-            assert sum(result.results) == total
+            assert result.iterations == total
 
     def test_schedule_change_reruns_the_one_library(self, session):
         """Native runs of one nest under two schedules share one compiled
@@ -651,7 +652,7 @@ class TestCacheKeying:
         assert len(spans) == result.workers  # static: every thread has a block
         assert spans[0][0] == 1 and spans[-1][1] == total
         assert all(last + 1 == first for (_, last), (first, _) in zip(spans, spans[1:]))
-        assert sum(result.results) == total
+        assert result.iterations == total
 
     def test_session_plans_are_keyed_by_schedule_and_backend(self, session):
         """One (kernel, size) under different schedules or backends must

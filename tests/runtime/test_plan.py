@@ -173,24 +173,22 @@ class TestRecutCadence:
 
     @staticmethod
     def segments(total, split, dense_seconds):
-        """Two measured spans: ``[1, split]`` costs ``dense_seconds``, the rest 1 ms."""
-        from repro.runtime.profile import ChunkProfile
-
-        return [ChunkProfile(1, split, dense_seconds), ChunkProfile(split + 1, total, 1e-3)]
+        """Two measured chunks: ``[1, split]`` costs ``dense_seconds``, the rest 1 ms."""
+        return np.array([[1, split], [split + 1, total]]), np.array([dense_seconds, 1e-3])
 
     def measure(self, plan, segments):
         from repro.runtime import default_profile_store
 
         default_profile_store().record(
             plan.profile_key, "engine", elapsed_seconds=0.01, workers=self.WORKERS,
-            total_iterations=plan.total_iterations, chunks=segments,
+            total_iterations=plan.total_iterations, segments=segments,
         )
 
     def cut_of(self, plan, segments):
         from repro.runtime import profile_guided_chunks
 
         count = min(plan.total_iterations, self.WORKERS * DEFAULT_OVERSUBSCRIBE)
-        return tuple(profile_guided_chunks(segments, plan.total_iterations, count))
+        return tuple(profile_guided_chunks(*segments, plan.total_iterations, count))
 
     @pytest.fixture
     def plan(self, clock):
@@ -247,11 +245,11 @@ class TestRecutCadence:
         default_profile_store().flush()
         total = plan.total_iterations
         script = (
-            "from repro.runtime.profile import ChunkProfile, default_profile_store\n"
+            "from repro.runtime.profile import default_profile_store\n"
             "store = default_profile_store()\n"
             f"store.record({plan.profile_key!r}, 'engine', elapsed_seconds=0.01, workers=2,\n"
             f"             total_iterations={total},\n"
-            f"             chunks=[ChunkProfile(1, 100, 0.05), ChunkProfile(101, {total}, 1e-3)])\n"
+            f"             segments=([[1, 100], [101, {total}]], [0.05, 1e-3]))\n"
             "store.flush()\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
@@ -263,3 +261,40 @@ class TestRecutCadence:
         clock[0] += FLUSH_EVERY_S
         expected = self.cut_of(plan, self.segments(total, 100, 0.05))
         assert plan.chunks(self.WORKERS) == expected != measured
+
+
+class TestMeasurementIdentity:
+    """Segments measured on an instrumented or differently flagged build
+    never shape the cut of a run without those flags: the profile key
+    carries the flags the environment adds to every compiled unit."""
+
+    WORKERS = 2
+
+    @pytest.mark.parametrize(
+        "variable, value",
+        [("REPRO_NATIVE_SANITIZE", "address,undefined"), ("REPRO_NATIVE_FLAGS", "-O0")],
+    )
+    def test_instrumented_segments_never_shape_a_plain_cut(self, monkeypatch, variable, value):
+        from repro.runtime import default_profile_store, profile_guided_chunks
+
+        monkeypatch.delenv("REPRO_NATIVE_SANITIZE", raising=False)
+        monkeypatch.delenv("REPRO_NATIVE_FLAGS", raising=False)
+        values = {"N": 16}
+        plain_key = build_plan("utma", values, schedule="adaptive").profile_key
+        monkeypatch.setenv(variable, value)
+        instrumented = build_plan("utma", values, schedule="adaptive")
+        assert instrumented.profile_key != plain_key
+        total = instrumented.total_iterations
+        segments = np.array([[1, 20], [21, total]]), np.array([0.5, 1e-3])
+        default_profile_store().record(
+            instrumented.profile_key, "native", elapsed_seconds=0.1, workers=self.WORKERS,
+            total_iterations=total, segments=segments,
+        )
+        count = min(total, self.WORKERS * DEFAULT_OVERSUBSCRIBE)
+        measured = tuple(profile_guided_chunks(*segments, total, count))
+        assert instrumented.chunks(self.WORKERS) == measured
+        monkeypatch.delenv(variable)
+        plain = build_plan("utma", values, schedule="adaptive")
+        assert plain.profile_key == plain_key
+        cold = tuple(adaptive_chunks(plain.collapsed, plain.parameter_values, self.WORKERS))
+        assert plain.chunks(self.WORKERS) == cold != measured

@@ -29,8 +29,8 @@ from repro.runtime import profile
 from repro.runtime.profile import (
     FLUSH_EVERY_S,
     MAX_ELAPSED_WINDOW,
+    NO_SEGMENTS,
     BackendProfile,
-    ChunkProfile,
     ProfileError,
     ProfileStore,
     choose_backend,
@@ -40,21 +40,21 @@ from repro.runtime.profile import (
 )
 
 
+def _segments(*rows):
+    """``(bounds, seconds)`` columns of ``(first_pc, last_pc, seconds)`` rows."""
+    bounds = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
+    return bounds, np.array([row[2] for row in rows], dtype=np.float64)
+
+
+def _rows(segments):
+    """``[first_pc, last_pc, seconds]`` rows of ``(bounds, seconds)`` columns."""
+    bounds, seconds = segments
+    return [[first, last, s] for (first, last), s in zip(bounds.tolist(), seconds.tolist())]
+
+
 # ---------------------------------------------------------------------- #
 # records
 # ---------------------------------------------------------------------- #
-class TestChunkProfile:
-    def test_size_and_density(self):
-        segment = ChunkProfile(first_pc=11, last_pc=20, seconds=0.5)
-        assert segment.size == 10
-        assert segment.seconds_per_iteration == pytest.approx(0.05)
-
-    def test_empty_span_has_zero_density(self):
-        segment = ChunkProfile(first_pc=5, last_pc=4, seconds=1.0)
-        assert segment.size == 0
-        assert segment.seconds_per_iteration == 0.0
-
-
 class TestBackendProfile:
     def test_json_roundtrip(self):
         profile = BackendProfile(
@@ -63,22 +63,40 @@ class TestBackendProfile:
             workers=4,
             total_iterations=100,
             elapsed_seconds=[0.1, 0.2, 0.3],
-            segments=[ChunkProfile(1, 50, 0.05), ChunkProfile(51, 100, 0.15)],
+            segments=_segments((1, 50, 0.05), (51, 100, 0.15)),
         )
-        assert BackendProfile.from_json(profile.to_json()) == profile
+        loaded = BackendProfile.from_json(profile.to_json())
+        assert loaded == profile
+        assert loaded.to_json()["segments"] == [[1, 50, 0.05], [51, 100, 0.15]]
+        assert loaded.segments[0].dtype == np.int64 and loaded.segments[1].dtype == np.float64
+
+    def test_equality_compares_the_segment_columns(self):
+        """Profiles with array fields still compare with ``==``/``!=`` (the
+        store's table compares whole entries), by value."""
+        def make(seconds):
+            return BackendProfile(backend="native", runs=1, segments=_segments((1, 9, seconds)))
+
+        assert make(0.5) == make(0.5)
+        assert make(0.5) != make(0.25)
+        assert make(0.5) != BackendProfile(backend="native", runs=1)
+        assert {"native": make(0.5)} == {"native": make(0.5)}
+
+    def test_segment_columns_are_read_only_and_must_align(self, tmp_path):
+        profile = BackendProfile.from_json(
+            {"backend": "engine", "segments": [[1, 4, 0.1], [5, 9, 0.2]]}
+        )
+        bounds, seconds = profile.segments
+        assert not bounds.flags.writeable and not seconds.flags.writeable
+        with pytest.raises(ProfileError, match="2 chunk bounds but 1 chunk seconds"):
+            ProfileStore(tmp_path).record(
+                "k", "engine", elapsed_seconds=0.1, workers=1, total_iterations=9,
+                segments=(bounds, seconds[:1]),
+            )
 
     def test_median_elapsed(self):
         profile = BackendProfile(backend="engine", elapsed_seconds=[0.3, 0.1, 0.2])
         assert profile.median_elapsed == pytest.approx(0.2)
         assert BackendProfile(backend="engine").median_elapsed is None
-
-    def test_seconds_per_iteration_from_segments(self):
-        profile = BackendProfile(
-            backend="engine",
-            segments=[ChunkProfile(1, 40, 0.4), ChunkProfile(41, 100, 0.6)],
-        )
-        assert profile.seconds_per_iteration() == pytest.approx(1.0 / 100)
-        assert BackendProfile(backend="engine").seconds_per_iteration() is None
 
     def test_merge_adds_runs_and_caps_the_window(self):
         first = BackendProfile(
@@ -93,14 +111,14 @@ class TestBackendProfile:
     def test_merge_takes_the_newer_runs_segments_workers_and_trip_count(self):
         history = BackendProfile(
             backend="engine", runs=7, workers=4, total_iterations=10,
-            segments=[ChunkProfile(1, 10, 0.1)],
+            segments=_segments((1, 10, 0.1)),
         )
         newer = BackendProfile(
             backend="engine", runs=1, workers=2, total_iterations=5,
-            segments=[ChunkProfile(1, 5, 0.2)],
+            segments=_segments((1, 5, 0.2)),
         )
         merged = history.merge(newer)
-        assert merged.segments == newer.segments
+        assert _rows(merged.segments) == [[1, 5, 0.2]]
         assert (merged.workers, merged.total_iterations) == (2, 5)
 
     def test_merge_rejects_backend_mismatch(self):
@@ -159,13 +177,13 @@ class TestProfileStore:
         store = ProfileStore(tmp_path)
         store.record(
             "k1", "engine", elapsed_seconds=0.5, workers=2, total_iterations=100,
-            chunks=[ChunkProfile(1, 100, 0.4)],
+            segments=_segments((1, 100, 0.4)),
         )
         profiles = store.load("k1")
         assert set(profiles) == {"engine"}
         assert profiles["engine"].runs == 1
         assert profiles["engine"].elapsed_seconds == [0.5]
-        assert profiles["engine"].segments == [ChunkProfile(1, 100, 0.4)]
+        assert _rows(profiles["engine"].segments) == [[1, 100, 0.4]]
 
     def test_repeat_records_merge(self, tmp_path):
         store = ProfileStore(tmp_path)
@@ -293,24 +311,23 @@ class TestProfileStore:
 
     def test_segments_follow_the_newest_run(self, tmp_path):
         store = ProfileStore(tmp_path)
-        spans = [[ChunkProfile(1, cut, 0.1), ChunkProfile(cut + 1, 100, 0.1)]
-                 for cut in (20, 40, 60, 80)]
-        for chunks in spans:
+        spans = [[(1, cut, 0.1), (cut + 1, 100, 0.1)] for cut in (20, 40, 60, 80)]
+        for rows in spans:
             store.record("k", "engine", elapsed_seconds=0.1, workers=2,
-                         total_iterations=100, chunks=chunks)
-        assert store.segments("k", 100) == spans[3]
+                         total_iterations=100, segments=_segments(*rows))
+        assert _rows(store.segments("k", 100)) == [list(row) for row in spans[3]]
         store.flush()
-        assert store.segments("k", 100) == spans[3]
+        assert _rows(store.segments("k", 100)) == [list(row) for row in spans[3]]
         # a flush merging into a longer disk history keeps the newest spans too
-        fifth = [ChunkProfile(1, 10, 0.1), ChunkProfile(11, 100, 0.1)]
+        fifth = _segments((1, 10, 0.1), (11, 100, 0.1))
         store.record("k", "engine", elapsed_seconds=0.1, workers=3,
-                     total_iterations=100, chunks=fifth)
+                     total_iterations=100, segments=fifth)
         store.flush()
         payload = json.loads(store.path_for("k").read_text())["backends"]["engine"]
         assert payload["runs"] == 5
         assert payload["workers"] == 3
         assert payload["segments"] == [[1, 10, 0.1], [11, 100, 0.1]]
-        assert store.segments("k", 100) == fifth
+        assert _rows(store.segments("k", 100)) == _rows(fifth)
 
     def test_default_store_follows_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path / "custom"))
@@ -346,7 +363,7 @@ def _hammer_store(args):
             elapsed_seconds=0.001 * (writer + 1),
             workers=2,
             total_iterations=100,
-            chunks=[ChunkProfile(1, 100, 0.0005)],
+            segments=_segments((1, 100, 0.0005)),
         )
         store.flush()
         loaded = store.load("shared")  # must never see a torn file
@@ -410,7 +427,7 @@ def _python(script: str, root) -> str:
 
 def _record(store, key="k", backend="engine", elapsed=0.1):
     store.record(key, backend, elapsed_seconds=elapsed, workers=2, total_iterations=10,
-                 chunks=[ChunkProfile(1, 10, elapsed)])
+                 segments=_segments((1, 10, elapsed)))
 
 
 class TestWriteBehind:
@@ -419,7 +436,7 @@ class TestWriteBehind:
         _record(store)
         assert not store.path_for("k").exists()
         assert store.load("k")["engine"].runs == 1
-        assert store.segments("k", 10) == [ChunkProfile(1, 10, 0.1)]
+        assert _rows(store.segments("k", 10)) == [[1, 10, 0.1]]
         assert store.token("k") != 0
         # every store on the same root shares the table
         assert ProfileStore(tmp_path).load("k")["engine"].runs == 1
@@ -476,11 +493,11 @@ class TestWriteBehind:
         store.flush()
         seen = _python(
             """
-            from repro.runtime.profile import ChunkProfile, default_profile_store
+            from repro.runtime.profile import default_profile_store
             store = default_profile_store()
             print(store.load("k")["engine"].runs)
             store.record("k", "engine", elapsed_seconds=0.3, workers=2,
-                         total_iterations=10, chunks=[ChunkProfile(1, 10, 0.3)])
+                         total_iterations=10, segments=([[1, 10]], [0.3]))
             store.flush()
             """,
             tmp_path,
@@ -490,7 +507,7 @@ class TestWriteBehind:
         assert store.load("k")["engine"].runs == 1  # not re-read before the cadence
         clock[0] += FLUSH_EVERY_S
         assert store.load("k")["engine"].runs == 2
-        assert store.segments("k", 10) == [ChunkProfile(1, 10, 0.3)]
+        assert _rows(store.segments("k", 10)) == [[1, 10, 0.3]]
         assert store.token("k") != token
 
     def test_an_unchanged_file_keeps_its_token_across_a_flush(self, tmp_path, clock):
@@ -653,30 +670,76 @@ class TestSegmentsQuery:
     def test_matching_total_required(self, tmp_path):
         store = ProfileStore(tmp_path)
         store.record("k", "engine", elapsed_seconds=0.1, workers=2,
-                     total_iterations=100, chunks=[ChunkProfile(1, 100, 0.1)])
-        assert store.segments("k", 100)
-        assert store.segments("k", 200) == []
+                     total_iterations=100, segments=_segments((1, 100, 0.1)))
+        assert _rows(store.segments("k", 100)) == [[1, 100, 0.1]]
+        assert store.segments("k", 200) is NO_SEGMENTS
 
-    def test_overlapping_spans_are_not_trusted(self, tmp_path):
-        # a native dynamic/guided run: per-thread spans overlap, sizes sum > total
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 20, 1.0], [81, 100, 1.0]],
+            [[1, 80, 0.05], [21, 100, 0.05]],
+            [[51, 100, 0.1], [1, 50, 0.1]],
+            [[1, 50, 0.1], [51, 90, 0.1]],
+            [[2, 50, 0.1], [51, 100, 0.1]],
+            [[1, 50, 0.1], [51, 50, 0.0], [51, 100, 0.1]],
+            [[1, 50, 0.1], [51, 100, -0.1]],
+        ],
+        ids=["gapped", "overlapping", "unsorted", "short", "not-from-1", "empty-chunk",
+             "negative-seconds"],
+    )
+    def test_entry_on_disk_that_is_no_partition_is_refused(self, tmp_path, rows):
+        """Only a strict partition of ``[1, total]`` is re-cut from: a file
+        holding gapped, overlapping, unsorted or short spans (another
+        version's, or a hand-edited one) is ignored, never interpolated."""
         store = ProfileStore(tmp_path)
-        store.record("k", "native", elapsed_seconds=0.1, workers=2,
-                     total_iterations=100,
-                     chunks=[ChunkProfile(1, 80, 0.05), ChunkProfile(21, 100, 0.05)])
-        assert store.segments("k", 100) == []
+        path = store.path_for("k")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        entry = {"backend": "engine", "runs": 1, "total_iterations": 100, "segments": rows}
+        path.write_text(json.dumps({"backends": {"engine": entry}}))
+        assert store.load("k")["engine"].runs == 1
+        assert store.segments("k", 100) is NO_SEGMENTS
 
     def test_prefer_backend_wins_when_present(self, tmp_path):
         store = ProfileStore(tmp_path)
         store.record("k", "engine", elapsed_seconds=0.1, workers=2,
-                     total_iterations=10, chunks=[ChunkProfile(1, 10, 0.1)])
+                     total_iterations=10, segments=_segments((1, 10, 0.1)))
         store.record("k", "hybrid", elapsed_seconds=0.1, workers=2,
-                     total_iterations=10, chunks=[ChunkProfile(1, 10, 0.2)])
+                     total_iterations=10, segments=_segments((1, 10, 0.2)))
         preferred = store.segments("k", 10, prefer_backend="hybrid")
-        assert preferred == [ChunkProfile(1, 10, 0.2)]
+        assert _rows(preferred) == [[1, 10, 0.2]]
         # absent preference falls back to the most-run backend
         store.record("k", "engine", elapsed_seconds=0.1, workers=2,
-                     total_iterations=10, chunks=[ChunkProfile(1, 10, 0.3)])
-        assert store.segments("k", 10, prefer_backend="python") == [ChunkProfile(1, 10, 0.3)]
+                     total_iterations=10, segments=_segments((1, 10, 0.3)))
+        assert _rows(store.segments("k", 10, prefer_backend="python")) == [[1, 10, 0.3]]
+
+
+class TestBanking:
+    """What a session run banks: segments for the keys a re-cut reads only."""
+
+    @pytest.mark.parametrize("backend", ["engine", "native", "hybrid"])
+    def test_only_adaptive_keys_bank_segments(self, backend):
+        from repro.native import native_available
+        from repro.runtime import RuntimeSession
+
+        if backend != "engine" and not native_available():
+            pytest.skip("no C compiler on this machine")
+        values = {"N": 16}
+        total = 136
+        with RuntimeSession(workers=2) as session:
+            for schedule in ("static", "dynamic,1", "adaptive"):
+                session.run("utma", values, backend=backend, schedule=schedule)
+        store = default_profile_store()
+        for schedule in ("static", "dynamic,1"):
+            key = profile_key("utma", values, schedule)
+            profile = store.load(key)[backend]
+            assert (profile.runs, profile.total_iterations) == (1, total), schedule
+            assert profile.segments[0].shape == (0, 2), schedule
+            payload = json.loads(store.path_for(key).read_text())["backends"][backend]
+            assert payload["segments"] == [], schedule
+            assert store.segments(key, total) is NO_SEGMENTS
+        bounds, seconds = store.segments(profile_key("utma", values, "adaptive"), total)
+        assert bounds[0, 0] == 1 and bounds[-1, 1] == total and len(seconds) == len(bounds)
 
 
 # ---------------------------------------------------------------------- #
@@ -684,42 +747,41 @@ class TestSegmentsQuery:
 # ---------------------------------------------------------------------- #
 class TestProfileGuidedChunks:
     def test_cuts_partition_the_range(self):
-        segments = [ChunkProfile(1, 50, 1.0), ChunkProfile(51, 100, 1.0)]
-        chunks = profile_guided_chunks(segments, 100, 4)
+        chunks = profile_guided_chunks(*_segments((1, 50, 1.0), (51, 100, 1.0)), 100, 4)
         assert chunks[0].first == 1 and chunks[-1].last == 100
         assert sum(c.size for c in chunks) == 100
         for previous, current in zip(chunks, chunks[1:]):
             assert current.first == previous.last + 1
 
     def test_uniform_density_gives_equal_chunks(self):
-        chunks = profile_guided_chunks([ChunkProfile(1, 100, 1.0)], 100, 4)
+        chunks = profile_guided_chunks(*_segments((1, 100, 1.0)), 100, 4)
         assert [c.size for c in chunks] == [25, 25, 25, 25]
 
     def test_dense_region_gets_finer_chunks(self):
         # front half carries 10x the cost per iteration
-        segments = [ChunkProfile(1, 50, 5.0), ChunkProfile(51, 100, 0.5)]
-        chunks = profile_guided_chunks(segments, 100, 4)
+        chunks = profile_guided_chunks(*_segments((1, 50, 5.0), (51, 100, 0.5)), 100, 4)
         assert chunks[0].size < 25
         assert chunks[-1].size > 25
 
-    def test_unmeasured_gap_gets_mean_density(self):
-        # only [1,20] and [81,100] measured; the gap must not be free
-        segments = [ChunkProfile(1, 20, 1.0), ChunkProfile(81, 100, 1.0)]
-        chunks = profile_guided_chunks(segments, 100, 2)
-        assert sum(c.size for c in chunks) == 100
-        assert abs(chunks[0].size - 50) <= 1  # symmetric cost -> middle cut
+    def test_cuts_interpolate_inside_a_chunk(self):
+        """The cost is linear inside a measured chunk: a cheap first chunk
+        and a dear second one put the middle cut inside the second, where
+        half the measured seconds are spent: 1.0 + 1.25 of 4.5, 21.4 of its
+        60 pcs in."""
+        chunks = profile_guided_chunks(*_segments((1, 40, 1.0), (41, 100, 3.5)), 100, 2)
+        assert [(c.first, c.last) for c in chunks] == [(1, 61), (62, 100)]
 
     def test_no_signal_returns_empty(self):
-        assert profile_guided_chunks([], 100, 4) == []
-        assert profile_guided_chunks([ChunkProfile(1, 100, 0.0)], 100, 4) == []
-        assert profile_guided_chunks([ChunkProfile(1, 10, 1.0)], 0, 4) == []
+        assert profile_guided_chunks(*NO_SEGMENTS, 100, 4) == []
+        assert profile_guided_chunks(*_segments((1, 100, 0.0)), 100, 4) == []
+        assert profile_guided_chunks(*_segments((1, 10, 1.0)), 0, 4) == []
 
     def test_count_clamped_to_total(self):
-        chunks = profile_guided_chunks([ChunkProfile(1, 3, 1.0)], 3, 10)
+        chunks = profile_guided_chunks(*_segments((1, 3, 1.0)), 3, 10)
         assert [(c.first, c.last) for c in chunks] == [(1, 1), (2, 2), (3, 3)]
 
     def test_returns_openmp_chunk_instances(self):
-        chunks = profile_guided_chunks([ChunkProfile(1, 10, 1.0)], 10, 2)
+        chunks = profile_guided_chunks(*_segments((1, 10, 1.0)), 10, 2)
         assert all(isinstance(chunk, Chunk) for chunk in chunks)
 
 

@@ -5,15 +5,16 @@ measurements the same way.  This module asserts that contract (documented
 on :class:`~repro.runtime.engine.RunResult`) on real runs of every
 substrate:
 
-* ``chunks`` / ``results`` / ``assignments`` / ``chunk_seconds`` are
-  index-aligned, one entry per executed unit of work;
+* ``chunks`` / ``bounds`` / ``assignments`` / ``chunk_seconds`` are
+  index-aligned, one entry per executed unit of work, and the last three
+  are int64 / int64 / float64 arrays (``bounds`` read-only, ``(n, 2)``);
 * every chunk time is non-negative wall-clock seconds measured *inside*
   the executing substrate, and never exceeds the parent's whole-run span
   by more than scheduling overlap can explain;
 * ``elapsed_seconds`` is the parent-side span — positive, and (for serial
   execution) at least the largest chunk time;
-* ``chunk_records()`` renders the same rows on every backend, ready for
-  :meth:`ProfileStore.record`.
+* ``bounds`` and ``chunk_seconds`` are the same columns on every backend,
+  ready for :meth:`ProfileStore.record`.
 """
 
 import numpy as np
@@ -23,7 +24,6 @@ from repro.kernels import get_kernel, run_original
 from repro.native import native_available
 from repro.runtime import RuntimeSession
 from repro.runtime.engine import RunResult
-from repro.runtime.profile import ChunkProfile
 
 needs_compiler = pytest.mark.skipif(
     not native_available(), reason="no C compiler on this machine"
@@ -67,21 +67,17 @@ def _assert_schema(result, backend, total):
     assert result.iterations == total
     count = len(result.chunks)
     assert count >= 1
-    assert len(result.results) == count
-    assert len(result.assignments) == count
-    assert len(result.chunk_seconds) == count
+    assert result.bounds.shape == (count, 2) and result.bounds.dtype == np.int64
+    assert not result.bounds.flags.writeable
+    assert result.bounds.tolist() == [[chunk.first, chunk.last] for chunk in result.chunks]
+    assert result.assignments.shape == (count,) and result.assignments.dtype == np.int64
+    assert result.chunk_seconds.shape == (count,) and result.chunk_seconds.dtype == np.float64
     assert all(seconds >= 0.0 for seconds in result.chunk_seconds)
     assert result.elapsed_seconds > 0.0
     assert result.workers >= 1
     # substrate-internal chunk times exclude dispatch, so no single chunk
     # can take longer than `workers` overlapping wall-clock spans allow
     assert max(result.chunk_seconds) <= result.elapsed_seconds * result.workers + 0.25
-    records = result.chunk_records()
-    assert len(records) == count
-    for chunk, record in zip(result.chunks, records):
-        assert isinstance(record, ChunkProfile)
-        assert (record.first_pc, record.last_pc) == (chunk.first, chunk.last)
-        assert record.seconds >= 0.0
 
 
 class TestTimingSchemaPerBackend:
@@ -107,15 +103,14 @@ class TestTimingSchemaPerBackend:
     def test_rows_comparable_across_backends(self, session):
         """The point of the unification: one schema, any substrate.
 
-        Records from different backends of the same kernel cover the same
+        The columns of different backends of the same kernel cover the same
         ``pc`` range and can be merged into one store entry.
         """
         total = self._total()
         by_backend = {b: _run(session, b) for b in ("engine", "hybrid", "native")}
+        # every backend runs a plan's chunks: its bounds partition the range
         for backend, result in by_backend.items():
-            records = result.chunk_records()
-            assert min(r.first_pc for r in records) == 1, backend
-            assert max(r.last_pc for r in records) == total, backend
-        # every backend runs a plan's chunks: its spans partition the range
-        for backend, result in by_backend.items():
-            assert sum(r.size for r in result.chunk_records()) == total, backend
+            first, last = result.bounds.T
+            assert first[0] == 1 and last[-1] == total, backend
+            assert (first[1:] == last[:-1] + 1).all(), backend
+            assert result.iterations == total, backend

@@ -5,13 +5,16 @@ values, schedule as given, backend, ``static_check``) once into a call
 record: the plan, the parsed schedule, the profile key and, on the compiled
 backends, the module's bound :class:`~repro.native.module.NativeCall`.
 These tests pin what a warm call must still do — validate every array
-before anything is written, keep each call's argument block its own — and
-what it must no longer do: build a plan, a strides table, a chunk bounds
-array or a record, or parse a schedule string.
+before anything is written, keep each call's argument block and timing
+arrays its own — and what it must no longer do: build a plan, a strides
+table, a chunk bounds array or a record, parse a schedule string, or
+allocate anything per chunk beyond its timing arrays.
 """
 
+import gc
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +40,10 @@ def _nest() -> LoopNest:
 
 #: two arrays, so a call missing one can be seen to write nothing to the other
 BODY = dict(c_body="visits(i, j) += 1.0; marks(j, i) = 2.0;", c_arrays=("visits", "marks"))
+
+
+def count_visits_op(data, indices, values):
+    data["visits"][indices[:, 0], indices[:, 1]] += 1.0
 
 
 def _data(dtype=np.float64, order="C", shape=(N, N)):
@@ -272,3 +279,93 @@ class TestNthWarmCallBuildsNothing:
             object.__setattr__(kernel, "make_data", make_data)
         assert seen == ["make_data", "chunks", "run", "record"] * 2
 
+
+
+@pytest.mark.parametrize(
+    "backend",
+    ["engine", pytest.param("native", marks=needs_compiler),
+     pytest.param("hybrid", marks=needs_compiler)],
+)
+def test_consecutive_warm_results_own_their_timing_arrays(session, backend):
+    """Each run allocates its ``chunk_seconds`` and ``assignments``: a
+    later run of the same key never writes into an earlier result's, while
+    every result of one chunk tuple shares its read-only ``bounds``."""
+    def run():
+        return session.run(
+            _nest(), VALUES, data=_data(), backend=backend, schedule="dynamic,4",
+            chunk_op=count_visits_op, **BODY,
+        )
+
+    run()
+    first, second = run(), run()
+    for name in ("chunk_seconds", "assignments"):
+        assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
+    assert first.bounds is second.bounds and not first.bounds.flags.writeable
+    kept = first.chunk_seconds.copy(), first.assignments.copy()
+    run()
+    assert np.array_equal(first.chunk_seconds, kept[0])
+    assert np.array_equal(first.assignments, kept[1])
+
+
+class TestWarmCallAllocations:
+    """A warm call's Python-side allocations do not grow with its chunk
+    count: a ``dynamic,1`` cut of utma N=64 (2,080 chunks) allocates, block
+    for block, what a 2-chunk ``static`` cut does, and its peak memory
+    grows by arrays only, never by a Python object per chunk."""
+
+    VALUES = {"N": 64}
+    CHUNKS = 2080
+    #: peak traced bytes a warm call may add per chunk: its result's two
+    #: 8-byte columns on the compiled backends; on the engine also the
+    #: bounds array each worker is sent and the columns each one replies
+    #: with.  One Python object per chunk costs more than either.
+    PER_CHUNK_BYTES = {"engine": 128, "native": 32, "hybrid": 32, "auto": 128}
+
+    @staticmethod
+    def _measure(run):
+        """``(blocks still held, peak traced bytes)`` of one warm ``run()``,
+        its result held."""
+        for _ in range(5):  # auto explores its three candidates first
+            run()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            tracemalloc.reset_peak()
+            result = run()
+            _current, peak = tracemalloc.get_traced_memory()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        del result
+        return sum(stat.count_diff for stat in after.compare_to(before, "filename")), peak
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "engine",
+            pytest.param("native", marks=needs_compiler),
+            pytest.param("hybrid", marks=needs_compiler),
+            pytest.param("auto", marks=needs_compiler),
+        ],
+    )
+    def test_allocations_do_not_grow_with_the_chunk_count(self, session, backend, monkeypatch):
+        from repro.kernels import get_kernel
+        from repro.runtime import profile
+
+        # a frozen clock: no store flush re-reads entries inside a measured call
+        monkeypatch.setattr(profile, "monotonic", lambda: 1000.0)
+        data = get_kernel("utma").make_data(self.VALUES)
+        measured = {
+            schedule: self._measure(
+                lambda: session.run(
+                    "utma", self.VALUES, data=data, backend=backend, schedule=schedule
+                )
+            )
+            for schedule in ("static", "dynamic,1")
+        }
+        plan = session.plan_for("utma", self.VALUES, "dynamic,1")
+        assert len(plan.chunks(session.engine.workers)) == self.CHUNKS
+        (held_static, peak_static), (held_dynamic, peak_dynamic) = measured.values()
+        assert abs(held_dynamic - held_static) <= 32, measured
+        assert peak_dynamic - peak_static <= self.PER_CHUNK_BYTES[backend] * self.CHUNKS, measured
