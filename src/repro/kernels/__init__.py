@@ -11,7 +11,8 @@ non-rectangular parallel loops and documents the choice in
 Every kernel provides the loop nest in the IR (with array accesses, so the
 collapse precondition can be checked), the collapse depth the paper's tool
 would use, default/bench problem sizes and — for the executable subset — a
-NumPy data generator, a per-iteration operation and a vectorised reference
+NumPy data generator, a per-iteration operation (the serial reference), a
+whole-chunk operation the runtime engine runs, and a vectorised reference
 implementation used to validate that collapsed execution computes the same
 result as the original nest.
 """

@@ -18,6 +18,17 @@ IterationOp = Callable[[DataDict, Tuple[int, ...], Mapping[str, int]], None]
 ChunkOp = Callable[[DataDict, object, Mapping[str, int]], None]
 
 
+def index_box(indices) -> Tuple[object, object, slice, slice]:
+    """A chunk's row and column index arrays and the box they span.
+
+    ``indices`` is a non-empty ``(n, 2)`` index array; the two slices
+    cover ``[min(rows), max(rows)]`` and ``[min(cols), max(cols)]``, the
+    block a chunk op computes with one GEMM before it gathers the rows.
+    """
+    rows, cols = indices[:, 0], indices[:, 1]
+    return rows, cols, slice(rows.min(), rows.max() + 1), slice(cols.min(), cols.max() + 1)
+
+
 @dataclass(frozen=True)
 class Kernel:
     """One program of the evaluation: its collapsible nest and how to run it."""
@@ -35,9 +46,11 @@ class Kernel:
     #: element-wise kernels have constant work 1.
     make_data: Optional[Callable[[Mapping[str, int]], DataDict]] = None
     iteration_op: Optional[IterationOp] = None
-    #: vectorized form of ``iteration_op`` over a whole recovered index array;
-    #: the runtime engine prefers it (one NumPy call per chunk instead of a
-    #: Python call per iteration) and falls back to ``iteration_op`` when None
+    #: vectorized form of ``iteration_op`` over a whole recovered index array,
+    #: a few NumPy passes per chunk; the runtime engine runs it for every chunk.
+    #: Every executable kernel ships one (``tests/kernels`` checks each against
+    #: ``iteration_op`` row by row), and ``iteration_op`` stays the serial
+    #: reference of ``run_original`` and ``run_collapsed_chunks``
     chunk_op: Optional[ChunkOp] = None
     reference_numpy: Optional[Callable[[DataDict, Mapping[str, int]], DataDict]] = None
     check_dependences: bool = True

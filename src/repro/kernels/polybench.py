@@ -9,9 +9,12 @@ the per-kernel descriptions below (see also the benchmark table in
 README.md).
 
 For the executable subset, ``iteration_op`` applies the body of one
-*collapsed* iteration — the loops below the collapse depth are executed as a
-vectorised NumPy expression, which is how a production kernel would be
-written anyway and keeps the test-suite fast.
+*collapsed* iteration (a loop below the collapse depth runs as one NumPy dot
+product); it is the serial reference.  ``chunk_op`` applies a whole chunk of
+recovered iterations in a few NumPy passes: element-wise bodies as one
+fancy-indexed expression in the same operation order (bit-identical), dot
+product bodies as one GEMM over the box of rows and columns the chunk spans,
+gathered at the chunk's iterations (equal to rounding).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from ..ir import ArrayAccess, Loop, LoopNest, Statement
-from .base import Kernel, register_kernel
+from .base import Kernel, index_box, register_kernel
 
 _SEED = 20170529  # IPDPS 2017 conference date; only used to make data deterministic
 
@@ -72,6 +75,15 @@ def _correlation_op(data: Dict[str, np.ndarray], indices: Tuple[int, ...], value
     data["a"][j, i] = data["a"][i, j]
 
 
+def _correlation_chunk_op(data, indices, values) -> None:
+    # i < j: the mirrored writes land below the diagonal, never on a read
+    rows, cols, row_box, col_box = index_box(indices)
+    product = data["b"][:, row_box].T @ data["c"][:, col_box]
+    updated = data["a"][rows, cols] + product[rows - row_box.start, cols - col_box.start]
+    data["a"][rows, cols] = updated
+    data["a"][cols, rows] = updated
+
+
 def _correlation_reference(data: Dict[str, np.ndarray], values: Mapping[str, int]) -> Dict[str, np.ndarray]:
     n = values["N"]
     product = data["b"].T @ data["c"]
@@ -92,6 +104,7 @@ register_kernel(
         bench_parameters={"N": 120},
         make_data=_correlation_data,
         iteration_op=_correlation_op,
+        chunk_op=_correlation_chunk_op,
         reference_numpy=_correlation_reference,
         # the non-collapsed k loop runs as a real C loop (Python uses a BLAS
         # dot product, so agreement is to rounding)
@@ -143,6 +156,13 @@ def _covariance_op(data, indices, values) -> None:
     data["cov"][j, i] = data["cov"][i, j]
 
 
+def _covariance_chunk_op(data, indices, values) -> None:
+    rows, cols = indices[:, 0], indices[:, 1]
+    normalised = data["acc"][rows, cols] / (values["N"] - 1)
+    data["cov"][rows, cols] = normalised
+    data["cov"][cols, rows] = normalised
+
+
 def _covariance_reference(data, values) -> Dict[str, np.ndarray]:
     n = values["N"]
     expected = data["acc"] / (n - 1)
@@ -159,6 +179,7 @@ register_kernel(
         bench_parameters={"N": 200},
         make_data=_covariance_data,
         iteration_op=_covariance_op,
+        chunk_op=_covariance_chunk_op,
         reference_numpy=_covariance_reference,
         # same divide as the Python op: bit-identical
         c_body=(
@@ -203,6 +224,11 @@ def _symm_op(data, indices, values) -> None:
     data["C"][i, j] += 1.5 * data["A"][i, j] * data["B"][i, j]
 
 
+def _symm_chunk_op(data, indices, values) -> None:
+    rows, cols = indices[:, 0], indices[:, 1]
+    data["C"][rows, cols] += 1.5 * data["A"][rows, cols] * data["B"][rows, cols]
+
+
 def _symm_reference(data, values):
     return {"C": np.tril(1.5 * data["A"] * data["B"])}
 
@@ -217,6 +243,7 @@ register_kernel(
         bench_parameters={"N": 200},
         make_data=_symm_data,
         iteration_op=_symm_op,
+        chunk_op=_symm_chunk_op,
         reference_numpy=_symm_reference,
         # element-wise update: bit-identical
         c_body="C(i, j) += 1.5 * A(i, j) * B(i, j);",
@@ -257,6 +284,12 @@ def _syrk_op(data, indices, values) -> None:
     data["C"][i, j] += float(data["A"][i, :] @ data["A"][j, :])
 
 
+def _syrk_chunk_op(data, indices, values) -> None:
+    rows, cols, row_box, col_box = index_box(indices)
+    product = data["A"][row_box] @ data["A"][col_box].T
+    data["C"][rows, cols] += product[rows - row_box.start, cols - col_box.start]
+
+
 def _syrk_reference(data, values):
     return {"C": np.tril(data["A"] @ data["A"].T)}
 
@@ -271,6 +304,7 @@ register_kernel(
         bench_parameters={"N": 120, "M": 80},
         make_data=_syrk_data,
         iteration_op=_syrk_op,
+        chunk_op=_syrk_chunk_op,
         reference_numpy=_syrk_reference,
         c_body=(
             "double acc = 0.0;\n"
@@ -325,6 +359,13 @@ def _syr2k_op(data, indices, values) -> None:
     data["C"][i, j] += float(data["A"][i, :] @ data["B"][j, :] + data["B"][i, :] @ data["A"][j, :])
 
 
+def _syr2k_chunk_op(data, indices, values) -> None:
+    rows, cols, row_box, col_box = index_box(indices)
+    a, b = data["A"], data["B"]
+    product = a[row_box] @ b[col_box].T + b[row_box] @ a[col_box].T
+    data["C"][rows, cols] += product[rows - row_box.start, cols - col_box.start]
+
+
 def _syr2k_reference(data, values):
     return {"C": np.tril(data["A"] @ data["B"].T + data["B"] @ data["A"].T)}
 
@@ -339,6 +380,7 @@ register_kernel(
         bench_parameters={"N": 120, "M": 40},
         make_data=_syr2k_data,
         iteration_op=_syr2k_op,
+        chunk_op=_syr2k_chunk_op,
         reference_numpy=_syr2k_reference,
         # the 2M-deep rank-2 update, expressed like the Python op: two
         # M-deep products per (i, j)
@@ -389,6 +431,12 @@ def _trmm_op(data, indices, values) -> None:
     data["B"][i, j] += float(data["A"][i, :] @ data["C"][:, j])
 
 
+def _trmm_chunk_op(data, indices, values) -> None:
+    rows, cols, row_box, col_box = index_box(indices)
+    product = data["A"][row_box] @ data["C"][:, col_box]
+    data["B"][rows, cols] += product[rows - row_box.start, cols - col_box.start]
+
+
 def _trmm_reference(data, values):
     return {"B": np.triu(data["A"] @ data["C"])}
 
@@ -403,6 +451,7 @@ register_kernel(
         bench_parameters={"N": 120, "M": 80},
         make_data=_trmm_data,
         iteration_op=_trmm_op,
+        chunk_op=_trmm_chunk_op,
         reference_numpy=_trmm_reference,
         c_body=(
             "double acc = 0.0;\n"
@@ -449,6 +498,13 @@ def _cholesky_update_op(data, indices, values) -> None:
     data["A"][i, j] -= data["A"][i, pivot] * data["A"][j, pivot]
 
 
+def _cholesky_update_chunk_op(data, indices, values) -> None:
+    # j > K: the pivot column is read, never written
+    rows, cols = indices[:, 0], indices[:, 1]
+    pivot = values["K"]
+    data["A"][rows, cols] -= data["A"][rows, pivot] * data["A"][cols, pivot]
+
+
 def _cholesky_update_reference(data, values):
     n, pivot = values["N"], values["K"]
     expected = data["A"].copy()
@@ -467,6 +523,7 @@ register_kernel(
         bench_parameters={"N": 200, "K": 5},
         make_data=_cholesky_update_data,
         iteration_op=_cholesky_update_op,
+        chunk_op=_cholesky_update_chunk_op,
         reference_numpy=_cholesky_update_reference,
         # one multiply-subtract per iteration: bit-identical
         c_body="A(i, j) -= A(i, K) * A(j, K);",
@@ -509,6 +566,13 @@ def _lu_update_op(data, indices, values) -> None:
     data["A"][i, j] -= data["A"][i, pivot] * data["A"][pivot, j]
 
 
+def _lu_update_chunk_op(data, indices, values) -> None:
+    # i, j > K: the pivot row and column are read, never written
+    rows, cols = indices[:, 0], indices[:, 1]
+    pivot = values["K"]
+    data["A"][rows, cols] -= data["A"][rows, pivot] * data["A"][pivot, cols]
+
+
 def _lu_update_reference(data, values):
     pivot = values["K"]
     expected = data["A"].copy()
@@ -526,6 +590,7 @@ register_kernel(
         bench_parameters={"N": 200, "K": 5},
         make_data=_lu_update_data,
         iteration_op=_lu_update_op,
+        chunk_op=_lu_update_chunk_op,
         reference_numpy=_lu_update_reference,
         # one multiply-subtract per iteration: bit-identical
         c_body="A(i, j) -= A(i, K) * A(K, j);",

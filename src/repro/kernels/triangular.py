@@ -17,7 +17,7 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from ..ir import ArrayAccess, Loop, LoopNest, Statement
-from .base import Kernel, register_kernel
+from .base import Kernel, index_box, register_kernel
 
 _SEED = 40004000
 
@@ -134,6 +134,26 @@ def _ltmp_op(data, indices: Tuple[int, ...], values) -> None:
     data["c"][i, j] = float(data["a"][i, j : i + 1] @ data["b"][j : i + 1, j])
 
 
+def _ltmp_chunk_op(data, indices, values) -> None:
+    """Whole-chunk ltmp: one masked GEMM over the chunk's box, then a gather.
+
+    The chunk's rows ``i`` span ``[i0, i1]`` and its columns ``j`` span
+    ``[j0, j1]``, so every ``k`` it reads lies in ``[j0, i1]``.  The two
+    masks keep ``k <= i`` (``a``'s block, shifted by ``i0 - j0``) and
+    ``k >= j`` (``b``'s block), whatever the caller's arrays hold, so
+    ``c[i, j]`` is the loop's reduction over ``k in [j, i]`` to rounding.
+
+    That holds for finite inputs only: a masked entry is a zero, and an
+    ``inf`` that one block keeps meets the other block's masked zeros as
+    ``0 * inf = NaN``, in entries whose loop never reads that ``inf``.
+    """
+    rows, cols, row_box, col_box = index_box(indices)
+    i0, j0, stop = row_box.start, col_box.start, row_box.stop
+    lower_a = np.tril(data["a"][row_box, j0:stop], k=i0 - j0)
+    lower_b = np.tril(data["b"][j0:stop, col_box])
+    data["c"][rows, cols] = (lower_a @ lower_b)[rows - i0, cols - j0]
+
+
 def _ltmp_reference(data, values):
     return {"c": np.tril(data["a"] @ data["b"])}
 
@@ -151,6 +171,7 @@ register_kernel(
         bench_parameters={"N": 120},
         make_data=_ltmp_data,
         iteration_op=_ltmp_op,
+        chunk_op=_ltmp_chunk_op,
         reference_numpy=_ltmp_reference,
         # the non-collapsed k reduction runs as a real C loop (the Python op
         # uses a BLAS dot, so agreement is to rounding, not bit-exact)

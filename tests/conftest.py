@@ -24,6 +24,23 @@ def _isolated_profile_store(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------- #
+# native-cache isolation
+# ---------------------------------------------------------------------- #
+@pytest.fixture(autouse=True, scope="session")
+def _isolated_native_cache(tmp_path_factory):
+    """Point ``$REPRO_NATIVE_CACHE`` at one directory per test session.
+
+    Without it every compiling test writes into the developer's
+    ``~/.cache/repro-native``, and a test's cache hits depend on what ran
+    there before.  One directory per session, not per test, keeps the
+    compile hits within one run; tests that set their own cache still do.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_NATIVE_CACHE", str(tmp_path_factory.mktemp("native-cache")))
+        yield
+
+
+# ---------------------------------------------------------------------- #
 # shared exact-recovery cross-validation helper
 # ---------------------------------------------------------------------- #
 def _exact_reference_unrank(collapsed, pc, parameter_values):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import batch_recovery
 from repro.ir import may_carry_dependence
 from repro.kernels import (
     TILED_KERNELS,
@@ -150,6 +151,88 @@ class TestExecution:
         values = small_parameters(kernel)
         first, second = kernel.make_data(values), kernel.make_data(values)
         assert np.array_equal(first["b"], second["b"])
+
+
+#: kernels whose chunk op computes each element as its iteration op does
+BIT_IDENTICAL_CHUNK_OPS = {"utma", "covariance", "symm", "cholesky_update", "lu_update"}
+EXECUTABLE = [kernel.name for kernel in executable_kernels()]
+
+
+def conformance_sizes(kernel):
+    """N=2 (one pivot step at K=0), the small sizes and a quarter of the bench size."""
+    bench = kernel.bench_parameters
+    tiny = {name: 0 if name == "K" else 2 for name in bench}
+    quarter = {name: value // 4 for name, value in bench.items()}
+    return {"tiny": tiny, "small": small_parameters(kernel), "quarter": quarter}
+
+
+def conformance_chunks(walk):
+    """Chunk lists over a whole-range walk, as ``(first_pc, last_pc)`` lists.
+
+    ``mid-row`` partitions the range at the middle of every other row, so
+    its inner chunks start and end inside a row and span whole rows
+    between; ``one-iteration`` is one index row, ``one-row`` one outer
+    row, ``whole`` the whole range.
+    """
+    total = len(walk)
+    starts = np.flatnonzero(np.r_[True, walk[1:, 0] != walk[:-1, 0]])
+    ends = np.r_[starts[1:], total]
+    cuts = sorted({int(middle) + 1 for middle in ((starts + ends) // 2)[1::2]} - {1})
+    middle_row = len(starts) // 2
+    return {
+        "mid-row": list(zip([1] + cuts, [cut - 1 for cut in cuts] + [total])),
+        "one-iteration": [((total + 1) // 2, (total + 1) // 2)],
+        "one-row": [(int(starts[middle_row]) + 1, int(ends[middle_row]))],
+        "whole": [(1, total)],
+    }
+
+
+class TestChunkOps:
+    """Every executable kernel's chunk op against its iteration op, row by row."""
+
+    def test_every_executable_kernel_has_a_chunk_op(self):
+        assert [name for name in EXECUTABLE if get_kernel(name).chunk_op is None] == []
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["make_data", "dense"])
+    @pytest.mark.parametrize("size", ["tiny", "small", "quarter"])
+    @pytest.mark.parametrize("name", EXECUTABLE)
+    def test_chunk_op_matches_the_iteration_op(self, name, size, dense):
+        # dense random arrays catch an op that leans on the data's zeros
+        # (a triangular operand) instead of the loop bounds
+        kernel = get_kernel(name)
+        values = conformance_sizes(kernel)[size]
+        batch = batch_recovery(kernel.collapsed())
+        total = kernel.collapsed().total_iterations(values)
+        assert total >= 1
+        initial = kernel.make_data(values)
+        if dense:
+            rng = np.random.default_rng(7)
+            initial = {key: rng.standard_normal(array.shape) for key, array in initial.items()}
+        same = np.array_equal if name in BIT_IDENTICAL_CHUNK_OPS else (
+            lambda left, right: np.allclose(left, right, atol=1e-9)
+        )
+        for kind, chunks in conformance_chunks(batch.recover_range(1, total, values)).items():
+            expected = {key: array.copy() for key, array in initial.items()}
+            chunked = {key: array.copy() for key, array in initial.items()}
+            for first, last in chunks:
+                indices = batch.recover_range(first, last, values)
+                assert len(indices) == last - first + 1
+                for row in indices.tolist():
+                    kernel.iteration_op(expected, tuple(row), values)
+                kernel.chunk_op(chunked, indices, values)
+            for key in expected:
+                assert same(chunked[key], expected[key]), (kind, key)
+
+    def test_mid_row_chunks_start_and_end_inside_rows(self):
+        walk = batch_recovery(get_kernel("ltmp").collapsed()).recover_range(1, 55, {"N": 10})
+        chunks = conformance_chunks(walk)["mid-row"]
+        assert chunks[0][0] == 1 and chunks[-1][1] == 55
+        assert all(last + 1 == first for (_, last), (first, _) in zip(chunks, chunks[1:]))
+        inner = chunks[1:-1]
+        assert inner and all(
+            walk[first - 1, 0] == walk[first - 2, 0] and walk[last - 1, 0] == walk[last, 0]
+            for first, last in inner
+        )
 
 
 class TestTiledKernels:

@@ -77,6 +77,11 @@ class TestDiscovery:
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
         assert cache_dir() == tmp_path / "cache"
 
+    def test_default_cache_is_under_the_session_temp_root(self, tmp_path_factory):
+        # tests/conftest.py keeps tier-1 out of the developer's own cache
+        root = tmp_path_factory.getbasetemp().resolve()
+        assert cache_dir().resolve().is_relative_to(root)
+
 
 class TestOpenMPProbe:
     """A failed ``-fopenmp`` probe degrades native code to one thread, so

@@ -56,6 +56,11 @@ def fail_midway_op(data, indices, values):
     count_visits_op(data, indices, values)
 
 
+def ltmp_row_op(data, indices, values):
+    i, j = indices
+    data["c"][i, j] = float(data["a"][i, j : i + 1] @ data["b"][j : i + 1, j])
+
+
 def slow_chunk_op(data, indices, values):
     time.sleep(0.3)
 
@@ -88,10 +93,15 @@ class TestEngineCorrectness:
         assert np.array_equal(result["c"], expected["c"])
 
     def test_ltmp_fallback_iteration_path_matches(self, session):
-        # ltmp has no chunk_op: workers walk the per-iteration fallback
-        expected = run_original(get_kernel("ltmp"), {"N": 16})
-        result = session.run("ltmp", {"N": 16}, schedule="adaptive")
-        assert np.allclose(result["c"], expected["c"])
+        # a source that brings only an iteration_op: workers run it once
+        # per recovered row (every kernel ships a chunk_op, so none does)
+        kernel = get_kernel("ltmp")
+        source = Source.of(kernel.collapsed(), iteration_op=ltmp_row_op)
+        assert source.chunk_op is None
+        data = kernel.make_data({"N": 16})
+        expected = run_original(kernel, {"N": 16}, data)
+        session.run(source, {"N": 16}, data=data, schedule="adaptive")
+        assert np.allclose(data["c"], expected["c"])
 
     def test_run_collapsed_engine_with_caller_data(self, session):
         kernel = get_kernel("utma")
