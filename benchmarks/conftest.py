@@ -51,6 +51,20 @@ def _isolated_profile_store(tmp_path_factory):
             os.environ["REPRO_PROFILE_DIR"] = previous
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _isolated_native_cache(tmp_path_factory):
+    """Point ``$REPRO_NATIVE_CACHE`` at one directory per run.
+
+    The same fixture as tests/conftest.py's: without it ``sweep-smoke`` and
+    the ``bench_*`` modules compile into the developer's
+    ``~/.cache/repro-native``, and a run's compile hits depend on what ran
+    there before.  Session scope keeps the within-run hits.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_NATIVE_CACHE", str(tmp_path_factory.mktemp("native-cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def paper_scale(request) -> bool:
     return request.config.getoption("--paper-scale")

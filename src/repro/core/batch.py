@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from ..polyhedra import AffineExpr
+from ..polyhedra import AffineExpr, ClearedAffine
 from ..symbolic.compile import CompiledExpr, CompiledPolynomial, compile_expr, compile_polynomial
 from .collapse import CollapsedLoop
 from .unranking import FLOOR_EPSILON, IndexRecovery, exact_search, float_seed
@@ -94,37 +94,6 @@ class BatchStats:
 
 
 @dataclass(frozen=True)
-class _ClearedAffine:
-    """An affine bound as ``(constant + sum coeff * var) / den`` over integers."""
-
-    den: int
-    constant: int
-    terms: Tuple[Tuple[str, int], ...]
-
-    @classmethod
-    def of(cls, expr: AffineExpr) -> "_ClearedAffine":
-        den = math.lcm(expr.constant.denominator, *(c.denominator for _v, c in expr.coefficients))
-        terms = tuple((var, int(coeff * den)) for var, coeff in expr.coefficients)
-        return cls(den, int(expr.constant * den), terms)
-
-    def ceil(self, env: Mapping[str, object]):
-        """Exact ``ceil`` of the bound over scalar or ``int64`` column entries.
-
-        The caller guarantees the cleared numerator fits (see
-        :meth:`magnitude`); integer floor division then makes the ``ceil``
-        exact with no float involved.
-        """
-        total = self.constant
-        for var, coeff in self.terms:
-            total = total + coeff * env[var]
-        return total if self.den == 1 else -((-total) // self.den)
-
-    def magnitude(self, extremes: Mapping[str, int]) -> int:
-        """Upper bound of ``|numerator|`` when each ``|var| <= extremes[var]``."""
-        return abs(self.constant) + sum(abs(coeff) * extremes[var] for var, coeff in self.terms)
-
-
-@dataclass(frozen=True)
 class _LevelPlan:
     """Everything pre-compiled for recovering one index level in batch."""
 
@@ -133,8 +102,8 @@ class _LevelPlan:
     scalar_root: Optional[CompiledExpr]   # the same root in scalar mode (walk endpoints)
     bracket_num: CompiledPolynomial       # integer-mode denominator-cleared bracket
     bracket_den: int                      # bracket == bracket_num / bracket_den
-    lower: _ClearedAffine                 # loop lower bound, denominator-cleared
-    upper: _ClearedAffine                 # loop upper bound (exclusive), denominator-cleared
+    lower: ClearedAffine                  # loop lower bound, denominator-cleared
+    upper: ClearedAffine                  # loop upper bound (exclusive), denominator-cleared
 
     @property
     def integer_bounds(self) -> bool:
@@ -199,8 +168,8 @@ class BatchRecovery:
                     scalar_root=scalar_root,
                     bracket_num=bracket_num,
                     bracket_den=recovery.bracket_denominator,
-                    lower=_ClearedAffine.of(recovery.lower),
-                    upper=_ClearedAffine.of(recovery.upper),
+                    lower=ClearedAffine.of(recovery.lower),
+                    upper=ClearedAffine.of(recovery.upper),
                 )
             )
 

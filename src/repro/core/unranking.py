@@ -217,17 +217,34 @@ class UnrankingFunction:
 # ---------------------------------------------------------------------- #
 # construction
 # ---------------------------------------------------------------------- #
-def _counts_are_consistent(ranking: RankingPolynomial, values: Mapping[str, int]) -> bool:
-    """Does the ranking polynomial's total match the executed iteration count?"""
-    try:
-        counted = ranking.total_iterations(values)
-    except ValueError:
-        return False
-    enumerated = sum(1 for _ in enumerate_iterations(ranking.nest, values, ranking.depth))
-    return counted == enumerated
+class _SampleDomains:
+    """The iteration tuples of each sample instantiation, enumerated once.
+
+    One :func:`build_unranking` call asks for the same instantiations
+    several times (the sample search, the degeneracy check, every level's
+    root selection); this holds each one's tuples for that call only.
+    """
+
+    def __init__(self, ranking: RankingPolynomial):
+        self.ranking = ranking
+        self._tuples: Dict[Tuple[Tuple[str, int], ...], List[Tuple[int, ...]]] = {}
+
+    def tuples(self, values: Mapping[str, int]) -> List[Tuple[int, ...]]:
+        key = tuple(sorted((name, int(value)) for name, value in values.items()))
+        if key not in self._tuples:
+            self._tuples[key] = list(enumerate_iterations(self.ranking.nest, values, self.ranking.depth))
+        return self._tuples[key]
+
+    def counts_are_consistent(self, values: Mapping[str, int]) -> bool:
+        """Does the ranking polynomial's total match the executed iteration count?"""
+        try:
+            counted = self.ranking.total_iterations(values)
+        except ValueError:
+            return False
+        return counted == len(self.tuples(values))
 
 
-def _default_sample_parameters(ranking: RankingPolynomial) -> Dict[str, int]:
+def _default_sample_parameters(domains: _SampleDomains) -> Dict[str, int]:
     """Pick parameter values that make the sample domain small but non-empty.
 
     Uniform assignments are tried first; if the domain stays empty or the
@@ -240,15 +257,15 @@ def _default_sample_parameters(ranking: RankingPolynomial) -> Dict[str, int]:
     """
     from itertools import product
 
-    nest, depth = ranking.nest, ranking.depth
+    nest = domains.ranking.nest
     parameters = list(nest.parameters)
 
     def is_usable(candidate: Dict[str, int]) -> bool:
         try:
-            non_empty = next(iter(enumerate_iterations(nest, candidate, depth)), None) is not None
+            non_empty = bool(domains.tuples(candidate))
         except Exception:
             return False
-        return non_empty and _counts_are_consistent(ranking, candidate)
+        return non_empty and domains.counts_are_consistent(candidate)
 
     for size in (8, 10, 12, 16, 24):
         candidate = {name: size for name in parameters}
@@ -270,15 +287,16 @@ def _select_root(
     ranking: RankingPolynomial,
     level: int,
     sample_parameters: Mapping[str, int],
+    iterations: Sequence[Tuple[int, ...]],
     pc_name: str,
 ) -> Optional[Expr]:
     """Pick the root whose floor recovers the level's index on every sample iteration.
 
-    This generalises the paper's criterion (evaluate the roots at ``pc = 1``
-    and keep the one equal to the first index value) to a whole-domain check,
+    ``iterations`` are the sample domain's tuples in execution order.  This
+    generalises the paper's criterion (evaluate the roots at ``pc = 1`` and
+    keep the one equal to the first index value) to a whole-domain check,
     which also weeds out roots that only coincide at the first iteration.
     """
-    iterations = list(enumerate_iterations(ranking.nest, sample_parameters, ranking.depth))
     if not iterations:
         return None
     survivors = list(roots)
@@ -323,7 +341,8 @@ def build_unranking(
             f"the collapsed iterator name {pc_name!r} clashes with the nest's symbols; "
             "pass a different pc_name"
         )
-    sample = dict(sample_parameters) if sample_parameters is not None else _default_sample_parameters(ranking)
+    domains = _SampleDomains(ranking)
+    sample = dict(sample_parameters) if sample_parameters is not None else _default_sample_parameters(domains)
 
     # The Ehrhart/ranking construction (like the paper's) assumes every loop of
     # the nest keeps a non-negative range throughout the domain; nests
@@ -333,9 +352,9 @@ def build_unranking(
     # degeneracy often only appears at larger sizes — and fail loudly instead
     # of mis-iterating.
     for values in (sample, {name: value + 5 for name, value in sample.items()}):
-        if sum(1 for _ in enumerate_iterations(nest, values, depth)) == 0:
+        if not domains.tuples(values):
             continue
-        if not _counts_are_consistent(ranking, values):
+        if not domains.counts_are_consistent(values):
             raise UnrankingError(
                 f"the ranking polynomial of {nest.name!r} does not count the executed iterations "
                 f"for {values}; some inner loop range becomes negative inside the domain, which "
@@ -362,7 +381,7 @@ def build_unranking(
                 roots = solve_univariate_symbolic(univariate)
             except SolveError:
                 roots = []
-            expression = _select_root(roots, ranking, level, sample, pc_name)
+            expression = _select_root(roots, ranking, level, sample, domains.tuples(sample), pc_name)
             if expression is None:
                 method = "bisection"
 

@@ -14,6 +14,17 @@ implements a polyhedral dependence test on affine array subscripts:
    sink at one of the collapsed levels" constraint, checked for emptiness by
    Fourier–Motzkin elimination.
 
+The systems are built directly as the integer rows the elimination runs
+on (:mod:`repro.polyhedra.fourier_motzkin`): one column per source
+iterator, one per sink iterator, one per other symbol (parameters, and
+subscript names that are not iterators, shared by both instances), then
+the constant.  A nest's two renamed domain copies are built once per
+report, and an access pair adds its subscript equalities once; each
+(orientation, level) system then adds only its ``1 + level`` ordering rows.
+Every row is the corresponding ``Constraint`` times a positive integer, and
+the variables are eliminated in the same order (the last sink iterator
+first), so the verdicts are those of the ``Fraction`` formulation.
+
 ``may_carry_dependence`` returning ``False`` therefore guarantees that the
 outer ``depth`` loops can be collapsed and run in parallel; ``True`` means a
 dependence may exist (the rational relaxation makes the test conservative,
@@ -25,14 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..polyhedra import AffineExpr, Constraint
-from ..polyhedra.fourier_motzkin import is_rationally_empty
+from ..polyhedra import AffineExpr, ClearedAffine
+from ..polyhedra.fourier_motzkin import Row, normalized, rows_are_empty
 from .loopnest import ArrayAccess, LoopNest, Statement
-
-_SOURCE_PREFIX = "dep_src_"
-_SINK_PREFIX = "dep_snk_"
 
 
 @dataclass(frozen=True)
@@ -81,84 +89,100 @@ def _gcd_independent(a: AffineExpr, b: AffineExpr, iterators: Sequence[str]) -> 
 # ---------------------------------------------------------------------- #
 # exact rational dependence system
 # ---------------------------------------------------------------------- #
-def _renamed(expression: AffineExpr, iterators: Sequence[str], prefix: str) -> AffineExpr:
-    return expression.substitute({v: AffineExpr.variable(prefix + v) for v in iterators})
+def _negated(row: Row) -> Row:
+    return tuple(-value for value in row)
 
 
-def _domain_constraints(nest: LoopNest, prefix: str) -> List[Constraint]:
-    constraints: List[Constraint] = []
-    iterators = nest.iterators
-    for loop in nest.loops:
-        variable = AffineExpr.variable(prefix + loop.iterator)
-        constraints.append(
-            Constraint.greater_equal(variable, _renamed(loop.lower, iterators, prefix))
-        )
-        constraints.append(
-            Constraint.less_than(variable, _renamed(loop.upper, iterators, prefix))
-        )
-    return constraints
+class _Systems:
+    """The integer-row columns of a nest's dependence systems, and their
+    shared part: both renamed copies of the iteration domain."""
 
+    def __init__(self, nest: LoopNest):
+        iterators = nest.iterators
+        depth = len(iterators)
+        symbols = set()
+        for loop in nest.loops:
+            symbols |= loop.lower.variables() | loop.upper.variables()
+        for statement in nest.statements:
+            for access in statement.accesses:
+                for subscript in access.subscripts:
+                    symbols |= subscript.variables()
+        shared = {name: 2 * depth + k for k, name in enumerate(sorted(symbols - set(iterators)))}
+        self.nest = nest
+        self.width = 2 * depth + len(shared) + 1
+        self.source: Dict[str, int] = {v: k for k, v in enumerate(iterators)}
+        self.source.update(shared)
+        self.sink: Dict[str, int] = {v: depth + k for k, v in enumerate(iterators)}
+        self.sink.update(shared)
+        #: today's elimination order over ``source + sink``: the last variable first
+        self.order = list(reversed(range(2 * depth)))
+        self.domain: Set[Row] = set()
+        for columns in (self.source, self.sink):
+            for loop in nest.loops:
+                variable = AffineExpr.variable(loop.iterator)
+                # iterator >= lower  and  iterator < upper, i.e. upper - iterator - 1 >= 0
+                self.domain.add(self._row([(1, variable, columns), (-1, loop.lower, columns)]))
+                self.domain.add(self._row([(1, loop.upper, columns), (-1, variable, columns)], -1))
 
-def _carried_dependence_possible(
-    nest: LoopNest,
-    source: ArrayAccess,
-    sink: ArrayAccess,
-    depth: int,
-) -> Tuple[bool, str]:
-    """Is there a source iteration lexicographically before a sink iteration
-    (differing within the first ``depth`` levels) touching the same element?"""
-    iterators = nest.iterators
-    base: List[Constraint] = []
-    base.extend(_domain_constraints(nest, _SOURCE_PREFIX))
-    base.extend(_domain_constraints(nest, _SINK_PREFIX))
-    for a, b in zip(source.subscripts, sink.subscripts):
-        base.append(
-            Constraint.equals(
-                _renamed(a, iterators, _SOURCE_PREFIX), _renamed(b, iterators, _SINK_PREFIX)
-            )
-        )
-    variables = [_SOURCE_PREFIX + v for v in iterators] + [_SINK_PREFIX + v for v in iterators]
+    def _row(self, parts: Sequence[Tuple[int, AffineExpr, Mapping[str, int]]], constant: int = 0) -> Row:
+        """The row of ``sum sign * expr + constant``, each ``expr`` renamed
+        by its ``columns`` map, with the denominators cleared."""
+        cleared = [(sign, ClearedAffine.of(expr), columns) for sign, expr, columns in parts]
+        den = math.lcm(*(form.den for _sign, form, _columns in cleared))
+        entries = [0] * self.width
+        entries[-1] = constant * den
+        for sign, form, names in cleared:
+            scale = sign * (den // form.den)
+            entries[-1] += scale * form.constant
+            for var, coeff in form.terms:
+                entries[names[var]] += scale * coeff
+        return normalized(entries)
 
-    # Both orientations are needed: flow/output dependences (source instance
-    # first) and anti dependences (sink instance first) equally prevent the
-    # collapsed loops from running in parallel.
-    for first, second in ((_SOURCE_PREFIX, _SINK_PREFIX), (_SINK_PREFIX, _SOURCE_PREFIX)):
-        for level in range(depth):
-            constraints = list(base)
-            for equal_level in range(level):
-                constraints.append(
-                    Constraint.equals(
-                        AffineExpr.variable(first + iterators[equal_level]),
-                        AffineExpr.variable(second + iterators[equal_level]),
-                    )
-                )
-            constraints.append(
-                Constraint.less_than(
-                    AffineExpr.variable(first + iterators[level]),
-                    AffineExpr.variable(second + iterators[level]),
-                )
-            )
-            if not is_rationally_empty(constraints, variables):
-                return True, f"dependence system feasible at level {iterators[level]!r}"
-    return False, f"dependence system empty at the {depth} collapsed levels"
+    def carried(self, source: ArrayAccess, sink: ArrayAccess, depth: int) -> Tuple[bool, str]:
+        """Is there a source iteration lexicographically before a sink iteration
+        (differing within the first ``depth`` levels) touching the same element?"""
+        iterators = self.nest.iterators
+        base = set(self.domain)
+        for a, b in zip(source.subscripts, sink.subscripts):
+            equality = self._row([(1, a, self.source), (-1, b, self.sink)])
+            base.add(equality)
+            base.add(_negated(equality))
+        # Both orientations are needed: flow/output dependences (source instance
+        # first) and anti dependences (sink instance first) equally prevent the
+        # collapsed loops from running in parallel.
+        columns = len(iterators)
+        for first, second in ((0, columns), (columns, 0)):
+            rows = set(base)
+            for level in range(depth):
+                # first[level] < second[level]: second - first - 1 >= 0
+                precedes = [0] * self.width
+                precedes[first + level], precedes[second + level], precedes[-1] = -1, 1, -1
+                if not rows_are_empty(rows | {tuple(precedes)}, self.order):
+                    return True, f"dependence system feasible at level {iterators[level]!r}"
+                # deeper levels keep this one equal: first[level] == second[level]
+                equal = [0] * self.width
+                equal[first + level], equal[second + level] = 1, -1
+                rows.add(tuple(equal))
+                rows.add(_negated(tuple(equal)))
+        return False, f"dependence system empty at the {depth} collapsed levels"
 
 
 def _access_pair_result(
-    nest: LoopNest, source: ArrayAccess, sink: ArrayAccess, depth: int
+    systems: _Systems, source: ArrayAccess, sink: ArrayAccess, depth: int
 ) -> DependenceTestResult:
     if source.array != sink.array:
         return DependenceTestResult(source, sink, False, "different arrays")
     if len(source.subscripts) != len(sink.subscripts):
         return DependenceTestResult(source, sink, True, "subscript arity mismatch; assuming aliasing")
 
-    iterators = nest.iterators
+    iterators = systems.nest.iterators
     for a, b in zip(source.subscripts, sink.subscripts):
         if _ziv_independent(a, b, iterators):
             return DependenceTestResult(source, sink, False, "ZIV: constant subscripts differ")
         if _gcd_independent(a, b, iterators):
             return DependenceTestResult(source, sink, False, "GCD test: no integer solution")
 
-    may_depend, reason = _carried_dependence_possible(nest, source, sink, depth)
+    may_depend, reason = systems.carried(source, sink, depth)
     return DependenceTestResult(source, sink, may_depend, reason)
 
 
@@ -172,6 +196,7 @@ def dependence_report(nest: LoopNest, depth: Optional[int] = None) -> List[Depen
     reported as independent.
     """
     depth = nest.depth if depth is None else depth
+    systems = _Systems(nest)
     results: List[DependenceTestResult] = []
     statements: Sequence[Statement] = nest.statements
     for statement in statements:
@@ -180,7 +205,7 @@ def dependence_report(nest: LoopNest, depth: Optional[int] = None) -> List[Depen
                 for access in list(other.reads()) + list(other.writes()):
                     if write is access:
                         continue
-                    results.append(_access_pair_result(nest, write, access, depth))
+                    results.append(_access_pair_result(systems, write, access, depth))
     return results
 
 
@@ -198,12 +223,13 @@ def write_write_report(nest: LoopNest, depth: Optional[int] = None) -> List[Depe
     excluded by construction.
     """
     depth = nest.depth if depth is None else depth
+    systems = _Systems(nest)
     results: List[DependenceTestResult] = []
     for statement in nest.statements:
         for other in nest.statements:
             for write in statement.writes():
                 for access in other.writes():
-                    results.append(_access_pair_result(nest, write, access, depth))
+                    results.append(_access_pair_result(systems, write, access, depth))
     return results
 
 

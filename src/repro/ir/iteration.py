@@ -11,22 +11,24 @@ Two pieces of machinery live here:
   recovery at every iteration: given the current index tuple, produce the
   next one by bumping the innermost iterator and carrying into outer loops
   when bounds are exhausted.
+
+Bounds are evaluated in integer arithmetic.  At construction the odometer
+turns each loop bound into its denominator-cleared form
+(:class:`~repro.polyhedra.affine.ClearedAffine`), folds the fixed parameter
+values into the constant and keys the remaining terms by the position of
+their outer iterator, so a bound at a concrete prefix is
+``ceil((constant + sum coeff * index) / den)``: a few integer
+multiply-adds and, for a rational bound, one floor division
+(``ceil(n / d) == -((-n) // d)`` for ``d > 0``, exact for negative
+numerators too).  No ``Fraction`` is built per iteration.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from ..polyhedra import ClearedAffine
 from .loopnest import LoopNest
-
-
-def _int_ceil(value) -> int:
-    return math.ceil(value)
-
-
-def _int_floor(value) -> int:
-    return math.floor(value)
 
 
 class Odometer:
@@ -46,25 +48,25 @@ class Odometer:
         missing = set(nest.parameters) - set(self.parameter_values)
         if missing:
             raise ValueError(f"missing parameter values {sorted(missing)}")
+        iterators = nest.iterators
+        fixed = {name: value for name, value in self.parameter_values.items() if name not in iterators}
+
+        def cleared(bound) -> ClearedAffine:
+            return ClearedAffine.of(bound).bind(fixed).indexed(iterators)
+
+        self._lower = [cleared(loop.lower) for loop in nest.loops]
+        self._upper = [cleared(loop.upper) for loop in nest.loops]
 
     # ------------------------------------------------------------------ #
     # bounds of one loop for a concrete prefix
     # ------------------------------------------------------------------ #
-    def _environment(self, indices: Sequence[int]) -> Dict[str, int]:
-        environment = dict(self.parameter_values)
-        for iterator, value in zip(self.nest.iterators, indices):
-            environment[iterator] = value
-        return environment
-
     def lower_bound(self, level: int, indices: Sequence[int]) -> int:
         """Concrete (ceiled) lower bound of loop ``level`` given outer indices."""
-        loop = self.nest.loops[level]
-        return _int_ceil(loop.lower.evaluate(self._environment(indices[:level])))
+        return self._lower[level].ceil(indices)
 
     def upper_bound(self, level: int, indices: Sequence[int]) -> int:
         """Concrete *exclusive* (ceiled) upper bound of loop ``level``."""
-        loop = self.nest.loops[level]
-        return _int_ceil(loop.upper.evaluate(self._environment(indices[:level])))
+        return self._upper[level].ceil(indices)
 
     # ------------------------------------------------------------------ #
     # odometer operations

@@ -18,7 +18,7 @@ generic polyhedral operations.  A brute-force integer-point enumerator is
 also provided and used throughout the test-suite as an oracle.
 """
 
-from .affine import AffineExpr
+from .affine import AffineExpr, ClearedAffine
 from .constraint import Constraint
 from .polyhedron import Polyhedron
 from .fourier_motzkin import eliminate_variable, variable_bounds
@@ -28,6 +28,7 @@ from .lexmin import parametric_lexmin, numeric_lexmin
 
 __all__ = [
     "AffineExpr",
+    "ClearedAffine",
     "Constraint",
     "Polyhedron",
     "eliminate_variable",

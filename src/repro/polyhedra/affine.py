@@ -5,14 +5,21 @@ rational coefficients.  It is the type of every loop bound in the model of
 Fig. 5 of the paper and the building block of polyhedral constraints.  A
 small parser accepts the textual form used by the loop-nest DSL
 (``"i + 1"``, ``"N - 1"``, ``"2*i - j + 3"``).
+
+:class:`ClearedAffine` is the same form with its denominators cleared:
+integer coefficients over one positive integer denominator.  It is what
+concrete iteration evaluates (:class:`~repro.ir.iteration.Odometer`, the
+batch walk of :mod:`repro.core.batch`): a bound's ``ceil`` becomes one
+integer floor division, with no ``Fraction`` on the way.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from ..symbolic import Polynomial
 
@@ -208,3 +215,63 @@ class AffineExpr:
 
     def __repr__(self) -> str:
         return f"AffineExpr({self})"
+
+
+@dataclass(frozen=True)
+class ClearedAffine:
+    """An affine form as ``(constant + sum coeff * var) / den`` over integers.
+
+    ``den`` is the LCM of the form's denominators, so the cleared
+    coefficients and constant are integers and the form equals the
+    :class:`AffineExpr` it came from at every point.  A term's key is a
+    variable name, or a position once :meth:`indexed` has keyed the terms
+    by an order; :meth:`ceil` reads ``env[key]``, so ``env`` is a mapping
+    or a sequence accordingly.
+    """
+
+    den: int
+    constant: int
+    terms: Tuple[Tuple[object, int], ...]
+
+    @classmethod
+    def of(cls, expr: AffineExpr) -> "ClearedAffine":
+        den = math.lcm(expr.constant.denominator, *(c.denominator for _v, c in expr.coefficients))
+        terms = tuple((var, int(coeff * den)) for var, coeff in expr.coefficients)
+        return cls(den, int(expr.constant * den), terms)
+
+    def bind(self, values: Mapping[str, int]) -> "ClearedAffine":
+        """Fold the fixed ``values`` of some variables into the constant."""
+        constant = self.constant
+        terms = []
+        for var, coeff in self.terms:
+            if var in values:
+                constant += coeff * int(values[var])
+            else:
+                terms.append((var, coeff))
+        return ClearedAffine(self.den, constant, tuple(terms))
+
+    def indexed(self, order: Sequence[str]) -> "ClearedAffine":
+        """Key every term by its variable's position in ``order``."""
+        positions = {var: position for position, var in enumerate(order)}
+        terms = []
+        for var, coeff in self.terms:
+            if var not in positions:
+                raise KeyError(f"no value supplied for {var!r}")
+            terms.append((positions[var], coeff))
+        return ClearedAffine(self.den, self.constant, tuple(terms))
+
+    def ceil(self, env):
+        """Exact ``ceil`` of the form over scalar or ``int64`` column entries.
+
+        The caller guarantees the cleared numerator fits its carrier (see
+        :meth:`magnitude`; Python ints always fit); integer floor division
+        then makes the ``ceil`` exact with no float involved.
+        """
+        total = self.constant
+        for var, coeff in self.terms:
+            total = total + coeff * env[var]
+        return total if self.den == 1 else -((-total) // self.den)
+
+    def magnitude(self, extremes: Mapping[str, int]) -> int:
+        """Upper bound of ``|numerator|`` when each ``|var| <= extremes[var]``."""
+        return abs(self.constant) + sum(abs(coeff) * extremes[var] for var, coeff in self.terms)

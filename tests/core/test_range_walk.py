@@ -15,10 +15,9 @@ import pytest
 
 from repro.analysis.sweep import transformed_scenarios
 from repro.core import BatchRecoveryError, BatchStats, batch_recovery, collapse
-from repro.core.batch import _ClearedAffine
 from repro.ir import Loop, LoopNest
 from repro.kernels import executable_kernels
-from repro.polyhedra import AffineExpr
+from repro.polyhedra import AffineExpr, ClearedAffine
 
 
 def assert_walk_matches_solver(collapsed, values, first, last):
@@ -224,7 +223,7 @@ class TestMagnitudes:
 class TestClearedBounds:
     def test_ceil_is_exact_for_rational_bounds(self):
         expr = AffineExpr.build({"i": Fraction(-2, 3), "N": Fraction(1, 2)}, Fraction(5, 6))
-        cleared = _ClearedAffine.of(expr)
+        cleared = ClearedAffine.of(expr)
         assert cleared.den == 6
         rng = np.random.default_rng(7)
         i = rng.integers(-10**6, 10**6, 500)
@@ -233,6 +232,6 @@ class TestClearedBounds:
         assert got.tolist() == expected
 
     def test_magnitude_bounds_the_numerator(self):
-        cleared = _ClearedAffine.of(AffineExpr.build({"i": 3, "N": -2}, 7))
+        cleared = ClearedAffine.of(AffineExpr.build({"i": 3, "N": -2}, 7))
         assert cleared.den == 1
         assert cleared.magnitude({"i": 10, "N": 4}) == 7 + 30 + 8

@@ -162,6 +162,26 @@ class TestFallbacksAndGuards:
             assert iterator in text
 
 
+class TestSampleEnumeration:
+    @pytest.mark.parametrize("fixture_name", ["correlation_nest", "figure6_nest"])
+    def test_each_sample_instantiation_is_enumerated_once(self, fixture_name, request, monkeypatch):
+        """The sample search, the degeneracy check and every level's root
+        selection share one enumeration per parameter instantiation."""
+        import repro.core.unranking as unranking_module
+
+        enumerated = []
+
+        def counting(nest, values, depth=None):
+            enumerated.append(tuple(sorted(values.items())))
+            return enumerate_iterations(nest, values, depth)
+
+        monkeypatch.setattr(unranking_module, "enumerate_iterations", counting)
+        ranking = ranking_polynomial(request.getfixturevalue(fixture_name))
+        unranking = build_unranking(ranking)
+        assert unranking.uses_only_closed_forms()
+        assert enumerated == [(("N", 8),), (("N", 13),)]
+
+
 @settings(max_examples=12, deadline=None)
 @given(n=st.integers(min_value=2, max_value=9), offset=st.integers(min_value=0, max_value=3))
 def test_property_round_trip_on_shifted_triangles(n, offset):

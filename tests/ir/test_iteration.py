@@ -155,3 +155,96 @@ def test_property_odometer_walk_equals_nested_loops(n, skew):
     )
     expected = [(i, j) for i in range(n) for j in range(skew * i, n + skew * i)]
     assert list(enumerate_iterations(nest, {"N": n})) == expected
+
+
+# ---------------------------------------------------------------------- #
+# rational bounds: integer ceil-by-floor-division against Fraction ceil
+# ---------------------------------------------------------------------- #
+def _fraction_enumeration(nest, values):
+    """Every index tuple, each bound evaluated as a ``Fraction`` and ceiled."""
+    import math
+
+    def walk(level, environment, prefix):
+        if level == nest.depth:
+            yield tuple(prefix)
+            return
+        loop = nest.loops[level]
+        low = math.ceil(loop.lower.evaluate(environment))
+        high = math.ceil(loop.upper.evaluate(environment))
+        for value in range(low, high):
+            environment[loop.iterator] = value
+            yield from walk(level + 1, environment, prefix + [value])
+        environment.pop(loop.iterator, None)
+
+    return list(walk(0, dict(values), []))
+
+
+def _odometer_walk(nest, values):
+    odometer = Odometer(nest, values)
+    walked = []
+    current = odometer.first()
+    while current is not None:
+        walked.append(current)
+        current = odometer.increment(current)
+    return walked
+
+
+RATIONAL_NESTS = {
+    # j < (i + 1) / 2
+    "half_upper": LoopNest([Loop.make("i", 0, "N"), Loop.make("j", 0, "1/2*i + 1/2")], parameters=["N"]),
+    # j >= (1 - i) / 3 with i < 0 too: negative numerators on both sides of zero
+    "third_lower_negative": LoopNest(
+        [Loop.make("i", "-N", "N"), Loop.make("j", "1/3 - 1/3*i", "N")], parameters=["N"]
+    ),
+    # rational bounds on every level, parameter coefficients included
+    "three_levels": LoopNest(
+        [
+            Loop.make("i", "-1/2*N", "1/2*N + 1/3"),
+            Loop.make("j", "-2/3*i - 1", "1/2*N - 1/4*i"),
+            Loop.make("k", "1/2*j - 1/2*i", "3/4*N - 1/3*j + 1/2"),
+        ],
+        parameters=["N"],
+    ),
+}
+
+
+class TestRationalBounds:
+    @pytest.mark.parametrize("name", sorted(RATIONAL_NESTS))
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 11])
+    def test_enumeration_matches_fraction_ceil(self, name, n):
+        nest = RATIONAL_NESTS[name]
+        expected = _fraction_enumeration(nest, {"N": n})
+        assert list(enumerate_iterations(nest, {"N": n})) == expected
+        assert _odometer_walk(nest, {"N": n}) == expected
+
+    def test_negative_numerators_are_exercised(self):
+        """The lower bound (1 - i)/3 takes negative, non-integer values."""
+        assert (-1, 1) in _fraction_enumeration(RATIONAL_NESTS["third_lower_negative"], {"N": 3})
+        assert [j for i, j in enumerate_iterations(RATIONAL_NESTS["third_lower_negative"], {"N": 5}) if i == 3][0] == 0
+        assert [j for i, j in enumerate_iterations(RATIONAL_NESTS["third_lower_negative"], {"N": 5}) if i == 4][0] == -1
+
+
+_FRACTION = st.builds(
+    lambda numerator, denominator: f"{numerator}/{denominator}" if numerator >= 0 else f"- {-numerator}/{denominator}",
+    st.integers(-5, 5),
+    st.integers(1, 4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lower=st.tuples(_FRACTION, _FRACTION, _FRACTION),
+    upper=st.tuples(_FRACTION, _FRACTION, _FRACTION),
+    n=st.integers(min_value=0, max_value=6),
+)
+def test_property_rational_bounds_match_fraction_ceil(lower, upper, n):
+    """Random rational affine bounds ``a*i + b*N + c`` on the inner loop."""
+
+    def bound(parts):
+        a, b, c = parts
+        return f"{a}*i + {b}*N + {c}".replace("+ -", "-")
+
+    nest = LoopNest([Loop.make("i", "-N", "N"), Loop.make("j", bound(lower), bound(upper))], parameters=["N"])
+    expected = _fraction_enumeration(nest, {"N": n})
+    assert list(enumerate_iterations(nest, {"N": n})) == expected
+    assert _odometer_walk(nest, {"N": n}) == expected
