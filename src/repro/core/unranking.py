@@ -232,7 +232,8 @@ class _SampleDomains:
     def tuples(self, values: Mapping[str, int]) -> List[Tuple[int, ...]]:
         key = tuple(sorted((name, int(value)) for name, value in values.items()))
         if key not in self._tuples:
-            self._tuples[key] = list(enumerate_iterations(self.ranking.nest, values, self.ranking.depth))
+            nest, depth = self.ranking.nest, self.ranking.depth
+            self._tuples[key] = list(enumerate_iterations(nest, values, depth))
         return self._tuples[key]
 
     def counts_are_consistent(self, values: Mapping[str, int]) -> bool:
@@ -342,7 +343,10 @@ def build_unranking(
             "pass a different pc_name"
         )
     domains = _SampleDomains(ranking)
-    sample = dict(sample_parameters) if sample_parameters is not None else _default_sample_parameters(domains)
+    if sample_parameters is None:
+        sample = _default_sample_parameters(domains)
+    else:
+        sample = dict(sample_parameters)
 
     # The Ehrhart/ranking construction (like the paper's) assumes every loop of
     # the nest keeps a non-negative range throughout the domain; nests
@@ -381,7 +385,8 @@ def build_unranking(
                 roots = solve_univariate_symbolic(univariate)
             except SolveError:
                 roots = []
-            expression = _select_root(roots, ranking, level, sample, domains.tuples(sample), pc_name)
+            iterations = domains.tuples(sample)
+            expression = _select_root(roots, ranking, level, sample, iterations, pc_name)
             if expression is None:
                 method = "bisection"
 

@@ -124,7 +124,9 @@ class _Systems:
                 self.domain.add(self._row([(1, variable, columns), (-1, loop.lower, columns)]))
                 self.domain.add(self._row([(1, loop.upper, columns), (-1, variable, columns)], -1))
 
-    def _row(self, parts: Sequence[Tuple[int, AffineExpr, Mapping[str, int]]], constant: int = 0) -> Row:
+    def _row(
+        self, parts: Sequence[Tuple[int, AffineExpr, Mapping[str, int]]], constant: int = 0
+    ) -> Row:
         """The row of ``sum sign * expr + constant``, each ``expr`` renamed
         by its ``columns`` map, with the denominators cleared."""
         cleared = [(sign, ClearedAffine.of(expr), columns) for sign, expr, columns in parts]

@@ -48,11 +48,8 @@ class Odometer:
         missing = set(nest.parameters) - set(self.parameter_values)
         if missing:
             raise ValueError(f"missing parameter values {sorted(missing)}")
-        iterators = nest.iterators
-        fixed = {name: value for name, value in self.parameter_values.items() if name not in iterators}
-
         def cleared(bound) -> ClearedAffine:
-            return ClearedAffine.of(bound).bind(fixed).indexed(iterators)
+            return ClearedAffine.of(bound).indexed(nest.iterators, self.parameter_values)
 
         self._lower = [cleared(loop.lower) for loop in nest.loops]
         self._upper = [cleared(loop.upper) for loop in nest.loops]

@@ -239,26 +239,20 @@ class ClearedAffine:
         terms = tuple((var, int(coeff * den)) for var, coeff in expr.coefficients)
         return cls(den, int(expr.constant * den), terms)
 
-    def bind(self, values: Mapping[str, int]) -> "ClearedAffine":
-        """Fold the fixed ``values`` of some variables into the constant."""
+    def indexed(self, order: Sequence[str], fixed: Mapping[str, int]) -> "ClearedAffine":
+        """Key each term by its variable's position in ``order``, folding the
+        ``fixed`` values of the other variables into the constant."""
+        positions = {var: position for position, var in enumerate(order)}
         constant = self.constant
         terms = []
         for var, coeff in self.terms:
-            if var in values:
-                constant += coeff * int(values[var])
+            if var in positions:
+                terms.append((positions[var], coeff))
+            elif var in fixed:
+                constant += coeff * int(fixed[var])
             else:
-                terms.append((var, coeff))
-        return ClearedAffine(self.den, constant, tuple(terms))
-
-    def indexed(self, order: Sequence[str]) -> "ClearedAffine":
-        """Key every term by its variable's position in ``order``."""
-        positions = {var: position for position, var in enumerate(order)}
-        terms = []
-        for var, coeff in self.terms:
-            if var not in positions:
                 raise KeyError(f"no value supplied for {var!r}")
-            terms.append((positions[var], coeff))
-        return ClearedAffine(self.den, self.constant, tuple(terms))
+        return ClearedAffine(self.den, constant, tuple(terms))
 
     def ceil(self, env):
         """Exact ``ceil`` of the form over scalar or ``int64`` column entries.

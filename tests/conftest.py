@@ -148,7 +148,9 @@ def _reference_carried(nest, source, sink, depth):
             constraints = list(base)
             for equal in iterators[:level]:
                 constraints.append(
-                    Constraint.equals(AffineExpr.variable(first + equal), AffineExpr.variable(second + equal))
+                    Constraint.equals(
+                        AffineExpr.variable(first + equal), AffineExpr.variable(second + equal)
+                    )
                 )
             constraints.append(
                 Constraint.less_than(
@@ -169,9 +171,12 @@ def _reference_pair(nest, source, sink, depth):
         return source, sink, True, "subscript arity mismatch; assuming aliasing"
     iterators = nest.iterators
     for a, b in zip(source.subscripts, sink.subscripts):
-        if all(a.coefficient(v) == 0 == b.coefficient(v) for v in iterators) and a.constant != b.constant:
+        constant_only = all(a.coefficient(v) == 0 == b.coefficient(v) for v in iterators)
+        if constant_only and a.constant != b.constant:
             return source, sink, False, "ZIV: constant subscripts differ"
-        coefficients = [c for v in iterators for c in (a.coefficient(v), -b.coefficient(v)) if c != 0]
+        coefficients = [
+            c for v in iterators for c in (a.coefficient(v), -b.coefficient(v)) if c != 0
+        ]
         if coefficients:
             constant = b.constant - a.constant
             scale = math.lcm(*(c.denominator for c in coefficients), constant.denominator)

@@ -48,7 +48,9 @@ def _handmade_nests():
                     ArrayAccess.read("d", "j - k + 1"),
                 ),
             ),
-            Statement("copy", (ArrayAccess.write("e", "i + j"), ArrayAccess.read("e", "i + j - 1"))),
+            Statement(
+                "copy", (ArrayAccess.write("e", "i + j"), ArrayAccess.read("e", "i + j - 1"))
+            ),
         ],
         ("N", "M", "K"),
     )
@@ -87,7 +89,7 @@ def test_golden_cases_cover_both_verdicts(reference_dependence_reports):
     for case in _cases():
         nest, depth = case.values
         for rows in reference_dependence_reports(nest, depth):
-            verdicts.update((may_depend, reason.split(" at ")[0]) for _s, _t, may_depend, reason in rows)
+            verdicts.update((row[2], row[3].split(" at ")[0]) for row in rows)
     assert (True, "dependence system feasible") in verdicts
     assert (False, "dependence system empty") in verdicts
 

@@ -191,7 +191,9 @@ def _odometer_walk(nest, values):
 
 RATIONAL_NESTS = {
     # j < (i + 1) / 2
-    "half_upper": LoopNest([Loop.make("i", 0, "N"), Loop.make("j", 0, "1/2*i + 1/2")], parameters=["N"]),
+    "half_upper": LoopNest(
+        [Loop.make("i", 0, "N"), Loop.make("j", 0, "1/2*i + 1/2")], parameters=["N"]
+    ),
     # j >= (1 - i) / 3 with i < 0 too: negative numerators on both sides of zero
     "third_lower_negative": LoopNest(
         [Loop.make("i", "-N", "N"), Loop.make("j", "1/3 - 1/3*i", "N")], parameters=["N"]
@@ -218,14 +220,15 @@ class TestRationalBounds:
         assert _odometer_walk(nest, {"N": n}) == expected
 
     def test_negative_numerators_are_exercised(self):
-        """The lower bound (1 - i)/3 takes negative, non-integer values."""
-        assert (-1, 1) in _fraction_enumeration(RATIONAL_NESTS["third_lower_negative"], {"N": 3})
-        assert [j for i, j in enumerate_iterations(RATIONAL_NESTS["third_lower_negative"], {"N": 5}) if i == 3][0] == 0
-        assert [j for i, j in enumerate_iterations(RATIONAL_NESTS["third_lower_negative"], {"N": 5}) if i == 4][0] == -1
+        """The lower bound (1 - i)/3 is -2/3 at i = 3 and -1 at i = 4: the
+        first j is 0 and -1, where a truncating division would give 1."""
+        iterations = list(enumerate_iterations(RATIONAL_NESTS["third_lower_negative"], {"N": 5}))
+        first_j = {i: j for i, j in reversed(iterations)}
+        assert (first_j[3], first_j[4]) == (0, -1)
 
 
 _FRACTION = st.builds(
-    lambda numerator, denominator: f"{numerator}/{denominator}" if numerator >= 0 else f"- {-numerator}/{denominator}",
+    lambda numerator, denominator: f"{numerator}/{denominator}".replace("-", "- "),
     st.integers(-5, 5),
     st.integers(1, 4),
 )
@@ -244,7 +247,8 @@ def test_property_rational_bounds_match_fraction_ceil(lower, upper, n):
         a, b, c = parts
         return f"{a}*i + {b}*N + {c}".replace("+ -", "-")
 
-    nest = LoopNest([Loop.make("i", "-N", "N"), Loop.make("j", bound(lower), bound(upper))], parameters=["N"])
+    loops = [Loop.make("i", "-N", "N"), Loop.make("j", bound(lower), bound(upper))]
+    nest = LoopNest(loops, parameters=["N"])
     expected = _fraction_enumeration(nest, {"N": n})
     assert list(enumerate_iterations(nest, {"N": n})) == expected
     assert _odometer_walk(nest, {"N": n}) == expected
