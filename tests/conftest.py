@@ -112,15 +112,18 @@ def _fraction_is_rationally_empty(constraints, variables, max_rows=None):
 
     It shares no code with the shipped integer-row elimination, so the two
     agreeing is cross-validation rather than self-consistency.  Without
-    deduplication the rows can grow doubly exponentially; past ``max_rows``
-    the answer is ``None`` (undecided).
+    deduplication the rows can grow doubly exponentially; when a step would
+    produce more than ``max_rows`` the answer is ``None`` (undecided).
     """
     current = [half for constraint in constraints for half in constraint.as_inequalities()]
     remaining = list(variables)
     while remaining:
-        current = _fraction_eliminate(current, remaining.pop())
-        if max_rows is not None and len(current) > max_rows:
-            return None
+        var = remaining.pop()
+        if max_rows is not None:
+            signs = [(c.coefficient(var) > 0) - (c.coefficient(var) < 0) for c in current]
+            if signs.count(0) + signs.count(1) * signs.count(-1) > max_rows:
+                return None
+        current = _fraction_eliminate(current, var)
     return any(
         not c.expression.variables() and c.expression.constant < 0 for c in current
     )
