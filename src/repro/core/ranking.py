@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..ir import LoopNest, enumerate_iterations
-from ..polyhedra.counting import loop_nest_count, prefix_counts
+from ..polyhedra.counting import prefix_counts
 from ..symbolic import Polynomial
 from ..symbolic.summation import sum_over_range
 
@@ -56,8 +56,7 @@ def ranking_polynomial(nest: LoopNest, depth: Optional[int] = None) -> "RankingP
         upper_poly = Polynomial.variable(iterator) - 1
         rank = rank + sum_over_range(summand, _SUMMATION_VARIABLE, lower_poly, upper_poly)
 
-    total = loop_nest_count(bounds)
-    return RankingPolynomial(nest=nest, depth=depth, polynomial=rank, total=total)
+    return RankingPolynomial(nest=nest, depth=depth, polynomial=rank, total=suffix_counts[0])
 
 
 @dataclass(frozen=True)

@@ -301,12 +301,14 @@ def _select_root(
     if not iterations:
         return None
     survivors = list(roots)
+    outer = ranking.iterators[:level]
+    parameters = {name: int(v) for name, v in sample_parameters.items()}
     for pc, indices in enumerate(iterations, start=1):
         if not survivors:
             break
         expected = indices[level]
-        assignment = {name: int(v) for name, v in sample_parameters.items()}
-        assignment.update(dict(zip(ranking.iterators[:level], indices[:level])))
+        assignment = dict(parameters)
+        assignment.update(zip(outer, indices))
         assignment[pc_name] = pc
         still_alive = []
         for root in survivors:

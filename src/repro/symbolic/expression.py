@@ -18,13 +18,15 @@ that:
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .polynomial import Polynomial
 
 Number = Union[int, float, complex, Fraction]
+
+_HALF = Fraction(1, 2)
 
 
 class Expr:
@@ -88,15 +90,22 @@ def _coerce(value) -> Expr:
 
 @dataclass(frozen=True)
 class Const(Expr):
-    """An exact rational constant."""
+    """An exact rational constant.
+
+    Its ``complex`` value is converted once, at construction: root
+    selection evaluates the same trees at many sample points.
+    """
 
     value: Fraction
+    _complex: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+        if type(self.value) is not Fraction:
+            object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "_complex", complex(self.value))
 
     def evaluate(self, assignment: Mapping[str, Number]) -> complex:
-        return complex(self.value)
+        return self._complex
 
     def variables(self) -> frozenset:
         return frozenset()
@@ -201,21 +210,25 @@ class Pow(Expr):
 
     base: Expr
     exponent: Fraction
+    #: the exponent as an ``int`` when it is one, read at every evaluation
+    _power: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
+        if type(self.exponent) is not Fraction:
+            object.__setattr__(self, "exponent", Fraction(self.exponent))
+        if self.exponent.denominator == 1:
+            object.__setattr__(self, "_power", self.exponent.numerator)
 
     def evaluate(self, assignment: Mapping[str, Number]) -> complex:
         base = self.base.evaluate(assignment)
-        exponent = self.exponent
-        if exponent.denominator == 1:
-            power = int(exponent)
+        power = self._power
+        if power is not None:
             if base == 0 and power < 0:
                 raise ZeroDivisionError("0 raised to a negative power during recovery evaluation")
             return base ** power
-        if exponent == Fraction(1, 2):
+        if self.exponent == _HALF:
             return cmath.sqrt(base)
-        return base ** complex(exponent)
+        return base ** complex(self.exponent)
 
     def variables(self) -> frozenset:
         return self.base.variables()
@@ -309,7 +322,7 @@ def simplify(expr: Expr) -> Expr:
         return expr
     if isinstance(expr, Add):
         operands = []
-        constant = Fraction(0)
+        constant = 0
         for op in expr.operands:
             op = simplify(op)
             if isinstance(op, Add):
@@ -326,7 +339,7 @@ def simplify(expr: Expr) -> Expr:
         return operands[0] if len(operands) == 1 else Add(tuple(operands))
     if isinstance(expr, Mul):
         operands = []
-        constant = Fraction(1)
+        constant = 1
         for op in expr.operands:
             op = simplify(op)
             if isinstance(op, Mul):

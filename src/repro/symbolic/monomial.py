@@ -7,20 +7,83 @@ hashable so it can be used as a dictionary key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple
 
+Powers = Tuple[Tuple[str, int], ...]
 
-@dataclass(frozen=True)
+
+def _merge_powers(left: Powers, right: Powers) -> Powers:
+    """The powers of the product of two monomials, by a sorted merge.
+
+    Both inputs are sorted by variable with unique, positive exponents, and
+    so is the result: a variable in both gets the sum of its exponents.
+    """
+    merged = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        var_left, exp_left = left[i]
+        var_right, exp_right = right[j]
+        if var_left == var_right:
+            merged.append((var_left, exp_left + exp_right))
+            i += 1
+            j += 1
+        elif var_left < var_right:
+            merged.append(left[i])
+            i += 1
+        else:
+            merged.append(right[j])
+            j += 1
+    merged.extend(left[i:])
+    merged.extend(right[j:])
+    return tuple(merged)
+
+
 class Monomial:
     """An immutable power product ``x1**e1 * x2**e2 * ...``.
 
     Exponents are strictly positive integers; variables with exponent zero
     are simply absent.  The empty monomial represents the constant ``1``.
+    ``powers`` is sorted by variable; the hash is computed once, since
+    monomials are the keys of every polynomial's term map.
     """
 
-    powers: Tuple[Tuple[str, int], ...]
+    __slots__ = ("powers", "_hash")
+
+    def __init__(self, powers: Powers):
+        powers = tuple(powers)
+        for var, exp in powers:
+            if exp <= 0:
+                raise ValueError(f"monomial stores only positive exponents, got {var}**{exp}")
+        names = [var for var, _ in powers]
+        if names != sorted(names) or len(set(names)) != len(names):
+            raise ValueError("monomial powers must be sorted by variable and unique")
+        object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "_hash", hash(powers))
+
+    @classmethod
+    def _trusted(cls, powers: Powers) -> "Monomial":
+        """Wrap ``powers`` already known sorted, unique and positive."""
+        monomial = object.__new__(cls)
+        object.__setattr__(monomial, "powers", powers)
+        object.__setattr__(monomial, "_hash", hash(powers))
+        return monomial
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Monomial is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return (Monomial, (self.powers,))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        return self.powers == other.powers
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------ #
     # construction
@@ -45,20 +108,12 @@ class Monomial:
     @staticmethod
     def one() -> "Monomial":
         """The constant monomial ``1``."""
-        return Monomial(())
+        return _ONE
 
     @staticmethod
     def variable(name: str, exponent: int = 1) -> "Monomial":
         """The monomial ``name**exponent``."""
         return Monomial.from_mapping({name: exponent})
-
-    def __post_init__(self) -> None:
-        for var, exp in self.powers:
-            if exp <= 0:
-                raise ValueError(f"monomial stores only positive exponents, got {var}**{exp}")
-        names = [var for var, _ in self.powers]
-        if names != sorted(names) or len(set(names)) != len(names):
-            raise ValueError("monomial powers must be sorted by variable and unique")
 
     # ------------------------------------------------------------------ #
     # queries
@@ -93,10 +148,11 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        merged = self.as_dict()
-        for var, exp in other.powers:
-            merged[var] = merged.get(var, 0) + exp
-        return Monomial.from_mapping(merged)
+        if not other.powers:
+            return self
+        if not self.powers:
+            return other
+        return Monomial._trusted(_merge_powers(self.powers, other.powers))
 
     def __pow__(self, exponent: int) -> "Monomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -119,7 +175,7 @@ class Monomial:
 
     def without(self, var: str) -> "Monomial":
         """Return the monomial with ``var`` removed (its exponent set to 0)."""
-        return Monomial(tuple((v, e) for v, e in self.powers if v != var))
+        return Monomial._trusted(tuple((v, e) for v, e in self.powers if v != var))
 
     # ------------------------------------------------------------------ #
     # evaluation and ordering
@@ -151,3 +207,6 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({dict(self.powers)!r})"
+
+
+_ONE = Monomial(())

@@ -2,10 +2,18 @@
 
 :class:`Polynomial` is the workhorse of the whole reproduction: ranking
 Ehrhart polynomials, trip counts, affine loop bounds and intermediate
-summation results are all instances of it.  Coefficients are
-``fractions.Fraction`` so every computation (counting, ranking, inversion
-set-up) is exact — floating point only enters at the very end, when closed
-form radical roots are *evaluated*.
+summation results are all instances of it.  Every computation (counting,
+ranking, inversion set-up) is exact — floating point only enters at the
+very end, when closed form radical roots are *evaluated*.
+
+A polynomial stores its coefficients over one common denominator: a map
+``{monomial: int}`` of numerators and a denominator ``den >= 1`` whose gcd
+with all numerators is 1, so each polynomial has exactly one stored form.
+All arithmetic therefore runs on Python ints; a coefficient is a
+``fractions.Fraction`` only at the public surface: :meth:`~Polynomial.terms`
+and :meth:`~Polynomial.coefficient` return ``Fraction`` values, as
+:meth:`~Polynomial.evaluate` does on exact arguments.  The stored pair is
+also the denominator-cleared form :meth:`~Polynomial.integer_form` returns.
 
 The public surface intentionally mirrors what a tiny computer-algebra system
 would offer: arithmetic, substitution, evaluation, per-variable degree,
@@ -17,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .monomial import Monomial
 
@@ -26,6 +34,8 @@ Q = Fraction
 
 Scalar = Union[int, Fraction]
 PolynomialLike = Union["Polynomial", int, Fraction]
+
+_ONE = Monomial.one()
 
 
 def _as_fraction(value: Scalar) -> Fraction:
@@ -38,6 +48,26 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational coefficient, got {type(value).__name__}")
 
 
+def _reduced(terms: Dict[Monomial, int], den: int) -> "Polynomial":
+    """The polynomial ``terms / den`` from non-zero numerators and ``den >= 1``.
+
+    Arithmetic results are built here without re-validating their
+    coefficients; only the common factor of ``den`` and the numerators is
+    divided out, which keeps the stored form unique.
+    """
+    if not terms:
+        den = 1
+    elif den != 1:
+        common = math.gcd(den, *terms.values())
+        if common != 1:
+            den //= common
+            terms = {m: n // common for m, n in terms.items()}
+    poly = object.__new__(Polynomial)
+    poly._terms = terms
+    poly._den = den
+    return poly
+
+
 class Polynomial:
     """A multivariate polynomial ``sum_k c_k * m_k`` with ``c_k`` rational.
 
@@ -45,18 +75,20 @@ class Polynomial:
     returns new objects.  Zero coefficients are never stored.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        cleaned: Dict[Monomial, Fraction] = {}
+        exact: Dict[Monomial, Fraction] = {}
         if terms:
             for monomial, coefficient in terms.items():
                 if not isinstance(monomial, Monomial):
                     raise TypeError("Polynomial keys must be Monomial instances")
                 value = _as_fraction(coefficient)
                 if value != 0:
-                    cleaned[monomial] = value
-        self._terms = cleaned
+                    exact[monomial] = value
+        den = math.lcm(*(value.denominator for value in exact.values())) if exact else 1
+        self._terms = {m: c.numerator * (den // c.denominator) for m, c in exact.items()}
+        self._den = den
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -64,39 +96,34 @@ class Polynomial:
     @staticmethod
     def zero() -> "Polynomial":
         """The zero polynomial."""
-        return Polynomial()
+        return _reduced({}, 1)
 
     @staticmethod
     def constant(value: Scalar) -> "Polynomial":
         """A constant polynomial."""
-        return Polynomial({Monomial.one(): _as_fraction(value)})
+        value = _as_fraction(value)
+        return _reduced({_ONE: value.numerator} if value else {}, value.denominator)
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
         """The polynomial consisting of the single variable ``name``."""
-        return Polynomial({Monomial.variable(name): Fraction(1)})
+        return _reduced({Monomial.variable(name): 1}, 1)
 
     @staticmethod
     def from_coefficients(var: str, coefficients: Iterable[Scalar]) -> "Polynomial":
         """Univariate constructor: ``coefficients[k]`` multiplies ``var**k``."""
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[Monomial, Scalar] = {}
         for power, coefficient in enumerate(coefficients):
-            value = _as_fraction(coefficient)
-            if value != 0:
-                terms[Monomial.variable(var, power) if power else Monomial.one()] = value
+            terms[Monomial.variable(var, power) if power else _ONE] = coefficient
         return Polynomial(terms)
 
     @staticmethod
     def affine(coefficients: Mapping[str, Scalar], constant: Scalar = 0) -> "Polynomial":
         """Build ``sum_v coefficients[v] * v + constant``."""
-        terms: Dict[Monomial, Fraction] = {}
-        for var, coefficient in coefficients.items():
-            value = _as_fraction(coefficient)
-            if value != 0:
-                terms[Monomial.variable(var)] = value
-        const = _as_fraction(constant)
-        if const != 0:
-            terms[Monomial.one()] = const
+        terms: Dict[Monomial, Scalar] = {
+            Monomial.variable(var): coefficient for var, coefficient in coefficients.items()
+        }
+        terms[_ONE] = constant
         return Polynomial(terms)
 
     @staticmethod
@@ -109,12 +136,13 @@ class Polynomial:
     # basic queries
     # ------------------------------------------------------------------ #
     def terms(self) -> Dict[Monomial, Fraction]:
-        """A copy of the ``{monomial: coefficient}`` map."""
-        return dict(self._terms)
+        """The ``{monomial: coefficient}`` map, coefficients as ``Fraction``."""
+        den = self._den
+        return {m: Fraction(n, den) for m, n in self._terms.items()}
 
     def coefficient(self, monomial: Monomial) -> Fraction:
-        """Coefficient of ``monomial`` (0 when absent)."""
-        return self._terms.get(monomial, Fraction(0))
+        """Coefficient of ``monomial`` as a ``Fraction`` (0 when absent)."""
+        return Fraction(self._terms.get(monomial, 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -126,13 +154,13 @@ class Polynomial:
         """Value of a constant polynomial; raises otherwise."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self._terms.get(Monomial.one(), Fraction(0))
+        return self.coefficient(_ONE)
 
     def variables(self) -> frozenset:
         """Every variable that appears with a non-zero coefficient."""
         result: set = set()
         for monomial in self._terms:
-            result |= monomial.variables()
+            result.update(var for var, _ in monomial.powers)
         return frozenset(result)
 
     @property
@@ -173,32 +201,53 @@ class Polynomial:
     # ------------------------------------------------------------------ #
     # arithmetic
     # ------------------------------------------------------------------ #
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """``self + sign * other`` over the least common denominator."""
+        den = math.lcm(self._den, other._den)
+        scale_self, scale_other = den // self._den, sign * (den // other._den)
+        if scale_self == 1:
+            terms = dict(self._terms)
+        else:
+            terms = {m: n * scale_self for m, n in self._terms.items()}
+        get = terms.get
+        for monomial, n in other._terms.items():
+            terms[monomial] = get(monomial, 0) + n * scale_other
+        return _reduced({m: n for m, n in terms.items() if n}, den)
+
     def __add__(self, other: PolynomialLike) -> "Polynomial":
-        other = Polynomial._coerce(other)
-        terms = dict(self._terms)
-        for monomial, coefficient in other._terms.items():
-            terms[monomial] = terms.get(monomial, Fraction(0)) + coefficient
-        return Polynomial(terms)
+        return self._combine(Polynomial._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return _reduced({m: -n for m, n in self._terms.items()}, self._den)
 
     def __sub__(self, other: PolynomialLike) -> "Polynomial":
-        return self + (-Polynomial._coerce(other))
+        return self._combine(Polynomial._coerce(other), -1)
 
     def __rsub__(self, other: PolynomialLike) -> "Polynomial":
-        return Polynomial._coerce(other) - self
+        return Polynomial._coerce(other)._combine(self, -1)
+
+    def _scaled(self, factor: Fraction) -> "Polynomial":
+        """``self * factor`` for an exact scalar."""
+        if not factor:
+            return _reduced({}, 1)
+        numerator = factor.numerator
+        return _reduced(
+            {m: n * numerator for m, n in self._terms.items()}, self._den * factor.denominator
+        )
 
     def __mul__(self, other: PolynomialLike) -> "Polynomial":
-        other = Polynomial._coerce(other)
-        terms: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        if not isinstance(other, Polynomial):
+            return self._scaled(_as_fraction(other))
+        terms: Dict[Monomial, int] = {}
+        get = terms.get
+        right = other._terms.items()
+        for m1, n1 in self._terms.items():
+            for m2, n2 in right:
                 monomial = m1 * m2
-                terms[monomial] = terms.get(monomial, Fraction(0)) + c1 * c2
-        return Polynomial(terms)
+                terms[monomial] = get(monomial, 0) + n1 * n2
+        return _reduced({m: n for m, n in terms.items() if n}, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -206,7 +255,7 @@ class Polynomial:
         value = _as_fraction(scalar)
         if value == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return Polynomial({m: c / value for m, c in self._terms.items()})
+        return self._scaled(1 / value)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -226,10 +275,10 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._terms.items()), self._den))
 
     def denominator(self) -> int:
         """Least common multiple of all coefficient denominators (>= 1).
@@ -237,11 +286,9 @@ class Polynomial:
         For a degree-``d`` Ehrhart/ranking polynomial this divides ``d!``:
         multiplying by it clears every fraction, which is what makes exact
         integer bracket evaluation possible (see :meth:`integer_form`).
+        It is the stored common denominator.
         """
-        den = 1
-        for coefficient in self._terms.values():
-            den = den * coefficient.denominator // math.gcd(den, coefficient.denominator)
-        return den
+        return self._den
 
     def integer_form(self) -> Tuple["Polynomial", int]:
         """The denominator-cleared pair ``(num, den)`` with ``self == num / den``.
@@ -254,13 +301,11 @@ class Polynomial:
         in the scalar, batch, generated-Python and generated-C paths runs on
         this form (``__int128`` in C, arbitrary-precision ``int`` in Python).
         """
-        den = self.denominator()
-        numerator = Polynomial({m: c * den for m, c in self._terms.items()})
-        return numerator, den
+        return _reduced(self._terms, 1), self._den
 
     def has_integer_coefficients(self) -> bool:
         """True when every coefficient has denominator 1."""
-        return all(c.denominator == 1 for c in self._terms.values())
+        return self._den == 1
 
     def evaluate_int(self, assignment: Mapping[str, int]) -> int:
         """Exact arbitrary-precision integer evaluation.
@@ -272,14 +317,15 @@ class Polynomial:
         :meth:`evaluate` it never touches :class:`~fractions.Fraction`
         arithmetic, so it is cheap enough to sit on the correction path.
         """
+        if self._den != 1:
+            fractional = next(c for c in self.terms().values() if c.denominator != 1)
+            raise ValueError(
+                f"evaluate_int requires integer coefficients; {self} has {fractional} "
+                "(clear denominators with integer_form() first)"
+            )
         total = 0
         for monomial, coefficient in self._terms.items():
-            if coefficient.denominator != 1:
-                raise ValueError(
-                    f"evaluate_int requires integer coefficients; {self} has {coefficient} "
-                    "(clear denominators with integer_form() first)"
-                )
-            term = coefficient.numerator
+            term = coefficient
             for var, exp in monomial.powers:
                 term *= int(assignment[var]) ** exp
             total += term
@@ -291,19 +337,46 @@ class Polynomial:
     def substitute(self, assignment: Mapping[str, PolynomialLike]) -> "Polynomial":
         """Simultaneously substitute variables by polynomials (or scalars).
 
-        Variables absent from ``assignment`` are left untouched.
+        Variables absent from ``assignment`` are left untouched.  Each power
+        of a substituted polynomial is computed once per call, and every
+        term is accumulated into one numerator map over a common
+        denominator.
         """
         substitutions = {name: Polynomial._coerce(value) for name, value in assignment.items()}
-        result = Polynomial.zero()
+        powers: Dict[Tuple[str, int], Polynomial] = {}
+
+        def power(var: str, exp: int) -> Polynomial:
+            result = powers.get((var, exp))
+            if result is None:
+                base = substitutions[var]
+                result = base if exp == 1 else power(var, exp - 1) * base
+                powers[(var, exp)] = result
+            return result
+
+        terms: Dict[Monomial, int] = {}
+        den = 1
         for monomial, coefficient in self._terms.items():
-            term = Polynomial.constant(coefficient)
+            kept = []
+            factor: Optional[Polynomial] = None
             for var, exp in monomial.powers:
                 if var in substitutions:
-                    term = term * (substitutions[var] ** exp)
+                    value = power(var, exp)
+                    factor = value if factor is None else factor * value
                 else:
-                    term = term * Polynomial({Monomial.variable(var, exp): Fraction(1)})
-            result = result + term
-        return result
+                    kept.append((var, exp))
+            if factor is None:
+                terms[monomial] = terms.get(monomial, 0) + coefficient * den
+                continue
+            if den % factor._den:
+                grow = math.lcm(den, factor._den) // den
+                terms = {m: n * grow for m, n in terms.items()}
+                den *= grow
+            scale = coefficient * (den // factor._den)
+            rest = Monomial._trusted(tuple(kept))
+            for m, n in factor._terms.items():
+                key = m * rest
+                terms[key] = terms.get(key, 0) + n * scale
+        return _reduced({m: n for m, n in terms.items() if n}, den * self._den)
 
     def evaluate(self, assignment: Mapping[str, object]):
         """Evaluate numerically.
@@ -312,8 +385,21 @@ class Polynomial:
         exact; floats/complex propagate naturally otherwise.  Raises
         :class:`KeyError` when a needed variable is missing.
         """
-        total: object = Fraction(0)
+        total = 0
         for monomial, coefficient in self._terms.items():
+            term = coefficient
+            for var, exp in monomial.powers:
+                value = assignment.get(var)
+                if type(value) is not int:
+                    return self._evaluate_any(assignment)
+                term *= value ** exp
+            total += term
+        return Fraction(total, self._den)
+
+    def _evaluate_any(self, assignment: Mapping[str, object]):
+        """:meth:`evaluate` over any values, one ``Fraction`` coefficient per term."""
+        total: object = Fraction(0)
+        for monomial, coefficient in self.terms().items():
             total = total + coefficient * monomial.evaluate(assignment)
         return total
 
@@ -325,34 +411,33 @@ class Polynomial:
         """Group the polynomial as a univariate polynomial in ``var``.
 
         Returns ``{exponent: coefficient-polynomial}`` where the coefficient
-        polynomials no longer contain ``var``.
+        polynomials no longer contain ``var``.  Distinct monomials stay
+        distinct once ``var`` is removed, so every group is non-zero.
         """
-        grouped: Dict[int, Dict[Monomial, Fraction]] = {}
+        grouped: Dict[int, Dict[Monomial, int]] = {}
         for monomial, coefficient in self._terms.items():
             exponent = monomial.degree_in(var)
-            reduced = monomial.without(var)
-            bucket = grouped.setdefault(exponent, {})
-            bucket[reduced] = bucket.get(reduced, Fraction(0)) + coefficient
-        return {exp: Polynomial(terms) for exp, terms in grouped.items() if Polynomial(terms) != Polynomial.zero()}
+            reduced = monomial.without(var) if exponent else monomial
+            grouped.setdefault(exponent, {})[reduced] = coefficient
+        return {exp: _reduced(terms, self._den) for exp, terms in grouped.items()}
 
     def derivative(self, var: str) -> "Polynomial":
         """Formal partial derivative with respect to ``var``."""
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[Monomial, int] = {}
         for monomial, coefficient in self._terms.items():
             exponent = monomial.degree_in(var)
             if exponent == 0:
                 continue
             reduced = monomial.as_dict()
             reduced[var] = exponent - 1
-            new_monomial = Monomial.from_mapping(reduced)
-            terms[new_monomial] = terms.get(new_monomial, Fraction(0)) + coefficient * exponent
-        return Polynomial(terms)
+            terms[Monomial.from_mapping(reduced)] = coefficient * exponent
+        return _reduced(terms, self._den)
 
     # ------------------------------------------------------------------ #
     # printing
     # ------------------------------------------------------------------ #
     def _sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key(), reverse=True)
+        return sorted(self.terms().items(), key=lambda kv: kv[0].sort_key(), reverse=True)
 
     def __str__(self) -> str:
         if not self._terms:

@@ -84,10 +84,7 @@ def sum_power_between(power: int, lower: Polynomial, upper: Polynomial) -> Polyn
     non-degenerate.
     """
     aux = "__faulhaber_n"
-    closed = faulhaber_polynomial(power, aux)
-    upper_part = closed.substitute({aux: upper})
-    lower_part = closed.substitute({aux: lower - 1})
-    return upper_part - lower_part
+    return sum_over_range(Polynomial.variable(aux) ** power, aux, lower, upper)
 
 
 def sum_over_range(
@@ -103,16 +100,30 @@ def sum_over_range(
     involve ``variable`` itself).  The sum is *inclusive* of both bounds, so
     the trip count of ``for (x = l; x < u; x++)`` is
     ``sum_over_range(1, x, l, u - 1)``.
+
+    With ``summand = sum_k c_k x**k`` and ``S_k(n) = sum_j f_kj n**j`` the
+    sum is ``sum_j (sum_k c_k f_kj) (upper**j - (lower - 1)**j)``: each power
+    difference is built once and shared by every ``k``.  The ``j = 0`` terms
+    cancel.
     """
     lower = lower if isinstance(lower, Polynomial) else Polynomial.constant(lower)
     upper = upper if isinstance(upper, Polynomial) else Polynomial.constant(upper)
     if variable in lower.variables() or variable in upper.variables():
         raise ValueError(f"summation bounds must not involve the summation variable {variable!r}")
 
-    grouped: Dict[int, Polynomial] = summand.coefficients_in(variable)
+    weights: Dict[int, Polynomial] = {}
+    for power, coefficient in summand.coefficients_in(variable).items():
+        closed = faulhaber_polynomial(power).coefficients_in("n")
+        for j, f in closed.items():
+            if j:
+                weights[j] = weights.get(j, 0) + coefficient * f.constant_value()
     result = Polynomial.zero()
-    for power, coefficient in grouped.items():
-        result = result + coefficient * sum_power_between(power, lower, upper)
+    below = lower - 1
+    upper_power = below_power = Polynomial.constant(1)
+    for j in range(1, max(weights, default=0) + 1):
+        upper_power, below_power = upper_power * upper, below_power * below
+        if j in weights:
+            result = result + weights[j] * (upper_power - below_power)
     return result
 
 

@@ -5,7 +5,36 @@ from fractions import Fraction
 
 import pytest
 
+from repro.ir import Loop, LoopNest
 from repro.polyhedra import AffineExpr, Constraint
+
+
+# ---------------------------------------------------------------------- #
+# the paper's cubic and quartic nests (tests/core, tests/symbolic)
+# ---------------------------------------------------------------------- #
+@pytest.fixture
+def figure6_nest() -> LoopNest:
+    """Fig. 6: the 3-deep tetrahedral nest of Section IV-C."""
+    return LoopNest(
+        [Loop.make("i", 0, "N - 1"), Loop.make("j", 0, "i + 1"), Loop.make("k", "j", "i + 1")],
+        parameters=["N"],
+        name="figure6",
+    )
+
+
+@pytest.fixture
+def simplex4_nest() -> LoopNest:
+    """A 4-deep simplex nest whose outer-index inversion is a quartic."""
+    return LoopNest(
+        [
+            Loop.make("i", 0, "N"),
+            Loop.make("j", 0, "i + 1"),
+            Loop.make("k", 0, "j + 1"),
+            Loop.make("l", 0, "k + 1"),
+        ],
+        parameters=["N"],
+        name="simplex4",
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -221,3 +250,240 @@ def reference_dependence_reports():
     """``(nest, depth) -> (dependence rows, write/write rows)`` of the
     reference dependence test, as ``(source, sink, may_depend, reason)``."""
     return _reference_reports
+
+
+# ---------------------------------------------------------------------- #
+# reference symbolic arithmetic: Fraction coefficients, one dict per term
+# ---------------------------------------------------------------------- #
+# A polynomial here is a plain ``{powers: Fraction}`` dict, ``powers`` being
+# a Monomial's sorted ``((variable, exponent), ...)`` tuple.  The routines
+# are the Fraction arithmetic the symbolic layer used before it moved to
+# integer numerators over one denominator, kept term by term (a copy per
+# addition, a Polynomial per substituted term, a second nested sum for the
+# total), so agreeing with them is cross-validation rather than
+# self-consistency.
+def _ref_clean(terms):
+    return {powers: c for powers, c in terms.items() if c != 0}
+
+
+def _ref_monomial_product(left, right):
+    merged = dict(left)
+    for var, exp in right:
+        merged[var] = merged.get(var, 0) + exp
+    return tuple(sorted((var, exp) for var, exp in merged.items() if exp > 0))
+
+
+def _ref_constant(value):
+    return _ref_clean({(): Fraction(value)})
+
+
+def _ref_variable(name, exponent=1):
+    return {((name, exponent),): Fraction(1)}
+
+
+def _ref_add(left, right):
+    terms = dict(left)
+    for powers, c in right.items():
+        terms[powers] = terms.get(powers, Fraction(0)) + c
+    return _ref_clean(terms)
+
+
+def _ref_sub(left, right):
+    return _ref_add(left, {powers: -c for powers, c in right.items()})
+
+
+def _ref_mul(left, right):
+    terms = {}
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            powers = _ref_monomial_product(m1, m2)
+            terms[powers] = terms.get(powers, Fraction(0)) + c1 * c2
+    return _ref_clean(terms)
+
+
+def _ref_pow(base, exponent):
+    result = _ref_constant(1)
+    while exponent:
+        if exponent & 1:
+            result = _ref_mul(result, base)
+        base = _ref_mul(base, base)
+        exponent >>= 1
+    return result
+
+
+def _ref_substitute(poly, assignment):
+    result = {}
+    for powers, coefficient in poly.items():
+        term = _ref_constant(coefficient)
+        for var, exp in powers:
+            if var in assignment:
+                term = _ref_mul(term, _ref_pow(assignment[var], exp))
+            else:
+                term = _ref_mul(term, _ref_variable(var, exp))
+        result = _ref_add(result, term)
+    return result
+
+
+def _ref_coefficients_in(poly, var):
+    grouped = {}
+    for powers, coefficient in poly.items():
+        exponent = dict(powers).get(var, 0)
+        reduced = tuple((v, e) for v, e in powers if v != var)
+        bucket = grouped.setdefault(exponent, {})
+        bucket[reduced] = bucket.get(reduced, Fraction(0)) + coefficient
+    return {exp: _ref_clean(terms) for exp, terms in grouped.items() if _ref_clean(terms)}
+
+
+def _ref_bernoulli(n):
+    """Bernoulli numbers with ``B_1 = +1/2``, from the classical recurrence."""
+    minus = [Fraction(1)]
+    for m in range(1, n + 1):
+        minus.append(-sum(math.comb(m + 1, j) * minus[j] for j in range(m)) / (m + 1))
+    return -minus[1] if n == 1 else minus[n]
+
+
+def _ref_faulhaber(power, var):
+    """``sum_{x=0}^{n} x**power`` as a polynomial in ``var``."""
+    if power == 0:
+        return _ref_add(_ref_variable(var), _ref_constant(1))
+    result = {}
+    for j in range(power + 1):
+        coefficient = math.comb(power + 1, j) * _ref_bernoulli(j) / (power + 1)
+        if coefficient != 0:
+            term = _ref_mul(_ref_constant(coefficient), _ref_variable(var, power + 1 - j))
+            result = _ref_add(result, term)
+    return result
+
+
+def _ref_sum_over_range(summand, var, lower, upper):
+    aux = "__reference_n"
+    result = {}
+    for power, coefficient in _ref_coefficients_in(summand, var).items():
+        closed = _ref_faulhaber(power, aux)
+        between = _ref_sub(
+            _ref_substitute(closed, {aux: upper}),
+            _ref_substitute(closed, {aux: _ref_sub(lower, _ref_constant(1))}),
+        )
+        result = _ref_add(result, _ref_mul(coefficient, between))
+    return result
+
+
+def _ref_affine(expr):
+    """An ``AffineExpr`` bound as a reference polynomial."""
+    terms = {((var, 1),): Fraction(c) for var, c in expr.coefficients}
+    terms[()] = Fraction(expr.constant)
+    return _ref_clean(terms)
+
+
+def _ref_nested_count(bounds):
+    """The trip count of ``(iterator, lower, upper)`` bounds, innermost sum first."""
+    result = _ref_constant(1)
+    for iterator, lower, upper in reversed(list(bounds)):
+        result = _ref_sum_over_range(
+            result, iterator, _ref_affine(lower), _ref_sub(_ref_affine(upper), _ref_constant(1))
+        )
+    return result
+
+
+def _ref_ranking(bounds):
+    """``(ranking polynomial, total)``: Sec. III's per-level sums over the
+    suffix counts, and the total as a second, separate nested sum."""
+    suffix = [_ref_nested_count(bounds[level:]) for level in range(len(bounds) + 1)]
+    rank = _ref_constant(1)
+    for level, (iterator, lower, _upper) in enumerate(bounds):
+        summand = _ref_substitute(suffix[level + 1], {iterator: _ref_variable("__reference_j")})
+        upper = _ref_sub(_ref_variable(iterator), _ref_constant(1))
+        rank = _ref_add(
+            rank, _ref_sum_over_range(summand, "__reference_j", _ref_affine(lower), upper)
+        )
+    return rank, _ref_nested_count(bounds)
+
+
+def _ref_integer_form(poly):
+    den = math.lcm(*(c.denominator for c in poly.values())) if poly else 1
+    return {powers: c * den for powers, c in poly.items()}, den
+
+
+def _ref_evaluate_expr(expr, assignment):
+    """``Expr.evaluate`` as a tree walk converting every constant at every visit."""
+    from repro.symbolic import Add, Const, Floor, Mul, Pow, RealPart, Var
+
+    if isinstance(expr, Const):
+        return complex(expr.value)
+    if isinstance(expr, Var):
+        return complex(assignment[expr.name])
+    if isinstance(expr, Add):
+        total = 0j
+        for operand in expr.operands:
+            total += _ref_evaluate_expr(operand, assignment)
+        return total
+    if isinstance(expr, Mul):
+        total = 1 + 0j
+        for operand in expr.operands:
+            total *= _ref_evaluate_expr(operand, assignment)
+        return total
+    if isinstance(expr, Pow):
+        base = _ref_evaluate_expr(expr.base, assignment)
+        exponent = expr.exponent
+        if exponent.denominator == 1:
+            if base == 0 and exponent < 0:
+                raise ZeroDivisionError("0 raised to a negative power")
+            return base ** int(exponent)
+        if exponent == Fraction(1, 2):
+            import cmath
+
+            return cmath.sqrt(base)
+        return base ** complex(exponent)
+    if isinstance(expr, Floor):
+        return complex(math.floor(_ref_evaluate_expr(expr.operand, assignment).real))
+    if isinstance(expr, RealPart):
+        return complex(_ref_evaluate_expr(expr.operand, assignment).real)
+    raise TypeError(f"unknown expression node {type(expr).__name__}")
+
+
+def _ref_select_root(roots, level, parameters, iterators, iterations, pc_name):
+    """The first root whose floor recovers the level's index at every sample
+    iteration, every evaluation through :func:`_ref_evaluate_expr`."""
+    survivors = list(roots)
+    for pc, indices in enumerate(iterations, start=1):
+        assignment = dict(parameters)
+        assignment.update(zip(iterators[:level], indices[:level]))
+        assignment[pc_name] = pc
+        alive = []
+        for root in survivors:
+            try:
+                value = _ref_evaluate_expr(root, assignment)
+            except ZeroDivisionError:
+                continue
+            if abs(value.imag) <= 1e-6 and math.floor(value.real + 1e-9) == indices[level]:
+                alive.append(root)
+        survivors = alive
+    return survivors[0] if survivors and iterations else None
+
+
+class _SymbolicReference:
+    """The reference routines above, as one fixture."""
+
+    variable = staticmethod(_ref_variable)
+    add = staticmethod(_ref_add)
+    sub = staticmethod(_ref_sub)
+    mul = staticmethod(_ref_mul)
+    monomial_product = staticmethod(_ref_monomial_product)
+    substitute = staticmethod(_ref_substitute)
+    sum_over_range = staticmethod(_ref_sum_over_range)
+    affine = staticmethod(_ref_affine)
+    nested_count = staticmethod(_ref_nested_count)
+    ranking = staticmethod(_ref_ranking)
+    integer_form = staticmethod(_ref_integer_form)
+    select_root = staticmethod(_ref_select_root)
+
+    @staticmethod
+    def of(poly):
+        """A shipped ``Polynomial`` as a reference dict."""
+        return {monomial.powers: c for monomial, c in poly.terms().items()}
+
+
+@pytest.fixture(scope="session")
+def symbolic_reference():
+    """The reference ``Fraction`` ranking arithmetic (see :class:`_SymbolicReference`)."""
+    return _SymbolicReference

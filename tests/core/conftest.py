@@ -16,31 +16,6 @@ def correlation_nest() -> LoopNest:
 
 
 @pytest.fixture
-def figure6_nest() -> LoopNest:
-    """Fig. 6: the 3-deep tetrahedral nest of Section IV-C."""
-    return LoopNest(
-        [Loop.make("i", 0, "N - 1"), Loop.make("j", 0, "i + 1"), Loop.make("k", "j", "i + 1")],
-        parameters=["N"],
-        name="figure6",
-    )
-
-
-@pytest.fixture
-def simplex4_nest() -> LoopNest:
-    """A 4-deep simplex nest whose outer-index inversion is a quartic."""
-    return LoopNest(
-        [
-            Loop.make("i", 0, "N"),
-            Loop.make("j", 0, "i + 1"),
-            Loop.make("k", 0, "j + 1"),
-            Loop.make("l", 0, "k + 1"),
-        ],
-        parameters=["N"],
-        name="simplex4",
-    )
-
-
-@pytest.fixture
 def rectangular_nest() -> LoopNest:
     """A plain rectangular nest (what OpenMP collapse already handles)."""
     return LoopNest(

@@ -20,16 +20,6 @@ def correlation_nest() -> LoopNest:
 
 
 @pytest.fixture
-def figure6_nest() -> LoopNest:
-    """Fig. 6: the 3-deep tetrahedral nest of Section IV-C (cubic roots)."""
-    return LoopNest(
-        [Loop.make("i", 0, "N - 1"), Loop.make("j", 0, "i + 1"), Loop.make("k", "j", "i + 1")],
-        parameters=["N"],
-        name="figure6",
-    )
-
-
-@pytest.fixture
 def simplex3_nest() -> LoopNest:
     """A 3-deep simplex whose trip count passes 2^31 before N reaches 2600."""
     return LoopNest(

@@ -137,3 +137,23 @@ def test_property_power_matches_repeated_multiplication(exps, power):
     for _ in range(power):
         expected = expected * m
     assert m ** power == expected
+
+
+_EXPONENTS = st.dictionaries(
+    st.sampled_from("ijkNn"), st.integers(min_value=0, max_value=5), max_size=5
+)
+
+
+@given(exps_a=_EXPONENTS, exps_b=_EXPONENTS)
+def test_property_merge_product_matches_reference(exps_a, exps_b, symbolic_reference):
+    """The sorted-merge product equals the dict-and-sort reference product,
+    and its powers stay sorted by variable, unique and positive."""
+    a = Monomial.from_mapping(exps_a)
+    b = Monomial.from_mapping(exps_b)
+    product = a * b
+    assert product.powers == symbolic_reference.monomial_product(a.powers, b.powers)
+    names = [var for var, _ in product.powers]
+    assert names == sorted(set(names))
+    assert all(exp > 0 for _, exp in product.powers)
+    assert product == Monomial(product.powers)
+    assert hash(product) == hash(Monomial.from_mapping(product.as_dict()))
