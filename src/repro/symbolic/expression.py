@@ -20,13 +20,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Sequence, Tuple, Union
 
 from .polynomial import Polynomial
 
 Number = Union[int, float, complex, Fraction]
-
-_HALF = Fraction(1, 2)
 
 
 class Expr:
@@ -100,8 +98,7 @@ class Const(Expr):
     _complex: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if type(self.value) is not Fraction:
-            object.__setattr__(self, "value", Fraction(self.value))
+        object.__setattr__(self, "value", Fraction(self.value))
         object.__setattr__(self, "_complex", complex(self.value))
 
     def evaluate(self, assignment: Mapping[str, Number]) -> complex:
@@ -210,25 +207,21 @@ class Pow(Expr):
 
     base: Expr
     exponent: Fraction
-    #: the exponent as an ``int`` when it is one, read at every evaluation
-    _power: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if type(self.exponent) is not Fraction:
-            object.__setattr__(self, "exponent", Fraction(self.exponent))
-        if self.exponent.denominator == 1:
-            object.__setattr__(self, "_power", self.exponent.numerator)
+        object.__setattr__(self, "exponent", Fraction(self.exponent))
 
     def evaluate(self, assignment: Mapping[str, Number]) -> complex:
         base = self.base.evaluate(assignment)
-        power = self._power
-        if power is not None:
+        exponent = self.exponent
+        if exponent.denominator == 1:
+            power = int(exponent)
             if base == 0 and power < 0:
                 raise ZeroDivisionError("0 raised to a negative power during recovery evaluation")
             return base ** power
-        if self.exponent == _HALF:
+        if exponent == Fraction(1, 2):
             return cmath.sqrt(base)
-        return base ** complex(self.exponent)
+        return base ** complex(exponent)
 
     def variables(self) -> frozenset:
         return self.base.variables()
@@ -322,7 +315,7 @@ def simplify(expr: Expr) -> Expr:
         return expr
     if isinstance(expr, Add):
         operands = []
-        constant = 0
+        constant = Fraction(0)
         for op in expr.operands:
             op = simplify(op)
             if isinstance(op, Add):
@@ -339,7 +332,7 @@ def simplify(expr: Expr) -> Expr:
         return operands[0] if len(operands) == 1 else Add(tuple(operands))
     if isinstance(expr, Mul):
         operands = []
-        constant = 1
+        constant = Fraction(1)
         for op in expr.operands:
             op = simplify(op)
             if isinstance(op, Mul):

@@ -385,19 +385,6 @@ class Polynomial:
         exact; floats/complex propagate naturally otherwise.  Raises
         :class:`KeyError` when a needed variable is missing.
         """
-        total = 0
-        for monomial, coefficient in self._terms.items():
-            term = coefficient
-            for var, exp in monomial.powers:
-                value = assignment.get(var)
-                if type(value) is not int:
-                    return self._evaluate_any(assignment)
-                term *= value ** exp
-            total += term
-        return Fraction(total, self._den)
-
-    def _evaluate_any(self, assignment: Mapping[str, object]):
-        """:meth:`evaluate` over any values, one ``Fraction`` coefficient per term."""
         total: object = Fraction(0)
         for monomial, coefficient in self.terms().items():
             total = total + coefficient * monomial.evaluate(assignment)
