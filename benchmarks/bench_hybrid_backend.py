@@ -70,8 +70,8 @@ def hybrid_rounds():
 
     kernel = get_kernel("ltmp")
     values = {"N": N}
-    adaptive = build_plan(kernel, values, schedule="adaptive", native=True)
-    static = build_plan(kernel, values, schedule=BASELINE_SCHEDULE, native=True)
+    adaptive = build_plan(kernel, values, schedule="adaptive")
+    static = build_plan(kernel, values, schedule=BASELINE_SCHEDULE)
     module = adaptive.native_module
     assert static.native_module is module  # one unit runs every cut
     total = adaptive.collapsed.total_iterations(values)

@@ -134,7 +134,7 @@ def native_rounds():
     prior = _load_prior_report()  # read before this run overwrites the file
     plan = build_plan(kernel, values, schedule="adaptive")  # the engine's best policy
     total = plan.collapsed.total_iterations(values)
-    native_plan = build_plan(kernel, values, schedule=SCHEDULE, native=True)
+    native_plan = build_plan(kernel, values, schedule=SCHEDULE)
     module = native_plan.native_module
     chunks = native_plan.chunks(WORKERS)
 

@@ -24,8 +24,10 @@ trusted rather than proven.  This subpackage closes those holes statically,
   from the Ehrhart polynomial at the requested sizes and reports an error
   when an emitted ``long long``/``__int128`` width could wrap;
 * :mod:`repro.lint.registry` — per-kernel orchestration behind the
-  ``static_check=`` parameter of :func:`repro.runtime.build_plan` /
-  :func:`repro.kernels.verify_kernel` and the ``python -m repro.lint`` CLI.
+  overflow audit of every compiled plan
+  (:attr:`repro.runtime.ExecutionPlan.native_module`), the
+  ``static_check=`` parameter of :func:`repro.kernels.verify_kernel` and
+  the ``python -m repro.lint`` CLI.
 
 Everything returns machine-checkable :class:`~repro.lint.findings.Finding`
 records collected in a :class:`~repro.lint.findings.LintReport`; the CLI

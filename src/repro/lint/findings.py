@@ -9,7 +9,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..analysis.reporting import format_markdown_table
 
 #: severity ladder, most severe first.  ``error`` findings reject a plan
-#: (``build_plan(static_check=True)`` raises, ``verify_kernel`` returns
+#: (a compiled plan's audit raises, ``verify_kernel`` returns
 #: ``False``, the CLI exits non-zero); ``warning`` findings flag something a
 #: human must have justified (e.g. a ``check_dependences=False``
 #: registration); ``info`` findings record what was proven.

@@ -20,8 +20,9 @@ Ehrhart polynomial at the requested sizes:
   box.
 
 Everything is exact big-int/Fraction arithmetic — no float trust.  The
-audit runs at :func:`repro.runtime.build_plan` time for native plans and
-raises before anything is compiled or executed.
+audit runs when a plan attaches its compiled unit
+(:attr:`repro.runtime.ExecutionPlan.native_module`) and raises before
+anything is compiled or executed.
 """
 
 from __future__ import annotations

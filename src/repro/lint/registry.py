@@ -8,9 +8,10 @@ at the kernel's default sizes, and the generated-C lint of the kernel's one
 translation unit.  :func:`lint_all_kernels` maps it over the registry — the engine
 behind ``python -m repro.lint``.
 
-:func:`static_check_plan` is the same machinery scoped to one plan build —
-what ``build_plan(static_check=...)`` and ``verify_kernel(static_check=True)``
-call before anything compiles or runs.
+:func:`static_check_plan` is the same machinery scoped to one plan — its
+overflow audit is what a plan runs before its compiled unit
+(:attr:`~repro.runtime.plan.ExecutionPlan.native_module`) is built, and
+``full=True`` is the whole audit, one call away for any plan.
 """
 
 from __future__ import annotations
@@ -140,11 +141,11 @@ def static_check_plan(
     full: bool = False,
     ir_statements: Sequence[Statement] = (),
 ) -> LintReport:
-    """The static audits one plan build runs before compiling or executing.
+    """The static audits of one plan, run before anything compiles.
 
     The overflow audit always runs (it is a handful of exact polynomial
-    bounds).  ``full=True`` — ``build_plan(static_check=True)`` — adds the
-    C-body footprint audit and the generated-C lint when a body exists.
+    bounds; a plan runs it before compiling its unit).  ``full=True`` adds
+    the C-body footprint audit and the generated-C lint when a body exists.
     """
     report = LintReport()
     report.merge(audit_overflow(collapsed, parameter_values, subject=subject))

@@ -352,31 +352,22 @@ _MODULE_CACHE: Dict[tuple, NativeModule] = {}
 _MODULE_CACHE_LIMIT = 64
 
 
-def compile_collapsed(
-    source,
-    *,
-    body: Optional[str] = None,
-    arrays: Sequence[str] = (),
-    array_ndims=None,
-    extra_flags: Sequence[str] = (),
-    sanitize: Optional[str] = None,
-) -> NativeModule:
+def compile_collapsed(source, *, sanitize: Optional[str] = None) -> NativeModule:
     """Compile a plan source's C translation unit to a native module.
 
     ``source`` is anything :meth:`Source.of <repro.runtime.source.Source.of>`
     accepts — a collapsed loop, a nest, a kernel or a
-    :class:`~repro.runtime.source.Source` — and ``body``/``arrays``/
-    ``array_ndims``/``extra_flags`` are its ``c_body``/``c_arrays``/
-    ``array_ndims``/``compile_flags`` parts (a kernel and a parsed nest
-    bring their own body; without one the unit only recovers indices).
-    ``extra_flags`` are appended to the compiler command line (the sweep's
-    compiler-flags axis — e.g. ``("-march=native",)``); ``sanitize`` names
-    a :data:`~repro.native.compiler.SANITIZER_PRESETS` entry (default: the
-    ``$REPRO_NATIVE_SANITIZE`` environment preset, resolved here so the
-    effective choice is part of the memo key).  Modules are memoised per
-    (source fingerprint, effective flags), where the effective flags are
-    the source's ``compile_flags``, the sanitizer's and
-    ``$REPRO_NATIVE_FLAGS``, the same tuple the on-disk digest hashes.
+    :class:`~repro.runtime.source.Source` — and its ``c_body``,
+    ``c_arrays``, ``array_ndims`` and ``compile_flags`` parts are the
+    unit's body, arrays, ranks and extra compiler flags.  A kernel and a
+    parsed nest bring their own body; without one the unit only recovers
+    indices.  The flags are the sweep's compiler-flags axis, e.g.
+    ``("-march=native",)``.  ``sanitize`` names a :data:`~repro.native.compiler.SANITIZER_PRESETS`
+    entry (default: the ``$REPRO_NATIVE_SANITIZE`` environment preset,
+    resolved here so the effective choice is part of the memo key).
+    Modules are memoised per (source fingerprint, effective flags), where
+    the effective flags are the source's ``compile_flags``, the sanitizer's
+    and ``$REPRO_NATIVE_FLAGS``, the same tuple the on-disk digest hashes.
     The fingerprint covers the loop, body, arrays and ranks, so every
     input that changes the emitted source *or the compiled artefact* is
     part of the key.  The schedule is not: one unit runs every schedule's
@@ -387,10 +378,7 @@ def compile_collapsed(
     :func:`~repro.native.compiler.compile_loadable_library`).  Raises
     :class:`~repro.native.compiler.NativeUnavailable` without a compiler.
     """
-    source = Source.of(
-        source, c_body=body, c_arrays=arrays, array_ndims=array_ndims,
-        compile_flags=extra_flags,
-    )
+    source = Source.of(source)
     if sanitize is None:
         sanitize = default_sanitize()
     key = (source.fingerprint, effective_flags(source.compile_flags, sanitize))

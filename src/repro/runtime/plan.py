@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import monotonic
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
@@ -45,6 +46,12 @@ from .profile import (
 from .source import PlanError, Source
 
 _PLAN_IDS = itertools.count(1)
+
+#: where a C body comes from, for the errors of sources without one
+_C_BODY_HINT = (
+    "pass c_body=/c_arrays=, use a kernel with c_body, or parse the nest from "
+    "array-assignment statements"
+)
 
 #: chunks handed out per worker by the on-demand policies when no explicit
 #: chunk size is given — enough slack for load balancing, few enough that
@@ -139,7 +146,7 @@ def policy_chunks(spec: ScheduleSpec, total: int, workers: int) -> List[Chunk]:
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """One reusable, engine-executable description of a collapsed run.
+    """One reusable description of a collapsed run, for every backend.
 
     Built once by :func:`build_plan` (or cached by the session layer) and
     executed any number of times; ``plan_id`` is what the engine uses to
@@ -147,17 +154,13 @@ class ExecutionPlan:
     """
 
     plan_id: str
-    #: the loop and the parts the plan's backend runs (its Python ops for
-    #: the engine, its compiled C body for native and hybrid)
+    #: the loop and the parts the backends run (its Python ops on the
+    #: engine, its compiled C body on native and hybrid)
     source: Source
     collapsed: CollapsedLoop
     parameter_values: Mapping[str, int]
     schedule: ScheduleSpec
     cost_model: Optional[CostModel] = field(default=None, compare=False)
-    #: the plan's compiled translation unit (set by ``build_plan(native=True)``),
-    #: run in this process over :meth:`chunks` through ``repro_run_chunks``
-    #: on the native and hybrid backends
-    native_module: Optional["NativeModule"] = field(default=None, compare=False, repr=False)
     #: the plan's key in the persistent :class:`~repro.runtime.profile.ProfileStore`
     #: (set by :func:`build_plan`): when a warm profile exists under it, the
     #: ``adaptive`` policy re-cuts its chunks from *measured* chunk seconds
@@ -181,12 +184,45 @@ class ExecutionPlan:
     def total_iterations(self) -> int:
         return self.collapsed.total_iterations(self.parameter_values)
 
+    @cached_property
+    def native_module(self) -> "NativeModule":
+        """The plan's compiled translation unit, attached on first use.
+
+        The native and hybrid backends run it in this process over
+        :meth:`chunks`, under every schedule, through the unit's one OpenMP
+        entry, ``repro_run_chunks``; the unit does not depend on the
+        schedule.  The first access runs the static overflow audit and
+        only then compiles: the emitted ``long long``/``__int128`` widths
+        are *proven* unable to wrap at these parameter values (the big-int
+        Python paths need no such proof), and an error-severity finding
+        raises :class:`PlanError` before the compiler is ever invoked.
+        Raises :class:`PlanError` for a source without a C body and
+        :class:`~repro.native.NativeUnavailable` where no C compiler
+        exists; a failed access attaches nothing.
+        """
+        source = self.source
+        if not source.has_c_body:
+            raise PlanError(
+                f"cannot compile {source.name!r}: no C body (a native plan needs a C "
+                f"body: {_C_BODY_HINT})"
+            )
+        # deferred: lint imports ir, native imports runtime
+        from ..lint.registry import static_check_plan
+        from ..native import compile_collapsed
+
+        static_check_plan(
+            self.collapsed, self.parameter_values, subject=source.name
+        ).raise_on_errors(PlanError)
+        return compile_collapsed(source)
+
     def chunks(self, workers: int) -> Tuple[Chunk, ...]:
         """The chunk partition this plan's policy produces for ``workers``.
 
         ``ADAPTIVE`` sizes chunks by *measured* per-chunk seconds when the
         persistent profile store holds a warm profile for this plan's key
-        (:func:`~repro.runtime.profile.profile_guided_chunks`) and by the
+        banked at ``workers`` (:meth:`ProfileStore.segments
+        <repro.runtime.profile.ProfileStore.segments>`,
+        :func:`~repro.runtime.profile.profile_guided_chunks`) and by the
         cost model's estimated per-iteration work otherwise — the paper's
         collapsed-schedule argument closed into a feedback loop; the classic
         kinds are cut by :func:`policy_chunks`.
@@ -217,9 +253,7 @@ class ExecutionPlan:
             chunks = []
             if token:
                 bounds, seconds = default_profile_store().segments(
-                    self.profile_key,
-                    total,
-                    prefer_backend="hybrid" if self.native_module is not None else "engine",
+                    self.profile_key, total, workers
                 )
                 count = min(total, workers * DEFAULT_OVERSUBSCRIBE)
                 chunks = profile_guided_chunks(bounds, seconds, total, count)
@@ -262,8 +296,6 @@ def build_plan(
     source,
     parameter_values: Mapping[str, int],
     schedule: object = "adaptive",
-    native: bool = False,
-    static_check: Optional[bool] = None,
 ) -> ExecutionPlan:
     """Build an :class:`ExecutionPlan` of one :class:`~repro.runtime.source.Source`.
 
@@ -272,73 +304,32 @@ def build_plan(
     :class:`~repro.ir.LoopNest` (collapsed whole here, through the memo
     cache), a :class:`~repro.core.CollapsedLoop` (``collapse(nest, depth)``
     collapses fewer loops) or a ``Source`` carrying the Python operations
-    and C body of an ad-hoc loop.  A plan runs the parts its backend needs
-    and raises :class:`PlanError` only when one of them is missing: an
-    engine plan needs Python operations, a native plan a C body.
-
-    ``native=True`` additionally compiles the source's C translation unit
-    *in the calling process* and attaches the module to the plan.  The
-    unit does not depend on the schedule.  One native plan serves the
-    ``native`` and ``hybrid`` backends alike, in this process: both hand
-    the plan's :meth:`~ExecutionPlan.chunks`, under every schedule,
-    ``adaptive`` included, to the unit's one OpenMP entry,
-    ``repro_run_chunks``.  Raises :class:`~repro.native.NativeUnavailable`
-    where no C compiler exists.
-
-    ``static_check`` controls the :mod:`repro.lint` audits that run before
-    anything compiles or executes.  The default (``None``) runs the static
-    overflow audit for native plans — the emitted ``long long`` /
-    ``__int128`` widths are *proven* unable to wrap at these parameter
-    values, where the big-int Python paths need no such proof.
-    ``static_check=True`` runs the full audit (overflow plus the C-body
-    footprint and generated-C privatisation checks when a body is known);
-    ``static_check=False`` skips everything.  Any error-severity finding
-    raises :class:`PlanError` before the compiler is ever invoked.
+    and C body of an ad-hoc loop.  One plan serves every backend: the
+    engine runs its Python operations, native and hybrid its
+    :attr:`~ExecutionPlan.native_module`, compiled (after the overflow
+    audit) on first use, and all of them run the same
+    :meth:`~ExecutionPlan.chunks`.  Raises :class:`PlanError` for a source
+    with neither Python operations nor a C body; a backend whose part is
+    missing raises when it runs the plan.  The full :mod:`repro.lint`
+    audit is one call away: ``static_check_plan(..., full=True)``.
     """
     source = Source.of(source)
     spec = ScheduleSpec.parse(schedule)
     kernel = source.kernel
     if kernel is not None and not kernel.is_executable:
         raise PlanError(f"kernel {kernel.name!r} has no executable body")
-    if native and not source.has_c_body:
+    if not (source.has_python_ops or source.has_c_body):
         raise PlanError(
-            f"cannot build a native plan for {source.name!r}: no C body (every "
-            "native plan needs a C body: pass c_body=/c_arrays=, use a kernel with "
-            "c_body, or parse the nest from array-assignment statements)"
+            f"{source.name!r} has nothing to run: the engine needs a kernel or at "
+            f"least one of iteration_op/chunk_op, and a native plan needs a C body "
+            f"({_C_BODY_HINT})"
         )
-    if not native and not source.has_python_ops:
-        raise PlanError("a plan needs a kernel or at least one of iteration_op/chunk_op")
-    collapsed = source.collapsed
-
-    if static_check or (static_check is None and native):
-        # audit before compiling: a plan whose emitted widths could wrap (or,
-        # under full checking, whose region privatisation is unproven) must
-        # never reach the compiler
-        from ..lint.registry import static_check_plan  # deferred: lint imports ir
-
-        static_check_plan(
-            collapsed,
-            parameter_values,
-            c_body=source.c_body,
-            c_arrays=source.c_arrays,
-            subject=source.name,
-            full=bool(static_check),
-            ir_statements=collapsed.nest.statements,
-        ).raise_on_errors(PlanError)
-
-    native_module = None
-    if native:
-        from ..native import compile_collapsed  # deferred: native imports runtime
-
-        native_module = compile_collapsed(source)
-
     return ExecutionPlan(
         plan_id=f"plan-{next(_PLAN_IDS)}",
         source=source,
-        collapsed=collapsed,
+        collapsed=source.collapsed,
         parameter_values=dict(parameter_values),
         schedule=spec,
         cost_model=kernel.cost_model() if kernel is not None else None,
-        native_module=native_module,
         profile_key=profile_key(source, parameter_values, spec),
     )

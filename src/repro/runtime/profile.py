@@ -113,8 +113,9 @@ class BackendProfile:
 
     ``segments`` are the latest run's measured chunks (:data:`Segments`),
     banked for ``adaptive`` keys only, the keys a re-cut reads, and
-    :data:`NO_SEGMENTS` elsewhere.  Two profiles are equal when their JSON
-    forms are.
+    :data:`NO_SEGMENTS` elsewhere; ``workers`` is the width that run's plan
+    was cut for (the session's worker count, on every backend).  Two
+    profiles are equal when their JSON forms are.
     """
 
     backend: str
@@ -489,22 +490,17 @@ class ProfileStore:
                 pass
 
     # -- queries -------------------------------------------------------- #
-    def segments(
-        self,
-        key: str,
-        total_iterations: int,
-        prefer_backend: Optional[str] = None,
-    ) -> Segments:
+    def segments(self, key: str, total_iterations: int, workers: int) -> Segments:
         """Measured chunks usable to re-cut this configuration, as columns.
 
-        Only profiles whose recorded trip count matches ``total_iterations``
-        *and* whose segments are a strict partition of ``[1, total]``
-        qualify (sorted, contiguous, non-empty chunks from 1 to ``total``,
-        finite non-negative seconds): a profile of a different shape says
-        nothing about this range.  Every backend banks its plan's chunks,
-        which tile the range, so the partition check only guards against
-        entries read from disk (another version's, or a hand-edited file).
-        ``prefer_backend`` wins when it qualifies; otherwise the most-run
+        Only profiles banked at ``workers`` whose recorded trip count
+        matches ``total_iterations`` *and* whose segments are a strict
+        partition of ``[1, total]`` qualify (sorted, contiguous, non-empty
+        chunks from 1 to ``total``, finite non-negative seconds): a profile
+        of another width or shape says nothing about this cut.  Every
+        backend banks its plan's chunks, which tile the range, so the
+        partition check only guards against entries read from disk
+        (another version's, or a hand-edited file).  The most-run
         qualifying backend is used — relative cost *density* is what the
         re-cut needs, and density is shared across substrates.  Returns
         :data:`NO_SEGMENTS` when nothing qualifies.
@@ -513,13 +509,12 @@ class ProfileStore:
         candidates = [
             profile
             for profile in self.load(key).values()
-            if profile.total_iterations == total and _partitions(profile.segments, total)
+            if profile.workers == workers
+            and profile.total_iterations == total
+            and _partitions(profile.segments, total)
         ]
         if not candidates:
             return NO_SEGMENTS
-        for profile in candidates:
-            if profile.backend == prefer_backend:
-                return profile.segments
         return max(candidates, key=lambda profile: profile.runs).segments
 
     def clear(self) -> int:

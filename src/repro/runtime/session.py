@@ -2,7 +2,7 @@
 
 A :class:`RuntimeSession` owns one persistent :class:`RuntimeEngine`, a
 cache of :class:`ExecutionPlan` objects keyed by (source fingerprint,
-parameter values, schedule, native, audit level) — the fingerprint of the one
+parameter values, schedule) — the fingerprint of the one
 :class:`~repro.runtime.source.Source` value the profile store and the
 native module memo key on too — one resolved call record per
 :meth:`~RuntimeSession.run` key, and one pool of
@@ -13,8 +13,8 @@ plan, parsed schedule, profile key and, on the compiled backends, the bound
 the pooled set every worker-pool run stages through, so a steady-state run
 allocates nothing: it is the copies of its arrays plus chunk dispatch.
 :meth:`RuntimeSession.run` is the one place a backend name picks a
-substrate: engine, hybrid and native all run a cached plan, and only the
-final dispatch differs.
+substrate: engine, hybrid and native all run the one cached plan of a
+configuration and its one chunk cut, and only the final dispatch differs.
 
 :func:`collapse_and_run` is the one-call version::
 
@@ -129,10 +129,10 @@ BACKENDS = ("engine", "hybrid", "native")
 @dataclass(frozen=True)
 class _Call:
     """One :meth:`RuntimeSession.run` key (source fingerprint, parameter
-    values, schedule as given, backend, ``static_check``), resolved on its
-    first call: the substrate that runs it (``auto`` has no plan and picks
-    one per call), its profile key, the cached plan with its parsed
-    schedule, and on ``native``/``hybrid`` the plan module's bound call."""
+    values, schedule as given, backend), resolved on its first call: the
+    substrate that runs it (``auto`` has no plan and picks one per call),
+    its profile key, the cached plan with its parsed schedule, and on
+    ``native``/``hybrid`` the plan module's bound call."""
 
     backend: str
     profile_key: str
@@ -176,18 +176,16 @@ class RuntimeSession:
         source,
         parameter_values: Mapping[str, int],
         schedule: object = "adaptive",
-        native: bool = False,
-        static_check: Optional[bool] = None,
     ) -> ExecutionPlan:
-        """The cached plan of (source, parameters, schedule, native); built on miss.
+        """The cached plan of (source, parameters, schedule); built on miss.
 
         ``source`` is anything :meth:`Source.of
         <repro.runtime.source.Source.of>` accepts.  The key is the source
         value's fingerprint, the one identity the profile store and the
         native module memo key on too, so two equal nests with equal parts
-        share a plan.  The audit level ``static_check`` is part of the key,
-        so a plan built unaudited is never served to a call asking for the
-        audit.
+        share a plan.  Every backend runs the one plan of a key: the
+        compiled ones attach its :attr:`~ExecutionPlan.native_module` on
+        first use, under the session lock.
         """
         source = Source.of(source)
         spec = ScheduleSpec.parse(schedule)
@@ -195,13 +193,11 @@ class RuntimeSession:
             source.fingerprint,
             tuple(sorted((name, int(value)) for name, value in parameter_values.items())),
             str(spec),
-            native,
-            static_check,
         )
         with self._lock:
             plan = self._plans.get(key)
             if plan is None:
-                plan = build_plan(source, parameter_values, spec, native, static_check)
+                plan = build_plan(source, parameter_values, spec)
                 self._plans[key] = plan
         return plan
 
@@ -218,7 +214,6 @@ class RuntimeSession:
         data=None,
         schedule: object = "adaptive",
         backend: str = "engine",
-        static_check: Optional[bool] = None,
         **parts,
     ):
         """Collapse (cached), plan (cached), execute on the chosen substrate.
@@ -234,10 +229,11 @@ class RuntimeSession:
         ``c_body=``/``c_arrays=``, or the statements of a parsed nest).  To
         collapse fewer loops than the whole nest, pass ``collapse(nest,
         depth)`` as the source.  ``backend`` picks the substrate, as listed
-        on :func:`collapse_and_run`; every backend runs the session's
-        cached plan of (source, parameters, schedule), native and hybrid
-        share one compiled plan, lint audit (``static_check``, see
-        :func:`~repro.runtime.plan.build_plan`) included, and every
+        on :func:`collapse_and_run`; every backend runs the session's one
+        cached plan of (source, parameters, schedule) and its one chunk
+        cut, native and hybrid through the plan's compiled unit (audited
+        for overflow before it compiles, see
+        :attr:`~repro.runtime.plan.ExecutionPlan.native_module`), and every
         backend's parallelism is the session's ``workers``.
 
         For a kernel source the return value is the kernel's result
@@ -263,10 +259,10 @@ class RuntimeSession:
         way).
         """
         source = Source.of(source, **parts)
-        key = (source.fingerprint, tuple(parameter_values.items()), schedule, backend, static_check)
+        key = (source.fingerprint, tuple(parameter_values.items()), schedule, backend)
         call = self._calls.get(key) or self._resolve(key, source, parameter_values)
         if call.backend == "auto":
-            key = key[:3] + (self._auto_backend(source, call.profile_key, data), static_check)
+            key = key[:3] + (self._auto_backend(source, call.profile_key, data),)
             call = self._calls.get(key) or self._resolve(key, source, parameter_values)
 
         self._reap()
@@ -294,16 +290,17 @@ class RuntimeSession:
     def _resolve(self, key: tuple, source: Source, parameter_values) -> _Call:
         """Build the :class:`_Call` record of a :meth:`run` key and keep it.
 
-        Native and hybrid share the cached compiled plan.  Where no C
-        compiler exists, ``hybrid`` degrades to the engine plan (same
-        result, without the C speed) and that record is not kept, so a
-        compiler found later is used; ``native`` raises
+        Every backend runs the cached plan of the key's (source,
+        parameters, schedule); native and hybrid attach its compiled unit.
+        Where no C compiler exists, ``hybrid`` degrades to the engine on
+        the same plan (same result, without the C speed) and that record
+        is not kept, so a compiler found later is used; ``native`` raises
         :class:`~repro.native.NativeUnavailable`, because its OpenMP team
         and schedule are the thing being requested.  A compilation
         *failure* with a compiler present (e.g. a broken caller ``c_body``)
         raises on both, because silence there would hide a bug.
         """
-        _fingerprint, _values, schedule, backend, static_check = key
+        _fingerprint, _values, schedule, backend = key
         schedule = ScheduleSpec.parse(schedule)
         if backend == "auto":
             call = _Call("auto", profile_key(source, parameter_values, schedule))
@@ -313,32 +310,28 @@ class RuntimeSession:
                 "or 'native'"
             )
         elif backend == "engine":
-            plan = self.plan_for(source, parameter_values, schedule, static_check=static_check)
+            if not source.has_python_ops:
+                raise PlanError(
+                    f"the engine cannot run {source.name!r}: it needs a kernel or at "
+                    "least one of iteration_op/chunk_op"
+                )
+            plan = self.plan_for(source, parameter_values, schedule)
             call = _Call("engine", plan.profile_key, plan)
         else:
             # deferred import: the native backend is optional
             from ..native import NativeUnavailable, native_available
 
+            plan = self.plan_for(source, parameter_values, schedule)
             try:
-                plan = self.plan_for(
-                    source, parameter_values, schedule, native=True, static_check=static_check
-                )
-            except NativeUnavailable as unavailable:
-                if backend == "native" or native_available():
+                with self._lock:
+                    module = plan.native_module
+            except NativeUnavailable:
+                # the engine cannot run an op-less source either: the
+                # actionable problem is then the missing compiler
+                if backend == "native" or native_available() or not source.has_python_ops:
                     raise
-                try:
-                    plan = self.plan_for(
-                        source, parameter_values, schedule, static_check=static_check
-                    )
-                except PlanError:
-                    # the engine cannot run this source either (no Python
-                    # ops): the actionable problem is the missing compiler,
-                    # so that is the error the caller must see
-                    raise unavailable from None
                 return _Call("engine", plan.profile_key, plan)
-            native = plan.native_module.bind(
-                plan.parameter_values, plan.schedule, threads=self.engine.workers
-            )
+            native = module.bind(plan.parameter_values, plan.schedule, threads=self.engine.workers)
             call = _Call(backend, plan.profile_key, plan, native)
         self._calls[key] = call
         return call
@@ -451,9 +444,12 @@ class RuntimeSession:
 
         Only an ``adaptive`` run banks its chunks' bounds and seconds, the
         segments :meth:`ExecutionPlan.chunks` re-cuts its key from; no other
-        key is re-cut.  Disk is only written by the store's flush, which
-        logs a failure instead of raising, so a run never fails on its
-        profile.
+        key is re-cut.  The run is banked at the session's ``workers``, the
+        width its plan was cut for, on every backend (a native run's own
+        ``workers`` is its OpenMP team, which may be narrower), so the
+        segments only re-cut plans of that width.  Disk is only written by
+        the store's flush, which logs a failure instead of raising, so a
+        run never fails on its profile.
         """
         if plan.profile_key is None:
             return
@@ -462,7 +458,7 @@ class RuntimeSession:
             plan.profile_key,
             result.backend,
             elapsed_seconds=result.elapsed_seconds,
-            workers=result.workers or self.engine.workers,
+            workers=self.engine.workers,
             total_iterations=plan.total_iterations,
             segments=(result.bounds, result.chunk_seconds) if adaptive else None,
         )

@@ -238,7 +238,9 @@ def test_property_native_matches_engine_and_batch(case, schedule, runtime_engine
     collapsed = collapse(nest)
     total = collapsed.total_iterations(values)
 
-    module = compile_collapsed(collapsed, body="visits(i, j) += 1.0;", arrays=("visits",))
+    module = compile_collapsed(
+        Source.of(collapsed, c_body="visits(i, j) += 1.0;", c_arrays=("visits",))
+    )
     native_indices = module.recover_range(1, total, values)
     batch_indices = batch_recovery(collapsed).recover_range(1, total, values)
     assert np.array_equal(native_indices, batch_indices)
@@ -285,7 +287,7 @@ def test_property_hybrid_matches_engine_and_native(case, schedule, runtime_engin
         nest, iteration_op=_mark_visit, chunk_op=_mark_visits_chunk,
         c_body="visits(i, j) += 1.0;", c_arrays=("visits",),
     )
-    hybrid_plan = build_plan(source, values, schedule=schedule, native=True)
+    hybrid_plan = build_plan(source, values, schedule=schedule)
     chunks = hybrid_plan.chunks(runtime_engine.workers)
     hybrid_visits = np.zeros(_GRID)
     hybrid_module = hybrid_plan.native_module
@@ -307,7 +309,7 @@ def test_property_hybrid_matches_engine_and_native(case, schedule, runtime_engin
 
     native_visits = np.zeros(_GRID)
     module = compile_collapsed(
-        collapse(nest), body="visits(i, j) += 1.0;", arrays=("visits",)
+        Source.of(collapse(nest), c_body="visits(i, j) += 1.0;", c_arrays=("visits",))
     )
     total = iteration_count(nest, values)
     module.run({"visits": native_visits}, module.bind(values, threads=2), [Chunk(1, total)])

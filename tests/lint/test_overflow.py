@@ -50,16 +50,23 @@ def test_bound_grows_monotonically_with_sizes(simplex3_collapsed):
 # ---------------------------------------------------------------------- #
 # plan/verify wiring
 # ---------------------------------------------------------------------- #
-def test_native_build_plan_audits_overflow_by_default():
-    from repro.native import native_available
+def test_native_module_audits_overflow_before_compiling(monkeypatch):
+    """A plan's compiled unit is attached only after the overflow audit
+    passes: a failing audit raises and attaches nothing, every time."""
+    import repro.native
     from repro.runtime.plan import PlanError, build_plan
 
-    if not native_available():
-        pytest.skip("no C compiler on this machine")
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled before the overflow audit")
+
+    monkeypatch.setattr(repro.native, "compile_collapsed", no_compile)
     kernel = get_kernel("utma")
     huge = {name: 10**10 for name in kernel.default_parameters}
-    with pytest.raises(PlanError, match="overflow/total-exceeds-int64"):
-        build_plan(kernel, huge, native=True)
+    plan = build_plan(kernel, huge)
+    for _attempt in range(2):
+        with pytest.raises(PlanError, match="overflow/total-exceeds-int64"):
+            plan.native_module
+    assert "native_module" not in vars(plan)
 
 
 def test_both_compiled_backends_audit_overflow_before_compiling():
@@ -114,24 +121,32 @@ def test_python_plans_skip_the_audit_by_default():
     assert plan.total_iterations > INT64_MAX
 
 
-def test_static_check_true_runs_the_full_audit():
+def test_full_static_check_of_a_plan_is_one_call_away():
+    """The full audit of any plan (overflow, C-body footprint, generated-C
+    lint) is ``static_check_plan(full=True)`` over the plan's parts."""
+    from repro.lint.registry import static_check_plan
     from repro.runtime.plan import PlanError, build_plan
+
+    def full_audit(plan):
+        source = plan.source
+        return static_check_plan(
+            plan.collapsed,
+            plan.parameter_values,
+            c_body=source.c_body,
+            c_arrays=source.c_arrays,
+            subject=source.name,
+            full=True,
+            ir_statements=plan.collapsed.nest.statements,
+        )
 
     kernel = get_kernel("utma")
     values = dict(kernel.default_parameters)
-    plan = build_plan(kernel, values, static_check=True)
-    assert plan.plan_id
+    report = full_audit(build_plan(kernel, values))
+    assert not report.errors
+    assert {f.rule.split("/")[0] for f in report.findings} == {"overflow", "c-body", "generated"}
     huge = {name: 10**10 for name in values}
     with pytest.raises(PlanError, match="static check failed"):
-        build_plan(kernel, huge, static_check=True)
-
-
-def test_static_check_false_skips_everything():
-    from repro.runtime.plan import build_plan
-
-    kernel = get_kernel("utma")
-    huge = {name: 10**19 for name in kernel.default_parameters}
-    assert build_plan(kernel, huge, static_check=False).plan_id
+        full_audit(build_plan(kernel, huge)).raise_on_errors(PlanError)
 
 
 def test_verify_kernel_accepts_static_check():

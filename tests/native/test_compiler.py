@@ -317,6 +317,7 @@ class TestFlagsInCacheKey:
         from repro.core import collapse
         from repro.ir import Loop, LoopNest
         from repro.native import compile_collapsed
+        from repro.runtime import Source
 
         nest = LoopNest(
             [Loop.make("i", 0, "N"), Loop.make("j", "i", "N")],
@@ -325,7 +326,7 @@ class TestFlagsInCacheKey:
         )
         collapsed = collapse(nest)
         plain = compile_collapsed(collapsed)
-        flagged = compile_collapsed(collapsed, extra_flags=("-DREPRO_PROBE=8",))
+        flagged = compile_collapsed(Source.of(collapsed, compile_flags=("-DREPRO_PROBE=8",)))
         memo_hit = compile_collapsed(collapsed)
         assert plain.library_path != flagged.library_path
         assert memo_hit is plain

@@ -13,7 +13,7 @@ from repro.core import batch_recovery, collapse
 from repro.ir import enumerate_iterations, iteration_count
 from repro.openmp import ScheduleSpec
 from repro.openmp.schedule import Chunk
-from repro.runtime import RunResult
+from repro.runtime import RunResult, Source
 from repro.runtime.plan import policy_chunks
 from repro.native import (
     NativeExecutionError,
@@ -57,12 +57,12 @@ class TestRecovery:
         cut, sees the indices the batch recovery gives: each chunk
         recovers at its first pc and increments across the rest."""
         collapsed = collapse(figure6_nest)
-        module = compile_collapsed(
+        module = compile_collapsed(Source.of(
             collapsed,
-            body="rows(pc - 1, 0) = (double)i; rows(pc - 1, 1) = (double)j; "
+            c_body="rows(pc - 1, 0) = (double)i; rows(pc - 1, 1) = (double)j; "
             "rows(pc - 1, 2) = (double)k;",
-            arrays=("rows",),
-        )
+            c_arrays=("rows",),
+        ))
         values = {"N": 40}
         total = collapsed.total_iterations(values)
         batch = batch_recovery(collapsed).recover_range(1, total, values)
@@ -221,11 +221,11 @@ class TestSixtyFourBitArithmetic:
         first = total - 4999
         window = batch_recovery(collapsed).recover_range(first, total, values)
         assert len({(j, k) for _i, j, k in window}) == len(window) == 5000
-        module = compile_collapsed(
+        module = compile_collapsed(Source.of(
             collapsed,
-            body="visits(j, k) = (double)(i + 1);",
-            arrays=("visits",),
-        )
+            c_body="visits(j, k) = (double)(i + 1);",
+            c_arrays=("visits",),
+        ))
         visits = np.zeros((self.N, self.N))
         chunks = [Chunk(start, min(start + 511, total)) for start in range(first, total + 1, 512)]
         result = module.run(
@@ -297,15 +297,15 @@ class TestExactRecoveryHugeRanges:
         the traced index tuples must match the exact reference."""
         collapsed = collapse(simplex3_nest)
         values = {"N": self.N}
-        module = compile_collapsed(
+        module = compile_collapsed(Source.of(
             collapsed,
-            body=(
+            c_body=(
                 "trace(pc % 64, 0) = (double)i; "
                 "trace(pc % 64, 1) = (double)j; "
                 "trace(pc % 64, 2) = (double)k;"
             ),
-            arrays=("trace",),
-        )
+            c_arrays=("trace",),
+        ))
         for first in self._probe_firsts(collapsed, values):
             trace = np.full((64, 3), -1.0)
             chunks = [Chunk(first, first + 4), Chunk(first + 5, first + 9)]
@@ -403,7 +403,7 @@ from repro.kernels import get_kernel
 from repro.runtime import build_plan
 kernel = get_kernel("utma")
 values = {"N": 64}
-plans = [build_plan(kernel, values, schedule, native=True) for schedule in ("dynamic,1", "static")]
+plans = [build_plan(kernel, values, schedule) for schedule in ("dynamic,1", "static")]
 module = plans[1].native_module
 lib = ctypes.CDLL(str(module.library_path))
 def run_sched_var():
@@ -522,12 +522,12 @@ print(json.dumps({
         collapsed = collapse(correlation_nest)
         values = {"N": 40}
         total = collapsed.total_iterations(values)
-        module = compile_collapsed(
+        module = compile_collapsed(Source.of(
             collapsed,
-            body="trace(pc - 1) = (double)(i * 1000 + j);",
-            arrays=("trace",),
+            c_body="trace(pc - 1) = (double)(i * 1000 + j);",
+            c_arrays=("trace",),
             array_ndims={"trace": 1},
-        )
+        ))
         trace = np.zeros(total)
         result = module.run({"trace": trace}, module.bind(values, threads=2), _cut(module, values))
         assert result.iterations == total
@@ -540,12 +540,12 @@ print(json.dumps({
 
         collapsed = collapse(correlation_nest)
         values = {"N": 12}
-        module = compile_collapsed(
+        module = compile_collapsed(Source.of(
             collapsed,
-            body="cube(i, j, 1) += 1.0;",
-            arrays=("cube",),
+            c_body="cube(i, j, 1) += 1.0;",
+            c_arrays=("cube",),
             array_ndims={"cube": 3},
-        )
+        ))
         cube = np.zeros((12, 12, 2))
         module.run({"cube": cube}, module.bind(values, threads=2), _cut(module, values))
         expected = np.zeros((12, 12, 2))
@@ -556,12 +556,12 @@ print(json.dumps({
     def test_wrong_rank_data_is_rejected(self, correlation_nest):
         from repro.core import collapse
 
-        module = compile_collapsed(
+        module = compile_collapsed(Source.of(
             collapse(correlation_nest),
-            body="trace(pc - 1) = 1.0;",
-            arrays=("trace",),
+            c_body="trace(pc - 1) = 1.0;",
+            c_arrays=("trace",),
             array_ndims={"trace": 1},
-        )
+        ))
         with pytest.raises(NativeExecutionError, match="1-D"):
             module.run({"trace": np.zeros((4, 4))}, module.bind({"N": 4}), _cut(module, {"N": 4}))
 
@@ -660,7 +660,7 @@ class TestSessionBackend:
         with RuntimeSession(workers=1) as session:
             session.run(nest, values, data=data, backend="native")
         assert np.array_equal(data["hist"], expected)
-        plan = build_plan(Source.of(nest, iteration_op=_dummy_op), values, native=True)
+        plan = build_plan(Source.of(nest, iteration_op=_dummy_op), values)
         assert plan.native_module.array_ndims == (1,)
 
     def test_native_nest_run_requires_data(self):
@@ -709,26 +709,55 @@ class TestSessionBackend:
             flagged = session.run("utma", {"N": 10}, backend=backend, compile_flags=("-O1",))
             assert flagged["c"].shape == (10, 10)
 
-    def test_native_backend_takes_static_check(self, monkeypatch):
-        """``static_check`` is a plan option of every backend: native, the
-        plan it audits, runs the full audit instead of rejecting it."""
+    def test_first_compiled_call_audits_once_before_compiling(self, monkeypatch):
+        """The plan's unit is attached on the first compiled call: the
+        overflow audit runs once, then the compiler, and every later native
+        or hybrid call of the configuration reuses the unit."""
+        import repro.native
         from repro.kernels import get_kernel, run_original
         from repro.lint import registry
         from repro.runtime import RuntimeSession
 
-        audits = []
-        audit = registry.static_check_plan
+        events = []
+        audit, compile_unit = registry.static_check_plan, repro.native.compile_collapsed
 
-        def spy(*args, **kwargs):
-            audits.append(kwargs["full"])
+        def audit_spy(*args, **kwargs):
+            events.append(("audit", kwargs.get("full", False)))
             return audit(*args, **kwargs)
 
-        monkeypatch.setattr(registry, "static_check_plan", spy)
+        def compile_spy(source, **kwargs):
+            events.append(("compile", source.name))
+            return compile_unit(source, **kwargs)
+
+        monkeypatch.setattr(registry, "static_check_plan", audit_spy)
+        monkeypatch.setattr(repro.native, "compile_collapsed", compile_spy)
         values = {"N": 12}
+        expected = run_original(get_kernel("utma"), values)["c"]
         with RuntimeSession(workers=1) as session:
-            result = session.run("utma", values, backend="native", static_check=True)
-        assert np.allclose(result["c"], run_original(get_kernel("utma"), values)["c"])
-        assert audits == [True]
+            for backend in ("native", "hybrid", "native", "hybrid"):
+                result = session.run("utma", values, backend=backend)
+                assert np.allclose(result["c"], expected), backend
+        assert events == [("audit", False), ("compile", "utma")]
+
+    def test_failing_audit_never_invokes_the_compiler(self, monkeypatch):
+        """A trip count past int64 fails the audit on both compiled names,
+        on every call, and the compiler is never reached."""
+        import repro.native
+        from repro.kernels import get_kernel
+        from repro.runtime import RuntimeSession
+        from repro.runtime.plan import PlanError
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before the overflow audit passed")
+
+        monkeypatch.setattr(repro.native, "compile_collapsed", no_compile)
+        huge = {"N": 2**33}
+        data = get_kernel("utma").make_data({"N": 8})
+        with RuntimeSession(workers=1) as session:
+            for backend in ("native", "hybrid", "native"):
+                with pytest.raises(PlanError, match="overflow/total-exceeds-int64"):
+                    session.run("utma", huge, data=data, backend=backend)
+            assert "native_module" not in vars(session.plan_for("utma", huge))
 
     def test_caller_data_is_not_mutated(self):
         from repro.kernels import get_kernel

@@ -152,13 +152,14 @@ def test_bodyless_and_parameterless_units_compile_warning_free(correlation_nest)
     from repro.core import collapse
     from repro.ir import Loop, LoopNest
     from repro.native import compile_collapsed, flags_supported
+    from repro.runtime import Source
 
     if not flags_supported(WERROR):
         pytest.skip("compiler does not accept -Wall -Wextra -Werror")
-    bodyless = compile_collapsed(collapse(correlation_nest), extra_flags=WERROR)
+    bodyless = compile_collapsed(Source.of(collapse(correlation_nest), compile_flags=WERROR))
     assert bodyless.library_path.exists()
     fixed = LoopNest(
         [Loop.make("i", 0, 6), Loop.make("j", 0, "i + 1")], name="fixed"
     )
-    parameterless = compile_collapsed(collapse(fixed), extra_flags=WERROR)
+    parameterless = compile_collapsed(Source.of(collapse(fixed), compile_flags=WERROR))
     assert parameterless.total({}) == 21

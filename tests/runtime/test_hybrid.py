@@ -121,7 +121,7 @@ class TestKernelEquality:
                         assert np.allclose(result[array], expected[array], atol=1e-9), where
                     else:
                         assert np.array_equal(result[array], expected[array]), where
-            plan = session.plan_for(name, values, schedule, native=True)
+            plan = session.plan_for(name, values, schedule)
             libraries.add(plan.native_module.library_path)
         assert len(libraries) == 1
 
@@ -188,7 +188,7 @@ class TestInProcess:
         result = session.run(
             source, values, data={"trace": trace}, schedule="dynamic,64", backend="hybrid"
         )
-        plan = session.plan_for(source, values, "dynamic,64", native=True)
+        plan = session.plan_for(source, values, "dynamic,64")
         assert result.backend == "hybrid"
         assert result.chunks == plan.chunks(session.engine.workers)
         assert result.bounds.tolist() == [[chunk.first, chunk.last] for chunk in result.chunks]
@@ -261,7 +261,7 @@ class TestInProcess:
         result = session.run(
             source, values, data={"visits": visits}, backend="hybrid", schedule=schedule
         )
-        plan = session.plan_for(source, values, schedule, native=True)
+        plan = session.plan_for(source, values, schedule)
         assert sent == []
         assert result.backend == "hybrid"
         assert result.chunks == plan.chunks(session.engine.workers)
@@ -496,7 +496,7 @@ class TestCompiledDataErrors:
         from repro.runtime import EngineError, SharedBuffers, build_plan
 
         nest, _ = _parse_visits_nest()
-        plan = build_plan(nest, {"N": 8}, native=True)
+        plan = build_plan(nest, {"N": 8})
         with SharedBuffers.create({"visits": np.zeros((8, 8))}) as buffers:
             with pytest.raises(EngineError, match="no Python operations"):
                 session.engine.execute(plan, buffers=buffers)
@@ -562,12 +562,71 @@ class TestNativeAdaptive:
                     backend=backend,
                 ))
                 assert np.array_equal(visits, expected), backend
-            plan = session.plan_for(source, values, "adaptive", native=True)
+            plan = session.plan_for(source, values, "adaptive")
             _, hybrid, native = results
             assert (hybrid.backend, native.backend) == ("hybrid", "native")
             assert str(native.schedule) == "adaptive"
             assert native.chunks is hybrid.chunks is plan.chunks(session.engine.workers)
             assert native.bounds.tolist() == [[chunk.first, chunk.last] for chunk in native.chunks]
+
+    @pytest.mark.parametrize("schedule", ["static", "adaptive"])
+    def test_every_backend_name_runs_one_plan_and_one_cut(self, clock, schedule):
+        """engine, native, hybrid and auto calls of one (source, parameters,
+        schedule) hold one plan and run its one chunk tuple."""
+        from repro.runtime import RuntimeSession
+
+        nest = _triangle_nest()
+        values = {"N": 40}
+        source = Source.of(
+            nest, iteration_op=_mark_visit, c_body="visits(i, j) += 1.0;",
+            c_arrays=("visits",),
+        )
+        expected = np.zeros((40, 40))
+        for indices in enumerate_iterations(nest, values):
+            expected[indices] += 1.0
+        with RuntimeSession(workers=2) as session:
+            # an adaptive cold cut is replaced at its first measurement
+            session.run(source, values, data={"visits": np.zeros((40, 40))}, schedule=schedule)
+            results = {}
+            for backend in ("engine", "native", "hybrid", "auto"):
+                visits = np.zeros((40, 40))
+                results[backend] = session.run(
+                    source, values, data={"visits": visits}, schedule=schedule,
+                    backend=backend,
+                )
+                assert np.array_equal(visits, expected), backend
+            assert session.cache_info()["plans"] == 1
+            cut = session.plan_for(source, values, schedule).chunks(session.engine.workers)
+        assert [results[name].backend for name in ("engine", "native", "hybrid")] == [
+            "engine", "native", "hybrid",
+        ]
+        for backend, result in results.items():
+            assert result.chunks is cut, backend
+
+    def test_a_narrow_team_banks_the_width_its_plan_was_cut_for(self, clock, monkeypatch):
+        """A native run's ``workers`` is its OpenMP team, which may be
+        narrower than the session's; the run is banked at the session's
+        width, the one its plan was cut for, so its segments re-cut that
+        plan."""
+        import dataclasses
+
+        from repro.native.module import NativeModule
+        from repro.runtime import RuntimeSession, default_profile_store
+        from repro.runtime.profile import NO_SEGMENTS
+
+        run = NativeModule.run
+        monkeypatch.setattr(
+            NativeModule, "run",
+            lambda self, *args: dataclasses.replace(run(self, *args), workers=1),
+        )
+        values = {"N": 48}
+        with RuntimeSession(workers=2) as session:
+            result = session.run("ltmp", values, backend="native", schedule="adaptive")
+            plan = session.plan_for("ltmp", values, "adaptive")
+        assert result["c"].shape == (48, 48)
+        store = default_profile_store()
+        assert store.load(plan.profile_key)["native"].workers == 2
+        assert store.segments(plan.profile_key, plan.total_iterations, 2) is not NO_SEGMENTS
 
     def test_native_segments_tile_the_range_and_feed_the_recut(self, clock):
         from repro.runtime import RuntimeSession, default_profile_store, profile_guided_chunks
@@ -575,7 +634,7 @@ class TestNativeAdaptive:
 
         values = {"N": 48}
         with RuntimeSession(workers=2) as session:
-            plan = session.plan_for("ltmp", values, "adaptive", native=True)
+            plan = session.plan_for("ltmp", values, "adaptive")
             cold = plan.chunks(session.engine.workers)
             session.run("ltmp", values, backend="native", schedule="adaptive")
             store = default_profile_store()
@@ -587,9 +646,9 @@ class TestNativeAdaptive:
             assert bounds[0, 0] == 1 and bounds[-1, 1] == total
             assert (bounds[1:, 0] == bounds[:-1, 1] + 1).all()
             assert len(seconds) == len(cold)
-            preferred = store.segments(plan.profile_key, total, prefer_backend="hybrid")
-            assert np.array_equal(preferred[0], bounds)
-            assert np.array_equal(preferred[1], seconds)
+            banked = store.segments(plan.profile_key, total, session.engine.workers)
+            assert np.array_equal(banked[0], bounds)
+            assert np.array_equal(banked[1], seconds)
             count = min(total, session.engine.workers * DEFAULT_OVERSUBSCRIBE)
             recut = plan.chunks(session.engine.workers)
             assert recut == tuple(profile_guided_chunks(bounds, seconds, total, count))
@@ -618,7 +677,7 @@ class TestCacheKeying:
         values = {"N": 24}
         total = kernel.collapsed().total_iterations(values)
         for schedule in ("adaptive", "dynamic,64", "guided"):
-            plan = build_plan(kernel, values, schedule, native=True)
+            plan = build_plan(kernel, values, schedule)
             assert plan.native_module is module
             result = module.run(
                 kernel.make_data(values), module.bind(values, schedule, threads=2), plan.chunks(2)
@@ -645,7 +704,7 @@ class TestCacheKeying:
             )
             assert str(result.schedule) == schedule
             assert visits.sum() == total
-            plan = session.plan_for(Source.of(nest, **options), values, schedule, native=True)
+            plan = session.plan_for(Source.of(nest, **options), values, schedule)
             libraries.add(plan.native_module.library_path)
         assert len(libraries) == 1
         spans = sorted((chunk.first, chunk.last) for chunk in result.chunks)
@@ -654,20 +713,22 @@ class TestCacheKeying:
         assert all(last + 1 == first for (_, last), (first, _) in zip(spans, spans[1:]))
         assert result.iterations == total
 
-    def test_session_plans_are_keyed_by_schedule_and_backend(self, session):
-        """One (kernel, size) under different schedules or backends must
-        never share a cached plan — a hybrid plan carries a compiled module
-        an engine plan must not have."""
+    def test_session_plans_are_keyed_by_schedule_not_backend(self, session):
+        """One (kernel, size) under different schedules never shares a
+        cached plan; every backend runs the one plan of a schedule, the
+        compiled ones through the module attached to it on first use."""
         values = {"N": 32}
         static = session.plan_for("utma", values, schedule="static")
         adaptive = session.plan_for("utma", values, schedule="adaptive")
         assert static is not adaptive
         assert session.plan_for("utma", values, schedule="static") is static
-        engine_plan = session.plan_for("utma", values, schedule="static")
-        hybrid_plan = session.plan_for("utma", values, schedule="static", native=True)
-        assert engine_plan is not hybrid_plan
-        assert engine_plan.native_module is None
-        assert hybrid_plan.native_module is not None
+        assert "native_module" not in vars(static)  # nothing compiled yet
+        plans = session.cache_info()["plans"]
+        for backend in ("engine", "hybrid", "native"):
+            session.run("utma", values, schedule="static", backend=backend)
+        assert session.cache_info()["plans"] == plans
+        assert session.plan_for("utma", values, schedule="static") is static
+        assert "native_module" in vars(static)
 
     def test_same_shaped_nests_with_different_bodies_get_different_plans(self, session):
         """Two parsed nests with identical loops but different statements
@@ -685,8 +746,8 @@ class TestCacheKeying:
             return nest
 
         values = {"N": 24}
-        add_plan = session.plan_for(parsed("+"), values, native=True)
-        mul_plan = session.plan_for(parsed("*"), values, native=True)
+        add_plan = session.plan_for(parsed("+"), values)
+        mul_plan = session.plan_for(parsed("*"), values)
         assert add_plan is not mul_plan
         assert add_plan.native_module.library_path != mul_plan.native_module.library_path
         kernel_data = get_kernel("utma").make_data(values)
@@ -703,9 +764,9 @@ class TestCacheKeying:
         object — the inverse guarantee: sharing where sharing is
         *correct*."""
         values = {"N": 32}
-        a = session.plan_for("utma", values, schedule="static", native=True)
-        b = session.plan_for("utma", values, schedule="adaptive", native=True)
-        c = session.plan_for("utma", values, schedule="guided", native=True)
+        a = session.plan_for("utma", values, schedule="static")
+        b = session.plan_for("utma", values, schedule="adaptive")
+        c = session.plan_for("utma", values, schedule="guided")
         assert a is not b and b is not c
         assert a.native_module.library_path == b.native_module.library_path
         assert b.native_module.library_path == c.native_module.library_path

@@ -270,6 +270,33 @@ class TestMeasurementIdentity:
 
     WORKERS = 2
 
+    def test_segments_of_another_width_never_shape_the_cut(self, monkeypatch):
+        """A 1-worker session's adaptive segments never shape a 2-worker
+        plan's cut; a run at the plan's own width still re-cuts it."""
+        from repro.runtime import RuntimeSession, default_profile_store, profile_guided_chunks
+        from repro.runtime import plan as plan_module, profile
+
+        monkeypatch.setattr(profile, "monotonic", lambda: 1000.0)
+        monkeypatch.setattr(plan_module, "monotonic", lambda: 1000.0)
+        values = {"N": 48}
+        store = default_profile_store()
+        with RuntimeSession(workers=self.WORKERS) as wide:
+            plan = wide.plan_for("ltmp", values, "adaptive")
+            key, total = plan.profile_key, plan.total_iterations
+            cold = tuple(adaptive_chunks(plan.collapsed, plan.parameter_values, self.WORKERS))
+            assert plan.chunks(self.WORKERS) == cold
+            with RuntimeSession(workers=1) as narrow:
+                narrow.run("ltmp", values, schedule="adaptive")
+            assert store.load(key)["engine"].workers == 1
+            assert plan.chunks(self.WORKERS) == cold
+            wide.run("ltmp", values, schedule="adaptive")
+            assert store.load(key)["engine"].workers == self.WORKERS
+            count = min(total, self.WORKERS * DEFAULT_OVERSUBSCRIBE)
+            measured = tuple(
+                profile_guided_chunks(*store.segments(key, total, self.WORKERS), total, count)
+            )
+            assert plan.chunks(self.WORKERS) == measured != cold
+
     @pytest.mark.parametrize(
         "variable, value",
         [("REPRO_NATIVE_SANITIZE", "address,undefined"), ("REPRO_NATIVE_FLAGS", "-O0")],

@@ -315,9 +315,9 @@ class TestProfileStore:
         for rows in spans:
             store.record("k", "engine", elapsed_seconds=0.1, workers=2,
                          total_iterations=100, segments=_segments(*rows))
-        assert _rows(store.segments("k", 100)) == [list(row) for row in spans[3]]
+        assert _rows(store.segments("k", 100, 2)) == [list(row) for row in spans[3]]
         store.flush()
-        assert _rows(store.segments("k", 100)) == [list(row) for row in spans[3]]
+        assert _rows(store.segments("k", 100, 2)) == [list(row) for row in spans[3]]
         # a flush merging into a longer disk history keeps the newest spans too
         fifth = _segments((1, 10, 0.1), (11, 100, 0.1))
         store.record("k", "engine", elapsed_seconds=0.1, workers=3,
@@ -327,7 +327,8 @@ class TestProfileStore:
         assert payload["runs"] == 5
         assert payload["workers"] == 3
         assert payload["segments"] == [[1, 10, 0.1], [11, 100, 0.1]]
-        assert _rows(store.segments("k", 100)) == _rows(fifth)
+        assert _rows(store.segments("k", 100, 3)) == _rows(fifth)
+        assert store.segments("k", 100, 2) is NO_SEGMENTS
 
     def test_default_store_follows_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE_DIR", str(tmp_path / "custom"))
@@ -436,7 +437,7 @@ class TestWriteBehind:
         _record(store)
         assert not store.path_for("k").exists()
         assert store.load("k")["engine"].runs == 1
-        assert _rows(store.segments("k", 10)) == [[1, 10, 0.1]]
+        assert _rows(store.segments("k", 10, 2)) == [[1, 10, 0.1]]
         assert store.token("k") != 0
         # every store on the same root shares the table
         assert ProfileStore(tmp_path).load("k")["engine"].runs == 1
@@ -507,7 +508,7 @@ class TestWriteBehind:
         assert store.load("k")["engine"].runs == 1  # not re-read before the cadence
         clock[0] += FLUSH_EVERY_S
         assert store.load("k")["engine"].runs == 2
-        assert _rows(store.segments("k", 10)) == [[1, 10, 0.3]]
+        assert _rows(store.segments("k", 10, 2)) == [[1, 10, 0.3]]
         assert store.token("k") != token
 
     def test_an_unchanged_file_keeps_its_token_across_a_flush(self, tmp_path, clock):
@@ -671,8 +672,8 @@ class TestSegmentsQuery:
         store = ProfileStore(tmp_path)
         store.record("k", "engine", elapsed_seconds=0.1, workers=2,
                      total_iterations=100, segments=_segments((1, 100, 0.1)))
-        assert _rows(store.segments("k", 100)) == [[1, 100, 0.1]]
-        assert store.segments("k", 200) is NO_SEGMENTS
+        assert _rows(store.segments("k", 100, 2)) == [[1, 100, 0.1]]
+        assert store.segments("k", 200, 2) is NO_SEGMENTS
 
     @pytest.mark.parametrize(
         "rows",
@@ -695,23 +696,34 @@ class TestSegmentsQuery:
         store = ProfileStore(tmp_path)
         path = store.path_for("k")
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"backend": "engine", "runs": 1, "total_iterations": 100, "segments": rows}
+        entry = {
+            "backend": "engine", "runs": 1, "workers": 2, "total_iterations": 100,
+            "segments": rows,
+        }
         path.write_text(json.dumps({"backends": {"engine": entry}}))
         assert store.load("k")["engine"].runs == 1
-        assert store.segments("k", 100) is NO_SEGMENTS
+        assert store.segments("k", 100, 2) is NO_SEGMENTS
 
-    def test_prefer_backend_wins_when_present(self, tmp_path):
+    def test_only_profiles_of_the_same_width_qualify(self, tmp_path):
+        """Segments measured at one worker count never shape the cut of
+        another: a re-cut reads only the runs banked at its width."""
         store = ProfileStore(tmp_path)
-        store.record("k", "engine", elapsed_seconds=0.1, workers=2,
+        store.record("k", "engine", elapsed_seconds=0.1, workers=1,
                      total_iterations=10, segments=_segments((1, 10, 0.1)))
+        assert store.segments("k", 10, 2) is NO_SEGMENTS
+        assert _rows(store.segments("k", 10, 1)) == [[1, 10, 0.1]]
+
+    def test_the_most_run_backend_wins(self, tmp_path):
+        """Cost density is shared across substrates: no backend is
+        preferred, the most-run qualifying one is read."""
+        store = ProfileStore(tmp_path)
         store.record("k", "hybrid", elapsed_seconds=0.1, workers=2,
                      total_iterations=10, segments=_segments((1, 10, 0.2)))
-        preferred = store.segments("k", 10, prefer_backend="hybrid")
-        assert _rows(preferred) == [[1, 10, 0.2]]
-        # absent preference falls back to the most-run backend
-        store.record("k", "engine", elapsed_seconds=0.1, workers=2,
-                     total_iterations=10, segments=_segments((1, 10, 0.3)))
-        assert _rows(store.segments("k", 10, prefer_backend="python")) == [[1, 10, 0.3]]
+        assert _rows(store.segments("k", 10, 2)) == [[1, 10, 0.2]]
+        for seconds in (0.1, 0.3):
+            store.record("k", "engine", elapsed_seconds=0.1, workers=2,
+                         total_iterations=10, segments=_segments((1, 10, seconds)))
+        assert _rows(store.segments("k", 10, 2)) == [[1, 10, 0.3]]
 
 
 class TestBanking:
@@ -737,8 +749,8 @@ class TestBanking:
             assert profile.segments[0].shape == (0, 2), schedule
             payload = json.loads(store.path_for(key).read_text())["backends"][backend]
             assert payload["segments"] == [], schedule
-            assert store.segments(key, total) is NO_SEGMENTS
-        bounds, seconds = store.segments(profile_key("utma", values, "adaptive"), total)
+            assert store.segments(key, total, 2) is NO_SEGMENTS
+        bounds, seconds = store.segments(profile_key("utma", values, "adaptive"), total, 2)
         assert bounds[0, 0] == 1 and bounds[-1, 1] == total and len(seconds) == len(bounds)
 
 

@@ -169,7 +169,7 @@ class TestKeyCoverage:
         data = {"visits": np.zeros((VALUES["N"], VALUES["N"]))}
         session.run(nest, VALUES, data=data, backend="hybrid", **parts)
         assert np.array_equal(data["visits"], _expected_visits(nest, VALUES, weight))
-        return session.plan_for(Source.of(nest, **parts), VALUES, native=True)
+        return session.plan_for(Source.of(nest, **parts), VALUES)
 
     def _assert_separate(self, first, second):
         assert first is not second
@@ -209,8 +209,8 @@ class TestKeyCoverage:
             by_object = session.run(kernel, values, backend="hybrid")
             assert np.array_equal(by_name["c"], expected)
             assert np.array_equal(by_object["c"], expected)
-            named = session.plan_for("utma", values, native=True)
-            assert session.plan_for(kernel, values, native=True) is named
+            named = session.plan_for("utma", values)
+            assert session.plan_for(kernel, values) is named
             assert session.cache_info()["plans"] == 1
         assert list(default_profile_store().load(named.profile_key)) == ["hybrid"]
         assert default_profile_store().load(named.profile_key)["hybrid"].runs == 2
@@ -220,6 +220,6 @@ class TestKeyCoverage:
         values = {"N": 16}
         with RuntimeSession(workers=2) as session:
             session.run("utma", values, backend=backend)
-            plan = session.plan_for("utma", values, native=backend != "engine")
+            plan = session.plan_for("utma", values)
         assert plan.profile_key == profile_key("utma", values)
         assert backend in default_profile_store().load(profile_key("utma", values))

@@ -42,7 +42,7 @@ def _run(session, backend):
     kernel = get_kernel("utma")
     expected = run_original(kernel, PARAMS)
     if backend in ("native", "hybrid"):
-        plan = session.plan_for(kernel, PARAMS, schedule="adaptive", native=True)
+        plan = session.plan_for(kernel, PARAMS, schedule="adaptive")
         data = kernel.make_data(PARAMS)
         chunks = plan.chunks(2)
         module = plan.native_module

@@ -1,9 +1,9 @@
 """The warm call: one resolved record per run key, one pointer fill per call.
 
 :meth:`RuntimeSession.run` resolves a key (source fingerprint, parameter
-values, schedule as given, backend, ``static_check``) once into a call
-record: the plan, the parsed schedule, the profile key and, on the compiled
-backends, the module's bound :class:`~repro.native.module.NativeCall`.
+values, schedule as given, backend) once into a call record: the plan,
+the parsed schedule, the profile key and, on the compiled backends, the
+module's bound :class:`~repro.native.module.NativeCall`.
 These tests pin what a warm call must still do — validate every array
 before anything is written, keep each call's argument block and timing
 arrays its own — and what it must no longer do: build a plan, a strides
